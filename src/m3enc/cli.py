@@ -327,7 +327,8 @@ def cmd_ablate(args) -> int:
             ev = run.ablate.eval
             report = ek.evaluate(state.params, model, vocab, queries, docs, truth,
                                  layer=ev.layer, dim=ev.dim, ks=list(ev.ks),
-                                 doc_ids=doc_ids)
+                                 doc_ids=doc_ids, query_len=ev.query_len,
+                                 doc_len=ev.doc_len)
             row = {"arm": arm, "param_count": params.count()}
             row.update({f"recall@{k}": report.recalls[k] for k in sorted(report.recalls)})
             rows.append(row)

@@ -94,8 +94,8 @@ class EvalSpec:
     layer: int
     dim: int
     ks: tuple[int, ...]
-    query_len: int = 16
-    doc_len: int = 32
+    query_len: int | None = None  # None: the model's max_seq
+    doc_len: int | None = None
 
 
 @dataclass
@@ -245,13 +245,16 @@ def _parse_eval(c: _Checker, raw: dict, path: str, model: ModelConfig,
     if raw["dim"] not in model.granularity.dims:
         c.fail(f"{path}.dim", f"dim {raw['dim']} not in model granularity "
                               f"{list(model.granularity.dims)}")
+    for key in ("query_len", "doc_len"):
+        if raw.get(key) is not None and not (3 <= raw[key] <= model.max_seq):
+            c.fail(f"{path}.{key}", f"must be in [3, max_seq={model.max_seq}]")
     ks = raw["k"]
     if not ks or not all(isinstance(k, int) and k >= 1 for k in ks):
         c.fail(f"{path}.k", "must be a non-empty list of positive integers")
         return None
     return EvalSpec(name=raw["name"], path=data_path, layer=raw["layer"], dim=raw["dim"],
-                    ks=tuple(sorted(set(ks))), query_len=raw.get("query_len", 16),
-                    doc_len=raw.get("doc_len", 32))
+                    ks=tuple(sorted(set(ks))), query_len=raw.get("query_len"),
+                    doc_len=raw.get("doc_len"))
 
 
 def load_run_config(path) -> RunConfig:

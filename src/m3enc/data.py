@@ -328,10 +328,19 @@ def cap_per_query(store: PairStore, cap: int) -> PairStore:
 
 
 def temporal_split(records: list[PairRecord], boundary: datetime) -> tuple[list[PairRecord], list[PairRecord]]:
-    """Train = strictly before the boundary, test = at-or-after."""
+    """Train = strictly before the boundary, test = at-or-after.
+
+    Timestamps must all match the boundary: all tz-aware or all naive.
+    """
+    aware = boundary.utcoffset() is not None
     for rec in records:
         if rec.timestamp is None:
             raise ContractError(f"record {rec.pair_id} has no timestamp")
+        if (rec.timestamp.utcoffset() is not None) != aware:
+            raise ContractError(
+                f"record {rec.pair_id} has a {'naive' if aware else 'tz-aware'} timestamp "
+                f"{rec.timestamp.isoformat()} but the boundary is "
+                f"{'tz-aware' if aware else 'naive'}; mixed timestamps cannot be ordered")
     train = [r for r in records if r.timestamp < boundary]
     test = [r for r in records if r.timestamp >= boundary]
     return train, test

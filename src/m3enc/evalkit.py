@@ -6,6 +6,10 @@ document pool by inner product (cosine, since rows are unit norm) with
 deterministic id-order tie-breaking. Recall@K counts the queries whose
 single positive document lands in the top K.
 
+Search is exact in two passes: a float32 GEMM per block of queries selects
+every row within a derived float32 error margin of the K-th best score, and
+only those candidates are re-scored in float64 and ordered by (-score, id).
+
 Index file layout: magic ``M3IX``, little-endian u32 version, one line of
 UTF-8 JSON manifest (d, n_docs, provenance), the id table (one UTF-8 line
 per document), then raw little-endian float32 rows.
@@ -26,10 +30,13 @@ from . import encoder as enc
 from . import tensor as T
 from .data import Vocab, encode_sequence
 from .encoder import ModelConfig, Parameters
-from .errors import CheckpointError, ConfigError, ContractError, ShapeError
+from .errors import CheckpointError, ConfigError, ContractError, NumericsError, ShapeError
 
 INDEX_MAGIC = b"M3IX"
 INDEX_VERSION = 1
+
+# queries scored per float32 GEMM; peak scoring memory is this x n_docs x 4 bytes
+_QUERY_BLOCK = 128
 
 log = logging.getLogger("m3enc.evalkit")
 
@@ -144,8 +151,20 @@ def encode_corpus(
 def exact_topk(index: EmbeddingIndex, query_emb: np.ndarray, k: int) -> list[list[tuple[str, float]]]:
     """Exhaustive inner-product ranking; ties broken by ascending doc id.
 
-    Returns, per query, the K (id, score) pairs in descending score order.
-    K larger than the pool clamps with a warning.
+    Returns, per query, the K (id, score) pairs in descending score order,
+    with float64 scores. K larger than the pool clamps with a warning.
+
+    Each block of queries is scored by one float32 GEMM. A row is a
+    candidate when its float32 score is within ``(d + 2) * eps_f32 * |q|``
+    of the K-th largest float32 score. A float32 score of a unit row is off
+    its exact value by at most ``(d + 1) * eps_f32 / 2 * |q|``, so the margin
+    covers twice that error plus the rounding of the threshold itself: every
+    document of the exact top K, and every bit-identical twin of one, is a
+    candidate. Only candidates are re-scored in float64, row by row, so
+    twins get bit-identical scores; they are ordered by (-score, id) and
+    cut to K. Exact ties therefore come back in ascending id order, also
+    across the cut-off. Queries that are not finite in float32 raise
+    ``NumericsError``.
     """
     if k < 1:
         raise ConfigError("K must be at least 1")
@@ -156,12 +175,27 @@ def exact_topk(index: EmbeddingIndex, query_emb: np.ndarray, k: int) -> list[lis
     if k > n_docs:
         log.warning("K=%d exceeds pool size %d; clamping", k, n_docs)
         k = n_docs
-    id_array = np.array(index.ids)
-    scores = query_emb.astype(np.float64) @ index.embeddings.astype(np.float64).T
+    q64 = query_emb.astype(np.float64)
+    if k == 0:  # empty index
+        return [[] for _ in q64]
+    q32 = q64.astype(np.float32)
+    if not np.isfinite(q32).all():
+        raise NumericsError("query embeddings must be finite in float32")
+    margin = (index.dim + 2) * np.finfo(np.float32).eps * np.linalg.norm(q64, axis=1)
+    emb, ids = index.embeddings, index.ids
     out = []
-    for row in scores:
-        order = np.lexsort((id_array, -row))[:k]
-        out.append([(str(id_array[j]), float(row[j])) for j in order])
+    for start in range(0, len(q64), _QUERY_BLOCK):
+        scores = q32[start:start + _QUERY_BLOCK] @ emb.T
+        kth = np.partition(scores, n_docs - k, axis=1)[:, n_docs - k]
+        floor = (kth - margin[start:start + _QUERY_BLOCK]).astype(scores.dtype)
+        qi, cand = np.divmod(np.flatnonzero(scores >= floor[:, None]), n_docs)
+        # float32 rows widen exactly; the float64 row sums do not depend on
+        # where a row sits, unlike a BLAS tile, so twins score bit-identically
+        exact = (emb[cand] * q64[start + qi]).sum(axis=1)
+        bounds = np.searchsorted(qi, np.arange(len(scores) + 1))
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            ranked = sorted(zip((-exact[a:b]).tolist(), [ids[j] for j in cand[a:b].tolist()]))
+            out.append([(doc_id, -neg) for neg, doc_id in ranked[:k]])
     return out
 
 
@@ -191,15 +225,20 @@ def evaluate(
     dim: int,
     ks: list[int],
     doc_ids: list[str] | None = None,
-    seq_len: int | None = None,
+    query_len: int | None = None,
+    doc_len: int | None = None,
     batch_size: int = 64,
 ) -> EvalReport:
-    """Encode, search, and score one (layer, dim) cell end to end."""
+    """Encode, search, and score one (layer, dim) cell end to end.
+
+    Queries are padded or cut to ``query_len`` tokens and documents to
+    ``doc_len``; either defaults to the model's ``max_seq``.
+    """
     t0 = time.perf_counter()
     index = encode_corpus(params, config, vocab, docs, layer, dim,
-                          batch_size=batch_size, seq_len=seq_len, ids=doc_ids)
+                          batch_size=batch_size, seq_len=doc_len, ids=doc_ids)
     q_index = encode_corpus(params, config, vocab, queries, layer, dim,
-                            batch_size=batch_size, seq_len=seq_len,
+                            batch_size=batch_size, seq_len=query_len,
                             ids=[f"q{i}" for i in range(len(queries))])
     encode_ms = (time.perf_counter() - t0) * 1e3
     k_max = max(ks)
@@ -225,7 +264,8 @@ def tradeoff_sweep(
     ks: list[int],
     layer: int | None = None,
     dim: int | None = None,
-    seq_len: int | None = None,
+    query_len: int | None = None,
+    doc_len: int | None = None,
 ) -> tuple[list[TradeoffCurve], list[EvalReport]]:
     """One evaluation per axis value; returns one curve per K.
 
@@ -245,7 +285,8 @@ def tradeoff_sweep(
         l = value if axis == "layer" else layer
         d = value if axis == "dim" else dim
         reports.append(evaluate(params, config, vocab, queries, docs, truth,
-                                layer=l, dim=d, ks=ks, seq_len=seq_len))
+                                layer=l, dim=d, ks=ks, query_len=query_len,
+                                doc_len=doc_len))
     curves = []
     for k in sorted(ks):
         points = []
@@ -283,22 +324,34 @@ def load_index(path) -> EmbeddingIndex:
     if version != INDEX_VERSION:
         raise CheckpointError(f"{path}: index version {version} unsupported")
     nl = raw.find(b"\n", 8)
-    manifest = json.loads(raw[8:nl].decode("utf-8"))
+    if nl < 0:
+        raise CheckpointError(f"{path}: truncated manifest")
+    try:
+        manifest = json.loads(raw[8:nl].decode("utf-8"))
+        n_docs, d, provenance = manifest["n_docs"], manifest["d"], manifest["provenance"]
+    except (KeyError, TypeError, ValueError) as e:  # JSON and UTF-8 errors are ValueErrors
+        raise CheckpointError(f"{path}: unreadable manifest: {e!r}") from e
+    if not all(type(v) is int and v >= 0 for v in (n_docs, d)) or not isinstance(provenance, dict):
+        raise CheckpointError(f"{path}: manifest needs non-negative integer n_docs and d "
+                              "and an object provenance")
     pos = nl + 1
     ids = []
-    for _ in range(manifest["n_docs"]):
+    for _ in range(n_docs):
         end = raw.find(b"\n", pos)
         if end < 0:
             raise CheckpointError(f"{path}: truncated id table")
-        ids.append(raw[pos:end].decode("utf-8"))
+        try:
+            ids.append(raw[pos:end].decode("utf-8"))
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{path}: id {len(ids)} is not UTF-8") from e
         pos = end + 1
-    expected = manifest["n_docs"] * manifest["d"] * 4
+    expected = n_docs * d * 4
     payload = raw[pos:]
     if len(payload) != expected:
         raise CheckpointError(f"{path}: embedding payload is {len(payload)} bytes, "
                               f"expected {expected}")
-    emb = np.frombuffer(payload, dtype="<f4").reshape(manifest["n_docs"], manifest["d"]).copy()
-    return EmbeddingIndex(ids=tuple(ids), embeddings=emb, provenance=manifest["provenance"])
+    emb = np.frombuffer(payload, dtype="<f4").reshape(n_docs, d).copy()
+    return EmbeddingIndex(ids=tuple(ids), embeddings=emb, provenance=provenance)
 
 
 def write_report_files(report: EvalReport, json_path, csv_path) -> None:

@@ -282,23 +282,28 @@ def load_checkpoint(path) -> TrainState:
         raise CheckpointError(f"{path}: truncated manifest")
     try:
         manifest = json.loads(raw[8:nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"{path}: unreadable manifest: {e}") from e
+        tensors = manifest["tensors"]
+        config = enc.config_from_dict(manifest["model"])
+        opt_meta, vocab_tokens = manifest["optimizer"], manifest["vocab"]
+        step, stage, base_seed = manifest["step"], manifest["stage"], manifest["rng"]["base_seed"]
+    except (KeyError, TypeError, ValueError) as e:  # JSON and UTF-8 errors are ValueErrors
+        raise CheckpointError(f"{path}: unreadable manifest: {e!r}") from e
+    _check_tensor_table(path, tensors)
     payload = raw[nl + 1:]
-    expected = sum(t["nbytes"] for t in manifest["tensors"])
+    expected = sum(t["nbytes"] for t in tensors)
     if len(payload) != expected:
         raise CheckpointError(f"{path}: payload is {len(payload)} bytes, manifest "
                               f"declares {expected} (truncated or padded)")
 
     arrays: dict[str, np.ndarray] = {}
-    for t in manifest["tensors"]:
+    for t in tensors:
         chunk = payload[t["offset"]: t["offset"] + t["nbytes"]]
-        if zlib.crc32(chunk) != t["crc32"]:
+        if len(chunk) != t["nbytes"] or zlib.crc32(chunk) != t["crc32"]:
             raise CheckpointError(f"{path}: checksum mismatch for tensor {t['name']}")
-        arr = np.frombuffer(chunk, dtype=np.dtype(t["dtype"])).reshape(t["shape"]).copy()
-        arrays[t["name"]] = arr
+        arrays[t["name"]] = np.frombuffer(chunk, dtype=t["dtype"]).reshape(t["shape"]).copy()
 
-    config = enc.config_from_dict(manifest["model"])
+    if "param/token_embedding" not in arrays:
+        raise CheckpointError(f"{path}: missing tensor param/token_embedding")
     dtype = arrays["param/token_embedding"].dtype
     params = enc.init_parameters(config, seed=0, dtype=dtype)
     for name, p in params.named():
@@ -311,21 +316,44 @@ def load_checkpoint(path) -> TrainState:
         p.data = arrays[key]
 
     opt = None
-    if manifest["optimizer"] is not None:
-        meta = manifest["optimizer"]
-        opt = OptimizerState(
-            m={name: arrays[f"opt.m/{name}"] for name, _ in params.named()},
-            v={name: arrays[f"opt.v/{name}"] for name, _ in params.named()},
-            t=meta["t"], beta1=meta["beta1"], beta2=meta["beta2"],
-            eps=meta["eps"], weight_decay=meta["weight_decay"],
-        )
+    if opt_meta is not None:
+        try:
+            opt = OptimizerState(
+                m={name: arrays[f"opt.m/{name}"] for name, _ in params.named()},
+                v={name: arrays[f"opt.v/{name}"] for name, _ in params.named()},
+                t=opt_meta["t"], beta1=opt_meta["beta1"], beta2=opt_meta["beta2"],
+                eps=opt_meta["eps"], weight_decay=opt_meta["weight_decay"],
+            )
+        except (KeyError, TypeError) as e:
+            raise CheckpointError(f"{path}: incomplete optimizer state: {e!r}") from e
     vocab = None
-    if manifest["vocab"] is not None:
-        tokens = tuple(manifest["vocab"])
+    if vocab_tokens is not None:
+        if not (isinstance(vocab_tokens, list) and all(isinstance(t, str) for t in vocab_tokens)):
+            raise CheckpointError(f"{path}: vocabulary must be a list of strings")
+        tokens = tuple(vocab_tokens)
         vocab = Vocab(id_to_token=tokens, token_to_id={t: i for i, t in enumerate(tokens)})
-    return TrainState(config=config, params=params, opt=opt, step=manifest["step"],
-                      stage=manifest["stage"], base_seed=manifest["rng"]["base_seed"],
-                      vocab=vocab)
+    return TrainState(config=config, params=params, opt=opt, step=step, stage=stage,
+                      base_seed=base_seed, vocab=vocab)
+
+
+def _check_tensor_table(path, tensors) -> None:
+    """Every entry names a float tensor whose byte count matches its shape."""
+    if not isinstance(tensors, list):
+        raise CheckpointError(f"{path}: manifest tensor table is not a list")
+
+    def count(v) -> bool:
+        return type(v) is int and v >= 0
+
+    for i, t in enumerate(tensors):
+        if not (isinstance(t, dict) and isinstance(t.get("name"), str)
+                and t.get("dtype") in ("<f4", "<f8") and isinstance(t.get("shape"), list)
+                and all(count(n) for n in t["shape"])
+                and all(count(t.get(key)) for key in ("offset", "nbytes", "crc32"))):
+            raise CheckpointError(f"{path}: malformed tensor entry {i} "
+                                  "(needs name, dtype <f4/<f8, shape, offset, nbytes, crc32)")
+        if math.prod(t["shape"]) * int(t["dtype"][2:]) != t["nbytes"]:
+            raise CheckpointError(f"{path}: tensor {t['name']} declares {t['nbytes']} bytes "
+                                  f"for shape {t['shape']} {t['dtype']}")
 
 
 # ---------------------------------------------------------------------------

@@ -289,17 +289,44 @@ def test_ablate_base_arm_matches_plain_pipeline(workdir):
     path2 = write_config(workdir, sft_cfg, "ablate-plain.json")
     assert cli.main(["sft", "--config", str(path2)]) == 0
     out = workdir / "ab-plain"
-    assert cli.main(["eval", str(out / "final.m3ck"), str(workdir / "eval.tsv"),
-                     "--layer", "2", "--dim", "16", "--k", "1,5",
-                     "--output", str(out / "ev")]) == 0
-    report = json.loads((out / "ev" / "report.json").read_text())
-    assert float(base_row[2]) == report["recalls"]["1"]
-    assert float(base_row[3]) == report["recalls"]["5"]
+    # evaluated at the eval spec's query_len/doc_len, as the ablation does
+    from m3enc import evalkit as ek
+    plain_state = tr.load_checkpoint(out / "final.m3ck")
+    queries, docs, truth, doc_ids = cli._load_eval_pairs(workdir / "eval.tsv")
+    report = ek.evaluate(plain_state.params, plain_state.config, plain_state.vocab, queries,
+                         docs, truth, layer=2, dim=16, ks=[1, 5], doc_ids=doc_ids,
+                         query_len=8, doc_len=10)
+    assert float(base_row[2]) == report.recalls[1]
+    assert float(base_row[3]) == report.recalls[5]
     # and the trained weights themselves agree
     arm_state = tr.load_checkpoint(workdir / "ab-out2" / "ablate-base.m3ck")
-    plain_state = tr.load_checkpoint(out / "final.m3ck")
     for (n1, a), (_, b) in zip(arm_state.params.named(), plain_state.params.named()):
         np.testing.assert_array_equal(a.data, b.data, err_msg=n1)
+
+
+def test_ablate_eval_lengths_reach_encode_corpus(workdir, monkeypatch):
+    from m3enc import config
+    from m3enc import evalkit as ek
+    seen = []
+    real = ek.encode_corpus
+
+    def spy(*args, **kwargs):
+        seen.append((kwargs["ids"][0][0], kwargs["seq_len"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ek, "encode_corpus", spy)
+    monkeypatch.setattr(config, "ABLATION_ARMS", ("base",))
+    path = write_config(workdir, ablate_config("ab-len"), "ablate-len.json")
+    assert cli.main(["ablate", "--config", str(path)]) == 0
+    assert seen == [("d", 10), ("q", 8)]
+
+
+def test_config_eval_length_beyond_max_seq_exits_2(workdir, capsys):
+    cfg = ablate_config("ab-bad")
+    cfg["ablate"]["eval"]["doc_len"] = 15
+    path = write_config(workdir, cfg, "ablate-bad.json")
+    assert cli.main(["ablate", "--config", str(path)]) == 2
+    assert "doc_len" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

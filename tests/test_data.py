@@ -1,6 +1,6 @@
 """Data layer tests: vocabulary, masking statistics, smoothing, pairs."""
 
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -354,6 +354,18 @@ def test_temporal_split_requires_timestamps():
     recs = [D.PairRecord(query="q", doc="d", timestamp=None, line_no=1)]
     with pytest.raises(ContractError):
         D.temporal_split(recs, datetime(2024, 1, 1))
+
+
+def test_temporal_split_mixed_timestamps_name_the_record(tmp_path):
+    path = tmp_path / "mixed.tsv"
+    path.write_text("q1\td1\t2024-01-01T00:00:00+00:00\n"
+                    "q2\td2\t2024-02-01T00:00:00\n", encoding="utf-8")
+    recs = D.ingest_pairs(path).records
+    assert len(recs) == 2
+    with pytest.raises(ContractError, match="line2"):
+        D.temporal_split(recs, datetime(2024, 1, 15, tzinfo=timezone.utc))
+    with pytest.raises(ContractError, match="line1"):
+        D.temporal_split(recs, datetime(2024, 1, 15))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Evaluation kit tests: exact search oracles, recall, sweeps, index files."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from m3enc import data as D
 from m3enc import encoder as enc
 from m3enc import evalkit as ek
 from m3enc import synth
-from m3enc.errors import CheckpointError, ConfigError, ContractError
+from m3enc.errors import CheckpointError, ConfigError, ContractError, NumericsError
 
 
 def unit_rows(shape, seed):
@@ -109,6 +111,105 @@ def test_topk_permutation_invariance():
     ra = ek.exact_topk(a, q, k=20)
     rb = ek.exact_topk(b, q, k=20)
     assert [[doc for doc, _ in row] for row in ra] == [[doc for doc, _ in row] for row in rb]
+
+
+def brute_force_topk(index, queries, k):
+    """float64 scores of every row, summed row by row, ordered by (-score, id)."""
+    emb64 = index.embeddings.astype(np.float64)
+    out = []
+    for q in np.asarray(queries, dtype=np.float64):
+        scores = (emb64 * q).sum(axis=1).tolist()
+        out.append(sorted(zip(index.ids, scores), key=lambda t: (-t[1], t[0]))[:k])
+    return out
+
+
+def shuffled_ids(n, seed):
+    return tuple(f"d{i:05d}" for i in np.random.default_rng(seed).permutation(n))
+
+
+@pytest.mark.parametrize("d", [128, 16])
+def test_topk_twins_straddle_cutoff_across_tiles(d):
+    n, k = 4099, 40
+    rows = unit_rows((n, d), seed=d)
+    queries = unit_rows((3, d), seed=d + 1)
+    order = np.argsort(-(rows.astype(np.float64) @ queries[0].astype(np.float64)))
+    source = int(order[k - 2])
+    copies = [1, 1027, 2050, n - 1]  # far apart, so they land in different GEMM tiles
+    assert source not in copies and not np.isin(copies, order[:2 * k]).any()
+    rows[copies] = rows[source]
+    index = ek.EmbeddingIndex(ids=shuffled_ids(n, d), embeddings=rows, provenance={})
+    got = ek.exact_topk(index, queries, k)
+    assert got == brute_force_topk(index, queries, k)
+    twins = {index.ids[j] for j in [source] + copies}
+    kept = [(doc, s) for doc, s in got[0] if doc in twins]
+    assert 0 < len(kept) < len(twins)  # the tie group straddles the cut-off
+    assert [doc for doc, _ in kept] == sorted(twins)[:len(kept)]
+    assert len({s for _, s in kept}) == 1
+
+
+def test_topk_finds_rows_float32_ranks_below_the_cutoff():
+    # a near-copy of the exact k-th row that outscores it in float64 but
+    # falls below the float32 k-th score: only the margin keeps it
+    n, d, k = 1000, 16, 10
+    rows = unit_rows((n, d), seed=12)
+    q = unit_rows((1, d), seed=13)
+    q64 = q[0].astype(np.float64)
+    order = np.argsort(-(rows.astype(np.float64) * q64).sum(axis=1))
+    base, spare = rows[order[k - 1]].copy(), int(order[-1])
+    rng = np.random.default_rng(13)
+    for _ in range(2000):
+        trial = base.copy()
+        j = rng.choice(d, size=3, replace=False)
+        trial[j] += rng.integers(-4, 5, size=3) * np.spacing(trial[j])
+        rows[spare] = trial
+        f32 = (q @ rows.T)[0]
+        exact = (rows.astype(np.float64) * q64).sum(axis=1)
+        if (spare in np.lexsort((np.arange(n), -exact))[:k]
+                and f32[spare] < np.partition(f32, n - k)[n - k]):
+            break
+    else:
+        pytest.skip("float32 GEMM on this BLAS never misorders the cut-off here")
+    index = ek.EmbeddingIndex(ids=tuple(f"d{i:04d}" for i in range(n)), embeddings=rows,
+                              provenance={})
+    got = ek.exact_topk(index, q, k)
+    assert got == brute_force_topk(index, q, k)
+    assert index.ids[spare] in dict(got[0])
+
+
+def test_topk_more_queries_than_one_block():
+    index = ek.EmbeddingIndex(ids=shuffled_ids(600, 1), embeddings=unit_rows((600, 24), 2),
+                              provenance={})
+    queries = unit_rows((2 * ek._QUERY_BLOCK + 37, 24), seed=3)
+    assert ek.exact_topk(index, queries, 10) == brute_force_topk(index, queries, 10)
+
+
+def test_topk_float64_non_unit_queries():
+    rows = unit_rows((500, 12), seed=4)
+    rows[[10, 250, 499]] = rows[77]
+    index = ek.EmbeddingIndex(ids=shuffled_ids(500, 5), embeddings=rows, provenance={})
+    rng = np.random.default_rng(6)
+    queries = rng.normal(size=(6, 12)) * np.array([1e-3, 0.5, 1.0, 3.7, 250.0, 1e4])[:, None]
+    queries[2] = rows[77].astype(np.float64) * 3.0
+    assert queries.dtype == np.float64
+    assert ek.exact_topk(index, queries, 25) == brute_force_topk(index, queries, 25)
+
+
+def test_topk_k_equals_pool_size():
+    rows = unit_rows((300, 7), seed=7)
+    rows[[3, 150, 299]] = rows[42]
+    index = ek.EmbeddingIndex(ids=shuffled_ids(300, 8), embeddings=rows, provenance={})
+    queries = unit_rows((5, 7), seed=9)
+    got = ek.exact_topk(index, queries, 300)
+    assert got == brute_force_topk(index, queries, 300)
+    assert all(len(r) == 300 for r in got)
+
+
+def test_topk_rejects_non_finite_queries():
+    index = make_index()
+    queries = index.embeddings[:2].copy()
+    queries[1, 0] = np.nan
+    with pytest.raises(NumericsError):
+        ek.exact_topk(index, queries, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +369,35 @@ def test_index_file_detects_truncation(tmp_path):
     path = tmp_path / "x.m3ix"
     ek.save_index(index, path)
     path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(CheckpointError):
+        ek.load_index(path)
+
+
+def write_index_bytes(path, manifest_line):
+    path.write_bytes(ek.INDEX_MAGIC + struct.pack("<I", ek.INDEX_VERSION) + manifest_line)
+
+
+@pytest.mark.parametrize("manifest_line", [
+    b"{not json}\n",
+    b'{"d": 2, "n_docs": 0, "provenance": {}}',
+    b'\xff\xfe{"d": 2}\n',
+    b'{"d": 2, "n_docs": 0}\n',
+    b'["d", 2]\n',
+    b'{"d": "2", "n_docs": 0, "provenance": {}}\n',
+    b'{"d": 2, "n_docs": -1, "provenance": {}}\n',
+], ids=["not-json", "no-newline", "not-utf8", "no-provenance", "not-an-object",
+        "string-d", "negative-n_docs"])
+def test_index_file_malformed_manifest_is_typed(tmp_path, manifest_line):
+    path = tmp_path / "bad.m3ix"
+    write_index_bytes(path, manifest_line)
+    with pytest.raises(CheckpointError):
+        ek.load_index(path)
+
+
+def test_index_file_non_utf8_id_is_typed(tmp_path):
+    path = tmp_path / "bad-id.m3ix"
+    write_index_bytes(path, b'{"d": 1, "n_docs": 1, "provenance": {}}\n\xff\n'
+                      + np.float32(1.0).tobytes())
     with pytest.raises(CheckpointError):
         ek.load_index(path)
 

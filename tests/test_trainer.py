@@ -2,6 +2,7 @@
 checkpoint integrity, resume equivalence."""
 
 import copy
+import json
 import math
 
 import numpy as np
@@ -256,6 +257,40 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "g.m3ck"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(CheckpointError, match="magic"):
+        tr.load_checkpoint(path)
+
+
+def rewrite_manifest(path, edit):
+    raw = path.read_bytes()
+    nl = raw.index(b"\n", 8)
+    manifest = json.loads(raw[8:nl])
+    edit(manifest)
+    path.write_bytes(raw[:8] + json.dumps(manifest).encode() + raw[nl:])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m.pop("tensors"),
+    lambda m: m["tensors"][0].pop("shape"),
+    lambda m: m["tensors"][0].update(nbytes=str(m["tensors"][0]["nbytes"])),
+    lambda m: m["tensors"][0].update(nbytes=1.5),
+    lambda m: m["tensors"][0].update(dtype="<f"),
+    lambda m: m["tensors"][0].update(shape=[1, 2, 3]),
+    lambda m: m["tensors"][1].pop("name"),
+    lambda m: m.update(tensors={}),
+    lambda m: m["model"].pop("granularity"),
+    lambda m: m["rng"].pop("base_seed"),
+    lambda m: m["optimizer"].pop("beta1"),
+    lambda m: m.update(vocab=7),
+], ids=["no-tensors", "no-shape", "str-nbytes", "float-nbytes", "bad-dtype",
+        "shape-vs-nbytes", "no-name", "table-not-list", "no-granularity", "no-seed",
+        "no-beta1", "vocab-not-list"])
+def test_checkpoint_malformed_manifest_is_typed(tmp_path, edit):
+    state, source = tiny_setup()
+    tr.run_stage(mlm_stage(1), state, source, tr.ListSink())
+    path = tmp_path / "m.m3ck"
+    tr.save_checkpoint(state, path)
+    rewrite_manifest(path, edit)
+    with pytest.raises(CheckpointError):
         tr.load_checkpoint(path)
 
 
