@@ -264,8 +264,6 @@ def tradeoff_sweep(
     ks: list[int],
     layer: int | None = None,
     dim: int | None = None,
-    query_len: int | None = None,
-    doc_len: int | None = None,
 ) -> tuple[list[TradeoffCurve], list[EvalReport]]:
     """One evaluation per axis value; returns one curve per K.
 
@@ -285,8 +283,7 @@ def tradeoff_sweep(
         l = value if axis == "layer" else layer
         d = value if axis == "dim" else dim
         reports.append(evaluate(params, config, vocab, queries, docs, truth,
-                                layer=l, dim=d, ks=ks, query_len=query_len,
-                                doc_len=doc_len))
+                                layer=l, dim=d, ks=ks))
     curves = []
     for k in sorted(ks):
         points = []

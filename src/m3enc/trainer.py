@@ -286,7 +286,7 @@ def load_checkpoint(path) -> TrainState:
         config = enc.config_from_dict(manifest["model"])
         opt_meta, vocab_tokens = manifest["optimizer"], manifest["vocab"]
         step, stage, base_seed = manifest["step"], manifest["stage"], manifest["rng"]["base_seed"]
-    except (KeyError, TypeError, ValueError) as e:  # JSON and UTF-8 errors are ValueErrors
+    except (KeyError, TypeError, ValueError, ConfigError) as e:  # JSON/UTF-8 errors are ValueErrors
         raise CheckpointError(f"{path}: unreadable manifest: {e!r}") from e
     _check_tensor_table(path, tensors)
     payload = raw[nl + 1:]

@@ -278,11 +278,12 @@ def rewrite_manifest(path, edit):
     lambda m: m["tensors"][1].pop("name"),
     lambda m: m.update(tensors={}),
     lambda m: m["model"].pop("granularity"),
+    lambda m: m["model"].update(hidden=0),
     lambda m: m["rng"].pop("base_seed"),
     lambda m: m["optimizer"].pop("beta1"),
     lambda m: m.update(vocab=7),
 ], ids=["no-tensors", "no-shape", "str-nbytes", "float-nbytes", "bad-dtype",
-        "shape-vs-nbytes", "no-name", "table-not-list", "no-granularity", "no-seed",
+        "shape-vs-nbytes", "no-name", "table-not-list", "no-granularity", "zero-hidden", "no-seed",
         "no-beta1", "vocab-not-list"])
 def test_checkpoint_malformed_manifest_is_typed(tmp_path, edit):
     state, source = tiny_setup()
