@@ -189,12 +189,12 @@ def exact_topk(index: EmbeddingIndex, query_emb: np.ndarray, k: int) -> list[lis
         kth = np.partition(scores, n_docs - k, axis=1)[:, n_docs - k]
         floor = (kth - margin[start:start + _QUERY_BLOCK]).astype(scores.dtype)
         qi, cand = np.divmod(np.flatnonzero(scores >= floor[:, None]), n_docs)
-        # float32 rows widen exactly; the float64 row sums do not depend on
-        # where a row sits, unlike a BLAS tile, so twins score bit-identically
-        exact = (emb[cand] * q64[start + qi]).sum(axis=1)
         bounds = np.searchsorted(qi, np.arange(len(scores) + 1))
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            ranked = sorted(zip((-exact[a:b]).tolist(), [ids[j] for j in cand[a:b].tolist()]))
+        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]), start):
+            # float32 rows widen exactly; the float64 row sums do not depend on
+            # where a row sits, unlike a BLAS tile, so twins score bit-identically
+            exact = (emb[cand[a:b]] * q64[i]).sum(axis=1)
+            ranked = sorted(zip((-exact).tolist(), [ids[j] for j in cand[a:b].tolist()]))
             out.append([(doc_id, -neg) for neg, doc_id in ranked[:k]])
     return out
 
