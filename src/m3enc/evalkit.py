@@ -35,7 +35,8 @@ from .errors import CheckpointError, ConfigError, ContractError, NumericsError, 
 INDEX_MAGIC = b"M3IX"
 INDEX_VERSION = 1
 
-# queries scored per float32 GEMM; peak scoring memory is this x n_docs x 4 bytes
+# queries scored per float32 GEMM; the scores and their partitioned copy are
+# this x n_docs float32 each, whatever the number of queries
 _QUERY_BLOCK = 128
 
 log = logging.getLogger("m3enc.evalkit")
