@@ -132,6 +132,29 @@ def _vocab_text_source(run, specs):
                       "mono/pairs stage")
 
 
+def _check_resume(run, state, resume) -> None:
+    """Refuse a checkpoint whose model or precision disagrees with the config
+    the stages were validated against."""
+    import dataclasses
+
+    from .errors import ConfigError
+
+    ckpt, cfg = state.config, run.model
+    problems = [f"model.{f.name}: checkpoint {getattr(ckpt, f.name)!r}, "
+                f"config {getattr(cfg, f.name)!r}"
+                for f in dataclasses.fields(cfg)
+                if f.name != "vocab" and getattr(ckpt, f.name) != getattr(cfg, f.name)]
+    if ckpt.vocab > cfg.vocab:
+        problems.append(f"model.vocab_size: checkpoint vocabulary has {ckpt.vocab} entries, "
+                        f"config allows {cfg.vocab}")
+    dtype = state.params.token_embedding.dtype.name
+    if dtype != run.precision:
+        problems.append(f"precision: checkpoint {dtype}, config {run.precision}")
+    if problems:
+        raise ConfigError(f"--resume {resume} does not match the config:\n  "
+                          + "\n  ".join(problems))
+
+
 def _initial_state(run, specs, resume):
     import dataclasses
 
@@ -144,6 +167,7 @@ def _initial_state(run, specs, resume):
 
     if resume is not None:
         state = tr.load_checkpoint(resume)
+        _check_resume(run, state, resume)
         state.base_seed = run.seed
         return state
     texts = _vocab_text_source(run, specs)

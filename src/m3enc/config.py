@@ -81,9 +81,9 @@ class DataRef:
 class StageSpec:
     stage: StageConfig
     data: DataRef
-    seq_len: int = 32
-    query_len: int = 16
-    doc_len: int = 32
+    seq_len: int
+    query_len: int
+    doc_len: int
     smoothing: float = 0.7
 
 
@@ -128,6 +128,10 @@ _STAGE_OPTIONAL = {"warmup_steps": int, "min_lr": float, "granularity": dict,
                    "sft_layer": int, "sft_dims": list, "distill": dict,
                    "checkpoint_every": int, "grad_clip": float, "seq_len": int,
                    "query_len": int, "doc_len": int, "smoothing": float}
+
+# sequence lengths of a stage that sets none; mono/multi stages use seq_len,
+# pair stages query_len and doc_len
+_STAGE_LENGTHS = {"seq_len": 32, "query_len": 16, "doc_len": 32}
 
 _EVAL_REQUIRED = {"name": str, "data": str, "layer": int, "dim": int, "k": list}
 _EVAL_OPTIONAL = {"query_len": int, "doc_len": int}
@@ -210,6 +214,12 @@ def _parse_stage(c: _Checker, raw: dict, path: str, model: ModelConfig,
     if data_raw["kind"] not in expected_kind:
         c.fail(f"{path}.data.kind",
                f"stage {raw['stage']} expects data kind in {expected_kind}")
+    lengths = {key: default if raw.get(key) is None else raw[key]
+               for key, default in _STAGE_LENGTHS.items()}
+    used = ("query_len", "doc_len") if data_raw["kind"] == "pairs" else ("seq_len",)
+    for key in used:
+        if not (3 <= lengths[key] <= model.max_seq):
+            c.fail(f"{path}.{key}", f"{lengths[key]} must be in [3, max_seq={model.max_seq}]")
 
     try:
         stage = StageConfig(
@@ -228,8 +238,7 @@ def _parse_stage(c: _Checker, raw: dict, path: str, model: ModelConfig,
         c.fail(path, str(e))
         return None
     return StageSpec(stage=stage, data=DataRef(kind=data_raw["kind"], path=data_path),
-                     seq_len=raw.get("seq_len", 32), query_len=raw.get("query_len", 16),
-                     doc_len=raw.get("doc_len", 32), smoothing=raw.get("smoothing", 0.7))
+                     smoothing=raw.get("smoothing", 0.7), **lengths)
 
 
 def _parse_eval(c: _Checker, raw: dict, path: str, model: ModelConfig,

@@ -8,6 +8,10 @@ configured layer; the MLM head projects the first ``d`` coordinates of a
 tapped state through the first ``d`` rows of the shared projection matrix,
 so one set of weights serves every (layer, dim) cell of the granularity grid.
 
+Each attention block is four linear projections around one fused
+``tensor.attention`` node; the SwiGLU feed-forward gates through one fused
+``tensor.swiglu`` node.
+
 Tapped states are the raw post-residual block outputs. The final norm (only
 present for pre-norm configs) is applied to the last layer's output, so the
 tap at the top layer equals the final state. Truncating a model to its first
@@ -17,7 +21,6 @@ bit-identical to the full model's tap at layer ``l``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -244,28 +247,17 @@ def _linear(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
 
 
 def _attention(x: Tensor, lp: LayerParams, config: ModelConfig, key_bias: np.ndarray) -> Tensor:
-    bsz, s, m = x.shape
-    h, dh = config.n_heads, config.head_dim
-
-    def split_heads(t):
-        return T.transpose(T.reshape(t, (bsz, s, h, dh)), (0, 2, 1, 3))
-
-    q = split_heads(_linear(x, lp.attn_q, lp.attn_q_b))
-    k = split_heads(_linear(x, lp.attn_k, lp.attn_k_b))
-    v = split_heads(_linear(x, lp.attn_v, lp.attn_v_b))
-    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    scores = T.add(scores, Tensor(key_bias))
-    attn = T.softmax_rows(scores)
-    ctx = T.reshape(T.transpose(T.matmul(attn, v), (0, 2, 1, 3)), (bsz, s, m))
+    ctx = T.attention(_linear(x, lp.attn_q, lp.attn_q_b), _linear(x, lp.attn_k, lp.attn_k_b),
+                      _linear(x, lp.attn_v, lp.attn_v_b), key_bias, config.n_heads)
     return _linear(ctx, lp.attn_o, lp.attn_o_b)
 
 
 def _ffn(x: Tensor, lp: LayerParams, config: ModelConfig) -> Tensor:
     if config.activation == "swiglu":
-        gate = T.activation(_linear(x, lp.ffn_gate, lp.ffn_gate_b), "silu")
-        up = _linear(x, lp.ffn_up, lp.ffn_up_b)
-        return _linear(T.mul(gate, up), lp.ffn_down, lp.ffn_down_b)
-    hidden = T.activation(_linear(x, lp.ffn_up, lp.ffn_up_b), "gelu")
+        hidden = T.swiglu(_linear(x, lp.ffn_gate, lp.ffn_gate_b),
+                          _linear(x, lp.ffn_up, lp.ffn_up_b))
+    else:
+        hidden = T.activation(_linear(x, lp.ffn_up, lp.ffn_up_b), "gelu")
     return _linear(hidden, lp.ffn_down, lp.ffn_down_b)
 
 
@@ -316,7 +308,7 @@ def forward(
         raise ConfigError(f"tap layer {max(tap_set)} exceeds n_layers={config.n_layers}")
 
     dtype = params.token_embedding.dtype
-    key_bias = np.where(attn_mask, 0.0, T.MASK_OFFSET).astype(dtype)[:, None, None, :]
+    key_bias = np.where(attn_mask, 0.0, T.MASK_OFFSET).astype(dtype)
 
     h = T.add(T.take_rows(params.token_embedding, tokens),
               T.slice_rows(params.position_embedding, 0, s))

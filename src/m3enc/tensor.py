@@ -8,6 +8,11 @@ topological order and accumulates gradients on leaf tensors created with
 
 Every public operation validates that its output is finite; NaN/Inf is an
 error state, not a value.
+
+The encoder's hot paths are single nodes with hand-written backward passes:
+``matmul`` of stacked rows by a 2-D weight runs one flattened GEMM each way,
+``attention`` covers head split, scaled and masked scores, softmax, weighted
+sum and head merge, and ``swiglu`` computes silu(gate) * up.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf, expit
+from scipy.special import erf
 
 from .errors import ConfigError, ContractError, NumericsError, ShapeError
 
@@ -241,6 +246,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul requires tensors with at least 2 dimensions")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
+    if b.ndim == 2 and a.ndim >= 3:
+        # stacked rows times one weight: a single GEMM over the flattened rows
+        # each way, instead of one product per leading index summed afterwards
+        m, n = b.shape
+        a2 = a.data.reshape(-1, m)
+        out = (a2 @ b.data).reshape(*a.shape[:-1], n)
+
+        def bwd_flat(g):
+            g2 = g.reshape(-1, n)
+            return (g2 @ b.data.T).reshape(a.data.shape), a2.T @ g2
+
+        return _from_op(out, "matmul", (a, b), bwd_flat)
     out = a.data @ b.data
 
     def bwd(g):
@@ -357,16 +374,6 @@ def gather_last(a: Tensor, indices: np.ndarray) -> Tensor:
     return _from_op(np.ascontiguousarray(out), "gather_last", (a,), bwd)
 
 
-def texp(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-
-    def bwd(g):
-        return (g * out,)
-
-    return _from_op(out, "exp", (a,), bwd)
-
-
 def tlog(a: Tensor) -> Tensor:
     a = as_tensor(a)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -479,26 +486,95 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float) -> Tensor:
 
 
 def activation(x: Tensor, kind: str) -> Tensor:
-    """Elementwise nonlinearity: 'gelu' (exact erf form) or 'silu'."""
+    """Elementwise nonlinearity: 'gelu' (exact erf form)."""
     x = as_tensor(x)
-    if kind == "gelu":
-        phi = 0.5 * (1.0 + erf(x.data * x.dtype.type(1.0 / math.sqrt(2.0))).astype(x.data.dtype))
-        out = x.data * phi
+    if kind != "gelu":
+        raise ConfigError(f"unknown activation kind: {kind!r}")
+    phi = 0.5 * (1.0 + erf(x.data * x.dtype.type(1.0 / math.sqrt(2.0))).astype(x.data.dtype))
+    out = x.data * phi
 
-        def bwd(g):
-            pdf = np.exp(-0.5 * x.data * x.data) * x.dtype.type(1.0 / math.sqrt(2.0 * math.pi))
-            return (g * (phi + x.data * pdf),)
+    def bwd(g):
+        pdf = np.exp(-0.5 * x.data * x.data) * x.dtype.type(1.0 / math.sqrt(2.0 * math.pi))
+        return (g * (phi + x.data * pdf),)
 
-        return _from_op(out, "gelu", (x,), bwd)
-    if kind == "silu":
-        sig = expit(x.data).astype(x.data.dtype)
-        out = x.data * sig
+    return _from_op(out, "gelu", (x,), bwd)
 
-        def bwd(g):
-            return (g * (sig * (1.0 + x.data * (1.0 - sig))),)
 
-        return _from_op(out, "silu", (x,), bwd)
-    raise ConfigError(f"unknown activation kind: {kind!r}")
+def swiglu(gate: Tensor, up: Tensor) -> Tensor:
+    """The SwiGLU product silu(gate) * up, elementwise, as one node."""
+    gate, up = as_tensor(gate), as_tensor(up)
+    if gate.shape != up.shape:
+        raise ShapeError(f"swiglu shape mismatch: {gate.shape} vs {up.shape}")
+    one = gate.dtype.type(1.0)
+    with np.errstate(over="ignore"):  # exp(-x) -> inf gives sigmoid 0, as it should
+        sig = np.exp(-gate.data)
+    sig += one
+    np.reciprocal(sig, out=sig)
+    act = gate.data * sig
+    out = act * up.data
+
+    def bwd(g):
+        dsilu = gate.data * (one - sig)
+        dsilu += one
+        dsilu *= sig
+        dsilu *= up.data
+        dsilu *= g
+        return dsilu, g * act
+
+    return _from_op(out, "swiglu", (gate, up), bwd)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, key_bias: np.ndarray, n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    ``q``, ``k``, ``v`` are [B x s x m] projections whose last dimension holds
+    ``n_heads`` consecutive heads; ``key_bias`` is a [B x s] additive offset per
+    key (0 for live keys, ``MASK_OFFSET`` for padding). Heads are split and
+    merged through strided views, the softmax subtracts the row max, and the
+    backward pass is written out by hand. Returns the merged [B x s x m] context.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"attention expects equal [B x s x m] q/k/v, got "
+                         f"{q.shape}, {k.shape}, {v.shape}")
+    bsz, s, m = q.shape
+    if n_heads < 1 or m % n_heads != 0:
+        raise ShapeError(f"n_heads={n_heads} must divide the width {m}")
+    bias = np.asarray(key_bias, dtype=q.dtype)
+    if bias.shape != (bsz, s):
+        raise ShapeError(f"key_bias shape {bias.shape} != {(bsz, s)}")
+    dh = m // n_heads
+    scale = q.dtype.type(1.0 / math.sqrt(dh))
+
+    def heads(x):  # [B x s x m] -> [B x h x s x dh] view
+        return x.reshape(bsz, s, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merged_matmul(x, y):  # per-head x @ y, written through the head view
+        buf = np.empty((bsz, s, m), dtype=q.dtype)
+        np.matmul(x, y, out=heads(buf))
+        return buf
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    p = np.matmul(qh, kh.transpose(0, 1, 3, 2))
+    p *= scale
+    p += bias[:, None, None, :]
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = merged_matmul(p, vh)
+
+    def bwd(g):
+        gh = heads(g)
+        gv = merged_matmul(p.transpose(0, 1, 3, 2), gh)
+        gs = np.matmul(gh, vh.transpose(0, 1, 3, 2))
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= scale
+        gq = merged_matmul(gs, kh)
+        gk = merged_matmul(gs.transpose(0, 1, 3, 2), qh)
+        return gq, gk, gv
+
+    return _from_op(out, "attention", (q, k, v), bwd)
 
 
 def l2_normalize_rows(x: Tensor) -> Tensor:

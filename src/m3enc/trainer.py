@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 import time
 import zlib
@@ -221,7 +222,12 @@ def _dtype_tag(arr: np.ndarray) -> str:
 
 
 def save_checkpoint(state: TrainState, path) -> None:
-    """Write the M3CK container; byte-identical for identical states."""
+    """Write the M3CK container; byte-identical for identical states.
+
+    The bytes go to ``<path>.tmp`` in the same directory, which then replaces
+    ``path`` in one rename, so a write that fails part-way leaves the previous
+    file at ``path`` as it was.
+    """
     tensors = []
     payloads = []
     offset = 0
@@ -259,13 +265,20 @@ def save_checkpoint(state: TrainState, path) -> None:
         "fingerprint": params_fingerprint(state.params),
     }
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(blob)
-        f.write(b"\n")
-        for raw in payloads:
-            f.write(raw)
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
+            f.write(blob)
+            f.write(b"\n")
+            for raw in payloads:
+                f.write(raw)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> TrainState:

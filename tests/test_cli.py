@@ -329,6 +329,46 @@ def test_config_eval_length_beyond_max_seq_exits_2(workdir, capsys):
     assert "doc_len" in capsys.readouterr().err
 
 
+def test_config_stage_length_beyond_max_seq_exits_2(workdir, capsys):
+    # the pair stage's default query_len/doc_len (16/32) exceed max_seq 14; the
+    # mono stage's default query_len/doc_len are unused and so not checked
+    cfg = base_config("len-bad")
+    del cfg["stages"][2]["query_len"], cfg["stages"][2]["doc_len"]
+    cfg["stages"][0]["seq_len"] = 2
+    path = write_config(workdir, cfg, "stage-len-bad.json")
+    assert cli.main(["pretrain", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "stages[0].seq_len" in err
+    assert "stages[2].query_len" in err and "stages[2].doc_len" in err
+    assert "stages[0].query_len" not in err and "stages[1]" not in err
+    assert not (workdir / "len-bad").exists()
+
+
+def sft_config(outdir):
+    cfg = base_config(outdir=outdir)
+    cfg["stages"] = [{
+        "name": "sft1", "stage": "sft_mrl", "data": {"kind": "pairs", "path": "pairs.tsv"},
+        "steps": 3, "batch_size": 4, "lr": 1e-3, "tau": 0.05,
+        "sft_layer": 2, "sft_dims": [4, 16], "query_len": 8, "doc_len": 10}]
+    return cfg
+
+
+@pytest.mark.parametrize("edit,field", [
+    (lambda cfg: cfg["model"].update(n_heads=4), "model.n_heads"),
+    (lambda cfg: cfg["model"]["granularity"].update(dims=[4, 8, 16]), "model.granularity"),
+    (lambda cfg: cfg["model"].update(vocab_size=20), "model.vocab_size"),
+    (lambda cfg: cfg.update(precision="float64"), "precision"),
+], ids=["model-field", "granularity", "vocab-over-cap", "dtype"])
+def test_resume_mismatched_checkpoint_exits_2(workdir, pretrained, capsys, edit, field):
+    cfg = sft_config("resume-bad")
+    edit(cfg)
+    path = write_config(workdir, cfg, "resume-bad.json")
+    assert cli.main(["sft", "--config", str(path), "--resume", str(pretrained)]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "does not match the config" in err
+    assert not (workdir / "resume-bad").exists()
+
+
 # ---------------------------------------------------------------------------
 # misc
 # ---------------------------------------------------------------------------

@@ -156,6 +156,42 @@ def test_masked_positions_get_zero_attention():
                                       out_b.tapped_states[l].data[0, live])
 
 
+def unfused_attention(x, lp, config, key_bias):
+    """The encoder's attention as one tape node per step, as an oracle for the
+    fused ``T.attention`` node."""
+    bsz, s, m = x.shape
+    h, dh = config.n_heads, config.head_dim
+
+    def split_heads(t):
+        return T.transpose(T.reshape(t, (bsz, s, h, dh)), (0, 2, 1, 3))
+
+    q = split_heads(enc._linear(x, lp.attn_q, lp.attn_q_b))
+    k = split_heads(enc._linear(x, lp.attn_k, lp.attn_k_b))
+    v = split_heads(enc._linear(x, lp.attn_v, lp.attn_v_b))
+    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    attn = T.softmax_rows(T.add(scores, Tensor(key_bias[:, None, None, :])))
+    ctx = T.reshape(T.transpose(T.matmul(attn, v), (0, 2, 1, 3)), (bsz, s, m))
+    return enc._linear(ctx, lp.attn_o, lp.attn_o_b)
+
+
+def test_fused_attention_matches_unfused_encoder(monkeypatch):
+    cfg = toy_config(n_layers=2, granularity=enc.GranularitySet(layers=(1, 2), dims=(8, 32)))
+    params = enc.init_parameters(cfg, seed=4, dtype=np.float64)
+    tokens, mask = toy_batch(cfg, seed=4, bsz=3, s=9, n_pad=0)
+    mask[0, 6:] = False  # a different padding per row, so the key bias must
+    mask[2, 3:] = False  # follow each row's own mask
+    results = []
+    for attention in (enc._attention, unfused_attention):
+        monkeypatch.setattr(enc, "_attention", attention)
+        T.zero_grads(params.named())
+        out = enc.forward(params, cfg, tokens, mask)
+        T.tsum(T.mul(out.tapped_states[1], out.final_state)).backward()
+        results.append([out.tapped_states[1].data, out.final_state.data]
+                       + [g for _, g in T.GradientRecord.collect(params.named())])
+    for fused, ref in zip(*results):
+        np.testing.assert_allclose(fused, ref, rtol=1e-10, atol=1e-13)
+
+
 def test_forward_errors():
     cfg = toy_config()
     params = enc.init_parameters(cfg, seed=0)

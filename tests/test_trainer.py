@@ -260,6 +260,39 @@ def test_checkpoint_rejects_garbage(tmp_path):
         tr.load_checkpoint(path)
 
 
+def test_checkpoint_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    state, source = tiny_setup()
+    path = tmp_path / "k.m3ck"
+    tr.save_checkpoint(state, path)
+    before = path.read_bytes()
+    tr.run_stage(mlm_stage(2), state, source, tr.ListSink())
+    real_open = open
+
+    class FailingFile:
+        """Writes through until 1,000 bytes have gone out, then fails."""
+
+        def __init__(self, f):
+            self.f, self.written = f, 0
+
+        def write(self, b):
+            if self.written >= 1000:
+                raise OSError("disk full")
+            self.written += self.f.write(b)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+    monkeypatch.setattr(tr, "open", lambda *a, **k: FailingFile(real_open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        tr.save_checkpoint(state, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["k.m3ck"]
+
+
 def rewrite_manifest(path, edit):
     raw = path.read_bytes()
     nl = raw.index(b"\n", 8)
