@@ -1,9 +1,10 @@
 """Run configuration: strict JSON schema with field-level error messages.
 
-Unknown keys are errors (anti-typo), every referenced path must exist, and
-every (layer, dim) reference must lie within the model granularity -- all
-checked before any compute. Relative paths resolve against the config
-file's directory.
+Unknown keys are errors (anti-typo), every referenced path must be an
+existing file, and every (layer, dim) reference must lie within the model
+granularity -- all checked before any compute. An optional key set to JSON
+``null`` is the same as an absent key. Relative paths resolve against the
+config file's directory.
 """
 
 from __future__ import annotations
@@ -30,9 +31,14 @@ class _Checker:
         self.errors.append(f"{path}: {message}")
 
     def keys(self, d: dict, path: str, required: dict, optional: dict) -> bool:
+        """Check the keys of ``d`` and the types of their values. Optional keys
+        holding ``null`` are removed from ``d``: ``null`` means unset."""
         if not isinstance(d, dict):
             self.fail(path, f"expected an object, got {type(d).__name__}")
             return False
+        for key in optional:
+            if key in d and d[key] is None:
+                del d[key]
         ok = True
         for key in d:
             if key not in required and key not in optional:
@@ -47,11 +53,20 @@ class _Checker:
                                            f"got {type(d[key]).__name__}")
                 ok = False
         for key, kind in optional.items():
-            if key in d and d[key] is not None and not self._type_ok(d[key], kind):
+            if key in d and not self._type_ok(d[key], kind):
                 self.fail(f"{path}.{key}", f"expected {self._name(kind)}, "
                                            f"got {type(d[key]).__name__}")
                 ok = False
         return ok
+
+    def int_list(self, value, path: str, length: int | None = None) -> tuple[int, ...] | None:
+        """``value`` as a tuple of integers, or None after recording why it is not one."""
+        if (isinstance(value, list) and all(self._type_ok(v, int) for v in value)
+                and length in (None, len(value))):
+            return tuple(value)
+        what = "integers" if length is None else f"exactly {length} integers"
+        self.fail(path, f"expected a list of {what}, got {value!r}")
+        return None
 
     @staticmethod
     def _type_ok(value, kind) -> bool:
@@ -112,7 +127,6 @@ class RunConfig:
     model: ModelConfig  # vocab field holds the configured cap until a vocab is built
     vocab_corpus: Path | None
     stages: list[StageSpec] = field(default_factory=list)
-    evals: list[EvalSpec] = field(default_factory=list)
     ablate: AblateSpec | None = None
 
 
@@ -140,9 +154,13 @@ _EVAL_OPTIONAL = {"query_len": int, "doc_len": int}
 def _parse_granularity(c: _Checker, d: dict, path: str) -> GranularitySet | None:
     if not c.keys(d, path, {"layers": list, "dims": list}, {}):
         return None
+    layers = c.int_list(d["layers"], f"{path}.layers")
+    dims = c.int_list(d["dims"], f"{path}.dims")
+    if layers is None or dims is None:
+        return None
     try:
-        return GranularitySet(layers=tuple(d["layers"]), dims=tuple(d["dims"]))
-    except (ConfigError, TypeError) as e:
+        return GranularitySet(layers=layers, dims=dims)
+    except ConfigError as e:
         c.fail(path, str(e))
         return None
 
@@ -170,40 +188,46 @@ def _parse_stage(c: _Checker, raw: dict, path: str, model: ModelConfig,
         c.fail(f"{path}.data.kind", f"must be mono, multi, or pairs, got {data_raw['kind']!r}")
         return None
     data_path = base_dir / data_raw["path"]
-    if not data_path.exists():
+    if not data_path.is_file():
         c.fail(f"{path}.data.path", f"file does not exist: {data_path}")
 
     gran = None
-    if raw.get("granularity") is not None:
+    if "granularity" in raw:
         gran = _parse_granularity(c, raw["granularity"], f"{path}.granularity")
         if gran is not None:
             _check_grid_subset(c, gran, model.granularity, f"{path}.granularity")
 
-    sft_dims = tuple(raw["sft_dims"]) if raw.get("sft_dims") is not None else None
-    if sft_dims is not None:
+    sft_dims = None
+    if "sft_dims" in raw:
+        sft_dims = c.int_list(raw["sft_dims"], f"{path}.sft_dims")
+        if sft_dims is None:
+            return None
         for i, d in enumerate(sft_dims):
             if d not in model.granularity.dims:
                 c.fail(f"{path}.sft_dims[{i}]",
                        f"dim {d} not in model granularity {list(model.granularity.dims)}")
-    if raw.get("sft_layer") is not None and raw["sft_layer"] not in model.granularity.layers:
+    if "sft_layer" in raw and raw["sft_layer"] not in model.granularity.layers:
         c.fail(f"{path}.sft_layer",
                f"layer {raw['sft_layer']} not in model granularity "
                f"{list(model.granularity.layers)}")
 
     plan = None
-    if raw.get("distill") is not None:
+    if "distill" in raw:
         d = raw["distill"]
-        if c.keys(d, f"{path}.distill",
-                  {"mode": str, "teacher": list},
-                  {"student": list, "lambda_d": float, "tau_d": float}):
-            try:
-                plan = build_distill_plan(
-                    d["mode"], tuple(d["teacher"]),
-                    tuple(d["student"]) if d.get("student") is not None else None,
-                    gran or model.granularity,
-                    lambda_d=d.get("lambda_d", 1.0), tau_d=d.get("tau_d", 1.0))
-            except ConfigError as e:
-                c.fail(f"{path}.distill", str(e))
+        if not c.keys(d, f"{path}.distill", {"mode": str, "teacher": list},
+                      {"student": list, "lambda_d": float, "tau_d": float}):
+            return None
+        teacher = c.int_list(d["teacher"], f"{path}.distill.teacher", length=2)
+        student = (c.int_list(d["student"], f"{path}.distill.student", length=2)
+                   if "student" in d else None)
+        if teacher is None or ("student" in d and student is None):
+            return None
+        try:
+            plan = build_distill_plan(d["mode"], teacher, student, gran or model.granularity,
+                                      lambda_d=d.get("lambda_d", 1.0),
+                                      tau_d=d.get("tau_d", 1.0))
+        except ConfigError as e:
+            c.fail(f"{path}.distill", str(e))
 
     expected_kind = {"pretrain_mlm": ("mono", "multi"), "pretrain_contrastive": ("pairs",),
                      "sft": ("pairs",), "sft_mrl": ("pairs",),
@@ -214,8 +238,7 @@ def _parse_stage(c: _Checker, raw: dict, path: str, model: ModelConfig,
     if data_raw["kind"] not in expected_kind:
         c.fail(f"{path}.data.kind",
                f"stage {raw['stage']} expects data kind in {expected_kind}")
-    lengths = {key: default if raw.get(key) is None else raw[key]
-               for key, default in _STAGE_LENGTHS.items()}
+    lengths = {key: raw.get(key, default) for key, default in _STAGE_LENGTHS.items()}
     used = ("query_len", "doc_len") if data_raw["kind"] == "pairs" else ("seq_len",)
     for key in used:
         if not (3 <= lengths[key] <= model.max_seq):
@@ -246,7 +269,7 @@ def _parse_eval(c: _Checker, raw: dict, path: str, model: ModelConfig,
     if not c.keys(raw, path, _EVAL_REQUIRED, _EVAL_OPTIONAL):
         return None
     data_path = base_dir / raw["data"]
-    if not data_path.exists():
+    if not data_path.is_file():
         c.fail(f"{path}.data", f"file does not exist: {data_path}")
     if raw["layer"] not in model.granularity.layers:
         c.fail(f"{path}.layer", f"layer {raw['layer']} not in model granularity "
@@ -255,10 +278,12 @@ def _parse_eval(c: _Checker, raw: dict, path: str, model: ModelConfig,
         c.fail(f"{path}.dim", f"dim {raw['dim']} not in model granularity "
                               f"{list(model.granularity.dims)}")
     for key in ("query_len", "doc_len"):
-        if raw.get(key) is not None and not (3 <= raw[key] <= model.max_seq):
+        if key in raw and not (3 <= raw[key] <= model.max_seq):
             c.fail(f"{path}.{key}", f"must be in [3, max_seq={model.max_seq}]")
-    ks = raw["k"]
-    if not ks or not all(isinstance(k, int) and k >= 1 for k in ks):
+    ks = c.int_list(raw["k"], f"{path}.k")
+    if ks is None:
+        return None
+    if not ks or min(ks) < 1:
         c.fail(f"{path}.k", "must be a non-empty list of positive integers")
         return None
     return EvalSpec(name=raw["name"], path=data_path, layer=raw["layer"], dim=raw["dim"],
@@ -280,8 +305,9 @@ def load_run_config(path) -> RunConfig:
     c = _Checker()
     c.keys(raw, "config",
            {"seed": int, "output_dir": str, "model": dict},
-           {"precision": str, "vocab_corpus": str, "stages": list, "eval": list,
-            "ablate": dict})
+           {"precision": str, "vocab_corpus": str, "stages": list, "ablate": dict})
+    if not isinstance(raw, dict):
+        c.raise_if_failed(str(path))
 
     precision = raw.get("precision", "float32")
     if precision not in PRECISIONS:
@@ -309,9 +335,9 @@ def load_run_config(path) -> RunConfig:
     c.raise_if_failed(str(path))
 
     vocab_corpus = None
-    if raw.get("vocab_corpus") is not None:
+    if "vocab_corpus" in raw:
         vocab_corpus = base_dir / raw["vocab_corpus"]
-        if not vocab_corpus.exists():
+        if not vocab_corpus.is_file():
             c.fail("config.vocab_corpus", f"file does not exist: {vocab_corpus}")
 
     stages = []
@@ -323,14 +349,8 @@ def load_run_config(path) -> RunConfig:
     if len(set(names)) != len(names):
         c.fail("config.stages", f"stage names must be unique, got {names}")
 
-    evals = []
-    for i, e in enumerate(raw.get("eval", [])):
-        spec = _parse_eval(c, e, f"config.eval[{i}]", model, base_dir)
-        if spec is not None:
-            evals.append(spec)
-
     ablate = None
-    if raw.get("ablate") is not None:
+    if "ablate" in raw:
         a = raw["ablate"]
         if c.keys(a, "config.ablate", {"train": dict, "eval": dict}, {}):
             train = _parse_stage(c, a["train"], "config.ablate.train", model, base_dir)
@@ -344,4 +364,4 @@ def load_run_config(path) -> RunConfig:
     c.raise_if_failed(str(path))
     return RunConfig(seed=raw["seed"], output_dir=base_dir / raw["output_dir"],
                      precision=precision, model=model, vocab_corpus=vocab_corpus,
-                     stages=stages, evals=evals, ablate=ablate)
+                     stages=stages, ablate=ablate)

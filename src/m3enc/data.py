@@ -94,10 +94,6 @@ def tokenize(vocab: Vocab, text: str) -> list[int]:
     return [vocab.token_to_id.get(tok, unk) for tok in text.split()]
 
 
-def detokenize(vocab: Vocab, ids) -> str:
-    return " ".join(vocab.id_to_token[i] for i in ids)
-
-
 def encode_sequence(vocab: Vocab, text: str, seq_len: int) -> tuple[np.ndarray, np.ndarray]:
     """Frame as ``<cls> tokens... <sep>`` then pad/truncate to ``seq_len``.
 
@@ -325,25 +321,6 @@ def cap_per_query(store: PairStore, cap: int) -> PairStore:
         counts[rec.query] = n + 1
         kept.append(rec)
     return PairStore(records=kept, skipped=list(store.skipped))
-
-
-def temporal_split(records: list[PairRecord], boundary: datetime) -> tuple[list[PairRecord], list[PairRecord]]:
-    """Train = strictly before the boundary, test = at-or-after.
-
-    Timestamps must all match the boundary: all tz-aware or all naive.
-    """
-    aware = boundary.utcoffset() is not None
-    for rec in records:
-        if rec.timestamp is None:
-            raise ContractError(f"record {rec.pair_id} has no timestamp")
-        if (rec.timestamp.utcoffset() is not None) != aware:
-            raise ContractError(
-                f"record {rec.pair_id} has a {'naive' if aware else 'tz-aware'} timestamp "
-                f"{rec.timestamp.isoformat()} but the boundary is "
-                f"{'tz-aware' if aware else 'naive'}; mixed timestamps cannot be ordered")
-    train = [r for r in records if r.timestamp < boundary]
-    test = [r for r in records if r.timestamp >= boundary]
-    return train, test
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,17 @@ Each attention block is four linear projections around one fused
 ``tensor.attention`` node; the SwiGLU feed-forward gates through one fused
 ``tensor.swiglu`` node.
 
-Tapped states are the raw post-residual block outputs. The final norm (only
-present for pre-norm configs) is applied to the last layer's output, so the
-tap at the top layer equals the final state. Truncating a model to its first
-``l`` layers drops the final norm, which keeps the truncated model's output
-bit-identical to the full model's tap at layer ``l``.
+``forward`` stops at the deepest tapped layer: the layers above it are never
+run, so a tap at layer ``l`` costs ``l`` blocks and is what a model cut to
+its first ``l`` layers would output. Tapped states are the raw post-residual
+block outputs; the final norm (only present for pre-norm configs) is applied
+only to the top layer's output, when layer ``n_layers`` is tapped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,8 +85,8 @@ class ModelConfig:
             raise ConfigError("n_layers, hidden, vocab and max_seq must be positive")
         if self.n_heads < 1 or self.hidden % self.n_heads != 0:
             raise ConfigError(f"n_heads={self.n_heads} must divide hidden={self.hidden}")
-        if self.ffn_mult <= 0:
-            raise ConfigError("ffn_mult must be positive")
+        if not 0 < self.ffn_mult < math.inf:
+            raise ConfigError("ffn_mult must be positive and finite")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"activation must be one of {ACTIVATIONS}")
         if self.norm not in NORMS:
@@ -167,12 +168,6 @@ class Parameters:
 
     def count(self) -> int:
         return sum(t.data.size for _, t in self.named())
-
-
-@dataclass
-class ForwardOutput:
-    tapped_states: dict[int, Tensor]
-    final_state: Tensor
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.ndarray:
@@ -275,13 +270,14 @@ def forward(
     taps: tuple[int, ...] | None = None,
     training: bool = False,
     dropout_rng: np.random.Generator | None = None,
-) -> ForwardOutput:
-    """Run the encoder, capturing hidden states at the tapped layers.
+) -> dict[int, Tensor]:
+    """Run the encoder up to its deepest tapped layer; returns ``{layer: state}``.
 
     ``tokens`` is an id array of shape [s] or [B x s]; ``attn_mask`` marks
     real (attendable) positions. Padding keys receive exactly zero attention
     weight from every query. ``taps`` defaults to the configured granularity
-    layers.
+    layers. Hidden dropout, in training mode, is drawn only between layers
+    that run.
     """
     tokens = np.asarray(tokens)
     squeeze = tokens.ndim == 1
@@ -304,8 +300,10 @@ def forward(
     if taps is None:
         taps = config.granularity.layers
     tap_set = set(taps)
-    if tap_set and max(tap_set) > config.n_layers:
-        raise ConfigError(f"tap layer {max(tap_set)} exceeds n_layers={config.n_layers}")
+    if not tap_set or min(tap_set) < 1 or max(tap_set) > config.n_layers:
+        raise ConfigError(f"tap layers {sorted(tap_set)} must be a non-empty subset of "
+                          f"[1, n_layers={config.n_layers}]")
+    depth = max(tap_set)
 
     dtype = params.token_embedding.dtype
     key_bias = np.where(attn_mask, 0.0, T.MASK_OFFSET).astype(dtype)
@@ -313,12 +311,8 @@ def forward(
     h = T.add(T.take_rows(params.token_embedding, tokens),
               T.slice_rows(params.position_embedding, 0, s))
 
-    def maybe_squeeze(t: Tensor) -> Tensor:
-        return T.reshape(t, t.shape[1:]) if squeeze else t
-
     tapped: dict[int, Tensor] = {}
-    n = config.n_layers
-    for i, lp in enumerate(params.layers, start=1):
+    for i, lp in enumerate(params.layers[:depth], start=1):
         if config.norm_placement == "pre":
             h = T.add(h, _attention(_norm(h, lp.norm1_w, lp.norm1_b, config.norm),
                                     lp, config, key_bias))
@@ -327,19 +321,15 @@ def forward(
             h = _norm(T.add(h, _attention(h, lp, config, key_bias)),
                       lp.norm1_w, lp.norm1_b, config.norm)
             h = _norm(T.add(h, _ffn(h, lp, config)), lp.norm2_w, lp.norm2_b, config.norm)
-        if i < n and i in tap_set:
-            tapped[i] = maybe_squeeze(h)
-        if training and config.hidden_dropout > 0.0 and i < n:
+        if i == config.n_layers and params.final_norm_w is not None:
+            h = _norm(h, params.final_norm_w, params.final_norm_b, config.norm)
+        if i in tap_set:
+            tapped[i] = T.reshape(h, h.shape[1:]) if squeeze else h
+        if training and config.hidden_dropout > 0.0 and i < depth:
             if dropout_rng is None:
                 raise ContractError("dropout requires a dropout_rng in training mode")
             h = _dropout(h, config.hidden_dropout, dropout_rng)
-
-    if params.final_norm_w is not None:
-        h = _norm(h, params.final_norm_w, params.final_norm_b, config.norm)
-    final = maybe_squeeze(h)
-    if n in tap_set:
-        tapped[n] = final
-    return ForwardOutput(tapped_states=tapped, final_state=final)
+    return tapped
 
 
 def mlm_logits(params: Parameters, h: Tensor, d: int) -> Tensor:
@@ -353,11 +343,6 @@ def mlm_logits(params: Parameters, h: Tensor, d: int) -> Tensor:
     truncated = T.slice_last(h, 0, d) if h.shape[-1] != d else h
     return T.add(T.matmul(truncated, T.slice_rows(params.mlm_head_w, 0, d)),
                  params.mlm_head_b)
-
-
-def mlm_head(params: Parameters, h: Tensor, d: int) -> Tensor:
-    """Row-stochastic token distributions from a (possibly truncated) state."""
-    return T.softmax_rows(mlm_logits(params, h, d))
 
 
 def pool(tapped_state: Tensor, attn_mask: np.ndarray, d: int) -> Tensor:
@@ -401,28 +386,3 @@ def config_from_dict(d: dict) -> ModelConfig:
     gran = d.pop("granularity")
     return ModelConfig(granularity=GranularitySet(layers=tuple(gran["layers"]),
                                                   dims=tuple(gran["dims"])), **d)
-
-
-def truncate_to_prefix(params: Parameters, config: ModelConfig, l: int) -> tuple[Parameters, ModelConfig]:
-    """The lite model: first ``l`` layers sharing the parent's weights.
-
-    For l < n_layers the parent's final norm is dropped (layer ``l`` was an
-    intermediate layer there), which makes the lite model's output
-    bit-identical to the parent's tap at layer ``l``.
-    """
-    if not (1 <= l <= config.n_layers):
-        raise ConfigError(f"prefix depth {l} outside [1, {config.n_layers}]")
-    if l == config.n_layers:
-        return params, config
-    gran = GranularitySet(layers=(l,), dims=config.granularity.dims)
-    cfg = replace(config, n_layers=l, granularity=gran)
-    sub = Parameters(
-        token_embedding=params.token_embedding,
-        position_embedding=params.position_embedding,
-        layers=params.layers[:l],
-        mlm_head_w=params.mlm_head_w,
-        mlm_head_b=params.mlm_head_b,
-        final_norm_w=None,
-        final_norm_b=None,
-    )
-    return sub, cfg

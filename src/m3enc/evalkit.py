@@ -6,20 +6,18 @@ document pool by inner product (cosine, since rows are unit norm) with
 deterministic id-order tie-breaking. Recall@K counts the queries whose
 single positive document lands in the top K.
 
+Encoding stops the encoder at the chosen layer, so a layer-``l`` cell costs
+``l`` blocks per text, which is the cost proxy of a layer sweep.
+
 Search is exact in two passes: a float32 GEMM per block of queries selects
 every row within a derived float32 error margin of the K-th best score, and
 only those candidates are re-scored in float64 and ordered by (-score, id).
-
-Index file layout: magic ``M3IX``, little-endian u32 version, one line of
-UTF-8 JSON manifest (d, n_docs, provenance), the id table (one UTF-8 line
-per document), then raw little-endian float32 rows.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import struct
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,10 +28,7 @@ from . import encoder as enc
 from . import tensor as T
 from .data import Vocab, encode_sequence
 from .encoder import ModelConfig, Parameters
-from .errors import CheckpointError, ConfigError, ContractError, NumericsError, ShapeError
-
-INDEX_MAGIC = b"M3IX"
-INDEX_VERSION = 1
+from .errors import ConfigError, ContractError, NumericsError, ShapeError
 
 # queries scored per float32 GEMM; the scores and their partitioned copy are
 # this x n_docs float32 each, whatever the number of queries
@@ -133,8 +128,8 @@ def encode_corpus(
             encoded = [encode_sequence(vocab, t, seq_len) for t in chunk]
             tokens = np.stack([e[0] for e in encoded])
             mask = np.stack([e[1] for e in encoded])
-            out = enc.forward(params, config, tokens, mask, taps=(layer,))
-            emb = enc.pool(out.tapped_states[layer], mask, dim)
+            state = enc.forward(params, config, tokens, mask, taps=(layer,))[layer]
+            emb = enc.pool(state, mask, dim)
             rows[start:start + len(chunk)] = emb.data.astype(np.float32)
     # float32 rounding can leave norms a hair off 1; renormalize in f32
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
@@ -297,59 +292,8 @@ def tradeoff_sweep(
 
 
 # ---------------------------------------------------------------------------
-# Persistence
+# Report files
 # ---------------------------------------------------------------------------
-
-
-def save_index(index: EmbeddingIndex, path) -> None:
-    manifest = {"d": index.dim, "n_docs": len(index.ids), "provenance": index.provenance}
-    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(INDEX_MAGIC)
-        f.write(struct.pack("<I", INDEX_VERSION))
-        f.write(blob)
-        f.write(b"\n")
-        for doc_id in index.ids:
-            f.write(doc_id.encode("utf-8") + b"\n")
-        f.write(np.ascontiguousarray(index.embeddings, dtype="<f4").tobytes())
-
-
-def load_index(path) -> EmbeddingIndex:
-    raw = Path(path).read_bytes()
-    if len(raw) < 9 or raw[:4] != INDEX_MAGIC:
-        raise CheckpointError(f"{path}: not an index file (bad magic)")
-    version = struct.unpack("<I", raw[4:8])[0]
-    if version != INDEX_VERSION:
-        raise CheckpointError(f"{path}: index version {version} unsupported")
-    nl = raw.find(b"\n", 8)
-    if nl < 0:
-        raise CheckpointError(f"{path}: truncated manifest")
-    try:
-        manifest = json.loads(raw[8:nl].decode("utf-8"))
-        n_docs, d, provenance = manifest["n_docs"], manifest["d"], manifest["provenance"]
-    except (KeyError, TypeError, ValueError) as e:  # JSON and UTF-8 errors are ValueErrors
-        raise CheckpointError(f"{path}: unreadable manifest: {e!r}") from e
-    if not all(type(v) is int and v >= 0 for v in (n_docs, d)) or not isinstance(provenance, dict):
-        raise CheckpointError(f"{path}: manifest needs non-negative integer n_docs and d "
-                              "and an object provenance")
-    pos = nl + 1
-    ids = []
-    for _ in range(n_docs):
-        end = raw.find(b"\n", pos)
-        if end < 0:
-            raise CheckpointError(f"{path}: truncated id table")
-        try:
-            ids.append(raw[pos:end].decode("utf-8"))
-        except UnicodeDecodeError as e:
-            raise CheckpointError(f"{path}: id {len(ids)} is not UTF-8") from e
-        pos = end + 1
-    expected = n_docs * d * 4
-    payload = raw[pos:]
-    if len(payload) != expected:
-        raise CheckpointError(f"{path}: embedding payload is {len(payload)} bytes, "
-                              f"expected {expected}")
-    emb = np.frombuffer(payload, dtype="<f4").reshape(n_docs, d).copy()
-    return EmbeddingIndex(ids=tuple(ids), embeddings=emb, provenance=provenance)
 
 
 def write_report_files(report: EvalReport, json_path, csv_path) -> None:

@@ -1,12 +1,18 @@
 """Training objectives over the (layer, dim) granularity grid.
 
+Each objective has one implementation; a grid objective is that loss summed
+over truncated inputs.
+
 * multigranular MLM: one forward pass, one masked-cross-entropy cell per
   (tapped layer, truncation dim), summed without weights
-* in-batch-negative contrastive loss, both as a plain similarity matrix and
-  as a tiled streaming computation that never materializes the full matrix
+* in-batch-negative contrastive loss, streamed over column tiles of the
+  score matrix; ``tile=None`` is a single tile spanning the batch
 * MRL fine-tuning: the contrastive loss summed over several truncation dims
-* self-distillation: KL from a teacher (layer, dim) cell's token
-  distribution to student cells, added to the multigranular MLM total
+  of one layer; the grid contrastive loss sums it over every grid cell
+* self-distillation: the multigranular MLM cells plus lambda_d times the KL
+  from a teacher (layer, dim) cell's token distribution to student cells;
+  teacher and student logits come from the same tape ops, the teacher's
+  under ``no_grad``
 """
 
 from __future__ import annotations
@@ -39,15 +45,6 @@ class LossReport:
     total: float
     aux: float | None = None
     node: Tensor | None = None
-
-
-@dataclass(frozen=True)
-class TileConfig:
-    tile: int
-
-    def __post_init__(self):
-        if self.tile < 1:
-            raise ConfigError(f"tile must be >= 1, got {self.tile}")
 
 
 @dataclass(frozen=True)
@@ -108,11 +105,16 @@ def build_distill_plan(
 # ---------------------------------------------------------------------------
 
 
-def _gather_masked(state: Tensor, mask_positions: np.ndarray) -> Tensor:
-    """Rows of a [B x s x M] state at the masked positions, as [n x M]."""
-    b, s, m = state.shape
-    flat_idx = np.flatnonzero(mask_positions.reshape(-1))
-    return T.take_rows(T.reshape(state, (b * s, m)), flat_idx)
+def _masked_states(params: Parameters, config: ModelConfig, batch: MlmBatch,
+                   layers: tuple[int, ...], **fwd) -> dict[int, Tensor]:
+    """One forward pass; each tapped layer's [n x M] rows at the masked positions."""
+    states = enc.forward(params, config, batch.tokens, batch.attn_mask, taps=layers, **fwd)
+    flat_idx = np.flatnonzero(batch.mask_positions.reshape(-1))
+    out = {}
+    for l in layers:
+        b, s, m = states[l].shape
+        out[l] = T.take_rows(T.reshape(states[l], (b * s, m)), flat_idx)
+    return out
 
 
 def _segmented_head_logits(params: Parameters, h_masked: Tensor,
@@ -134,9 +136,28 @@ def _segmented_head_logits(params: Parameters, h_masked: Tensor,
     return out
 
 
-def _validate_mlm_batch(batch: MlmBatch) -> None:
+def _mlm_cells(params: Parameters, config: ModelConfig, batch: MlmBatch,
+               gran: GranularitySet, **fwd):
+    """The masked rows per tapped layer, the per-cell losses and their sum.
+
+    One forward pass taps the grid layers; each cell projects the tapped
+    state truncated to its dim through the shared head and scores the
+    ground-truth tokens at the masked positions.
+    """
     if not batch.mask_positions.any(axis=-1).all():
         raise ContractError("every sequence needs at least one masked position")
+    masked = _masked_states(params, config, batch, gran.layers, **fwd)
+    targets = batch.labels.reshape(-1)[np.flatnonzero(batch.mask_positions.reshape(-1))]
+    all_true = np.ones(targets.shape[0], dtype=bool)
+    per_pair: dict[tuple[int, int], float] = {}
+    total: Tensor | None = None
+    for l in gran.layers:
+        logits_by_dim = _segmented_head_logits(params, masked[l], gran.dims)
+        for d in gran.dims:
+            cell = T.masked_cross_entropy(logits_by_dim[d], targets, all_true)
+            per_pair[(l, d)] = float(cell)
+            total = cell if total is None else T.add(total, cell)
+    return masked, per_pair, total
 
 
 def matryoshka_mlm_loss(
@@ -148,29 +169,9 @@ def matryoshka_mlm_loss(
     training: bool = False,
     dropout_rng: np.random.Generator | None = None,
 ) -> LossReport:
-    """Masked-LM loss summed over every (layer, dim) cell of the grid.
-
-    One forward pass taps the selected layers; each cell projects the tapped
-    state truncated to its dim through the shared head and scores the
-    ground-truth tokens at the masked positions.
-    """
-    gran = granularity or config.granularity
-    if len(gran) == 0:
-        raise ConfigError("empty granularity grid")
-    _validate_mlm_batch(batch)
-    out = enc.forward(params, config, batch.tokens, batch.attn_mask,
-                      taps=gran.layers, training=training, dropout_rng=dropout_rng)
-    targets = batch.labels.reshape(-1)[np.flatnonzero(batch.mask_positions.reshape(-1))]
-    all_true = np.ones(targets.shape[0], dtype=bool)
-    per_pair: dict[tuple[int, int], float] = {}
-    total: Tensor | None = None
-    for l in gran.layers:
-        h_masked = _gather_masked(out.tapped_states[l], batch.mask_positions)
-        logits_by_dim = _segmented_head_logits(params, h_masked, gran.dims)
-        for d in gran.dims:
-            cell = T.masked_cross_entropy(logits_by_dim[d], targets, all_true)
-            per_pair[(l, d)] = float(cell)
-            total = cell if total is None else T.add(total, cell)
+    """Masked-LM loss summed over every (layer, dim) cell of the grid."""
+    _, per_pair, total = _mlm_cells(params, config, batch, granularity or config.granularity,
+                                    training=training, dropout_rng=dropout_rng)
     return LossReport(per_pair=per_pair, total=float(total), node=total)
 
 
@@ -185,50 +186,26 @@ def _check_normalized(emb: Tensor, name: str) -> None:
         raise ContractError(f"{name} rows are not L2-normalized (norm off by > 1e-3)")
 
 
-def infonce_from_scores(scores: Tensor) -> Tensor:
-    """Mean over queries of -log softmax on an already temperature-scaled
-    square score matrix whose diagonal holds the positives."""
-    b, b2 = scores.shape
-    if b != b2:
-        raise ShapeError(f"score matrix must be square, got {scores.shape}")
-    lse = T.logsumexp_rows(scores)
-    diag = T.gather_last(scores, np.arange(b))
-    return T.tmean(T.add(lse, T.scale(diag, -1.0)))
-
-
-def contrastive_sft_loss(q_emb: Tensor, d_emb: Tensor, tau: float) -> Tensor:
-    """In-batch-negative contrastive loss; row i's positive is document i.
-
-    Scores are cosine similarities of the (already unit-norm) embeddings
-    divided by the temperature; log-probabilities go through log-sum-exp.
-    """
-    if tau <= 0:
-        raise ConfigError("temperature must be positive")
-    if q_emb.ndim != 2 or q_emb.shape != d_emb.shape:
-        raise ShapeError(f"embedding shapes disagree: {q_emb.shape} vs {d_emb.shape}")
-    _check_normalized(q_emb, "query embeddings")
-    _check_normalized(d_emb, "document embeddings")
-    scores = T.scale(T.matmul(q_emb, T.transpose(d_emb, (1, 0))), 1.0 / tau)
-    return infonce_from_scores(scores)
-
-
 def tiled_contrastive_loss(
     q_emb: Tensor,
     d_emb: Tensor,
     tau: float,
-    tile: TileConfig | int,
+    tile: int | None,
     shape_probe: list | None = None,
 ) -> Tensor:
-    """Same value and gradients as ``contrastive_sft_loss``, computed by
-    streaming column tiles of the score matrix with running log-sum-exp
-    accumulators. No B x B array exists when tile < B; auxiliary storage is
-    O(B * tile + tile^2).
+    """In-batch-negative contrastive loss; row i's positive is document i.
+
+    Scores are inner products of the (already unit-norm) embeddings divided
+    by the temperature; the loss is the mean over queries of log-sum-exp of
+    a score row minus its diagonal score. The score matrix is streamed in
+    column tiles of ``tile`` documents with running log-sum-exp
+    accumulators, and the backward pass recomputes each tile, so no B x B
+    array exists when tile < B; auxiliary storage is O(B * tile + tile^2).
+    ``tile=None`` is one tile of the whole batch.
 
     ``shape_probe``, when given a list, records the shape of every
     temporary array the computation allocates (a testing hook).
     """
-    if isinstance(tile, int):
-        tile = TileConfig(tile)
     if tau <= 0:
         raise ConfigError("temperature must be positive")
     if q_emb.ndim != 2 or q_emb.shape != d_emb.shape:
@@ -238,7 +215,7 @@ def tiled_contrastive_loss(
 
     q, d = q_emb.data, d_emb.data
     b = q.shape[0]
-    t = tile.tile
+    t = b if tile is None else tile
     inv_tau = 1.0 / tau
 
     def probe(arr: np.ndarray) -> np.ndarray:
@@ -282,14 +259,29 @@ def tiled_contrastive_loss(
 # ---------------------------------------------------------------------------
 
 
-def _pair_embeddings(params: Parameters, config: ModelConfig, batch: PairBatch,
-                     layers: tuple[int, ...], *, training: bool = False,
-                     dropout_rng: np.random.Generator | None = None):
-    q_out = enc.forward(params, config, batch.query_tokens, batch.query_mask,
-                        taps=layers, training=training, dropout_rng=dropout_rng)
-    d_out = enc.forward(params, config, batch.doc_tokens, batch.doc_mask,
-                        taps=layers, training=training, dropout_rng=dropout_rng)
-    return q_out, d_out
+def _contrastive_cells(params: Parameters, config: ModelConfig, batch: PairBatch,
+                       layers: tuple[int, ...], dims: tuple[int, ...], tau: float,
+                       tile: int | None, **fwd) -> LossReport:
+    """Contrastive loss of every (layer, dim) cell in ``layers`` x ``dims``, from
+    one query and one document forward pass.
+
+    Each cell's query/document embeddings are pooled, truncated, and
+    independently re-normalized before its loss is computed.
+    """
+    q_states = enc.forward(params, config, batch.query_tokens, batch.query_mask,
+                           taps=layers, **fwd)
+    d_states = enc.forward(params, config, batch.doc_tokens, batch.doc_mask,
+                           taps=layers, **fwd)
+    per_pair: dict[tuple[int, int], float] = {}
+    total: Tensor | None = None
+    for l in layers:
+        for d in dims:
+            q_emb = enc.pool(q_states[l], batch.query_mask, d)
+            d_emb = enc.pool(d_states[l], batch.doc_mask, d)
+            cell = tiled_contrastive_loss(q_emb, d_emb, tau, tile)
+            per_pair[(l, d)] = float(cell)
+            total = cell if total is None else T.add(total, cell)
+    return LossReport(per_pair=per_pair, total=float(total), node=total)
 
 
 def mrl_sft_loss(
@@ -299,36 +291,20 @@ def mrl_sft_loss(
     dims: tuple[int, ...],
     layer: int,
     tau: float,
-    tile: TileConfig | int | None = None,
+    tile: int | None = None,
     *,
     training: bool = False,
     dropout_rng: np.random.Generator | None = None,
 ) -> LossReport:
-    """Contrastive loss summed over several truncation dims of one layer.
-
-    Each dim's query/document embeddings are pooled, truncated, and
-    independently re-normalized before its loss cell is computed.
-    """
+    """Contrastive loss summed over several truncation dims of one layer."""
     dims = tuple(int(d) for d in dims)
     if not dims:
         raise ConfigError("dims must be non-empty")
     for d in dims:
         if d > config.hidden:
             raise ConfigError(f"dim {d} exceeds hidden={config.hidden}")
-    q_out, d_out = _pair_embeddings(params, config, batch, (layer,),
-                                    training=training, dropout_rng=dropout_rng)
-    per_pair: dict[tuple[int, int], float] = {}
-    total: Tensor | None = None
-    for d in dims:
-        q_emb = enc.pool(q_out.tapped_states[layer], batch.query_mask, d)
-        d_emb = enc.pool(d_out.tapped_states[layer], batch.doc_mask, d)
-        if tile is None:
-            cell = contrastive_sft_loss(q_emb, d_emb, tau)
-        else:
-            cell = tiled_contrastive_loss(q_emb, d_emb, tau, tile)
-        per_pair[(layer, d)] = float(cell)
-        total = cell if total is None else T.add(total, cell)
-    return LossReport(per_pair=per_pair, total=float(total), node=total)
+    return _contrastive_cells(params, config, batch, (layer,), dims, tau, tile,
+                              training=training, dropout_rng=dropout_rng)
 
 
 def matryoshka_contrastive_loss(
@@ -336,7 +312,7 @@ def matryoshka_contrastive_loss(
     config: ModelConfig,
     batch: PairBatch,
     tau: float,
-    tile: TileConfig | int,
+    tile: int | None,
     granularity: GranularitySet | None = None,
     *,
     training: bool = False,
@@ -344,29 +320,13 @@ def matryoshka_contrastive_loss(
 ) -> LossReport:
     """Tiled contrastive loss summed over every (layer, dim) grid cell."""
     gran = granularity or config.granularity
-    q_out, d_out = _pair_embeddings(params, config, batch, gran.layers,
-                                    training=training, dropout_rng=dropout_rng)
-    per_pair: dict[tuple[int, int], float] = {}
-    total: Tensor | None = None
-    for l in gran.layers:
-        for d in gran.dims:
-            q_emb = enc.pool(q_out.tapped_states[l], batch.query_mask, d)
-            d_emb = enc.pool(d_out.tapped_states[l], batch.doc_mask, d)
-            cell = tiled_contrastive_loss(q_emb, d_emb, tau, tile)
-            per_pair[(l, d)] = float(cell)
-            total = cell if total is None else T.add(total, cell)
-    return LossReport(per_pair=per_pair, total=float(total), node=total)
+    return _contrastive_cells(params, config, batch, gran.layers, gran.dims, tau, tile,
+                              training=training, dropout_rng=dropout_rng)
 
 
 # ---------------------------------------------------------------------------
 # Matryoshka self-distillation
 # ---------------------------------------------------------------------------
-
-
-def _log_softmax_np(x: np.ndarray) -> np.ndarray:
-    # mirrors T.log_softmax_rows exactly so identical logits give identical bits
-    m = x.max(axis=-1, keepdims=True)
-    return x - (m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True)))
 
 
 def distill_loss(
@@ -387,8 +347,9 @@ def distill_loss(
     over them), with the student distribution first and no gradient flowing
     into the teacher branch. Distributions are
     softmax(h[:, :d] @ W[:d, :] / tau_d) -- the shared head without its
-    bias. ``teacher_params``, when given, sources the teacher distributions
-    from a frozen parameter copy instead of the live weights.
+    bias. Each distinct teacher cell is computed once. ``teacher_params``,
+    when given, sources the teacher distributions from a frozen parameter
+    copy instead of the live weights.
     """
     gran = granularity or config.granularity
     grid = set(gran.grid)
@@ -398,61 +359,32 @@ def distill_loss(
                 raise ConfigError(f"distillation cell {cell} has dim > hidden={config.hidden}")
             if cell not in grid:
                 raise ConfigError(f"distillation cell {cell} is outside the granularity grid")
-    _validate_mlm_batch(batch)
+    masked, per_pair, total = _mlm_cells(params, config, batch, gran,
+                                         training=training, dropout_rng=dropout_rng)
+    if not plan.pairs or plan.lambda_d == 0.0:
+        return LossReport(per_pair=per_pair, total=float(total), aux=0.0, node=total)
 
-    out = enc.forward(params, config, batch.tokens, batch.attn_mask,
-                      taps=gran.layers, training=training, dropout_rng=dropout_rng)
-    masked_by_layer = {l: _gather_masked(out.tapped_states[l], batch.mask_positions)
-                       for l in gran.layers}
-    targets = batch.labels.reshape(-1)[np.flatnonzero(batch.mask_positions.reshape(-1))]
-    all_true = np.ones(targets.shape[0], dtype=bool)
-
-    per_pair: dict[tuple[int, int], float] = {}
-    total: Tensor | None = None
-    for l in gran.layers:
-        logits_by_dim = _segmented_head_logits(params, masked_by_layer[l], gran.dims)
-        for d in gran.dims:
-            cell = T.masked_cross_entropy(logits_by_dim[d], targets, all_true)
-            per_pair[(l, d)] = float(cell)
-            total = cell if total is None else T.add(total, cell)
-
-    def student_logits(cell: tuple[int, int]) -> Tensor:
+    def head_logits(states: dict[int, Tensor], head_w: Tensor, cell) -> Tensor:
         l, d = cell
-        return T.scale(T.matmul(T.slice_last(masked_by_layer[l], 0, d),
-                                T.slice_rows(params.mlm_head_w, 0, d)), 1.0 / plan.tau_d)
+        return T.scale(T.matmul(T.slice_last(states[l], 0, d), T.slice_rows(head_w, 0, d)),
+                       1.0 / plan.tau_d)
 
-    teacher_masked = masked_by_layer
-    teacher_w = params.mlm_head_w
-    if teacher_params is not None:
-        with T.no_grad():
-            t_out = enc.forward(teacher_params, config, batch.tokens, batch.attn_mask,
-                                taps=gran.layers)
-            teacher_masked = {l: _gather_masked(t_out.tapped_states[l], batch.mask_positions)
-                              for l in gran.layers}
+    teacher_states, teacher_w = masked, params.mlm_head_w
+    with T.no_grad():
+        if teacher_params is not None:
+            teacher_states = _masked_states(teacher_params, config, batch, gran.layers)
             teacher_w = teacher_params.mlm_head_w
+        neg_log_teacher = {}
+        for cell in dict.fromkeys(tuple(t) for t, _ in plan.pairs):
+            log_p = T.log_softmax_rows(head_logits(teacher_states, teacher_w, cell))
+            neg_log_teacher[cell] = Tensor(-np.maximum(log_p.data, np.log(KL_FLOOR)))
 
-    def teacher_log_probs(cell: tuple[int, int]) -> np.ndarray:
-        # mirrors student_logits operation-for-operation so an identical
-        # teacher/student computation yields bit-identical log-probabilities
-        l, d = cell
-        h = np.ascontiguousarray(teacher_masked[l].data[..., :d])
-        w = np.ascontiguousarray(teacher_w.data[:d, :])
-        z = (h @ w) * h.dtype.type(1.0 / plan.tau_d)
-        return np.maximum(_log_softmax_np(z), np.log(KL_FLOOR))
-
-    aux_value = 0.0
-    if plan.pairs and plan.lambda_d != 0.0:
-        n_rows = targets.shape[0]
-        aux: Tensor | None = None
-        for teacher, student in plan.pairs:
-            log_teacher = teacher_log_probs(tuple(teacher))
-            zs = student_logits(tuple(student))
-            p_s = T.softmax_rows(zs)
-            log_p_s = T.log_softmax_rows(zs)
-            gap = T.add(log_p_s, Tensor(-log_teacher))
-            term = T.scale(T.tsum(T.mul(p_s, gap)), 1.0 / n_rows)
-            aux = term if aux is None else T.add(aux, term)
-        aux_value = float(aux)
-        total = T.add(total, T.scale(aux, plan.lambda_d))
-
-    return LossReport(per_pair=per_pair, total=float(total), aux=aux_value, node=total)
+    n_rows = next(iter(masked.values())).shape[0]
+    aux: Tensor | None = None
+    for teacher, student in plan.pairs:
+        zs = head_logits(masked, params.mlm_head_w, tuple(student))
+        gap = T.add(T.log_softmax_rows(zs), neg_log_teacher[tuple(teacher)])
+        term = T.scale(T.tsum(T.mul(T.softmax_rows(zs), gap)), 1.0 / n_rows)
+        aux = term if aux is None else T.add(aux, term)
+    total = T.add(total, T.scale(aux, plan.lambda_d))
+    return LossReport(per_pair=per_pair, total=float(total), aux=float(aux), node=total)

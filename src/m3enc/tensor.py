@@ -592,16 +592,6 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
     return _from_op(out, "l2_normalize_rows", (x,), bwd)
 
 
-def cosine_scores(q: Tensor, docs: Tensor) -> Tensor:
-    """All-pairs cosine similarity: rows are normalized, then inner products."""
-    q, docs = as_tensor(q), as_tensor(docs)
-    if q.ndim != 2 or docs.ndim != 2 or q.shape[1] != docs.shape[1]:
-        raise ShapeError(f"cosine_scores expects [a x d] and [b x d], got {q.shape} and {docs.shape}")
-    qn = l2_normalize_rows(q)
-    dn = l2_normalize_rows(docs)
-    return matmul(qn, transpose(dn, (1, 0)))
-
-
 def masked_cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
     """Mean negative log-likelihood over masked positions only.
 
@@ -622,37 +612,6 @@ def masked_cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) 
     per_pos = add(lse, scale(picked, -1.0))
     weights = mask.astype(logits.dtype) / logits.dtype.type(n_masked)
     return tsum(mul(per_pos, Tensor(weights)))
-
-
-def kl_divergence(p: Tensor, q: Tensor, floor: float = 1e-12) -> Tensor:
-    """Sum over rows of sum_v p(v) * log(p(v)/q(v)), student distribution first.
-
-    Rows must each sum to 1 within 1e-6 (then they are renormalized exactly);
-    q is floored at ``floor`` before the log so q=0 cells stay defined, and
-    p=0 cells contribute exactly 0.
-    """
-    p, q = as_tensor(p), as_tensor(q)
-    if p.shape != q.shape:
-        raise ShapeError(f"kl_divergence shape mismatch: {p.shape} vs {q.shape}")
-    for name, t in (("p", p), ("q", q)):
-        sums = t.data.sum(axis=-1)
-        if not np.allclose(sums, 1.0, atol=1e-6, rtol=0.0):
-            raise ContractError(f"kl_divergence: {name} rows are not stochastic (sum off by > 1e-6)")
-        if (t.data < 0).any():
-            raise ContractError(f"kl_divergence: {name} has negative entries")
-    pn = p.data / p.data.sum(axis=-1, keepdims=True)
-    qn = np.maximum(q.data / q.data.sum(axis=-1, keepdims=True), p.dtype.type(floor))
-    support = pn > 0
-    log_ratio = np.zeros_like(pn)
-    log_ratio[support] = np.log(pn[support]) - np.log(qn[support])
-    out = np.asarray((pn * log_ratio).sum())
-
-    def bwd(g):
-        gp = np.where(support, log_ratio + 1.0, 0.0) * g
-        gq = -np.where(support, pn / qn, 0.0) * g
-        return gp, gq
-
-    return _from_op(out, "kl_divergence", (p, q), bwd)
 
 
 # ---------------------------------------------------------------------------

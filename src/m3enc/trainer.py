@@ -186,6 +186,12 @@ class StageConfig:
             raise ConfigError("distill_plan is only valid for the distill stage")
         if self.stage == "pretrain_contrastive" and self.tile is None:
             raise ConfigError("pretrain_contrastive requires a tile size")
+        if self.tile is not None and self.tile < 1:
+            raise ConfigError(f"tile must be >= 1, got {self.tile}")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ConfigError(f"grad_clip must be > 0, got {self.grad_clip}")
+        if self.checkpoint_every is not None and self.checkpoint_every < 1:
+            raise ConfigError(f"checkpoint_every must be >= 1, got {self.checkpoint_every}")
 
     def schedule(self) -> Schedule:
         total = max(self.steps, self.warmup_steps + 1)
@@ -302,6 +308,16 @@ def load_checkpoint(path) -> TrainState:
     except (KeyError, TypeError, ValueError, ConfigError) as e:  # JSON/UTF-8 errors are ValueErrors
         raise CheckpointError(f"{path}: unreadable manifest: {e!r}") from e
     _check_tensor_table(path, tensors)
+    # the config fixes every parameter shape; check its extents against the
+    # table before allocating parameters for it
+    shapes = {t["name"]: t["shape"] for t in tensors}
+    m = config.hidden
+    for name, shape in (("token_embedding", [config.vocab, m]),
+                        ("position_embedding", [config.max_seq, m]),
+                        (f"layers.{config.n_layers - 1}.ffn_up", [m, config.intermediate])):
+        if shapes.get(f"param/{name}") != shape:
+            raise CheckpointError(f"{path}: tensor param/{name} is missing or not of the "
+                                  f"shape {shape} that the model config implies")
     payload = raw[nl + 1:]
     expected = sum(t["nbytes"] for t in tensors)
     if len(payload) != expected:
@@ -315,8 +331,6 @@ def load_checkpoint(path) -> TrainState:
             raise CheckpointError(f"{path}: checksum mismatch for tensor {t['name']}")
         arrays[t["name"]] = np.frombuffer(chunk, dtype=t["dtype"]).reshape(t["shape"]).copy()
 
-    if "param/token_embedding" not in arrays:
-        raise CheckpointError(f"{path}: missing tensor param/token_embedding")
     dtype = arrays["param/token_embedding"].dtype
     params = enc.init_parameters(config, seed=0, dtype=dtype)
     for name, p in params.named():
@@ -416,9 +430,8 @@ def _stage_loss(stage: StageConfig, state: TrainState, batch, dropout_rng) -> Lo
                                                tile=stage.tile,
                                                granularity=stage.granularity, **kwargs)
     if stage.stage in ("sft", "sft_mrl"):
-        tile = stage.tile
         return obj.mrl_sft_loss(params, cfg, batch, dims=tuple(stage.sft_dims),
-                                layer=stage.sft_layer, tau=stage.tau, tile=tile, **kwargs)
+                                layer=stage.sft_layer, tau=stage.tau, tile=stage.tile, **kwargs)
     if stage.stage == "distill":
         return obj.distill_loss(params, cfg, batch, stage.distill_plan,
                                 granularity=stage.granularity, **kwargs)

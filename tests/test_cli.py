@@ -96,10 +96,77 @@ def test_missing_data_path_exits_2(workdir, capsys):
     assert "does not exist" in capsys.readouterr().err
 
 
+def test_data_path_naming_a_directory_exits_2(workdir, capsys):
+    cfg = base_config(outdir="dir-data")
+    cfg["stages"][0]["data"]["path"] = "."
+    path = write_config(workdir, cfg, "dir-data.json")
+    assert cli.main(["pretrain", "--config", str(path)]) == 2
+    assert "config.stages[0].data.path" in capsys.readouterr().err
+    assert not (workdir / "dir-data").exists()
+
+
 def test_config_not_json_exits_2(workdir, capsys):
     path = workdir / "bad4.json"
     path.write_text("{not json", encoding="utf-8")
     assert cli.main(["pretrain", "--config", str(path)]) == 2
+
+
+def test_top_level_eval_key_is_unknown(workdir, capsys):
+    path = write_config(workdir, base_config(outdir="eval-key", eval=[]), "eval-key.json")
+    assert cli.main(["pretrain", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config.eval" in err and "unknown key" in err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("tile", 0), ("grad_clip", -1.0), ("grad_clip", 0.0), ("checkpoint_every", -1),
+    ("checkpoint_every", 0),
+], ids=["tile-zero", "grad_clip-negative", "grad_clip-zero", "checkpoint_every-negative",
+        "checkpoint_every-zero"])
+def test_stage_value_out_of_range_exits_2(workdir, capsys, key, value):
+    cfg = base_config(outdir=f"range-{key}-{value}")
+    cfg["stages"][2][key] = value
+    path = write_config(workdir, cfg, "range-bad.json")
+    assert cli.main(["pretrain", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config.stages[2]" in err and key in err
+    assert not (workdir / cfg["output_dir"] / "metrics.jsonl").exists()
+
+
+def distill_stage(**distill):
+    return {"name": "d1", "stage": "distill", "data": {"kind": "mono", "path": "mono.txt"},
+            "steps": 1, "batch_size": 2, "lr": 1e-3, "seq_len": 10,
+            "distill": {"mode": "single_pair", "teacher": [4, 16], "student": [2, 4],
+                        **distill}}
+
+
+@pytest.mark.parametrize("edit,field", [
+    (lambda cfg: cfg["model"]["granularity"].update(layers=["x", 4]),
+     "config.model.granularity.layers"),
+    (lambda cfg: cfg["model"]["granularity"].update(layers=[1.5, 4]),
+     "config.model.granularity.layers"),
+    (lambda cfg: cfg["stages"][0].update(granularity={"layers": [2], "dims": [4.0]}),
+     "config.stages[0].granularity.dims"),
+    (lambda cfg: cfg["stages"].append(distill_stage(teacher=["x", 16])),
+     "config.stages[3].distill.teacher"),
+    (lambda cfg: cfg["stages"].append(distill_stage(teacher=[2])),
+     "config.stages[3].distill.teacher"),
+    (lambda cfg: cfg["stages"].append(distill_stage(student=[2, 4, 4])),
+     "config.stages[3].distill.student"),
+    (lambda cfg: cfg["stages"].append({
+        "name": "s1", "stage": "sft_mrl", "data": {"kind": "pairs", "path": "pairs.tsv"},
+        "steps": 1, "batch_size": 2, "lr": 1e-3, "sft_layer": 2, "sft_dims": [4, "16"],
+        "query_len": 8, "doc_len": 10}),
+     "config.stages[3].sft_dims"),
+], ids=["layers-str", "layers-float", "stage-dims-float", "teacher-str", "teacher-short",
+        "student-long", "sft_dims-str"])
+def test_config_list_entries_must_be_integers(workdir, capsys, edit, field):
+    cfg = base_config(outdir="list-bad")
+    edit(cfg)
+    path = write_config(workdir, cfg, "list-bad.json")
+    assert cli.main(["pretrain", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{field}: expected a list of" in err
 
 
 # ---------------------------------------------------------------------------

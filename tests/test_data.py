@@ -1,6 +1,6 @@
 """Data layer tests: vocabulary, masking statistics, smoothing, pairs."""
 
-from datetime import datetime, timedelta, timezone
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -40,8 +40,7 @@ def test_vocab_specials_and_ranking():
 def test_vocab_roundtrip_and_unk():
     v = small_vocab()
     ids = D.tokenize(v, "red apple plum")
-    assert D.detokenize(v, ids) == "red apple plum"
-    assert D.tokenize(v, D.detokenize(v, ids)) == ids
+    assert [v.id_to_token[i] for i in ids] == ["red", "apple", "plum"]
     assert D.tokenize(v, "zebra") == [v.unk_id]
 
 
@@ -319,53 +318,6 @@ def test_ingest_timestamps(tmp_path):
     lines = ["q1\tdoc a\t2024-01-01T00:00:00", "q2\tdoc b\t2024-06-01T12:00:00"]
     store = D.ingest_pairs(write_pairs(tmp_path, lines))
     assert store.records[0].timestamp == datetime(2024, 1, 1)
-
-
-# ---------------------------------------------------------------------------
-# temporal split
-# ---------------------------------------------------------------------------
-
-
-def records_with_times(n, start=datetime(2024, 1, 1)):
-    return [D.PairRecord(query=f"q{i}", doc=f"d{i}",
-                         timestamp=start + timedelta(hours=i), line_no=i + 1)
-            for i in range(n)]
-
-
-def test_temporal_split_all_before():
-    recs = records_with_times(10)
-    train, test = D.temporal_split(recs, datetime(2030, 1, 1))
-    assert len(train) == 10 and not test
-
-
-def test_temporal_split_median_sort_oracle():
-    recs = records_with_times(100)
-    times = sorted(r.timestamp for r in recs)
-    boundary = times[50]
-    train, test = D.temporal_split(recs, boundary)
-    assert len(train) == 50 and len(test) == 50
-    assert all(r.timestamp < boundary for r in train)
-    assert all(r.timestamp >= boundary for r in test)
-    assert {r.pair_id for r in train} | {r.pair_id for r in test} == {r.pair_id for r in recs}
-    assert not ({r.pair_id for r in train} & {r.pair_id for r in test})
-
-
-def test_temporal_split_requires_timestamps():
-    recs = [D.PairRecord(query="q", doc="d", timestamp=None, line_no=1)]
-    with pytest.raises(ContractError):
-        D.temporal_split(recs, datetime(2024, 1, 1))
-
-
-def test_temporal_split_mixed_timestamps_name_the_record(tmp_path):
-    path = tmp_path / "mixed.tsv"
-    path.write_text("q1\td1\t2024-01-01T00:00:00+00:00\n"
-                    "q2\td2\t2024-02-01T00:00:00\n", encoding="utf-8")
-    recs = D.ingest_pairs(path).records
-    assert len(recs) == 2
-    with pytest.raises(ContractError, match="line2"):
-        D.temporal_split(recs, datetime(2024, 1, 15, tzinfo=timezone.utc))
-    with pytest.raises(ContractError, match="line1"):
-        D.temporal_split(recs, datetime(2024, 1, 15))
 
 
 # ---------------------------------------------------------------------------

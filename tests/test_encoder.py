@@ -1,4 +1,6 @@
-"""Encoder tests: taps, prefix identity, head truncation, pooling, counts."""
+"""Encoder tests: taps, early exit, head truncation, pooling, counts."""
+
+import copy
 
 import numpy as np
 import pytest
@@ -99,12 +101,17 @@ def test_init_truncation_bound():
 # ---------------------------------------------------------------------------
 
 
-def test_forward_tap_at_top_equals_final_state():
+def test_final_norm_applies_only_to_top_tap():
+    # rms_norm is linear in its gain: doubling the final norm weight doubles
+    # the top tap exactly and leaves every lower tap alone
     cfg = toy_config()
     params = enc.init_parameters(cfg, seed=0)
     tokens, mask = toy_batch(cfg)
-    out = enc.forward(params, cfg, tokens, mask, taps=(6,))
-    np.testing.assert_array_equal(out.tapped_states[6].data, out.final_state.data)
+    out = enc.forward(params, cfg, tokens, mask, taps=(4, 6))
+    params.final_norm_w.data *= 2.0
+    doubled = enc.forward(params, cfg, tokens, mask, taps=(4, 6))
+    np.testing.assert_array_equal(doubled[4].data, out[4].data)
+    np.testing.assert_array_equal(doubled[6].data, 2.0 * out[6].data)
 
 
 def test_forward_tap_shapes():
@@ -112,8 +119,8 @@ def test_forward_tap_shapes():
     params = enc.init_parameters(cfg, seed=0)
     tokens, mask = toy_batch(cfg, bsz=3, s=9)
     out = enc.forward(params, cfg, tokens, mask, taps=(2, 4, 6))
-    assert set(out.tapped_states) == {2, 4, 6}
-    for t in out.tapped_states.values():
+    assert set(out) == {2, 4, 6}
+    for t in out.values():
         assert t.shape == (3, 9, cfg.hidden)
 
 
@@ -122,23 +129,27 @@ def test_forward_single_sequence_shape():
     params = enc.init_parameters(cfg, seed=0)
     tokens = np.arange(8) % cfg.vocab
     out = enc.forward(params, cfg, tokens)
-    assert out.final_state.shape == (8, cfg.hidden)
+    assert out[6].shape == (8, cfg.hidden)
 
 
 @pytest.mark.parametrize("placement,norm", [("pre", "rmsnorm"), ("post", "layernorm"),
                                             ("pre", "layernorm"), ("post", "rmsnorm")])
 def test_prefix_forward_bit_identical(placement, norm):
+    # the forward stops at the deepest tap: layers above it (and the final
+    # norm) may hold non-finite weights without touching the tapped state
     cfg = toy_config(norm_placement=placement, norm=norm)
     params = enc.init_parameters(cfg, seed=5)
     tokens, mask = toy_batch(cfg, seed=5)
     full = enc.forward(params, cfg, tokens, mask, taps=(2, 4, 6))
     for l in (2, 4):
-        sub_params, sub_cfg = enc.truncate_to_prefix(params, cfg, l)
-        lite = enc.forward(sub_params, sub_cfg, tokens, mask, taps=(l,))
-        np.testing.assert_array_equal(lite.final_state.data, full.tapped_states[l].data)
-        np.testing.assert_array_equal(lite.tapped_states[l].data, full.tapped_states[l].data)
-    same_params, same_cfg = enc.truncate_to_prefix(params, cfg, 6)
-    assert same_params is params and same_cfg is cfg
+        poisoned = copy.deepcopy(params)
+        for name, t in poisoned.named():
+            if name.startswith("final_norm") or (
+                    name.startswith("layers.") and int(name.split(".")[1]) >= l):
+                t.data[...] = np.nan
+        lite = enc.forward(poisoned, cfg, tokens, mask, taps=(l,))
+        assert set(lite) == {l}
+        np.testing.assert_array_equal(lite[l].data, full[l].data)
 
 
 def test_masked_positions_get_zero_attention():
@@ -152,8 +163,7 @@ def test_masked_positions_get_zero_attention():
     out_b = enc.forward(params, cfg, perturbed, mask, taps=(2, 6))
     live = mask[0]
     for l in (2, 6):
-        np.testing.assert_array_equal(out_a.tapped_states[l].data[0, live],
-                                      out_b.tapped_states[l].data[0, live])
+        np.testing.assert_array_equal(out_a[l].data[0, live], out_b[l].data[0, live])
 
 
 def unfused_attention(x, lp, config, key_bias):
@@ -185,8 +195,8 @@ def test_fused_attention_matches_unfused_encoder(monkeypatch):
         monkeypatch.setattr(enc, "_attention", attention)
         T.zero_grads(params.named())
         out = enc.forward(params, cfg, tokens, mask)
-        T.tsum(T.mul(out.tapped_states[1], out.final_state)).backward()
-        results.append([out.tapped_states[1].data, out.final_state.data]
+        T.tsum(T.mul(out[1], out[2])).backward()
+        results.append([out[1].data, out[2].data]
                        + [g for _, g in T.GradientRecord.collect(params.named())])
     for fused, ref in zip(*results):
         np.testing.assert_allclose(fused, ref, rtol=1e-10, atol=1e-13)
@@ -199,6 +209,9 @@ def test_forward_errors():
         enc.forward(params, cfg, np.array([[cfg.vocab]]))
     with pytest.raises(ContractError):
         enc.forward(params, cfg, np.zeros((1, cfg.max_seq + 1), dtype=int))
+    for taps in ((), (0, 2), (2, cfg.n_layers + 1)):
+        with pytest.raises(ConfigError):
+            enc.forward(params, cfg, np.zeros((1, 4), dtype=int), taps=taps)
 
 
 def test_dropout_only_in_training_mode():
@@ -207,10 +220,21 @@ def test_dropout_only_in_training_mode():
     tokens, mask = toy_batch(cfg)
     a = enc.forward(params, cfg, tokens, mask)
     b = enc.forward(params, cfg, tokens, mask)
-    np.testing.assert_array_equal(a.final_state.data, b.final_state.data)
+    np.testing.assert_array_equal(a[6].data, b[6].data)
     rng = np.random.default_rng(0)
     c = enc.forward(params, cfg, tokens, mask, training=True, dropout_rng=rng)
-    assert not np.array_equal(a.final_state.data, c.final_state.data)
+    assert not np.array_equal(a[6].data, c[6].data)
+
+
+def test_early_exit_draws_dropout_only_between_run_layers():
+    cfg = toy_config(hidden_dropout=0.5)
+    params = enc.init_parameters(cfg, seed=0)
+    tokens, mask = toy_batch(cfg)
+    rng = np.random.default_rng(0)
+    enc.forward(params, cfg, tokens, mask, taps=(2,), training=True, dropout_rng=rng)
+    expected = np.random.default_rng(0)
+    expected.random((*tokens.shape, cfg.hidden))  # the one mask between layers 1 and 2
+    assert rng.random() == expected.random()
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +290,8 @@ def test_mlm_head_full_dim_reduction():
     cfg = toy_config()
     params = enc.init_parameters(cfg, seed=4, dtype=np.float64)
     h = Tensor(np.random.default_rng(4).normal(size=(5, cfg.hidden)))
-    full = T.softmax_rows(T.add(T.matmul(h, params.mlm_head_w), params.mlm_head_b))
-    out = enc.mlm_head(params, h, cfg.hidden)
+    full = T.add(T.matmul(h, params.mlm_head_w), params.mlm_head_b)
+    out = enc.mlm_logits(params, h, cfg.hidden)
     np.testing.assert_array_equal(out.data, full.data)
 
 
@@ -279,8 +303,6 @@ def test_mlm_head_slicing_oracle():
         logits = enc.mlm_logits(params, h, d)
         oracle = h.data[:, :d] @ params.mlm_head_w.data[:d, :] + params.mlm_head_b.data
         np.testing.assert_allclose(logits.data, oracle, atol=1e-12, rtol=0.0)
-        probs = enc.mlm_head(params, h, d)
-        np.testing.assert_allclose(probs.data.sum(axis=-1), 1.0, atol=1e-9, rtol=0.0)
 
 
 def test_mlm_head_accepts_pre_truncated_input():
@@ -352,7 +374,7 @@ def test_pool_rows_unit_norm():
     params = enc.init_parameters(cfg, seed=0)
     tokens, mask = toy_batch(cfg, bsz=4)
     out = enc.forward(params, cfg, tokens, mask, taps=(4,))
-    emb = enc.pool(out.tapped_states[4], mask, d=8)
+    emb = enc.pool(out[4], mask, d=8)
     np.testing.assert_allclose(np.linalg.norm(emb.data, axis=-1), 1.0, atol=1e-6)
 
 
@@ -381,10 +403,10 @@ def test_encoder_grad_check(placement, norm, act, bias):
         out = enc.forward(params, cfg, tokens, mask)
         loss = None
         for l, d in cfg.granularity.grid:
-            logits = enc.mlm_logits(params, out.tapped_states[l], d)
+            logits = enc.mlm_logits(params, out[l], d)
             cell = T.masked_cross_entropy(logits, targets, mask_pos)
             loss = cell if loss is None else T.add(loss, cell)
-        emb = enc.pool(out.tapped_states[1], mask, d=4)
+        emb = enc.pool(out[1], mask, d=4)
         return T.add(loss, T.tsum(T.mul(emb, emb)))
 
     err = T.grad_check(f, params.named(), max_coords=220)

@@ -1,6 +1,4 @@
-"""Evaluation kit tests: exact search oracles, recall, sweeps, index files."""
-
-import struct
+"""Evaluation kit tests: exact search oracles, recall, sweeps, report files."""
 
 import numpy as np
 import pytest
@@ -9,7 +7,7 @@ from m3enc import data as D
 from m3enc import encoder as enc
 from m3enc import evalkit as ek
 from m3enc import synth
-from m3enc.errors import CheckpointError, ConfigError, ContractError, NumericsError
+from m3enc.errors import ConfigError, ContractError, NumericsError
 
 
 def unit_rows(shape, seed):
@@ -258,10 +256,14 @@ def test_encode_full_dim_top_layer_is_full_model():
 
 
 def test_encode_lite_vs_tap_identical():
+    # the lite (first-two-layers) encoding runs no layer above 2: poisoning
+    # layers 3-4 and the final norm leaves it bit-identical to the tap
     params, cfg, vocab, docs = model_setup()
     tap = ek.encode_corpus(params, cfg, vocab, docs[:12], layer=2, dim=8)
-    lite_params, lite_cfg = enc.truncate_to_prefix(params, cfg, 2)
-    lite = ek.encode_corpus(lite_params, lite_cfg, vocab, docs[:12], layer=2, dim=8)
+    for name, t in params.named():
+        if name.startswith(("layers.2.", "layers.3.", "final_norm")):
+            t.data[...] = np.nan
+    lite = ek.encode_corpus(params, cfg, vocab, docs[:12], layer=2, dim=8)
     np.testing.assert_array_equal(tap.embeddings, lite.embeddings)
 
 
@@ -274,8 +276,7 @@ def test_encode_truncate_then_normalize_oracle():
     seqs = [D.encode_sequence(vocab, t, cfg.max_seq) for t in docs[:6]]
     tokens = np.stack([s[0] for s in seqs])
     mask = np.stack([s[1] for s in seqs])
-    out = enc.forward(params, cfg, tokens, mask, taps=(2,))
-    state = out.tapped_states[2].data
+    state = enc.forward(params, cfg, tokens, mask, taps=(2,))[2].data
     for i in range(6):
         rows = state[i][mask[i]]
         mean = rows.mean(axis=0)[:d]
@@ -348,58 +349,8 @@ def test_sweep_axis_shape_and_validation():
 
 
 # ---------------------------------------------------------------------------
-# persistence
+# report files
 # ---------------------------------------------------------------------------
-
-
-def test_index_file_roundtrip(tmp_path):
-    index = make_index(n=13, d=5, seed=9)
-    path = tmp_path / "corpus.m3ix"
-    ek.save_index(index, path)
-    loaded = ek.load_index(path)
-    assert loaded.ids == index.ids
-    np.testing.assert_array_equal(loaded.embeddings, index.embeddings)
-    assert loaded.provenance == index.provenance
-    ek.save_index(loaded, tmp_path / "again.m3ix")
-    assert path.read_bytes() == (tmp_path / "again.m3ix").read_bytes()
-
-
-def test_index_file_detects_truncation(tmp_path):
-    index = make_index()
-    path = tmp_path / "x.m3ix"
-    ek.save_index(index, path)
-    path.write_bytes(path.read_bytes()[:-3])
-    with pytest.raises(CheckpointError):
-        ek.load_index(path)
-
-
-def write_index_bytes(path, manifest_line):
-    path.write_bytes(ek.INDEX_MAGIC + struct.pack("<I", ek.INDEX_VERSION) + manifest_line)
-
-
-@pytest.mark.parametrize("manifest_line", [
-    b"{not json}\n",
-    b'{"d": 2, "n_docs": 0, "provenance": {}}',
-    b'\xff\xfe{"d": 2}\n',
-    b'{"d": 2, "n_docs": 0}\n',
-    b'["d", 2]\n',
-    b'{"d": "2", "n_docs": 0, "provenance": {}}\n',
-    b'{"d": 2, "n_docs": -1, "provenance": {}}\n',
-], ids=["not-json", "no-newline", "not-utf8", "no-provenance", "not-an-object",
-        "string-d", "negative-n_docs"])
-def test_index_file_malformed_manifest_is_typed(tmp_path, manifest_line):
-    path = tmp_path / "bad.m3ix"
-    write_index_bytes(path, manifest_line)
-    with pytest.raises(CheckpointError):
-        ek.load_index(path)
-
-
-def test_index_file_non_utf8_id_is_typed(tmp_path):
-    path = tmp_path / "bad-id.m3ix"
-    write_index_bytes(path, b'{"d": 1, "n_docs": 1, "provenance": {}}\n\xff\n'
-                      + np.float32(1.0).tobytes())
-    with pytest.raises(CheckpointError):
-        ek.load_index(path)
 
 
 def test_report_and_curve_files(tmp_path):

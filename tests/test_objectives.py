@@ -61,6 +61,22 @@ def unit_rows(shape, seed):
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
+def infonce_from_scores(scores):
+    """Mean over queries of -log softmax on an already temperature-scaled
+    square score matrix whose diagonal holds the positives."""
+    b = scores.shape[0]
+    lse = T.logsumexp_rows(scores)
+    diag = T.gather_last(scores, np.arange(b))
+    return T.tmean(T.add(lse, T.scale(diag, -1.0)))
+
+
+def naive_contrastive(q_emb, d_emb, tau):
+    """The contrastive loss from the full B x B score matrix: the oracle for
+    the tiled op."""
+    scores = T.scale(T.matmul(q_emb, T.transpose(d_emb, (1, 0))), 1.0 / tau)
+    return infonce_from_scores(scores)
+
+
 # ---------------------------------------------------------------------------
 # multigranular MLM
 # ---------------------------------------------------------------------------
@@ -84,7 +100,7 @@ def test_mlm_singleton_grid_reduces_to_plain_mlm():
     report = obj.matryoshka_mlm_loss(params, cfg, batch, granularity=single)
     # independent plain path: full-state head projection, then the masked mean
     out = enc.forward(params, cfg, batch.tokens, batch.attn_mask, taps=(cfg.n_layers,))
-    logits = enc.mlm_logits(params, out.tapped_states[cfg.n_layers], cfg.hidden)
+    logits = enc.mlm_logits(params, out[cfg.n_layers], cfg.hidden)
     safe = np.where(batch.mask_positions, batch.labels, 0)
     plain = T.masked_cross_entropy(logits, safe, batch.mask_positions)
     np.testing.assert_allclose(report.total, float(plain), rtol=1e-12)
@@ -99,7 +115,7 @@ def test_mlm_per_pair_recomputation_oracle():
     recomputed_sum = 0.0
     for (l, d), value in report.per_pair.items():
         out = enc.forward(params, cfg, batch.tokens, batch.attn_mask, taps=(l,))
-        logits = enc.mlm_logits(params, out.tapped_states[l], d)
+        logits = enc.mlm_logits(params, out[l], d)
         safe = np.where(batch.mask_positions, batch.labels, 0)
         cell = float(T.masked_cross_entropy(logits, safe, batch.mask_positions))
         np.testing.assert_allclose(value, cell, rtol=1e-9)
@@ -130,14 +146,14 @@ def test_mlm_grad_check():
 
 
 # ---------------------------------------------------------------------------
-# contrastive loss (naive)
+# contrastive loss, one tile (tile=None)
 # ---------------------------------------------------------------------------
 
 
 def test_contrastive_single_pair_is_zero():
     q = Tensor(unit_rows((1, 6), seed=4))
     d = Tensor(unit_rows((1, 6), seed=5))
-    assert float(obj.contrastive_sft_loss(q, d, tau=0.05)) == 0.0
+    assert float(obj.tiled_contrastive_loss(q, d, tau=0.05, tile=None)) == 0.0
 
 
 def test_contrastive_all_equal_scores_ln_b():
@@ -145,7 +161,7 @@ def test_contrastive_all_equal_scores_ln_b():
     row = unit_rows((1, dim), seed=6)
     q = Tensor(np.tile(row, (b, 1)))
     d = Tensor(np.tile(row, (b, 1)))
-    np.testing.assert_allclose(float(obj.contrastive_sft_loss(q, d, tau=0.05)),
+    np.testing.assert_allclose(float(obj.tiled_contrastive_loss(q, d, tau=0.05, tile=None)),
                                math.log(b), rtol=1e-12)
 
 
@@ -153,7 +169,7 @@ def test_contrastive_closed_form_margin():
     # orthogonal positives: s(q, d+) = 1, s(q, d-) = 0, tau = 0.05
     q = Tensor(np.eye(2))
     d = Tensor(np.eye(2))
-    loss = float(obj.contrastive_sft_loss(q, d, tau=0.05))
+    loss = float(obj.tiled_contrastive_loss(q, d, tau=0.05, tile=None))
     expected = math.log(1.0 + math.exp(-20.0))
     # the log-sum-exp path resolves this to ~1e-15 absolute (eps * 20)
     np.testing.assert_allclose(loss, expected, atol=2e-15)
@@ -164,7 +180,7 @@ def test_contrastive_rejects_unnormalized():
     q = Tensor(unit_rows((3, 4), seed=7) * 1.01)
     d = Tensor(unit_rows((3, 4), seed=8))
     with pytest.raises(ContractError):
-        obj.contrastive_sft_loss(q, d, tau=0.05)
+        obj.tiled_contrastive_loss(q, d, tau=0.05, tile=None)
 
 
 def test_contrastive_scale_path_consistency():
@@ -172,8 +188,8 @@ def test_contrastive_scale_path_consistency():
     rng = np.random.default_rng(9)
     raw = rng.normal(size=(6, 6))
     tau = 0.05
-    a = float(obj.infonce_from_scores(Tensor(raw / tau)))
-    b = float(obj.infonce_from_scores(Tensor((raw / 2.0) / (tau / 2.0))))
+    a = float(infonce_from_scores(Tensor(raw / tau)))
+    b = float(infonce_from_scores(Tensor((raw / 2.0) / (tau / 2.0))))
     assert a == b
 
 
@@ -184,7 +200,7 @@ def test_contrastive_grad_check():
     def f():
         qn = T.l2_normalize_rows(q)
         dn = T.l2_normalize_rows(d)
-        return obj.contrastive_sft_loss(qn, dn, tau=0.1)
+        return obj.tiled_contrastive_loss(qn, dn, tau=0.1, tile=None)
 
     assert T.grad_check(f, [("q", q), ("d", d)]) < 1e-6
 
@@ -199,7 +215,7 @@ def test_tiled_matches_naive_value_and_grads(tile):
     b, dim = 32, 12
     q = Tensor(unit_rows((b, dim), seed=12), requires_grad=True)
     d = Tensor(unit_rows((b, dim), seed=13), requires_grad=True)
-    naive = obj.contrastive_sft_loss(q, d, tau=0.05)
+    naive = naive_contrastive(q, d, tau=0.05)
     naive.backward()
     gq, gd = q.grad.copy(), d.grad.copy()
     T.zero_grads([("q", q), ("d", d)])
@@ -233,11 +249,6 @@ def test_tiled_invariant_to_tile_size():
         np.testing.assert_allclose(v, values[0], rtol=1e-9)
 
 
-def test_tile_config_validation():
-    with pytest.raises(ConfigError):
-        obj.TileConfig(0)
-
-
 # ---------------------------------------------------------------------------
 # MRL SFT
 # ---------------------------------------------------------------------------
@@ -250,9 +261,8 @@ def test_mrl_singleton_equals_sft():
     report = obj.mrl_sft_loss(params, cfg, batch, dims=(8,), layer=2, tau=0.05)
     q_out = enc.forward(params, cfg, batch.query_tokens, batch.query_mask, taps=(2,))
     d_out = enc.forward(params, cfg, batch.doc_tokens, batch.doc_mask, taps=(2,))
-    direct = obj.contrastive_sft_loss(
-        enc.pool(q_out.tapped_states[2], batch.query_mask, 8),
-        enc.pool(d_out.tapped_states[2], batch.doc_mask, 8), tau=0.05)
+    direct = naive_contrastive(enc.pool(q_out[2], batch.query_mask, 8),
+                               enc.pool(d_out[2], batch.doc_mask, 8), tau=0.05)
     np.testing.assert_allclose(report.total, float(direct), rtol=1e-12)
 
 
@@ -385,7 +395,7 @@ def test_distill_direct_summation_oracle():
 
     def cell_probs(l, d):
         out = enc.forward(params, cfg, batch.tokens, batch.attn_mask, taps=(l,))
-        h = out.tapped_states[l].data[batch.mask_positions]
+        h = out[l].data[batch.mask_positions]
         z = h[:, :d] @ params.mlm_head_w.data[:d, :] / plan.tau_d
         e = np.exp(z - z.max(axis=-1, keepdims=True))
         return e / e.sum(axis=-1, keepdims=True)

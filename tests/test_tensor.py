@@ -419,82 +419,8 @@ def test_masked_ce_grad():
 
 
 # ---------------------------------------------------------------------------
-# KL divergence
+# normalization
 # ---------------------------------------------------------------------------
-
-
-def test_kl_identity_is_zero():
-    p = np.random.default_rng(26).dirichlet(np.ones(6), size=3)
-    out = T.kl_divergence(T.Tensor(p), T.Tensor(p.copy()))
-    assert float(out) == 0.0
-
-
-def test_kl_closed_form_ln2():
-    out = T.kl_divergence(T.Tensor([[1.0, 0.0]]), T.Tensor([[0.5, 0.5]]))
-    np.testing.assert_allclose(float(out), math.log(2.0), rtol=1e-12)
-
-
-@given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=2**31 - 1))
-@settings(max_examples=40, deadline=None)
-def test_kl_non_negative(v, seed):
-    rng = np.random.default_rng(seed)
-    p = rng.dirichlet(np.ones(v), size=2)
-    q = rng.dirichlet(np.ones(v), size=2)
-    assert float(T.kl_divergence(T.Tensor(p), T.Tensor(q))) >= -1e-12
-
-
-def test_kl_rejects_unnormalized():
-    with pytest.raises(ContractError):
-        T.kl_divergence(T.Tensor([[0.7, 0.7]]), T.Tensor([[0.5, 0.5]]))
-
-
-def test_kl_grad():
-    rng = np.random.default_rng(27)
-    p = T.Tensor(rng.dirichlet(np.ones(5), size=2), requires_grad=True)
-    q = T.Tensor(rng.dirichlet(np.ones(5), size=2), requires_grad=True)
-
-    def f():
-        return T.kl_divergence(T.softmax_rows(p), T.softmax_rows(q))
-
-    assert T.grad_check(f, [("p", p), ("q", q)]) < 1e-6
-
-
-# ---------------------------------------------------------------------------
-# normalization + cosine scores
-# ---------------------------------------------------------------------------
-
-
-def test_cosine_self_is_one():
-    x = rand((4, 5), seed=28)
-    s = T.cosine_scores(T.Tensor(x), T.Tensor(x.copy())).data
-    np.testing.assert_allclose(np.diag(s), 1.0, atol=1e-12)
-
-
-def test_cosine_orthogonal_rows():
-    q = np.array([[1.0, 0.0, 0.0]])
-    d = np.array([[0.0, 2.0, 0.0]])
-    s = T.cosine_scores(T.Tensor(q), T.Tensor(d)).data
-    assert s[0, 0] == 0.0
-
-
-def test_cosine_scalar_loop_oracle():
-    rng = np.random.default_rng(29)
-    q, d = rng.normal(size=(3, 5)), rng.normal(size=(4, 5))
-    s = T.cosine_scores(T.Tensor(q), T.Tensor(d)).data
-    for i in range(3):
-        for j in range(4):
-            num = sum(q[i, k] * d[j, k] for k in range(5))
-            den = math.sqrt(sum(v * v for v in q[i])) * math.sqrt(sum(v * v for v in d[j]))
-            assert abs(s[i, j] - num / den) < 1e-12
-
-
-@given(st.integers(min_value=0, max_value=2**31 - 1))
-@settings(max_examples=40, deadline=None)
-def test_cosine_range(seed):
-    rng = np.random.default_rng(seed)
-    s = T.cosine_scores(T.Tensor(rng.normal(size=(3, 4))),
-                        T.Tensor(rng.normal(size=(5, 4)))).data
-    assert (s >= -1.0 - 1e-9).all() and (s <= 1.0 + 1e-9).all()
 
 
 def test_l2_normalize_zero_row_error():

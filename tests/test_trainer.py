@@ -7,12 +7,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from m3enc import data as D
 from m3enc import encoder as enc
 from m3enc import synth
 from m3enc import trainer as tr
-from m3enc.errors import CheckpointError, ConfigError, TrainingAbort
+from m3enc.errors import CheckpointError, ConfigError, M3Error, TrainingAbort
 from m3enc.tensor import GradientRecord, Tensor
 
 
@@ -315,9 +317,12 @@ def rewrite_manifest(path, edit):
     lambda m: m["rng"].pop("base_seed"),
     lambda m: m["optimizer"].pop("beta1"),
     lambda m: m.update(vocab=7),
+    lambda m: m["model"].update(ffn_mult=float("inf")),
+    lambda m: m["model"].update(ffn_mult=1e300),
+    lambda m: m["model"].update(n_layers=3),
 ], ids=["no-tensors", "no-shape", "str-nbytes", "float-nbytes", "bad-dtype",
         "shape-vs-nbytes", "no-name", "table-not-list", "no-granularity", "zero-hidden", "no-seed",
-        "no-beta1", "vocab-not-list"])
+        "no-beta1", "vocab-not-list", "inf-ffn_mult", "huge-ffn_mult", "more-layers"])
 def test_checkpoint_malformed_manifest_is_typed(tmp_path, edit):
     state, source = tiny_setup()
     tr.run_stage(mlm_stage(1), state, source, tr.ListSink())
@@ -326,6 +331,40 @@ def test_checkpoint_malformed_manifest_is_typed(tmp_path, edit):
     rewrite_manifest(path, edit)
     with pytest.raises(CheckpointError):
         tr.load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """The bytes of a tiny float64 checkpoint with optimizer state, and the
+    offset of its manifest's end."""
+    vocab = D.build_vocab(["a b c d e f g"], max_size=12)
+    cfg = enc.ModelConfig(n_layers=2, hidden=8, n_heads=2, vocab=vocab.size, max_seq=6,
+                          granularity=enc.GranularitySet(layers=(1, 2), dims=(4, 8)))
+    params = enc.init_parameters(cfg, seed=0, dtype=np.float64)
+    state = tr.TrainState(config=cfg, params=params, opt=tr.OptimizerState.init(params.named()),
+                          step=3, stage="s1", base_seed=0, vocab=vocab)
+    path = tmp_path_factory.mktemp("ckpt") / "tiny.m3ck"
+    tr.save_checkpoint(state, path)
+    raw = path.read_bytes()
+    return raw, raw.index(b"\n", 8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_damaged_checkpoint_loads_or_raises_typed(tmp_path_factory, tiny_checkpoint, data):
+    raw, manifest_end = tiny_checkpoint
+    # half the draws land in the header and manifest, where parsing happens
+    pos = data.draw(st.integers(0, manifest_end) | st.integers(0, len(raw) - 1))
+    if data.draw(st.booleans()):
+        damaged = raw[:pos]
+    else:
+        damaged = raw[:pos] + bytes([raw[pos] ^ data.draw(st.integers(1, 255))]) + raw[pos + 1:]
+    path = tmp_path_factory.getbasetemp() / "damaged.m3ck"
+    path.write_bytes(damaged)
+    try:
+        tr.load_checkpoint(path)
+    except M3Error:
+        pass
 
 
 def test_resume_matches_unbroken_run(tmp_path):
