@@ -276,9 +276,9 @@ def cmd_sweep(args) -> int:
     values = _parse_int_list(args.values, "--values")
     ks = _parse_int_list(args.k, "--k")
     queries, docs, truth, doc_ids = _load_eval_pairs(args.data)
-    curves, _ = ek.tradeoff_sweep(state.params, state.config, state.vocab, queries,
-                                  docs, truth, axis=args.axis, values=values, ks=ks,
-                                  layer=args.layer, dim=args.dim)
+    curves = ek.tradeoff_sweep(state.params, state.config, state.vocab, queries, docs,
+                               truth, axis=args.axis, values=values, ks=ks,
+                               layer=args.layer, dim=args.dim)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     ek.write_curve_files(curves, out / f"sweep-{args.axis}.json",

@@ -29,6 +29,9 @@ IGNORE_INDEX = -1
 
 MASK_POLICIES = ("mask_only", "bert_80_10_10")
 
+# ingest_pairs aborts when more than this share of non-blank lines is malformed
+MAX_MALFORMED_FRACTION = 0.10
+
 
 # ---------------------------------------------------------------------------
 # Vocabulary and tokenization
@@ -63,10 +66,6 @@ class Vocab:
     @property
     def mask_id(self) -> int:
         return 4
-
-    @property
-    def special_ids(self) -> tuple[int, ...]:
-        return (self.pad_id, self.unk_id, self.cls_id, self.sep_id, self.mask_id)
 
 
 def build_vocab(lines, max_size: int) -> Vocab:
@@ -259,11 +258,11 @@ def read_multilingual_corpus(path) -> dict[str, list[str]]:
     return groups
 
 
-def ingest_pairs(path, max_malformed_fraction: float = 0.10) -> PairStore:
+def ingest_pairs(path) -> PairStore:
     """Load ``query<TAB>doc[<TAB>timestamp]`` pairs.
 
     Malformed lines are recorded with their line number and skipped; if more
-    than ``max_malformed_fraction`` of non-blank lines are malformed the
+    than ``MAX_MALFORMED_FRACTION`` of non-blank lines are malformed the
     whole ingest aborts.
     """
     records: list[PairRecord] = []
@@ -288,10 +287,10 @@ def ingest_pairs(path, max_malformed_fraction: float = 0.10) -> PairStore:
                                   timestamp=ts, line_no=i))
     if n_lines == 0:
         raise CorpusError(f"{path}: no pairs found")
-    if len(skipped) > max_malformed_fraction * n_lines:
+    if len(skipped) > MAX_MALFORMED_FRACTION * n_lines:
         raise CorpusError(
             f"{path}: {len(skipped)}/{n_lines} malformed lines exceeds "
-            f"{max_malformed_fraction:.0%}; first: line {skipped[0][0]} ({skipped[0][1]})")
+            f"{MAX_MALFORMED_FRACTION:.0%}; first: line {skipped[0][0]} ({skipped[0][1]})")
     return PairStore(records=records, skipped=skipped)
 
 

@@ -1,5 +1,5 @@
-"""Bidirectional transformer encoder with per-layer hidden-state taps and a
-shared truncatable MLM head.
+"""Bidirectional transformer encoder with per-layer hidden-state taps, a
+shared truncatable MLM head and Matryoshka sequence embeddings.
 
 The architecture modernizations (SwiGLU, RMSNorm, pre-norm residuals, bias
 removal, dropout removal) are individually toggleable through ``ModelConfig``
@@ -7,6 +7,11 @@ so ablation arms can revert each one. Hidden states can be tapped at any
 configured layer; the MLM head projects the first ``d`` coordinates of a
 tapped state through the first ``d`` rows of the shared projection matrix,
 so one set of weights serves every (layer, dim) cell of the granularity grid.
+
+A sequence embedding is pooled once per tapped layer at full width
+(``pool``, the mean over unmasked positions); the embedding of cell
+(l, d) is the first ``d`` coordinates of that mean, L2-normalized
+(``cell_embedding``). Training and evaluation both use this one path.
 
 Each attention block is four linear projections around one fused
 ``tensor.attention`` node; the SwiGLU feed-forward gates through one fused
@@ -81,6 +86,9 @@ class ModelConfig:
     hidden_dropout: float = 0.0
 
     def __post_init__(self):
+        if any(type(getattr(self, f)) is not int
+               for f in ("n_layers", "hidden", "n_heads", "vocab", "max_seq")):
+            raise ConfigError("n_layers, hidden, n_heads, vocab and max_seq must be integers")
         if self.n_layers < 1 or self.hidden < 1 or self.vocab < 1 or self.max_seq < 1:
             raise ConfigError("n_layers, hidden, vocab and max_seq must be positive")
         if self.n_heads < 1 or self.hidden % self.n_heads != 0:
@@ -332,24 +340,9 @@ def forward(
     return tapped
 
 
-def mlm_logits(params: Parameters, h: Tensor, d: int) -> Tensor:
-    """Project the first ``d`` coordinates through the first ``d`` rows of
-    the shared head: h[..., :d] @ W[:d, :] + b."""
-    m, v = params.mlm_head_w.shape
-    if d < 1 or d > m:
-        raise ShapeError(f"head dimension {d} outside [1, {m}]")
-    if h.shape[-1] < d:
-        raise ShapeError(f"input extent {h.shape[-1]} smaller than head dimension {d}")
-    truncated = T.slice_last(h, 0, d) if h.shape[-1] != d else h
-    return T.add(T.matmul(truncated, T.slice_rows(params.mlm_head_w, 0, d)),
-                 params.mlm_head_b)
-
-
-def pool(tapped_state: Tensor, attn_mask: np.ndarray, d: int) -> Tensor:
-    """Sequence embedding: mean over unmasked positions of the first ``d``
-    dimensions, then L2-normalized. Accepts [s x M] or [B x s x M]."""
-    if d < 1 or d > tapped_state.shape[-1]:
-        raise ShapeError(f"pool dimension {d} outside [1, {tapped_state.shape[-1]}]")
+def pool(tapped_state: Tensor, attn_mask: np.ndarray) -> Tensor:
+    """Full-width mean over the unmasked positions of a [s x M] or [B x s x M]
+    state; ``cell_embedding`` turns it into the embedding of one dim."""
     mask = np.asarray(attn_mask, dtype=bool)
     if mask.shape != tapped_state.shape[:-1]:
         raise ShapeError(f"attn_mask shape {mask.shape} != state rows {tapped_state.shape[:-1]}")
@@ -358,9 +351,15 @@ def pool(tapped_state: Tensor, attn_mask: np.ndarray, d: int) -> Tensor:
         raise ContractError("pool: a sequence has no unmasked positions")
     dtype = tapped_state.dtype
     weights = (mask.astype(dtype) / counts[..., None].astype(dtype))[..., None]
-    truncated = T.slice_last(tapped_state, 0, d)
-    mean = T.tsum(T.mul(truncated, Tensor(weights)), axis=-2)
-    return T.l2_normalize_rows(mean)
+    return T.tsum(T.mul(tapped_state, Tensor(weights)), axis=-2)
+
+
+def cell_embedding(pooled: Tensor, d: int) -> Tensor:
+    """The dim-``d`` embedding of a pooled state: its first ``d`` coordinates,
+    L2-normalized. Every (layer, dim) cell embedding is made here."""
+    if d < 1 or d > pooled.shape[-1]:
+        raise ShapeError(f"embedding dimension {d} outside [1, {pooled.shape[-1]}]")
+    return T.l2_normalize_rows(T.slice_last(pooled, 0, d))
 
 
 def config_to_dict(config: ModelConfig) -> dict:

@@ -1,13 +1,13 @@
 """Exact-search retrieval evaluation and dimension/layer trade-off sweeps.
 
-Corpus texts are encoded through a chosen (layer, dim) tap of the model,
-pooled, truncated, and L2-normalized; queries are ranked against the whole
+``encode_corpus`` keeps each requested layer's full-width pooled rows from
+one early-exit forward per batch; a (layer, dim) cell's unit rows are sliced
+from them (``cell_rows``), never encoded again, so ``tradeoff_sweep`` encodes
+the docs once and the queries once. A layer-``l`` cell costs ``l`` blocks per
+text, the cost proxy of a layer sweep. Queries are ranked against the whole
 document pool by inner product (cosine, since rows are unit norm) with
-deterministic id-order tie-breaking. Recall@K counts the queries whose
-single positive document lands in the top K.
-
-Encoding stops the encoder at the chosen layer, so a layer-``l`` cell costs
-``l`` blocks per text, which is the cost proxy of a layer sweep.
+id-order tie-breaking; Recall@K counts the queries whose single positive
+document lands in the top K.
 
 Search is exact in two passes: a float32 GEMM per block of queries selects
 every row within a derived float32 error margin of the K-th best score, and
@@ -29,10 +29,12 @@ from . import tensor as T
 from .data import Vocab, encode_sequence
 from .encoder import ModelConfig, Parameters
 from .errors import ConfigError, ContractError, NumericsError, ShapeError
+from .tensor import Tensor
 
 # queries scored per float32 GEMM; the scores and their partitioned copy are
 # this x n_docs float32 each, whatever the number of queries
 _QUERY_BLOCK = 128
+_ENCODE_BATCH = 64  # texts per encoder forward
 
 log = logging.getLogger("m3enc.evalkit")
 
@@ -103,40 +105,34 @@ def encode_corpus(
     config: ModelConfig,
     vocab: Vocab,
     texts: list[str],
-    layer: int,
-    dim: int,
-    batch_size: int = 64,
+    layers: tuple[int, ...],
     seq_len: int | None = None,
-    ids: list[str] | None = None,
-    provenance: dict | None = None,
-) -> EmbeddingIndex:
-    """Pooled, truncated, unit-norm embeddings for every text, as float32."""
+) -> dict[int, np.ndarray]:
+    """Full-width pooled rows of every text at each of ``layers``, in the model
+    dtype, from one early-exit forward per batch; texts are padded or cut to
+    ``seq_len`` tokens (default ``max_seq``)."""
     if not texts:
         raise ContractError("encode_corpus requires a non-empty corpus")
-    if not (1 <= layer <= config.n_layers):
-        raise ConfigError(f"layer {layer} outside [1, {config.n_layers}]")
-    if not (1 <= dim <= config.hidden):
-        raise ConfigError(f"dim {dim} outside [1, {config.hidden}]")
-    if ids is None:
-        ids = [f"d{i:06d}" for i in range(len(texts))]
-    if seq_len is None:
-        seq_len = config.max_seq
-    rows = np.empty((len(texts), dim), dtype=np.float32)
+    seq_len = config.max_seq if seq_len is None else seq_len
+    pooled: dict[int, list[np.ndarray]] = {l: [] for l in layers}
     with T.no_grad():
-        for start in range(0, len(texts), batch_size):
-            chunk = texts[start:start + batch_size]
-            encoded = [encode_sequence(vocab, t, seq_len) for t in chunk]
+        for start in range(0, len(texts), _ENCODE_BATCH):
+            encoded = [encode_sequence(vocab, t, seq_len)
+                       for t in texts[start:start + _ENCODE_BATCH]]
             tokens = np.stack([e[0] for e in encoded])
             mask = np.stack([e[1] for e in encoded])
-            state = enc.forward(params, config, tokens, mask, taps=(layer,))[layer]
-            emb = enc.pool(state, mask, dim)
-            rows[start:start + len(chunk)] = emb.data.astype(np.float32)
-    # float32 rounding can leave norms a hair off 1; renormalize in f32
+            states = enc.forward(params, config, tokens, mask, taps=tuple(layers))
+            for l in layers:
+                pooled[l].append(enc.pool(states[l], mask).data)
+    return {l: np.concatenate(rows) for l, rows in pooled.items()}
+
+
+def cell_rows(pooled: np.ndarray, dim: int) -> np.ndarray:
+    """One dim's cell embedding of each pooled row, cast to float32 and
+    renormalized there (float32 rounding can leave norms a hair off 1)."""
+    rows = enc.cell_embedding(Tensor(pooled), dim).data.astype(np.float32)
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    prov = {"layer": layer, "dim": dim}
-    if provenance:
-        prov.update(provenance)
-    return EmbeddingIndex(ids=tuple(ids), embeddings=rows, provenance=prov)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -223,29 +219,42 @@ def evaluate(
     doc_ids: list[str] | None = None,
     query_len: int | None = None,
     doc_len: int | None = None,
-    batch_size: int = 64,
 ) -> EvalReport:
     """Encode, search, and score one (layer, dim) cell end to end.
 
     Queries are padded or cut to ``query_len`` tokens and documents to
     ``doc_len``; either defaults to the model's ``max_seq``.
     """
+    return _evaluate_cells(params, config, vocab, queries, docs, truth, [(layer, dim)], ks,
+                           doc_ids, query_len, doc_len)[0]
+
+
+def _evaluate_cells(params, config, vocab, queries, docs, truth, cells, ks,
+                    doc_ids=None, query_len=None, doc_len=None) -> list[EvalReport]:
+    """Encode the docs once and the queries once at every layer the cells
+    name, then search and score each cell from those pooled rows."""
+    if not all(1 <= dim <= config.hidden for _, dim in cells):  # the encoder checks layers
+        raise ConfigError(f"dims {[d for _, d in cells]} must lie in [1, {config.hidden}]")
     t0 = time.perf_counter()
-    index = encode_corpus(params, config, vocab, docs, layer, dim,
-                          batch_size=batch_size, seq_len=doc_len, ids=doc_ids)
-    q_index = encode_corpus(params, config, vocab, queries, layer, dim,
-                            batch_size=batch_size, seq_len=query_len,
-                            ids=[f"q{i}" for i in range(len(queries))])
+    layers = tuple(sorted({layer for layer, _ in cells}))
+    doc_pooled = encode_corpus(params, config, vocab, docs, layers, seq_len=doc_len)
+    query_pooled = encode_corpus(params, config, vocab, queries, layers, seq_len=query_len)
     encode_ms = (time.perf_counter() - t0) * 1e3
+    ids = tuple(doc_ids) if doc_ids is not None else tuple(f"d{i:06d}" for i in range(len(docs)))
     k_max = max(ks)
-    t1 = time.perf_counter()
-    rankings = exact_topk(index, q_index.embeddings, k_max)
-    search_ms = (time.perf_counter() - t1) * 1e3
-    recalls = {k: recall_at_k(rankings, truth, k) for k in sorted(ks)}
-    return EvalReport(recalls=recalls, n_queries=len(queries), layer=layer, dim=dim,
-                      encode_ms=encode_ms, search_ms=search_ms,
-                      index_bytes=index.storage_bytes,
-                      clamped_k=k_max > len(index.ids))
+    reports = []
+    for layer, dim in cells:
+        index = EmbeddingIndex(ids=ids, embeddings=cell_rows(doc_pooled[layer], dim),
+                               provenance={"layer": layer, "dim": dim})
+        q_rows = cell_rows(query_pooled[layer], dim)
+        t1 = time.perf_counter()
+        rankings = exact_topk(index, q_rows, k_max)
+        search_ms = (time.perf_counter() - t1) * 1e3
+        recalls = {k: recall_at_k(rankings, truth, k) for k in sorted(ks)}
+        reports.append(EvalReport(recalls=recalls, n_queries=len(queries), layer=layer,
+                                  dim=dim, encode_ms=encode_ms, search_ms=search_ms,
+                                  index_bytes=index.storage_bytes, clamped_k=k_max > len(ids)))
+    return reports
 
 
 def tradeoff_sweep(
@@ -260,12 +269,11 @@ def tradeoff_sweep(
     ks: list[int],
     layer: int | None = None,
     dim: int | None = None,
-) -> tuple[list[TradeoffCurve], list[EvalReport]]:
-    """One evaluation per axis value; returns one curve per K.
-
-    The cost proxy is bytes/doc (4*d) on the dim axis and the number of
-    executed layers on the layer axis.
-    """
+) -> list[TradeoffCurve]:
+    """One curve per K over the axis values, each scored as ``evaluate`` scores
+    its cell from one encoding of the docs and one of the queries. The cost
+    proxy is bytes/doc (4*d) on the dim axis and executed layers on the layer
+    axis."""
     if axis not in ("dim", "layer"):
         raise ConfigError("axis must be 'dim' or 'layer'")
     if sorted(values) != list(values) or len(set(values)) != len(values):
@@ -274,21 +282,12 @@ def tradeoff_sweep(
         raise ConfigError("dim sweep requires a fixed --layer")
     if axis == "layer" and dim is None:
         raise ConfigError("layer sweep requires a fixed --dim")
-    reports = []
-    for value in values:
-        l = value if axis == "layer" else layer
-        d = value if axis == "dim" else dim
-        reports.append(evaluate(params, config, vocab, queries, docs, truth,
-                                layer=l, dim=d, ks=ks))
-    curves = []
-    for k in sorted(ks):
-        points = []
-        for value, rep in zip(values, reports):
-            cost = 4 * rep.dim if axis == "dim" else rep.layer
-            points.append({"axis_value": value, "recall": rep.recalls[k],
-                           "cost_proxy": cost})
-        curves.append(TradeoffCurve(axis=axis, k=k, points=points))
-    return curves, reports
+    cells = [(v, dim) if axis == "layer" else (layer, v) for v in values]
+    reports = _evaluate_cells(params, config, vocab, queries, docs, truth, cells, ks)
+    return [TradeoffCurve(axis=axis, k=k, points=[
+        {"axis_value": value, "recall": rep.recalls[k],
+         "cost_proxy": 4 * rep.dim if axis == "dim" else rep.layer}
+        for value, rep in zip(values, reports)]) for k in sorted(ks)]
 
 
 # ---------------------------------------------------------------------------

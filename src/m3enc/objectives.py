@@ -265,8 +265,8 @@ def _contrastive_cells(params: Parameters, config: ModelConfig, batch: PairBatch
     """Contrastive loss of every (layer, dim) cell in ``layers`` x ``dims``, from
     one query and one document forward pass.
 
-    Each cell's query/document embeddings are pooled, truncated, and
-    independently re-normalized before its loss is computed.
+    Each side is pooled once per layer; every dim's embeddings are prefixes
+    of that pooled state, re-normalized (``enc.cell_embedding``).
     """
     q_states = enc.forward(params, config, batch.query_tokens, batch.query_mask,
                            taps=layers, **fwd)
@@ -275,10 +275,11 @@ def _contrastive_cells(params: Parameters, config: ModelConfig, batch: PairBatch
     per_pair: dict[tuple[int, int], float] = {}
     total: Tensor | None = None
     for l in layers:
+        q_pooled = enc.pool(q_states[l], batch.query_mask)
+        d_pooled = enc.pool(d_states[l], batch.doc_mask)
         for d in dims:
-            q_emb = enc.pool(q_states[l], batch.query_mask, d)
-            d_emb = enc.pool(d_states[l], batch.doc_mask, d)
-            cell = tiled_contrastive_loss(q_emb, d_emb, tau, tile)
+            cell = tiled_contrastive_loss(enc.cell_embedding(q_pooled, d),
+                                          enc.cell_embedding(d_pooled, d), tau, tile)
             per_pair[(l, d)] = float(cell)
             total = cell if total is None else T.add(total, cell)
     return LossReport(per_pair=per_pair, total=float(total), node=total)

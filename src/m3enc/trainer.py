@@ -186,12 +186,16 @@ class StageConfig:
             raise ConfigError("distill_plan is only valid for the distill stage")
         if self.stage == "pretrain_contrastive" and self.tile is None:
             raise ConfigError("pretrain_contrastive requires a tile size")
-        if self.tile is not None and self.tile < 1:
-            raise ConfigError(f"tile must be >= 1, got {self.tile}")
-        if self.grad_clip is not None and not self.grad_clip > 0:
-            raise ConfigError(f"grad_clip must be > 0, got {self.grad_clip}")
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ConfigError(f"checkpoint_every must be >= 1, got {self.checkpoint_every}")
+        for name, ok, rule in (
+                ("tile", self.tile is None or self.tile >= 1, ">= 1"),
+                ("grad_clip", self.grad_clip is None or self.grad_clip > 0, "> 0"),
+                ("checkpoint_every", self.checkpoint_every is None or self.checkpoint_every >= 1,
+                 ">= 1"),
+                ("tau", self.tau > 0, "> 0"), ("mask_rate", 0 <= self.mask_rate <= 1, "in [0, 1]"),
+                ("lr", self.lr > 0, "> 0"), ("min_lr", self.min_lr >= 0, ">= 0"),
+                ("warmup_steps", self.warmup_steps >= 1, ">= 1")):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
 
     def schedule(self) -> Schedule:
         total = max(self.steps, self.warmup_steps + 1)
@@ -402,14 +406,6 @@ class JsonlSink:
 
     def close(self) -> None:
         self._f.close()
-
-
-class ListSink(list):
-    def emit(self, record: dict) -> None:
-        self.append(record)
-
-    def close(self) -> None:
-        pass
 
 
 # ---------------------------------------------------------------------------

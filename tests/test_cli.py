@@ -120,9 +120,11 @@ def test_top_level_eval_key_is_unknown(workdir, capsys):
 
 @pytest.mark.parametrize("key,value", [
     ("tile", 0), ("grad_clip", -1.0), ("grad_clip", 0.0), ("checkpoint_every", -1),
-    ("checkpoint_every", 0),
+    ("checkpoint_every", 0), ("tau", 0), ("tau", -0.05), ("mask_rate", 2.0),
+    ("mask_rate", -0.1), ("lr", 0), ("lr", -1e-3), ("min_lr", -1e-4), ("warmup_steps", 0),
 ], ids=["tile-zero", "grad_clip-negative", "grad_clip-zero", "checkpoint_every-negative",
-        "checkpoint_every-zero"])
+        "checkpoint_every-zero", "tau-zero", "tau-negative", "mask_rate-above-1",
+        "mask_rate-negative", "lr-zero", "lr-negative", "min_lr-negative", "warmup_steps-zero"])
 def test_stage_value_out_of_range_exits_2(workdir, capsys, key, value):
     cfg = base_config(outdir=f"range-{key}-{value}")
     cfg["stages"][2][key] = value
@@ -378,14 +380,15 @@ def test_ablate_eval_lengths_reach_encode_corpus(workdir, monkeypatch):
     real = ek.encode_corpus
 
     def spy(*args, **kwargs):
-        seen.append((kwargs["ids"][0][0], kwargs["seq_len"]))
+        seen.append((args[3], kwargs["seq_len"]))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ek, "encode_corpus", spy)
     monkeypatch.setattr(config, "ABLATION_ARMS", ("base",))
     path = write_config(workdir, ablate_config("ab-len"), "ablate-len.json")
     assert cli.main(["ablate", "--config", str(path)]) == 0
-    assert seen == [("d", 10), ("q", 8)]
+    queries, docs, _, _ = cli._load_eval_pairs(workdir / "eval.tsv")
+    assert seen == [(docs, 10), (queries, 8)]
 
 
 def test_config_eval_length_beyond_max_seq_exits_2(workdir, capsys):

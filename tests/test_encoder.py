@@ -1,4 +1,4 @@
-"""Encoder tests: taps, early exit, head truncation, pooling, counts."""
+"""Encoder tests: taps, early exit, pooling and cell embeddings, counts."""
 
 import copy
 
@@ -282,49 +282,6 @@ def test_dropout_toggle_does_not_change_count():
 
 
 # ---------------------------------------------------------------------------
-# shared MLM head
-# ---------------------------------------------------------------------------
-
-
-def test_mlm_head_full_dim_reduction():
-    cfg = toy_config()
-    params = enc.init_parameters(cfg, seed=4, dtype=np.float64)
-    h = Tensor(np.random.default_rng(4).normal(size=(5, cfg.hidden)))
-    full = T.add(T.matmul(h, params.mlm_head_w), params.mlm_head_b)
-    out = enc.mlm_logits(params, h, cfg.hidden)
-    np.testing.assert_array_equal(out.data, full.data)
-
-
-def test_mlm_head_slicing_oracle():
-    cfg = toy_config()
-    params = enc.init_parameters(cfg, seed=4, dtype=np.float64)
-    h = Tensor(np.random.default_rng(5).normal(size=(5, cfg.hidden)))
-    for d in (4, 8, 32):
-        logits = enc.mlm_logits(params, h, d)
-        oracle = h.data[:, :d] @ params.mlm_head_w.data[:d, :] + params.mlm_head_b.data
-        np.testing.assert_allclose(logits.data, oracle, atol=1e-12, rtol=0.0)
-
-
-def test_mlm_head_accepts_pre_truncated_input():
-    cfg = toy_config()
-    params = enc.init_parameters(cfg, seed=4, dtype=np.float64)
-    h = Tensor(np.random.default_rng(6).normal(size=(3, cfg.hidden)))
-    a = enc.mlm_logits(params, h, 8)
-    b = enc.mlm_logits(params, T.slice_last(h, 0, 8), 8)
-    np.testing.assert_array_equal(a.data, b.data)
-
-
-def test_mlm_head_dim_errors():
-    cfg = toy_config()
-    params = enc.init_parameters(cfg, seed=0)
-    h = Tensor(np.zeros((2, cfg.hidden), dtype=np.float32))
-    with pytest.raises(ShapeError):
-        enc.mlm_logits(params, h, cfg.hidden + 1)
-    with pytest.raises(ShapeError):
-        enc.mlm_logits(params, Tensor(np.zeros((2, 4), dtype=np.float32)), 8)
-
-
-# ---------------------------------------------------------------------------
 # pooling
 # ---------------------------------------------------------------------------
 
@@ -334,7 +291,7 @@ def test_pool_single_unmasked_token():
     state = rng.normal(size=(6, 16))
     mask = np.zeros(6, dtype=bool)
     mask[2] = True
-    out = enc.pool(Tensor(state), mask, d=8)
+    out = enc.cell_embedding(enc.pool(Tensor(state), mask), 8)
     expected = state[2, :8] / np.linalg.norm(state[2, :8])
     np.testing.assert_allclose(out.data, expected, rtol=1e-12)
 
@@ -342,10 +299,10 @@ def test_pool_single_unmasked_token():
 def test_pool_identical_tokens():
     row = np.random.default_rng(8).normal(size=16)
     state = np.tile(row, (5, 1))
-    out_all = enc.pool(Tensor(state), np.ones(5, dtype=bool), d=16)
+    out_all = enc.cell_embedding(enc.pool(Tensor(state), np.ones(5, dtype=bool)), 16)
     single = np.zeros(5, dtype=bool)
     single[0] = True
-    out_one = enc.pool(Tensor(state), single, d=16)
+    out_one = enc.cell_embedding(enc.pool(Tensor(state), single), 16)
     np.testing.assert_allclose(out_all.data, out_one.data, rtol=1e-12)
 
 
@@ -354,7 +311,7 @@ def test_pool_excludes_padding_scalar_oracle():
     state = rng.normal(size=(2, 7, 12))
     mask = np.array([[True] * 5 + [False] * 2, [True] * 3 + [False] * 4])
     d = 6
-    out = enc.pool(Tensor(state), mask, d=d)
+    out = enc.cell_embedding(enc.pool(Tensor(state), mask), d)
     for b in range(2):
         rows = [state[b, i, :d] for i in range(7) if mask[b, i]]
         mean = np.zeros(d)
@@ -366,7 +323,36 @@ def test_pool_excludes_padding_scalar_oracle():
 
 def test_pool_all_masked_error():
     with pytest.raises(ContractError):
-        enc.pool(Tensor(np.ones((3, 4))), np.zeros(3, dtype=bool), d=2)
+        enc.pool(Tensor(np.ones((3, 4))), np.zeros(3, dtype=bool))
+
+
+def per_dim_pool(state, mask, d):
+    """The per-dim pooling that ``pool`` + ``cell_embedding`` replaced:
+    truncate the state first, then take the masked mean and normalize."""
+    counts = mask.sum(axis=-1)
+    weights = (mask.astype(state.dtype) / counts[..., None].astype(state.dtype))[..., None]
+    mean = T.tsum(T.mul(T.slice_last(state, 0, d), Tensor(weights)), axis=-2)
+    return T.l2_normalize_rows(mean)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pool_then_slice_matches_per_dim_pool_bit_for_bit(dtype):
+    rng = np.random.default_rng(10)
+    state = Tensor(rng.normal(size=(40, 32, 128)).astype(dtype))
+    mask = rng.random((40, 32)) < 0.7
+    mask[:, 0] = True
+    pooled = enc.pool(state, mask)
+    assert pooled.shape == (40, 128) and pooled.dtype == dtype
+    for d in (1, 3, 16, 32, 64, 100, 128):
+        np.testing.assert_array_equal(enc.cell_embedding(pooled, d).data,
+                                      per_dim_pool(state, mask, d).data, err_msg=f"d={d}")
+
+
+def test_cell_embedding_dim_errors():
+    pooled = Tensor(np.ones((2, 8)))
+    for d in (0, 9):
+        with pytest.raises(ShapeError):
+            enc.cell_embedding(pooled, d)
 
 
 def test_pool_rows_unit_norm():
@@ -374,7 +360,7 @@ def test_pool_rows_unit_norm():
     params = enc.init_parameters(cfg, seed=0)
     tokens, mask = toy_batch(cfg, bsz=4)
     out = enc.forward(params, cfg, tokens, mask, taps=(4,))
-    emb = enc.pool(out[4], mask, d=8)
+    emb = enc.cell_embedding(enc.pool(out[4], mask), 8)
     np.testing.assert_allclose(np.linalg.norm(emb.data, axis=-1), 1.0, atol=1e-6)
 
 
@@ -403,10 +389,12 @@ def test_encoder_grad_check(placement, norm, act, bias):
         out = enc.forward(params, cfg, tokens, mask)
         loss = None
         for l, d in cfg.granularity.grid:
-            logits = enc.mlm_logits(params, out[l], d)
+            logits = T.add(T.matmul(T.slice_last(out[l], 0, d),
+                                    T.slice_rows(params.mlm_head_w, 0, d)),
+                           params.mlm_head_b)
             cell = T.masked_cross_entropy(logits, targets, mask_pos)
             loss = cell if loss is None else T.add(loss, cell)
-        emb = enc.pool(out[1], mask, d=4)
+        emb = enc.cell_embedding(enc.pool(out[1], mask), 4)
         return T.add(loss, T.tsum(T.mul(emb, emb)))
 
     err = T.grad_check(f, params.named(), max_coords=220)

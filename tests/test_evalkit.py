@@ -249,29 +249,30 @@ def test_recall_requires_truth():
 
 def test_encode_full_dim_top_layer_is_full_model():
     params, cfg, vocab, docs = model_setup()
-    index = ek.encode_corpus(params, cfg, vocab, docs[:10], layer=cfg.n_layers,
-                             dim=cfg.hidden)
-    assert index.embeddings.shape == (10, cfg.hidden)
-    np.testing.assert_allclose(np.linalg.norm(index.embeddings, axis=1), 1.0, atol=1e-6)
+    pooled = ek.encode_corpus(params, cfg, vocab, docs[:10], layers=(cfg.n_layers,))
+    rows = ek.cell_rows(pooled[cfg.n_layers], cfg.hidden)
+    assert rows.shape == (10, cfg.hidden)
+    np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-6)
 
 
 def test_encode_lite_vs_tap_identical():
     # the lite (first-two-layers) encoding runs no layer above 2: poisoning
     # layers 3-4 and the final norm leaves it bit-identical to the tap
     params, cfg, vocab, docs = model_setup()
-    tap = ek.encode_corpus(params, cfg, vocab, docs[:12], layer=2, dim=8)
+    tap = ek.cell_rows(ek.encode_corpus(params, cfg, vocab, docs[:12], layers=(2,))[2], 8)
     for name, t in params.named():
         if name.startswith(("layers.2.", "layers.3.", "final_norm")):
             t.data[...] = np.nan
-    lite = ek.encode_corpus(params, cfg, vocab, docs[:12], layer=2, dim=8)
-    np.testing.assert_array_equal(tap.embeddings, lite.embeddings)
+    lite = ek.cell_rows(ek.encode_corpus(params, cfg, vocab, docs[:12], layers=(2,))[2], 8)
+    np.testing.assert_array_equal(tap, lite)
 
 
 def test_encode_truncate_then_normalize_oracle():
     params, cfg, vocab, docs = model_setup()
     d = 4
-    full = ek.encode_corpus(params, cfg, vocab, docs[:6], layer=2, dim=cfg.hidden)
-    small = ek.encode_corpus(params, cfg, vocab, docs[:6], layer=2, dim=d)
+    pooled = ek.encode_corpus(params, cfg, vocab, docs[:6], layers=(2,))[2]
+    full = ek.cell_rows(pooled, cfg.hidden)
+    small = ek.cell_rows(pooled, d)
     # recompute by hand: pooled full-width mean, truncated, renormalized
     seqs = [D.encode_sequence(vocab, t, cfg.max_seq) for t in docs[:6]]
     tokens = np.stack([s[0] for s in seqs])
@@ -281,18 +282,42 @@ def test_encode_truncate_then_normalize_oracle():
         rows = state[i][mask[i]]
         mean = rows.mean(axis=0)[:d]
         expected = mean / np.linalg.norm(mean)
-        np.testing.assert_allclose(small.embeddings[i], expected, atol=1e-6)
-    assert small.dim == d and full.dim == cfg.hidden
+        np.testing.assert_allclose(small[i], expected, atol=1e-6)
+    assert small.shape[1] == d and full.shape[1] == cfg.hidden
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cell_rows_match_per_cell_encoding_bit_for_bit(dtype):
+    # the per-cell encoding that encode_corpus + cell_rows replaced: a forward
+    # tapping one layer only, the truncated state pooled and normalized in the
+    # model dtype, then cast to float32 and renormalized there
+    params, cfg, vocab, docs = model_setup()
+    for _, t in params.named():
+        t.data = t.data.astype(dtype)
+    seqs = [D.encode_sequence(vocab, t, cfg.max_seq) for t in docs]
+    tokens = np.stack([s[0] for s in seqs])
+    mask = np.stack([s[1] for s in seqs])
+    weights = (mask.astype(dtype) / mask.sum(axis=1, keepdims=True).astype(dtype))[..., None]
+    pooled = ek.encode_corpus(params, cfg, vocab, docs, layers=(1, 3))
+    for l in (1, 3):
+        assert pooled[l].dtype == dtype
+        state = enc.forward(params, cfg, tokens, mask, taps=(l,))[l].data
+        for d in (1, 4, 16):
+            mean = (state[..., :d] * weights).sum(axis=-2)
+            old = (mean / np.sqrt((mean * mean).sum(axis=-1, keepdims=True))).astype(np.float32)
+            old /= np.linalg.norm(old, axis=1, keepdims=True)
+            np.testing.assert_array_equal(ek.cell_rows(pooled[l], d), old, err_msg=f"{l},{d}")
 
 
 def test_encode_validation():
     params, cfg, vocab, docs = model_setup()
     with pytest.raises(ContractError):
-        ek.encode_corpus(params, cfg, vocab, [], layer=2, dim=4)
+        ek.encode_corpus(params, cfg, vocab, [], layers=(2,))
     with pytest.raises(ConfigError):
-        ek.encode_corpus(params, cfg, vocab, docs[:2], layer=9, dim=4)
+        ek.encode_corpus(params, cfg, vocab, docs[:2], layers=(9,))
     with pytest.raises(ConfigError):
-        ek.encode_corpus(params, cfg, vocab, docs[:2], layer=2, dim=99)
+        ek.evaluate(params, cfg, vocab, docs[:2], docs[:2], ["d000000", "d000001"],
+                    layer=2, dim=99, ks=[1])
 
 
 def test_evaluate_is_read_only_and_deterministic():
@@ -317,8 +342,8 @@ def test_sweep_single_value_matches_direct():
     params, cfg, vocab, docs = model_setup()
     queries = [" ".join(d.split()[:3]) for d in docs[:8]]
     truth = [f"d{i:06d}" for i in range(8)]
-    curves, reports = ek.tradeoff_sweep(params, cfg, vocab, queries, docs[:8], truth,
-                                        axis="dim", values=[8], ks=[3], layer=2)
+    curves = ek.tradeoff_sweep(params, cfg, vocab, queries, docs[:8], truth,
+                               axis="dim", values=[8], ks=[3], layer=2)
     direct = ek.evaluate(params, cfg, vocab, queries, docs[:8], truth, layer=2, dim=8,
                          ks=[3])
     assert curves[0].points[0]["recall"] == direct.recalls[3]
@@ -329,14 +354,14 @@ def test_sweep_axis_shape_and_validation():
     params, cfg, vocab, docs = model_setup()
     queries = [" ".join(d.split()[:3]) for d in docs[:6]]
     truth = [f"d{i:06d}" for i in range(6)]
-    curves, _ = ek.tradeoff_sweep(params, cfg, vocab, queries, docs[:6], truth,
-                                  axis="dim", values=[4, 8, 16], ks=[1, 3], layer=2)
+    curves = ek.tradeoff_sweep(params, cfg, vocab, queries, docs[:6], truth,
+                               axis="dim", values=[4, 8, 16], ks=[1, 3], layer=2)
     assert len(curves) == 2
     for c in curves:
         xs = [p["axis_value"] for p in c.points]
         assert xs == [4, 8, 16]
         assert all(0.0 <= p["recall"] <= 1.0 for p in c.points)
-    layer_curves, _ = ek.tradeoff_sweep(
+    layer_curves = ek.tradeoff_sweep(
         params, cfg, vocab, queries, docs[:6], truth,
         axis="layer", values=[2, 4], ks=[1], dim=8)
     assert [p["cost_proxy"] for p in layer_curves[0].points] == [2, 4]
@@ -346,6 +371,46 @@ def test_sweep_axis_shape_and_validation():
     with pytest.raises(ConfigError):
         ek.tradeoff_sweep(params, cfg, vocab, queries, docs[:6], truth,
                           axis="dim", values=[4, 8], ks=[1])
+
+
+@pytest.mark.parametrize("axis,values,fixed", [
+    ("dim", [1, 4, 8, 16], {"layer": 3}),
+    ("layer", [1, 2, 3, 4], {"dim": 8}),
+], ids=["dim", "layer"])
+def test_sweep_equals_per_cell_evaluate(axis, values, fixed):
+    params, cfg, vocab, docs = model_setup()
+    queries = [" ".join(d.split()[:2]) for d in docs]
+    truth = [f"d{i:06d}" for i in range(len(docs))]
+    curves = ek.tradeoff_sweep(params, cfg, vocab, queries, docs, truth, axis=axis,
+                               values=values, ks=[1, 5, 20], **fixed)
+    for value, *points in zip(values, *(c.points for c in curves)):
+        cell = {"layer": fixed.get("layer", value), "dim": fixed.get("dim", value)}
+        direct = ek.evaluate(params, cfg, vocab, queries, docs, truth, ks=[1, 5, 20], **cell)
+        assert [p["recall"] for p in points] == [direct.recalls[k] for k in (1, 5, 20)]
+
+
+@pytest.mark.parametrize("axis,values,fixed,taps", [
+    ("dim", [4, 8, 16], {"layer": 3}, (3,)),
+    ("layer", [1, 2, 4], {"dim": 8}, (1, 2, 4)),
+], ids=["dim", "layer"])
+def test_sweep_runs_one_forward_per_batch_per_text_set(monkeypatch, axis, values, fixed,
+                                                      taps):
+    params, cfg, vocab, docs = model_setup()
+    queries = [" ".join(d.split()[:2]) for d in docs[:30]]
+    truth = [f"d{i:06d}" for i in range(30)]
+    calls = []
+    real = enc.forward
+
+    def spy(*args, **kwargs):
+        calls.append((args[2].shape[0], kwargs["taps"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(enc, "forward", spy)
+    monkeypatch.setattr(ek, "_ENCODE_BATCH", 16)
+    ek.tradeoff_sweep(params, cfg, vocab, queries, docs, truth, axis=axis, values=values,
+                      ks=[1], **fixed)
+    # 40 docs then 30 queries, in batches of 16, every batch tapping every layer
+    assert calls == [(16, taps), (16, taps), (8, taps), (16, taps), (14, taps)]
 
 
 # ---------------------------------------------------------------------------

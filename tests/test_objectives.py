@@ -24,6 +24,12 @@ def toy_config(**overrides):
     return enc.ModelConfig(**base)
 
 
+def plain_head_logits(params, h, d):
+    """The plain-head oracle: h[..., :d] @ W[:d, :] + b as one projection."""
+    return T.add(T.matmul(T.slice_last(h, 0, d), T.slice_rows(params.mlm_head_w, 0, d)),
+                 params.mlm_head_b)
+
+
 def mlm_batch(config, seed=0, bsz=3, s=9, n_masked=2):
     rng = np.random.default_rng(seed)
     tokens = rng.integers(5, config.vocab, size=(bsz, s))
@@ -100,7 +106,7 @@ def test_mlm_singleton_grid_reduces_to_plain_mlm():
     report = obj.matryoshka_mlm_loss(params, cfg, batch, granularity=single)
     # independent plain path: full-state head projection, then the masked mean
     out = enc.forward(params, cfg, batch.tokens, batch.attn_mask, taps=(cfg.n_layers,))
-    logits = enc.mlm_logits(params, out[cfg.n_layers], cfg.hidden)
+    logits = plain_head_logits(params, out[cfg.n_layers], cfg.hidden)
     safe = np.where(batch.mask_positions, batch.labels, 0)
     plain = T.masked_cross_entropy(logits, safe, batch.mask_positions)
     np.testing.assert_allclose(report.total, float(plain), rtol=1e-12)
@@ -115,13 +121,25 @@ def test_mlm_per_pair_recomputation_oracle():
     recomputed_sum = 0.0
     for (l, d), value in report.per_pair.items():
         out = enc.forward(params, cfg, batch.tokens, batch.attn_mask, taps=(l,))
-        logits = enc.mlm_logits(params, out[l], d)
+        logits = plain_head_logits(params, out[l], d)
         safe = np.where(batch.mask_positions, batch.labels, 0)
         cell = float(T.masked_cross_entropy(logits, safe, batch.mask_positions))
         np.testing.assert_allclose(value, cell, rtol=1e-9)
         recomputed_sum += cell
     np.testing.assert_allclose(report.total, recomputed_sum, rtol=1e-9)
     np.testing.assert_allclose(report.total, sum(report.per_pair.values()), rtol=1e-12)
+
+
+def test_segmented_head_matches_plain_head_oracle():
+    cfg = toy_config()
+    params = enc.init_parameters(cfg, seed=4, dtype=np.float64)
+    h = Tensor(np.random.default_rng(5).normal(size=(5, cfg.hidden)))
+    logits = obj._segmented_head_logits(params, h, (4, 8, 16))
+    # the first segment is the plain projection itself; later ones add partial products
+    np.testing.assert_array_equal(logits[4].data, plain_head_logits(params, h, 4).data)
+    for d in (8, 16):
+        oracle = h.data[:, :d] @ params.mlm_head_w.data[:d, :] + params.mlm_head_b.data
+        np.testing.assert_allclose(logits[d].data, oracle, atol=1e-12, rtol=0.0)
 
 
 def test_mlm_requires_masked_positions():
@@ -261,8 +279,9 @@ def test_mrl_singleton_equals_sft():
     report = obj.mrl_sft_loss(params, cfg, batch, dims=(8,), layer=2, tau=0.05)
     q_out = enc.forward(params, cfg, batch.query_tokens, batch.query_mask, taps=(2,))
     d_out = enc.forward(params, cfg, batch.doc_tokens, batch.doc_mask, taps=(2,))
-    direct = naive_contrastive(enc.pool(q_out[2], batch.query_mask, 8),
-                               enc.pool(d_out[2], batch.doc_mask, 8), tau=0.05)
+    direct = naive_contrastive(enc.cell_embedding(enc.pool(q_out[2], batch.query_mask), 8),
+                               enc.cell_embedding(enc.pool(d_out[2], batch.doc_mask), 8),
+                               tau=0.05)
     np.testing.assert_allclose(report.total, float(direct), rtol=1e-12)
 
 

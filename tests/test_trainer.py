@@ -18,6 +18,16 @@ from m3enc.errors import CheckpointError, ConfigError, M3Error, TrainingAbort
 from m3enc.tensor import GradientRecord, Tensor
 
 
+class ListSink(list):
+    """A metric sink that keeps the records in memory."""
+
+    def emit(self, record: dict) -> None:
+        self.append(record)
+
+    def close(self) -> None:
+        pass
+
+
 def make_params(seed=0, shape=(4, 3)):
     p = Tensor(np.random.default_rng(seed).normal(size=shape), requires_grad=True)
     return [("w", p)]
@@ -157,7 +167,7 @@ def mlm_stage(steps, **overrides):
 def test_run_stage_zero_steps_keeps_params():
     state, source = tiny_setup()
     before = {n: t.data.copy() for n, t in state.params.named()}
-    sink = tr.ListSink()
+    sink = ListSink()
     tr.run_stage(mlm_stage(0), state, source, sink)
     for n, t in state.params.named():
         np.testing.assert_array_equal(t.data, before[n])
@@ -167,7 +177,7 @@ def test_run_stage_deterministic_across_runs():
     final = []
     for _ in range(2):
         state, source = tiny_setup(seed=5)
-        tr.run_stage(mlm_stage(8), state, source, tr.ListSink())
+        tr.run_stage(mlm_stage(8), state, source, ListSink())
         final.append({n: t.data.copy() for n, t in state.params.named()})
     for n in final[0]:
         np.testing.assert_array_equal(final[0][n], final[1][n])
@@ -177,7 +187,7 @@ def test_run_stage_loss_decreases_majority_of_seeds():
     wins = 0
     for seed in (0, 1, 2):
         state, source = tiny_setup(seed=seed)
-        sink = tr.ListSink()
+        sink = ListSink()
         tr.run_stage(mlm_stage(200), state, source, sink)
         steps = [r for r in sink if "total" in r]
         first = np.mean([r["total"] for r in steps[:10]])
@@ -189,7 +199,7 @@ def test_run_stage_loss_decreases_majority_of_seeds():
 
 def test_run_stage_metric_records():
     state, source = tiny_setup()
-    sink = tr.ListSink()
+    sink = ListSink()
     tr.run_stage(mlm_stage(3), state, source, sink)
     steps = [r for r in sink if "total" in r]
     assert len(steps) == 3
@@ -209,7 +219,7 @@ def test_run_stage_metric_records():
 
 def test_checkpoint_roundtrip_bytes(tmp_path):
     state, source = tiny_setup()
-    tr.run_stage(mlm_stage(4), state, source, tr.ListSink())
+    tr.run_stage(mlm_stage(4), state, source, ListSink())
     p1 = tmp_path / "a.m3ck"
     p2 = tmp_path / "b.m3ck"
     tr.save_checkpoint(state, p1)
@@ -267,7 +277,7 @@ def test_checkpoint_failed_write_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "k.m3ck"
     tr.save_checkpoint(state, path)
     before = path.read_bytes()
-    tr.run_stage(mlm_stage(2), state, source, tr.ListSink())
+    tr.run_stage(mlm_stage(2), state, source, ListSink())
     real_open = open
 
     class FailingFile:
@@ -320,12 +330,14 @@ def rewrite_manifest(path, edit):
     lambda m: m["model"].update(ffn_mult=float("inf")),
     lambda m: m["model"].update(ffn_mult=1e300),
     lambda m: m["model"].update(n_layers=3),
+    lambda m: m["model"].update(hidden=float(m["model"]["hidden"])),
 ], ids=["no-tensors", "no-shape", "str-nbytes", "float-nbytes", "bad-dtype",
         "shape-vs-nbytes", "no-name", "table-not-list", "no-granularity", "zero-hidden", "no-seed",
-        "no-beta1", "vocab-not-list", "inf-ffn_mult", "huge-ffn_mult", "more-layers"])
+        "no-beta1", "vocab-not-list", "inf-ffn_mult", "huge-ffn_mult", "more-layers",
+        "float-hidden"])
 def test_checkpoint_malformed_manifest_is_typed(tmp_path, edit):
     state, source = tiny_setup()
-    tr.run_stage(mlm_stage(1), state, source, tr.ListSink())
+    tr.run_stage(mlm_stage(1), state, source, ListSink())
     path = tmp_path / "m.m3ck"
     tr.save_checkpoint(state, path)
     rewrite_manifest(path, edit)
@@ -370,18 +382,18 @@ def test_damaged_checkpoint_loads_or_raises_typed(tmp_path_factory, tiny_checkpo
 def test_resume_matches_unbroken_run(tmp_path):
     # unbroken: 12 steps straight
     state_a, source_a = tiny_setup(seed=9)
-    sink_a = tr.ListSink()
+    sink_a = ListSink()
     tr.run_stage(mlm_stage(12), state_a, source_a, sink_a)
 
     # broken: 12 steps with a checkpoint at 6, reloaded and continued
     state_b, source_b = tiny_setup(seed=9)
-    sink_b1 = tr.ListSink()
+    sink_b1 = ListSink()
     tr.run_stage(mlm_stage(12, checkpoint_every=6), state_b, source_b, sink_b1,
                  output_dir=tmp_path)
     # the run above completed; simulate the break by reloading step 6
     resumed = tr.load_checkpoint(tmp_path / "s1-step6.m3ck")
     assert resumed.step == 6
-    sink_b2 = tr.ListSink()
+    sink_b2 = ListSink()
     tr.run_stage(mlm_stage(12), resumed, source_b, sink_b2)
 
     losses_a = [r["total"] for r in sink_a if "total" in r]
@@ -393,7 +405,7 @@ def test_resume_matches_unbroken_run(tmp_path):
 
 def test_run_stages_chains_fingerprints(tmp_path):
     state, source = tiny_setup()
-    sink = tr.ListSink()
+    sink = ListSink()
     stages = [(mlm_stage(3, name="s1"), source), (mlm_stage(3, name="s2"), source)]
     tr.run_stages(stages, state, sink, output_dir=tmp_path)
     events = [r for r in sink if r.get("event") in ("stage_start", "stage_end")]
