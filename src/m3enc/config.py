@@ -144,7 +144,8 @@ _STAGE_OPTIONAL = {"warmup_steps": int, "min_lr": float, "granularity": dict,
                    "query_len": int, "doc_len": int, "smoothing": float}
 
 # sequence lengths of a stage that sets none; mono/multi stages use seq_len,
-# pair stages query_len and doc_len
+# pair stages query_len and doc_len. Stage and eval lengths are caps: a text
+# is cut to its length, and each batch is only as wide as its longest text.
 _STAGE_LENGTHS = {"seq_len": 32, "query_len": 16, "doc_len": 32}
 
 _EVAL_REQUIRED = {"name": str, "data": str, "layer": int, "dim": int, "k": list}

@@ -8,6 +8,13 @@ File formats understood here:
 * pair corpus: UTF-8 TSV, ``query<TAB>doc[<TAB>timestamp-iso8601]``
 
 All readers reject non-UTF-8 bytes with a positioned error.
+
+Batch width: a configured length (``seq_len``, ``query_len``, ``doc_len``)
+is a cap, not a width. ``encode_sequence`` pads at the end, so the real
+positions of a row are a prefix of it, and every batch is cut to its longest
+real row (``trim_to_longest_row``): the columns dropped are padding in every
+row. Masks are drawn before the cut, so the random stream, the rows and the
+masked positions do not depend on it.
 """
 
 from __future__ import annotations
@@ -107,6 +114,13 @@ def encode_sequence(vocab: Vocab, text: str, seq_len: int) -> tuple[np.ndarray, 
         ids.append(vocab.pad_id)
         mask.append(False)
     return np.array(ids, dtype=np.int64), np.array(mask, dtype=bool)
+
+
+def trim_to_longest_row(attn_mask: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``attn_mask`` and each [B x s] array of the same batch cut to the
+    batch's longest real row; real positions must be a prefix of each row."""
+    width = int(attn_mask.sum(axis=1).max())
+    return tuple(a[:, :width] for a in (attn_mask, *arrays))
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +343,7 @@ def cap_per_query(store: PairStore, cap: int) -> PairStore:
 
 @dataclass
 class MlmBatch:
+    # s is the batch's longest real row, at most the source's seq_len
     tokens: np.ndarray        # [B x s] ids after masking
     attn_mask: np.ndarray     # [B x s] true on real positions
     labels: np.ndarray        # [B x s] original ids where masked, else IGNORE_INDEX
@@ -339,18 +354,37 @@ class MlmBatch:
         if not np.array_equal(lab_defined, self.mask_positions):
             raise ContractError("labels must be defined exactly at masked positions")
 
+    @property
+    def n_tokens(self) -> int:
+        """Real positions in the batch."""
+        return int(self.attn_mask.sum())
+
+    @property
+    def width(self) -> int:
+        return self.tokens.shape[1]
+
 
 @dataclass
 class PairBatch:
-    query_tokens: np.ndarray
-    query_mask: np.ndarray
-    doc_tokens: np.ndarray
-    doc_mask: np.ndarray
+    # each side is as wide as its longest real row, at most query_len / doc_len
+    query_tokens: np.ndarray  # [B x s_q]
+    query_mask: np.ndarray    # [B x s_q] true on real positions
+    doc_tokens: np.ndarray    # [B x s_d]
+    doc_mask: np.ndarray      # [B x s_d]
     pair_ids: tuple[str, ...]
 
     @property
     def size(self) -> int:
         return self.query_tokens.shape[0]
+
+    @property
+    def n_tokens(self) -> int:
+        """Real positions over both sides."""
+        return int(self.query_mask.sum() + self.doc_mask.sum())
+
+    @property
+    def width(self) -> list[int]:
+        return [self.query_tokens.shape[1], self.doc_tokens.shape[1]]
 
 
 class MlmSource:
@@ -387,11 +421,15 @@ class MlmSource:
                 tokens[i, pos] = self.vocab.mask_id
         return tokens, labels
 
-    def batch(self, rng: np.random.Generator, batch_size: int) -> MlmBatch:
-        rows = rng.integers(0, self.ids.shape[0], size=batch_size)
+    def _masked_batch(self, rows: np.ndarray, rng: np.random.Generator) -> MlmBatch:
+        """Mask the rows at full length, then cut the batch to its longest row."""
         tokens, labels = self._mask_rows(self.ids[rows], rng)
-        return MlmBatch(tokens=tokens, attn_mask=self.attn[rows], labels=labels,
+        attn, tokens, labels = trim_to_longest_row(self.attn[rows], tokens, labels)
+        return MlmBatch(tokens=tokens, attn_mask=attn, labels=labels,
                         mask_positions=labels != IGNORE_INDEX)
+
+    def batch(self, rng: np.random.Generator, batch_size: int) -> MlmBatch:
+        return self._masked_batch(rng.integers(0, self.ids.shape[0], size=batch_size), rng)
 
 
 class MultilingualMlmSource(MlmSource):
@@ -419,9 +457,7 @@ class MultilingualMlmSource(MlmSource):
         for i in range(batch_size):
             lang = sample_language(self.mixture, rng)
             rows[i] = rng.choice(self.by_lang[lang])
-        tokens, labels = self._mask_rows(self.ids[rows], rng)
-        return MlmBatch(tokens=tokens, attn_mask=self.attn[rows], labels=labels,
-                        mask_positions=labels != IGNORE_INDEX)
+        return self._masked_batch(rows, rng)
 
 
 class PairSource:
@@ -445,8 +481,8 @@ class PairSource:
             rows = rng.choice(n, size=batch_size, replace=False)
         else:
             rows = rng.integers(0, n, size=batch_size)
-        return PairBatch(
-            query_tokens=self.q_ids[rows], query_mask=self.q_attn[rows],
-            doc_tokens=self.d_ids[rows], doc_mask=self.d_attn[rows],
-            pair_ids=tuple(self.pairs[int(r)].pair_id for r in rows),
-        )
+        q_mask, q_tokens = trim_to_longest_row(self.q_attn[rows], self.q_ids[rows])
+        d_mask, d_tokens = trim_to_longest_row(self.d_attn[rows], self.d_ids[rows])
+        return PairBatch(query_tokens=q_tokens, query_mask=q_mask,
+                         doc_tokens=d_tokens, doc_mask=d_mask,
+                         pair_ids=tuple(self.pairs[int(r)].pair_id for r in rows))

@@ -285,7 +285,8 @@ def forward(
     real (attendable) positions. Padding keys receive exactly zero attention
     weight from every query. ``taps`` defaults to the configured granularity
     layers. Hidden dropout, in training mode, is drawn only between layers
-    that run.
+    that run, at the batch's own width ``s``: the data sources trim each
+    batch to its longest real row, so the masks follow that width.
     """
     tokens = np.asarray(tokens)
     squeeze = tokens.ndim == 1

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import encoder as enc
 from . import tensor as T
-from .data import Vocab, encode_sequence
+from .data import Vocab, encode_sequence, trim_to_longest_row
 from .encoder import ModelConfig, Parameters
 from .errors import ConfigError, ContractError, NumericsError, ShapeError
 from .tensor import Tensor
@@ -109,8 +109,9 @@ def encode_corpus(
     seq_len: int | None = None,
 ) -> dict[int, np.ndarray]:
     """Full-width pooled rows of every text at each of ``layers``, in the model
-    dtype, from one early-exit forward per batch; texts are padded or cut to
-    ``seq_len`` tokens (default ``max_seq``)."""
+    dtype, from one early-exit forward per batch. Texts are cut to at most
+    ``seq_len`` tokens (default ``max_seq``), a cap: each batch runs only as
+    wide as its longest text."""
     if not texts:
         raise ContractError("encode_corpus requires a non-empty corpus")
     seq_len = config.max_seq if seq_len is None else seq_len
@@ -119,8 +120,8 @@ def encode_corpus(
         for start in range(0, len(texts), _ENCODE_BATCH):
             encoded = [encode_sequence(vocab, t, seq_len)
                        for t in texts[start:start + _ENCODE_BATCH]]
-            tokens = np.stack([e[0] for e in encoded])
-            mask = np.stack([e[1] for e in encoded])
+            mask, tokens = trim_to_longest_row(np.stack([e[1] for e in encoded]),
+                                               np.stack([e[0] for e in encoded]))
             states = enc.forward(params, config, tokens, mask, taps=tuple(layers))
             for l in layers:
                 pooled[l].append(enc.pool(states[l], mask).data)
@@ -222,8 +223,8 @@ def evaluate(
 ) -> EvalReport:
     """Encode, search, and score one (layer, dim) cell end to end.
 
-    Queries are padded or cut to ``query_len`` tokens and documents to
-    ``doc_len``; either defaults to the model's ``max_seq``.
+    Queries are cut to at most ``query_len`` tokens and documents to
+    ``doc_len``; either cap defaults to the model's ``max_seq``.
     """
     return _evaluate_cells(params, config, vocab, queries, docs, truth, [(layer, dim)], ks,
                            doc_ids, query_len, doc_len)[0]

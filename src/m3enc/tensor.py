@@ -86,43 +86,11 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __float__(self) -> float:
         return float(self.data)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
-
-    def detach(self) -> "Tensor":
-        """A view of the same values cut off from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(as_tensor(other, self.dtype), -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     # -- backward -----------------------------------------------------------
 
@@ -281,17 +249,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _from_op(np.asarray(out), "sum", (a,), bwd)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    if axis is None:
-        n = a.data.size
-    elif isinstance(axis, int):
-        n = a.data.shape[axis]
-    else:
-        n = int(np.prod([a.data.shape[ax] for ax in axis]))
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     a = as_tensor(a)
     out = a.data.reshape(shape)
@@ -372,17 +329,6 @@ def gather_last(a: Tensor, indices: np.ndarray) -> Tensor:
         return (full,)
 
     return _from_op(np.ascontiguousarray(out), "gather_last", (a,), bwd)
-
-
-def tlog(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.data)
-
-    def bwd(g):
-        return (g / a.data,)
-
-    return _from_op(out, "log", (a,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -485,8 +485,11 @@ def run_stage(
                 f"last good checkpoint: {last_ckpt}") from e
         zero_grads(named)
         state.step = i + 1
-        record = {"step": i, "stage": stage.name, "lr": lr,
-                  "total": report.total, "wall_ms": (time.perf_counter() - t0) * 1e3}
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        tokens = batch.n_tokens
+        record = {"step": i, "stage": stage.name, "lr": lr, "total": report.total,
+                  "wall_ms": wall_ms, "tokens": tokens, "width": batch.width,
+                  "tokens_per_s": tokens / wall_ms * 1e3}
         for (l, d), value in report.per_pair.items():
             record[f"L{l}-D{d}"] = value
         if report.aux is not None:

@@ -235,6 +235,11 @@ def test_sft_mrl_logs_per_dim_losses(workdir, pretrained):
                (workdir / "sft-out" / "metrics.jsonl").read_text().splitlines()]
     steps = [r for r in records if "total" in r]
     assert steps and all("L2-D4" in r and "L2-D16" in r for r in steps)
+    for r in steps:  # each side is cut to its longest real row, under its cap
+        q_width, d_width = r["width"]
+        assert 3 <= q_width <= 8 and 3 <= d_width <= 10
+        assert 4 * 3 * 2 <= r["tokens"] <= 4 * (q_width + d_width)
+        assert r["tokens_per_s"] == pytest.approx(r["tokens"] / r["wall_ms"] * 1e3)
 
 
 def test_distill_stage_runs_from_checkpoint(workdir, pretrained):

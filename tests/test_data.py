@@ -344,7 +344,8 @@ def test_multilingual_source_uses_smoothed_mixture():
     np.testing.assert_allclose(sum(src.mixture.smoothed.values()), 1.0, atol=1e-12)
     assert src.mixture.smoothed["xx"] > 0.10  # lifted above raw share
     batch = src.batch(np.random.default_rng(12), batch_size=8)
-    assert batch.tokens.shape == (8, 6)
+    # as wide as the longest real row (cls + 2 words + sep), under the cap of 6
+    assert batch.tokens.shape == (8, batch.attn_mask.sum(axis=1).max()) == (8, 4)
 
 
 def test_pair_source_batches():
@@ -355,4 +356,77 @@ def test_pair_source_batches():
     batch = src.batch(np.random.default_rng(13), batch_size=4)
     assert batch.size == 4
     assert len(set(batch.pair_ids)) == 4  # sampled without replacement
-    assert batch.query_tokens.shape == (4, 6) and batch.doc_tokens.shape == (4, 8)
+    # each side as wide as its longest real row (cls + 3 words + sep), under
+    # the caps of 6 and 8
+    assert batch.query_tokens.shape == (4, batch.query_mask.sum(axis=1).max()) == (4, 5)
+    assert batch.doc_tokens.shape == (4, batch.doc_mask.sum(axis=1).max()) == (4, 5)
+
+
+# ---------------------------------------------------------------------------
+# batch width: the padded batch of the same draws, cut to its longest row
+# ---------------------------------------------------------------------------
+
+
+SHORT = ["red", "green pear", "blue plum red", "apple", "pear pear pear pear", "red apple"]
+LONG = "red apple green pear blue plum red apple green"  # fills every cap below
+WIDTH_CASES = {"mixed": (SHORT, 8), "full": (SHORT + [LONG], 32), "single": (SHORT + [LONG], 1)}
+
+
+def width_source(kind, v, texts):
+    if kind == "mono":
+        return D.MlmSource(v, texts, seq_len=8, mask_rate=0.3)
+    if kind == "multi":
+        return D.MultilingualMlmSource(v, {"en": texts[::2], "xx": texts[1::2]}, seq_len=8,
+                                       mask_rate=0.3, smoothing=0.7)
+    recs = [D.PairRecord(query=t, doc=f"{t} plum", timestamp=None, line_no=i + 1)
+            for i, t in enumerate(texts)]
+    return D.PairSource(v, recs, query_len=8, doc_len=9)
+
+
+def padded_rows(kind, src, rng, batch_size):
+    """The row draw of each source, made on the same generator."""
+    if kind == "mono":
+        return rng.integers(0, src.ids.shape[0], size=batch_size)
+    if kind == "multi":
+        rows = np.empty(batch_size, dtype=np.int64)
+        for i in range(batch_size):
+            rows[i] = rng.choice(src.by_lang[D.sample_language(src.mixture, rng)])
+        return rows
+    n = len(src.pairs)
+    if batch_size <= n:
+        return rng.choice(n, size=batch_size, replace=False)
+    return rng.integers(0, n, size=batch_size)
+
+
+@pytest.mark.parametrize("case", sorted(WIDTH_CASES))
+@pytest.mark.parametrize("kind", ["mono", "multi", "pair"])
+def test_batch_is_padded_batch_cut_to_longest_row(kind, case):
+    texts, batch_size = WIDTH_CASES[case]
+    v = small_vocab()
+    src = width_source(kind, v, texts)
+    rng_got, rng = np.random.default_rng(21), np.random.default_rng(21)
+    batch = src.batch(rng_got, batch_size)
+    rows = padded_rows(kind, src, rng, batch_size)
+    if kind == "pair":
+        sides = [((batch.query_mask, batch.query_tokens), (src.q_attn[rows], src.q_ids[rows])),
+                 ((batch.doc_mask, batch.doc_tokens), (src.d_attn[rows], src.d_ids[rows]))]
+        pads = (False, v.pad_id)
+    else:
+        # the masking draw is made on the padded rows, before the cut
+        tokens, labels = src._mask_rows(src.ids[rows], rng)
+        sides = [((batch.attn_mask, batch.tokens, batch.labels, batch.mask_positions),
+                  (src.attn[rows], tokens, labels, labels != D.IGNORE_INDEX))]
+        pads = (False, v.pad_id, D.IGNORE_INDEX, False)
+    assert rng_got.random() == rng.random()  # the batch drew what the padded batch drew
+    for got, padded in sides:
+        lengths = padded[0].sum(axis=1)
+        width, cap = lengths.max(), padded[0].shape[1]
+        for g, full, pad in zip(got, padded, pads):
+            np.testing.assert_array_equal(g, full[:, :width])
+            assert (full[:, width:] == pad).all()  # every dropped column is padding
+        if case == "mixed":
+            assert len(set(lengths)) > 1 and width < cap
+        elif case == "full":
+            assert width == cap
+        else:
+            assert got[0].shape == (1, lengths[0])

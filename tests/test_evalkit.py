@@ -309,6 +309,34 @@ def test_cell_rows_match_per_cell_encoding_bit_for_bit(dtype):
             np.testing.assert_array_equal(ek.cell_rows(pooled[l], d), old, err_msg=f"{l},{d}")
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_encode_corpus_matches_padded_forward_bit_for_bit(dtype):
+    # each batch runs only as wide as its longest text; the forward of the
+    # same batch padded to max_seq is the oracle. Bit-identity rests on the
+    # padding terms adding exact zeros to every sum: it holds for the BLAS
+    # builds tested, but it is not guaranteed by construction, so a failure
+    # here is a finding to report, not a tolerance to widen.
+    params, cfg, vocab, docs = model_setup()
+    for _, t in params.named():
+        t.data = t.data.astype(dtype)
+    lengths = np.random.default_rng(3).integers(1, 8, size=3 * len(docs))
+    texts = [" ".join(docs[i % len(docs)].split()[:n]) for i, n in enumerate(lengths)]
+    layers = (1, 2, 4)
+    pooled = ek.encode_corpus(params, cfg, vocab, texts, layers=layers)
+    trimmed = 0
+    for start in range(0, len(texts), ek._ENCODE_BATCH):
+        seqs = [D.encode_sequence(vocab, t, cfg.max_seq)
+                for t in texts[start:start + ek._ENCODE_BATCH]]
+        tokens = np.stack([s[0] for s in seqs])
+        mask = np.stack([s[1] for s in seqs])
+        trimmed += mask.sum(axis=1).max() < cfg.max_seq
+        states = enc.forward(params, cfg, tokens, mask, taps=layers)
+        for l in layers:
+            np.testing.assert_array_equal(pooled[l][start:start + len(seqs)],
+                                          enc.pool(states[l], mask).data, err_msg=f"{l}")
+    assert trimmed == -(-len(texts) // ek._ENCODE_BATCH)  # every batch was cut
+
+
 def test_encode_validation():
     params, cfg, vocab, docs = model_setup()
     with pytest.raises(ContractError):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from m3enc import data as D
 from m3enc import encoder as enc
 from m3enc import objectives as obj
 from m3enc import tensor as T
@@ -73,7 +74,7 @@ def infonce_from_scores(scores):
     b = scores.shape[0]
     lse = T.logsumexp_rows(scores)
     diag = T.gather_last(scores, np.arange(b))
-    return T.tmean(T.add(lse, T.scale(diag, -1.0)))
+    return T.scale(T.tsum(T.add(lse, T.scale(diag, -1.0))), 1.0 / b)
 
 
 def naive_contrastive(q_emb, d_emb, tau):
@@ -480,3 +481,70 @@ def test_distill_rejects_cells_outside_grid():
     plan = obj.DistillPlan(pairs=(((4, 16), (3, 4)),))
     with pytest.raises(ConfigError):
         obj.distill_loss(params, cfg, batch, plan)
+
+
+# ---------------------------------------------------------------------------
+# trimmed batches against their padded twins
+# ---------------------------------------------------------------------------
+
+
+def padded(arr, width, fill):
+    out = np.full((arr.shape[0], width), fill, dtype=arr.dtype)
+    out[:, :arr.shape[1]] = arr
+    return out
+
+
+def trimmed_and_padded(kind, vocab, texts, cap):
+    """A batch from a data source (cut to its longest row) and the same batch
+    padded back to ``cap`` columns."""
+    if kind == "mlm":
+        b = D.MlmSource(vocab, texts, seq_len=cap, mask_rate=0.3).batch(
+            np.random.default_rng(5), 6)
+        return b, MlmBatch(tokens=padded(b.tokens, cap, vocab.pad_id),
+                           attn_mask=padded(b.attn_mask, cap, False),
+                           labels=padded(b.labels, cap, IGNORE_INDEX),
+                           mask_positions=padded(b.mask_positions, cap, False))
+    recs = [D.PairRecord(query=f"{t.split()[0]} {t}", doc=f"{t} q", timestamp=None,
+                         line_no=i + 1) for i, t in enumerate(texts)]
+    b = D.PairSource(vocab, recs, query_len=cap, doc_len=cap).batch(
+        np.random.default_rng(6), 6)
+    return b, PairBatch(query_tokens=padded(b.query_tokens, cap, vocab.pad_id),
+                        query_mask=padded(b.query_mask, cap, False),
+                        doc_tokens=padded(b.doc_tokens, cap, vocab.pad_id),
+                        doc_mask=padded(b.doc_mask, cap, False), pair_ids=b.pair_ids)
+
+
+@pytest.mark.parametrize("loss", ["mlm", "distill", "contrastive", "mrl"])
+def test_trimmed_batch_matches_padded_twin(loss):
+    words = "a b c d e f g h i j k l m n o p q".split()
+    rng = np.random.default_rng(0)
+    texts = [" ".join(rng.choice(words, size=n)) for n in (1, 3, 6, 2, 5, 4, 7, 2)]
+    vocab = D.build_vocab(texts, max_size=32)
+    cfg = toy_config(vocab=vocab.size)
+    params = enc.init_parameters(cfg, seed=3, dtype=np.float64)
+    plan = obj.build_distill_plan("all_from_top", (4, 16), None, cfg.granularity)
+    run = {"mlm": lambda b: obj.matryoshka_mlm_loss(params, cfg, b),
+           "distill": lambda b: obj.distill_loss(params, cfg, b, plan),
+           "contrastive": lambda b: obj.matryoshka_contrastive_loss(params, cfg, b, tau=0.1,
+                                                                    tile=4),
+           "mrl": lambda b: obj.mrl_sft_loss(params, cfg, b, dims=(4, 16), layer=2,
+                                             tau=0.1)}[loss]
+    trimmed, twin = trimmed_and_padded("mlm" if loss in ("mlm", "distill") else "pair",
+                                       vocab, texts, cfg.max_seq)
+    assert max(np.atleast_1d(trimmed.width)) < cfg.max_seq  # the cut has work to do
+    results = []
+    for batch in (trimmed, twin):
+        T.zero_grads(params.named())
+        report = run(batch)
+        report.node.backward()
+        results.append((report, {n: t.grad for n, t in params.named()}))
+    (got, got_grads), (want, want_grads) = results
+    np.testing.assert_allclose(got.total, want.total, rtol=1e-10, atol=0)
+    for cell, value in want.per_pair.items():
+        np.testing.assert_allclose(got.per_pair[cell], value, rtol=1e-10, atol=0)
+    for name, want_g in want_grads.items():
+        if want_g is None:
+            assert got_grads[name] is None, name
+            continue
+        np.testing.assert_allclose(got_grads[name], want_g, rtol=1e-10,
+                                   atol=1e-10 * np.abs(want_g).max(), err_msg=name)

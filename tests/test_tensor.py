@@ -450,7 +450,7 @@ def test_slice_and_gather_grads():
     def f():
         sliced = T.slice_last(x, 0, 4)
         picked = T.gather_last(x, idx)
-        return T.tsum(T.mul(sliced, sliced)) + T.tsum(picked)
+        return T.add(T.tsum(T.mul(sliced, sliced)), T.tsum(picked))
 
     assert T.grad_check(f, [("x", x)]) < 1e-6
 
@@ -469,8 +469,8 @@ def test_take_rows_accumulates_duplicates():
 def test_nonfinite_rejected():
     with pytest.raises(NumericsError):
         T.Tensor([np.inf, 1.0])
-    with pytest.raises(NumericsError):
-        T.tlog(T.Tensor([0.0]))
+    with pytest.raises(NumericsError), np.errstate(over="ignore"):
+        T.scale(T.Tensor([1e300]), 1e300)  # an op whose output overflows
 
 
 def test_no_grad_skips_recording():

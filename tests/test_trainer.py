@@ -15,6 +15,7 @@ from m3enc import encoder as enc
 from m3enc import synth
 from m3enc import trainer as tr
 from m3enc.errors import CheckpointError, ConfigError, M3Error, TrainingAbort
+from m3enc.rng import named_rng
 from m3enc.tensor import GradientRecord, Tensor
 
 
@@ -206,6 +207,11 @@ def test_run_stage_metric_records():
     for r in steps:
         assert {"step", "stage", "lr", "total", "wall_ms"} <= set(r)
         assert "L2-D8" in r and "L4-D32" in r
+        # batches are pure functions of (seed, stage, step): replay each one
+        batch = source.batch(named_rng(state.base_seed, "s1", "batch", r["step"]), 8)
+        assert r["tokens"] == batch.attn_mask.sum() and r["width"] == batch.tokens.shape[1]
+        assert r["width"] == batch.attn_mask.sum(axis=1).max() <= source.seq_len
+        assert r["tokens_per_s"] == pytest.approx(r["tokens"] / r["wall_ms"] * 1e3)
     starts = [r for r in sink if r.get("event") == "stage_start"]
     ends = [r for r in sink if r.get("event") == "stage_end"]
     assert len(starts) == 1 and len(ends) == 1
