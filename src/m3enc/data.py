@@ -5,7 +5,8 @@ File formats understood here:
 
 * monolingual corpus: UTF-8 plain text, one document per line
 * multilingual corpus: UTF-8 TSV, ``lang<TAB>text``
-* pair corpus: UTF-8 TSV, ``query<TAB>doc[<TAB>timestamp-iso8601]``
+* pair corpus: UTF-8 TSV, ``query<TAB>doc[<TAB>extra]``; an optional third
+  column (such as a timestamp) is accepted and ignored
 
 All readers reject non-UTF-8 bytes with a positioned error.
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -220,7 +220,6 @@ def sample_language(mixture: LanguageMixture, rng: np.random.Generator) -> str:
 class PairRecord:
     query: str
     doc: str
-    timestamp: datetime | None
     line_no: int
 
     @property
@@ -273,7 +272,7 @@ def read_multilingual_corpus(path) -> dict[str, list[str]]:
 
 
 def ingest_pairs(path) -> PairStore:
-    """Load ``query<TAB>doc[<TAB>timestamp]`` pairs.
+    """Load ``query<TAB>doc[<TAB>extra]`` pairs; a third column is ignored.
 
     Malformed lines are recorded with their line number and skipped; if more
     than ``MAX_MALFORMED_FRACTION`` of non-blank lines are malformed the
@@ -288,17 +287,9 @@ def ingest_pairs(path) -> PairStore:
         n_lines += 1
         parts = line.split("\t")
         if len(parts) not in (2, 3) or not parts[0].strip() or not parts[1].strip():
-            skipped.append((i, "expected 'query<TAB>doc[<TAB>timestamp]'"))
+            skipped.append((i, "expected 'query<TAB>doc[<TAB>extra]'"))
             continue
-        ts = None
-        if len(parts) == 3:
-            try:
-                ts = datetime.fromisoformat(parts[2].strip())
-            except ValueError:
-                skipped.append((i, f"bad timestamp {parts[2].strip()!r}"))
-                continue
-        records.append(PairRecord(query=parts[0].strip(), doc=parts[1].strip(),
-                                  timestamp=ts, line_no=i))
+        records.append(PairRecord(query=parts[0].strip(), doc=parts[1].strip(), line_no=i))
     if n_lines == 0:
         raise CorpusError(f"{path}: no pairs found")
     if len(skipped) > MAX_MALFORMED_FRACTION * n_lines:

@@ -11,12 +11,14 @@ over truncated inputs.
   of one layer; the grid contrastive loss sums it over every grid cell
 * self-distillation: the multigranular MLM cells plus lambda_d times the KL
   from a teacher (layer, dim) cell's token distribution to student cells;
-  teacher and student logits come from the same tape ops, the teacher's
-  under ``no_grad``
+  teacher log-probabilities are plain arrays computed once per teacher cell
+  under ``no_grad``, and each pair's KL is one ``kl_rows`` node on the
+  student logits
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,13 +150,12 @@ def _mlm_cells(params: Parameters, config: ModelConfig, batch: MlmBatch,
         raise ContractError("every sequence needs at least one masked position")
     masked = _masked_states(params, config, batch, gran.layers, **fwd)
     targets = batch.labels.reshape(-1)[np.flatnonzero(batch.mask_positions.reshape(-1))]
-    all_true = np.ones(targets.shape[0], dtype=bool)
     per_pair: dict[tuple[int, int], float] = {}
     total: Tensor | None = None
     for l in gran.layers:
         logits_by_dim = _segmented_head_logits(params, masked[l], gran.dims)
         for d in gran.dims:
-            cell = T.masked_cross_entropy(logits_by_dim[d], targets, all_true)
+            cell = T.masked_cross_entropy(logits_by_dim[d], targets)
             per_pair[(l, d)] = float(cell)
             total = cell if total is None else T.add(total, cell)
     return masked, per_pair, total
@@ -378,14 +379,12 @@ def distill_loss(
         neg_log_teacher = {}
         for cell in dict.fromkeys(tuple(t) for t, _ in plan.pairs):
             log_p = T.log_softmax_rows(head_logits(teacher_states, teacher_w, cell))
-            neg_log_teacher[cell] = Tensor(-np.maximum(log_p.data, np.log(KL_FLOOR)))
+            neg_log_teacher[cell] = -np.maximum(log_p.data, math.log(KL_FLOOR))
 
-    n_rows = next(iter(masked.values())).shape[0]
     aux: Tensor | None = None
     for teacher, student in plan.pairs:
-        zs = head_logits(masked, params.mlm_head_w, tuple(student))
-        gap = T.add(T.log_softmax_rows(zs), neg_log_teacher[tuple(teacher)])
-        term = T.scale(T.tsum(T.mul(T.softmax_rows(zs), gap)), 1.0 / n_rows)
+        term = T.kl_rows(head_logits(masked, params.mlm_head_w, tuple(student)),
+                         neg_log_teacher[tuple(teacher)])
         aux = term if aux is None else T.add(aux, term)
     total = T.add(total, T.scale(aux, plan.lambda_d))
     return LossReport(per_pair=per_pair, total=float(total), aux=float(aux), node=total)

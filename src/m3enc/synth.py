@@ -128,12 +128,5 @@ def write_multilingual_corpus(path, rows: list[tuple[str, str]]) -> None:
                           encoding="utf-8")
 
 
-def write_pair_corpus(path, pairs: list[tuple[str, str]],
-                      timestamps: list[str] | None = None) -> None:
-    lines = []
-    for i, (q, d) in enumerate(pairs):
-        if timestamps is not None:
-            lines.append(f"{q}\t{d}\t{timestamps[i]}")
-        else:
-            lines.append(f"{q}\t{d}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_pair_corpus(path, pairs: list[tuple[str, str]]) -> None:
+    Path(path).write_text("\n".join(f"{q}\t{d}" for q, d in pairs) + "\n", encoding="utf-8")

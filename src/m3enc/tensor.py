@@ -12,7 +12,9 @@ error state, not a value.
 The encoder's hot paths are single nodes with hand-written backward passes:
 ``matmul`` of stacked rows by a 2-D weight runs one flattened GEMM each way,
 ``attention`` covers head split, scaled and masked scores, softmax, weighted
-sum and head merge, and ``swiglu`` computes silu(gate) * up.
+sum and head merge, and ``swiglu`` computes silu(gate) * up. Each loss term is
+one node too: ``masked_cross_entropy`` (backward (softmax - one_hot) / n) for
+an MLM cell and ``kl_rows`` for a distillation pair.
 """
 
 from __future__ import annotations
@@ -315,22 +317,6 @@ def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     return _from_op(np.ascontiguousarray(out), "take_rows", (a,), bwd)
 
 
-def gather_last(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Pick one element per row of the last axis: out[...] = a[..., idx[...]]."""
-    a = as_tensor(a)
-    idx = np.asarray(indices)
-    if idx.shape != a.shape[:-1]:
-        raise ShapeError(f"gather index shape {idx.shape} != row shape {a.shape[:-1]}")
-    out = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        np.put_along_axis(full, idx[..., None], g[..., None], axis=-1)
-        return (full,)
-
-    return _from_op(np.ascontiguousarray(out), "gather_last", (a,), bwd)
-
-
 # ---------------------------------------------------------------------------
 # Fused neural-network operations
 # ---------------------------------------------------------------------------
@@ -350,22 +336,6 @@ def softmax_rows(x: Tensor) -> Tensor:
         return (out * (g - dot),)
 
     return _from_op(out, "softmax_rows", (x,), bwd)
-
-
-def logsumexp_rows(x: Tensor) -> Tensor:
-    """log(sum(exp(x))) over the last dimension; stable via max-subtraction."""
-    x = as_tensor(x)
-    if x.shape[-1] < 1:
-        raise ShapeError("logsumexp_rows requires a non-empty last extent")
-    m = x.data.max(axis=-1, keepdims=True)
-    z = np.exp(x.data - m).sum(axis=-1, keepdims=True)
-    out = (m + np.log(z))[..., 0]
-
-    def bwd(g):
-        soft = np.exp(x.data - m) / z
-        return (g[..., None] * soft,)
-
-    return _from_op(np.ascontiguousarray(out), "logsumexp_rows", (x,), bwd)
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:
@@ -538,26 +508,70 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
     return _from_op(out, "l2_normalize_rows", (x,), bwd)
 
 
-def masked_cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood over masked positions only.
+def masked_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean negative log-likelihood of ``targets`` under softmax(``logits``).
 
-    ``logits`` has shape [s x V] (or any leading shape before V); ``targets``
-    holds token ids and ``mask`` selects the positions that contribute.
+    ``logits`` holds the [n x V] rows of the masked positions and ``targets``
+    their n token ids. One node: the backward pass is (softmax - one_hot) / n.
     """
     logits = as_tensor(logits)
     targets = np.asarray(targets)
-    mask = np.asarray(mask, dtype=bool)
-    if targets.shape != logits.shape[:-1] or mask.shape != logits.shape[:-1]:
-        raise ShapeError("targets/mask shape must match the logit rows")
-    n_masked = int(mask.sum())
-    if n_masked == 0:
+    if logits.ndim != 2 or targets.shape != logits.shape[:1]:
+        raise ShapeError(f"targets shape {targets.shape} must match the rows of "
+                         f"[n x V] logits {logits.shape}")
+    n, v = logits.shape
+    if n == 0 or v == 0:
         raise ContractError("masked_cross_entropy: no masked positions")
-    safe_targets = np.where(mask, targets, 0)
-    lse = logsumexp_rows(logits)
-    picked = gather_last(logits, safe_targets)
-    per_pos = add(lse, scale(picked, -1.0))
-    weights = mask.astype(logits.dtype) / logits.dtype.type(n_masked)
-    return tsum(mul(per_pos, Tensor(weights)))
+    if targets.min() < 0 or targets.max() >= v:
+        raise ContractError(f"masked_cross_entropy: target ids outside [0, {v})")
+    x = logits.data
+    rows = np.arange(n)
+    m = x.max(axis=-1, keepdims=True)
+    z = np.exp(x - m).sum(axis=-1, keepdims=True)
+    inv_n = x.dtype.type(1.0 / n)
+    per_row = (m + np.log(z))[:, 0] - x[rows, targets]
+    out = np.asarray((per_row * inv_n).sum())
+
+    def bwd(g):
+        w = g * inv_n
+        gx = np.exp(x - m) / z * w
+        gx[rows, targets] -= w
+        return (gx,)
+
+    return _from_op(out, "masked_cross_entropy", (logits,), bwd)
+
+
+def kl_rows(student_logits: Tensor, neg_log_teacher: np.ndarray) -> Tensor:
+    """Mean over rows of KL(p || q), p = softmax(``student_logits``).
+
+    ``neg_log_teacher`` is -log q as a plain [n x V] array: the teacher side
+    carries no gradient. The forward value is the mean over rows of
+    sum(p * (log p + c)) with c = -log q; the backward pass is
+    p * (log p + c - kl_row) * g / n, with kl_row each row's sum.
+    """
+    z = as_tensor(student_logits)
+    c = np.asarray(neg_log_teacher, dtype=z.dtype)
+    if z.ndim != 2 or c.shape != z.shape:
+        raise ShapeError(f"kl_rows expects equal [n x V] student logits and teacher "
+                         f"log-probs, got {z.shape} and {c.shape}")
+    n, v = z.shape
+    if n == 0 or v == 0:
+        raise ContractError("kl_rows: no rows")
+    x = z.data
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    s = e.sum(axis=-1, keepdims=True)
+    p = e / s
+    gap = x - (m + np.log(s)) + c
+    terms = p * gap
+    kl_row = terms.sum(axis=-1, keepdims=True)
+    inv_n = x.dtype.type(1.0 / n)
+    out = np.asarray(terms.sum() * inv_n)
+
+    def bwd(g):
+        return (p * (gap - kl_row) * (g * inv_n),)
+
+    return _from_op(out, "kl_rows", (z,), bwd)
 
 
 # ---------------------------------------------------------------------------

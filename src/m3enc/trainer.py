@@ -28,7 +28,7 @@ import numpy as np
 
 from . import encoder as enc
 from . import objectives as obj
-from .data import Vocab
+from .data import MASK_POLICIES, Vocab
 from .encoder import GranularitySet, ModelConfig, Parameters
 from .errors import CheckpointError, ConfigError, NumericsError, TrainingAbort
 from .objectives import DistillPlan, LossReport
@@ -193,7 +193,8 @@ class StageConfig:
                  ">= 1"),
                 ("tau", self.tau > 0, "> 0"), ("mask_rate", 0 <= self.mask_rate <= 1, "in [0, 1]"),
                 ("lr", self.lr > 0, "> 0"), ("min_lr", self.min_lr >= 0, ">= 0"),
-                ("warmup_steps", self.warmup_steps >= 1, ">= 1")):
+                ("warmup_steps", self.warmup_steps >= 1, ">= 1"),
+                ("mask_policy", self.mask_policy in MASK_POLICIES, f"one of {MASK_POLICIES}")):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
 

@@ -122,9 +122,11 @@ def test_top_level_eval_key_is_unknown(workdir, capsys):
     ("tile", 0), ("grad_clip", -1.0), ("grad_clip", 0.0), ("checkpoint_every", -1),
     ("checkpoint_every", 0), ("tau", 0), ("tau", -0.05), ("mask_rate", 2.0),
     ("mask_rate", -0.1), ("lr", 0), ("lr", -1e-3), ("min_lr", -1e-4), ("warmup_steps", 0),
+    ("mask_policy", "bogus"),
 ], ids=["tile-zero", "grad_clip-negative", "grad_clip-zero", "checkpoint_every-negative",
         "checkpoint_every-zero", "tau-zero", "tau-negative", "mask_rate-above-1",
-        "mask_rate-negative", "lr-zero", "lr-negative", "min_lr-negative", "warmup_steps-zero"])
+        "mask_rate-negative", "lr-zero", "lr-negative", "min_lr-negative", "warmup_steps-zero",
+        "mask_policy-unknown"])
 def test_stage_value_out_of_range_exits_2(workdir, capsys, key, value):
     cfg = base_config(outdir=f"range-{key}-{value}")
     cfg["stages"][2][key] = value

@@ -1,7 +1,5 @@
 """Data layer tests: vocabulary, masking statistics, smoothing, pairs."""
 
-from datetime import datetime
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,7 +290,7 @@ def test_dedup_cap_idempotent_and_oracle(tmp_path):
 
 
 def test_ingest_skips_malformed_with_line_numbers(tmp_path):
-    lines = ["q1\tdoc a", "no-tab-line", "q2\tdoc b", "q3\tdoc c\tnot-a-date"] + \
+    lines = ["q1\tdoc a", "no-tab-line", "q2\tdoc b", "q3\tdoc c\textra\tfourth"] + \
             [f"q{i}\tdoc{i}" for i in range(40)]
     store = D.ingest_pairs(write_pairs(tmp_path, lines))
     assert len(store.skipped) == 2
@@ -314,10 +312,12 @@ def test_ingest_rejects_non_utf8_with_position(tmp_path):
         D.ingest_pairs(path)
 
 
-def test_ingest_timestamps(tmp_path):
-    lines = ["q1\tdoc a\t2024-01-01T00:00:00", "q2\tdoc b\t2024-06-01T12:00:00"]
+def test_ingest_ignores_third_column(tmp_path):
+    lines = ["q1\tdoc a\t2024-01-01T00:00:00", "q2\tdoc b\tnot a date"]
     store = D.ingest_pairs(write_pairs(tmp_path, lines))
-    assert store.records[0].timestamp == datetime(2024, 1, 1)
+    assert [(r.query, r.doc, r.line_no) for r in store.records] == [("q1", "doc a", 1),
+                                                                   ("q2", "doc b", 2)]
+    assert store.skipped == []
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +351,7 @@ def test_multilingual_source_uses_smoothed_mixture():
 def test_pair_source_batches():
     v = small_vocab()
     recs = [D.PairRecord(query=f"red apple {i}", doc=f"green pear {i}",
-                         timestamp=None, line_no=i + 1) for i in range(6)]
+                         line_no=i + 1) for i in range(6)]
     src = D.PairSource(v, recs, query_len=6, doc_len=8)
     batch = src.batch(np.random.default_rng(13), batch_size=4)
     assert batch.size == 4
@@ -378,7 +378,7 @@ def width_source(kind, v, texts):
     if kind == "multi":
         return D.MultilingualMlmSource(v, {"en": texts[::2], "xx": texts[1::2]}, seq_len=8,
                                        mask_rate=0.3, smoothing=0.7)
-    recs = [D.PairRecord(query=t, doc=f"{t} plum", timestamp=None, line_no=i + 1)
+    recs = [D.PairRecord(query=t, doc=f"{t} plum", line_no=i + 1)
             for i, t in enumerate(texts)]
     return D.PairSource(v, recs, query_len=8, doc_len=9)
 

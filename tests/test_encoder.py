@@ -384,6 +384,7 @@ def test_encoder_grad_check(placement, norm, act, bias):
     mask = np.array([[True, True, True, True, False]] * 2)
     targets = np.array([[2, 4, 1, 6, 0]] * 2)
     mask_pos = np.array([[True, False, True, False, False]] * 2)
+    rows = np.flatnonzero(mask_pos)
 
     def f():
         out = enc.forward(params, cfg, tokens, mask)
@@ -392,7 +393,8 @@ def test_encoder_grad_check(placement, norm, act, bias):
             logits = T.add(T.matmul(T.slice_last(out[l], 0, d),
                                     T.slice_rows(params.mlm_head_w, 0, d)),
                            params.mlm_head_b)
-            cell = T.masked_cross_entropy(logits, targets, mask_pos)
+            logits = T.take_rows(T.reshape(logits, (-1, cfg.vocab)), rows)
+            cell = T.masked_cross_entropy(logits, targets.reshape(-1)[rows])
             loss = cell if loss is None else T.add(loss, cell)
         emb = enc.cell_embedding(enc.pool(out[1], mask), 4)
         return T.add(loss, T.tsum(T.mul(emb, emb)))

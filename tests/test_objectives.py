@@ -3,6 +3,7 @@ distillation semantics."""
 
 import copy
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,6 +30,12 @@ def plain_head_logits(params, h, d):
     """The plain-head oracle: h[..., :d] @ W[:d, :] + b as one projection."""
     return T.add(T.matmul(T.slice_last(h, 0, d), T.slice_rows(params.mlm_head_w, 0, d)),
                  params.mlm_head_b)
+
+
+def masked_rows(x, batch):
+    """The [n x V] rows of a [B x s x V] tensor at the batch's masked positions."""
+    b, s, v = x.shape
+    return T.take_rows(T.reshape(x, (b * s, v)), np.flatnonzero(batch.mask_positions))
 
 
 def mlm_batch(config, seed=0, bsz=3, s=9, n_masked=2):
@@ -71,10 +78,7 @@ def unit_rows(shape, seed):
 def infonce_from_scores(scores):
     """Mean over queries of -log softmax on an already temperature-scaled
     square score matrix whose diagonal holds the positives."""
-    b = scores.shape[0]
-    lse = T.logsumexp_rows(scores)
-    diag = T.gather_last(scores, np.arange(b))
-    return T.scale(T.tsum(T.add(lse, T.scale(diag, -1.0))), 1.0 / b)
+    return T.masked_cross_entropy(scores, np.arange(scores.shape[0]))
 
 
 def naive_contrastive(q_emb, d_emb, tau):
@@ -108,8 +112,7 @@ def test_mlm_singleton_grid_reduces_to_plain_mlm():
     # independent plain path: full-state head projection, then the masked mean
     out = enc.forward(params, cfg, batch.tokens, batch.attn_mask, taps=(cfg.n_layers,))
     logits = plain_head_logits(params, out[cfg.n_layers], cfg.hidden)
-    safe = np.where(batch.mask_positions, batch.labels, 0)
-    plain = T.masked_cross_entropy(logits, safe, batch.mask_positions)
+    plain = T.masked_cross_entropy(masked_rows(logits, batch), batch.labels[batch.mask_positions])
     np.testing.assert_allclose(report.total, float(plain), rtol=1e-12)
     assert report.per_pair == {(cfg.n_layers, cfg.hidden): report.total}
 
@@ -123,8 +126,8 @@ def test_mlm_per_pair_recomputation_oracle():
     for (l, d), value in report.per_pair.items():
         out = enc.forward(params, cfg, batch.tokens, batch.attn_mask, taps=(l,))
         logits = plain_head_logits(params, out[l], d)
-        safe = np.where(batch.mask_positions, batch.labels, 0)
-        cell = float(T.masked_cross_entropy(logits, safe, batch.mask_positions))
+        cell = float(T.masked_cross_entropy(masked_rows(logits, batch),
+                                            batch.labels[batch.mask_positions]))
         np.testing.assert_allclose(value, cell, rtol=1e-9)
         recomputed_sum += cell
     np.testing.assert_allclose(report.total, recomputed_sum, rtol=1e-9)
@@ -474,6 +477,37 @@ def test_distill_grad_check_with_frozen_teacher():
     assert T.grad_check(f, params.named(), max_coords=220) < 1e-4
 
 
+def tape_ops(node):
+    """Op name -> number of distinct tape nodes reachable from ``node``."""
+    seen, stack, counts = set(), [node], Counter()
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        if t._backward_fn is not None:
+            counts[t._backward_fn.__qualname__.split(".")[0]] += 1
+        stack.extend(t._parents)
+    return counts
+
+
+def test_one_tape_node_per_loss_term():
+    cfg = toy_config(n_layers=2, granularity=enc.GranularitySet(layers=(1, 2), dims=(4, 16)))
+    params = enc.init_parameters(cfg, seed=15, dtype=np.float64)
+    batch = mlm_batch(cfg, seed=15, bsz=2, s=7)
+    plan = obj.build_distill_plan("all_from_top", (2, 16), None, cfg.granularity)
+    n_cells, n_pairs = len(cfg.granularity.grid), len(plan.pairs)
+    mlm = tape_ops(obj.matryoshka_mlm_loss(params, cfg, batch).node)
+    distill = tape_ops(obj.distill_loss(params, cfg, batch, plan).node)
+    assert mlm["masked_cross_entropy"] == n_cells
+    assert distill["masked_cross_entropy"] == n_cells
+    # each pair adds its student logits (slice, slice, matmul, 1/tau_d scale),
+    # one KL node and one add into the sum; lambda_d adds one scale and one add
+    assert distill - mlm == Counter({"slice_last": n_pairs, "slice_rows": n_pairs,
+                                     "matmul": n_pairs, "scale": n_pairs + 1,
+                                     "kl_rows": n_pairs, "add": n_pairs})
+
+
 def test_distill_rejects_cells_outside_grid():
     cfg = toy_config()
     params = enc.init_parameters(cfg, seed=0)
@@ -504,8 +538,8 @@ def trimmed_and_padded(kind, vocab, texts, cap):
                            attn_mask=padded(b.attn_mask, cap, False),
                            labels=padded(b.labels, cap, IGNORE_INDEX),
                            mask_positions=padded(b.mask_positions, cap, False))
-    recs = [D.PairRecord(query=f"{t.split()[0]} {t}", doc=f"{t} q", timestamp=None,
-                         line_no=i + 1) for i, t in enumerate(texts)]
+    recs = [D.PairRecord(query=f"{t.split()[0]} {t}", doc=f"{t} q", line_no=i + 1)
+            for i, t in enumerate(texts)]
     b = D.PairSource(vocab, recs, query_len=cap, doc_len=cap).batch(
         np.random.default_rng(6), 6)
     return b, PairBatch(query_tokens=padded(b.query_tokens, cap, vocab.pad_id),

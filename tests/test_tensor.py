@@ -4,7 +4,10 @@ Hand-computed and scalar-loop oracles are frozen inline; finite differences
 are the independent check for every differentiable operation.
 """
 
+import ast
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,7 +86,7 @@ def test_matmul_stacked_times_weight_matches_per_slice_oracle(a_shape):
 
 
 # ---------------------------------------------------------------------------
-# softmax / logsumexp
+# softmax / log-softmax
 # ---------------------------------------------------------------------------
 
 
@@ -131,12 +134,6 @@ def test_softmax_grad():
         return T.tsum(T.mul(T.softmax_rows(x), w))
 
     assert T.grad_check(f, [("x", x)]) < 1e-6
-
-
-def test_logsumexp_matches_naive():
-    x = rand((4, 9), seed=9, scale=3.0)
-    out = T.logsumexp_rows(T.Tensor(x)).data
-    np.testing.assert_allclose(out, np.log(np.exp(x).sum(axis=-1)), rtol=1e-12)
 
 
 def test_log_softmax_grad():
@@ -374,7 +371,7 @@ def test_masked_ce_uniform_logits():
     logits = T.Tensor(np.zeros((4, v)))
     targets = np.array([1, 5, 2, 9])
     mask = np.array([True, True, False, True])
-    out = T.masked_cross_entropy(logits, targets, mask)
+    out = T.masked_cross_entropy(T.Tensor(logits.data[mask]), targets[mask])
     np.testing.assert_allclose(float(out), math.log(v), rtol=1e-12)
 
 
@@ -384,7 +381,7 @@ def test_masked_ce_margin_limit():
     targets = np.array([3, 1])
     logits[0, 3] = margin
     logits[1, 1] = margin
-    out = T.masked_cross_entropy(T.Tensor(logits), targets, np.array([True, True]))
+    out = T.masked_cross_entropy(T.Tensor(logits), targets)
     assert float(out) < 1e-20
 
 
@@ -397,14 +394,23 @@ def test_masked_ce_scalar_oracle():
         z = logits[i]
         expected += math.log(sum(math.exp(v) for v in z)) - z[targets[i]]
     expected /= 2.0
-    out = T.masked_cross_entropy(T.Tensor(logits), targets, mask)
+    out = T.masked_cross_entropy(T.Tensor(logits[mask]), targets[mask])
     np.testing.assert_allclose(float(out), expected, rtol=1e-12)
 
 
 def test_masked_ce_empty_mask_error():
+    # no masked positions is zero rows
     with pytest.raises(ContractError):
-        T.masked_cross_entropy(T.Tensor(np.zeros((2, 3))), np.array([0, 1]),
-                               np.array([False, False]))
+        T.masked_cross_entropy(T.Tensor(np.zeros((0, 3))), np.zeros(0, dtype=np.int64))
+
+
+def test_masked_ce_rejects_bad_targets():
+    with pytest.raises(ShapeError):
+        T.masked_cross_entropy(T.Tensor(np.zeros((2, 3))), np.array([0, 1, 2]))
+    with pytest.raises(ContractError):
+        T.masked_cross_entropy(T.Tensor(np.zeros((2, 3))), np.array([0, 3]))
+    with pytest.raises(ContractError):
+        T.masked_cross_entropy(T.Tensor(np.zeros((2, 3))), np.array([-100, 1]))
 
 
 def test_masked_ce_grad():
@@ -413,9 +419,94 @@ def test_masked_ce_grad():
     mask = np.array([True, False, True, True, False])
 
     def f():
-        return T.masked_cross_entropy(logits, targets, mask)
+        return T.masked_cross_entropy(T.take_rows(logits, np.flatnonzero(mask)), targets[mask])
 
     assert T.grad_check(f, [("logits", logits)]) < 1e-6
+
+
+def test_masked_ce_matches_float32_composition():
+    # the old per-cell composition in float32: log-sum-exp minus the target
+    # logit, weighted by 1/n and summed; value and gradient keep its bits
+    x = rand((9, 13), seed=26, scale=4.0).astype(np.float32)
+    targets = np.random.default_rng(27).integers(0, 13, size=9)
+    logits = T.Tensor(x, requires_grad=True)
+    out = T.masked_cross_entropy(logits, targets)
+    out.backward(np.asarray(np.float32(0.75)))
+    m = x.max(axis=-1, keepdims=True)
+    z = np.exp(x - m).sum(axis=-1, keepdims=True)
+    w = np.full(9, np.float32(1) / np.float32(9))
+    per_row = (m + np.log(z))[:, 0] + x[np.arange(9), targets] * np.float32(-1.0)
+    assert out.data == (per_row * w).sum()
+    gw = np.float32(0.75) * w
+    soft = gw[:, None] * (np.exp(x - m) / z)
+    onehot = np.zeros_like(x)
+    onehot[np.arange(9), targets] = -gw
+    np.testing.assert_array_equal(logits.grad, soft + onehot)
+
+
+# ---------------------------------------------------------------------------
+# distillation KL
+# ---------------------------------------------------------------------------
+
+
+def kl_composition(z, c):
+    """The distillation KL as six float64 array steps (the oracle):
+    log-softmax, add -log q, softmax, multiply, sum, scale by 1/n; plus its
+    gradient by the chain rule through each step."""
+    m = z.max(axis=-1, keepdims=True)
+    log_p = z - (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))
+    gap = log_p + c
+    e = np.exp(z - m)
+    p = e / e.sum(axis=-1, keepdims=True)
+    n = z.shape[0]
+    value = (p * gap).sum() * (1.0 / n)
+    g_terms = np.full(z.shape, 1.0 / n)
+    g_p, g_gap = g_terms * gap, g_terms * p
+    g_z = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True))
+    g_z += g_gap - np.exp(log_p) * g_gap.sum(axis=-1, keepdims=True)
+    return value, g_z
+
+
+def floored_teacher(seed, shape):
+    """-log q of a peaked teacher, with the KL floor clipping its tail."""
+    t = rand(shape, seed=seed, scale=12.0)
+    log_q = T.log_softmax_rows(T.Tensor(t)).data
+    assert (log_q < math.log(1e-12)).any(), "the floor should be active"
+    return -np.maximum(log_q, math.log(1e-12))
+
+
+def test_kl_rows_matches_composition_oracle():
+    z = T.Tensor(rand((6, 11), seed=40, scale=2.0), requires_grad=True)
+    c = floored_teacher(41, (6, 11))
+    value, grad = kl_composition(z.data, c)
+    out = T.kl_rows(z, c)
+    out.backward()
+    np.testing.assert_allclose(float(out), value, rtol=1e-12)
+    np.testing.assert_allclose(z.grad, grad, rtol=1e-9, atol=1e-15)
+
+
+def test_kl_rows_float32_value_keeps_composition_bits():
+    z = rand((7, 9), seed=45, scale=3.0).astype(np.float32)
+    c = floored_teacher(46, (7, 9)).astype(np.float32)
+    value, _ = kl_composition(z, c)
+    assert T.kl_rows(T.Tensor(z), c).data == value
+
+
+def test_kl_rows_grad():
+    z = T.Tensor(rand((4, 7), seed=43, scale=2.0), requires_grad=True)
+    c = floored_teacher(44, (4, 7))
+
+    def f():
+        return T.kl_rows(z, c)
+
+    assert T.grad_check(f, [("z", z)]) < 1e-6
+
+
+def test_kl_rows_shape_errors():
+    with pytest.raises(ShapeError):
+        T.kl_rows(T.Tensor(np.zeros((2, 3))), np.zeros((2, 4)))
+    with pytest.raises(ContractError):
+        T.kl_rows(T.Tensor(np.zeros((0, 3))), np.zeros((0, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +536,12 @@ def test_l2_normalize_grad():
 
 def test_slice_and_gather_grads():
     x = T.Tensor(rand((4, 6), seed=32), requires_grad=True)
-    idx = np.array([2, 0, 5, 1])
+    idx = np.array([2, 0, 3, 2])
 
     def f():
         sliced = T.slice_last(x, 0, 4)
-        picked = T.gather_last(x, idx)
-        return T.add(T.tsum(T.mul(sliced, sliced)), T.tsum(picked))
+        picked = T.take_rows(x, idx)
+        return T.add(T.tsum(T.mul(sliced, sliced)), T.tsum(T.mul(picked, picked)))
 
     assert T.grad_check(f, [("x", x)]) < 1e-6
 
@@ -509,3 +600,54 @@ def test_gradient_record_shapes():
     T.tsum(x).backward()
     rec = T.GradientRecord.collect([("x", x)])
     assert rec["x"].shape == (2, 3)
+
+
+# Public functions of m3enc.tensor that nothing in src/ calls, on purpose.
+UNCALLED_BY_DESIGN = {
+    "grad_check",    # the finite-difference verification API
+    "softmax_rows",  # with transpose, the attention oracle's reference ops
+    "transpose",
+}
+
+
+def tensor_calls_in_src() -> set[str]:
+    """Names of m3enc.tensor functions called anywhere in the package, not
+    counting calls from inside a function's own definition."""
+    called = set()
+    for path in Path(T.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level == 1]
+        aliases = {a.asname or a.name for n in imports if n.module is None
+                   for a in n.names if a.name == "tensor"}
+        local = {a.asname or a.name: a.name for n in imports if n.module == "tensor"
+                 for a in n.names}
+        if path.stem == "tensor":
+            local = {name: name for name in vars(T)}
+
+        def visit(node, enclosing):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                enclosing = enclosing | {node.name}
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = None
+                if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
+                        and f.value.id in aliases:
+                    name = f.attr
+                elif isinstance(f, ast.Name):
+                    name = local.get(f.id)
+                if name is not None and name not in enclosing:
+                    called.add(name)
+            for child in ast.iter_child_nodes(node):
+                visit(child, enclosing)
+
+        visit(tree, frozenset())
+    return called
+
+
+def test_every_tape_op_has_a_caller_in_src():
+    public = {name for name, f in inspect.getmembers(T, inspect.isfunction)
+              if f.__module__ == T.__name__ and not name.startswith("_")}
+    called = tensor_calls_in_src()
+    assert UNCALLED_BY_DESIGN <= public
+    assert not UNCALLED_BY_DESIGN & called, "allowlisted ops now have callers"
+    assert public - called - UNCALLED_BY_DESIGN == set(), "tape ops with no caller in src/"
