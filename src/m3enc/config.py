@@ -10,7 +10,7 @@ config file's directory.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .encoder import GranularitySet, ModelConfig
@@ -94,11 +94,15 @@ class DataRef:
 
 @dataclass
 class StageSpec:
+    """A stage plus its data. Lengths are caps: a text is cut to its length,
+    and each batch is only as wide as its longest text. Mono/multi stages
+    read ``seq_len``, pair stages ``query_len`` and ``doc_len``."""
+
     stage: StageConfig
     data: DataRef
-    seq_len: int
-    query_len: int
-    doc_len: int
+    seq_len: int = 32
+    query_len: int = 16
+    doc_len: int = 32
     smoothing: float = 0.7
 
 
@@ -137,16 +141,28 @@ _MODEL_OPTIONAL = {"ffn_mult": float, "activation": str, "norm": str,
 
 _STAGE_REQUIRED = {"name": str, "stage": str, "data": dict, "steps": int,
                    "batch_size": int, "lr": float}
-_STAGE_OPTIONAL = {"warmup_steps": int, "min_lr": float, "granularity": dict,
-                   "mask_rate": float, "mask_policy": str, "tau": float, "tile": int,
-                   "sft_layer": int, "sft_dims": list, "distill": dict,
-                   "checkpoint_every": int, "grad_clip": float, "seq_len": int,
-                   "query_len": int, "doc_len": int, "smoothing": float}
 
-# sequence lengths of a stage that sets none; mono/multi stages use seq_len,
-# pair stages query_len and doc_len. Stage and eval lengths are caps: a text
-# is cut to its length, and each batch is only as wide as its longest text.
-_STAGE_LENGTHS = {"seq_len": 32, "query_len": 16, "doc_len": 32}
+# the optional keys each stage kind reads; a stage setting any other key is a
+# config error, so no key is parsed and then ignored
+_COMMON_KEYS = {"warmup_steps": int, "min_lr": float, "checkpoint_every": int,
+                "grad_clip": float}
+_MLM_KEYS = {**_COMMON_KEYS, "seq_len": int, "mask_rate": float, "mask_policy": str,
+             "granularity": dict}
+_PAIR_KEYS = {**_COMMON_KEYS, "query_len": int, "doc_len": int, "tau": float, "tile": int}
+_SFT_KEYS = {**_PAIR_KEYS, "sft_layer": int, "sft_dims": list}
+_STAGE_KEYS = {"pretrain_mlm": _MLM_KEYS, "distill": {**_MLM_KEYS, "distill": dict},
+               "pretrain_contrastive": {**_PAIR_KEYS, "granularity": dict},
+               "sft": _SFT_KEYS, "sft_mrl": _SFT_KEYS}
+_MULTI_KEYS = {"smoothing": float}  # read by mlm-style stages on multi data only
+_STAGE_OPTIONAL = {key: kind for table in (*_STAGE_KEYS.values(), _MULTI_KEYS)
+                   for key, kind in table.items()}
+_STAGE_DATA = {"pretrain_mlm": ("mono", "multi"), "distill": ("mono", "multi"),
+               "pretrain_contrastive": ("pairs",), "sft": ("pairs",), "sft_mrl": ("pairs",)}
+
+# StageConfig fields taken from the stage's keys as they are; granularity,
+# sft_dims and the distill block are parsed first
+_STAGE_FIELDS = tuple(f.name for f in fields(StageConfig)
+                      if f.name not in ("granularity", "sft_dims", "distill_plan"))
 
 _EVAL_REQUIRED = {"name": str, "data": str, "layer": int, "dim": int, "k": list}
 _EVAL_OPTIONAL = {"query_len": int, "doc_len": int}
@@ -178,9 +194,19 @@ def _check_grid_subset(c: _Checker, gran: GranularitySet, model_gran: Granularit
                                    f"{list(model_gran.dims)}")
 
 
+def _present(raw: dict, names) -> dict:
+    """The entries of ``raw`` named in ``names``: a key left out keeps the
+    default of the dataclass it goes to."""
+    return {key: raw[key] for key in names if key in raw}
+
+
 def _parse_stage(c: _Checker, raw: dict, path: str, model: ModelConfig,
                  base_dir: Path) -> StageSpec | None:
     if not c.keys(raw, path, _STAGE_REQUIRED, _STAGE_OPTIONAL):
+        return None
+    kind = raw["stage"]
+    if kind not in _STAGE_KEYS:
+        c.fail(f"{path}.stage", f"unknown stage kind {kind!r}")
         return None
     data_raw = raw["data"]
     if not c.keys(data_raw, f"{path}.data", {"kind": str, "path": str}, {}):
@@ -188,9 +214,17 @@ def _parse_stage(c: _Checker, raw: dict, path: str, model: ModelConfig,
     if data_raw["kind"] not in ("mono", "multi", "pairs"):
         c.fail(f"{path}.data.kind", f"must be mono, multi, or pairs, got {data_raw['kind']!r}")
         return None
+    if data_raw["kind"] not in _STAGE_DATA[kind]:
+        c.fail(f"{path}.data.kind", f"stage {kind} expects data kind in {_STAGE_DATA[kind]}")
     data_path = base_dir / data_raw["path"]
     if not data_path.is_file():
         c.fail(f"{path}.data.path", f"file does not exist: {data_path}")
+    reads = {**_STAGE_KEYS[kind], **(_MULTI_KEYS if data_raw["kind"] == "multi" else {})}
+    unread = [key for key in raw if key not in _STAGE_REQUIRED and key not in reads]
+    for key in unread:
+        c.fail(f"{path}.{key}", f"not read by a {kind} stage on {data_raw['kind']} data")
+    if unread:
+        return None
 
     gran = None
     if "granularity" in raw:
@@ -225,44 +259,23 @@ def _parse_stage(c: _Checker, raw: dict, path: str, model: ModelConfig,
             return None
         try:
             plan = build_distill_plan(d["mode"], teacher, student, gran or model.granularity,
-                                      lambda_d=d.get("lambda_d", 1.0),
-                                      tau_d=d.get("tau_d", 1.0))
+                                      **_present(d, ("lambda_d", "tau_d")))
         except ConfigError as e:
             c.fail(f"{path}.distill", str(e))
 
-    expected_kind = {"pretrain_mlm": ("mono", "multi"), "pretrain_contrastive": ("pairs",),
-                     "sft": ("pairs",), "sft_mrl": ("pairs",),
-                     "distill": ("mono", "multi")}.get(raw["stage"])
-    if expected_kind is None:
-        c.fail(f"{path}.stage", f"unknown stage kind {raw['stage']!r}")
-        return None
-    if data_raw["kind"] not in expected_kind:
-        c.fail(f"{path}.data.kind",
-               f"stage {raw['stage']} expects data kind in {expected_kind}")
-    lengths = {key: raw.get(key, default) for key, default in _STAGE_LENGTHS.items()}
-    used = ("query_len", "doc_len") if data_raw["kind"] == "pairs" else ("seq_len",)
-    for key in used:
-        if not (3 <= lengths[key] <= model.max_seq):
-            c.fail(f"{path}.{key}", f"{lengths[key]} must be in [3, max_seq={model.max_seq}]")
-
     try:
-        stage = StageConfig(
-            name=raw["name"], stage=raw["stage"], steps=raw["steps"],
-            batch_size=raw["batch_size"], lr=raw["lr"],
-            warmup_steps=raw.get("warmup_steps", 1),
-            min_lr=raw.get("min_lr", 0.0), granularity=gran,
-            mask_rate=raw.get("mask_rate", 0.15),
-            mask_policy=raw.get("mask_policy", "bert_80_10_10"),
-            tau=raw.get("tau", 0.05), tile=raw.get("tile"),
-            sft_layer=raw.get("sft_layer"), sft_dims=sft_dims,
-            distill_plan=plan, checkpoint_every=raw.get("checkpoint_every"),
-            grad_clip=raw.get("grad_clip"),
-        )
+        stage = StageConfig(granularity=gran, sft_dims=sft_dims, distill_plan=plan,
+                            **_present(raw, _STAGE_FIELDS))
     except ConfigError as e:
         c.fail(path, str(e))
         return None
-    return StageSpec(stage=stage, data=DataRef(kind=data_raw["kind"], path=data_path),
-                     smoothing=raw.get("smoothing", 0.7), **lengths)
+    spec = StageSpec(stage=stage, data=DataRef(kind=data_raw["kind"], path=data_path),
+                     **_present(raw, ("seq_len", "query_len", "doc_len", "smoothing")))
+    for key in ("query_len", "doc_len") if data_raw["kind"] == "pairs" else ("seq_len",):
+        length = getattr(spec, key)
+        if not (3 <= length <= model.max_seq):
+            c.fail(f"{path}.{key}", f"{length} must be in [3, max_seq={model.max_seq}]")
+    return spec
 
 
 def _parse_eval(c: _Checker, raw: dict, path: str, model: ModelConfig,
@@ -288,8 +301,7 @@ def _parse_eval(c: _Checker, raw: dict, path: str, model: ModelConfig,
         c.fail(f"{path}.k", "must be a non-empty list of positive integers")
         return None
     return EvalSpec(name=raw["name"], path=data_path, layer=raw["layer"], dim=raw["dim"],
-                    ks=tuple(sorted(set(ks))), query_len=raw.get("query_len"),
-                    doc_len=raw.get("doc_len"))
+                    ks=tuple(sorted(set(ks))), **_present(raw, _EVAL_OPTIONAL))
 
 
 def load_run_config(path) -> RunConfig:
@@ -324,13 +336,7 @@ def load_run_config(path) -> RunConfig:
                     model = ModelConfig(
                         n_layers=m["n_layers"], hidden=m["hidden"], n_heads=m["n_heads"],
                         vocab=m["vocab_size"], max_seq=m["max_seq"], granularity=gran,
-                        ffn_mult=m.get("ffn_mult", 8.0 / 3.0),
-                        activation=m.get("activation", "swiglu"),
-                        norm=m.get("norm", "rmsnorm"),
-                        norm_placement=m.get("norm_placement", "pre"),
-                        use_bias=m.get("use_bias", False),
-                        hidden_dropout=m.get("hidden_dropout", 0.0),
-                    )
+                        **_present(m, _MODEL_OPTIONAL))
                 except ConfigError as e:
                     c.fail("config.model", str(e))
     c.raise_if_failed(str(path))

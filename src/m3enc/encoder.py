@@ -13,9 +13,11 @@ A sequence embedding is pooled once per tapped layer at full width
 (l, d) is the first ``d`` coordinates of that mean, L2-normalized
 (``cell_embedding``). Training and evaluation both use this one path.
 
-Each attention block is four linear projections around one fused
-``tensor.attention`` node; the SwiGLU feed-forward gates through one fused
-``tensor.swiglu`` node.
+Every weight multiplies its input once. An attention block is one fused
+[m x 3m] q | k | v projection (``attn_qkv``), one fused ``tensor.attention``
+node and the output projection; the feed-forward is one fused input
+projection (``ffn_in``, gate | up for SwiGLU), one ``tensor.swiglu`` or GELU
+node and the down projection: four matmuls per layer.
 
 ``forward`` stops at the deepest tapped layer: the layers above it are never
 run, so a tap at layer ``l`` costs ``l`` blocks and is what a model cut to
@@ -121,21 +123,18 @@ class ModelConfig:
 
 @dataclass
 class LayerParams:
-    attn_q: Tensor
-    attn_k: Tensor
-    attn_v: Tensor
+    """One block's weights: ``attn_qkv`` [m x 3m] is q | k | v; ``ffn_in`` is
+    gate | up [m x 2f] for SwiGLU and [m x f] for GELU."""
+
+    attn_qkv: Tensor
     attn_o: Tensor
     norm1_w: Tensor
     norm2_w: Tensor
-    ffn_up: Tensor
+    ffn_in: Tensor
     ffn_down: Tensor
-    ffn_gate: Tensor | None = None
-    attn_q_b: Tensor | None = None
-    attn_k_b: Tensor | None = None
-    attn_v_b: Tensor | None = None
+    attn_qkv_b: Tensor | None = None
     attn_o_b: Tensor | None = None
-    ffn_gate_b: Tensor | None = None
-    ffn_up_b: Tensor | None = None
+    ffn_in_b: Tensor | None = None
     ffn_down_b: Tensor | None = None
     norm1_b: Tensor | None = None
     norm2_b: Tensor | None = None
@@ -158,11 +157,9 @@ class Parameters:
         out = [("token_embedding", self.token_embedding),
                ("position_embedding", self.position_embedding)]
         for i, lp in enumerate(self.layers):
-            for f in ("attn_q", "attn_k", "attn_v", "attn_o",
-                      "attn_q_b", "attn_k_b", "attn_v_b", "attn_o_b",
+            for f in ("attn_qkv", "attn_o", "attn_qkv_b", "attn_o_b",
                       "norm1_w", "norm1_b", "norm2_w", "norm2_b",
-                      "ffn_gate", "ffn_up", "ffn_down",
-                      "ffn_gate_b", "ffn_up_b", "ffn_down_b"):
+                      "ffn_in", "ffn_down", "ffn_in_b", "ffn_down_b"):
                 t = getattr(lp, f)
                 if t is not None:
                     out.append((f"layers.{i}.{f}", t))
@@ -192,34 +189,38 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.ndar
 
 def init_parameters(config: ModelConfig, seed: int, dtype=np.float32) -> Parameters:
     """Deterministic initialization: truncated normal(0, 0.02) weights, unit
-    norm weights, zero biases."""
+    norm weights, zero biases. A fused projection is its parts' draws (q, k, v,
+    o, up, down, then gate, per layer) laid side by side."""
     rng = named_rng(seed, "init")
     m, v, f = config.hidden, config.vocab, config.intermediate
 
+    def draw(*shape):
+        return _trunc_normal(rng, shape, INIT_STD, dtype)
+
+    def param(*parts):  # one trainable tensor from parts laid side by side
+        return Tensor(np.concatenate(parts, axis=-1), requires_grad=True)
+
     def w(*shape):
-        return Tensor(_trunc_normal(rng, shape, INIT_STD, dtype), requires_grad=True)
+        return param(draw(*shape))
 
     def ones(n):
-        return Tensor(np.ones(n, dtype=dtype), requires_grad=True)
+        return param(np.ones(n, dtype=dtype))
 
     def zeros(n):
-        return Tensor(np.zeros(n, dtype=dtype), requires_grad=True)
+        return param(np.zeros(n, dtype=dtype))
 
+    swiglu = config.activation == "swiglu"
     layers = []
     for _ in range(config.n_layers):
-        lp = LayerParams(
-            attn_q=w(m, m), attn_k=w(m, m), attn_v=w(m, m), attn_o=w(m, m),
-            norm1_w=ones(m), norm2_w=ones(m),
-            ffn_up=w(m, f), ffn_down=w(f, m),
-        )
-        if config.activation == "swiglu":
-            lp.ffn_gate = w(m, f)
+        wq, wk, wv, wo = draw(m, m), draw(m, m), draw(m, m), draw(m, m)
+        up, down = draw(m, f), draw(f, m)
+        gate = (draw(m, f),) if swiglu else ()
+        lp = LayerParams(attn_qkv=param(wq, wk, wv), attn_o=param(wo),
+                         norm1_w=ones(m), norm2_w=ones(m),
+                         ffn_in=param(*gate, up), ffn_down=param(down))
         if config.use_bias:
-            lp.attn_q_b, lp.attn_k_b = zeros(m), zeros(m)
-            lp.attn_v_b, lp.attn_o_b = zeros(m), zeros(m)
-            lp.ffn_up_b, lp.ffn_down_b = zeros(f), zeros(m)
-            if config.activation == "swiglu":
-                lp.ffn_gate_b = zeros(f)
+            lp.attn_qkv_b, lp.attn_o_b = zeros(3 * m), zeros(m)
+            lp.ffn_in_b, lp.ffn_down_b = zeros(2 * f if swiglu else f), zeros(m)
         if config.norm == "layernorm":
             lp.norm1_b, lp.norm2_b = zeros(m), zeros(m)
         layers.append(lp)
@@ -250,17 +251,13 @@ def _linear(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
 
 
 def _attention(x: Tensor, lp: LayerParams, config: ModelConfig, key_bias: np.ndarray) -> Tensor:
-    ctx = T.attention(_linear(x, lp.attn_q, lp.attn_q_b), _linear(x, lp.attn_k, lp.attn_k_b),
-                      _linear(x, lp.attn_v, lp.attn_v_b), key_bias, config.n_heads)
+    ctx = T.attention(_linear(x, lp.attn_qkv, lp.attn_qkv_b), key_bias, config.n_heads)
     return _linear(ctx, lp.attn_o, lp.attn_o_b)
 
 
 def _ffn(x: Tensor, lp: LayerParams, config: ModelConfig) -> Tensor:
-    if config.activation == "swiglu":
-        hidden = T.swiglu(_linear(x, lp.ffn_gate, lp.ffn_gate_b),
-                          _linear(x, lp.ffn_up, lp.ffn_up_b))
-    else:
-        hidden = T.activation(_linear(x, lp.ffn_up, lp.ffn_up_b), "gelu")
+    pre = _linear(x, lp.ffn_in, lp.ffn_in_b)
+    hidden = T.swiglu(pre) if config.activation == "swiglu" else T.activation(pre, "gelu")
     return _linear(hidden, lp.ffn_down, lp.ffn_down_b)
 
 

@@ -11,9 +11,10 @@ over truncated inputs.
   of one layer; the grid contrastive loss sums it over every grid cell
 * self-distillation: the multigranular MLM cells plus lambda_d times the KL
   from a teacher (layer, dim) cell's token distribution to student cells;
-  teacher log-probabilities are plain arrays computed once per teacher cell
-  under ``no_grad``, and each pair's KL is one ``kl_rows`` node on the
-  student logits
+  both read the head products the MLM cells already computed, scaled by
+  1/tau_d. Teacher log-probabilities are plain arrays computed once per
+  teacher cell under ``no_grad``, and each pair's KL is one ``kl_rows`` node
+  on the scaled student product
 """
 
 from __future__ import annotations
@@ -79,11 +80,11 @@ def build_distill_plan(
     teacher: tuple[int, int],
     student: tuple[int, int] | None,
     grid: GranularitySet,
-    lambda_d: float = 1.0,
-    tau_d: float = 1.0,
+    **weights: float,
 ) -> DistillPlan:
     """'all_from_top' pairs the teacher with every other grid cell;
-    'single_pair' names one student explicitly."""
+    'single_pair' names one student explicitly. ``weights`` (``lambda_d``,
+    ``tau_d``) go to ``DistillPlan``, which holds their defaults."""
     teacher = (int(teacher[0]), int(teacher[1]))
     cells = grid.grid
     if teacher not in cells:
@@ -99,7 +100,7 @@ def build_distill_plan(
         pairs = ((teacher, student),)
     else:
         raise ConfigError(f"unknown distillation mode {mode!r}")
-    return DistillPlan(pairs=pairs, lambda_d=lambda_d, tau_d=tau_d)
+    return DistillPlan(pairs=pairs, **weights)
 
 
 # ---------------------------------------------------------------------------
@@ -107,58 +108,40 @@ def build_distill_plan(
 # ---------------------------------------------------------------------------
 
 
-def _masked_states(params: Parameters, config: ModelConfig, batch: MlmBatch,
-                   layers: tuple[int, ...], **fwd) -> dict[int, Tensor]:
-    """One forward pass; each tapped layer's [n x M] rows at the masked positions."""
-    states = enc.forward(params, config, batch.tokens, batch.attn_mask, taps=layers, **fwd)
-    flat_idx = np.flatnonzero(batch.mask_positions.reshape(-1))
-    out = {}
-    for l in layers:
-        b, s, m = states[l].shape
-        out[l] = T.take_rows(T.reshape(states[l], (b * s, m)), flat_idx)
-    return out
-
-
-def _segmented_head_logits(params: Parameters, h_masked: Tensor,
-                           dims: tuple[int, ...]) -> dict[int, Tensor]:
-    """Head logits for every truncation dim, sharing partial products.
-
-    logits(d_{j+1}) = logits(d_j) + h[:, d_j:d_{j+1}] @ W[d_j:d_{j+1}, :], so
-    the full grid costs one max(d)-wide projection instead of sum(d).
-    """
-    out: dict[int, Tensor] = {}
-    acc: Tensor | None = None
-    prev = 0
-    for d in dims:
-        seg = T.matmul(T.slice_last(h_masked, prev, d),
-                       T.slice_rows(params.mlm_head_w, prev, d))
-        acc = seg if acc is None else T.add(acc, seg)
-        out[d] = T.add(acc, params.mlm_head_b)
-        prev = d
-    return out
-
-
 def _mlm_cells(params: Parameters, config: ModelConfig, batch: MlmBatch,
                gran: GranularitySet, **fwd):
-    """The masked rows per tapped layer, the per-cell losses and their sum.
+    """The bias-free head product of every (layer, dim) cell, the per-cell
+    losses and their sum.
 
-    One forward pass taps the grid layers; each cell projects the tapped
-    state truncated to its dim through the shared head and scores the
-    ground-truth tokens at the masked positions.
+    One forward pass taps the grid layers; each tapped state's [n x M] rows
+    at the masked positions go through the shared head. The product of cell
+    (l, d) is h[:, :d] @ W[:d, :], built for increasing d as a running sum of
+    segment products h[:, d_j:d_{j+1}] @ W[d_j:d_{j+1}, :], so a layer's whole
+    row of cells costs one max(d)-wide projection. A cell's logits are its
+    product plus the head bias; its loss scores the ground-truth tokens.
     """
     if not batch.mask_positions.any(axis=-1).all():
         raise ContractError("every sequence needs at least one masked position")
-    masked = _masked_states(params, config, batch, gran.layers, **fwd)
-    targets = batch.labels.reshape(-1)[np.flatnonzero(batch.mask_positions.reshape(-1))]
+    flat_idx = np.flatnonzero(batch.mask_positions.reshape(-1))
+    targets = batch.labels.reshape(-1)[flat_idx]
+    states = enc.forward(params, config, batch.tokens, batch.attn_mask, taps=gran.layers, **fwd)
+    products: dict[tuple[int, int], Tensor] = {}
     per_pair: dict[tuple[int, int], float] = {}
     total: Tensor | None = None
     for l in gran.layers:
-        logits_by_dim = _segmented_head_logits(params, masked[l], gran.dims)
+        b, s, m = states[l].shape
+        h = T.take_rows(T.reshape(states[l], (b * s, m)), flat_idx)
+        acc: Tensor | None = None
+        prev = 0
         for d in gran.dims:
-            cell = T.masked_cross_entropy(logits_by_dim[d], targets)
+            seg = T.matmul(T.slice_last(h, prev, d), T.slice_rows(params.mlm_head_w, prev, d))
+            acc = seg if acc is None else T.add(acc, seg)
+            products[(l, d)] = acc
+            cell = T.masked_cross_entropy(T.add(acc, params.mlm_head_b), targets)
             per_pair[(l, d)] = float(cell)
             total = cell if total is None else T.add(total, cell)
-    return masked, per_pair, total
+            prev = d
+    return products, per_pair, total
 
 
 def matryoshka_mlm_loss(
@@ -348,10 +331,10 @@ def distill_loss(
     distribution from the teacher's is taken at the masked positions (mean
     over them), with the student distribution first and no gradient flowing
     into the teacher branch. Distributions are
-    softmax(h[:, :d] @ W[:d, :] / tau_d) -- the shared head without its
-    bias. Each distinct teacher cell is computed once. ``teacher_params``,
-    when given, sources the teacher distributions from a frozen parameter
-    copy instead of the live weights.
+    softmax(h[:, :d] @ W[:d, :] / tau_d): the MLM cells' bias-free head
+    products, scaled, so no cell is projected twice. Each distinct teacher
+    cell is normalized once. ``teacher_params``, when given, sources the
+    teacher products from a frozen parameter copy instead of the live weights.
     """
     gran = granularity or config.granularity
     grid = set(gran.grid)
@@ -361,29 +344,23 @@ def distill_loss(
                 raise ConfigError(f"distillation cell {cell} has dim > hidden={config.hidden}")
             if cell not in grid:
                 raise ConfigError(f"distillation cell {cell} is outside the granularity grid")
-    masked, per_pair, total = _mlm_cells(params, config, batch, gran,
-                                         training=training, dropout_rng=dropout_rng)
+    products, per_pair, total = _mlm_cells(params, config, batch, gran,
+                                           training=training, dropout_rng=dropout_rng)
     if not plan.pairs or plan.lambda_d == 0.0:
         return LossReport(per_pair=per_pair, total=float(total), aux=0.0, node=total)
 
-    def head_logits(states: dict[int, Tensor], head_w: Tensor, cell) -> Tensor:
-        l, d = cell
-        return T.scale(T.matmul(T.slice_last(states[l], 0, d), T.slice_rows(head_w, 0, d)),
-                       1.0 / plan.tau_d)
-
-    teacher_states, teacher_w = masked, params.mlm_head_w
+    inv_tau = 1.0 / plan.tau_d
     with T.no_grad():
-        if teacher_params is not None:
-            teacher_states = _masked_states(teacher_params, config, batch, gran.layers)
-            teacher_w = teacher_params.mlm_head_w
+        teacher_products = (products if teacher_params is None
+                            else _mlm_cells(teacher_params, config, batch, gran)[0])
         neg_log_teacher = {}
         for cell in dict.fromkeys(tuple(t) for t, _ in plan.pairs):
-            log_p = T.log_softmax_rows(head_logits(teacher_states, teacher_w, cell))
+            log_p = T.log_softmax_rows(T.scale(teacher_products[cell], inv_tau))
             neg_log_teacher[cell] = -np.maximum(log_p.data, math.log(KL_FLOOR))
 
     aux: Tensor | None = None
     for teacher, student in plan.pairs:
-        term = T.kl_rows(head_logits(masked, params.mlm_head_w, tuple(student)),
+        term = T.kl_rows(T.scale(products[tuple(student)], inv_tau),
                          neg_log_teacher[tuple(teacher)])
         aux = term if aux is None else T.add(aux, term)
     total = T.add(total, T.scale(aux, plan.lambda_d))

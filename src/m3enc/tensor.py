@@ -11,8 +11,9 @@ error state, not a value.
 
 The encoder's hot paths are single nodes with hand-written backward passes:
 ``matmul`` of stacked rows by a 2-D weight runs one flattened GEMM each way,
-``attention`` covers head split, scaled and masked scores, softmax, weighted
-sum and head merge, and ``swiglu`` computes silu(gate) * up. Each loss term is
+``attention`` reads q | k | v from one fused projection and covers head split,
+scaled and masked scores, softmax, weighted sum and head merge, and ``swiglu``
+computes silu(gate) * up from one fused gate | up projection. Each loss term is
 one node too: ``masked_cross_entropy`` (backward (softmax - one_hot) / n) for
 an MLM cell and ``kl_rows`` for a distillation pair.
 """
@@ -178,9 +179,18 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def add(a: Tensor, b) -> Tensor:
+def _same_dtype(a, b, op: str) -> tuple[Tensor, Tensor]:
+    """Both operands as tensors of ``a``'s dtype: a non-tensor ``b`` is cast to
+    it, and two tensors of different dtypes are an error, not a promotion."""
     a = as_tensor(a)
     b = as_tensor(b, dtype=a.dtype)
+    if b.dtype != a.dtype:
+        raise ContractError(f"'{op}' operands differ in dtype: {a.dtype.name} and {b.dtype.name}")
+    return a, b
+
+
+def add(a: Tensor, b) -> Tensor:
+    a, b = _same_dtype(a, b, "add")
     out = a.data + b.data
 
     def bwd(g):
@@ -189,8 +199,8 @@ def add(a: Tensor, b) -> Tensor:
     return _from_op(out, "add", (a, b), bwd)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def mul(a: Tensor, b) -> Tensor:
+    a, b = _same_dtype(a, b, "mul")
     out = a.data * b.data
 
     def bwd(g):
@@ -209,9 +219,9 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _from_op(out, "scale", (a,), bwd)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b) -> Tensor:
     """Matrix product; stacked leading dimensions broadcast as in numpy."""
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _same_dtype(a, b, "matmul")
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError("matmul requires tensors with at least 2 dimensions")
     if a.shape[-1] != b.shape[-2]:
@@ -416,81 +426,88 @@ def activation(x: Tensor, kind: str) -> Tensor:
     return _from_op(out, "gelu", (x,), bwd)
 
 
-def swiglu(gate: Tensor, up: Tensor) -> Tensor:
-    """The SwiGLU product silu(gate) * up, elementwise, as one node."""
-    gate, up = as_tensor(gate), as_tensor(up)
-    if gate.shape != up.shape:
-        raise ShapeError(f"swiglu shape mismatch: {gate.shape} vs {up.shape}")
-    one = gate.dtype.type(1.0)
+def swiglu(x: Tensor) -> Tensor:
+    """The SwiGLU product silu(gate) * up as one node, where ``x`` holds gate
+    and up as the two halves of its last extent, ``[gate | up]``."""
+    x = as_tensor(x)
+    if x.ndim < 1 or x.shape[-1] % 2:
+        raise ShapeError(f"swiglu needs an even last extent (gate | up), got {x.shape}")
+    f = x.shape[-1] // 2
+    gate, up = x.data[..., :f], x.data[..., f:]
+    one = x.dtype.type(1.0)
     with np.errstate(over="ignore"):  # exp(-x) -> inf gives sigmoid 0, as it should
-        sig = np.exp(-gate.data)
+        sig = np.exp(-gate)
     sig += one
     np.reciprocal(sig, out=sig)
-    act = gate.data * sig
-    out = act * up.data
+    act = gate * sig
+    out = act * up
 
     def bwd(g):
-        dsilu = gate.data * (one - sig)
+        # in-place steps on a contiguous temporary (on a strided half each one
+        # costs about twice as much), then one write into each half of gx
+        dsilu = gate * (one - sig)
         dsilu += one
         dsilu *= sig
-        dsilu *= up.data
-        dsilu *= g
-        return dsilu, g * act
+        dsilu *= up
+        gx = np.empty_like(x.data)
+        np.multiply(dsilu, g, out=gx[..., :f])
+        np.multiply(g, act, out=gx[..., f:])
+        return (gx,)
 
-    return _from_op(out, "swiglu", (gate, up), bwd)
+    return _from_op(out, "swiglu", (x,), bwd)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, key_bias: np.ndarray, n_heads: int) -> Tensor:
+def attention(qkv: Tensor, key_bias: np.ndarray, n_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
 
-    ``q``, ``k``, ``v`` are [B x s x m] projections whose last dimension holds
-    ``n_heads`` consecutive heads; ``key_bias`` is a [B x s] additive offset per
-    key (0 for live keys, ``MASK_OFFSET`` for padding). Heads are split and
-    merged through strided views, the softmax subtracts the row max, and the
-    backward pass is written out by hand. Returns the merged [B x s x m] context.
+    ``qkv`` is the [B x s x 3m] output of one fused projection: its last
+    dimension holds q, k and v as three thirds of ``n_heads`` consecutive
+    heads each. ``key_bias`` is a [B x s] additive offset per key (0 for live
+    keys, ``MASK_OFFSET`` for padding). Heads are read and written through
+    strided views, the softmax subtracts the row max, and the backward pass,
+    written out by hand, fills one [B x s x 3m] gradient. Returns the merged
+    [B x s x m] context.
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
-        raise ShapeError(f"attention expects equal [B x s x m] q/k/v, got "
-                         f"{q.shape}, {k.shape}, {v.shape}")
-    bsz, s, m = q.shape
+    qkv = as_tensor(qkv)
+    if qkv.ndim != 3 or qkv.shape[-1] % 3:
+        raise ShapeError(f"attention expects a [B x s x 3m] qkv, got {qkv.shape}")
+    bsz, s, m3 = qkv.shape
+    m = m3 // 3
     if n_heads < 1 or m % n_heads != 0:
         raise ShapeError(f"n_heads={n_heads} must divide the width {m}")
-    bias = np.asarray(key_bias, dtype=q.dtype)
+    bias = np.asarray(key_bias, dtype=qkv.dtype)
     if bias.shape != (bsz, s):
         raise ShapeError(f"key_bias shape {bias.shape} != {(bsz, s)}")
     dh = m // n_heads
-    scale = q.dtype.type(1.0 / math.sqrt(dh))
+    scale = qkv.dtype.type(1.0 / math.sqrt(dh))
 
-    def heads(x):  # [B x s x m] -> [B x h x s x dh] view
-        return x.reshape(bsz, s, n_heads, dh).transpose(0, 2, 1, 3)
+    def heads(x):  # [B x s x n*m] -> n head views of [B x h x s x dh]
+        return x.reshape(bsz, s, -1, n_heads, dh).transpose(2, 0, 3, 1, 4)
 
-    def merged_matmul(x, y):  # per-head x @ y, written through the head view
-        buf = np.empty((bsz, s, m), dtype=q.dtype)
-        np.matmul(x, y, out=heads(buf))
-        return buf
-
-    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    qh, kh, vh = heads(qkv.data)
     p = np.matmul(qh, kh.transpose(0, 1, 3, 2))
     p *= scale
     p += bias[:, None, None, :]
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    out = merged_matmul(p, vh)
+    out = np.empty((bsz, s, m), dtype=qkv.dtype)
+    np.matmul(p, vh, out=heads(out)[0])
 
     def bwd(g):
-        gh = heads(g)
-        gv = merged_matmul(p.transpose(0, 1, 3, 2), gh)
+        gh = heads(g)[0]
+        grad = np.empty_like(qkv.data)
+        gq, gk, gv = heads(grad)
+        np.matmul(p.transpose(0, 1, 3, 2), gh, out=gv)
         gs = np.matmul(gh, vh.transpose(0, 1, 3, 2))
         gs -= (gs * p).sum(axis=-1, keepdims=True)
         gs *= p
         gs *= scale
-        gq = merged_matmul(gs, kh)
-        gk = merged_matmul(gs.transpose(0, 1, 3, 2), qh)
-        return gq, gk, gv
+        np.matmul(gs, kh, out=gq)
+        np.matmul(gs.transpose(0, 1, 3, 2), qh, out=gk)
+        return (grad,)
 
-    return _from_op(out, "attention", (q, k, v), bwd)
+    return _from_op(out, "attention", (qkv,), bwd)
 
 
 def l2_normalize_rows(x: Tensor) -> Tensor:

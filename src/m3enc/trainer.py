@@ -36,7 +36,7 @@ from .rng import named_rng
 from .tensor import GradientRecord, zero_grads
 
 CHECKPOINT_MAGIC = b"M3CK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 1 held separate q/k/v and gate/up projection tensors
 
 STAGE_KINDS = ("pretrain_mlm", "pretrain_contrastive", "sft", "sft_mrl", "distill")
 
@@ -319,7 +319,7 @@ def load_checkpoint(path) -> TrainState:
     m = config.hidden
     for name, shape in (("token_embedding", [config.vocab, m]),
                         ("position_embedding", [config.max_seq, m]),
-                        (f"layers.{config.n_layers - 1}.ffn_up", [m, config.intermediate])):
+                        (f"layers.{config.n_layers - 1}.ffn_down", [config.intermediate, m])):
         if shapes.get(f"param/{name}") != shape:
             raise CheckpointError(f"{path}: tensor param/{name} is missing or not of the "
                                   f"shape {shape} that the model config implies")

@@ -9,6 +9,7 @@ from m3enc import cli, synth
 from m3enc import data as D
 from m3enc import encoder as enc
 from m3enc import trainer as tr
+from m3enc.errors import CheckpointError
 
 
 @pytest.fixture(scope="module")
@@ -129,11 +130,45 @@ def test_top_level_eval_key_is_unknown(workdir, capsys):
         "mask_policy-unknown"])
 def test_stage_value_out_of_range_exits_2(workdir, capsys, key, value):
     cfg = base_config(outdir=f"range-{key}-{value}")
-    cfg["stages"][2][key] = value
+    i = 0 if key.startswith("mask_") else 2  # masking keys are read by mlm stages only
+    cfg["stages"][i][key] = value
     path = write_config(workdir, cfg, "range-bad.json")
     assert cli.main(["pretrain", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "config.stages[2]" in err and key in err
+    assert f"config.stages[{i}]" in err and key in err
+    assert not (workdir / cfg["output_dir"] / "metrics.jsonl").exists()
+
+
+# a type-valid value for each optional stage key, and (kind, key) pairs where
+# the stage kind never reads the key
+KEY_VALUES = {"tau": 0.05, "tile": 2, "query_len": 8, "doc_len": 10, "seq_len": 10,
+              "smoothing": 0.7, "sft_layer": 2, "sft_dims": [4], "mask_rate": 0.15,
+              "mask_policy": "bert_80_10_10", "granularity": {"layers": [2, 4], "dims": [4, 16]},
+              "distill": {"mode": "all_from_top", "teacher": [4, 16]}}
+UNREAD = ([("pretrain_mlm", k) for k in ("tau", "tile", "query_len", "doc_len", "smoothing",
+                                         "sft_layer", "sft_dims", "distill")]
+          + [("distill", k) for k in ("tau", "query_len", "smoothing")]
+          + [("pretrain_contrastive", k) for k in ("seq_len", "mask_rate", "mask_policy",
+                                                   "smoothing", "sft_layer", "distill")]
+          + [("sft", k) for k in ("granularity", "seq_len")]
+          + [("sft_mrl", k) for k in ("granularity", "mask_rate", "mask_policy", "seq_len",
+                                      "smoothing", "distill")])
+
+
+@pytest.mark.parametrize("kind,key", UNREAD, ids=[f"{k}-{key}" for k, key in UNREAD])
+def test_stage_key_its_kind_never_reads_exits_2(workdir, capsys, kind, key):
+    stage = {"pretrain_mlm": lambda: base_config()["stages"][0], "distill": distill_stage,
+             "pretrain_contrastive": lambda: base_config()["stages"][2],
+             "sft": lambda: ablate_config("x")["ablate"]["train"],
+             "sft_mrl": lambda: sft_config("x")["stages"][0]}[kind]()
+    stage[key] = KEY_VALUES[key]
+    cfg = base_config(outdir=f"unread-{kind}-{key}", stages=[stage])
+    path = write_config(workdir, cfg, "unread.json")
+    command = {"pretrain_mlm": "pretrain", "pretrain_contrastive": "pretrain",
+               "distill": "distill"}.get(kind, "sft")
+    assert cli.main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config.stages[0].{key}: not read by a {kind} stage" in err
     assert not (workdir / cfg["output_dir"] / "metrics.jsonl").exists()
 
 
@@ -288,6 +323,20 @@ def test_eval_dim_too_large_exits_2(workdir, pretrained, capsys):
     assert cli.main(["eval", str(pretrained), str(workdir / "eval.tsv"),
                      "--layer", "2", "--dim", "99"]) == 2
     assert "--dim" in capsys.readouterr().err
+
+
+def test_version_1_checkpoint_is_refused(workdir, pretrained, capsys, monkeypatch):
+    # version 1 stored separate q/k/v and gate/up projection tensors
+    state = tr.load_checkpoint(pretrained)
+    old = workdir / "v1.m3ck"
+    with monkeypatch.context() as m:
+        m.setattr(tr, "CHECKPOINT_VERSION", 1)
+        tr.save_checkpoint(state, old)
+    with pytest.raises(CheckpointError, match="version 1 unsupported"):
+        tr.load_checkpoint(old)
+    assert cli.main(["eval", str(old), str(workdir / "eval.tsv"),
+                     "--layer", "2", "--dim", "16", "--output", str(workdir / "v1-eval")]) == 1
+    assert "version 1 unsupported" in capsys.readouterr().err
 
 
 def test_sweep_emits_csv_points(workdir, pretrained):

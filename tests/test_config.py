@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 from m3enc import config as C
 from m3enc import synth
+from m3enc.encoder import GranularitySet, ModelConfig
 from m3enc.errors import ConfigError, M3Error
+from m3enc.objectives import build_distill_plan
+from m3enc.trainer import StageConfig
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +79,27 @@ def test_config_root_must_be_an_object(root):
     path.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(ConfigError, match="expected an object"):
         C.load_run_config(path)
+
+
+def test_minimal_config_takes_the_dataclass_defaults(root):
+    cfg = full_config()
+    model = {k: cfg["model"][k] for k in C._MODEL_REQUIRED}
+    stages = [{k: s[k] for k in C._STAGE_REQUIRED} for s in cfg["stages"]]
+    stages[1]["distill"] = {"mode": "all_from_top", "teacher": [2, 8]}
+    stages[2]["tile"] = 2  # required by pretrain_contrastive
+    for s in stages[3:]:
+        s.update(sft_layer=2, sft_dims=[8])
+    run = load(root, {"seed": 1, "output_dir": "out", "model": model, "stages": stages})
+    gran = GranularitySet(layers=(1, 2), dims=(4, 8))
+    assert run.model == ModelConfig(n_layers=2, hidden=8, n_heads=2, vocab=50, max_seq=32,
+                                    granularity=gran)
+    plan = build_distill_plan("all_from_top", (2, 8), None, gran)
+    assert (plan.lambda_d, plan.tau_d) == (1.0, 1.0)
+    extra = [{}, {"distill_plan": plan}, {"tile": 2}, {"sft_layer": 2, "sft_dims": (8,)}]
+    for spec, raw, more in zip(run.stages, stages, extra):
+        assert spec.stage == StageConfig(**{k: raw[k] for k in ("name", "stage", "steps",
+                                                                "batch_size", "lr")}, **more)
+        assert spec == C.StageSpec(stage=spec.stage, data=spec.data)
 
 
 # (section, key) for every optional key; each section names a place in

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from m3enc import encoder as enc
+from m3enc.cli import _arm_config
+from m3enc.config import ABLATION_ARMS
 from m3enc import tensor as T
 from m3enc.errors import ConfigError, ContractError, ShapeError
 from m3enc.tensor import Tensor
@@ -175,9 +177,11 @@ def unfused_attention(x, lp, config, key_bias):
     def split_heads(t):
         return T.transpose(T.reshape(t, (bsz, s, h, dh)), (0, 2, 1, 3))
 
-    q = split_heads(enc._linear(x, lp.attn_q, lp.attn_q_b))
-    k = split_heads(enc._linear(x, lp.attn_k, lp.attn_k_b))
-    v = split_heads(enc._linear(x, lp.attn_v, lp.attn_v_b))
+    def projection(j):  # W_q, W_k, W_v (and their biases) as thirds of the fused weight
+        b = None if lp.attn_qkv_b is None else T.slice_last(lp.attn_qkv_b, j * m, (j + 1) * m)
+        return enc._linear(x, T.slice_last(lp.attn_qkv, j * m, (j + 1) * m), b)
+
+    q, k, v = (split_heads(projection(j)) for j in range(3))
     scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     attn = T.softmax_rows(T.add(scores, Tensor(key_bias[:, None, None, :])))
     ctx = T.reshape(T.transpose(T.matmul(attn, v), (0, 2, 1, 3)), (bsz, s, m))
@@ -200,6 +204,32 @@ def test_fused_attention_matches_unfused_encoder(monkeypatch):
                        + [g for _, g in T.GradientRecord.collect(params.named())])
     for fused, ref in zip(*results):
         np.testing.assert_allclose(fused, ref, rtol=1e-10, atol=1e-13)
+
+
+def matmul_nodes(node):
+    """Number of distinct matmul tape nodes reachable from ``node``."""
+    seen, stack, n = set(), [node], 0
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        if t._backward_fn is not None and t._backward_fn.__qualname__.startswith("matmul."):
+            n += 1
+        stack.extend(t._parents)
+    return n
+
+
+@pytest.mark.parametrize("arm", ABLATION_ARMS)
+def test_each_layer_multiplies_by_four_weights(arm):
+    # fused q | k | v and ffn input projections: attn_qkv, attn_o, ffn_in, ffn_down
+    cfg = _arm_config(toy_config(n_layers=3, granularity=enc.GranularitySet(
+        layers=(3,), dims=(8, 32))), arm)
+    params = enc.init_parameters(cfg, seed=5, dtype=np.float64)
+    tokens, mask = toy_batch(cfg, seed=5)
+    out = enc.forward(params, cfg, tokens, mask, training=True,
+                      dropout_rng=np.random.default_rng(5))
+    assert matmul_nodes(out[3]) == 4 * cfg.n_layers
 
 
 def test_forward_errors():

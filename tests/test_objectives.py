@@ -137,13 +137,18 @@ def test_mlm_per_pair_recomputation_oracle():
 def test_segmented_head_matches_plain_head_oracle():
     cfg = toy_config()
     params = enc.init_parameters(cfg, seed=4, dtype=np.float64)
-    h = Tensor(np.random.default_rng(5).normal(size=(5, cfg.hidden)))
-    logits = obj._segmented_head_logits(params, h, (4, 8, 16))
-    # the first segment is the plain projection itself; later ones add partial products
-    np.testing.assert_array_equal(logits[4].data, plain_head_logits(params, h, 4).data)
-    for d in (8, 16):
-        oracle = h.data[:, :d] @ params.mlm_head_w.data[:d, :] + params.mlm_head_b.data
-        np.testing.assert_allclose(logits[d].data, oracle, atol=1e-12, rtol=0.0)
+    batch = mlm_batch(cfg, seed=4)
+    products, _, _ = obj._mlm_cells(params, cfg, batch, cfg.granularity)
+    out = enc.forward(params, cfg, batch.tokens, batch.attn_mask)
+    w = params.mlm_head_w
+    for l in cfg.granularity.layers:
+        h = masked_rows(out[l], batch)
+        # the first segment is the plain projection itself; later ones add partial products
+        first = T.matmul(T.slice_last(h, 0, 4), T.slice_rows(w, 0, 4))
+        np.testing.assert_array_equal(products[(l, 4)].data, first.data)
+        for d in (8, 16):
+            oracle = h.data[:, :d] @ w.data[:d, :]
+            np.testing.assert_allclose(products[(l, d)].data, oracle, atol=1e-12, rtol=0.0)
 
 
 def test_mlm_requires_masked_positions():
@@ -501,11 +506,11 @@ def test_one_tape_node_per_loss_term():
     distill = tape_ops(obj.distill_loss(params, cfg, batch, plan).node)
     assert mlm["masked_cross_entropy"] == n_cells
     assert distill["masked_cross_entropy"] == n_cells
-    # each pair adds its student logits (slice, slice, matmul, 1/tau_d scale),
-    # one KL node and one add into the sum; lambda_d adds one scale and one add
-    assert distill - mlm == Counter({"slice_last": n_pairs, "slice_rows": n_pairs,
-                                     "matmul": n_pairs, "scale": n_pairs + 1,
-                                     "kl_rows": n_pairs, "add": n_pairs})
+    # each pair scales its student cell's head product by 1/tau_d (no second
+    # projection), adds one KL node and one add into the sum; lambda_d adds
+    # one scale and one add
+    assert distill - mlm == Counter({"scale": n_pairs + 1, "kl_rows": n_pairs,
+                                     "add": n_pairs})
 
 
 def test_distill_rejects_cells_outside_grid():

@@ -85,6 +85,18 @@ def test_matmul_stacked_times_weight_matches_per_slice_oracle(a_shape):
     np.testing.assert_allclose(w.grad, expected_gw, rtol=1e-12)
 
 
+@pytest.mark.parametrize("op", [T.add, T.mul, T.matmul], ids=["add", "mul", "matmul"])
+def test_mixed_dtype_tensor_operands_rejected(op):
+    a32 = T.Tensor(rand((3, 3), seed=63).astype(np.float32))
+    b64 = T.Tensor(rand((3, 3), seed=64))
+    with pytest.raises(ContractError, match="dtype"):
+        op(a32, b64)
+    with pytest.raises(ContractError, match="dtype"):
+        op(b64, a32)
+    # a plain array operand is cast to the tensor's dtype, not promoted
+    assert op(a32, rand((3, 3), seed=64)).dtype == np.float32
+
+
 # ---------------------------------------------------------------------------
 # softmax / log-softmax
 # ---------------------------------------------------------------------------
@@ -246,38 +258,37 @@ def test_activation_grad(kind):
 
 
 def test_swiglu_zero():
-    up = T.Tensor([2.5])
-    assert T.swiglu(T.Tensor([0.0]), up).data[0] == 0.0
-    assert T.swiglu(up, T.Tensor([0.0])).data[0] == 0.0
+    assert T.swiglu(T.Tensor([0.0, 2.5])).data[0] == 0.0
+    assert T.swiglu(T.Tensor([2.5, 0.0])).data[0] == 0.0
 
 
 def test_swiglu_closed_form():
-    one = T.Tensor([1.0])
-    out = T.swiglu(one, one)
+    out = T.swiglu(T.Tensor([1.0, 1.0]))
     np.testing.assert_allclose(out.data[0], 1.0 / (1.0 + math.exp(-1.0)), rtol=1e-12)
     np.testing.assert_allclose(out.data[0], 0.731059, atol=1e-6)
 
 
 def test_swiglu_saturates_without_overflow():
     gate = np.array([-1000.0, 1000.0], dtype=np.float32)
-    out = T.swiglu(T.Tensor(gate), T.Tensor(np.ones(2, dtype=np.float32)))
+    out = T.swiglu(T.Tensor(np.concatenate([gate, np.ones(2, dtype=np.float32)])))
     np.testing.assert_array_equal(out.data, [0.0, 1000.0])
 
 
 def test_swiglu_grad():
-    gate = T.Tensor(rand((4, 4), seed=23), requires_grad=True)
-    up = T.Tensor(rand((4, 4), seed=25), requires_grad=True)
+    # gate | up side by side in the last extent, as the fused projection lays them out
+    x = T.Tensor(np.concatenate([rand((4, 4), seed=23), rand((4, 4), seed=25)], axis=-1),
+                 requires_grad=True)
     c = T.Tensor(rand((4, 4), seed=24))
 
     def f():
-        return T.tsum(T.mul(T.swiglu(gate, up), c))
+        return T.tsum(T.mul(T.swiglu(x), c))
 
-    assert T.grad_check(f, [("gate", gate), ("up", up)]) < 1e-6
+    assert T.grad_check(f, [("x", x)]) < 1e-6
 
 
 def test_swiglu_shape_mismatch():
     with pytest.raises(ShapeError):
-        T.swiglu(T.Tensor(rand((2, 3))), T.Tensor(rand((3, 2))))
+        T.swiglu(T.Tensor(rand((2, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -286,79 +297,81 @@ def test_swiglu_shape_mismatch():
 
 
 def attention_inputs(bsz=2, s=5, m=6, n_pad=2, seed=40):
-    q, k, v = (T.Tensor(rand((bsz, s, m), seed=seed + i), requires_grad=True)
-               for i in range(3))
+    """A [B x s x 3m] q | k | v tensor, its key bias and the live-key mask."""
+    qkv = T.Tensor(np.concatenate([rand((bsz, s, m), seed=seed + i) for i in range(3)], axis=-1),
+                   requires_grad=True)
     live = np.ones((bsz, s), dtype=bool)
     live[0, s - n_pad:] = False
     live[1, :n_pad - 1] = False
     key_bias = np.where(live, 0.0, T.MASK_OFFSET)
-    return q, k, v, key_bias, live
+    return qkv, key_bias, live
 
 
-def unfused_attention(q, k, v, key_bias, n_heads):
+def unfused_attention(qkv, key_bias, n_heads):
     """The node-per-step composition the fused op replaces."""
-    bsz, s, m = q.shape
+    bsz, s, m3 = qkv.shape
+    m = m3 // 3
     dh = m // n_heads
 
-    def split_heads(t):
+    def split_heads(j):
+        t = T.slice_last(qkv, j * m, (j + 1) * m)
         return T.transpose(T.reshape(t, (bsz, s, n_heads, dh)), (0, 2, 1, 3))
 
-    qh, kh, vh = split_heads(q), split_heads(k), split_heads(v)
+    qh, kh, vh = split_heads(0), split_heads(1), split_heads(2)
     scores = T.scale(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
     attn = T.softmax_rows(T.add(scores, T.Tensor(key_bias[:, None, None, :])))
     return T.reshape(T.transpose(T.matmul(attn, vh), (0, 2, 1, 3)), (bsz, s, m))
 
 
 def test_attention_matches_unfused_composition():
-    q, k, v, key_bias, _ = attention_inputs()
+    qkv, key_bias, _ = attention_inputs()
     c = rand((2, 5, 6), seed=50)
-    grads = []
+    results = []
     for op in (T.attention, unfused_attention):
-        for t in (q, k, v):
-            t.grad = None
-        out = op(q, k, v, key_bias, 3)
+        qkv.grad = None
+        out = op(qkv, key_bias, 3)
         T.tsum(T.mul(out, T.Tensor(c))).backward()
-        grads.append((out.data, q.grad.copy(), k.grad.copy(), v.grad.copy()))
-    for fused, ref in zip(*grads):
+        results.append((out.data, qkv.grad.copy()))
+    for fused, ref in zip(*results):
         np.testing.assert_allclose(fused, ref, rtol=1e-12, atol=1e-14)
 
 
 def test_attention_grad():
-    q, k, v, key_bias, _ = attention_inputs()
+    qkv, key_bias, _ = attention_inputs()
     c = T.Tensor(rand((2, 5, 6), seed=51))
 
     def f():
-        return T.tsum(T.mul(T.attention(q, k, v, key_bias, 3), c))
+        return T.tsum(T.mul(T.attention(qkv, key_bias, 3), c))
 
-    assert T.grad_check(f, [("q", q), ("k", k), ("v", v)]) < 1e-6
+    assert T.grad_check(f, [("qkv", qkv)]) < 1e-6
 
 
 def test_attention_padded_keys_get_zero_grad():
-    q, k, v, key_bias, live = attention_inputs()
-    T.tsum(T.mul(T.attention(q, k, v, key_bias, 2), T.Tensor(rand((2, 5, 6), seed=52)))).backward()
-    for t in (k, v):
-        assert (t.grad[~live] == 0.0).all()
-        assert (t.grad[live] != 0.0).any()
+    qkv, key_bias, live = attention_inputs()
+    T.tsum(T.mul(T.attention(qkv, key_bias, 2), T.Tensor(rand((2, 5, 6), seed=52)))).backward()
+    for g in (qkv.grad[..., 6:12], qkv.grad[..., 12:]):  # the k and v thirds
+        assert (g[~live] == 0.0).all()
+        assert (g[live] != 0.0).any()
 
 
 def test_attention_single_head_oracle():
     # one head, one sequence: softmax(q k^T / sqrt(m) + bias) v, row by row
     q, k, v = rand((1, 3, 4), seed=53), rand((1, 3, 4), seed=54), rand((1, 3, 4), seed=55)
     bias = np.array([[0.0, T.MASK_OFFSET, 0.0]])
-    out = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), bias, 1).data
+    out = T.attention(T.Tensor(np.concatenate([q, k, v], axis=-1)), bias, 1).data
     for i in range(3):
         w = np.array([math.exp(q[0, i] @ k[0, j] / 2.0) if j != 1 else 0.0 for j in range(3)])
         np.testing.assert_allclose(out[0, i], (w / w.sum()) @ v[0], rtol=1e-12)
 
 
 def test_attention_shape_errors():
-    q, k, v, key_bias, _ = attention_inputs()
+    qkv, key_bias, _ = attention_inputs()
     with pytest.raises(ShapeError):
-        T.attention(q, k, v, key_bias, 4)
+        T.attention(qkv, key_bias, 4)
     with pytest.raises(ShapeError):
-        T.attention(q, k, v, key_bias[:, :3], 3)
+        T.attention(qkv, key_bias[:, :3], 3)
     with pytest.raises(ShapeError):
-        T.attention(q, T.Tensor(rand((2, 4, 6))), v, key_bias, 3)
+        T.attention(T.Tensor(rand((2, 5, 17))), key_bias, 3)
 
 
 # ---------------------------------------------------------------------------
