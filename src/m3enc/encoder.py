@@ -19,6 +19,15 @@ node and the output projection; the feed-forward is one fused input
 projection (``ffn_in``, gate | up for SwiGLU), one ``tensor.swiglu`` or GELU
 node and the down projection: four matmuls per layer.
 
+``forward`` runs unpadded, as in ModernBERT: it gathers the batch's N real
+positions once (``rows``, the flat indices of the attention mask) and every
+block works on those [N x m] packed rows. Norms, the four projections, the
+activation and the residual adds never see a padding position; only the
+``tensor.attention`` node scatters its input into the padded [B x s]
+layout, masks the padding keys and gathers the context back. A tapped state
+is unpacked to [B x s x m] once, with exact zeros at padding positions, so
+pooling and the MLM head read the padded layout.
+
 ``forward`` stops at the deepest tapped layer: the layers above it are never
 run, so a tap at layer ``l`` costs ``l`` blocks and is what a model cut to
 its first ``l`` layers would output. Tapped states are the raw post-residual
@@ -187,6 +196,44 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.ndar
     return x.astype(dtype)
 
 
+def build_parameters(config: ModelConfig, value) -> Parameters:
+    """The parameter structure ``config`` implies, with ``value(name, shape)``
+    as the array of each trainable tensor (named as in ``Parameters.named``)."""
+    m, v, f = config.hidden, config.vocab, config.intermediate
+    f_in = 2 * f if config.activation == "swiglu" else f
+
+    def param(name, *shape):
+        return Tensor(value(name, shape), requires_grad=True)
+
+    layers = []
+    for i in range(config.n_layers):
+        at = f"layers.{i}."
+        lp = LayerParams(attn_qkv=param(at + "attn_qkv", m, 3 * m),
+                         attn_o=param(at + "attn_o", m, m),
+                         norm1_w=param(at + "norm1_w", m), norm2_w=param(at + "norm2_w", m),
+                         ffn_in=param(at + "ffn_in", m, f_in),
+                         ffn_down=param(at + "ffn_down", f, m))
+        if config.use_bias:
+            lp.attn_qkv_b, lp.attn_o_b = param(at + "attn_qkv_b", 3 * m), param(at + "attn_o_b", m)
+            lp.ffn_in_b, lp.ffn_down_b = param(at + "ffn_in_b", f_in), param(at + "ffn_down_b", m)
+        if config.norm == "layernorm":
+            lp.norm1_b, lp.norm2_b = param(at + "norm1_b", m), param(at + "norm2_b", m)
+        layers.append(lp)
+
+    params = Parameters(
+        token_embedding=param("token_embedding", v, m),
+        position_embedding=param("position_embedding", config.max_seq, m),
+        layers=layers,
+        mlm_head_w=param("mlm_head_w", m, v),
+        mlm_head_b=param("mlm_head_b", v),
+    )
+    if config.norm_placement == "pre":
+        params.final_norm_w = param("final_norm_w", m)
+        if config.norm == "layernorm":
+            params.final_norm_b = param("final_norm_b", m)
+    return params
+
+
 def init_parameters(config: ModelConfig, seed: int, dtype=np.float32) -> Parameters:
     """Deterministic initialization: truncated normal(0, 0.02) weights, unit
     norm weights, zero biases. A fused projection is its parts' draws (q, k, v,
@@ -197,46 +244,25 @@ def init_parameters(config: ModelConfig, seed: int, dtype=np.float32) -> Paramet
     def draw(*shape):
         return _trunc_normal(rng, shape, INIT_STD, dtype)
 
-    def param(*parts):  # one trainable tensor from parts laid side by side
-        return Tensor(np.concatenate(parts, axis=-1), requires_grad=True)
-
-    def w(*shape):
-        return param(draw(*shape))
-
-    def ones(n):
-        return param(np.ones(n, dtype=dtype))
-
-    def zeros(n):
-        return param(np.zeros(n, dtype=dtype))
-
-    swiglu = config.activation == "swiglu"
-    layers = []
-    for _ in range(config.n_layers):
+    drawn = {}
+    for i in range(config.n_layers):
         wq, wk, wv, wo = draw(m, m), draw(m, m), draw(m, m), draw(m, m)
         up, down = draw(m, f), draw(f, m)
-        gate = (draw(m, f),) if swiglu else ()
-        lp = LayerParams(attn_qkv=param(wq, wk, wv), attn_o=param(wo),
-                         norm1_w=ones(m), norm2_w=ones(m),
-                         ffn_in=param(*gate, up), ffn_down=param(down))
-        if config.use_bias:
-            lp.attn_qkv_b, lp.attn_o_b = zeros(3 * m), zeros(m)
-            lp.ffn_in_b, lp.ffn_down_b = zeros(2 * f if swiglu else f), zeros(m)
-        if config.norm == "layernorm":
-            lp.norm1_b, lp.norm2_b = zeros(m), zeros(m)
-        layers.append(lp)
+        gate = [draw(m, f)] if config.activation == "swiglu" else []
+        drawn.update({f"layers.{i}.attn_qkv": np.concatenate([wq, wk, wv], axis=-1),
+                      f"layers.{i}.attn_o": wo, f"layers.{i}.ffn_down": down,
+                      f"layers.{i}.ffn_in": np.concatenate(gate + [up], axis=-1)})
+    drawn["token_embedding"] = draw(v, m)
+    drawn["position_embedding"] = draw(config.max_seq, m)
+    drawn["mlm_head_w"] = draw(m, v)
 
-    params = Parameters(
-        token_embedding=w(v, m),
-        position_embedding=w(config.max_seq, m),
-        layers=layers,
-        mlm_head_w=w(m, v),
-        mlm_head_b=zeros(v),
-    )
-    if config.norm_placement == "pre":
-        params.final_norm_w = ones(m)
-        if config.norm == "layernorm":
-            params.final_norm_b = zeros(m)
-    return params
+    def value(name, shape):
+        if name in drawn:
+            return drawn[name]
+        is_norm_weight = "norm" in name and name.endswith("_w")
+        return (np.ones if is_norm_weight else np.zeros)(shape, dtype=dtype)
+
+    return build_parameters(config, value)
 
 
 def _norm(x: Tensor, w: Tensor, b: Tensor | None, kind: str) -> Tensor:
@@ -250,8 +276,9 @@ def _linear(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     return out if b is None else T.add(out, b)
 
 
-def _attention(x: Tensor, lp: LayerParams, config: ModelConfig, key_bias: np.ndarray) -> Tensor:
-    ctx = T.attention(_linear(x, lp.attn_qkv, lp.attn_qkv_b), key_bias, config.n_heads)
+def _attention(x: Tensor, lp: LayerParams, config: ModelConfig, rows: np.ndarray,
+               key_bias: np.ndarray) -> Tensor:
+    ctx = T.attention(_linear(x, lp.attn_qkv, lp.attn_qkv_b), rows, key_bias, config.n_heads)
     return _linear(ctx, lp.attn_o, lp.attn_o_b)
 
 
@@ -261,8 +288,13 @@ def _ffn(x: Tensor, lp: LayerParams, config: ModelConfig) -> Tensor:
     return _linear(hidden, lp.ffn_down, lp.ffn_down_b)
 
 
-def _dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    keep = (rng.random(x.shape) >= rate).astype(x.data.dtype) / x.dtype.type(1.0 - rate)
+def _dropout(x: Tensor, rate: float, rng: np.random.Generator, rows: np.ndarray,
+             lead: tuple[int, int]) -> Tensor:
+    """Inverted dropout on packed rows. The keep mask is drawn at the padded
+    [B x s x m] layout and its ``rows`` are kept, so the random stream and the
+    masks at real positions do not depend on the packing."""
+    draw = rng.random((*lead, x.shape[-1])).reshape(-1, x.shape[-1])[rows]
+    keep = (draw >= rate).astype(x.data.dtype) / x.dtype.type(1.0 - rate)
     return T.mul(x, Tensor(keep))
 
 
@@ -279,11 +311,17 @@ def forward(
     """Run the encoder up to its deepest tapped layer; returns ``{layer: state}``.
 
     ``tokens`` is an id array of shape [s] or [B x s]; ``attn_mask`` marks
-    real (attendable) positions. Padding keys receive exactly zero attention
-    weight from every query. ``taps`` defaults to the configured granularity
-    layers. Hidden dropout, in training mode, is drawn only between layers
-    that run, at the batch's own width ``s``: the data sources trim each
-    batch to its longest real row, so the masks follow that width.
+    real (attendable) positions. The blocks run on the N real positions only,
+    packed as [N x m] rows (``rows``, the flat indices of the mask): norms,
+    projections, the feed-forward and residual adds never see padding. Only
+    the attention node unpacks them into the [B x s] layout, where padding
+    keys receive exactly zero attention weight from every query. Each tapped
+    state is unpacked once, to [B x s x m] ([s x m] for one sequence), with
+    exact zeros at padding positions. ``taps`` defaults to the configured
+    granularity layers. Hidden dropout, in training mode, is drawn only
+    between layers that run, at the batch's own [B x s x m] layout (the data
+    sources trim each batch to its longest real row), and applied to the
+    real rows.
     """
     tokens = np.asarray(tokens)
     squeeze = tokens.ndim == 1
@@ -313,28 +351,29 @@ def forward(
 
     dtype = params.token_embedding.dtype
     key_bias = np.where(attn_mask, 0.0, T.MASK_OFFSET).astype(dtype)
+    rows = np.flatnonzero(attn_mask)
 
-    h = T.add(T.take_rows(params.token_embedding, tokens),
-              T.slice_rows(params.position_embedding, 0, s))
+    h = T.pack_rows(T.add(T.take_rows(params.token_embedding, tokens),
+                          T.slice_rows(params.position_embedding, 0, s)), rows)
 
     tapped: dict[int, Tensor] = {}
     for i, lp in enumerate(params.layers[:depth], start=1):
         if config.norm_placement == "pre":
             h = T.add(h, _attention(_norm(h, lp.norm1_w, lp.norm1_b, config.norm),
-                                    lp, config, key_bias))
+                                    lp, config, rows, key_bias))
             h = T.add(h, _ffn(_norm(h, lp.norm2_w, lp.norm2_b, config.norm), lp, config))
         else:
-            h = _norm(T.add(h, _attention(h, lp, config, key_bias)),
+            h = _norm(T.add(h, _attention(h, lp, config, rows, key_bias)),
                       lp.norm1_w, lp.norm1_b, config.norm)
             h = _norm(T.add(h, _ffn(h, lp, config)), lp.norm2_w, lp.norm2_b, config.norm)
         if i == config.n_layers and params.final_norm_w is not None:
             h = _norm(h, params.final_norm_w, params.final_norm_b, config.norm)
         if i in tap_set:
-            tapped[i] = T.reshape(h, h.shape[1:]) if squeeze else h
+            tapped[i] = T.unpack_rows(h, rows, (s,) if squeeze else (bsz, s))
         if training and config.hidden_dropout > 0.0 and i < depth:
             if dropout_rng is None:
                 raise ContractError("dropout requires a dropout_rng in training mode")
-            h = _dropout(h, config.hidden_dropout, dropout_rng)
+            h = _dropout(h, config.hidden_dropout, dropout_rng, rows, (bsz, s))
     return tapped
 
 

@@ -108,26 +108,22 @@ def build_distill_plan(
 # ---------------------------------------------------------------------------
 
 
-def _mlm_cells(params: Parameters, config: ModelConfig, batch: MlmBatch,
-               gran: GranularitySet, **fwd):
-    """The bias-free head product of every (layer, dim) cell, the per-cell
-    losses and their sum.
+def _head_products(params: Parameters, config: ModelConfig, batch: MlmBatch,
+                   gran: GranularitySet, **fwd) -> dict[tuple[int, int], Tensor]:
+    """The bias-free head product of every (layer, dim) cell at the masked
+    positions.
 
     One forward pass taps the grid layers; each tapped state's [n x M] rows
     at the masked positions go through the shared head. The product of cell
     (l, d) is h[:, :d] @ W[:d, :], built for increasing d as a running sum of
     segment products h[:, d_j:d_{j+1}] @ W[d_j:d_{j+1}, :], so a layer's whole
-    row of cells costs one max(d)-wide projection. A cell's logits are its
-    product plus the head bias; its loss scores the ground-truth tokens.
+    row of cells costs one max(d)-wide projection.
     """
     if not batch.mask_positions.any(axis=-1).all():
         raise ContractError("every sequence needs at least one masked position")
     flat_idx = np.flatnonzero(batch.mask_positions.reshape(-1))
-    targets = batch.labels.reshape(-1)[flat_idx]
     states = enc.forward(params, config, batch.tokens, batch.attn_mask, taps=gran.layers, **fwd)
     products: dict[tuple[int, int], Tensor] = {}
-    per_pair: dict[tuple[int, int], float] = {}
-    total: Tensor | None = None
     for l in gran.layers:
         b, s, m = states[l].shape
         h = T.take_rows(T.reshape(states[l], (b * s, m)), flat_idx)
@@ -137,10 +133,23 @@ def _mlm_cells(params: Parameters, config: ModelConfig, batch: MlmBatch,
             seg = T.matmul(T.slice_last(h, prev, d), T.slice_rows(params.mlm_head_w, prev, d))
             acc = seg if acc is None else T.add(acc, seg)
             products[(l, d)] = acc
-            cell = T.masked_cross_entropy(T.add(acc, params.mlm_head_b), targets)
-            per_pair[(l, d)] = float(cell)
-            total = cell if total is None else T.add(total, cell)
             prev = d
+    return products
+
+
+def _mlm_cells(params: Parameters, config: ModelConfig, batch: MlmBatch,
+               gran: GranularitySet, **fwd):
+    """The head products of every (layer, dim) cell (``_head_products``), the
+    per-cell losses and their sum. A cell's logits are its product plus the
+    head bias; its loss scores the ground-truth tokens."""
+    products = _head_products(params, config, batch, gran, **fwd)
+    targets = batch.labels.reshape(-1)[batch.mask_positions.reshape(-1)]
+    per_pair: dict[tuple[int, int], float] = {}
+    total: Tensor | None = None
+    for cell, product in products.items():
+        loss = T.masked_cross_entropy(T.add(product, params.mlm_head_b), targets)
+        per_pair[cell] = float(loss)
+        total = loss if total is None else T.add(total, loss)
     return products, per_pair, total
 
 
@@ -352,7 +361,7 @@ def distill_loss(
     inv_tau = 1.0 / plan.tau_d
     with T.no_grad():
         teacher_products = (products if teacher_params is None
-                            else _mlm_cells(teacher_params, config, batch, gran)[0])
+                            else _head_products(teacher_params, config, batch, gran))
         neg_log_teacher = {}
         for cell in dict.fromkeys(tuple(t) for t, _ in plan.pairs):
             log_p = T.log_softmax_rows(T.scale(teacher_products[cell], inv_tau))

@@ -9,13 +9,17 @@ topological order and accumulates gradients on leaf tensors created with
 Every public operation validates that its output is finite; NaN/Inf is an
 error state, not a value.
 
-The encoder's hot paths are single nodes with hand-written backward passes:
-``matmul`` of stacked rows by a 2-D weight runs one flattened GEMM each way,
-``attention`` reads q | k | v from one fused projection and covers head split,
-scaled and masked scores, softmax, weighted sum and head merge, and ``swiglu``
-computes silu(gate) * up from one fused gate | up projection. Each loss term is
-one node too: ``masked_cross_entropy`` (backward (softmax - one_hot) / n) for
-an MLM cell and ``kl_rows`` for a distillation pair.
+The encoder's hot paths are single nodes with hand-written backward passes;
+its projections are plain 2-D GEMMs on packed rows. ``attention`` reads
+q | k | v of packed rows from one fused projection and covers the scatter
+into the padded [B x s] layout, head split, scaled and masked scores,
+softmax, weighted sum, head merge and the gather back to the packed rows.
+``swiglu`` computes silu(gate) * up from one fused gate | up projection.
+``pack_rows`` and ``unpack_rows`` move distinct rows between the padded and
+the packed layout; each one's backward pass is the other's forward, by plain
+indexing. Each loss term is one node too: ``masked_cross_entropy`` (backward
+(softmax - one_hot) / n) for an MLM cell and ``kl_rows`` for a distillation
+pair.
 """
 
 from __future__ import annotations
@@ -226,18 +230,6 @@ def matmul(a: Tensor, b) -> Tensor:
         raise ShapeError("matmul requires tensors with at least 2 dimensions")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
-    if b.ndim == 2 and a.ndim >= 3:
-        # stacked rows times one weight: a single GEMM over the flattened rows
-        # each way, instead of one product per leading index summed afterwards
-        m, n = b.shape
-        a2 = a.data.reshape(-1, m)
-        out = (a2 @ b.data).reshape(*a.shape[:-1], n)
-
-        def bwd_flat(g):
-            g2 = g.reshape(-1, n)
-            return (g2 @ b.data.T).reshape(a.data.shape), a2.T @ g2
-
-        return _from_op(out, "matmul", (a, b), bwd_flat)
     out = a.data @ b.data
 
     def bwd(g):
@@ -325,6 +317,57 @@ def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
         return (full,)
 
     return _from_op(np.ascontiguousarray(out), "take_rows", (a,), bwd)
+
+
+def _check_rows(rows, n_positions: int, n_rows: int | None = None) -> np.ndarray:
+    """``rows`` as a strictly increasing integer array of flat positions in
+    [0, ``n_positions``), ``n_rows`` of them when given."""
+    rows = np.asarray(rows)
+    if (rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer)
+            or (n_rows is not None and rows.shape[0] != n_rows)
+            or (rows.size and (rows[0] < 0 or rows[-1] >= n_positions))
+            or (np.diff(rows) <= 0).any()):
+        count = "" if n_rows is None else f"{n_rows} "
+        raise ShapeError(f"rows must be {count}strictly increasing integer positions "
+                         f"in [0, {n_positions})")
+    return rows
+
+
+def _unpack(a: np.ndarray, rows: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+    """Zeros of shape [*lead x m] with the [N x m] rows of ``a`` at ``rows``."""
+    full = np.zeros((math.prod(lead), a.shape[-1]), dtype=a.dtype)
+    full[rows] = a
+    return full.reshape(*lead, a.shape[-1])
+
+
+def pack_rows(a: Tensor, rows: np.ndarray) -> Tensor:
+    """The [N x m] rows at the distinct flat positions ``rows`` (increasing)
+    of ``a``'s leading dimensions. The backward pass places the gradient rows
+    back by plain indexing, since no position is read twice."""
+    a = as_tensor(a)
+    lead = a.shape[:-1]
+    rows = _check_rows(rows, math.prod(lead))
+    out = a.data.reshape(-1, a.shape[-1])[rows]
+
+    def bwd(g):
+        return (_unpack(g, rows, lead),)
+
+    return _from_op(out, "pack_rows", (a,), bwd)
+
+
+def unpack_rows(a: Tensor, rows: np.ndarray, lead: tuple[int, ...]) -> Tensor:
+    """The inverse of ``pack_rows``: [N x m] rows placed at the flat positions
+    ``rows`` of a zeroed [*lead x m] array."""
+    a = as_tensor(a)
+    if a.ndim != 2:
+        raise ShapeError(f"unpack_rows expects [N x m] rows, got {a.shape}")
+    rows = _check_rows(rows, math.prod(lead), a.shape[0])
+    out = _unpack(a.data, rows, tuple(lead))
+
+    def bwd(g):
+        return (g.reshape(-1, g.shape[-1])[rows],)
+
+    return _from_op(out, "unpack_rows", (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -457,46 +500,52 @@ def swiglu(x: Tensor) -> Tensor:
     return _from_op(out, "swiglu", (x,), bwd)
 
 
-def attention(qkv: Tensor, key_bias: np.ndarray, n_heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention as one node.
+def attention(qkv: Tensor, rows: np.ndarray, key_bias: np.ndarray, n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over packed rows, as one node.
 
-    ``qkv`` is the [B x s x 3m] output of one fused projection: its last
-    dimension holds q, k and v as three thirds of ``n_heads`` consecutive
-    heads each. ``key_bias`` is a [B x s] additive offset per key (0 for live
-    keys, ``MASK_OFFSET`` for padding). Heads are read and written through
-    strided views, the softmax subtracts the row max, and the backward pass,
-    written out by hand, fills one [B x s x 3m] gradient. Returns the merged
-    [B x s x m] context.
+    ``qkv`` is the [N x 3m] output of one fused projection on a batch's N
+    packed positions: its last dimension holds q, k and v as three thirds of
+    ``n_heads`` consecutive heads each, and row i sits at flat position
+    ``rows[i]`` (strictly increasing) of the [B x s] layout of ``key_bias``,
+    an additive offset per key (0 for live keys, ``MASK_OFFSET`` for padding).
+    The node scatters ``qkv`` into a zeroed [B x s x 3m] buffer, reads its
+    heads through strided views, subtracts each score row's max before the
+    softmax, and gathers the context back to the N rows. The backward pass,
+    written out by hand, runs the same steps in reverse and gathers one
+    [N x 3m] gradient. Returns the merged [N x m] context.
     """
     qkv = as_tensor(qkv)
-    if qkv.ndim != 3 or qkv.shape[-1] % 3:
-        raise ShapeError(f"attention expects a [B x s x 3m] qkv, got {qkv.shape}")
-    bsz, s, m3 = qkv.shape
+    if qkv.ndim != 2 or qkv.shape[-1] % 3:
+        raise ShapeError(f"attention expects an [N x 3m] qkv, got {qkv.shape}")
+    n, m3 = qkv.shape
     m = m3 // 3
     if n_heads < 1 or m % n_heads != 0:
         raise ShapeError(f"n_heads={n_heads} must divide the width {m}")
     bias = np.asarray(key_bias, dtype=qkv.dtype)
-    if bias.shape != (bsz, s):
-        raise ShapeError(f"key_bias shape {bias.shape} != {(bsz, s)}")
+    if bias.ndim != 2:
+        raise ShapeError(f"key_bias must be [B x s], got {bias.shape}")
+    bsz, s = bias.shape
+    rows = _check_rows(rows, bsz * s, n)
     dh = m // n_heads
     scale = qkv.dtype.type(1.0 / math.sqrt(dh))
 
     def heads(x):  # [B x s x n*m] -> n head views of [B x h x s x dh]
         return x.reshape(bsz, s, -1, n_heads, dh).transpose(2, 0, 3, 1, 4)
 
-    qh, kh, vh = heads(qkv.data)
+    qh, kh, vh = heads(_unpack(qkv.data, rows, (bsz, s)))
     p = np.matmul(qh, kh.transpose(0, 1, 3, 2))
     p *= scale
     p += bias[:, None, None, :]
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    out = np.empty((bsz, s, m), dtype=qkv.dtype)
-    np.matmul(p, vh, out=heads(out)[0])
+    ctx = np.empty((bsz, s, m), dtype=qkv.dtype)
+    np.matmul(p, vh, out=heads(ctx)[0])
+    out = ctx.reshape(-1, m)[rows]
 
     def bwd(g):
-        gh = heads(g)[0]
-        grad = np.empty_like(qkv.data)
+        gh = heads(_unpack(g, rows, (bsz, s)))[0]
+        grad = np.empty((bsz, s, m3), dtype=qkv.dtype)
         gq, gk, gv = heads(grad)
         np.matmul(p.transpose(0, 1, 3, 2), gh, out=gv)
         gs = np.matmul(gh, vh.transpose(0, 1, 3, 2))
@@ -505,7 +554,7 @@ def attention(qkv: Tensor, key_bias: np.ndarray, n_heads: int) -> Tensor:
         gs *= scale
         np.matmul(gs, kh, out=gq)
         np.matmul(gs.transpose(0, 1, 3, 2), qh, out=gk)
-        return (grad,)
+        return (grad.reshape(-1, m3)[rows],)
 
     return _from_op(out, "attention", (qkv,), bwd)
 

@@ -21,7 +21,7 @@ import os
 import struct
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -95,12 +95,15 @@ def adamw_step(named_params, grads: GradientRecord, state: OptimizerState, lr: f
     state.t = t
 
 
+def global_grad_norm(grads: GradientRecord) -> float:
+    """The global L2 norm of all gradients, summed in float64; read-only."""
+    return math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for _, g in grads))
+
+
 def clip_grads_global_norm(grads: GradientRecord, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``."""
-    total = 0.0
-    for _, g in grads:
-        total += float((g.astype(np.float64) ** 2).sum())
-    norm = math.sqrt(total)
+    """Scale all gradients so their global L2 norm is at most ``max_norm``;
+    returns the norm before scaling."""
+    norm = global_grad_norm(grads)
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
         for _, g in grads:
@@ -218,6 +221,9 @@ class TrainState:
     stage: str
     base_seed: int
     vocab: Vocab | None = None
+    # (what the state was, the file it was written to, that file's identity)
+    # at its last save; lets a further save of the same state reuse the bytes
+    written: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def params_fingerprint(params: Parameters) -> str:
@@ -232,13 +238,8 @@ def _dtype_tag(arr: np.ndarray) -> str:
     return {"float32": "<f4", "float64": "<f8"}[arr.dtype.name]
 
 
-def save_checkpoint(state: TrainState, path) -> None:
-    """Write the M3CK container; byte-identical for identical states.
-
-    The bytes go to ``<path>.tmp`` in the same directory, which then replaces
-    ``path`` in one rename, so a write that fails part-way leaves the previous
-    file at ``path`` as it was.
-    """
+def _serialize(state: TrainState) -> list[bytes]:
+    """The M3CK container of ``state`` as the byte chunks to write in order."""
     tensors = []
     payloads = []
     offset = 0
@@ -276,20 +277,53 @@ def save_checkpoint(state: TrainState, path) -> None:
         "fingerprint": params_fingerprint(state.params),
     }
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION), blob, b"\n", *payloads]
+
+
+def _write_synced(path: Path, chunks) -> None:
+    with open(path, "wb") as f:
+        for chunk in chunks:
+            f.write(chunk)
+        f.flush()
+        os.fsync(f.fileno())
+
+
+def _file_identity(path: Path) -> tuple | None:
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def save_checkpoint(state: TrainState, path) -> None:
+    """Write the M3CK container; byte-identical for identical states.
+
+    The bytes go to ``<path>.tmp`` in the same directory, are synced to disk
+    and then replace ``path`` in one rename, so a write that fails part-way
+    leaves the previous file at ``path`` as it was. A state is serialized
+    once: saved again unchanged (same stage, step, seed and optimizer step),
+    while the file it was last written to is still that file, the new name
+    gets a hard link to those bytes, or a synced copy where links fail.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    what = (state.stage, state.step, state.base_seed, None if state.opt is None else state.opt.t)
     try:
-        with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<I", CHECKPOINT_VERSION))
-            f.write(blob)
-            f.write(b"\n")
-            for raw in payloads:
-                f.write(raw)
+        tmp.unlink(missing_ok=True)  # a leftover may be a link to a good file
+        if (state.written is not None and state.written[0] == what
+                and _file_identity(state.written[1]) == state.written[2]):
+            try:
+                os.link(state.written[1], tmp)
+            except OSError:
+                _write_synced(tmp, [state.written[1].read_bytes()])
+        else:
+            _write_synced(tmp, _serialize(state))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    state.written = (what, path, _file_identity(path))
 
 
 def load_checkpoint(path) -> TrainState:
@@ -336,16 +370,16 @@ def load_checkpoint(path) -> TrainState:
             raise CheckpointError(f"{path}: checksum mismatch for tensor {t['name']}")
         arrays[t["name"]] = np.frombuffer(chunk, dtype=t["dtype"]).reshape(t["shape"]).copy()
 
-    dtype = arrays["param/token_embedding"].dtype
-    params = enc.init_parameters(config, seed=0, dtype=dtype)
-    for name, p in params.named():
+    def stored(name, shape):
         key = f"param/{name}"
         if key not in arrays:
             raise CheckpointError(f"{path}: missing tensor {key}")
-        if tuple(arrays[key].shape) != p.data.shape:
+        if arrays[key].shape != shape:
             raise CheckpointError(f"{path}: tensor {key} has shape {arrays[key].shape}, "
-                                  f"expected {p.data.shape}")
-        p.data = arrays[key]
+                                  f"expected {shape}")
+        return arrays[key]
+
+    params = enc.build_parameters(config, stored)
 
     opt = None
     if opt_meta is not None:
@@ -475,7 +509,9 @@ def run_stage(
             report.node.backward()
             grads = GradientRecord.collect(named)
             if stage.grad_clip is not None:
-                clip_grads_global_norm(grads, stage.grad_clip)
+                grad_norm = clip_grads_global_norm(grads, stage.grad_clip)
+            else:
+                grad_norm = global_grad_norm(grads)
             lr = cosine_lr(schedule, i + 1)
             adamw_step(named, grads, state.opt, lr)
         except (NumericsError, TrainingAbort) as e:
@@ -489,8 +525,8 @@ def run_stage(
         wall_ms = (time.perf_counter() - t0) * 1e3
         tokens = batch.n_tokens
         record = {"step": i, "stage": stage.name, "lr": lr, "total": report.total,
-                  "wall_ms": wall_ms, "tokens": tokens, "width": batch.width,
-                  "tokens_per_s": tokens / wall_ms * 1e3}
+                  "grad_norm": grad_norm, "wall_ms": wall_ms, "tokens": tokens,
+                  "width": batch.width, "tokens_per_s": tokens / wall_ms * 1e3}
         for (l, d), value in report.per_pair.items():
             record[f"L{l}-D{d}"] = value
         if report.aux is not None:

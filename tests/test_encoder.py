@@ -168,11 +168,13 @@ def test_masked_positions_get_zero_attention():
         np.testing.assert_array_equal(out_a[l].data[0, live], out_b[l].data[0, live])
 
 
-def unfused_attention(x, lp, config, key_bias):
-    """The encoder's attention as one tape node per step, as an oracle for the
-    fused ``T.attention`` node."""
-    bsz, s, m = x.shape
+def unfused_attention(x, lp, config, rows, key_bias):
+    """The encoder's attention as one tape node per step on the padded layout,
+    as an oracle for the fused ``T.attention`` node on packed rows."""
+    bsz, s = key_bias.shape
+    m = x.shape[-1]
     h, dh = config.n_heads, config.head_dim
+    x = T.unpack_rows(x, rows, (bsz, s))
 
     def split_heads(t):
         return T.transpose(T.reshape(t, (bsz, s, h, dh)), (0, 2, 1, 3))
@@ -184,8 +186,8 @@ def unfused_attention(x, lp, config, key_bias):
     q, k, v = (split_heads(projection(j)) for j in range(3))
     scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     attn = T.softmax_rows(T.add(scores, Tensor(key_bias[:, None, None, :])))
-    ctx = T.reshape(T.transpose(T.matmul(attn, v), (0, 2, 1, 3)), (bsz, s, m))
-    return enc._linear(ctx, lp.attn_o, lp.attn_o_b)
+    ctx = T.reshape(T.transpose(T.matmul(attn, v), (0, 2, 1, 3)), (bsz * s, m))
+    return enc._linear(T.take_rows(ctx, rows), lp.attn_o, lp.attn_o_b)
 
 
 def test_fused_attention_matches_unfused_encoder(monkeypatch):
@@ -204,6 +206,108 @@ def test_fused_attention_matches_unfused_encoder(monkeypatch):
                        + [g for _, g in T.GradientRecord.collect(params.named())])
     for fused, ref in zip(*results):
         np.testing.assert_allclose(fused, ref, rtol=1e-10, atol=1e-13)
+
+
+def padded_forward(params, config, tokens, attn_mask, taps, training=False, dropout_rng=None):
+    """The encoder as it ran before packing: every block on the padded
+    [B x s x m] layout, the attention node given every position as a row and
+    the padding only through its key bias. The oracle for ``enc.forward``."""
+    bsz, s = tokens.shape
+    m = config.hidden
+    key_bias = np.where(attn_mask, 0.0, T.MASK_OFFSET)
+    every = np.arange(bsz * s)
+
+    def attention(x, lp):
+        ctx = enc._attention(T.reshape(x, (bsz * s, m)), lp, config, every, key_bias)
+        return T.reshape(ctx, (bsz, s, m))
+
+    def norm(x, w, b):
+        return enc._norm(x, w, b, config.norm)
+
+    h = T.add(T.take_rows(params.token_embedding, tokens),
+              T.slice_rows(params.position_embedding, 0, s))
+    tapped = {}
+    for i, lp in enumerate(params.layers[:max(taps)], start=1):
+        if config.norm_placement == "pre":
+            h = T.add(h, attention(norm(h, lp.norm1_w, lp.norm1_b), lp))
+            h = T.add(h, enc._ffn(norm(h, lp.norm2_w, lp.norm2_b), lp, config))
+        else:
+            h = norm(T.add(h, attention(h, lp)), lp.norm1_w, lp.norm1_b)
+            h = norm(T.add(h, enc._ffn(h, lp, config)), lp.norm2_w, lp.norm2_b)
+        if i == config.n_layers and params.final_norm_w is not None:
+            h = norm(h, params.final_norm_w, params.final_norm_b)
+        if i in taps:
+            tapped[i] = h
+        if training and config.hidden_dropout > 0.0 and i < max(taps):
+            keep = (dropout_rng.random(h.shape) >= config.hidden_dropout) / (
+                1.0 - config.hidden_dropout)
+            h = T.mul(h, Tensor(keep))
+    return tapped
+
+
+def mixed_masks(config, seed):
+    """Tokens and a mask with mixed lengths: one full row, one prefix, one row
+    with a single real token and one row whose real positions are no prefix."""
+    tokens = np.random.default_rng(seed).integers(0, config.vocab, size=(4, 9))
+    mask = np.zeros((4, 9), dtype=bool)
+    mask[0] = True
+    mask[1, :5] = True
+    mask[2, 0] = True
+    mask[3, [0, 2, 3, 6, 7]] = True
+    return tokens, mask
+
+
+@pytest.mark.parametrize("arm", ABLATION_ARMS)
+def test_packed_forward_matches_padded_oracle(arm):
+    cfg = _arm_config(toy_config(n_layers=3, granularity=enc.GranularitySet(
+        layers=(1, 3), dims=(8, 32))), arm)
+    params = enc.init_parameters(cfg, seed=6, dtype=np.float64)
+    tokens, mask = mixed_masks(cfg, seed=6)
+    weights = {l: np.random.default_rng(60 + l).normal(size=(4, 9, cfg.hidden)) * mask[..., None]
+               for l in (1, 3)}
+    rngs = [np.random.default_rng(61), np.random.default_rng(61)]
+    results = []
+    for run, rng in zip((enc.forward, padded_forward), rngs):
+        T.zero_grads(params.named())
+        out = run(params, cfg, tokens, mask, taps=(1, 3), training=True, dropout_rng=rng)
+        loss = None
+        for l, w in weights.items():  # a loss that reads the real positions only
+            term = T.tsum(T.mul(out[l], Tensor(w)))
+            loss = term if loss is None else T.add(loss, term)
+        loss.backward()
+        results.append([out[1].data[mask], out[3].data[mask]]
+                       + [g for _, g in T.GradientRecord.collect(params.named())])
+    assert rngs[0].random() == rngs[1].random()  # same draws, same stream position
+    for packed, padded in zip(*results):
+        np.testing.assert_allclose(packed, padded, rtol=1e-10,
+                                   atol=1e-10 * np.abs(padded).max())
+
+
+@pytest.mark.parametrize("squeeze", [False, True])
+def test_pad_rows_of_every_tap_are_exact_zeros(squeeze):
+    cfg = toy_config(hidden_dropout=0.5)
+    params = enc.init_parameters(cfg, seed=7)
+    tokens, mask = mixed_masks(cfg, seed=7)
+    if squeeze:
+        tokens, mask = tokens[3], mask[3]
+    out = enc.forward(params, cfg, tokens, mask, taps=(2, 4, 6), training=True,
+                      dropout_rng=np.random.default_rng(7))
+    for l, t in out.items():
+        assert t.shape == (*tokens.shape, cfg.hidden)
+        assert (t.data[~mask] == 0.0).all()
+        assert (t.data[mask] != 0.0).any(axis=-1).all()
+
+
+def test_dropout_keeps_the_padded_draw_at_real_rows():
+    mask = mixed_masks(toy_config(), seed=8)[1]
+    rows = np.flatnonzero(mask)
+    x = Tensor(np.ones((len(rows), 6), dtype=np.float32))
+    rng, expected = np.random.default_rng(8), np.random.default_rng(8)
+    out = enc._dropout(x, 0.25, rng, rows, mask.shape)
+    keep = (expected.random((*mask.shape, 6)) >= 0.25)[mask]
+    np.testing.assert_array_equal(out.data, keep / np.float32(0.75))
+    assert out.dtype == np.float32
+    assert rng.random() == expected.random()
 
 
 def matmul_nodes(node):

@@ -297,81 +297,124 @@ def test_swiglu_shape_mismatch():
 
 
 def attention_inputs(bsz=2, s=5, m=6, n_pad=2, seed=40):
-    """A [B x s x 3m] q | k | v tensor, its key bias and the live-key mask."""
-    qkv = T.Tensor(np.concatenate([rand((bsz, s, m), seed=seed + i) for i in range(3)], axis=-1),
-                   requires_grad=True)
+    """A padded [B x s x 3m] q | k | v leaf, the packed [N x 3m] rows of its
+    live positions (a tape gather, so gradients reach the leaf), those rows,
+    the key bias and the live-position mask."""
+    padded = T.Tensor(np.concatenate([rand((bsz, s, m), seed=seed + i) for i in range(3)],
+                                     axis=-1), requires_grad=True)
     live = np.ones((bsz, s), dtype=bool)
     live[0, s - n_pad:] = False
     live[1, :n_pad - 1] = False
+    rows = np.flatnonzero(live)
+    qkv = T.take_rows(T.reshape(padded, (bsz * s, 3 * m)), rows)
     key_bias = np.where(live, 0.0, T.MASK_OFFSET)
-    return qkv, key_bias, live
+    return padded, qkv, rows, key_bias, live
 
 
-def unfused_attention(qkv, key_bias, n_heads):
-    """The node-per-step composition the fused op replaces."""
-    bsz, s, m3 = qkv.shape
+def unfused_attention(padded, rows, key_bias, n_heads):
+    """The node-per-step composition the fused op replaces, run on the padded
+    q | k | v; the context rows at ``rows`` are gathered at the end."""
+    bsz, s, m3 = padded.shape
     m = m3 // 3
     dh = m // n_heads
 
     def split_heads(j):
-        t = T.slice_last(qkv, j * m, (j + 1) * m)
+        t = T.slice_last(padded, j * m, (j + 1) * m)
         return T.transpose(T.reshape(t, (bsz, s, n_heads, dh)), (0, 2, 1, 3))
 
     qh, kh, vh = split_heads(0), split_heads(1), split_heads(2)
     scores = T.scale(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
     attn = T.softmax_rows(T.add(scores, T.Tensor(key_bias[:, None, None, :])))
-    return T.reshape(T.transpose(T.matmul(attn, vh), (0, 2, 1, 3)), (bsz, s, m))
+    ctx = T.reshape(T.transpose(T.matmul(attn, vh), (0, 2, 1, 3)), (bsz * s, m))
+    return T.take_rows(ctx, rows)
 
 
 def test_attention_matches_unfused_composition():
-    qkv, key_bias, _ = attention_inputs()
-    c = rand((2, 5, 6), seed=50)
+    padded, qkv, rows, key_bias, _ = attention_inputs()
+    c = rand((len(rows), 6), seed=50)
     results = []
-    for op in (T.attention, unfused_attention):
-        qkv.grad = None
-        out = op(qkv, key_bias, 3)
+    for op in (lambda: T.attention(qkv, rows, key_bias, 3),
+               lambda: unfused_attention(padded, rows, key_bias, 3)):
+        padded.grad = None
+        out = op()
         T.tsum(T.mul(out, T.Tensor(c))).backward()
-        results.append((out.data, qkv.grad.copy()))
+        results.append((out.data, padded.grad.copy()))
     for fused, ref in zip(*results):
         np.testing.assert_allclose(fused, ref, rtol=1e-12, atol=1e-14)
 
 
 def test_attention_grad():
-    qkv, key_bias, _ = attention_inputs()
-    c = T.Tensor(rand((2, 5, 6), seed=51))
+    _, qkv, rows, key_bias, _ = attention_inputs()
+    qkv = T.Tensor(qkv.data, requires_grad=True)
+    c = T.Tensor(rand((len(rows), 6), seed=51))
 
     def f():
-        return T.tsum(T.mul(T.attention(qkv, key_bias, 3), c))
+        return T.tsum(T.mul(T.attention(qkv, rows, key_bias, 3), c))
 
     assert T.grad_check(f, [("qkv", qkv)]) < 1e-6
 
 
 def test_attention_padded_keys_get_zero_grad():
-    qkv, key_bias, live = attention_inputs()
-    T.tsum(T.mul(T.attention(qkv, key_bias, 2), T.Tensor(rand((2, 5, 6), seed=52)))).backward()
-    for g in (qkv.grad[..., 6:12], qkv.grad[..., 12:]):  # the k and v thirds
+    # every position packed, padding marked by the key bias alone: the masked
+    # keys' k and v rows get exactly zero gradient
+    padded, _, _, key_bias, live = attention_inputs()
+    every = np.arange(live.size)
+    qkv = T.reshape(padded, (live.size, 18))
+    out = T.attention(qkv, every, key_bias, 2)
+    T.tsum(T.mul(out, T.Tensor(rand((live.size, 6), seed=52)))).backward()
+    for g in (padded.grad[..., 6:12], padded.grad[..., 12:]):  # the k and v thirds
         assert (g[~live] == 0.0).all()
         assert (g[live] != 0.0).any()
 
 
 def test_attention_single_head_oracle():
-    # one head, one sequence: softmax(q k^T / sqrt(m) + bias) v, row by row
+    # one head, one sequence whose middle position is padding and not packed:
+    # softmax(q k^T / sqrt(m) + bias) v, row by row, at the two packed rows
     q, k, v = rand((1, 3, 4), seed=53), rand((1, 3, 4), seed=54), rand((1, 3, 4), seed=55)
     bias = np.array([[0.0, T.MASK_OFFSET, 0.0]])
-    out = T.attention(T.Tensor(np.concatenate([q, k, v], axis=-1)), bias, 1).data
-    for i in range(3):
+    rows = np.array([0, 2])
+    qkv = np.concatenate([q, k, v], axis=-1)[0, rows]
+    out = T.attention(T.Tensor(qkv), rows, bias, 1).data
+    for r, i in enumerate(rows):
         w = np.array([math.exp(q[0, i] @ k[0, j] / 2.0) if j != 1 else 0.0 for j in range(3)])
-        np.testing.assert_allclose(out[0, i], (w / w.sum()) @ v[0], rtol=1e-12)
+        np.testing.assert_allclose(out[r], (w / w.sum()) @ v[0], rtol=1e-12)
 
 
 def test_attention_shape_errors():
-    qkv, key_bias, _ = attention_inputs()
+    _, qkv, rows, key_bias, _ = attention_inputs()
     with pytest.raises(ShapeError):
-        T.attention(qkv, key_bias, 4)
+        T.attention(qkv, rows, key_bias, 4)
     with pytest.raises(ShapeError):
-        T.attention(qkv, key_bias[:, :3], 3)
+        T.attention(qkv, rows, key_bias[:, :3], 3)
     with pytest.raises(ShapeError):
-        T.attention(T.Tensor(rand((2, 5, 17))), key_bias, 3)
+        T.attention(T.Tensor(rand((len(rows), 17))), rows, key_bias, 3)
+    with pytest.raises(ShapeError):  # a row count that disagrees with qkv
+        T.attention(qkv, rows[:-1], key_bias, 3)
+    with pytest.raises(ShapeError):  # rows must increase
+        T.attention(qkv, rows[::-1], key_bias, 3)
+
+
+def test_pack_and_unpack_rows_are_inverse_and_grads_check():
+    x = T.Tensor(rand((3, 4, 5), seed=56), requires_grad=True)
+    rows = np.array([0, 2, 3, 7, 11])
+    packed = T.pack_rows(x, rows)
+    np.testing.assert_array_equal(packed.data, x.data.reshape(12, 5)[rows])
+    back = T.unpack_rows(packed, rows, (3, 4)).data
+    keep = np.zeros(12, dtype=bool)
+    keep[rows] = True
+    np.testing.assert_array_equal(back.reshape(12, 5)[keep], packed.data)
+    assert (back.reshape(12, 5)[~keep] == 0.0).all()
+    c = T.Tensor(rand((3, 4, 5), seed=57))
+
+    def f():
+        return T.tsum(T.mul(T.unpack_rows(T.pack_rows(x, rows), rows, (3, 4)), c))
+
+    assert T.grad_check(f, [("x", x)]) < 1e-6
+    for bad in (np.array([2, 2]), np.array([3, 1]), np.array([12]), np.array([0.0])):
+        with pytest.raises(ShapeError):
+            T.pack_rows(x, bad)
+    with pytest.raises(ShapeError):
+        T.unpack_rows(packed, rows[:-1], (3, 4))
 
 
 # ---------------------------------------------------------------------------

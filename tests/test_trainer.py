@@ -216,6 +216,15 @@ def test_run_stage_metric_records():
     ends = [r for r in sink if r.get("event") == "stage_end"]
     assert len(starts) == 1 and len(ends) == 1
     assert starts[0]["fingerprint"] != ends[0]["fingerprint"]
+    # the global gradient norm is logged without grad_clip too, read-only: a
+    # clip that never binds logs the same norms and trains the same bits
+    clipped_state, _ = tiny_setup()
+    clipped = ListSink()
+    tr.run_stage(mlm_stage(3, grad_clip=1e30), clipped_state, source, clipped)
+    norms = [r["grad_norm"] for r in steps]
+    assert all(math.isfinite(n) and n > 0 for n in norms)
+    assert norms == [r["grad_norm"] for r in clipped if "total" in r]
+    assert clipped[-1]["fingerprint"] == ends[0]["fingerprint"]
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +285,62 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(CheckpointError, match="magic"):
         tr.load_checkpoint(path)
+
+
+def test_each_checkpoint_state_is_serialized_once(tmp_path, monkeypatch):
+    calls = {"serialize": 0, "fsync": 0}
+    real_serialize, real_fsync = tr._serialize, tr.os.fsync
+
+    def serialize(state):
+        calls["serialize"] += 1
+        return real_serialize(state)
+
+    def fsync(fd):
+        calls["fsync"] += 1
+        real_fsync(fd)
+
+    monkeypatch.setattr(tr, "_serialize", serialize)
+    monkeypatch.setattr(tr.os, "fsync", fsync)
+    state, source = tiny_setup()
+    state = tr.run_stages([(mlm_stage(4, checkpoint_every=2), source)], state, ListSink(),
+                          output_dir=tmp_path)
+    tr.save_checkpoint(state, tmp_path / "final.m3ck")
+    # step 2 and step 4 are two states; s1.m3ck and final.m3ck repeat step 4
+    assert calls == {"serialize": 2, "fsync": 2}
+    same = [(tmp_path / n).read_bytes() for n in ("s1-step4.m3ck", "s1.m3ck", "final.m3ck")]
+    assert same[0] == same[1] == same[2]
+    assert same[0] != (tmp_path / "s1-step2.m3ck").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "final.m3ck", "s1-step2.m3ck", "s1-step4.m3ck", "s1.m3ck"]
+    np.testing.assert_array_equal(tr.load_checkpoint(tmp_path / "final.m3ck").opt.v["mlm_head_w"],
+                                  state.opt.v["mlm_head_w"])
+    # where no hard link can be made, the bytes are copied (and synced)
+    def no_link(src, dst):
+        raise OSError("links not supported")
+
+    monkeypatch.setattr(tr.os, "link", no_link)
+    tr.save_checkpoint(state, tmp_path / "copy.m3ck")
+    assert calls == {"serialize": 2, "fsync": 3}
+    assert (tmp_path / "copy.m3ck").read_bytes() == same[0]
+    # a file changed since it was written is not reused: the state is written anew
+    (tmp_path / "copy.m3ck").write_bytes(b"stale")
+    tr.save_checkpoint(state, tmp_path / "again.m3ck")
+    assert calls["serialize"] == 3
+    assert (tmp_path / "again.m3ck").read_bytes() == same[0]
+
+
+def test_load_checkpoint_draws_no_initialization(tmp_path, monkeypatch):
+    state, _ = tiny_setup()
+    path = tmp_path / "n.m3ck"
+    tr.save_checkpoint(state, path)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew a random initialization")
+
+    monkeypatch.setattr(enc, "_trunc_normal", no_draw)
+    loaded = tr.load_checkpoint(path)
+    assert tr.params_fingerprint(loaded.params) == tr.params_fingerprint(state.params)
+    assert all(t.requires_grad for _, t in loaded.params.named())
 
 
 def test_checkpoint_failed_write_keeps_previous_file(tmp_path, monkeypatch):
