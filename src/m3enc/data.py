@@ -344,6 +344,9 @@ class MlmBatch:
         lab_defined = self.labels != IGNORE_INDEX
         if not np.array_equal(lab_defined, self.mask_positions):
             raise ContractError("labels must be defined exactly at masked positions")
+        if (np.shape(self.attn_mask) != np.shape(self.mask_positions)
+                or (self.mask_positions & ~np.asarray(self.attn_mask, dtype=bool)).any()):
+            raise ContractError("masked positions must be real positions of attn_mask")
 
     @property
     def n_tokens(self) -> int:

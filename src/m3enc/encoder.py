@@ -9,7 +9,7 @@ tapped state through the first ``d`` rows of the shared projection matrix,
 so one set of weights serves every (layer, dim) cell of the granularity grid.
 
 A sequence embedding is pooled once per tapped layer at full width
-(``pool``, the mean over unmasked positions); the embedding of cell
+(``pool``, the mean over each sequence's real rows); the embedding of cell
 (l, d) is the first ``d`` coordinates of that mean, L2-normalized
 (``cell_embedding``). Training and evaluation both use this one path.
 
@@ -24,9 +24,9 @@ positions once (``rows``, the flat indices of the attention mask) and every
 block works on those [N x m] packed rows. Norms, the four projections, the
 activation and the residual adds never see a padding position; only the
 ``tensor.attention`` node scatters its input into the padded [B x s]
-layout, masks the padding keys and gathers the context back. A tapped state
-is unpacked to [B x s x m] once, with exact zeros at padding positions, so
-pooling and the MLM head read the padded layout.
+layout, masks the padding keys and gathers the context back. Tapped states
+stay packed: a tap is the [N x m] rows of the real positions in mask order,
+and no tap holds padding. Pooling and the MLM head read those rows.
 
 ``forward`` stops at the deepest tapped layer: the layers above it are never
 run, so a tap at layer ``l`` costs ``l`` blocks and is what a model cut to
@@ -316,8 +316,9 @@ def forward(
     projections, the feed-forward and residual adds never see padding. Only
     the attention node unpacks them into the [B x s] layout, where padding
     keys receive exactly zero attention weight from every query. Each tapped
-    state is unpacked once, to [B x s x m] ([s x m] for one sequence), with
-    exact zeros at padding positions. ``taps`` defaults to the configured
+    state is returned packed: the [N x m] rows of the real positions, in the
+    row-major order of ``attn_mask`` (one sequence or many alike), with no
+    padding row. ``taps`` defaults to the configured
     granularity layers. Hidden dropout, in training mode, is drawn only
     between layers that run, at the batch's own [B x s x m] layout (the data
     sources trim each batch to its longest real row), and applied to the
@@ -369,7 +370,7 @@ def forward(
         if i == config.n_layers and params.final_norm_w is not None:
             h = _norm(h, params.final_norm_w, params.final_norm_b, config.norm)
         if i in tap_set:
-            tapped[i] = T.unpack_rows(h, rows, (s,) if squeeze else (bsz, s))
+            tapped[i] = h
         if training and config.hidden_dropout > 0.0 and i < depth:
             if dropout_rng is None:
                 raise ContractError("dropout requires a dropout_rng in training mode")
@@ -378,17 +379,32 @@ def forward(
 
 
 def pool(tapped_state: Tensor, attn_mask: np.ndarray) -> Tensor:
-    """Full-width mean over the unmasked positions of a [s x M] or [B x s x M]
-    state; ``cell_embedding`` turns it into the embedding of one dim."""
+    """Full-width mean over each sequence's real rows; ``cell_embedding``
+    turns it into the embedding of one dim.
+
+    ``tapped_state`` is a packed [N x M] tap of ``forward``: the rows of the
+    real positions of ``attn_mask`` ([s] or [B x s]) in mask order. One node:
+    it places the rows in a zeroed [s x M] or [B x s x M] buffer, multiplies
+    by w = mask / count and sums over positions, so every pooled value is the
+    same sum as over the padded state. The backward pass is g * w at the rows.
+    """
     mask = np.asarray(attn_mask, dtype=bool)
-    if mask.shape != tapped_state.shape[:-1]:
-        raise ShapeError(f"attn_mask shape {mask.shape} != state rows {tapped_state.shape[:-1]}")
     counts = mask.sum(axis=-1)
     if (counts == 0).any():
         raise ContractError("pool: a sequence has no unmasked positions")
-    dtype = tapped_state.dtype
-    weights = (mask.astype(dtype) / counts[..., None].astype(dtype))[..., None]
-    return T.tsum(T.mul(tapped_state, Tensor(weights)), axis=-2)
+    x = T.as_tensor(tapped_state)
+    if x.ndim != 2 or x.shape[0] != counts.sum():
+        raise ShapeError(f"state {x.shape} must be the [N x M] rows of the "
+                         f"{int(counts.sum())} unmasked positions of attn_mask")
+    rows = np.flatnonzero(mask)
+    m = x.shape[-1]
+    weights = (mask.astype(x.dtype) / counts[..., None].astype(x.dtype))[..., None]
+    out = (T._unpack(x.data, rows, mask.shape) * weights).sum(axis=-2)
+
+    def bwd(g):
+        return (g.reshape(-1, m)[rows // mask.shape[-1]] * weights.reshape(-1, 1)[rows],)
+
+    return T._from_op(out, "pool", (x,), bwd)
 
 
 def cell_embedding(pooled: Tensor, d: int) -> Tensor:

@@ -113,7 +113,7 @@ def _head_products(params: Parameters, config: ModelConfig, batch: MlmBatch,
     """The bias-free head product of every (layer, dim) cell at the masked
     positions.
 
-    One forward pass taps the grid layers; each tapped state's [n x M] rows
+    One forward pass taps the grid layers; the [n x M] rows of each packed tap
     at the masked positions go through the shared head. The product of cell
     (l, d) is h[:, :d] @ W[:d, :], built for increasing d as a running sum of
     segment products h[:, d_j:d_{j+1}] @ W[d_j:d_{j+1}, :], so a layer's whole
@@ -121,12 +121,11 @@ def _head_products(params: Parameters, config: ModelConfig, batch: MlmBatch,
     """
     if not batch.mask_positions.any(axis=-1).all():
         raise ContractError("every sequence needs at least one masked position")
-    flat_idx = np.flatnonzero(batch.mask_positions.reshape(-1))
+    masked = np.flatnonzero(batch.mask_positions[batch.attn_mask])
     states = enc.forward(params, config, batch.tokens, batch.attn_mask, taps=gran.layers, **fwd)
     products: dict[tuple[int, int], Tensor] = {}
     for l in gran.layers:
-        b, s, m = states[l].shape
-        h = T.take_rows(T.reshape(states[l], (b * s, m)), flat_idx)
+        h = T.pack_rows(states[l], masked)
         acc: Tensor | None = None
         prev = 0
         for d in gran.dims:

@@ -15,8 +15,9 @@ q | k | v of packed rows from one fused projection and covers the scatter
 into the padded [B x s] layout, head split, scaled and masked scores,
 softmax, weighted sum, head merge and the gather back to the packed rows.
 ``swiglu`` computes silu(gate) * up from one fused gate | up projection.
-``pack_rows`` and ``unpack_rows`` move distinct rows between the padded and
-the packed layout; each one's backward pass is the other's forward, by plain
+``pack_rows`` gathers the real rows of the padded embedding into the packed
+[N x m] layout, which every later op keeps: no tensor after it holds a
+padding row. Its backward pass places the gradient rows back by plain
 indexing. Each loss term is one node too: ``masked_cross_entropy`` (backward
 (softmax - one_hot) / n) for an MLM cell and ``kl_rows`` for a distillation
 pair.
@@ -240,41 +241,6 @@ def matmul(a: Tensor, b) -> Tensor:
     return _from_op(out, "matmul", (a, b), bwd)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.data.shape).copy(),)
-
-    return _from_op(np.asarray(out), "sum", (a,), bwd)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.reshape(shape)
-
-    def bwd(g):
-        return (g.reshape(a.data.shape),)
-
-    return _from_op(out, "reshape", (a,), bwd)
-
-
-def transpose(a: Tensor, axes) -> Tensor:
-    a = as_tensor(a)
-    axes = tuple(axes)
-    out = np.ascontiguousarray(np.transpose(a.data, axes))
-    inv = tuple(np.argsort(axes))
-
-    def bwd(g):
-        return (np.transpose(g, inv),)
-
-    return _from_op(out, "transpose", (a,), bwd)
-
-
 def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
     """Contiguous range of the last dimension, ``a[..., start:stop]``."""
     a = as_tensor(a)
@@ -355,40 +321,9 @@ def pack_rows(a: Tensor, rows: np.ndarray) -> Tensor:
     return _from_op(out, "pack_rows", (a,), bwd)
 
 
-def unpack_rows(a: Tensor, rows: np.ndarray, lead: tuple[int, ...]) -> Tensor:
-    """The inverse of ``pack_rows``: [N x m] rows placed at the flat positions
-    ``rows`` of a zeroed [*lead x m] array."""
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"unpack_rows expects [N x m] rows, got {a.shape}")
-    rows = _check_rows(rows, math.prod(lead), a.shape[0])
-    out = _unpack(a.data, rows, tuple(lead))
-
-    def bwd(g):
-        return (g.reshape(-1, g.shape[-1])[rows],)
-
-    return _from_op(out, "unpack_rows", (a,), bwd)
-
-
 # ---------------------------------------------------------------------------
 # Fused neural-network operations
 # ---------------------------------------------------------------------------
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-stochastic softmax over the last dimension, with max-subtraction."""
-    x = as_tensor(x)
-    if x.shape[-1] < 1:
-        raise ShapeError("softmax_rows requires a non-empty last extent")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
-
-    return _from_op(out, "softmax_rows", (x,), bwd)
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:
@@ -643,33 +578,6 @@ def kl_rows(student_logits: Tensor, neg_log_teacher: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 # Gradient bookkeeping and verification
 # ---------------------------------------------------------------------------
-
-
-class GradientRecord:
-    """Accumulated gradients for a named parameter collection.
-
-    Enforces the accumulate-then-step discipline: gradients are pulled once
-    per optimizer step and zeroed exactly once afterwards.
-    """
-
-    def __init__(self, grads: dict[str, np.ndarray]):
-        self.grads = grads
-
-    @classmethod
-    def collect(cls, named_params: Iterable[tuple[str, Tensor]]) -> "GradientRecord":
-        grads = {}
-        for name, p in named_params:
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if g.shape != p.data.shape:
-                raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name}")
-            grads[name] = g
-        return cls(grads)
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.grads[name]
-
-    def __iter__(self):
-        return iter(self.grads.items())
 
 
 def zero_grads(named_params: Iterable[tuple[str, Tensor]]) -> None:

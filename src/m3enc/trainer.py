@@ -33,7 +33,7 @@ from .encoder import GranularitySet, ModelConfig, Parameters
 from .errors import CheckpointError, ConfigError, NumericsError, TrainingAbort
 from .objectives import DistillPlan, LossReport
 from .rng import named_rng
-from .tensor import GradientRecord, zero_grads
+from .tensor import zero_grads
 
 CHECKPOINT_MAGIC = b"M3CK"
 CHECKPOINT_VERSION = 2  # 1 held separate q/k/v and gate/up projection tensors
@@ -63,8 +63,10 @@ class OptimizerState:
         return cls(m=m, v=v, **hyper)
 
 
-def adamw_step(named_params, grads: GradientRecord, state: OptimizerState, lr: float) -> None:
-    """One decoupled-weight-decay Adam update, in place.
+def adamw_step(named_params, grads: dict[str, np.ndarray], state: OptimizerState,
+               lr: float) -> None:
+    """One decoupled-weight-decay Adam update, in place, from the gradient of
+    each named parameter in ``grads``.
 
     p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)
     """
@@ -95,18 +97,18 @@ def adamw_step(named_params, grads: GradientRecord, state: OptimizerState, lr: f
     state.t = t
 
 
-def global_grad_norm(grads: GradientRecord) -> float:
+def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
     """The global L2 norm of all gradients, summed in float64; read-only."""
-    return math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for _, g in grads))
+    return math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads.values()))
 
 
-def clip_grads_global_norm(grads: GradientRecord, max_norm: float) -> float:
+def clip_grads_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``;
     returns the norm before scaling."""
     norm = global_grad_norm(grads)
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
-        for _, g in grads:
+        for g in grads.values():
             g *= scale
     return norm
 
@@ -288,6 +290,14 @@ def _write_synced(path: Path, chunks) -> None:
         os.fsync(f.fileno())
 
 
+def _sync_dir(path: Path) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def _file_identity(path: Path) -> tuple | None:
     try:
         st = os.stat(path)
@@ -301,7 +311,8 @@ def save_checkpoint(state: TrainState, path) -> None:
 
     The bytes go to ``<path>.tmp`` in the same directory, are synced to disk
     and then replace ``path`` in one rename, so a write that fails part-way
-    leaves the previous file at ``path`` as it was. A state is serialized
+    leaves the previous file at ``path`` as it was. The directory is synced
+    after the rename, so the new name itself survives a power loss. A state is serialized
     once: saved again unchanged (same stage, step, seed and optimizer step),
     while the file it was last written to is still that file, the new name
     gets a hard link to those bytes, or a synced copy where links fail.
@@ -320,6 +331,7 @@ def save_checkpoint(state: TrainState, path) -> None:
         else:
             _write_synced(tmp, _serialize(state))
         os.replace(tmp, path)
+        _sync_dir(path.parent)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -507,7 +519,8 @@ def run_stage(
                 raise NumericsError(f"loss is {report.total}")
             zero_grads(named)
             report.node.backward()
-            grads = GradientRecord.collect(named)
+            grads = {name: np.zeros_like(p.data) if p.grad is None else p.grad
+                     for name, p in named}
             if stage.grad_clip is not None:
                 grad_norm = clip_grads_global_norm(grads, stage.grad_clip)
             else:

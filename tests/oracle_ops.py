@@ -1,0 +1,71 @@
+"""Tape ops that only the tests' oracles use.
+
+``tsum``, ``reshape``, ``transpose`` and ``softmax_rows`` build the
+node-per-step compositions that the library's fused nodes are checked
+against (attention, pooling, the padded encoder). Nothing in ``src/`` calls
+them, so they live here, on the library's own tape (``T._from_op``).
+"""
+
+import numpy as np
+
+from m3enc import tensor as T
+from m3enc.errors import ShapeError
+
+
+def tsum(a, axis=None, keepdims=False):
+    a = T.as_tensor(a)
+    out = a.data.sum(axis=axis, keepdims=keepdims)
+
+    def bwd(g):
+        if axis is None:
+            return (np.broadcast_to(g, a.data.shape).copy(),)
+        gg = g if keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(gg, a.data.shape).copy(),)
+
+    return T._from_op(np.asarray(out), "sum", (a,), bwd)
+
+
+def reshape(a, shape):
+    a = T.as_tensor(a)
+    out = a.data.reshape(shape)
+
+    def bwd(g):
+        return (g.reshape(a.data.shape),)
+
+    return T._from_op(out, "reshape", (a,), bwd)
+
+
+def transpose(a, axes):
+    a = T.as_tensor(a)
+    axes = tuple(axes)
+    out = np.ascontiguousarray(np.transpose(a.data, axes))
+    inv = tuple(np.argsort(axes))
+
+    def bwd(g):
+        return (np.transpose(g, inv),)
+
+    return T._from_op(out, "transpose", (a,), bwd)
+
+
+def softmax_rows(x):
+    """Row-stochastic softmax over the last dimension, with max-subtraction."""
+    x = T.as_tensor(x)
+    if x.shape[-1] < 1:
+        raise ShapeError("softmax_rows requires a non-empty last extent")
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        dot = (g * out).sum(axis=-1, keepdims=True)
+        return (out * (g - dot),)
+
+    return T._from_op(out, "softmax_rows", (x,), bwd)
+
+
+def padded(tap, mask):
+    """A packed [N x m] tap (array) placed at the real positions of ``mask``
+    in zeros of shape [*mask.shape x m]."""
+    out = np.zeros((*mask.shape, tap.shape[-1]), dtype=tap.dtype)
+    out[mask] = tap
+    return out

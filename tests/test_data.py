@@ -337,6 +337,21 @@ def test_mlm_source_deterministic_and_valid():
     assert (a.labels != D.IGNORE_INDEX).sum() == a.mask_positions.sum()
 
 
+def test_mlm_batch_rejects_masked_positions_on_padding():
+    tokens = np.array([[5, 6, 7, 0], [8, 9, 0, 0]])
+    attn = tokens != 0
+    mask_pos = np.zeros((2, 4), dtype=bool)
+    mask_pos[0, 1] = True
+    labels = np.where(mask_pos, tokens, D.IGNORE_INDEX)
+    D.MlmBatch(tokens=tokens, attn_mask=attn, labels=labels, mask_positions=mask_pos)
+    mask_pos[1, 3] = True  # a padding position
+    labels = np.where(mask_pos, tokens, D.IGNORE_INDEX)
+    with pytest.raises(ContractError, match="real positions"):
+        D.MlmBatch(tokens=tokens, attn_mask=attn, labels=labels, mask_positions=mask_pos)
+    with pytest.raises(ContractError, match="real positions"):  # a mask of another shape
+        D.MlmBatch(tokens=tokens, attn_mask=attn[:, :3], labels=labels, mask_positions=mask_pos)
+
+
 def test_multilingual_source_uses_smoothed_mixture():
     v = D.build_vocab(["aa bb cc dd"], max_size=16)
     groups = {"en": ["aa bb"] * 90, "xx": ["cc dd"] * 10}

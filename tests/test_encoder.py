@@ -11,6 +11,7 @@ from m3enc.config import ABLATION_ARMS
 from m3enc import tensor as T
 from m3enc.errors import ConfigError, ContractError, ShapeError
 from m3enc.tensor import Tensor
+from oracle_ops import padded, reshape, softmax_rows, transpose, tsum
 
 
 def toy_config(**overrides):
@@ -123,7 +124,7 @@ def test_forward_tap_shapes():
     out = enc.forward(params, cfg, tokens, mask, taps=(2, 4, 6))
     assert set(out) == {2, 4, 6}
     for t in out.values():
-        assert t.shape == (3, 9, cfg.hidden)
+        assert t.shape == (mask.sum(), cfg.hidden)
 
 
 def test_forward_single_sequence_shape():
@@ -163,9 +164,13 @@ def test_masked_positions_get_zero_attention():
     perturbed[0, -1] = (perturbed[0, -1] + 17) % cfg.vocab
     perturbed[0, -2] = (perturbed[0, -2] + 5) % cfg.vocab
     out_b = enc.forward(params, cfg, perturbed, mask, taps=(2, 6))
-    live = mask[0]
-    for l in (2, 6):
-        np.testing.assert_array_equal(out_a[l].data[0, live], out_b[l].data[0, live])
+    for l in (2, 6):  # every packed row is a live position
+        np.testing.assert_array_equal(out_a[l].data, out_b[l].data)
+
+
+def grads(params):
+    """Every parameter's gradient, zeros where none arrived."""
+    return [np.zeros_like(p.data) if p.grad is None else p.grad for _, p in params.named()]
 
 
 def unfused_attention(x, lp, config, rows, key_bias):
@@ -174,19 +179,21 @@ def unfused_attention(x, lp, config, rows, key_bias):
     bsz, s = key_bias.shape
     m = x.shape[-1]
     h, dh = config.n_heads, config.head_dim
-    x = T.unpack_rows(x, rows, (bsz, s))
+    scatter = np.zeros((bsz * s, len(rows)), dtype=x.dtype)  # 0/1: row i to position rows[i]
+    scatter[rows, np.arange(len(rows))] = 1.0
+    x = reshape(T.matmul(Tensor(scatter), x), (bsz, s, m))
 
     def split_heads(t):
-        return T.transpose(T.reshape(t, (bsz, s, h, dh)), (0, 2, 1, 3))
+        return transpose(reshape(t, (bsz, s, h, dh)), (0, 2, 1, 3))
 
     def projection(j):  # W_q, W_k, W_v (and their biases) as thirds of the fused weight
         b = None if lp.attn_qkv_b is None else T.slice_last(lp.attn_qkv_b, j * m, (j + 1) * m)
         return enc._linear(x, T.slice_last(lp.attn_qkv, j * m, (j + 1) * m), b)
 
     q, k, v = (split_heads(projection(j)) for j in range(3))
-    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    attn = T.softmax_rows(T.add(scores, Tensor(key_bias[:, None, None, :])))
-    ctx = T.reshape(T.transpose(T.matmul(attn, v), (0, 2, 1, 3)), (bsz * s, m))
+    scores = T.scale(T.matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    attn = softmax_rows(T.add(scores, Tensor(key_bias[:, None, None, :])))
+    ctx = reshape(transpose(T.matmul(attn, v), (0, 2, 1, 3)), (bsz * s, m))
     return enc._linear(T.take_rows(ctx, rows), lp.attn_o, lp.attn_o_b)
 
 
@@ -201,9 +208,8 @@ def test_fused_attention_matches_unfused_encoder(monkeypatch):
         monkeypatch.setattr(enc, "_attention", attention)
         T.zero_grads(params.named())
         out = enc.forward(params, cfg, tokens, mask)
-        T.tsum(T.mul(out[1], out[2])).backward()
-        results.append([out[1].data, out[2].data]
-                       + [g for _, g in T.GradientRecord.collect(params.named())])
+        tsum(T.mul(out[1], out[2])).backward()
+        results.append([out[1].data, out[2].data] + grads(params))
     for fused, ref in zip(*results):
         np.testing.assert_allclose(fused, ref, rtol=1e-10, atol=1e-13)
 
@@ -218,8 +224,8 @@ def padded_forward(params, config, tokens, attn_mask, taps, training=False, drop
     every = np.arange(bsz * s)
 
     def attention(x, lp):
-        ctx = enc._attention(T.reshape(x, (bsz * s, m)), lp, config, every, key_bias)
-        return T.reshape(ctx, (bsz, s, m))
+        ctx = enc._attention(reshape(x, (bsz * s, m)), lp, config, every, key_bias)
+        return reshape(ctx, (bsz, s, m))
 
     def norm(x, w, b):
         return enc._norm(x, w, b, config.norm)
@@ -271,31 +277,34 @@ def test_packed_forward_matches_padded_oracle(arm):
         T.zero_grads(params.named())
         out = run(params, cfg, tokens, mask, taps=(1, 3), training=True, dropout_rng=rng)
         loss = None
+        packed = run is enc.forward
         for l, w in weights.items():  # a loss that reads the real positions only
-            term = T.tsum(T.mul(out[l], Tensor(w)))
+            term = tsum(T.mul(out[l], Tensor(w[mask] if packed else w)))
             loss = term if loss is None else T.add(loss, term)
         loss.backward()
-        results.append([out[1].data[mask], out[3].data[mask]]
-                       + [g for _, g in T.GradientRecord.collect(params.named())])
+        taps = [out[l].data if packed else out[l].data[mask] for l in (1, 3)]
+        results.append(taps + grads(params))
     assert rngs[0].random() == rngs[1].random()  # same draws, same stream position
     for packed, padded in zip(*results):
         np.testing.assert_allclose(packed, padded, rtol=1e-10,
                                    atol=1e-10 * np.abs(padded).max())
 
 
-@pytest.mark.parametrize("squeeze", [False, True])
-def test_pad_rows_of_every_tap_are_exact_zeros(squeeze):
-    cfg = toy_config(hidden_dropout=0.5)
-    params = enc.init_parameters(cfg, seed=7)
+def test_each_tap_is_the_real_rows_in_mask_order():
+    # the batch tap holds mask.sum() rows, sequence after sequence, and each
+    # sequence's rows are what a forward of that sequence alone ([s] tokens) gives
+    cfg = toy_config()
+    params = enc.init_parameters(cfg, seed=7, dtype=np.float64)
     tokens, mask = mixed_masks(cfg, seed=7)
-    if squeeze:
-        tokens, mask = tokens[3], mask[3]
-    out = enc.forward(params, cfg, tokens, mask, taps=(2, 4, 6), training=True,
-                      dropout_rng=np.random.default_rng(7))
-    for l, t in out.items():
-        assert t.shape == (*tokens.shape, cfg.hidden)
-        assert (t.data[~mask] == 0.0).all()
-        assert (t.data[mask] != 0.0).any(axis=-1).all()
+    out = enc.forward(params, cfg, tokens, mask, taps=(2, 4, 6))
+    ends = np.cumsum(mask.sum(axis=1))
+    for b in range(len(tokens)):
+        alone = enc.forward(params, cfg, tokens[b], mask[b], taps=(2, 4, 6))
+        for l, t in out.items():
+            assert t.shape == (mask.sum(), cfg.hidden)
+            assert alone[l].shape == (mask[b].sum(), cfg.hidden)
+            np.testing.assert_allclose(t.data[ends[b] - mask[b].sum():ends[b]], alone[l].data,
+                                       rtol=1e-12, atol=1e-12)
 
 
 def test_dropout_keeps_the_padded_draw_at_real_rows():
@@ -425,7 +434,7 @@ def test_pool_single_unmasked_token():
     state = rng.normal(size=(6, 16))
     mask = np.zeros(6, dtype=bool)
     mask[2] = True
-    out = enc.cell_embedding(enc.pool(Tensor(state), mask), 8)
+    out = enc.cell_embedding(enc.pool(Tensor(state[mask]), mask), 8)
     expected = state[2, :8] / np.linalg.norm(state[2, :8])
     np.testing.assert_allclose(out.data, expected, rtol=1e-12)
 
@@ -436,7 +445,7 @@ def test_pool_identical_tokens():
     out_all = enc.cell_embedding(enc.pool(Tensor(state), np.ones(5, dtype=bool)), 16)
     single = np.zeros(5, dtype=bool)
     single[0] = True
-    out_one = enc.cell_embedding(enc.pool(Tensor(state), single), 16)
+    out_one = enc.cell_embedding(enc.pool(Tensor(state[single]), single), 16)
     np.testing.assert_allclose(out_all.data, out_one.data, rtol=1e-12)
 
 
@@ -445,7 +454,7 @@ def test_pool_excludes_padding_scalar_oracle():
     state = rng.normal(size=(2, 7, 12))
     mask = np.array([[True] * 5 + [False] * 2, [True] * 3 + [False] * 4])
     d = 6
-    out = enc.cell_embedding(enc.pool(Tensor(state), mask), d)
+    out = enc.cell_embedding(enc.pool(Tensor(state[mask]), mask), d)
     for b in range(2):
         rows = [state[b, i, :d] for i in range(7) if mask[b, i]]
         mean = np.zeros(d)
@@ -453,6 +462,32 @@ def test_pool_excludes_padding_scalar_oracle():
             mean += r
         mean /= len(rows)
         np.testing.assert_allclose(out.data[b], mean / np.linalg.norm(mean), rtol=1e-10)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pool_equals_padded_weighted_sum_bit_for_bit(dtype):
+    # the node's value is (x * w).sum(axis=-2) over the padded state, w = mask / count
+    rng = np.random.default_rng(11)
+    mask = rng.random((40, 32)) < 0.7
+    mask[:, 0] = True
+    mask[1, 1:] = False  # a single-token row
+    state = (rng.normal(size=(40, 32, 128)) * mask[..., None]).astype(dtype)
+    w = (mask.astype(dtype) / mask.sum(axis=-1, keepdims=True).astype(dtype))[..., None]
+    pooled = enc.pool(Tensor(state[mask]), mask)
+    assert pooled.dtype == dtype
+    np.testing.assert_array_equal(pooled.data, (state * w).sum(axis=-2))
+    one = enc.pool(Tensor(state[5][mask[5]]), mask[5])  # one sequence, an [s] mask
+    np.testing.assert_array_equal(one.data, (state[5] * w[5]).sum(axis=-2))
+
+
+def test_pool_grad_check():
+    rng = np.random.default_rng(12)
+    mask = mixed_masks(toy_config(), seed=12)[1]
+    x = Tensor(rng.normal(size=(mask.sum(), 6)), requires_grad=True)
+    c = Tensor(rng.normal(size=(len(mask), 6)))
+    assert T.grad_check(lambda: tsum(T.mul(enc.pool(x, mask), c)), [("x", x)]) < 1e-6
+    with pytest.raises(ShapeError):  # a padded state is no packed tap
+        enc.pool(Tensor(rng.normal(size=(*mask.shape, 6))), mask)
 
 
 def test_pool_all_masked_error():
@@ -465,7 +500,7 @@ def per_dim_pool(state, mask, d):
     truncate the state first, then take the masked mean and normalize."""
     counts = mask.sum(axis=-1)
     weights = (mask.astype(state.dtype) / counts[..., None].astype(state.dtype))[..., None]
-    mean = T.tsum(T.mul(T.slice_last(state, 0, d), Tensor(weights)), axis=-2)
+    mean = tsum(T.mul(T.slice_last(state, 0, d), Tensor(weights)), axis=-2)
     return T.l2_normalize_rows(mean)
 
 
@@ -475,7 +510,7 @@ def test_pool_then_slice_matches_per_dim_pool_bit_for_bit(dtype):
     state = Tensor(rng.normal(size=(40, 32, 128)).astype(dtype))
     mask = rng.random((40, 32)) < 0.7
     mask[:, 0] = True
-    pooled = enc.pool(state, mask)
+    pooled = enc.pool(Tensor(state.data[mask]), mask)
     assert pooled.shape == (40, 128) and pooled.dtype == dtype
     for d in (1, 3, 16, 32, 64, 100, 128):
         np.testing.assert_array_equal(enc.cell_embedding(pooled, d).data,
@@ -518,7 +553,7 @@ def test_encoder_grad_check(placement, norm, act, bias):
     mask = np.array([[True, True, True, True, False]] * 2)
     targets = np.array([[2, 4, 1, 6, 0]] * 2)
     mask_pos = np.array([[True, False, True, False, False]] * 2)
-    rows = np.flatnonzero(mask_pos)
+    rows = np.flatnonzero(mask_pos[mask])  # the masked rows of a packed tap
 
     def f():
         out = enc.forward(params, cfg, tokens, mask)
@@ -527,11 +562,10 @@ def test_encoder_grad_check(placement, norm, act, bias):
             logits = T.add(T.matmul(T.slice_last(out[l], 0, d),
                                     T.slice_rows(params.mlm_head_w, 0, d)),
                            params.mlm_head_b)
-            logits = T.take_rows(T.reshape(logits, (-1, cfg.vocab)), rows)
-            cell = T.masked_cross_entropy(logits, targets.reshape(-1)[rows])
+            cell = T.masked_cross_entropy(T.take_rows(logits, rows), targets[mask_pos])
             loss = cell if loss is None else T.add(loss, cell)
         emb = enc.cell_embedding(enc.pool(out[1], mask), 4)
-        return T.add(loss, T.tsum(T.mul(emb, emb)))
+        return T.add(loss, tsum(T.mul(emb, emb)))
 
     err = T.grad_check(f, params.named(), max_coords=220)
     assert err < 1e-4

@@ -8,6 +8,7 @@ from m3enc import encoder as enc
 from m3enc import evalkit as ek
 from m3enc import synth
 from m3enc.errors import ConfigError, ContractError, NumericsError
+from oracle_ops import padded
 
 
 def unit_rows(shape, seed):
@@ -277,7 +278,7 @@ def test_encode_truncate_then_normalize_oracle():
     seqs = [D.encode_sequence(vocab, t, cfg.max_seq) for t in docs[:6]]
     tokens = np.stack([s[0] for s in seqs])
     mask = np.stack([s[1] for s in seqs])
-    state = enc.forward(params, cfg, tokens, mask, taps=(2,))[2].data
+    state = padded(enc.forward(params, cfg, tokens, mask, taps=(2,))[2].data, mask)
     for i in range(6):
         rows = state[i][mask[i]]
         mean = rows.mean(axis=0)[:d]
@@ -301,7 +302,7 @@ def test_cell_rows_match_per_cell_encoding_bit_for_bit(dtype):
     pooled = ek.encode_corpus(params, cfg, vocab, docs, layers=(1, 3))
     for l in (1, 3):
         assert pooled[l].dtype == dtype
-        state = enc.forward(params, cfg, tokens, mask, taps=(l,))[l].data
+        state = padded(enc.forward(params, cfg, tokens, mask, taps=(l,))[l].data, mask)
         for d in (1, 4, 16):
             mean = (state[..., :d] * weights).sum(axis=-2)
             old = (mean / np.sqrt((mean * mean).sum(axis=-1, keepdims=True))).astype(np.float32)

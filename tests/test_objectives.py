@@ -15,6 +15,7 @@ from m3enc import tensor as T
 from m3enc.data import IGNORE_INDEX, MlmBatch, PairBatch
 from m3enc.errors import ConfigError, ContractError
 from m3enc.tensor import Tensor
+from oracle_ops import transpose
 
 
 def toy_config(**overrides):
@@ -33,9 +34,8 @@ def plain_head_logits(params, h, d):
 
 
 def masked_rows(x, batch):
-    """The [n x V] rows of a [B x s x V] tensor at the batch's masked positions."""
-    b, s, v = x.shape
-    return T.take_rows(T.reshape(x, (b * s, v)), np.flatnonzero(batch.mask_positions))
+    """The [n x V] rows of a packed [N x V] tensor at the batch's masked positions."""
+    return T.take_rows(x, np.flatnonzero(batch.mask_positions[batch.attn_mask]))
 
 
 def mlm_batch(config, seed=0, bsz=3, s=9, n_masked=2):
@@ -84,7 +84,7 @@ def infonce_from_scores(scores):
 def naive_contrastive(q_emb, d_emb, tau):
     """The contrastive loss from the full B x B score matrix: the oracle for
     the tiled op."""
-    scores = T.scale(T.matmul(q_emb, T.transpose(d_emb, (1, 0))), 1.0 / tau)
+    scores = T.scale(T.matmul(q_emb, transpose(d_emb, (1, 0))), 1.0 / tau)
     return infonce_from_scores(scores)
 
 
@@ -423,7 +423,7 @@ def test_distill_direct_summation_oracle():
 
     def cell_probs(l, d):
         out = enc.forward(params, cfg, batch.tokens, batch.attn_mask, taps=(l,))
-        h = out[l].data[batch.mask_positions]
+        h = out[l].data[batch.mask_positions[batch.attn_mask]]
         z = h[:, :d] @ params.mlm_head_w.data[:d, :] / plan.tau_d
         e = np.exp(z - z.max(axis=-1, keepdims=True))
         return e / e.sum(axis=-1, keepdims=True)

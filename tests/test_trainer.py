@@ -4,6 +4,8 @@ checkpoint integrity, resume equivalence."""
 import copy
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from m3enc import synth
 from m3enc import trainer as tr
 from m3enc.errors import CheckpointError, ConfigError, M3Error, TrainingAbort
 from m3enc.rng import named_rng
-from m3enc.tensor import GradientRecord, Tensor
+from m3enc.tensor import Tensor
 
 
 class ListSink(list):
@@ -43,7 +45,7 @@ def test_adamw_zero_lr_is_identity():
     named = make_params(0)
     before = named[0][1].data.copy()
     state = tr.OptimizerState.init(named)
-    grads = GradientRecord({"w": np.ones_like(before)})
+    grads = {"w": np.ones_like(before)}
     tr.adamw_step(named, grads, state, lr=0.0)
     np.testing.assert_array_equal(named[0][1].data, before)
     assert state.t == 1
@@ -53,7 +55,7 @@ def test_adamw_pure_decay_closed_form():
     named = make_params(1)
     before = named[0][1].data.copy()
     state = tr.OptimizerState.init(named, weight_decay=0.01)
-    grads = GradientRecord({"w": np.zeros_like(before)})
+    grads = {"w": np.zeros_like(before)}
     tr.adamw_step(named, grads, state, lr=0.1)
     np.testing.assert_allclose(named[0][1].data, 0.999 * before, rtol=1e-12)
 
@@ -65,7 +67,7 @@ def test_adamw_first_step_is_sign_update():
         before = named[0][1].data.copy()
         g = np.random.default_rng(3).normal(size=before.shape)
         state = tr.OptimizerState.init(named, eps=1e-12, weight_decay=0.0)
-        tr.adamw_step(named, GradientRecord({"w": g * scale}), state, lr=0.05)
+        tr.adamw_step(named, {"w": g * scale}, state, lr=0.05)
         update = named[0][1].data - before
         np.testing.assert_allclose(update, -0.05 * np.sign(g), atol=1e-6)
 
@@ -76,12 +78,22 @@ def test_adamw_rejects_nonfinite_gradient():
     bad = np.ones_like(named[0][1].data)
     bad[0, 0] = np.nan
     with pytest.raises(TrainingAbort, match="w"):
-        tr.adamw_step(named, GradientRecord({"w": bad}), state, lr=0.1)
+        tr.adamw_step(named, {"w": bad}, state, lr=0.1)
+
+
+def test_adamw_rejects_gradient_of_wrong_shape():
+    named = make_params(5)
+    before = named[0][1].data.copy()
+    state = tr.OptimizerState.init(named)
+    with pytest.raises(ConfigError, match="w"):
+        tr.adamw_step(named, {"w": np.ones((3, 4))}, state, lr=0.1)
+    np.testing.assert_array_equal(named[0][1].data, before)
+    assert state.t == 0
 
 
 def test_grad_clip_global_norm():
     g = np.full((3, 4), 2.0)
-    rec = GradientRecord({"w": g})
+    rec = {"w": g}
     norm = tr.clip_grads_global_norm(rec, max_norm=1.0)
     np.testing.assert_allclose(norm, math.sqrt(48.0))
     np.testing.assert_allclose(np.sqrt((rec["w"] ** 2).sum()), 1.0, rtol=1e-12)
@@ -295,8 +307,8 @@ def test_each_checkpoint_state_is_serialized_once(tmp_path, monkeypatch):
         calls["serialize"] += 1
         return real_serialize(state)
 
-    def fsync(fd):
-        calls["fsync"] += 1
+    def fsync(fd):  # counts the synced files; directory syncs are not writes
+        calls["fsync"] += stat.S_ISREG(os.fstat(fd).st_mode)
         real_fsync(fd)
 
     monkeypatch.setattr(tr, "_serialize", serialize)
@@ -327,6 +339,30 @@ def test_each_checkpoint_state_is_serialized_once(tmp_path, monkeypatch):
     tr.save_checkpoint(state, tmp_path / "again.m3ck")
     assert calls["serialize"] == 3
     assert (tmp_path / "again.m3ck").read_bytes() == same[0]
+
+
+def test_checkpoint_directory_is_synced_after_the_rename(tmp_path, monkeypatch):
+    events = []
+    real_fsync, real_replace = tr.os.fsync, tr.os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        events.append(("fsync", "dir" if stat.S_ISDIR(st.st_mode) else "file", st.st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", os.path.basename(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(tr.os, "fsync", fsync)
+    monkeypatch.setattr(tr.os, "replace", replace)
+    state, _ = tiny_setup()
+    tr.save_checkpoint(state, tmp_path / "a.m3ck")
+    tr.save_checkpoint(state, tmp_path / "b.m3ck")  # the same state: a hard link, no file write
+    written = (tmp_path / "a.m3ck").stat().st_ino
+    directory = ("fsync", "dir", tmp_path.stat().st_ino)
+    assert events == [("fsync", "file", written), ("replace", "a.m3ck"), directory,
+                      ("replace", "b.m3ck"), directory]
 
 
 def test_load_checkpoint_draws_no_initialization(tmp_path, monkeypatch):
