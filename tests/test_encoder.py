@@ -307,6 +307,27 @@ def test_each_tap_is_the_real_rows_in_mask_order():
                                        rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("squeeze", [False, True])
+def test_pad_rows_of_every_tap_are_exact_zeros(squeeze):
+    # a packed tap has no padding rows: placed back in the padded layout its pad
+    # rows are zeros, its real rows are live, and the ids at padding positions
+    # cannot reach it (other pad ids give the same bits under the same dropout)
+    cfg = toy_config(hidden_dropout=0.5)
+    params = enc.init_parameters(cfg, seed=7)
+    tokens, mask = mixed_masks(cfg, seed=7)
+    if squeeze:
+        tokens, mask = tokens[3], mask[3]
+    other = np.where(mask, tokens, (tokens + 1) % cfg.vocab)
+    runs = [enc.forward(params, cfg, ids, mask, taps=(2, 4, 6), training=True,
+                        dropout_rng=np.random.default_rng(7)) for ids in (tokens, other)]
+    for l, t in runs[0].items():
+        assert t.shape == (mask.sum(), cfg.hidden)
+        full = padded(t.data, mask)
+        assert (full[~mask] == 0.0).all()
+        assert (full[mask] != 0.0).any(axis=-1).all()
+        np.testing.assert_array_equal(t.data, runs[1][l].data)
+
+
 def test_dropout_keeps_the_padded_draw_at_real_rows():
     mask = mixed_masks(toy_config(), seed=8)[1]
     rows = np.flatnonzero(mask)
