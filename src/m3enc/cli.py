@@ -10,12 +10,20 @@ validation failure, 1 runtime abort.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
 from pathlib import Path
 
 LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -26,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="run config JSON")
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
         sp.add_argument("--output", default=None, help="override config output dir")
-        sp.add_argument("--threads", type=int, default=None,
+        sp.add_argument("--threads", type=_positive_int, default=None,
                         help="BLAS thread count (1 = deterministic verification mode)")
         if resume:
             sp.add_argument("--resume", default=None, metavar="CKPT",
@@ -46,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--dim", type=int, required=True)
     ev.add_argument("--k", default="1,10,100", help="comma-separated cutoffs")
     ev.add_argument("--output", default="eval-out")
-    ev.add_argument("--threads", type=int, default=None)
+    ev.add_argument("--threads", type=_positive_int, default=None)
 
     sw = sub.add_parser("sweep", help="dimension/layer trade-off sweep")
     sw.add_argument("ckpt")
@@ -57,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--dim", type=int, default=None, help="fixed dim for a layer sweep")
     sw.add_argument("--k", default="10")
     sw.add_argument("--output", default="sweep-out")
-    sw.add_argument("--threads", type=int, default=None)
+    sw.add_argument("--threads", type=_positive_int, default=None)
 
     ab = sub.add_parser("ablate", help="architecture ablation harness")
     common(ab, resume=False, steps=True)
@@ -66,11 +74,12 @@ def _build_parser() -> argparse.ArgumentParser:
     gd.add_argument("--kind", choices=("mono", "multi", "pairs"), required=True)
     gd.add_argument("--out", required=True)
     gd.add_argument("--seed", type=int, default=0)
-    gd.add_argument("--n", type=int, default=2000, help="documents or pairs to generate")
+    gd.add_argument("--n", type=_positive_int, default=2000,
+                    help="documents or pairs to generate")
     return p
 
 
-def _setup_runtime(args) -> None:
+def _setup_runtime(args, parser: argparse.ArgumentParser) -> None:
     if getattr(args, "threads", None) is not None:
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
@@ -79,7 +88,7 @@ def _setup_runtime(args) -> None:
                 "numpy already imported; --threads applies to new pools only")
     level = os.environ.get("M3_LOG", "error").lower()
     if level not in LOG_LEVELS:
-        raise SystemExit(f"M3_LOG must be one of {sorted(LOG_LEVELS)}, got {level!r}")
+        parser.error(f"M3_LOG must be one of {sorted(LOG_LEVELS)}, got {level!r}")
     logging.basicConfig(level=LOG_LEVELS[level],
                         format="%(asctime)s %(name)s %(levelname)s %(message)s")
 
@@ -90,8 +99,8 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         values = [int(v) for v in text.split(",") if v.strip()]
     except ValueError as e:
         raise ConfigError(f"{flag} must be a comma-separated integer list, got {text!r}") from e
-    if not values:
-        raise ConfigError(f"{flag} must not be empty")
+    if not values or min(values) < 1:
+        raise ConfigError(f"{flag} must be a non-empty list of positive integers, got {text!r}")
     return values
 
 
@@ -135,8 +144,6 @@ def _vocab_text_source(run, specs):
 def _check_resume(run, state, resume) -> None:
     """Refuse a checkpoint whose model or precision disagrees with the config
     the stages were validated against."""
-    import dataclasses
-
     from .errors import ConfigError
 
     ckpt, cfg = state.config, run.model
@@ -155,28 +162,61 @@ def _check_resume(run, state, resume) -> None:
                           + "\n  ".join(problems))
 
 
-def _initial_state(run, specs, resume):
-    import dataclasses
-
+def _fresh_state(run, model, vocab):
+    """A new TrainState of ``model`` over ``vocab``, initialized from the run's
+    seed at its precision."""
     import numpy as np
 
-    from . import data as D
     from . import encoder as enc
     from . import trainer as tr
-    from .errors import ConfigError
+
+    model = dataclasses.replace(model, vocab=vocab.size)
+    params = enc.init_parameters(model, seed=run.seed, dtype=np.dtype(run.precision))
+    return tr.TrainState(config=model, params=params, opt=None, step=0, stage="",
+                         base_seed=run.seed, vocab=vocab)
+
+
+def _initial_state(run, specs, resume):
+    from . import data as D
+    from . import trainer as tr
 
     if resume is not None:
         state = tr.load_checkpoint(resume)
         _check_resume(run, state, resume)
         state.base_seed = run.seed
         return state
-    texts = _vocab_text_source(run, specs)
-    vocab = D.build_vocab(texts, max_size=run.model.vocab)
-    model = dataclasses.replace(run.model, vocab=vocab.size)
-    dtype = np.float32 if run.precision == "float32" else np.float64
-    params = enc.init_parameters(model, seed=run.seed, dtype=dtype)
-    return tr.TrainState(config=model, params=params, opt=None, step=0, stage="",
-                         base_seed=run.seed, vocab=vocab)
+    vocab = D.build_vocab(_vocab_text_source(run, specs), max_size=run.model.vocab)
+    return _fresh_state(run, run.model, vocab)
+
+
+def _load_run(args, specs_of):
+    """The run config of ``--config`` with ``--seed`` and ``--output`` applied,
+    and the stage specs ``specs_of(run)`` selects, with ``--steps`` applied.
+    A stage is rebuilt with the new step count, so the count is validated."""
+    from .config import load_run_config
+
+    run = load_run_config(args.config)
+    if args.seed is not None:
+        run.seed = args.seed
+    if args.output is not None:
+        run.output_dir = Path(args.output)
+    specs = specs_of(run)
+    if args.steps is not None:
+        for spec in specs:
+            spec.stage = dataclasses.replace(spec.stage, steps=args.steps)
+    return run, specs
+
+
+def _load_eval_target(args):
+    """The checkpoint, ``--k`` cutoffs and evaluation pairs of ``eval`` or ``sweep``."""
+    from . import trainer as tr
+    from .errors import ConfigError
+
+    ks = _parse_int_list(args.k, "--k")
+    state = tr.load_checkpoint(args.ckpt)
+    if state.vocab is None:
+        raise ConfigError(f"checkpoint {args.ckpt} carries no vocabulary")
+    return state, ks, _load_eval_pairs(args.data)
 
 
 def _load_eval_pairs(path):
@@ -195,20 +235,11 @@ def _load_eval_pairs(path):
 
 def _run_training(args, kinds: tuple[str, ...]) -> int:
     from . import trainer as tr
-    from .config import load_run_config
     from .errors import ConfigError
 
-    run = load_run_config(args.config)
-    if args.seed is not None:
-        run.seed = args.seed
-    if args.output is not None:
-        run.output_dir = Path(args.output)
-    specs = [s for s in run.stages if s.stage.stage in kinds]
+    run, specs = _load_run(args, lambda run: [s for s in run.stages if s.stage.stage in kinds])
     if not specs:
         raise ConfigError(f"config has no stage of kind {kinds}")
-    if args.steps is not None:
-        for spec in specs:
-            spec.stage.steps = args.steps
     state = _initial_state(run, specs, args.resume)
     run.output_dir.mkdir(parents=True, exist_ok=True)
     sink = tr.JsonlSink(run.output_dir / "metrics.jsonl")
@@ -233,7 +264,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_sft(args) -> int:
-    return _run_training(args, ("sft", "sft_mrl"))
+    return _run_training(args, ("sft_mrl",))
 
 
 def cmd_distill(args) -> int:
@@ -242,18 +273,13 @@ def cmd_distill(args) -> int:
 
 def cmd_eval(args) -> int:
     from . import evalkit as ek
-    from . import trainer as tr
     from .errors import ConfigError
 
-    state = tr.load_checkpoint(args.ckpt)
-    if state.vocab is None:
-        raise ConfigError(f"checkpoint {args.ckpt} carries no vocabulary")
+    state, ks, (queries, docs, truth, doc_ids) = _load_eval_target(args)
     if not (1 <= args.dim <= state.config.hidden):
         raise ConfigError(f"--dim {args.dim} outside [1, {state.config.hidden}]")
     if not (1 <= args.layer <= state.config.n_layers):
         raise ConfigError(f"--layer {args.layer} outside [1, {state.config.n_layers}]")
-    ks = _parse_int_list(args.k, "--k")
-    queries, docs, truth, doc_ids = _load_eval_pairs(args.data)
     report = ek.evaluate(state.params, state.config, state.vocab, queries, docs, truth,
                          layer=args.layer, dim=args.dim, ks=ks, doc_ids=doc_ids)
     out = Path(args.output)
@@ -267,15 +293,9 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     from . import evalkit as ek
-    from . import trainer as tr
-    from .errors import ConfigError
 
-    state = tr.load_checkpoint(args.ckpt)
-    if state.vocab is None:
-        raise ConfigError(f"checkpoint {args.ckpt} carries no vocabulary")
     values = _parse_int_list(args.values, "--values")
-    ks = _parse_int_list(args.k, "--k")
-    queries, docs, truth, doc_ids = _load_eval_pairs(args.data)
+    state, ks, (queries, docs, truth, doc_ids) = _load_eval_target(args)
     curves = ek.tradeoff_sweep(state.params, state.config, state.vocab, queries, docs,
                                truth, axis=args.axis, values=values, ks=ks,
                                layer=args.layer, dim=args.dim)
@@ -287,73 +307,38 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _arm_config(model, arm: str):
-    import dataclasses
-    if arm == "base":
-        return model
-    if arm == "-SwiGLU":
-        return dataclasses.replace(model, activation="gelu", ffn_mult=4.0)
-    if arm == "-Pre-norm":
-        return dataclasses.replace(model, norm_placement="post")
-    if arm == "-RMSNorm":
-        return dataclasses.replace(model, norm="layernorm")
-    if arm == "+Dropout":
-        return dataclasses.replace(model, hidden_dropout=0.1)
-    if arm == "+Bias":
-        return dataclasses.replace(model, use_bias=True)
-    raise ValueError(arm)
-
-
 def cmd_ablate(args) -> int:
-    import dataclasses
-
-    import numpy as np
-
     from . import data as D
-    from . import encoder as enc
     from . import evalkit as ek
     from . import trainer as tr
-    from .config import ABLATION_ARMS, load_run_config
+    from .config import ABLATION_ARMS
     from .errors import ConfigError
 
-    run = load_run_config(args.config)
-    if args.seed is not None:
-        run.seed = args.seed
-    if args.output is not None:
-        run.output_dir = Path(args.output)
-    if run.ablate is None:
+    run, specs = _load_run(args, lambda run: [] if run.ablate is None else [run.ablate.train])
+    if not specs:
         raise ConfigError("config has no 'ablate' block")
+    train, ev = specs[0], run.ablate.eval
     base = run.model
     if (base.activation, base.norm, base.norm_placement, base.use_bias,
             base.hidden_dropout) != ("swiglu", "rmsnorm", "pre", False, 0.0):
         raise ConfigError("ablation requires the modernized base config: swiglu, "
                           "rmsnorm, pre-norm, no bias, no dropout")
-    if args.steps is not None:
-        run.ablate.train.stage.steps = args.steps
 
-    texts = _vocab_text_source(run, [run.ablate.train])
-    vocab = D.build_vocab(texts, max_size=base.vocab)
+    vocab = D.build_vocab(_vocab_text_source(run, specs), max_size=base.vocab)
     run.output_dir.mkdir(parents=True, exist_ok=True)
     sink = tr.JsonlSink(run.output_dir / "metrics.jsonl")
-    queries, docs, truth, doc_ids = _load_eval_pairs(run.ablate.eval.path)
-    dtype = np.float32 if run.precision == "float32" else np.float64
+    queries, docs, truth, doc_ids = _load_eval_pairs(ev.path)
 
     rows = []
     try:
-        for arm in ABLATION_ARMS:
-            model = dataclasses.replace(_arm_config(base, arm), vocab=vocab.size)
-            params = enc.init_parameters(model, seed=run.seed, dtype=dtype)
-            state = tr.TrainState(config=model, params=params, opt=None, step=0,
-                                  stage="", base_seed=run.seed, vocab=vocab)
-            stage = dataclasses.replace(run.ablate.train.stage)
-            source = _build_source(run.ablate.train, vocab)
-            tr.run_stage(stage, state, source, sink)
-            ev = run.ablate.eval
-            report = ek.evaluate(state.params, model, vocab, queries, docs, truth,
+        for arm, overrides in ABLATION_ARMS.items():
+            state = _fresh_state(run, dataclasses.replace(base, **overrides), vocab)
+            tr.run_stage(train.stage, state, _build_source(train, vocab), sink)
+            report = ek.evaluate(state.params, state.config, vocab, queries, docs, truth,
                                  layer=ev.layer, dim=ev.dim, ks=list(ev.ks),
                                  doc_ids=doc_ids, query_len=ev.query_len,
                                  doc_len=ev.doc_len)
-            row = {"arm": arm, "param_count": params.count()}
+            row = {"arm": arm, "param_count": state.params.count()}
             row.update({f"recall@{k}": report.recalls[k] for k in sorted(report.recalls)})
             rows.append(row)
             tr.save_checkpoint(state, run.output_dir / f"ablate-{arm}.m3ck")
@@ -363,7 +348,7 @@ def cmd_ablate(args) -> int:
     finally:
         sink.close()
 
-    header = ["arm", "param_count"] + [f"recall@{k}" for k in sorted(run.ablate.eval.ks)]
+    header = ["arm", "param_count"] + [f"recall@{k}" for k in sorted(ev.ks)]
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(str(row[h]) for h in header))
@@ -401,8 +386,9 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    _setup_runtime(args)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    _setup_runtime(args, parser)
     from .errors import ConfigError, M3Error
     try:
         return _HANDLERS[args.command](args)

@@ -20,7 +20,15 @@ from .trainer import StageConfig
 
 PRECISIONS = ("float32", "float64")
 
-ABLATION_ARMS = ("base", "-SwiGLU", "-Pre-norm", "-RMSNorm", "+Dropout", "+Bias")
+# each arm reverts one modernization of the base model: its ModelConfig overrides
+ABLATION_ARMS = {
+    "base": {},
+    "-SwiGLU": {"activation": "gelu", "ffn_mult": 4.0},
+    "-Pre-norm": {"norm_placement": "post"},
+    "-RMSNorm": {"norm": "layernorm"},
+    "+Dropout": {"hidden_dropout": 0.1},
+    "+Bias": {"use_bias": True},
+}
 
 
 class _Checker:
@@ -149,15 +157,14 @@ _COMMON_KEYS = {"warmup_steps": int, "min_lr": float, "checkpoint_every": int,
 _MLM_KEYS = {**_COMMON_KEYS, "seq_len": int, "mask_rate": float, "mask_policy": str,
              "granularity": dict}
 _PAIR_KEYS = {**_COMMON_KEYS, "query_len": int, "doc_len": int, "tau": float, "tile": int}
-_SFT_KEYS = {**_PAIR_KEYS, "sft_layer": int, "sft_dims": list}
 _STAGE_KEYS = {"pretrain_mlm": _MLM_KEYS, "distill": {**_MLM_KEYS, "distill": dict},
                "pretrain_contrastive": {**_PAIR_KEYS, "granularity": dict},
-               "sft": _SFT_KEYS, "sft_mrl": _SFT_KEYS}
+               "sft_mrl": {**_PAIR_KEYS, "sft_layer": int, "sft_dims": list}}
 _MULTI_KEYS = {"smoothing": float}  # read by mlm-style stages on multi data only
 _STAGE_OPTIONAL = {key: kind for table in (*_STAGE_KEYS.values(), _MULTI_KEYS)
                    for key, kind in table.items()}
 _STAGE_DATA = {"pretrain_mlm": ("mono", "multi"), "distill": ("mono", "multi"),
-               "pretrain_contrastive": ("pairs",), "sft": ("pairs",), "sft_mrl": ("pairs",)}
+               "pretrain_contrastive": ("pairs",), "sft_mrl": ("pairs",)}
 
 # StageConfig fields taken from the stage's keys as they are; granularity,
 # sft_dims and the distill block are parsed first
@@ -206,7 +213,8 @@ def _parse_stage(c: _Checker, raw: dict, path: str, model: ModelConfig,
         return None
     kind = raw["stage"]
     if kind not in _STAGE_KEYS:
-        c.fail(f"{path}.stage", f"unknown stage kind {kind!r}")
+        c.fail(f"{path}.stage", f"unknown stage kind {kind!r}, expected one of "
+                                f"{tuple(_STAGE_KEYS)}")
         return None
     data_raw = raw["data"]
     if not c.keys(data_raw, f"{path}.data", {"kind": str, "path": str}, {}):
@@ -363,9 +371,8 @@ def load_run_config(path) -> RunConfig:
             train = _parse_stage(c, a["train"], "config.ablate.train", model, base_dir)
             ev = _parse_eval(c, a["eval"], "config.ablate.eval", model, base_dir)
             if train is not None and ev is not None:
-                if train.stage.stage not in ("sft", "sft_mrl"):
-                    c.fail("config.ablate.train.stage",
-                           "ablation arms train with an sft-style stage")
+                if train.stage.stage != "sft_mrl":
+                    c.fail("config.ablate.train.stage", "ablation arms train with an sft_mrl stage")
                 ablate = AblateSpec(train=train, eval=ev)
 
     c.raise_if_failed(str(path))

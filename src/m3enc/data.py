@@ -237,7 +237,10 @@ class PairStore:
 
 
 def _decode_lines(path) -> list[str]:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as e:
+        raise CorpusError(f"{path}: cannot read corpus: {e.strerror}") from e
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as e:

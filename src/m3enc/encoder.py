@@ -415,24 +415,6 @@ def cell_embedding(pooled: Tensor, d: int) -> Tensor:
     return T.l2_normalize_rows(T.slice_last(pooled, 0, d))
 
 
-def config_to_dict(config: ModelConfig) -> dict:
-    return {
-        "n_layers": config.n_layers,
-        "hidden": config.hidden,
-        "n_heads": config.n_heads,
-        "vocab": config.vocab,
-        "max_seq": config.max_seq,
-        "ffn_mult": config.ffn_mult,
-        "activation": config.activation,
-        "norm": config.norm,
-        "norm_placement": config.norm_placement,
-        "use_bias": config.use_bias,
-        "hidden_dropout": config.hidden_dropout,
-        "granularity": {"layers": list(config.granularity.layers),
-                        "dims": list(config.granularity.dims)},
-    }
-
-
 def config_from_dict(d: dict) -> ModelConfig:
     d = dict(d)
     gran = d.pop("granularity")

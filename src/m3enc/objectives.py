@@ -13,8 +13,8 @@ over truncated inputs.
   from a teacher (layer, dim) cell's token distribution to student cells;
   both read the head products the MLM cells already computed, scaled by
   1/tau_d. Teacher log-probabilities are plain arrays computed once per
-  teacher cell under ``no_grad``, and each pair's KL is one ``kl_rows`` node
-  on the scaled student product
+  teacher cell from the product's data, and each pair's KL is one
+  ``kl_rows`` node on the scaled student product
 """
 
 from __future__ import annotations
@@ -117,22 +117,23 @@ def _head_products(params: Parameters, config: ModelConfig, batch: MlmBatch,
     at the masked positions go through the shared head. The product of cell
     (l, d) is h[:, :d] @ W[:d, :], built for increasing d as a running sum of
     segment products h[:, d_j:d_{j+1}] @ W[d_j:d_{j+1}, :], so a layer's whole
-    row of cells costs one max(d)-wide projection.
+    row of cells costs one max(d)-wide projection. Each weight segment
+    W[d_j:d_{j+1}, :] is cut once and shared by every layer.
     """
     if not batch.mask_positions.any(axis=-1).all():
         raise ContractError("every sequence needs at least one masked position")
     masked = np.flatnonzero(batch.mask_positions[batch.attn_mask])
     states = enc.forward(params, config, batch.tokens, batch.attn_mask, taps=gran.layers, **fwd)
+    bounds = list(zip((0,) + gran.dims[:-1], gran.dims))
+    segments = [T.slice_rows(params.mlm_head_w, start, stop) for start, stop in bounds]
     products: dict[tuple[int, int], Tensor] = {}
     for l in gran.layers:
         h = T.pack_rows(states[l], masked)
         acc: Tensor | None = None
-        prev = 0
-        for d in gran.dims:
-            seg = T.matmul(T.slice_last(h, prev, d), T.slice_rows(params.mlm_head_w, prev, d))
+        for (start, stop), w in zip(bounds, segments):
+            seg = T.matmul(T.slice_last(h, start, stop), w)
             acc = seg if acc is None else T.add(acc, seg)
-            products[(l, d)] = acc
-            prev = d
+            products[(l, stop)] = acc
     return products
 
 
@@ -183,7 +184,6 @@ def tiled_contrastive_loss(
     d_emb: Tensor,
     tau: float,
     tile: int | None,
-    shape_probe: list | None = None,
 ) -> Tensor:
     """In-batch-negative contrastive loss; row i's positive is document i.
 
@@ -194,9 +194,6 @@ def tiled_contrastive_loss(
     accumulators, and the backward pass recomputes each tile, so no B x B
     array exists when tile < B; auxiliary storage is O(B * tile + tile^2).
     ``tile=None`` is one tile of the whole batch.
-
-    ``shape_probe``, when given a list, records the shape of every
-    temporary array the computation allocates (a testing hook).
     """
     if tau <= 0:
         raise ConfigError("temperature must be positive")
@@ -210,22 +207,17 @@ def tiled_contrastive_loss(
     t = b if tile is None else tile
     inv_tau = 1.0 / tau
 
-    def probe(arr: np.ndarray) -> np.ndarray:
-        if shape_probe is not None:
-            shape_probe.append(arr.shape)
-        return arr
-
-    diag = probe((q * d).sum(axis=1) * inv_tau)
-    run_max = probe(np.full(b, -np.inf, dtype=q.dtype))
-    run_sum = probe(np.zeros(b, dtype=q.dtype))
+    diag = (q * d).sum(axis=1) * inv_tau
+    run_max = np.full(b, -np.inf, dtype=q.dtype)
+    run_sum = np.zeros(b, dtype=q.dtype)
     for j0 in range(0, b, t):
         block = d[j0:j0 + t]
-        scores = probe((q @ block.T) * inv_tau)
-        new_max = probe(np.maximum(run_max, scores.max(axis=1)))
+        scores = (q @ block.T) * inv_tau
+        new_max = np.maximum(run_max, scores.max(axis=1))
         run_sum = run_sum * np.exp(run_max - new_max) + np.exp(
             scores - new_max[:, None]).sum(axis=1)
         run_max = new_max
-    lse = probe(run_max + np.log(run_sum))
+    lse = run_max + np.log(run_sum)
     loss = float((lse - diag).mean())
 
     def bwd(g):
@@ -234,8 +226,8 @@ def tiled_contrastive_loss(
         gd = np.zeros_like(d)
         for j0 in range(0, b, t):
             block = d[j0:j0 + t]
-            scores = probe((q @ block.T) * inv_tau)
-            soft = probe(np.exp(scores - lse[:, None]))
+            scores = (q @ block.T) * inv_tau
+            soft = np.exp(scores - lse[:, None])
             rows = np.arange(j0, min(j0 + t, b))
             soft[rows, rows - j0] -= 1.0
             gq += (soft @ block) * coef
@@ -358,13 +350,18 @@ def distill_loss(
         return LossReport(per_pair=per_pair, total=float(total), aux=0.0, node=total)
 
     inv_tau = 1.0 / plan.tau_d
-    with T.no_grad():
-        teacher_products = (products if teacher_params is None
-                            else _head_products(teacher_params, config, batch, gran))
-        neg_log_teacher = {}
-        for cell in dict.fromkeys(tuple(t) for t, _ in plan.pairs):
-            log_p = T.log_softmax_rows(T.scale(teacher_products[cell], inv_tau))
-            neg_log_teacher[cell] = -np.maximum(log_p.data, math.log(KL_FLOOR))
+    if teacher_params is None:
+        teacher_products = products
+    else:
+        with T.no_grad():
+            teacher_products = _head_products(teacher_params, config, batch, gran)
+    neg_log_teacher = {}
+    for cell in dict.fromkeys(tuple(t) for t, _ in plan.pairs):
+        product = teacher_products[cell].data
+        x = product * product.dtype.type(inv_tau)
+        m = x.max(axis=-1, keepdims=True)
+        log_p = x - (m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True)))
+        neg_log_teacher[cell] = -np.maximum(log_p, math.log(KL_FLOOR))
 
     aux: Tensor | None = None
     for teacher, student in plan.pairs:

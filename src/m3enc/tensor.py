@@ -326,22 +326,6 @@ def pack_rows(a: Tensor, rows: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def log_softmax_rows(x: Tensor) -> Tensor:
-    """Log-probabilities via log-sum-exp (never log(softmax))."""
-    x = as_tensor(x)
-    if x.shape[-1] < 1:
-        raise ShapeError("log_softmax_rows requires a non-empty last extent")
-    m = x.data.max(axis=-1, keepdims=True)
-    lse = m + np.log(np.exp(x.data - m).sum(axis=-1, keepdims=True))
-    out = x.data - lse
-
-    def bwd(g):
-        soft = np.exp(out)
-        return (g - soft * g.sum(axis=-1, keepdims=True),)
-
-    return _from_op(out, "log_softmax_rows", (x,), bwd)
-
-
 def rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
     """y_i = weight_i * x_i / sqrt(mean(x^2) + eps), over the last dimension."""
     x, weight = as_tensor(x), as_tensor(weight)

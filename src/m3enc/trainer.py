@@ -2,9 +2,10 @@
 
 Stages run sequentially over one shared parameter set: MLM pretraining,
 multilingual MLM, tiled contrastive pretraining, contrastive fine-tuning
-(single-dim or multi-dim), and the distillation continuation. Every batch,
-mask, and dropout draw is addressed as a pure function of (seed, stage,
-step), so a resumed run replays the exact stream of an unbroken one.
+over one or more dims (``sft_mrl``), and the distillation continuation.
+Every batch, mask, and dropout draw is addressed as a pure function of
+(seed, stage, step), so a resumed run replays the exact stream of an
+unbroken one.
 
 Checkpoint file layout: magic ``M3CK``, little-endian u32 format version,
 one line of UTF-8 JSON manifest (model config, vocabulary, tensor table
@@ -21,7 +22,7 @@ import os
 import struct
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,8 @@ from .tensor import zero_grads
 CHECKPOINT_MAGIC = b"M3CK"
 CHECKPOINT_VERSION = 2  # 1 held separate q/k/v and gate/up projection tensors
 
-STAGE_KINDS = ("pretrain_mlm", "pretrain_contrastive", "sft", "sft_mrl", "distill")
+# sft_mrl with one dim is single-dim contrastive fine-tuning
+STAGE_KINDS = ("pretrain_mlm", "pretrain_contrastive", "sft_mrl", "distill")
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +179,11 @@ class StageConfig:
             raise ConfigError(f"stage must be one of {STAGE_KINDS}, got {self.stage!r}")
         if self.steps < 0 or self.batch_size < 1:
             raise ConfigError("steps must be >= 0 and batch_size >= 1")
-        if self.stage in ("sft", "sft_mrl"):
+        if self.stage == "sft_mrl":
             if self.sft_layer is None or not self.sft_dims:
-                raise ConfigError(f"stage {self.stage} requires sft_layer and sft_dims")
-            if self.stage == "sft" and len(self.sft_dims) != 1:
-                raise ConfigError("stage sft takes exactly one dim; use sft_mrl for several")
+                raise ConfigError("stage sft_mrl requires sft_layer and sft_dims")
         elif self.sft_layer is not None or self.sft_dims is not None:
-            raise ConfigError(f"sft_layer/sft_dims are only valid for sft stages")
+            raise ConfigError("sft_layer/sft_dims are only valid for sft_mrl stages")
         if self.stage == "distill":
             if self.distill_plan is None:
                 raise ConfigError("stage distill requires a distillation plan")
@@ -269,7 +269,7 @@ def _serialize(state: TrainState) -> list[bytes]:
 
     manifest = {
         "format_version": CHECKPOINT_VERSION,
-        "model": enc.config_to_dict(state.config),
+        "model": asdict(state.config),
         "vocab": list(state.vocab.id_to_token) if state.vocab is not None else None,
         "step": state.step,
         "stage": state.stage,
@@ -340,7 +340,10 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 def load_checkpoint(path) -> TrainState:
     """Read and verify an M3CK container (magic, version, length, checksums)."""
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as e:
+        raise CheckpointError(f"{path}: cannot read checkpoint: {e.strerror}") from e
     if len(raw) < 9 or raw[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     version = struct.unpack("<I", raw[4:8])[0]
@@ -472,7 +475,7 @@ def _stage_loss(stage: StageConfig, state: TrainState, batch, dropout_rng) -> Lo
         return obj.matryoshka_contrastive_loss(params, cfg, batch, tau=stage.tau,
                                                tile=stage.tile,
                                                granularity=stage.granularity, **kwargs)
-    if stage.stage in ("sft", "sft_mrl"):
+    if stage.stage == "sft_mrl":
         return obj.mrl_sft_loss(params, cfg, batch, dims=tuple(stage.sft_dims),
                                 layer=stage.sft_layer, tau=stage.tau, tile=stage.tile, **kwargs)
     if stage.stage == "distill":

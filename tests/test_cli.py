@@ -81,7 +81,7 @@ def test_unknown_key_exits_2(workdir, capsys):
 def test_invalid_granularity_reference_exits_2(workdir, capsys):
     cfg = base_config()
     cfg["stages"].append({
-        "name": "sftx", "stage": "sft", "data": {"kind": "pairs", "path": "pairs.tsv"},
+        "name": "sftx", "stage": "sft_mrl", "data": {"kind": "pairs", "path": "pairs.tsv"},
         "steps": 1, "batch_size": 2, "lr": 1e-3, "sft_layer": 3, "sft_dims": [4]})
     path = write_config(workdir, cfg, "bad2.json")
     assert cli.main(["sft", "--config", str(path)]) == 2
@@ -150,7 +150,6 @@ UNREAD = ([("pretrain_mlm", k) for k in ("tau", "tile", "query_len", "doc_len", 
           + [("distill", k) for k in ("tau", "query_len", "smoothing")]
           + [("pretrain_contrastive", k) for k in ("seq_len", "mask_rate", "mask_policy",
                                                    "smoothing", "sft_layer", "distill")]
-          + [("sft", k) for k in ("granularity", "seq_len")]
           + [("sft_mrl", k) for k in ("granularity", "mask_rate", "mask_policy", "seq_len",
                                       "smoothing", "distill")])
 
@@ -159,7 +158,6 @@ UNREAD = ([("pretrain_mlm", k) for k in ("tau", "tile", "query_len", "doc_len", 
 def test_stage_key_its_kind_never_reads_exits_2(workdir, capsys, kind, key):
     stage = {"pretrain_mlm": lambda: base_config()["stages"][0], "distill": distill_stage,
              "pretrain_contrastive": lambda: base_config()["stages"][2],
-             "sft": lambda: ablate_config("x")["ablate"]["train"],
              "sft_mrl": lambda: sft_config("x")["stages"][0]}[kind]()
     stage[key] = KEY_VALUES[key]
     cfg = base_config(outdir=f"unread-{kind}-{key}", stages=[stage])
@@ -373,7 +371,7 @@ def ablate_config(outdir):
     cfg = base_config(outdir=outdir)
     cfg["stages"] = []
     cfg["ablate"] = {
-        "train": {"name": "ab-train", "stage": "sft",
+        "train": {"name": "ab-train", "stage": "sft_mrl",
                   "data": {"kind": "pairs", "path": "pairs.tsv"},
                   "steps": 2, "batch_size": 4, "lr": 1e-3, "tau": 0.05,
                   "sft_layer": 2, "sft_dims": [16], "query_len": 8, "doc_len": 10},
@@ -440,7 +438,7 @@ def test_ablate_eval_lengths_reach_encode_corpus(workdir, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ek, "encode_corpus", spy)
-    monkeypatch.setattr(config, "ABLATION_ARMS", ("base",))
+    monkeypatch.setattr(config, "ABLATION_ARMS", {"base": {}})
     path = write_config(workdir, ablate_config("ab-len"), "ablate-len.json")
     assert cli.main(["ablate", "--config", str(path)]) == 0
     queries, docs, _, _ = cli._load_eval_pairs(workdir / "eval.tsv")
@@ -495,6 +493,75 @@ def test_resume_mismatched_checkpoint_exits_2(workdir, pretrained, capsys, edit,
     assert not (workdir / "resume-bad").exists()
 
 
+def exit_code(argv):
+    """``cli.main``'s return value, or the code of the SystemExit it raised."""
+    try:
+        return cli.main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+@pytest.mark.parametrize("command", ["pretrain", "ablate"])
+def test_negative_steps_override_exits_2(workdir, capsys, command):
+    outdir = f"neg-steps-{command}"
+    cfg = base_config(outdir=outdir) if command == "pretrain" else ablate_config(outdir)
+    path = write_config(workdir, cfg, "neg-steps.json")
+    assert cli.main([command, "--config", str(path), "--steps", "-2"]) == 2
+    assert "steps must be >= 0" in capsys.readouterr().err
+    assert not (workdir / outdir).exists()
+
+
+def eval_argv(command, ckpt, data, *flags):
+    """An ``eval``/``sweep`` command line that writes under the test's tmp dir."""
+    return [command, str(ckpt), str(data), *flags, "--output", str(data.parent / "cli-out")]
+
+
+MISSING_FILE = {
+    "eval-checkpoint": lambda w, ckpt: eval_argv("eval", w / "nope.m3ck", w / "eval.tsv",
+                                                 "--layer", "2", "--dim", "16"),
+    "sweep-checkpoint": lambda w, ckpt: eval_argv("sweep", w / "nope.m3ck", w / "eval.tsv",
+                                                  "--axis", "dim", "--values", "4",
+                                                  "--layer", "2"),
+    "resume-checkpoint": lambda w, ckpt: [
+        "sft", "--config", str(write_config(w, sft_config("cli-out"), "missing.json")),
+        "--resume", str(w / "nope.m3ck")],
+    "eval-pairs": lambda w, ckpt: eval_argv("eval", ckpt, w / "nope.tsv",
+                                            "--layer", "2", "--dim", "16"),
+}
+
+
+@pytest.mark.parametrize("case", list(MISSING_FILE))
+def test_missing_input_file_exits_1(workdir, pretrained, capsys, case):
+    assert cli.main(MISSING_FILE[case](workdir, pretrained)) == 1
+    err = capsys.readouterr().err
+    assert "nope." in err and "cannot read" in err
+    assert not (workdir / "cli-out").exists()
+
+
+OUT_OF_RANGE = {
+    "eval-k-negative": lambda w, ckpt: eval_argv("eval", ckpt, w / "eval.tsv", "--layer", "2",
+                                                 "--dim", "16", "--k=-1,5"),
+    "sweep-k-zero": lambda w, ckpt: eval_argv("sweep", ckpt, w / "eval.tsv", "--axis", "dim",
+                                              "--values", "4", "--layer", "2", "--k", "0,5"),
+    "sweep-values-zero": lambda w, ckpt: eval_argv("sweep", ckpt, w / "eval.tsv", "--axis",
+                                                   "layer", "--values", "0,2", "--dim", "16"),
+    "eval-threads-negative": lambda w, ckpt: eval_argv("eval", ckpt, w / "eval.tsv", "--layer",
+                                                       "2", "--dim", "16", "--threads=-1"),
+    "pretrain-threads-zero": lambda w, ckpt: ["pretrain", "--config", "unused.json",
+                                              "--threads", "0"],
+    "gen-data-n-negative": lambda w, ckpt: ["gen-data", "--kind", "mono",
+                                            "--out", str(w / "cli-out" / "m.txt"), "--n", "-3"],
+}
+
+
+@pytest.mark.parametrize("case", list(OUT_OF_RANGE))
+def test_out_of_range_cli_value_exits_2(workdir, pretrained, case):
+    # each value is refused before any work starts: no thread count is set
+    # and nothing is written
+    assert exit_code(OUT_OF_RANGE[case](workdir, pretrained)) == 2
+    assert not (workdir / "cli-out").exists()
+
+
 # ---------------------------------------------------------------------------
 # misc
 # ---------------------------------------------------------------------------
@@ -518,3 +585,10 @@ def test_invalid_m3_log_rejected(workdir, monkeypatch):
     monkeypatch.setenv("M3_LOG", "info")
     assert cli.main(["gen-data", "--kind", "mono", "--out", str(workdir / "zz.txt"),
                      "--n", "5"]) == 0
+
+
+def test_invalid_m3_log_exits_2(workdir, monkeypatch, capsys):
+    monkeypatch.setenv("M3_LOG", "bogus")
+    assert exit_code(["gen-data", "--kind", "mono", "--out", str(workdir / "log.txt")]) == 2
+    assert "M3_LOG" in capsys.readouterr().err
+    assert not (workdir / "log.txt").exists()

@@ -51,7 +51,7 @@ def full_config():
              "sft_dims": [4, 8], "query_len": 6, "doc_len": 10},
         ],
         "ablate": {
-            "train": {"name": "ab", "stage": "sft", "data": pairs, "steps": 1,
+            "train": {"name": "ab", "stage": "sft_mrl", "data": pairs, "steps": 1,
                       "batch_size": 2, "lr": 1e-3, "sft_layer": 2, "sft_dims": [8],
                       "query_len": 6, "doc_len": 10},
             "eval": {"name": "ab-eval", "data": "pairs.tsv", "layer": 2, "dim": 8,
@@ -72,6 +72,16 @@ def test_full_config_loads(root):
         "pretrain_mlm", "distill", "pretrain_contrastive", "sft_mrl"]
     assert run.stages[1].stage.distill_plan.pairs == (((2, 8), (1, 4)),)
     assert run.ablate.eval.ks == (1, 5)
+
+
+def test_unknown_stage_kind_lists_the_valid_kinds(root):
+    # one-dim fine-tuning is an sft_mrl stage with one dim; there is no sft kind
+    cfg = full_config()
+    cfg["ablate"]["train"]["stage"] = "sft"
+    with pytest.raises(ConfigError, match=r"unknown stage kind 'sft', expected one of "
+                                          r"\('pretrain_mlm', 'distill', "
+                                          r"'pretrain_contrastive', 'sft_mrl'\)"):
+        load(root, cfg)
 
 
 def test_config_root_must_be_an_object(root):

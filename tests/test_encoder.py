@@ -1,12 +1,12 @@
 """Encoder tests: taps, early exit, pooling and cell embeddings, counts."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
 from m3enc import encoder as enc
-from m3enc.cli import _arm_config
 from m3enc.config import ABLATION_ARMS
 from m3enc import tensor as T
 from m3enc.errors import ConfigError, ContractError, ShapeError
@@ -265,8 +265,8 @@ def mixed_masks(config, seed):
 
 @pytest.mark.parametrize("arm", ABLATION_ARMS)
 def test_packed_forward_matches_padded_oracle(arm):
-    cfg = _arm_config(toy_config(n_layers=3, granularity=enc.GranularitySet(
-        layers=(1, 3), dims=(8, 32))), arm)
+    cfg = dataclasses.replace(toy_config(n_layers=3, granularity=enc.GranularitySet(
+        layers=(1, 3), dims=(8, 32))), **ABLATION_ARMS[arm])
     params = enc.init_parameters(cfg, seed=6, dtype=np.float64)
     tokens, mask = mixed_masks(cfg, seed=6)
     weights = {l: np.random.default_rng(60 + l).normal(size=(4, 9, cfg.hidden)) * mask[..., None]
@@ -357,8 +357,8 @@ def matmul_nodes(node):
 @pytest.mark.parametrize("arm", ABLATION_ARMS)
 def test_each_layer_multiplies_by_four_weights(arm):
     # fused q | k | v and ffn input projections: attn_qkv, attn_o, ffn_in, ffn_down
-    cfg = _arm_config(toy_config(n_layers=3, granularity=enc.GranularitySet(
-        layers=(3,), dims=(8, 32))), arm)
+    cfg = dataclasses.replace(toy_config(n_layers=3, granularity=enc.GranularitySet(
+        layers=(3,), dims=(8, 32))), **ABLATION_ARMS[arm])
     params = enc.init_parameters(cfg, seed=5, dtype=np.float64)
     tokens, mask = toy_batch(cfg, seed=5)
     out = enc.forward(params, cfg, tokens, mask, training=True,

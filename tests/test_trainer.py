@@ -2,6 +2,7 @@
 checkpoint integrity, resume equivalence."""
 
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from m3enc import data as D
 from m3enc import encoder as enc
 from m3enc import synth
 from m3enc import trainer as tr
+from m3enc.config import ABLATION_ARMS
 from m3enc.errors import CheckpointError, ConfigError, M3Error, TrainingAbort
 from m3enc.rng import named_rng
 from m3enc.tensor import Tensor
@@ -136,10 +138,7 @@ def test_stage_config_validation():
     with pytest.raises(ConfigError):
         tr.StageConfig(name="x", stage="nope", steps=1, batch_size=1, lr=1e-3)
     with pytest.raises(ConfigError):
-        tr.StageConfig(name="x", stage="sft", steps=1, batch_size=1, lr=1e-3)
-    with pytest.raises(ConfigError):
-        tr.StageConfig(name="x", stage="sft", steps=1, batch_size=1, lr=1e-3,
-                       sft_layer=2, sft_dims=(4, 8))
+        tr.StageConfig(name="x", stage="sft_mrl", steps=1, batch_size=1, lr=1e-3)
     with pytest.raises(ConfigError):
         tr.StageConfig(name="x", stage="pretrain_mlm", steps=1, batch_size=1, lr=1e-3,
                        sft_layer=2)
@@ -297,6 +296,31 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(CheckpointError, match="magic"):
         tr.load_checkpoint(path)
+
+
+# the manifest's model entry as checkpoints of earlier versions wrote it
+MANIFEST_MODEL = {
+    "base": '{"activation":"swiglu","ffn_mult":2.6666666666666665,"granularity":{"dims":[4,8],'
+            '"layers":[1,2]},"hidden":8,"hidden_dropout":0.0,"max_seq":16,"n_heads":2,'
+            '"n_layers":2,"norm":"rmsnorm","norm_placement":"pre","use_bias":false,"vocab":50}',
+    "-SwiGLU": '{"activation":"gelu","ffn_mult":4.0,"granularity":{"dims":[4,8],'
+               '"layers":[1,2]},"hidden":8,"hidden_dropout":0.0,"max_seq":16,"n_heads":2,'
+               '"n_layers":2,"norm":"rmsnorm","norm_placement":"pre","use_bias":false,'
+               '"vocab":50}',
+}
+
+
+@pytest.mark.parametrize("arm", list(MANIFEST_MODEL))
+def test_checkpoint_manifest_model_entry_is_unchanged(arm):
+    cfg = dataclasses.replace(
+        enc.ModelConfig(n_layers=2, hidden=8, n_heads=2, vocab=50, max_seq=16,
+                        granularity=enc.GranularitySet(layers=(1, 2), dims=(4, 8))),
+        **ABLATION_ARMS[arm])
+    state = tr.TrainState(config=cfg, params=enc.init_parameters(cfg, seed=0), opt=None,
+                          step=0, stage="", base_seed=0)
+    manifest = tr._serialize(state)[2]
+    assert b'"model":' + MANIFEST_MODEL[arm].encode() + b"," in manifest
+    assert enc.config_from_dict(json.loads(MANIFEST_MODEL[arm])) == cfg
 
 
 def test_each_checkpoint_state_is_serialized_once(tmp_path, monkeypatch):
