@@ -2,9 +2,11 @@
 
 Unknown keys are errors (anti-typo), every referenced path must be an
 existing file, and every (layer, dim) reference must lie within the model
-granularity -- all checked before any compute. An optional key set to JSON
-``null`` is the same as an absent key. Relative paths resolve against the
-config file's directory.
+granularity -- all checked before any compute. An ``sft_mrl`` stage's
+``sft_layer`` and ``sft_dims`` are the config spelling of its grid: one layer
+and strictly increasing dims, parsed into the stage's ``GranularitySet``. An
+optional key set to JSON ``null`` is the same as an absent key. Relative paths
+resolve against the config file's directory.
 """
 
 from __future__ import annotations
@@ -166,10 +168,10 @@ _STAGE_OPTIONAL = {key: kind for table in (*_STAGE_KEYS.values(), _MULTI_KEYS)
 _STAGE_DATA = {"pretrain_mlm": ("mono", "multi"), "distill": ("mono", "multi"),
                "pretrain_contrastive": ("pairs",), "sft_mrl": ("pairs",)}
 
-# StageConfig fields taken from the stage's keys as they are; granularity,
-# sft_dims and the distill block are parsed first
+# StageConfig fields taken from the stage's keys as they are; the grid and the
+# distill block are parsed first
 _STAGE_FIELDS = tuple(f.name for f in fields(StageConfig)
-                      if f.name not in ("granularity", "sft_dims", "distill_plan"))
+                      if f.name not in ("granularity", "distill_plan"))
 
 _EVAL_REQUIRED = {"name": str, "data": str, "layer": int, "dim": int, "k": list}
 _EVAL_OPTIONAL = {"query_len": int, "doc_len": int}
@@ -189,16 +191,17 @@ def _parse_granularity(c: _Checker, d: dict, path: str) -> GranularitySet | None
         return None
 
 
-def _check_grid_subset(c: _Checker, gran: GranularitySet, model_gran: GranularitySet,
-                       path: str) -> None:
-    for l in gran.layers:
-        if l not in model_gran.layers:
-            c.fail(f"{path}.layers", f"layer {l} not in model granularity "
-                                     f"{list(model_gran.layers)}")
-    for d in gran.dims:
-        if d not in model_gran.dims:
-            c.fail(f"{path}.dims", f"dim {d} not in model granularity "
-                                   f"{list(model_gran.dims)}")
+def _in_model_grid(c: _Checker, layers, dims, model_gran: GranularitySet,
+                   layers_path: str, dims_path: str) -> bool:
+    """Whether every layer and dim lies in the model grid; records each that does not."""
+    ok = True
+    for values, allowed, what, path in ((layers, model_gran.layers, "layer", layers_path),
+                                        (dims, model_gran.dims, "dim", dims_path)):
+        for v in values:
+            if v not in allowed:
+                c.fail(path, f"{what} {v} not in model granularity {list(allowed)}")
+                ok = False
+    return ok
 
 
 def _present(raw: dict, names) -> dict:
@@ -238,21 +241,19 @@ def _parse_stage(c: _Checker, raw: dict, path: str, model: ModelConfig,
     if "granularity" in raw:
         gran = _parse_granularity(c, raw["granularity"], f"{path}.granularity")
         if gran is not None:
-            _check_grid_subset(c, gran, model.granularity, f"{path}.granularity")
-
-    sft_dims = None
-    if "sft_dims" in raw:
-        sft_dims = c.int_list(raw["sft_dims"], f"{path}.sft_dims")
-        if sft_dims is None:
+            _in_model_grid(c, gran.layers, gran.dims, model.granularity,
+                           f"{path}.granularity.layers", f"{path}.granularity.dims")
+    elif "sft_layer" in raw and "sft_dims" in raw:
+        # the sft_mrl spelling of a one-layer grid
+        dims = c.int_list(raw["sft_dims"], f"{path}.sft_dims")
+        if dims is None or not _in_model_grid(c, (raw["sft_layer"],), dims, model.granularity,
+                                              f"{path}.sft_layer", f"{path}.sft_dims"):
             return None
-        for i, d in enumerate(sft_dims):
-            if d not in model.granularity.dims:
-                c.fail(f"{path}.sft_dims[{i}]",
-                       f"dim {d} not in model granularity {list(model.granularity.dims)}")
-    if "sft_layer" in raw and raw["sft_layer"] not in model.granularity.layers:
-        c.fail(f"{path}.sft_layer",
-               f"layer {raw['sft_layer']} not in model granularity "
-               f"{list(model.granularity.layers)}")
+        try:
+            gran = GranularitySet(layers=(raw["sft_layer"],), dims=dims)
+        except ConfigError as e:
+            c.fail(f"{path}.sft_dims", str(e))
+            return None
 
     plan = None
     if "distill" in raw:
@@ -272,7 +273,7 @@ def _parse_stage(c: _Checker, raw: dict, path: str, model: ModelConfig,
             c.fail(f"{path}.distill", str(e))
 
     try:
-        stage = StageConfig(granularity=gran, sft_dims=sft_dims, distill_plan=plan,
+        stage = StageConfig(granularity=gran, distill_plan=plan,
                             **_present(raw, _STAGE_FIELDS))
     except ConfigError as e:
         c.fail(path, str(e))

@@ -125,10 +125,6 @@ class ModelConfig:
     def intermediate(self) -> int:
         return int(round(self.ffn_mult * self.hidden))
 
-    @property
-    def head_dim(self) -> int:
-        return self.hidden // self.n_heads
-
 
 @dataclass
 class LayerParams:
@@ -305,7 +301,6 @@ def forward(
     attn_mask: np.ndarray | None = None,
     *,
     taps: tuple[int, ...] | None = None,
-    training: bool = False,
     dropout_rng: np.random.Generator | None = None,
 ) -> dict[int, Tensor]:
     """Run the encoder up to its deepest tapped layer; returns ``{layer: state}``.
@@ -318,11 +313,11 @@ def forward(
     keys receive exactly zero attention weight from every query. Each tapped
     state is returned packed: the [N x m] rows of the real positions, in the
     row-major order of ``attn_mask`` (one sequence or many alike), with no
-    padding row. ``taps`` defaults to the configured
-    granularity layers. Hidden dropout, in training mode, is drawn only
-    between layers that run, at the batch's own [B x s x m] layout (the data
-    sources trim each batch to its longest real row), and applied to the
-    real rows.
+    padding row. ``taps`` defaults to the configured granularity layers.
+    Hidden dropout runs when a ``dropout_rng`` is passed and
+    ``hidden_dropout`` > 0. It is drawn only between layers that run, at the
+    batch's own [B x s x m] layout (the data sources trim each batch to its
+    longest real row), and applied to the real rows.
     """
     tokens = np.asarray(tokens)
     squeeze = tokens.ndim == 1
@@ -371,9 +366,7 @@ def forward(
             h = _norm(h, params.final_norm_w, params.final_norm_b, config.norm)
         if i in tap_set:
             tapped[i] = h
-        if training and config.hidden_dropout > 0.0 and i < depth:
-            if dropout_rng is None:
-                raise ContractError("dropout requires a dropout_rng in training mode")
+        if dropout_rng is not None and config.hidden_dropout > 0.0 and i < depth:
             h = _dropout(h, config.hidden_dropout, dropout_rng, rows, (bsz, s))
     return tapped
 

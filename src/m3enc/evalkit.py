@@ -279,10 +279,10 @@ def tradeoff_sweep(
         raise ConfigError("axis must be 'dim' or 'layer'")
     if sorted(values) != list(values) or len(set(values)) != len(values):
         raise ConfigError("sweep values must be strictly increasing")
-    if axis == "dim" and layer is None:
-        raise ConfigError("dim sweep requires a fixed --layer")
-    if axis == "layer" and dim is None:
-        raise ConfigError("layer sweep requires a fixed --dim")
+    if axis == "dim" and (layer is None or dim is not None):
+        raise ConfigError("a dim sweep takes a fixed --layer and no --dim")
+    if axis == "layer" and (dim is None or layer is not None):
+        raise ConfigError("a layer sweep takes a fixed --dim and no --layer")
     cells = [(v, dim) if axis == "layer" else (layer, v) for v in values]
     reports = _evaluate_cells(params, config, vocab, queries, docs, truth, cells, ks)
     return [TradeoffCurve(axis=axis, k=k, points=[

@@ -1,20 +1,22 @@
 """Training objectives over the (layer, dim) granularity grid.
 
-Each objective has one implementation; a grid objective is that loss summed
-over truncated inputs.
+There are two grid objectives, one per data kind; each sums one loss over
+every (layer, dim) cell of a grid.
 
 * multigranular MLM: one forward pass, one masked-cross-entropy cell per
-  (tapped layer, truncation dim), summed without weights
-* in-batch-negative contrastive loss, streamed over column tiles of the
-  score matrix; ``tile=None`` is a single tile spanning the batch
-* MRL fine-tuning: the contrastive loss summed over several truncation dims
-  of one layer; the grid contrastive loss sums it over every grid cell
-* self-distillation: the multigranular MLM cells plus lambda_d times the KL
-  from a teacher (layer, dim) cell's token distribution to student cells;
+  (tapped layer, truncation dim), summed without weights. With a
+  ``DistillPlan`` it is self-distillation: the cells plus lambda_d times the
+  KL from a teacher (layer, dim) cell's token distribution to student cells;
   both read the head products the MLM cells already computed, scaled by
   1/tau_d. Teacher log-probabilities are plain arrays computed once per
   teacher cell from the product's data, and each pair's KL is one
   ``kl_rows`` node on the scaled student product
+* in-batch-negative contrastive loss, streamed over column tiles of the
+  score matrix (``tile=None`` is a single tile spanning the batch), summed
+  over every grid cell. MRL fine-tuning is its one-layer grid
+
+Hidden dropout runs in the encoder when a ``dropout_rng`` is passed and the
+model's ``hidden_dropout`` is above 0.
 """
 
 from __future__ import annotations
@@ -67,13 +69,6 @@ class DistillPlan:
             if tuple(teacher) == tuple(student):
                 raise ConfigError(f"teacher and student coincide: {teacher}")
 
-    def cells(self) -> set[tuple[int, int]]:
-        out = set()
-        for teacher, student in self.pairs:
-            out.add(tuple(teacher))
-            out.add(tuple(student))
-        return out
-
 
 def build_distill_plan(
     mode: str,
@@ -103,13 +98,22 @@ def build_distill_plan(
     return DistillPlan(pairs=pairs, **weights)
 
 
+def _grid(config: ModelConfig, granularity: GranularitySet | None) -> GranularitySet:
+    """The grid an objective sums over: ``granularity``, or the model's."""
+    gran = granularity or config.granularity
+    if max(gran.dims) > config.hidden:
+        raise ConfigError(f"grid dim {max(gran.dims)} exceeds hidden={config.hidden}")
+    return gran
+
+
 # ---------------------------------------------------------------------------
-# Multigranular MLM
+# Multigranular MLM and self-distillation
 # ---------------------------------------------------------------------------
 
 
 def _head_products(params: Parameters, config: ModelConfig, batch: MlmBatch,
-                   gran: GranularitySet, **fwd) -> dict[tuple[int, int], Tensor]:
+                   gran: GranularitySet, dropout_rng: np.random.Generator | None = None
+                   ) -> dict[tuple[int, int], Tensor]:
     """The bias-free head product of every (layer, dim) cell at the masked
     positions.
 
@@ -123,7 +127,8 @@ def _head_products(params: Parameters, config: ModelConfig, batch: MlmBatch,
     if not batch.mask_positions.any(axis=-1).all():
         raise ContractError("every sequence needs at least one masked position")
     masked = np.flatnonzero(batch.mask_positions[batch.attn_mask])
-    states = enc.forward(params, config, batch.tokens, batch.attn_mask, taps=gran.layers, **fwd)
+    states = enc.forward(params, config, batch.tokens, batch.attn_mask, taps=gran.layers,
+                         dropout_rng=dropout_rng)
     bounds = list(zip((0,) + gran.dims[:-1], gran.dims))
     segments = [T.slice_rows(params.mlm_head_w, start, stop) for start, stop in bounds]
     products: dict[tuple[int, int], Tensor] = {}
@@ -137,12 +142,37 @@ def _head_products(params: Parameters, config: ModelConfig, batch: MlmBatch,
     return products
 
 
-def _mlm_cells(params: Parameters, config: ModelConfig, batch: MlmBatch,
-               gran: GranularitySet, **fwd):
-    """The head products of every (layer, dim) cell (``_head_products``), the
-    per-cell losses and their sum. A cell's logits are its product plus the
-    head bias; its loss scores the ground-truth tokens."""
-    products = _head_products(params, config, batch, gran, **fwd)
+def matryoshka_mlm_loss(
+    params: Parameters,
+    config: ModelConfig,
+    batch: MlmBatch,
+    granularity: GranularitySet | None = None,
+    plan: DistillPlan | None = None,
+    teacher_params: Parameters | None = None,
+    *,
+    dropout_rng: np.random.Generator | None = None,
+) -> LossReport:
+    """Masked-LM loss summed over every (layer, dim) cell of the grid, plus,
+    with a distillation ``plan``, lambda_d times the summed KL terms (``aux``;
+    None without a plan).
+
+    A cell's logits are its head product (``_head_products``) plus the head
+    bias; its loss scores the ground-truth tokens. For each (teacher, student)
+    pair of the plan, the KL of the student's token distribution from the
+    teacher's is taken at the masked positions (mean over them), with the
+    student distribution first and no gradient flowing into the teacher
+    branch. Distributions are softmax(h[:, :d] @ W[:d, :] / tau_d): the MLM
+    cells' bias-free head products, scaled, so no cell is projected twice.
+    Each distinct teacher cell is normalized once. ``teacher_params``, when
+    given, sources the teacher products from a frozen parameter copy instead
+    of the live weights.
+    """
+    gran = _grid(config, granularity)
+    for teacher, student in () if plan is None else plan.pairs:
+        for cell in (tuple(teacher), tuple(student)):
+            if cell not in gran.grid:
+                raise ConfigError(f"distillation cell {cell} is outside the granularity grid")
+    products = _head_products(params, config, batch, gran, dropout_rng)
     targets = batch.labels.reshape(-1)[batch.mask_positions.reshape(-1)]
     per_pair: dict[tuple[int, int], float] = {}
     total: Tensor | None = None
@@ -150,22 +180,31 @@ def _mlm_cells(params: Parameters, config: ModelConfig, batch: MlmBatch,
         loss = T.masked_cross_entropy(T.add(product, params.mlm_head_b), targets)
         per_pair[cell] = float(loss)
         total = loss if total is None else T.add(total, loss)
-    return products, per_pair, total
+    if plan is None or not plan.pairs or plan.lambda_d == 0.0:
+        return LossReport(per_pair=per_pair, total=float(total),
+                          aux=None if plan is None else 0.0, node=total)
 
+    inv_tau = 1.0 / plan.tau_d
+    if teacher_params is None:
+        teacher_products = products
+    else:
+        with T.no_grad():
+            teacher_products = _head_products(teacher_params, config, batch, gran)
+    neg_log_teacher = {}
+    for cell in dict.fromkeys(tuple(t) for t, _ in plan.pairs):
+        product = teacher_products[cell].data
+        x = product * product.dtype.type(inv_tau)
+        m = x.max(axis=-1, keepdims=True)
+        log_p = x - (m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True)))
+        neg_log_teacher[cell] = -np.maximum(log_p, math.log(KL_FLOOR))
 
-def matryoshka_mlm_loss(
-    params: Parameters,
-    config: ModelConfig,
-    batch: MlmBatch,
-    granularity: GranularitySet | None = None,
-    *,
-    training: bool = False,
-    dropout_rng: np.random.Generator | None = None,
-) -> LossReport:
-    """Masked-LM loss summed over every (layer, dim) cell of the grid."""
-    _, per_pair, total = _mlm_cells(params, config, batch, granularity or config.granularity,
-                                    training=training, dropout_rng=dropout_rng)
-    return LossReport(per_pair=per_pair, total=float(total), node=total)
+    aux: Tensor | None = None
+    for teacher, student in plan.pairs:
+        term = T.kl_rows(T.scale(products[tuple(student)], inv_tau),
+                         neg_log_teacher[tuple(teacher)])
+        aux = term if aux is None else T.add(aux, term)
+    total = T.add(total, T.scale(aux, plan.lambda_d))
+    return LossReport(per_pair=per_pair, total=float(total), aux=float(aux), node=total)
 
 
 # ---------------------------------------------------------------------------
@@ -238,60 +277,6 @@ def tiled_contrastive_loss(
                       (q_emb, d_emb), bwd)
 
 
-# ---------------------------------------------------------------------------
-# Pair-batch objectives over the grid
-# ---------------------------------------------------------------------------
-
-
-def _contrastive_cells(params: Parameters, config: ModelConfig, batch: PairBatch,
-                       layers: tuple[int, ...], dims: tuple[int, ...], tau: float,
-                       tile: int | None, **fwd) -> LossReport:
-    """Contrastive loss of every (layer, dim) cell in ``layers`` x ``dims``, from
-    one query and one document forward pass.
-
-    Each side is pooled once per layer; every dim's embeddings are prefixes
-    of that pooled state, re-normalized (``enc.cell_embedding``).
-    """
-    q_states = enc.forward(params, config, batch.query_tokens, batch.query_mask,
-                           taps=layers, **fwd)
-    d_states = enc.forward(params, config, batch.doc_tokens, batch.doc_mask,
-                           taps=layers, **fwd)
-    per_pair: dict[tuple[int, int], float] = {}
-    total: Tensor | None = None
-    for l in layers:
-        q_pooled = enc.pool(q_states[l], batch.query_mask)
-        d_pooled = enc.pool(d_states[l], batch.doc_mask)
-        for d in dims:
-            cell = tiled_contrastive_loss(enc.cell_embedding(q_pooled, d),
-                                          enc.cell_embedding(d_pooled, d), tau, tile)
-            per_pair[(l, d)] = float(cell)
-            total = cell if total is None else T.add(total, cell)
-    return LossReport(per_pair=per_pair, total=float(total), node=total)
-
-
-def mrl_sft_loss(
-    params: Parameters,
-    config: ModelConfig,
-    batch: PairBatch,
-    dims: tuple[int, ...],
-    layer: int,
-    tau: float,
-    tile: int | None = None,
-    *,
-    training: bool = False,
-    dropout_rng: np.random.Generator | None = None,
-) -> LossReport:
-    """Contrastive loss summed over several truncation dims of one layer."""
-    dims = tuple(int(d) for d in dims)
-    if not dims:
-        raise ConfigError("dims must be non-empty")
-    for d in dims:
-        if d > config.hidden:
-            raise ConfigError(f"dim {d} exceeds hidden={config.hidden}")
-    return _contrastive_cells(params, config, batch, (layer,), dims, tau, tile,
-                              training=training, dropout_rng=dropout_rng)
-
-
 def matryoshka_contrastive_loss(
     params: Parameters,
     config: ModelConfig,
@@ -300,73 +285,28 @@ def matryoshka_contrastive_loss(
     tile: int | None,
     granularity: GranularitySet | None = None,
     *,
-    training: bool = False,
     dropout_rng: np.random.Generator | None = None,
 ) -> LossReport:
-    """Tiled contrastive loss summed over every (layer, dim) grid cell."""
-    gran = granularity or config.granularity
-    return _contrastive_cells(params, config, batch, gran.layers, gran.dims, tau, tile,
-                              training=training, dropout_rng=dropout_rng)
+    """Tiled contrastive loss summed over every (layer, dim) grid cell, from
+    one query and one document forward pass. MRL fine-tuning is a one-layer
+    grid.
 
-
-# ---------------------------------------------------------------------------
-# Matryoshka self-distillation
-# ---------------------------------------------------------------------------
-
-
-def distill_loss(
-    params: Parameters,
-    config: ModelConfig,
-    batch: MlmBatch,
-    plan: DistillPlan,
-    granularity: GranularitySet | None = None,
-    teacher_params: Parameters | None = None,
-    *,
-    training: bool = False,
-    dropout_rng: np.random.Generator | None = None,
-) -> LossReport:
-    """Multigranular MLM total plus lambda_d times the summed KL terms.
-
-    For each (teacher, student) pair, the KL of the student's token
-    distribution from the teacher's is taken at the masked positions (mean
-    over them), with the student distribution first and no gradient flowing
-    into the teacher branch. Distributions are
-    softmax(h[:, :d] @ W[:d, :] / tau_d): the MLM cells' bias-free head
-    products, scaled, so no cell is projected twice. Each distinct teacher
-    cell is normalized once. ``teacher_params``, when given, sources the
-    teacher products from a frozen parameter copy instead of the live weights.
+    Each side is pooled once per layer; every dim's embeddings are prefixes
+    of that pooled state, re-normalized (``enc.cell_embedding``).
     """
-    gran = granularity or config.granularity
-    grid = set(gran.grid)
-    for teacher, student in plan.pairs:
-        for cell in (tuple(teacher), tuple(student)):
-            if cell[1] > config.hidden:
-                raise ConfigError(f"distillation cell {cell} has dim > hidden={config.hidden}")
-            if cell not in grid:
-                raise ConfigError(f"distillation cell {cell} is outside the granularity grid")
-    products, per_pair, total = _mlm_cells(params, config, batch, gran,
-                                           training=training, dropout_rng=dropout_rng)
-    if not plan.pairs or plan.lambda_d == 0.0:
-        return LossReport(per_pair=per_pair, total=float(total), aux=0.0, node=total)
-
-    inv_tau = 1.0 / plan.tau_d
-    if teacher_params is None:
-        teacher_products = products
-    else:
-        with T.no_grad():
-            teacher_products = _head_products(teacher_params, config, batch, gran)
-    neg_log_teacher = {}
-    for cell in dict.fromkeys(tuple(t) for t, _ in plan.pairs):
-        product = teacher_products[cell].data
-        x = product * product.dtype.type(inv_tau)
-        m = x.max(axis=-1, keepdims=True)
-        log_p = x - (m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True)))
-        neg_log_teacher[cell] = -np.maximum(log_p, math.log(KL_FLOOR))
-
-    aux: Tensor | None = None
-    for teacher, student in plan.pairs:
-        term = T.kl_rows(T.scale(products[tuple(student)], inv_tau),
-                         neg_log_teacher[tuple(teacher)])
-        aux = term if aux is None else T.add(aux, term)
-    total = T.add(total, T.scale(aux, plan.lambda_d))
-    return LossReport(per_pair=per_pair, total=float(total), aux=float(aux), node=total)
+    gran = _grid(config, granularity)
+    q_states = enc.forward(params, config, batch.query_tokens, batch.query_mask,
+                           taps=gran.layers, dropout_rng=dropout_rng)
+    d_states = enc.forward(params, config, batch.doc_tokens, batch.doc_mask,
+                           taps=gran.layers, dropout_rng=dropout_rng)
+    per_pair: dict[tuple[int, int], float] = {}
+    total: Tensor | None = None
+    for l in gran.layers:
+        q_pooled = enc.pool(q_states[l], batch.query_mask)
+        d_pooled = enc.pool(d_states[l], batch.doc_mask)
+        for d in gran.dims:
+            cell = tiled_contrastive_loss(enc.cell_embedding(q_pooled, d),
+                                          enc.cell_embedding(d_pooled, d), tau, tile)
+            per_pair[(l, d)] = float(cell)
+            total = cell if total is None else T.add(total, cell)
+    return LossReport(per_pair=per_pair, total=float(total), node=total)

@@ -2,10 +2,13 @@
 
 Stages run sequentially over one shared parameter set: MLM pretraining,
 multilingual MLM, tiled contrastive pretraining, contrastive fine-tuning
-over one or more dims (``sft_mrl``), and the distillation continuation.
-Every batch, mask, and dropout draw is addressed as a pure function of
-(seed, stage, step), so a resumed run replays the exact stream of an
-unbroken one.
+over one or more dims of one layer (``sft_mrl``), and the distillation
+continuation. MLM and distill stages train the MLM grid objective (distill
+with its plan), pair stages the contrastive grid objective. Every batch,
+mask, and dropout draw is addressed as a pure function of (seed, stage,
+step), so a resumed run replays the exact stream of an unbroken one. Each
+step passes its dropout generator; dropout runs when the model's
+``hidden_dropout`` is above 0.
 
 Checkpoint file layout: magic ``M3CK``, little-endian u32 format version,
 one line of UTF-8 JSON manifest (model config, vocabulary, tensor table
@@ -168,8 +171,6 @@ class StageConfig:
     mask_policy: str = "bert_80_10_10"
     tau: float = 0.05
     tile: int | None = None
-    sft_layer: int | None = None
-    sft_dims: tuple[int, ...] | None = None
     distill_plan: DistillPlan | None = None
     checkpoint_every: int | None = None
     grad_clip: float | None = None
@@ -179,11 +180,8 @@ class StageConfig:
             raise ConfigError(f"stage must be one of {STAGE_KINDS}, got {self.stage!r}")
         if self.steps < 0 or self.batch_size < 1:
             raise ConfigError("steps must be >= 0 and batch_size >= 1")
-        if self.stage == "sft_mrl":
-            if self.sft_layer is None or not self.sft_dims:
-                raise ConfigError("stage sft_mrl requires sft_layer and sft_dims")
-        elif self.sft_layer is not None or self.sft_dims is not None:
-            raise ConfigError("sft_layer/sft_dims are only valid for sft_mrl stages")
+        if self.stage == "sft_mrl" and self.granularity is None:
+            raise ConfigError("stage sft_mrl requires a granularity (sft_layer and sft_dims)")
         if self.stage == "distill":
             if self.distill_plan is None:
                 raise ConfigError("stage distill requires a distillation plan")
@@ -361,6 +359,10 @@ def load_checkpoint(path) -> TrainState:
         step, stage, base_seed = manifest["step"], manifest["stage"], manifest["rng"]["base_seed"]
     except (KeyError, TypeError, ValueError, ConfigError) as e:  # JSON/UTF-8 errors are ValueErrors
         raise CheckpointError(f"{path}: unreadable manifest: {e!r}") from e
+    if not (_is_count(step) and isinstance(stage, str) and type(base_seed) is int):
+        raise CheckpointError(f"{path}: manifest step must be an integer >= 0, stage a string "
+                              f"and rng.base_seed an integer, got {step!r}, {stage!r}, "
+                              f"{base_seed!r}")
     _check_tensor_table(path, tensors)
     # the config fixes every parameter shape; check its extents against the
     # table before allocating parameters for it
@@ -407,6 +409,12 @@ def load_checkpoint(path) -> TrainState:
             )
         except (KeyError, TypeError) as e:
             raise CheckpointError(f"{path}: incomplete optimizer state: {e!r}") from e
+        hyper = (opt.beta1, opt.beta2, opt.eps, opt.weight_decay)
+        finite = all(type(v) is int or type(v) is float and math.isfinite(v) for v in hyper)
+        if not (_is_count(opt.t) and finite):
+            raise CheckpointError(f"{path}: optimizer t must be an integer >= 0 and beta1, "
+                                  f"beta2, eps, weight_decay finite numbers, got {opt.t!r}, "
+                                  f"{hyper!r}")
     vocab = None
     if vocab_tokens is not None:
         if not (isinstance(vocab_tokens, list) and all(isinstance(t, str) for t in vocab_tokens)):
@@ -417,19 +425,19 @@ def load_checkpoint(path) -> TrainState:
                       base_seed=base_seed, vocab=vocab)
 
 
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 0
+
+
 def _check_tensor_table(path, tensors) -> None:
     """Every entry names a float tensor whose byte count matches its shape."""
     if not isinstance(tensors, list):
         raise CheckpointError(f"{path}: manifest tensor table is not a list")
-
-    def count(v) -> bool:
-        return type(v) is int and v >= 0
-
     for i, t in enumerate(tensors):
         if not (isinstance(t, dict) and isinstance(t.get("name"), str)
                 and t.get("dtype") in ("<f4", "<f8") and isinstance(t.get("shape"), list)
-                and all(count(n) for n in t["shape"])
-                and all(count(t.get(key)) for key in ("offset", "nbytes", "crc32"))):
+                and all(_is_count(n) for n in t["shape"])
+                and all(_is_count(t.get(key)) for key in ("offset", "nbytes", "crc32"))):
             raise CheckpointError(f"{path}: malformed tensor entry {i} "
                                   "(needs name, dtype <f4/<f8, shape, offset, nbytes, crc32)")
         if math.prod(t["shape"]) * int(t["dtype"][2:]) != t["nbytes"]:
@@ -464,24 +472,12 @@ class JsonlSink:
 
 
 def _stage_loss(stage: StageConfig, state: TrainState, batch, dropout_rng) -> LossReport:
-    cfg = state.config
-    params = state.params
-    training = cfg.hidden_dropout > 0.0
-    kwargs = dict(training=training, dropout_rng=dropout_rng)
-    if stage.stage == "pretrain_mlm":
-        return obj.matryoshka_mlm_loss(params, cfg, batch, granularity=stage.granularity,
-                                       **kwargs)
-    if stage.stage == "pretrain_contrastive":
-        return obj.matryoshka_contrastive_loss(params, cfg, batch, tau=stage.tau,
-                                               tile=stage.tile,
-                                               granularity=stage.granularity, **kwargs)
-    if stage.stage == "sft_mrl":
-        return obj.mrl_sft_loss(params, cfg, batch, dims=tuple(stage.sft_dims),
-                                layer=stage.sft_layer, tau=stage.tau, tile=stage.tile, **kwargs)
-    if stage.stage == "distill":
-        return obj.distill_loss(params, cfg, batch, stage.distill_plan,
-                                granularity=stage.granularity, **kwargs)
-    raise ConfigError(f"unknown stage kind {stage.stage!r}")
+    if stage.stage in ("pretrain_mlm", "distill"):
+        return obj.matryoshka_mlm_loss(state.params, state.config, batch, stage.granularity,
+                                       stage.distill_plan, dropout_rng=dropout_rng)
+    return obj.matryoshka_contrastive_loss(state.params, state.config, batch, stage.tau,
+                                           stage.tile, stage.granularity,
+                                           dropout_rng=dropout_rng)
 
 
 def run_stage(

@@ -545,6 +545,12 @@ OUT_OF_RANGE = {
                                               "--values", "4", "--layer", "2", "--k", "0,5"),
     "sweep-values-zero": lambda w, ckpt: eval_argv("sweep", ckpt, w / "eval.tsv", "--axis",
                                                    "layer", "--values", "0,2", "--dim", "16"),
+    "sweep-layer-on-layer-axis": lambda w, ckpt: eval_argv(
+        "sweep", ckpt, w / "eval.tsv", "--axis", "layer", "--values", "2,4", "--dim", "16",
+        "--layer", "2"),
+    "sweep-dim-on-dim-axis": lambda w, ckpt: eval_argv(
+        "sweep", ckpt, w / "eval.tsv", "--axis", "dim", "--values", "4,16", "--layer", "2",
+        "--dim", "16"),
     "eval-threads-negative": lambda w, ckpt: eval_argv("eval", ckpt, w / "eval.tsv", "--layer",
                                                        "2", "--dim", "16", "--threads=-1"),
     "pretrain-threads-zero": lambda w, ckpt: ["pretrain", "--config", "unused.json",
@@ -560,6 +566,12 @@ def test_out_of_range_cli_value_exits_2(workdir, pretrained, case):
     # and nothing is written
     assert exit_code(OUT_OF_RANGE[case](workdir, pretrained)) == 2
     assert not (workdir / "cli-out").exists()
+
+
+@pytest.mark.parametrize("flag", ["layer", "dim"])
+def test_sweep_names_the_flag_its_axis_does_not_read(workdir, pretrained, capsys, flag):
+    assert exit_code(OUT_OF_RANGE[f"sweep-{flag}-on-{flag}-axis"](workdir, pretrained)) == 2
+    assert f"no --{flag}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

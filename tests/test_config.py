@@ -72,6 +72,18 @@ def test_full_config_loads(root):
         "pretrain_mlm", "distill", "pretrain_contrastive", "sft_mrl"]
     assert run.stages[1].stage.distill_plan.pairs == (((2, 8), (1, 4)),)
     assert run.ablate.eval.ks == (1, 5)
+    assert run.stages[3].stage.granularity == GranularitySet(layers=(2,), dims=(4, 8))
+
+
+@pytest.mark.parametrize("dims", [[8, 8], [8, 4]], ids=["duplicate", "decreasing"])
+def test_sft_dims_must_increase_strictly(root, dims):
+    # sft_layer/sft_dims spell a one-layer grid; a repeated dim would count its
+    # cell twice in every step total
+    cfg = full_config()
+    cfg["stages"][3]["sft_dims"] = dims
+    with pytest.raises(ConfigError, match=r"config\.stages\[3\]\.sft_dims: "
+                                          r"granularity\.dims must be strictly increasing"):
+        load(root, cfg)
 
 
 def test_unknown_stage_kind_lists_the_valid_kinds(root):
@@ -105,7 +117,8 @@ def test_minimal_config_takes_the_dataclass_defaults(root):
                                     granularity=gran)
     plan = build_distill_plan("all_from_top", (2, 8), None, gran)
     assert (plan.lambda_d, plan.tau_d) == (1.0, 1.0)
-    extra = [{}, {"distill_plan": plan}, {"tile": 2}, {"sft_layer": 2, "sft_dims": (8,)}]
+    extra = [{}, {"distill_plan": plan}, {"tile": 2},
+             {"granularity": GranularitySet(layers=(2,), dims=(8,))}]
     for spec, raw, more in zip(run.stages, stages, extra):
         assert spec.stage == StageConfig(**{k: raw[k] for k in ("name", "stage", "steps",
                                                                 "batch_size", "lr")}, **more)

@@ -178,7 +178,7 @@ def unfused_attention(x, lp, config, rows, key_bias):
     as an oracle for the fused ``T.attention`` node on packed rows."""
     bsz, s = key_bias.shape
     m = x.shape[-1]
-    h, dh = config.n_heads, config.head_dim
+    h, dh = config.n_heads, config.hidden // config.n_heads
     scatter = np.zeros((bsz * s, len(rows)), dtype=x.dtype)  # 0/1: row i to position rows[i]
     scatter[rows, np.arange(len(rows))] = 1.0
     x = reshape(T.matmul(Tensor(scatter), x), (bsz, s, m))
@@ -214,7 +214,7 @@ def test_fused_attention_matches_unfused_encoder(monkeypatch):
         np.testing.assert_allclose(fused, ref, rtol=1e-10, atol=1e-13)
 
 
-def padded_forward(params, config, tokens, attn_mask, taps, training=False, dropout_rng=None):
+def padded_forward(params, config, tokens, attn_mask, taps, dropout_rng=None):
     """The encoder as it ran before packing: every block on the padded
     [B x s x m] layout, the attention node given every position as a row and
     the padding only through its key bias. The oracle for ``enc.forward``."""
@@ -244,7 +244,7 @@ def padded_forward(params, config, tokens, attn_mask, taps, training=False, drop
             h = norm(h, params.final_norm_w, params.final_norm_b)
         if i in taps:
             tapped[i] = h
-        if training and config.hidden_dropout > 0.0 and i < max(taps):
+        if dropout_rng is not None and config.hidden_dropout > 0.0 and i < max(taps):
             keep = (dropout_rng.random(h.shape) >= config.hidden_dropout) / (
                 1.0 - config.hidden_dropout)
             h = T.mul(h, Tensor(keep))
@@ -275,7 +275,7 @@ def test_packed_forward_matches_padded_oracle(arm):
     results = []
     for run, rng in zip((enc.forward, padded_forward), rngs):
         T.zero_grads(params.named())
-        out = run(params, cfg, tokens, mask, taps=(1, 3), training=True, dropout_rng=rng)
+        out = run(params, cfg, tokens, mask, taps=(1, 3), dropout_rng=rng)
         loss = None
         packed = run is enc.forward
         for l, w in weights.items():  # a loss that reads the real positions only
@@ -318,7 +318,7 @@ def test_pad_rows_of_every_tap_are_exact_zeros(squeeze):
     if squeeze:
         tokens, mask = tokens[3], mask[3]
     other = np.where(mask, tokens, (tokens + 1) % cfg.vocab)
-    runs = [enc.forward(params, cfg, ids, mask, taps=(2, 4, 6), training=True,
+    runs = [enc.forward(params, cfg, ids, mask, taps=(2, 4, 6),
                         dropout_rng=np.random.default_rng(7)) for ids in (tokens, other)]
     for l, t in runs[0].items():
         assert t.shape == (mask.sum(), cfg.hidden)
@@ -361,8 +361,7 @@ def test_each_layer_multiplies_by_four_weights(arm):
         layers=(3,), dims=(8, 32))), **ABLATION_ARMS[arm])
     params = enc.init_parameters(cfg, seed=5, dtype=np.float64)
     tokens, mask = toy_batch(cfg, seed=5)
-    out = enc.forward(params, cfg, tokens, mask, training=True,
-                      dropout_rng=np.random.default_rng(5))
+    out = enc.forward(params, cfg, tokens, mask, dropout_rng=np.random.default_rng(5))
     assert matmul_nodes(out[3]) == 4 * cfg.n_layers
 
 
@@ -386,7 +385,7 @@ def test_dropout_only_in_training_mode():
     b = enc.forward(params, cfg, tokens, mask)
     np.testing.assert_array_equal(a[6].data, b[6].data)
     rng = np.random.default_rng(0)
-    c = enc.forward(params, cfg, tokens, mask, training=True, dropout_rng=rng)
+    c = enc.forward(params, cfg, tokens, mask, dropout_rng=rng)
     assert not np.array_equal(a[6].data, c[6].data)
 
 
@@ -395,7 +394,7 @@ def test_early_exit_draws_dropout_only_between_run_layers():
     params = enc.init_parameters(cfg, seed=0)
     tokens, mask = toy_batch(cfg)
     rng = np.random.default_rng(0)
-    enc.forward(params, cfg, tokens, mask, taps=(2,), training=True, dropout_rng=rng)
+    enc.forward(params, cfg, tokens, mask, taps=(2,), dropout_rng=rng)
     expected = np.random.default_rng(0)
     expected.random((*tokens.shape, cfg.hidden))  # the one mask between layers 1 and 2
     assert rng.random() == expected.random()

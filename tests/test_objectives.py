@@ -139,7 +139,7 @@ def test_segmented_head_matches_plain_head_oracle():
     cfg = toy_config()
     params = enc.init_parameters(cfg, seed=4, dtype=np.float64)
     batch = mlm_batch(cfg, seed=4)
-    products, _, _ = obj._mlm_cells(params, cfg, batch, cfg.granularity)
+    products = obj._head_products(params, cfg, batch, cfg.granularity)
     out = enc.forward(params, cfg, batch.tokens, batch.attn_mask)
     w = params.mlm_head_w
     for l in cfg.granularity.layers:
@@ -289,7 +289,8 @@ def test_mrl_singleton_equals_sft():
     cfg = toy_config()
     params = enc.init_parameters(cfg, seed=4, dtype=np.float64)
     batch = pair_batch(cfg, seed=4)
-    report = obj.mrl_sft_loss(params, cfg, batch, dims=(8,), layer=2, tau=0.05)
+    report = obj.matryoshka_contrastive_loss(params, cfg, batch, 0.05, None,
+                                             enc.GranularitySet((2,), (8,)))
     q_out = enc.forward(params, cfg, batch.query_tokens, batch.query_mask, taps=(2,))
     d_out = enc.forward(params, cfg, batch.doc_tokens, batch.doc_mask, taps=(2,))
     direct = naive_contrastive(enc.cell_embedding(enc.pool(q_out[2], batch.query_mask), 8),
@@ -303,10 +304,12 @@ def test_mrl_per_dim_oracle():
     params = enc.init_parameters(cfg, seed=5, dtype=np.float64)
     batch = pair_batch(cfg, seed=5)
     dims = (4, 8, 16)
-    report = obj.mrl_sft_loss(params, cfg, batch, dims=dims, layer=4, tau=0.05)
+    report = obj.matryoshka_contrastive_loss(params, cfg, batch, 0.05, None,
+                                             enc.GranularitySet((4,), dims))
     total = 0.0
     for d in dims:
-        cell = obj.mrl_sft_loss(params, cfg, batch, dims=(d,), layer=4, tau=0.05)
+        cell = obj.matryoshka_contrastive_loss(params, cfg, batch, 0.05, None,
+                                               enc.GranularitySet((4,), (d,)))
         np.testing.assert_allclose(report.per_pair[(4, d)], cell.total, rtol=1e-9)
         total += cell.total
     np.testing.assert_allclose(report.total, total, rtol=1e-9)
@@ -320,7 +323,8 @@ def test_mrl_identical_encoders_single_pair_zero():
     mask = np.ones((1, 7), dtype=bool)
     batch = PairBatch(query_tokens=tokens, query_mask=mask,
                       doc_tokens=tokens.copy(), doc_mask=mask.copy(), pair_ids=("p0",))
-    report = obj.mrl_sft_loss(params, cfg, batch, dims=(8,), layer=2, tau=0.05)
+    report = obj.matryoshka_contrastive_loss(params, cfg, batch, 0.05, None,
+                                             enc.GranularitySet((2,), (8,)))
     assert report.total == 0.0
 
 
@@ -328,9 +332,11 @@ def test_mrl_dim_validation():
     cfg = toy_config()
     params = enc.init_parameters(cfg, seed=0)
     with pytest.raises(ConfigError):
-        obj.mrl_sft_loss(params, cfg, pair_batch(cfg), dims=(32,), layer=2, tau=0.05)
+        obj.matryoshka_contrastive_loss(params, cfg, pair_batch(cfg), 0.05, None,
+                                        enc.GranularitySet((2,), (32,)))
     with pytest.raises(ConfigError):
-        obj.mrl_sft_loss(params, cfg, pair_batch(cfg), dims=(), layer=2, tau=0.05)
+        obj.matryoshka_contrastive_loss(params, cfg, pair_batch(cfg), 0.05, None,
+                                        enc.GranularitySet((2,), ()))
 
 
 def test_mrl_grad_check():
@@ -339,7 +345,8 @@ def test_mrl_grad_check():
     batch = pair_batch(cfg, seed=7, bsz=3, s=6)
 
     def f():
-        return obj.mrl_sft_loss(params, cfg, batch, dims=(4, 16), layer=2, tau=0.1).node
+        return obj.matryoshka_contrastive_loss(params, cfg, batch, 0.1, None,
+                                               enc.GranularitySet((2,), (4, 16))).node
 
     assert T.grad_check(f, params.named(), max_coords=220) < 1e-4
 
@@ -352,7 +359,8 @@ def test_matryoshka_contrastive_grid_and_tiling():
     assert set(report.per_pair) == set(cfg.granularity.grid)
     np.testing.assert_allclose(report.total, sum(report.per_pair.values()), rtol=1e-9)
     for (l, d), value in report.per_pair.items():
-        cell = obj.mrl_sft_loss(params, cfg, batch, dims=(d,), layer=l, tau=0.05)
+        cell = obj.matryoshka_contrastive_loss(params, cfg, batch, 0.05, None,
+                                               enc.GranularitySet((l,), (d,)))
         np.testing.assert_allclose(value, cell.total, rtol=1e-9)
 
 
@@ -387,7 +395,7 @@ def test_distill_zero_when_teacher_equals_student():
     params = zeroed_params(cfg)
     batch = mlm_batch(cfg, seed=9)
     plan = obj.build_distill_plan("all_from_top", (4, 16), None, cfg.granularity)
-    report = obj.distill_loss(params, cfg, batch, plan)
+    report = obj.matryoshka_mlm_loss(params, cfg, batch, plan=plan)
     assert report.aux == 0.0
     np.testing.assert_allclose(report.total, sum(report.per_pair.values()), rtol=1e-12)
 
@@ -398,7 +406,7 @@ def test_distill_lambda_zero_is_plain_mrl():
     batch = mlm_batch(cfg, seed=10)
     plan = obj.build_distill_plan("single_pair", (4, 16), (2, 4), cfg.granularity,
                                   lambda_d=0.0)
-    with_plan = obj.distill_loss(params, cfg, batch, plan)
+    with_plan = obj.matryoshka_mlm_loss(params, cfg, batch, plan=plan)
     plain = obj.matryoshka_mlm_loss(params, cfg, batch)
     assert with_plan.total == plain.total
     assert with_plan.per_pair == plain.per_pair
@@ -409,7 +417,7 @@ def test_distill_positive_when_distributions_differ():
     params = enc.init_parameters(cfg, seed=11, dtype=np.float64)
     batch = mlm_batch(cfg, seed=11)
     plan = obj.build_distill_plan("single_pair", (4, 16), (2, 4), cfg.granularity)
-    report = obj.distill_loss(params, cfg, batch, plan)
+    report = obj.matryoshka_mlm_loss(params, cfg, batch, plan=plan)
     assert report.aux > 0.0
     np.testing.assert_allclose(
         report.total, sum(report.per_pair.values()) + plan.lambda_d * report.aux,
@@ -423,7 +431,7 @@ def test_distill_direct_summation_oracle():
     batch = mlm_batch(cfg, seed=12, bsz=2, s=6, n_masked=1)
     plan = obj.build_distill_plan("single_pair", (4, 16), (2, 8), cfg.granularity,
                                   lambda_d=1.0, tau_d=1.0)
-    report = obj.distill_loss(params, cfg, batch, plan)
+    report = obj.matryoshka_mlm_loss(params, cfg, batch, plan=plan)
 
     def cell_probs(l, d):
         out = enc.forward(params, cfg, batch.tokens, batch.attn_mask, taps=(l,))
@@ -457,8 +465,8 @@ def test_distill_teacher_stop_gradient():
         return {name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
                 for name, t in params.named()}
 
-    g_with = grads_of(lambda: obj.distill_loss(params, cfg, batch, plan,
-                                               granularity=single).node)
+    g_with = grads_of(lambda: obj.matryoshka_mlm_loss(params, cfg, batch, single,
+                                                      plan).node)
     g_without = grads_of(lambda: obj.matryoshka_mlm_loss(params, cfg, batch,
                                                          granularity=single).node)
     # layers 3 and 4 feed only the (4, *) MLM cells and the teacher branch;
@@ -481,7 +489,8 @@ def test_distill_grad_check_with_frozen_teacher():
     plan = obj.build_distill_plan("all_from_top", (2, 16), None, cfg.granularity)
 
     def f():
-        return obj.distill_loss(params, cfg, batch, plan, teacher_params=frozen).node
+        return obj.matryoshka_mlm_loss(params, cfg, batch, plan=plan,
+                                       teacher_params=frozen).node
 
     assert T.grad_check(f, params.named(), max_coords=220) < 1e-4
 
@@ -507,7 +516,7 @@ def test_one_tape_node_per_loss_term():
     plan = obj.build_distill_plan("all_from_top", (2, 16), None, cfg.granularity)
     n_cells, n_pairs = len(cfg.granularity.grid), len(plan.pairs)
     mlm = tape_ops(obj.matryoshka_mlm_loss(params, cfg, batch).node)
-    distill = tape_ops(obj.distill_loss(params, cfg, batch, plan).node)
+    distill = tape_ops(obj.matryoshka_mlm_loss(params, cfg, batch, plan=plan).node)
     assert mlm["masked_cross_entropy"] == n_cells
     assert distill["masked_cross_entropy"] == n_cells
     # each pair scales its student cell's head product by 1/tau_d (no second
@@ -535,7 +544,7 @@ def test_distill_rejects_cells_outside_grid():
     batch = mlm_batch(cfg)
     plan = obj.DistillPlan(pairs=(((4, 16), (3, 4)),))
     with pytest.raises(ConfigError):
-        obj.distill_loss(params, cfg, batch, plan)
+        obj.matryoshka_mlm_loss(params, cfg, batch, plan=plan)
 
 
 # ---------------------------------------------------------------------------
@@ -579,11 +588,11 @@ def test_trimmed_batch_matches_padded_twin(loss):
     params = enc.init_parameters(cfg, seed=3, dtype=np.float64)
     plan = obj.build_distill_plan("all_from_top", (4, 16), None, cfg.granularity)
     run = {"mlm": lambda b: obj.matryoshka_mlm_loss(params, cfg, b),
-           "distill": lambda b: obj.distill_loss(params, cfg, b, plan),
+           "distill": lambda b: obj.matryoshka_mlm_loss(params, cfg, b, plan=plan),
            "contrastive": lambda b: obj.matryoshka_contrastive_loss(params, cfg, b, tau=0.1,
                                                                     tile=4),
-           "mrl": lambda b: obj.mrl_sft_loss(params, cfg, b, dims=(4, 16), layer=2,
-                                             tau=0.1)}[loss]
+           "mrl": lambda b: obj.matryoshka_contrastive_loss(
+               params, cfg, b, 0.1, None, enc.GranularitySet((2,), (4, 16)))}[loss]
     trimmed, twin = trimmed_and_padded("mlm" if loss in ("mlm", "distill") else "pair",
                                        vocab, texts, cfg.max_seq)
     assert max(np.atleast_1d(trimmed.width)) < cfg.max_seq  # the cut has work to do

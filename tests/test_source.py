@@ -1,6 +1,8 @@
-"""Source checks over the m3enc package: every import is used."""
+"""Source checks over the m3enc package: every import is used, and every
+public function and method has a caller."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import m3enc
@@ -53,3 +55,83 @@ def test_src_has_no_unused_imports():
     found = [f"{path.name}:{line}: {name}" for path in sorted(SRC.glob("*.py"))
              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+# public names that are library surface without a caller in the package
+CALLED_FROM_TESTS_BY_DESIGN = {"grad_check"}
+CALLERS = [SRC.parent.parent / "perfbench", SRC]
+
+
+def public_definitions(tree):
+    """(name, kind, node) of each public module-level function and class
+    method; ``kind`` is "function", "method" or "property"."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, "function", node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    is_property = any(isinstance(d, ast.Name) and d.id == "property"
+                                      for d in item.decorator_list)
+                    yield item.name, "property" if is_property else "method", item
+
+
+def references(tree) -> Counter:
+    """How often ``tree`` reads each name: ``("name", n)`` as a bare name,
+    ``("attr", n)`` as an attribute ``x.n`` and ``("call", n)`` as a called
+    attribute ``x.n(...)``, which a data field of the same name is not."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out["name", node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out["attr", node.attr] += 1
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            out["call", node.func.attr] += 1
+    return out
+
+
+# how each kind of definition is read from outside it
+READ_AS = {"function": ("name", "attr"), "method": ("call",), "property": ("attr",)}
+
+
+def uncalled_public_names(trees: dict[str, ast.Module]) -> list[str]:
+    """``file:name`` of each public function, method or property of ``m3enc/``
+    that no file reads outside its own definition (``READ_AS``). Imports do
+    not count as reads; the ``cmd_*`` handlers count through ``_HANDLERS``."""
+    everywhere = sum((references(tree) for tree in trees.values()), Counter())
+    out = []
+    for path, tree in trees.items():
+        if not path.startswith("m3enc/"):
+            continue
+        for name, kind, node in public_definitions(tree):
+            outside = everywhere - references(node)
+            if not any(outside[how, name] for how in READ_AS[kind]):
+                out.append(f"{path}:{name}")
+    return sorted(out)
+
+
+def test_uncalled_public_name_finder():
+    trees = {"m3enc/a.py": ast.parse(
+        "def f():\n    return f()\n\ndef g():\n    pass\n\n"
+        "class C:\n    def m(self):\n        m = 1\n        return m\n\n"
+        "    def n(self):\n        return self.m()\n\n"
+        "    @property\n    def p(self):\n        return len(x.n)\n\n"
+        "    @property\n    def q(self):\n        return 1\n"),
+        "other/b.py": ast.parse("from m3enc.a import f, g\n\ng()\nC().p\n")}
+    # f is only imported and called by itself; x.n reads a field, not the method
+    assert uncalled_public_names(trees) == ["m3enc/a.py:f", "m3enc/a.py:n", "m3enc/a.py:q"]
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    trees = {}
+    for root in CALLERS:
+        for path in sorted(root.rglob("*.py")):
+            if "tests" in path.relative_to(root).parts:
+                continue
+            key = f"{root.name}/{path.relative_to(root).as_posix()}"
+            trees[key] = ast.parse(path.read_text(encoding="utf-8"))
+    found = uncalled_public_names(trees)
+    allowed = [f for f in found if f.split(":")[1] in CALLED_FROM_TESTS_BY_DESIGN]
+    assert len(allowed) == len(CALLED_FROM_TESTS_BY_DESIGN), "allowlisted names now have callers"
+    assert sorted(set(found) - set(allowed)) == []

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import stat
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from m3enc import data as D
 from m3enc import encoder as enc
+from m3enc import objectives as obj
 from m3enc import synth
 from m3enc import trainer as tr
 from m3enc.config import ABLATION_ARMS
@@ -140,9 +142,6 @@ def test_stage_config_validation():
     with pytest.raises(ConfigError):
         tr.StageConfig(name="x", stage="sft_mrl", steps=1, batch_size=1, lr=1e-3)
     with pytest.raises(ConfigError):
-        tr.StageConfig(name="x", stage="pretrain_mlm", steps=1, batch_size=1, lr=1e-3,
-                       sft_layer=2)
-    with pytest.raises(ConfigError):
         tr.StageConfig(name="x", stage="distill", steps=1, batch_size=1, lr=1e-3)
     with pytest.raises(ConfigError):
         tr.StageConfig(name="x", stage="pretrain_contrastive", steps=1, batch_size=1,
@@ -236,6 +235,37 @@ def test_run_stage_metric_records():
     assert all(math.isfinite(n) and n > 0 for n in norms)
     assert norms == [r["grad_norm"] for r in clipped if "total" in r]
     assert clipped[-1]["fingerprint"] == ends[0]["fingerprint"]
+
+
+def test_step_total_is_its_cells_plus_weighted_aux_for_every_kind():
+    # LossReport's contract as logged: total = sum of the L*-D* entries
+    # + lambda_d * aux, and only a distill stage logs aux
+    state, source = tiny_setup()
+    recs = [D.PairRecord(query=q, doc=d, line_no=i + 1) for i, (q, d) in enumerate(
+        synth.generate_pair_corpus(20, seed=4, n_topics=6, words_per_topic=10, n_common=12,
+                                   doc_len=(8, 12)))]
+    pairs = D.PairSource(state.vocab, recs, query_len=8, doc_len=14)
+    plan = obj.build_distill_plan("all_from_top", (4, 32), None, state.config.granularity,
+                                  lambda_d=0.5)
+    stages = {
+        "pretrain_mlm": (mlm_stage(2), source),
+        "distill": (mlm_stage(2, name="d", stage="distill", distill_plan=plan), source),
+        "pretrain_contrastive": (mlm_stage(2, name="c", stage="pretrain_contrastive",
+                                           tile=3), pairs),
+        "sft_mrl": (mlm_stage(2, name="s", stage="sft_mrl",
+                              granularity=enc.GranularitySet(layers=(4,), dims=(8, 32))), pairs),
+    }
+    for kind, (stage, src) in stages.items():
+        sink = ListSink()
+        tr.run_stage(stage, state, src, sink)
+        steps = [r for r in sink if "total" in r]
+        assert len(steps) == 2
+        for r in steps:
+            cells = [v for key, v in r.items() if re.fullmatch(r"L\d+-D\d+", key)]
+            assert len(cells) == len(stage.granularity or state.config.granularity)
+            weighted = plan.lambda_d * r["aux"] if kind == "distill" else 0.0
+            assert ("aux" in r) == (kind == "distill"), kind
+            assert r["total"] == pytest.approx(sum(cells) + weighted, rel=1e-6), kind
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +492,22 @@ def rewrite_manifest(path, edit):
     lambda m: m["model"].update(ffn_mult=1e300),
     lambda m: m["model"].update(n_layers=3),
     lambda m: m["model"].update(hidden=float(m["model"]["hidden"])),
+    lambda m: m.update(step="2"),
+    lambda m: m.update(step=2.5),
+    lambda m: m.update(step=-1),
+    lambda m: m.update(stage=3),
+    lambda m: m["rng"].update(base_seed="0"),
+    lambda m: m["optimizer"].update(t="1"),
+    lambda m: m["optimizer"].update(t=-1),
+    lambda m: m["optimizer"].update(beta1="0.9"),
+    lambda m: m["optimizer"].update(beta2=None),
+    lambda m: m["optimizer"].update(eps=float("nan")),
+    lambda m: m["optimizer"].update(weight_decay=float("inf")),
 ], ids=["no-tensors", "no-shape", "str-nbytes", "float-nbytes", "bad-dtype",
         "shape-vs-nbytes", "no-name", "table-not-list", "no-granularity", "zero-hidden", "no-seed",
         "no-beta1", "vocab-not-list", "inf-ffn_mult", "huge-ffn_mult", "more-layers",
-        "float-hidden"])
+        "float-hidden", "str-step", "float-step", "negative-step", "int-stage", "str-seed",
+        "str-t", "negative-t", "str-beta1", "null-beta2", "nan-eps", "inf-weight_decay"])
 def test_checkpoint_malformed_manifest_is_typed(tmp_path, edit):
     state, source = tiny_setup()
     tr.run_stage(mlm_stage(1), state, source, ListSink())
