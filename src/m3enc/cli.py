@@ -241,7 +241,6 @@ def _run_training(args, kinds: tuple[str, ...]) -> int:
     if not specs:
         raise ConfigError(f"config has no stage of kind {kinds}")
     state = _initial_state(run, specs, args.resume)
-    run.output_dir.mkdir(parents=True, exist_ok=True)
     sink = tr.JsonlSink(run.output_dir / "metrics.jsonl")
     try:
         pairs = [(spec.stage, _build_source(spec, state.vocab)) for spec in specs]
@@ -273,7 +272,7 @@ def cmd_distill(args) -> int:
 
 def cmd_eval(args) -> int:
     from . import evalkit as ek
-    from .errors import ConfigError
+    from .errors import ConfigError, writing
 
     state, ks, (queries, docs, truth, doc_ids) = _load_eval_target(args)
     if not (1 <= args.dim <= state.config.hidden):
@@ -283,8 +282,9 @@ def cmd_eval(args) -> int:
     report = ek.evaluate(state.params, state.config, state.vocab, queries, docs, truth,
                          layer=args.layer, dim=args.dim, ks=ks, doc_ids=doc_ids)
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    ek.write_report_files(report, out / "report.json", out / "report.csv")
+    with writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        ek.write_report_files(report, out / "report.json", out / "report.csv")
     for k in sorted(report.recalls):
         print(f"recall@{k} = {report.recalls[k]:.4f} (layer={args.layer}, dim={args.dim})")
     print(f"wrote {out / 'report.json'}")
@@ -293,6 +293,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     from . import evalkit as ek
+    from .errors import writing
 
     values = _parse_int_list(args.values, "--values")
     state, ks, (queries, docs, truth, doc_ids) = _load_eval_target(args)
@@ -300,9 +301,10 @@ def cmd_sweep(args) -> int:
                                truth, axis=args.axis, values=values, ks=ks,
                                layer=args.layer, dim=args.dim)
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    ek.write_curve_files(curves, out / f"sweep-{args.axis}.json",
-                         out / f"sweep-{args.axis}.csv")
+    with writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        ek.write_curve_files(curves, out / f"sweep-{args.axis}.json",
+                             out / f"sweep-{args.axis}.csv")
     print(f"wrote {out / f'sweep-{args.axis}.csv'} ({len(values)} points per K)")
     return 0
 
@@ -312,7 +314,7 @@ def cmd_ablate(args) -> int:
     from . import evalkit as ek
     from . import trainer as tr
     from .config import ABLATION_ARMS
-    from .errors import ConfigError
+    from .errors import ConfigError, writing
 
     run, specs = _load_run(args, lambda run: [] if run.ablate is None else [run.ablate.train])
     if not specs:
@@ -325,7 +327,6 @@ def cmd_ablate(args) -> int:
                           "rmsnorm, pre-norm, no bias, no dropout")
 
     vocab = D.build_vocab(_vocab_text_source(run, specs), max_size=base.vocab)
-    run.output_dir.mkdir(parents=True, exist_ok=True)
     sink = tr.JsonlSink(run.output_dir / "metrics.jsonl")
     queries, docs, truth, doc_ids = _load_eval_pairs(ev.path)
 
@@ -353,23 +354,26 @@ def cmd_ablate(args) -> int:
     for row in rows:
         lines.append(",".join(str(row[h]) for h in header))
     csv_path = run.output_dir / "ablation.csv"
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with writing(csv_path):
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {csv_path}")
     return 0
 
 
 def cmd_gen_data(args) -> int:
     from . import synth
+    from .errors import writing
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    if args.kind == "mono":
-        synth.write_text_corpus(out, synth.generate_mlm_corpus(args.n, seed=args.seed))
-    elif args.kind == "multi":
-        proportions = {"en": 0.55, "de": 0.20, "fr": 0.15, "lo": 0.10}
-        synth.write_multilingual_corpus(
-            out, synth.generate_multilingual_corpus(proportions, args.n, seed=args.seed))
-    else:
-        synth.write_pair_corpus(out, synth.generate_pair_corpus(args.n, seed=args.seed))
+    with writing(out):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        if args.kind == "mono":
+            synth.write_text_corpus(out, synth.generate_mlm_corpus(args.n, seed=args.seed))
+        elif args.kind == "multi":
+            proportions = {"en": 0.55, "de": 0.20, "fr": 0.15, "lo": 0.10}
+            synth.write_multilingual_corpus(
+                out, synth.generate_multilingual_corpus(proportions, args.n, seed=args.seed))
+        else:
+            synth.write_pair_corpus(out, synth.generate_pair_corpus(args.n, seed=args.seed))
     print(f"wrote {out}")
     return 0
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and ``writing``, which turns a
+failed output write into one of them."""
+
+from contextlib import contextmanager
 
 
 class M3Error(Exception):
@@ -32,3 +35,16 @@ class CheckpointError(M3Error):
 
 class TrainingAbort(M3Error):
     """Training stopped mid-stage; the last good checkpoint is retained."""
+
+
+class OutputError(M3Error):
+    """An output file or directory cannot be created or written."""
+
+
+@contextmanager
+def writing(path):
+    """Raise a failure to create or write ``path`` as an OutputError naming it."""
+    try:
+        yield
+    except OSError as e:
+        raise OutputError(f"{path}: cannot write output: {e.strerror or e}") from e

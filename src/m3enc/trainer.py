@@ -34,7 +34,7 @@ from . import encoder as enc
 from . import objectives as obj
 from .data import MASK_POLICIES, Vocab
 from .encoder import GranularitySet, ModelConfig, Parameters
-from .errors import CheckpointError, ConfigError, NumericsError, TrainingAbort
+from .errors import CheckpointError, ConfigError, NumericsError, TrainingAbort, writing
 from .objectives import DistillPlan, LossReport
 from .rng import named_rng
 from .tensor import zero_grads
@@ -455,8 +455,9 @@ class JsonlSink:
 
     def __init__(self, path):
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._f = open(self.path, "a", encoding="utf-8")
+        with writing(self.path):
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._f = open(self.path, "a", encoding="utf-8")
 
     def emit(self, record: dict) -> None:
         self._f.write(json.dumps(record, sort_keys=True) + "\n")

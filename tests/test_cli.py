@@ -538,6 +538,34 @@ def test_missing_input_file_exits_1(workdir, pretrained, capsys, case):
     assert not (workdir / "cli-out").exists()
 
 
+def blocked(w):
+    """A path whose parent is a regular file, so nothing can be written there."""
+    (w / "blocker").write_text("not a directory\n", encoding="utf-8")
+    return w / "blocker" / "out"
+
+
+UNWRITABLE_OUTPUT = {
+    "gen-data": lambda w, ckpt: ["gen-data", "--kind", "mono", "--n", "5",
+                                 "--out", str(blocked(w) / "x.txt")],
+    "pretrain": lambda w, ckpt: ["pretrain", "--config", str(write_config(
+        w, base_config("unused"), "blocked.json")), "--output", str(blocked(w))],
+    "ablate": lambda w, ckpt: ["ablate", "--config", str(write_config(
+        w, ablate_config("unused"), "blocked.json")), "--output", str(blocked(w))],
+    "eval": lambda w, ckpt: ["eval", str(ckpt), str(w / "eval.tsv"), "--layer", "2",
+                             "--dim", "16", "--output", str(blocked(w))],
+    "sweep": lambda w, ckpt: ["sweep", str(ckpt), str(w / "eval.tsv"), "--axis", "dim",
+                              "--values", "4", "--layer", "2", "--output", str(blocked(w))],
+}
+
+
+@pytest.mark.parametrize("case", list(UNWRITABLE_OUTPUT))
+def test_unwritable_output_exits_1(workdir, pretrained, capsys, case):
+    assert cli.main(UNWRITABLE_OUTPUT[case](workdir, pretrained)) == 1
+    err = capsys.readouterr().err
+    assert str(workdir / "blocker" / "out") in err and "cannot write output" in err
+    assert not (workdir / "unused").exists()
+
+
 OUT_OF_RANGE = {
     "eval-k-negative": lambda w, ckpt: eval_argv("eval", ckpt, w / "eval.tsv", "--layer", "2",
                                                  "--dim", "16", "--k=-1,5"),
