@@ -235,7 +235,7 @@ def _load_eval_pairs(path):
 
 def _run_training(args, kinds: tuple[str, ...]) -> int:
     from . import trainer as tr
-    from .errors import ConfigError
+    from .errors import ConfigError, writing
 
     run, specs = _load_run(args, lambda run: [s for s in run.stages if s.stage.stage in kinds])
     if not specs:
@@ -244,9 +244,10 @@ def _run_training(args, kinds: tuple[str, ...]) -> int:
     sink = tr.JsonlSink(run.output_dir / "metrics.jsonl")
     try:
         pairs = [(spec.stage, _build_source(spec, state.vocab)) for spec in specs]
-        state = tr.run_stages(pairs, state, sink, output_dir=run.output_dir)
         final = run.output_dir / "final.m3ck"
-        tr.save_checkpoint(state, final)
+        with writing(run.output_dir):
+            state = tr.run_stages(pairs, state, sink, output_dir=run.output_dir)
+            tr.save_checkpoint(state, final)
         print(f"done: {len(specs)} stage(s); final checkpoint {final}")
     finally:
         sink.close()
@@ -342,7 +343,8 @@ def cmd_ablate(args) -> int:
             row = {"arm": arm, "param_count": state.params.count()}
             row.update({f"recall@{k}": report.recalls[k] for k in sorted(report.recalls)})
             rows.append(row)
-            tr.save_checkpoint(state, run.output_dir / f"ablate-{arm}.m3ck")
+            with writing(run.output_dir):
+                tr.save_checkpoint(state, run.output_dir / f"ablate-{arm}.m3ck")
             print(f"{arm}: params={row['param_count']} " +
                   " ".join(f"recall@{k}={report.recalls[k]:.4f}"
                            for k in sorted(report.recalls)))

@@ -19,14 +19,15 @@ node and the output projection; the feed-forward is one fused input
 projection (``ffn_in``, gate | up for SwiGLU), one ``tensor.swiglu`` or GELU
 node and the down projection: four matmuls per layer.
 
-``forward`` runs unpadded, as in ModernBERT: it gathers the batch's N real
-positions once (``rows``, the flat indices of the attention mask) and every
-block works on those [N x m] packed rows. Norms, the four projections, the
-activation and the residual adds never see a padding position; only the
-``tensor.attention`` node scatters its input into the padded [B x s]
-layout, masks the padding keys and gathers the context back. Tapped states
-stay packed: a tap is the [N x m] rows of the real positions in mask order,
-and no tap holds padding. Pooling and the MLM head read those rows.
+``forward`` runs unpadded from the ids, as in ModernBERT: it gathers the
+embeddings at the batch's N real positions only, and every block works on
+those [N x m] packed rows, sequence after sequence; ``tensor.attention``
+attends within each sequence from its length alone. No layer op sees a
+padding position, and a tap is the [N x m] rows in mask order. Two consumers
+keep the padded [B x s] layout on purpose: ``pool`` takes the padded
+weighted sum, so each pooled value is bit for bit the sum over a padded
+state, and the dropout draw is taken at [B x s x m], so the random stream
+does not depend on the packing.
 
 ``forward`` stops at the deepest tapped layer: the layers above it are never
 run, so a tap at layer ``l`` costs ``l`` blocks and is what a model cut to
@@ -272,9 +273,8 @@ def _linear(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     return out if b is None else T.add(out, b)
 
 
-def _attention(x: Tensor, lp: LayerParams, config: ModelConfig, rows: np.ndarray,
-               key_bias: np.ndarray) -> Tensor:
-    ctx = T.attention(_linear(x, lp.attn_qkv, lp.attn_qkv_b), rows, key_bias, config.n_heads)
+def _attention(x: Tensor, lp: LayerParams, config: ModelConfig, lengths: np.ndarray) -> Tensor:
+    ctx = T.attention(_linear(x, lp.attn_qkv, lp.attn_qkv_b), lengths, config.n_heads)
     return _linear(ctx, lp.attn_o, lp.attn_o_b)
 
 
@@ -306,23 +306,17 @@ def forward(
     """Run the encoder up to its deepest tapped layer; returns ``{layer: state}``.
 
     ``tokens`` is an id array of shape [s] or [B x s]; ``attn_mask`` marks
-    real (attendable) positions. The blocks run on the N real positions only,
-    packed as [N x m] rows (``rows``, the flat indices of the mask): norms,
-    projections, the feed-forward and residual adds never see padding. Only
-    the attention node unpacks them into the [B x s] layout, where padding
-    keys receive exactly zero attention weight from every query. Each tapped
-    state is returned packed: the [N x m] rows of the real positions, in the
-    row-major order of ``attn_mask`` (one sequence or many alike), with no
-    padding row. ``taps`` defaults to the configured granularity layers.
-    Hidden dropout runs when a ``dropout_rng`` is passed and
-    ``hidden_dropout`` > 0. It is drawn only between layers that run, at the
-    batch's own [B x s x m] layout (the data sources trim each batch to its
-    longest real row), and applied to the real rows.
+    real (attendable) positions, which need not be a prefix of each row. The
+    embeddings are gathered at the N real positions, every block runs on
+    those [N x m] rows in the row-major order of ``attn_mask`` (one sequence
+    or many alike) with attention per sequence from its row count, and each
+    tapped state is returned as those rows. ``taps`` defaults to the
+    configured granularity layers. Hidden dropout runs when a ``dropout_rng``
+    is passed and ``hidden_dropout`` > 0. It is drawn only between layers that
+    run, at the batch's own [B x s x m] layout (the data sources trim each
+    batch to its longest real row), and applied to the real rows.
     """
-    tokens = np.asarray(tokens)
-    squeeze = tokens.ndim == 1
-    if squeeze:
-        tokens = tokens[None, :]
+    tokens = np.atleast_2d(tokens)
     bsz, s = tokens.shape
     if s < 1:
         raise ContractError("forward requires at least one position")
@@ -332,9 +326,7 @@ def forward(
         raise ContractError(f"token id out of vocabulary range [0, {config.vocab})")
     if attn_mask is None:
         attn_mask = np.ones((bsz, s), dtype=bool)
-    attn_mask = np.asarray(attn_mask, dtype=bool)
-    if squeeze and attn_mask.ndim == 1:
-        attn_mask = attn_mask[None, :]
+    attn_mask = np.atleast_2d(np.asarray(attn_mask, dtype=bool))
     if attn_mask.shape != (bsz, s):
         raise ShapeError(f"attn_mask shape {attn_mask.shape} != tokens shape {(bsz, s)}")
     if taps is None:
@@ -345,21 +337,18 @@ def forward(
                           f"[1, n_layers={config.n_layers}]")
     depth = max(tap_set)
 
-    dtype = params.token_embedding.dtype
-    key_bias = np.where(attn_mask, 0.0, T.MASK_OFFSET).astype(dtype)
-    rows = np.flatnonzero(attn_mask)
-
-    h = T.pack_rows(T.add(T.take_rows(params.token_embedding, tokens),
-                          T.slice_rows(params.position_embedding, 0, s)), rows)
+    rows, lengths = np.flatnonzero(attn_mask), attn_mask.sum(axis=1)
+    h = T.add(T.take_rows(params.token_embedding, tokens[attn_mask]),
+              T.take_rows(params.position_embedding, np.nonzero(attn_mask)[1]))
 
     tapped: dict[int, Tensor] = {}
     for i, lp in enumerate(params.layers[:depth], start=1):
         if config.norm_placement == "pre":
             h = T.add(h, _attention(_norm(h, lp.norm1_w, lp.norm1_b, config.norm),
-                                    lp, config, rows, key_bias))
+                                    lp, config, lengths))
             h = T.add(h, _ffn(_norm(h, lp.norm2_w, lp.norm2_b, config.norm), lp, config))
         else:
-            h = _norm(T.add(h, _attention(h, lp, config, rows, key_bias)),
+            h = _norm(T.add(h, _attention(h, lp, config, lengths)),
                       lp.norm1_w, lp.norm1_b, config.norm)
             h = _norm(T.add(h, _ffn(h, lp, config)), lp.norm2_w, lp.norm2_b, config.norm)
         if i == config.n_layers and params.final_norm_w is not None:

@@ -43,8 +43,9 @@ class OutputError(M3Error):
 
 @contextmanager
 def writing(path):
-    """Raise a failure to create or write ``path`` as an OutputError naming it."""
+    """Raise a failed write as an OutputError naming its file, else ``path``."""
     try:
         yield
     except OSError as e:
-        raise OutputError(f"{path}: cannot write output: {e.strerror or e}") from e
+        name = e.filename2 or e.filename or path
+        raise OutputError(f"{name}: cannot write output: {e.strerror or e}") from e

@@ -130,7 +130,7 @@ def _head_products(params: Parameters, config: ModelConfig, batch: MlmBatch,
     states = enc.forward(params, config, batch.tokens, batch.attn_mask, taps=gran.layers,
                          dropout_rng=dropout_rng)
     bounds = list(zip((0,) + gran.dims[:-1], gran.dims))
-    segments = [T.slice_rows(params.mlm_head_w, start, stop) for start, stop in bounds]
+    segments = [T.pack_rows(params.mlm_head_w, np.arange(start, stop)) for start, stop in bounds]
     products: dict[tuple[int, int], Tensor] = {}
     for l in gran.layers:
         h = T.pack_rows(states[l], masked)

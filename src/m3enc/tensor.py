@@ -10,17 +10,16 @@ Every public operation validates that its output is finite; NaN/Inf is an
 error state, not a value.
 
 The encoder's hot paths are single nodes with hand-written backward passes;
-its projections are plain 2-D GEMMs on packed rows. ``attention`` reads
-q | k | v of packed rows from one fused projection and covers the scatter
-into the padded [B x s] layout, head split, scaled and masked scores,
-softmax, weighted sum, head merge and the gather back to the packed rows.
-``swiglu`` computes silu(gate) * up from one fused gate | up projection.
-``pack_rows`` gathers the real rows of the padded embedding into the packed
-[N x m] layout, which every later op keeps: no tensor after it holds a
-padding row. Its backward pass places the gradient rows back by plain
-indexing. Each loss term is one node too: ``masked_cross_entropy`` (backward
-(softmax - one_hot) / n) for an MLM cell and ``kl_rows`` for a distillation
-pair.
+its projections are plain 2-D GEMMs on packed rows: a batch's [N x m] real
+rows, sequence after sequence, with no padding row. ``attention`` reads
+q | k | v from one fused projection and runs each group of equal-length
+sequences as one dense [b x h x L x dh] block, with no key mask and no
+padding query. ``swiglu`` computes silu(gate) * up from one fused gate | up
+projection. The gathers are ``take_rows`` (ids may repeat: the embeddings),
+``pack_rows`` (distinct increasing rows: a tap's masked rows, the MLM head's
+weight segments) and ``slice_last``. Each loss term is one node too:
+``masked_cross_entropy`` (backward (softmax - one_hot) / n) for an MLM cell
+and ``kl_rows`` for a distillation pair.
 """
 
 from __future__ import annotations
@@ -34,11 +33,6 @@ from scipy.special import erf
 from .errors import ConfigError, ContractError, NumericsError, ShapeError
 
 _FLOAT_DTYPES = (np.float32, np.float64)
-
-# Additive score offset for masked attention keys: finite (so the finiteness
-# invariant holds on intermediate score tensors) yet large enough that
-# exp(x - max) underflows to exactly 0.0 in both float32 and float64.
-MASK_OFFSET = -1.0e30
 
 _grad_enabled = True
 
@@ -256,21 +250,6 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
     return _from_op(out, "slice_last", (a,), bwd)
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous range of the first dimension, ``a[start:stop]``."""
-    a = as_tensor(a)
-    if not (0 <= start <= stop <= a.shape[0]):
-        raise ShapeError(f"slice [{start}:{stop}] out of range for extent {a.shape[0]}")
-    out = np.ascontiguousarray(a.data[start:stop])
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[start:stop] = g
-        return (full,)
-
-    return _from_op(out, "slice_rows", (a,), bwd)
-
-
 def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     """Gather rows along the first axis (embedding-style lookup)."""
     a = as_tensor(a)
@@ -285,17 +264,13 @@ def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     return _from_op(np.ascontiguousarray(out), "take_rows", (a,), bwd)
 
 
-def _check_rows(rows, n_positions: int, n_rows: int | None = None) -> np.ndarray:
-    """``rows`` as a strictly increasing integer array of flat positions in
-    [0, ``n_positions``), ``n_rows`` of them when given."""
+def _check_rows(rows, n_positions: int) -> np.ndarray:
+    """``rows`` as strictly increasing integer positions in [0, ``n_positions``)."""
     rows = np.asarray(rows)
     if (rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer)
-            or (n_rows is not None and rows.shape[0] != n_rows)
             or (rows.size and (rows[0] < 0 or rows[-1] >= n_positions))
             or (np.diff(rows) <= 0).any()):
-        count = "" if n_rows is None else f"{n_rows} "
-        raise ShapeError(f"rows must be {count}strictly increasing integer positions "
-                         f"in [0, {n_positions})")
+        raise ShapeError(f"rows must be strictly increasing integers in [0, {n_positions})")
     return rows
 
 
@@ -419,19 +394,18 @@ def swiglu(x: Tensor) -> Tensor:
     return _from_op(out, "swiglu", (x,), bwd)
 
 
-def attention(qkv: Tensor, rows: np.ndarray, key_bias: np.ndarray, n_heads: int) -> Tensor:
+def attention(qkv: Tensor, lengths: np.ndarray, n_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention over packed rows, as one node.
 
     ``qkv`` is the [N x 3m] output of one fused projection on a batch's N
-    packed positions: its last dimension holds q, k and v as three thirds of
-    ``n_heads`` consecutive heads each, and row i sits at flat position
-    ``rows[i]`` (strictly increasing) of the [B x s] layout of ``key_bias``,
-    an additive offset per key (0 for live keys, ``MASK_OFFSET`` for padding).
-    The node scatters ``qkv`` into a zeroed [B x s x 3m] buffer, reads its
-    heads through strided views, subtracts each score row's max before the
-    softmax, and gathers the context back to the N rows. The backward pass,
-    written out by hand, runs the same steps in reverse and gathers one
-    [N x 3m] gradient. Returns the merged [N x m] context.
+    packed rows: its last dimension holds q, k and v as three thirds of
+    ``n_heads`` consecutive heads each. Consecutive runs of ``lengths`` rows
+    (non-negative integers summing to N) are the sequences; a zero length is
+    a sequence with no rows. The sequences of one length L form one dense
+    [b x h x L x dh] group; each group's scores subtract their row max before
+    the softmax, and its context is placed back at its rows. The backward
+    pass, written out by hand, runs the same steps in reverse per group.
+    Returns the merged [N x m] context.
     """
     qkv = as_tensor(qkv)
     if qkv.ndim != 2 or qkv.shape[-1] % 3:
@@ -440,40 +414,51 @@ def attention(qkv: Tensor, rows: np.ndarray, key_bias: np.ndarray, n_heads: int)
     m = m3 // 3
     if n_heads < 1 or m % n_heads != 0:
         raise ShapeError(f"n_heads={n_heads} must divide the width {m}")
-    bias = np.asarray(key_bias, dtype=qkv.dtype)
-    if bias.ndim != 2:
-        raise ShapeError(f"key_bias must be [B x s], got {bias.shape}")
-    bsz, s = bias.shape
-    rows = _check_rows(rows, bsz * s, n)
+    lengths = np.asarray(lengths)
+    if (lengths.ndim != 1 or not np.issubdtype(lengths.dtype, np.integer)
+            or (lengths < 0).any() or lengths.sum() != n):
+        raise ShapeError(f"lengths must be a 1-D array of non-negative integers summing to {n}")
     dh = m // n_heads
     scale = qkv.dtype.type(1.0 / math.sqrt(dh))
+    # rows sorted by their sequence's length, stably, so each sequence stays
+    # whole and each group of equal-length sequences is one contiguous block
+    perm = np.argsort(np.repeat(lengths, lengths), kind="stable")
+    back = np.argsort(perm)
+    sizes, counts = np.unique(lengths[lengths > 0], return_counts=True)
+    ends = np.cumsum(sizes * counts)
+    blocks = [(slice(e - size * c, e), size) for size, c, e in zip(sizes, counts, ends)]
+    x = qkv.data[perm]
 
-    def heads(x):  # [B x s x n*m] -> n head views of [B x h x s x dh]
-        return x.reshape(bsz, s, -1, n_heads, dh).transpose(2, 0, 3, 1, 4)
+    def heads(a, length):  # [b*L x n*m] -> n head views of [b x h x L x dh]
+        return a.reshape(len(a) // length, length, -1, n_heads, dh).transpose(2, 0, 3, 1, 4)
 
-    qh, kh, vh = heads(_unpack(qkv.data, rows, (bsz, s)))
-    p = np.matmul(qh, kh.transpose(0, 1, 3, 2))
-    p *= scale
-    p += bias[:, None, None, :]
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    ctx = np.empty((bsz, s, m), dtype=qkv.dtype)
-    np.matmul(p, vh, out=heads(ctx)[0])
-    out = ctx.reshape(-1, m)[rows]
+    ctx = np.empty((n, m), dtype=qkv.dtype)
+    saved = []
+    for rows, length in blocks:
+        qh, kh, vh = heads(x[rows], length)
+        p = np.matmul(qh, kh.transpose(0, 1, 3, 2))
+        p *= scale
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        np.matmul(p, vh, out=heads(ctx[rows], length)[0])
+        saved.append((qh, kh, vh, p))
+    out = ctx[back]
 
     def bwd(g):
-        gh = heads(_unpack(g, rows, (bsz, s)))[0]
-        grad = np.empty((bsz, s, m3), dtype=qkv.dtype)
-        gq, gk, gv = heads(grad)
-        np.matmul(p.transpose(0, 1, 3, 2), gh, out=gv)
-        gs = np.matmul(gh, vh.transpose(0, 1, 3, 2))
-        gs -= (gs * p).sum(axis=-1, keepdims=True)
-        gs *= p
-        gs *= scale
-        np.matmul(gs, kh, out=gq)
-        np.matmul(gs.transpose(0, 1, 3, 2), qh, out=gk)
-        return (grad.reshape(-1, m3)[rows],)
+        g = g[perm]
+        part = np.empty_like(x)
+        for (rows, length), (qh, kh, vh, p) in zip(blocks, saved):
+            gh = heads(g[rows], length)[0]
+            gq, gk, gv = heads(part[rows], length)
+            np.matmul(p.transpose(0, 1, 3, 2), gh, out=gv)
+            gs = np.matmul(gh, vh.transpose(0, 1, 3, 2))
+            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs *= p
+            gs *= scale
+            np.matmul(gs, kh, out=gq)
+            np.matmul(gs.transpose(0, 1, 3, 2), qh, out=gk)
+        return (part[back],)
 
     return _from_op(out, "attention", (qkv,), bwd)
 

@@ -487,17 +487,16 @@ def run_stage(
     source,
     sink,
     output_dir=None,
-    start_step: int | None = None,
 ) -> TrainState:
     """Execute one stage; mutates ``state.params`` in place and returns it.
 
     Batches are drawn from ``source.batch(rng, batch_size)`` with a
     per-(seed, stage, step) generator. A fresh optimizer is created unless
-    the state resumes the same stage mid-flight. On a non-finite loss or
-    gradient the stage aborts; the last checkpoint on disk stays intact.
+    the state resumes the same stage mid-flight, from ``state.step``. On a
+    non-finite loss or gradient the stage aborts; the last checkpoint on disk
+    stays intact.
     """
-    if start_step is None:
-        start_step = state.step if state.stage == stage.name else 0
+    start_step = state.step if state.stage == stage.name else 0
     if state.opt is None or state.stage != stage.name:
         state.opt = OptimizerState.init(state.params.named())
     state.stage = stage.name

@@ -1,15 +1,22 @@
 """Tape ops that only the tests' oracles use.
 
-``tsum``, ``reshape``, ``transpose`` and ``softmax_rows`` build the
-node-per-step compositions that the library's fused nodes are checked
-against (attention, pooling, the padded encoder). Nothing in ``src/`` calls
-them, so they live here, on the library's own tape (``T._from_op``).
+``tsum``, ``reshape``, ``transpose``, ``softmax_rows`` and ``slice_rows``
+build the node-per-step compositions that the library's fused nodes are
+checked against (attention, pooling, the padded encoder, the plain MLM
+head). Nothing in ``src/`` calls them, so they live here, on the library's
+own tape (``T._from_op``). The padded oracles mark padding keys with
+``MASK_OFFSET`` alone.
 """
 
 import numpy as np
 
 from m3enc import tensor as T
 from m3enc.errors import ShapeError
+
+# Additive score offset for masked attention keys in the padded oracles:
+# finite (so the finiteness invariant holds on the score tensors) yet large
+# enough that exp(x - max) underflows to exactly 0.0 in float32 and float64.
+MASK_OFFSET = -1.0e30
 
 
 def tsum(a, axis=None, keepdims=False):
@@ -45,6 +52,21 @@ def transpose(a, axes):
         return (np.transpose(g, inv),)
 
     return T._from_op(out, "transpose", (a,), bwd)
+
+
+def slice_rows(a, start, stop):
+    """Contiguous range of the first dimension, ``a[start:stop]``."""
+    a = T.as_tensor(a)
+    if not (0 <= start <= stop <= a.shape[0]):
+        raise ShapeError(f"slice [{start}:{stop}] out of range for extent {a.shape[0]}")
+    out = np.ascontiguousarray(a.data[start:stop])
+
+    def bwd(g):
+        full = np.zeros_like(a.data)
+        full[start:stop] = g
+        return (full,)
+
+    return T._from_op(out, "slice_rows", (a,), bwd)
 
 
 def softmax_rows(x):

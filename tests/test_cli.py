@@ -566,6 +566,42 @@ def test_unwritable_output_exits_1(workdir, pretrained, capsys, case):
     assert not (workdir / "unused").exists()
 
 
+def distill_config(outdir):
+    cfg = base_config(outdir=outdir)
+    cfg["stages"] = [distill_stage()]
+    return cfg
+
+
+# command, config, the checkpoint whose path is a directory, and a checkpoint
+# of an earlier run that the failed run must leave as it was (None when the
+# blocked one is the last to be written)
+UNWRITABLE_CHECKPOINT = {
+    "pretrain-stage": ("pretrain", base_config, "stage1.m3ck", "final.m3ck"),
+    "pretrain-final": ("pretrain", base_config, "final.m3ck", None),
+    "sft-stage": ("sft", sft_config, "sft1.m3ck", "final.m3ck"),
+    "distill-final": ("distill", distill_config, "final.m3ck", None),
+    "ablate": ("ablate", ablate_config, "ablate-base.m3ck", "ablate-+Bias.m3ck"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNWRITABLE_CHECKPOINT))
+def test_unwritable_checkpoint_exits_1(workdir, pretrained, capsys, case):
+    command, config, blocked_name, kept_name = UNWRITABLE_CHECKPOINT[case]
+    out = workdir / f"ckpt-{case}"
+    (out / blocked_name).mkdir(parents=True)
+    (out / blocked_name / "keep").write_text("kept\n", encoding="utf-8")
+    if kept_name is not None:
+        (out / kept_name).write_bytes(pretrained.read_bytes())
+    path = write_config(workdir, config(str(out)), "ckpt-blocked.json")
+    assert cli.main([command, "--config", str(path), "--steps", "1"]) == 1
+    err = capsys.readouterr().err
+    assert f"{out / blocked_name}: cannot write output" in err
+    assert (out / blocked_name / "keep").read_text(encoding="utf-8") == "kept\n"
+    if kept_name is not None:
+        assert (out / kept_name).read_bytes() == pretrained.read_bytes()
+    assert not list(out.glob("*.tmp"))
+
+
 OUT_OF_RANGE = {
     "eval-k-negative": lambda w, ckpt: eval_argv("eval", ckpt, w / "eval.tsv", "--layer", "2",
                                                  "--dim", "16", "--k=-1,5"),

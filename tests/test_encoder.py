@@ -11,7 +11,7 @@ from m3enc.config import ABLATION_ARMS
 from m3enc import tensor as T
 from m3enc.errors import ConfigError, ContractError, ShapeError
 from m3enc.tensor import Tensor
-from oracle_ops import padded, reshape, softmax_rows, transpose, tsum
+from oracle_ops import MASK_OFFSET, padded, reshape, slice_rows, softmax_rows, transpose, tsum
 
 
 def toy_config(**overrides):
@@ -201,10 +201,16 @@ def test_fused_attention_matches_unfused_encoder(monkeypatch):
     cfg = toy_config(n_layers=2, granularity=enc.GranularitySet(layers=(1, 2), dims=(8, 32)))
     params = enc.init_parameters(cfg, seed=4, dtype=np.float64)
     tokens, mask = toy_batch(cfg, seed=4, bsz=3, s=9, n_pad=0)
-    mask[0, 6:] = False  # a different padding per row, so the key bias must
-    mask[2, 3:] = False  # follow each row's own mask
+    mask[0, 6:] = False  # a different padding per row, so the sequence lengths
+    mask[2, 3:] = False  # must follow each row's own mask
     results = []
-    for attention in (enc._attention, unfused_attention):
+
+    def unfused(x, lp, config, lengths):  # the sequences as padded prefixes
+        live = np.arange(lengths.max()) < lengths[:, None]
+        return unfused_attention(x, lp, config, np.flatnonzero(live),
+                                 np.where(live, 0.0, MASK_OFFSET))
+
+    for attention in (enc._attention, unfused):
         monkeypatch.setattr(enc, "_attention", attention)
         T.zero_grads(params.named())
         out = enc.forward(params, cfg, tokens, mask)
@@ -216,22 +222,22 @@ def test_fused_attention_matches_unfused_encoder(monkeypatch):
 
 def padded_forward(params, config, tokens, attn_mask, taps, dropout_rng=None):
     """The encoder as it ran before packing: every block on the padded
-    [B x s x m] layout, the attention node given every position as a row and
+    [B x s x m] layout, the attention oracle given every position as a row and
     the padding only through its key bias. The oracle for ``enc.forward``."""
     bsz, s = tokens.shape
     m = config.hidden
-    key_bias = np.where(attn_mask, 0.0, T.MASK_OFFSET)
+    key_bias = np.where(attn_mask, 0.0, MASK_OFFSET)
     every = np.arange(bsz * s)
 
     def attention(x, lp):
-        ctx = enc._attention(reshape(x, (bsz * s, m)), lp, config, every, key_bias)
+        ctx = unfused_attention(reshape(x, (bsz * s, m)), lp, config, every, key_bias)
         return reshape(ctx, (bsz, s, m))
 
     def norm(x, w, b):
         return enc._norm(x, w, b, config.norm)
 
     h = T.add(T.take_rows(params.token_embedding, tokens),
-              T.slice_rows(params.position_embedding, 0, s))
+              slice_rows(params.position_embedding, 0, s))
     tapped = {}
     for i, lp in enumerate(params.layers[:max(taps)], start=1):
         if config.norm_placement == "pre":
@@ -326,6 +332,25 @@ def test_pad_rows_of_every_tap_are_exact_zeros(squeeze):
         assert (full[~mask] == 0.0).all()
         assert (full[mask] != 0.0).any(axis=-1).all()
         np.testing.assert_array_equal(t.data, runs[1][l].data)
+
+
+def test_no_op_of_the_forward_sees_a_padding_row(monkeypatch):
+    # every node the forward makes, from the embedding gathers through
+    # attention, dropout and the last block, holds the mask.sum() real rows
+    cfg = toy_config(hidden_dropout=0.5)
+    params = enc.init_parameters(cfg, seed=9)
+    tokens, mask = mixed_masks(cfg, seed=9)
+    made = []
+    real = T._from_op
+
+    def spy(data, op, parents, backward_fn):
+        made.append((op, data.shape))
+        return real(data, op, parents, backward_fn)
+
+    monkeypatch.setattr(T, "_from_op", spy)
+    enc.forward(params, cfg, tokens, mask, taps=(2, 6), dropout_rng=np.random.default_rng(9))
+    assert {"take_rows", "attention", "swiglu", "mul"} <= {op for op, _ in made}
+    assert all(shape[0] == mask.sum() for _, shape in made), made
 
 
 def test_dropout_keeps_the_padded_draw_at_real_rows():
@@ -580,7 +605,7 @@ def test_encoder_grad_check(placement, norm, act, bias):
         loss = None
         for l, d in cfg.granularity.grid:
             logits = T.add(T.matmul(T.slice_last(out[l], 0, d),
-                                    T.slice_rows(params.mlm_head_w, 0, d)),
+                                    slice_rows(params.mlm_head_w, 0, d)),
                            params.mlm_head_b)
             cell = T.masked_cross_entropy(T.take_rows(logits, rows), targets[mask_pos])
             loss = cell if loss is None else T.add(loss, cell)

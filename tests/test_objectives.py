@@ -16,7 +16,7 @@ from m3enc import tensor as T
 from m3enc.data import IGNORE_INDEX, MlmBatch, PairBatch
 from m3enc.errors import ConfigError, ContractError
 from m3enc.tensor import Tensor
-from oracle_ops import transpose
+from oracle_ops import slice_rows, transpose
 
 
 def toy_config(**overrides):
@@ -30,7 +30,7 @@ def toy_config(**overrides):
 
 def plain_head_logits(params, h, d):
     """The plain-head oracle: h[..., :d] @ W[:d, :] + b as one projection."""
-    return T.add(T.matmul(T.slice_last(h, 0, d), T.slice_rows(params.mlm_head_w, 0, d)),
+    return T.add(T.matmul(T.slice_last(h, 0, d), slice_rows(params.mlm_head_w, 0, d)),
                  params.mlm_head_b)
 
 
@@ -145,7 +145,7 @@ def test_segmented_head_matches_plain_head_oracle():
     for l in cfg.granularity.layers:
         h = masked_rows(out[l], batch)
         # the first segment is the plain projection itself; later ones add partial products
-        first = T.matmul(T.slice_last(h, 0, 4), T.slice_rows(w, 0, 4))
+        first = T.matmul(T.slice_last(h, 0, 4), slice_rows(w, 0, 4))
         np.testing.assert_array_equal(products[(l, 4)].data, first.data)
         for d in (8, 16):
             oracle = h.data[:, :d] @ w.data[:d, :]
@@ -532,9 +532,9 @@ def test_head_weight_segments_are_cut_once_per_step():
     params = enc.init_parameters(cfg, seed=16, dtype=np.float64)
     batch = mlm_batch(cfg, seed=16)
     ops = tape_ops(obj.matryoshka_mlm_loss(params, cfg, batch).node)
-    # one slice of mlm_head_w per dim, shared by the layers, plus the
-    # position embedding's
-    assert ops["slice_rows"] == len(cfg.granularity.dims) + 1
+    # one cut of mlm_head_w per dim, shared by the layers, plus each tapped
+    # layer's gather of its masked rows
+    assert ops["pack_rows"] == len(cfg.granularity.dims) + len(cfg.granularity.layers)
     assert ops["matmul"] - 4 * cfg.n_layers == len(cfg.granularity)
 
 

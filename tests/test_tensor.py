@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from m3enc import tensor as T
 from m3enc.errors import ConfigError, ContractError, NumericsError, ShapeError
-from oracle_ops import reshape, softmax_rows, transpose, tsum
+from oracle_ops import MASK_OFFSET, reshape, softmax_rows, transpose, tsum
 
 
 def rand(shape, seed=0, scale=1.0):
@@ -287,19 +287,25 @@ def test_swiglu_shape_mismatch():
 # ---------------------------------------------------------------------------
 
 
-def attention_inputs(bsz=2, s=5, m=6, n_pad=2, seed=40):
-    """A padded [B x s x 3m] q | k | v leaf, the packed [N x 3m] rows of its
-    live positions (a tape gather, so gradients reach the leaf), those rows,
-    the key bias and the live-position mask."""
+def padded_qkv(live, m=6, seed=40):
+    """A padded [B x s x 3m] q | k | v leaf for the live-position mask
+    ``live``, the packed [N x 3m] rows of its live positions (a tape gather,
+    so gradients reach the leaf), those rows and the key bias."""
+    bsz, s = live.shape
     padded = T.Tensor(np.concatenate([rand((bsz, s, m), seed=seed + i) for i in range(3)],
                                      axis=-1), requires_grad=True)
+    rows = np.flatnonzero(live)
+    qkv = T.take_rows(reshape(padded, (bsz * s, 3 * m)), rows)
+    key_bias = np.where(live, 0.0, MASK_OFFSET)
+    return padded, qkv, rows, key_bias
+
+
+def attention_inputs(bsz=2, s=5, m=6, n_pad=2, seed=40):
+    """``padded_qkv`` of two rows with different padding, plus its mask."""
     live = np.ones((bsz, s), dtype=bool)
     live[0, s - n_pad:] = False
     live[1, :n_pad - 1] = False
-    rows = np.flatnonzero(live)
-    qkv = T.take_rows(reshape(padded, (bsz * s, 3 * m)), rows)
-    key_bias = np.where(live, 0.0, T.MASK_OFFSET)
-    return padded, qkv, rows, key_bias, live
+    return (*padded_qkv(live, m, seed), live)
 
 
 def unfused_attention(padded, rows, key_bias, n_heads):
@@ -321,10 +327,10 @@ def unfused_attention(padded, rows, key_bias, n_heads):
 
 
 def test_attention_matches_unfused_composition():
-    padded, qkv, rows, key_bias, _ = attention_inputs()
+    padded, qkv, rows, key_bias, live = attention_inputs()
     c = rand((len(rows), 6), seed=50)
     results = []
-    for op in (lambda: T.attention(qkv, rows, key_bias, 3),
+    for op in (lambda: T.attention(qkv, live.sum(axis=1), 3),
                lambda: unfused_attention(padded, rows, key_bias, 3)):
         padded.grad = None
         out = op()
@@ -334,55 +340,66 @@ def test_attention_matches_unfused_composition():
         np.testing.assert_allclose(fused, ref, rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("lengths", [[5, 1, 7, 3, 2, 6, 4], [4, 4, 4], [3, 0, 5, 3]],
+                         ids=["every-length-distinct", "one-group", "zero-length-row"])
+def test_grouped_attention_matches_padded_oracle(lengths):
+    # the sequences of each length run as one dense group; the oracle runs
+    # every row padded to the longest, with the padding keys masked
+    lengths = np.array(lengths)
+    live = np.arange(lengths.max()) < lengths[:, None]
+    padded, qkv, rows, key_bias = padded_qkv(live, m=8, seed=70)
+    c = rand((len(rows), 8), seed=71)
+    results = []
+    for op in (lambda: T.attention(qkv, lengths, 2),
+               lambda: unfused_attention(padded, rows, key_bias, 2)):
+        padded.grad = None
+        out = op()
+        tsum(T.mul(out, T.Tensor(c))).backward()
+        assert (padded.grad[~live] == 0.0).all()
+        results.append((out.data, padded.grad[live]))  # the outputs and the qkv gradients
+    for grouped, ref in zip(*results):
+        np.testing.assert_allclose(grouped, ref, rtol=1e-12)
+
+
 def test_attention_grad():
-    _, qkv, rows, key_bias, _ = attention_inputs()
+    _, qkv, rows, _, live = attention_inputs()
     qkv = T.Tensor(qkv.data, requires_grad=True)
     c = T.Tensor(rand((len(rows), 6), seed=51))
 
     def f():
-        return tsum(T.mul(T.attention(qkv, rows, key_bias, 3), c))
+        return tsum(T.mul(T.attention(qkv, live.sum(axis=1), 3), c))
 
     assert T.grad_check(f, [("qkv", qkv)]) < 1e-6
 
 
-def test_attention_padded_keys_get_zero_grad():
-    # every position packed, padding marked by the key bias alone: the masked
-    # keys' k and v rows get exactly zero gradient
-    padded, _, _, key_bias, live = attention_inputs()
-    every = np.arange(live.size)
-    qkv = reshape(padded, (live.size, 18))
-    out = T.attention(qkv, every, key_bias, 2)
-    tsum(T.mul(out, T.Tensor(rand((live.size, 6), seed=52)))).backward()
-    for g in (padded.grad[..., 6:12], padded.grad[..., 12:]):  # the k and v thirds
-        assert (g[~live] == 0.0).all()
-        assert (g[live] != 0.0).any()
-
-
 def test_attention_single_head_oracle():
-    # one head, one sequence whose middle position is padding and not packed:
-    # softmax(q k^T / sqrt(m) + bias) v, row by row, at the two packed rows
+    # one head, one sequence of the two packed rows (positions 0 and 2 of a
+    # padded layout whose middle position is not packed):
+    # softmax(q k^T / sqrt(m)) v, row by row
     q, k, v = rand((1, 3, 4), seed=53), rand((1, 3, 4), seed=54), rand((1, 3, 4), seed=55)
-    bias = np.array([[0.0, T.MASK_OFFSET, 0.0]])
     rows = np.array([0, 2])
     qkv = np.concatenate([q, k, v], axis=-1)[0, rows]
-    out = T.attention(T.Tensor(qkv), rows, bias, 1).data
+    out = T.attention(T.Tensor(qkv), np.array([2]), 1).data
     for r, i in enumerate(rows):
         w = np.array([math.exp(q[0, i] @ k[0, j] / 2.0) if j != 1 else 0.0 for j in range(3)])
         np.testing.assert_allclose(out[r], (w / w.sum()) @ v[0], rtol=1e-12)
 
 
 def test_attention_shape_errors():
-    _, qkv, rows, key_bias, _ = attention_inputs()
+    _, qkv, rows, _, live = attention_inputs()
+    lengths = live.sum(axis=1)
     with pytest.raises(ShapeError):
-        T.attention(qkv, rows, key_bias, 4)
+        T.attention(qkv, lengths, 4)
     with pytest.raises(ShapeError):
-        T.attention(qkv, rows, key_bias[:, :3], 3)
-    with pytest.raises(ShapeError):
-        T.attention(T.Tensor(rand((len(rows), 17))), rows, key_bias, 3)
-    with pytest.raises(ShapeError):  # a row count that disagrees with qkv
-        T.attention(qkv, rows[:-1], key_bias, 3)
-    with pytest.raises(ShapeError):  # rows must increase
-        T.attention(qkv, rows[::-1], key_bias, 3)
+        T.attention(T.Tensor(rand((len(rows), 17))), lengths, 3)
+    with pytest.raises(ShapeError):  # lengths that do not sum to the row count
+        T.attention(qkv, lengths[:-1], 3)
+    with pytest.raises(ShapeError):  # a negative length
+        T.attention(qkv, np.array([len(rows) + 1, -1]), 3)
+    with pytest.raises(ShapeError):  # lengths that are not integers
+        T.attention(qkv, lengths.astype(np.float64), 3)
+    with pytest.raises(ShapeError):  # lengths that are not one dimension
+        T.attention(qkv, lengths[None, :], 3)
 
 
 def test_pack_rows_gathers_and_grads_check():
