@@ -141,9 +141,10 @@ def _vocab_text_source(run, specs):
                       "mono/pairs stage")
 
 
-def _check_resume(run, state, resume) -> None:
+def _check_resume(run, specs, state, resume) -> None:
     """Refuse a checkpoint whose model or precision disagrees with the config
-    the stages were validated against."""
+    the stages were validated against, or whose seed does when the first stage
+    resumes from it mid-way; at a stage boundary the config's seed takes over."""
     from .errors import ConfigError
 
     ckpt, cfg = state.config, run.model
@@ -157,6 +158,10 @@ def _check_resume(run, state, resume) -> None:
     dtype = state.params.token_embedding.dtype.name
     if dtype != run.precision:
         problems.append(f"precision: checkpoint {dtype}, config {run.precision}")
+    first = specs[0].stage
+    if first.name == state.stage and state.step < first.steps and state.base_seed != run.seed:
+        problems.append(f"seed: checkpoint {state.base_seed}, config {run.seed} (stage "
+                        f"{first.name} resumes at step {state.step} of {first.steps})")
     if problems:
         raise ConfigError(f"--resume {resume} does not match the config:\n  "
                           + "\n  ".join(problems))
@@ -182,7 +187,7 @@ def _initial_state(run, specs, resume):
 
     if resume is not None:
         state = tr.load_checkpoint(resume)
-        _check_resume(run, state, resume)
+        _check_resume(run, specs, state, resume)
         state.base_seed = run.seed
         return state
     vocab = D.build_vocab(_vocab_text_source(run, specs), max_size=run.model.vocab)

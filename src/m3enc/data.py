@@ -170,8 +170,6 @@ def mask_tokens(
 
 @dataclass(frozen=True)
 class LanguageMixture:
-    raw: dict[str, float]
-    smoothing: float
     smoothed: dict[str, float]
 
     @property
@@ -201,7 +199,7 @@ def smooth_mixture(proportions: dict[str, float], smoothing: float) -> LanguageM
     powered = np.where(values > 0, values ** smoothing, 0.0)
     powered /= powered.sum()
     smoothed = {lang: float(p) for lang, p in zip(langs, powered)}
-    return LanguageMixture(raw=dict(proportions), smoothing=float(smoothing), smoothed=smoothed)
+    return LanguageMixture(smoothed=smoothed)
 
 
 def sample_language(mixture: LanguageMixture, rng: np.random.Generator) -> str:

@@ -27,7 +27,9 @@ padding position, and a tap is the [N x m] rows in mask order. Two consumers
 keep the padded [B x s] layout on purpose: ``pool`` takes the padded
 weighted sum, so each pooled value is bit for bit the sum over a padded
 state, and the dropout draw is taken at [B x s x m], so the random stream
-does not depend on the packing.
+does not depend on the packing. A contrastive step encodes its queries
+stacked on its documents as one [2B x s] batch, so the ``+Dropout`` arm
+draws one [2B x s x m] mask per layer there, not one per side.
 
 ``forward`` stops at the deepest tapped layer: the layers above it are never
 run, so a tap at layer ``l`` costs ``l`` blocks and is what a model cut to
@@ -280,7 +282,7 @@ def _attention(x: Tensor, lp: LayerParams, config: ModelConfig, lengths: np.ndar
 
 def _ffn(x: Tensor, lp: LayerParams, config: ModelConfig) -> Tensor:
     pre = _linear(x, lp.ffn_in, lp.ffn_in_b)
-    hidden = T.swiglu(pre) if config.activation == "swiglu" else T.activation(pre, "gelu")
+    hidden = T.swiglu(pre) if config.activation == "swiglu" else T.gelu(pre)
     return _linear(hidden, lp.ffn_down, lp.ffn_down_b)
 
 

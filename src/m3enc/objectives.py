@@ -13,7 +13,9 @@ every (layer, dim) cell of a grid.
   ``kl_rows`` node on the scaled student product
 * in-batch-negative contrastive loss, streamed over column tiles of the
   score matrix (``tile=None`` is a single tile spanning the batch), summed
-  over every grid cell. MRL fine-tuning is its one-layer grid
+  over every grid cell. MRL fine-tuning is its one-layer grid. Queries are
+  stacked on documents: one forward, one pool per layer, one [2B x d]
+  embedding per cell, read as queries [:B] and documents [B:]
 
 Hidden dropout runs in the encoder when a ``dropout_rng`` is passed and the
 model's ``hidden_dropout`` is above 0.
@@ -148,7 +150,6 @@ def matryoshka_mlm_loss(
     batch: MlmBatch,
     granularity: GranularitySet | None = None,
     plan: DistillPlan | None = None,
-    teacher_params: Parameters | None = None,
     *,
     dropout_rng: np.random.Generator | None = None,
 ) -> LossReport:
@@ -163,9 +164,7 @@ def matryoshka_mlm_loss(
     student distribution first and no gradient flowing into the teacher
     branch. Distributions are softmax(h[:, :d] @ W[:d, :] / tau_d): the MLM
     cells' bias-free head products, scaled, so no cell is projected twice.
-    Each distinct teacher cell is normalized once. ``teacher_params``, when
-    given, sources the teacher products from a frozen parameter copy instead
-    of the live weights.
+    Each distinct teacher cell is normalized once.
     """
     gran = _grid(config, granularity)
     for teacher, student in () if plan is None else plan.pairs:
@@ -185,14 +184,9 @@ def matryoshka_mlm_loss(
                           aux=None if plan is None else 0.0, node=total)
 
     inv_tau = 1.0 / plan.tau_d
-    if teacher_params is None:
-        teacher_products = products
-    else:
-        with T.no_grad():
-            teacher_products = _head_products(teacher_params, config, batch, gran)
     neg_log_teacher = {}
     for cell in dict.fromkeys(tuple(t) for t, _ in plan.pairs):
-        product = teacher_products[cell].data
+        product = products[cell].data
         x = product * product.dtype.type(inv_tau)
         m = x.max(axis=-1, keepdims=True)
         log_p = x - (m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True)))
@@ -212,19 +206,10 @@ def matryoshka_mlm_loss(
 # ---------------------------------------------------------------------------
 
 
-def _check_normalized(emb: Tensor, name: str) -> None:
-    norms = np.sqrt((emb.data * emb.data).sum(axis=-1))
-    if np.abs(norms - 1.0).max() > 1e-3:
-        raise ContractError(f"{name} rows are not L2-normalized (norm off by > 1e-3)")
-
-
-def tiled_contrastive_loss(
-    q_emb: Tensor,
-    d_emb: Tensor,
-    tau: float,
-    tile: int | None,
-) -> Tensor:
-    """In-batch-negative contrastive loss; row i's positive is document i.
+def tiled_contrastive_loss(emb: Tensor, tau: float, tile: int | None) -> Tensor:
+    """In-batch-negative contrastive loss over a [2B x d] stack of embeddings:
+    rows [:B] are the queries, rows [B:] the documents, and query i's
+    positive is document i.
 
     Scores are inner products of the (already unit-norm) embeddings divided
     by the temperature; the loss is the mean over queries of log-sum-exp of
@@ -232,17 +217,19 @@ def tiled_contrastive_loss(
     column tiles of ``tile`` documents with running log-sum-exp
     accumulators, and the backward pass recomputes each tile, so no B x B
     array exists when tile < B; auxiliary storage is O(B * tile + tile^2).
-    ``tile=None`` is one tile of the whole batch.
+    ``tile=None`` is one tile of the whole batch. The gradient is one
+    [2B x d] buffer, laid out as ``emb``.
     """
     if tau <= 0:
         raise ConfigError("temperature must be positive")
-    if q_emb.ndim != 2 or q_emb.shape != d_emb.shape:
-        raise ShapeError(f"embedding shapes disagree: {q_emb.shape} vs {d_emb.shape}")
-    _check_normalized(q_emb, "query embeddings")
-    _check_normalized(d_emb, "document embeddings")
+    if emb.ndim != 2 or emb.shape[0] % 2:
+        raise ShapeError(f"expected a [2B x d] query | document stack, got {emb.shape}")
+    x = emb.data
+    if np.abs(np.sqrt((x * x).sum(axis=-1)) - 1.0).max() > 1e-3:
+        raise ContractError("embedding rows are not L2-normalized (norm off by > 1e-3)")
 
-    q, d = q_emb.data, d_emb.data
-    b = q.shape[0]
+    b = x.shape[0] // 2
+    q, d = x[:b], x[b:]
     t = b if tile is None else tile
     inv_tau = 1.0 / tau
 
@@ -261,8 +248,8 @@ def tiled_contrastive_loss(
 
     def bwd(g):
         coef = float(g) * inv_tau / b
-        gq = np.zeros_like(q)
-        gd = np.zeros_like(d)
+        gx = np.zeros_like(x)
+        gq, gd = gx[:b], gx[b:]
         for j0 in range(0, b, t):
             block = d[j0:j0 + t]
             scores = (q @ block.T) * inv_tau
@@ -271,10 +258,21 @@ def tiled_contrastive_loss(
             soft[rows, rows - j0] -= 1.0
             gq += (soft @ block) * coef
             gd[j0:j0 + t] += (soft.T @ q) * coef
-        return gq, gd
+        return (gx,)
 
-    return T._from_op(np.asarray(loss, dtype=q.dtype), "tiled_contrastive",
-                      (q_emb, d_emb), bwd)
+    return T._from_op(np.asarray(loss, dtype=x.dtype), "tiled_contrastive", (emb,), bwd)
+
+
+def _stacked(batch: PairBatch) -> tuple[np.ndarray, np.ndarray]:
+    """The batch's queries on top of its documents as one [2B x s] batch of
+    ids and mask, each side padded at the end to the wider side's width (id 0,
+    masked out, so ``forward`` never gathers it)."""
+    if batch.doc_tokens.shape[0] != batch.size:
+        raise ShapeError(f"{batch.size} queries but {batch.doc_tokens.shape[0]} documents")
+    width = max(batch.width)
+    padded = [np.pad(a, ((0, 0), (0, width - a.shape[1]))) for a in
+              (batch.query_tokens, batch.doc_tokens, batch.query_mask, batch.doc_mask)]
+    return np.concatenate(padded[:2]), np.concatenate(padded[2:])
 
 
 def matryoshka_contrastive_loss(
@@ -288,25 +286,22 @@ def matryoshka_contrastive_loss(
     dropout_rng: np.random.Generator | None = None,
 ) -> LossReport:
     """Tiled contrastive loss summed over every (layer, dim) grid cell, from
-    one query and one document forward pass. MRL fine-tuning is a one-layer
-    grid.
+    one forward pass over the batch's queries stacked on its documents
+    (``_stacked``). MRL fine-tuning is a one-layer grid.
 
-    Each side is pooled once per layer; every dim's embeddings are prefixes
-    of that pooled state, re-normalized (``enc.cell_embedding``).
+    The stack is pooled once per layer; every dim's [2B x d] embeddings are
+    prefixes of that pooled state, re-normalized (``enc.cell_embedding``).
     """
     gran = _grid(config, granularity)
-    q_states = enc.forward(params, config, batch.query_tokens, batch.query_mask,
-                           taps=gran.layers, dropout_rng=dropout_rng)
-    d_states = enc.forward(params, config, batch.doc_tokens, batch.doc_mask,
-                           taps=gran.layers, dropout_rng=dropout_rng)
+    tokens, mask = _stacked(batch)
+    states = enc.forward(params, config, tokens, mask, taps=gran.layers,
+                         dropout_rng=dropout_rng)
     per_pair: dict[tuple[int, int], float] = {}
     total: Tensor | None = None
     for l in gran.layers:
-        q_pooled = enc.pool(q_states[l], batch.query_mask)
-        d_pooled = enc.pool(d_states[l], batch.doc_mask)
+        pooled = enc.pool(states[l], mask)
         for d in gran.dims:
-            cell = tiled_contrastive_loss(enc.cell_embedding(q_pooled, d),
-                                          enc.cell_embedding(d_pooled, d), tau, tile)
+            cell = tiled_contrastive_loss(enc.cell_embedding(pooled, d), tau, tile)
             per_pair[(l, d)] = float(cell)
             total = cell if total is None else T.add(total, cell)
     return LossReport(per_pair=per_pair, total=float(total), node=total)

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import ConfigError, ContractError, NumericsError, ShapeError
+from .errors import ContractError, NumericsError, ShapeError
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
@@ -348,11 +348,9 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float) -> Tensor:
     return _from_op(out, "layer_norm", (x, weight, bias), bwd)
 
 
-def activation(x: Tensor, kind: str) -> Tensor:
-    """Elementwise nonlinearity: 'gelu' (exact erf form)."""
+def gelu(x: Tensor) -> Tensor:
+    """Elementwise GELU, exact erf form."""
     x = as_tensor(x)
-    if kind != "gelu":
-        raise ConfigError(f"unknown activation kind: {kind!r}")
     phi = 0.5 * (1.0 + erf(x.data * x.dtype.type(1.0 / math.sqrt(2.0))).astype(x.data.dtype))
     out = x.data * phi
 

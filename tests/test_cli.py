@@ -1,6 +1,10 @@
 """CLI tests: config validation exit codes, staged runs, eval/sweep/ablate."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from m3enc import data as D
 from m3enc import encoder as enc
 from m3enc import trainer as tr
 from m3enc.errors import CheckpointError
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +250,22 @@ def test_pretrain_bit_reproducible(workdir):
     a = (workdir / "outA" / "final.m3ck").read_bytes()
     b = (workdir / "outB" / "final.m3ck").read_bytes()
     assert a == b
+
+
+def test_pretrain_bit_reproducible_across_processes(workdir):
+    # two processes, two hash seeds: nothing in a --threads 1 run may depend
+    # on the process (set iteration order, object ids)
+    path = write_config(workdir, base_config(outdir="outP"), "runP.json")
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = workdir / f"outP{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "m3enc.cli", "pretrain", "--config", str(path),
+                        "--output", str(out), "--threads", "1"],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outputs.append((out / "final.m3ck").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +513,36 @@ def test_resume_mismatched_checkpoint_exits_2(workdir, pretrained, capsys, edit,
     err = capsys.readouterr().err
     assert field in err and "does not match the config" in err
     assert not (workdir / "resume-bad").exists()
+
+
+@pytest.fixture(scope="module")
+def mid_sft(workdir, pretrained):
+    """A checkpoint taken after step 1 of the 3-step sft1 stage."""
+    cfg = sft_config("sft-mid")
+    cfg["stages"][0]["checkpoint_every"] = 1
+    path = write_config(workdir, cfg, "sft-mid.json")
+    assert cli.main(["sft", "--config", str(path), "--resume", str(pretrained)]) == 0
+    return workdir / "sft-mid" / "sft1-step1.m3ck"
+
+
+def test_mid_stage_resume_under_another_seed_exits_2(workdir, mid_sft, capsys):
+    cfg = sft_config("resume-seed")
+    cfg["seed"] += 1
+    path = write_config(workdir, cfg, "resume-seed.json")
+    assert cli.main(["sft", "--config", str(path), "--resume", str(mid_sft)]) == 2
+    err = capsys.readouterr().err
+    assert "seed: checkpoint 3, config 4" in err and "does not match the config" in err
+    assert not (workdir / "resume-seed").exists()
+
+
+def test_resume_takes_the_config_seed_only_at_a_stage_boundary(workdir, pretrained, mid_sft):
+    # the pretrained checkpoint ended its last stage, so sft1 starts afresh
+    other_seed = sft_config("boundary-seed")
+    other_seed["seed"] += 1
+    path = write_config(workdir, other_seed, "boundary-seed.json")
+    assert cli.main(["sft", "--config", str(path), "--resume", str(pretrained)]) == 0
+    path = write_config(workdir, sft_config("mid-same-seed"), "mid-same-seed.json")
+    assert cli.main(["sft", "--config", str(path), "--resume", str(mid_sft)]) == 0
 
 
 def exit_code(argv):

@@ -237,17 +237,13 @@ def test_run_stage_metric_records():
     assert clipped[-1]["fingerprint"] == ends[0]["fingerprint"]
 
 
-def test_step_total_is_its_cells_plus_weighted_aux_for_every_kind():
-    # LossReport's contract as logged: total = sum of the L*-D* entries
-    # + lambda_d * aux, and only a distill stage logs aux
-    state, source = tiny_setup()
+def every_kind_stages(state, source, plan):
+    """A 2-step stage of each kind with its source: {kind: (stage, source)}."""
     recs = [D.PairRecord(query=q, doc=d, line_no=i + 1) for i, (q, d) in enumerate(
         synth.generate_pair_corpus(20, seed=4, n_topics=6, words_per_topic=10, n_common=12,
                                    doc_len=(8, 12)))]
     pairs = D.PairSource(state.vocab, recs, query_len=8, doc_len=14)
-    plan = obj.build_distill_plan("all_from_top", (4, 32), None, state.config.granularity,
-                                  lambda_d=0.5)
-    stages = {
+    return {
         "pretrain_mlm": (mlm_stage(2), source),
         "distill": (mlm_stage(2, name="d", stage="distill", distill_plan=plan), source),
         "pretrain_contrastive": (mlm_stage(2, name="c", stage="pretrain_contrastive",
@@ -255,6 +251,15 @@ def test_step_total_is_its_cells_plus_weighted_aux_for_every_kind():
         "sft_mrl": (mlm_stage(2, name="s", stage="sft_mrl",
                               granularity=enc.GranularitySet(layers=(4,), dims=(8, 32))), pairs),
     }
+
+
+def test_step_total_is_its_cells_plus_weighted_aux_for_every_kind():
+    # LossReport's contract as logged: total = sum of the L*-D* entries
+    # + lambda_d * aux, and only a distill stage logs aux
+    state, source = tiny_setup()
+    plan = obj.build_distill_plan("all_from_top", (4, 32), None, state.config.granularity,
+                                  lambda_d=0.5)
+    stages = every_kind_stages(state, source, plan)
     for kind, (stage, src) in stages.items():
         sink = ListSink()
         tr.run_stage(stage, state, src, sink)
@@ -266,6 +271,25 @@ def test_step_total_is_its_cells_plus_weighted_aux_for_every_kind():
             weighted = plan.lambda_d * r["aux"] if kind == "distill" else 0.0
             assert ("aux" in r) == (kind == "distill"), kind
             assert r["total"] == pytest.approx(sum(cells) + weighted, rel=1e-6), kind
+
+
+def test_every_stage_kind_runs_one_encoder_forward_per_step(monkeypatch):
+    # pair stages encode queries and documents as one batch, and distillation
+    # reads the teacher from the same forward as the students
+    state, source = tiny_setup()
+    plan = obj.build_distill_plan("all_from_top", (4, 32), None, state.config.granularity)
+    calls = []
+    forward = enc.forward
+
+    def counting_forward(*args, **kwargs):
+        calls.append(1)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(enc, "forward", counting_forward)
+    for kind, (stage, src) in every_kind_stages(state, source, plan).items():
+        calls.clear()
+        tr.run_stage(stage, state, src, ListSink())
+        assert len(calls) == stage.steps, kind
 
 
 # ---------------------------------------------------------------------------
