@@ -79,7 +79,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# glibc malloc parameters (mallopt): requests below M_MMAP_THRESHOLD come
+# from the heap, and free() gives the heap's top back to the OS only once it
+# exceeds M_TRIM_THRESHOLD. At the defaults, the tape a training step frees
+# goes back to the OS and the next step's forward faults it in again.
+_MALLOPT = ((-3, 32 << 20),  # M_MMAP_THRESHOLD: 32 MiB
+            (-1, 1 << 30))   # M_TRIM_THRESHOLD: 1 GiB
+
+
+def _keep_freed_heap() -> None:
+    """Set ``_MALLOPT`` where the C library has ``mallopt``; else do nothing."""
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in _MALLOPT:
+        mallopt(param, value)
+
+
 def _setup_runtime(args, parser: argparse.ArgumentParser) -> None:
+    _keep_freed_heap()
     if getattr(args, "threads", None) is not None:
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)

@@ -3,8 +3,10 @@
 Small numpy-backed tape autograd: each operation records its parents and a
 backward closure; ``Tensor.backward()`` walks the graph in reverse
 topological order and accumulates gradients on leaf tensors created with
-``requires_grad=True``. 64-bit element type is used for verification
-(finite-difference checks), 32-bit for training runs.
+``requires_grad=True``. The walk releases each node it passes, so a graph
+is walked once: a second ``backward`` over it raises ``ContractError``.
+64-bit element type is used for verification (finite-difference checks),
+32-bit for training runs.
 
 Every public operation validates that its output is finite; NaN/Inf is an
 error state, not a value.
@@ -98,10 +100,17 @@ class Tensor:
 
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Accumulate gradients of this tensor into ``grad`` of every
-        reachable leaf with ``requires_grad=True``."""
+        reachable leaf with ``requires_grad=True``.
+
+        The walk releases the graph as it goes: once a node has passed its
+        gradient on, it drops its parents and backward closure, so the
+        arrays saved by the forward pass are freed as soon as nothing
+        upstream needs them. A graph is walked once: a second ``backward``
+        through a released node raises ``ContractError``.
+        """
         if seed is None:
             seed = np.ones_like(self.data)
-        topo: list[Tensor] = []
+        topo: list[Tensor | None] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
@@ -117,7 +126,8 @@ class Tensor:
                 if id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
         grads: dict[int, np.ndarray] = {id(self): np.asarray(seed, dtype=self.dtype)}
-        for node in reversed(topo):
+        for i in range(len(topo) - 1, -1, -1):
+            node, topo[i] = topo[i], None
             g = grads.pop(id(node), None)
             if g is None:
                 continue
@@ -126,8 +136,9 @@ class Tensor:
                     node.grad = np.zeros_like(node.data)
                 node.grad += g
                 continue
-            parent_grads = node._backward_fn(g)
-            for parent, pg in zip(node._parents, parent_grads):
+            backward_fn, parents = node._backward_fn, node._parents
+            node._backward_fn, node._parents = _released, ()
+            for parent, pg in zip(parents, backward_fn(g)):
                 if pg is None or not parent.requires_grad:
                     continue
                 key = id(parent)
@@ -135,6 +146,11 @@ class Tensor:
                     grads[key] = grads[key] + pg
                 else:
                     grads[key] = pg
+
+
+def _released(g: np.ndarray):
+    """The backward function of a node that a ``backward`` walk has passed."""
+    raise ContractError("backward through a released graph: a graph is walked once")
 
 
 def as_tensor(x, dtype=None) -> Tensor:
@@ -251,15 +267,27 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
 
 
 def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Gather rows along the first axis (embedding-style lookup)."""
+    """Gather rows along the first axis (embedding-style lookup).
+
+    The backward pass sums the gradient rows of each repeated id as one
+    sparse product S @ g, where S has a single 1 per gathered row; each id's
+    rows are added in gather order, as ``np.add.at`` would add them.
+    """
     a = as_tensor(a)
     idx = np.asarray(indices)
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+        raise ShapeError(f"take_rows ids must lie in [0, {a.shape[0]})")
     out = a.data[idx]
 
     def bwd(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx.reshape(-1), g.reshape(-1, *a.data.shape[1:]))
-        return (full,)
+        from scipy.sparse import csr_matrix  # loaded by the first backward only
+
+        flat = idx.reshape(-1)
+        n = flat.size
+        gather = csr_matrix((np.ones(n, dtype=g.dtype), (flat, np.arange(n))),
+                            shape=(a.data.shape[0], n))
+        rows = gather @ g.reshape(n, math.prod(a.data.shape[1:]))
+        return (rows.reshape(a.data.shape),)
 
     return _from_op(np.ascontiguousarray(out), "take_rows", (a,), bwd)
 

@@ -526,6 +526,7 @@ def run_stage(
                 grad_norm = global_grad_norm(grads)
             lr = cosine_lr(schedule, i + 1)
             adamw_step(named, grads, state.opt, lr)
+            del grads  # not held through the next step's forward and backward
         except (NumericsError, TrainingAbort) as e:
             sink.emit({"event": "abort", "stage": stage.name, "step": i, "error": str(e),
                        "last_checkpoint": str(last_ckpt) if last_ckpt else None})

@@ -1,11 +1,12 @@
-"""Tape ops that only the tests' oracles use.
+"""Tape ops and array oracles that only the tests use.
 
 ``tsum``, ``reshape``, ``transpose``, ``softmax_rows`` and ``slice_rows``
 build the node-per-step compositions that the library's fused nodes are
 checked against (attention, pooling, the padded encoder, the plain MLM
 head). Nothing in ``src/`` calls them, so they live here, on the library's
 own tape (``T._from_op``). The padded oracles mark padding keys with
-``MASK_OFFSET`` alone.
+``MASK_OFFSET`` alone. ``add_at_rows`` is the ``take_rows`` backward as
+``np.add.at`` computes it.
 """
 
 import numpy as np
@@ -91,3 +92,11 @@ def padded(tap, mask):
     out = np.zeros((*mask.shape, tap.shape[-1]), dtype=tap.dtype)
     out[mask] = tap
     return out
+
+
+def add_at_rows(shape, indices, g):
+    """Zeros of ``shape`` with each gradient row of ``g`` added, in gather
+    order, into the row its id in ``indices`` names."""
+    full = np.zeros(shape, dtype=g.dtype)
+    np.add.at(full, np.asarray(indices).reshape(-1), g.reshape(-1, *shape[1:]))
+    return full

@@ -1,10 +1,12 @@
 """CLI tests: config validation exit codes, staged runs, eval/sweep/ablate."""
 
+import ctypes
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -250,6 +252,28 @@ def test_pretrain_bit_reproducible(workdir):
     a = (workdir / "outA" / "final.m3ck").read_bytes()
     b = (workdir / "outB" / "final.m3ck").read_bytes()
     assert a == b
+
+
+@pytest.mark.parametrize("libc", ["missing", "without-mallopt", "with-mallopt"])
+def test_pretrain_runs_whatever_the_c_library_offers(workdir, monkeypatch, libc):
+    # the CLI raises glibc's heap trim and mmap thresholds where the C library
+    # has mallopt, and runs the same without it
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    def lookup(name):
+        if libc == "missing":
+            raise OSError("no C library")
+        return SimpleNamespace(mallopt=mallopt) if libc == "with-mallopt" else object()
+
+    monkeypatch.setattr(ctypes, "CDLL", lookup)
+    path = write_config(workdir, base_config(outdir=f"libc-{libc}"), f"libc-{libc}.json")
+    assert cli.main(["pretrain", "--config", str(path), "--steps", "1"]) == 0
+    assert (workdir / f"libc-{libc}" / "final.m3ck").exists()
+    assert calls == ([(-3, 32 << 20), (-1, 1 << 30)] if libc == "with-mallopt" else [])
 
 
 def test_pretrain_bit_reproducible_across_processes(workdir):
@@ -616,6 +640,50 @@ def test_unwritable_output_exits_1(workdir, pretrained, capsys, case):
     err = capsys.readouterr().err
     assert str(workdir / "blocker" / "out") in err and "cannot write output" in err
     assert not (workdir / "unused").exists()
+
+
+NOT_UTF8 = b"caf\xe9 \xff\xfe au lait\n"
+
+
+def mono_stage(path):
+    return {"name": "damaged", "stage": "pretrain_mlm", "data": {"kind": "mono", "path": path},
+            "steps": 1, "batch_size": 4, "lr": 1e-3, "seq_len": 10}
+
+
+def pair_stage(path):
+    return {"name": "damaged", "stage": "pretrain_contrastive",
+            "data": {"kind": "pairs", "path": path}, "steps": 1, "batch_size": 4,
+            "lr": 1e-3, "tile": 2, "query_len": 8, "doc_len": 10}
+
+
+# the damaged file's name and bytes, the config that reads it from that name
+# (None: the damaged file is the config) and the exit code
+DAMAGED_INPUT = {
+    "mono-not-utf8": ("bad-mono.txt", NOT_UTF8,
+                      lambda f: base_config(stages=[mono_stage(f)]), 1),
+    "pairs-not-utf8": ("bad-pairs.tsv", b"a query\t" + NOT_UTF8,
+                       lambda f: base_config(stages=[pair_stage(f)]), 1),
+    "vocab-not-utf8": ("bad-vocab.txt", NOT_UTF8,
+                       lambda f: base_config(vocab_corpus=f, stages=[mono_stage("mono.txt")]), 1),
+    "mono-empty": ("empty-mono.txt", b"", lambda f: base_config(stages=[mono_stage(f)]), 1),
+    "pairs-empty": ("empty-pairs.tsv", b"", lambda f: base_config(stages=[pair_stage(f)]), 1),
+    "pairs-one-column": ("one-column.tsv", b"a query\nanother query\n",
+                         lambda f: base_config(stages=[pair_stage(f)]), 1),
+    "config-not-json": ("not-json.json", b"{not json", None, 2),
+    "config-binary": ("binary.json", bytes(range(256)), None, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(DAMAGED_INPUT))
+def test_damaged_input_exits_with_a_typed_error(workdir, capsys, case):
+    name, content, config, code = DAMAGED_INPUT[case]
+    damaged = workdir / name
+    damaged.write_bytes(content)
+    path = damaged if config is None else write_config(workdir, config(name), f"{case}.json")
+    out = workdir / f"damaged-{case}"
+    assert cli.main(["pretrain", "--config", str(path), "--output", str(out)]) == code
+    err = capsys.readouterr().err
+    assert str(damaged) in err and "Traceback" not in err
 
 
 def distill_config(outdir):

@@ -296,6 +296,42 @@ def test_packed_forward_matches_padded_oracle(arm):
                                    atol=1e-10 * np.abs(padded).max())
 
 
+def reachable(root):
+    """Every node of the graph under ``root``, the root included."""
+    nodes, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
+def test_backward_releases_every_node_it_walks():
+    # after backward no op node of either graph keeps its parents or its
+    # closure, and with them the arrays its forward saved; the packed
+    # encoder's leaf gradients still match the padded oracle's
+    cfg = toy_config(n_layers=3, granularity=enc.GranularitySet(layers=(1, 3), dims=(8, 32)))
+    params = enc.init_parameters(cfg, seed=6, dtype=np.float64)
+    tokens, mask = mixed_masks(cfg, seed=6)
+    weights = {l: np.random.default_rng(60 + l).normal(size=(4, 9, cfg.hidden)) * mask[..., None]
+               for l in (1, 3)}
+    results = []
+    for packed, run in ((True, enc.forward), (False, padded_forward)):
+        T.zero_grads(params.named())
+        out = run(params, cfg, tokens, mask, taps=(1, 3))
+        loss = T.add(*(tsum(T.mul(out[l], Tensor(w[mask] if packed else w)))
+                       for l, w in weights.items()))
+        ops = [node for node in reachable(loss) if node._backward_fn is not None]
+        loss.backward()
+        assert len(ops) > 20
+        assert all(node._parents == () and node._backward_fn is T._released for node in ops)
+        results.append(grads(params))
+    for packed, padded in zip(*results):
+        np.testing.assert_allclose(packed, padded, rtol=1e-10,
+                                   atol=1e-10 * np.abs(padded).max())
+
+
 def test_each_tap_is_the_real_rows_in_mask_order():
     # the batch tap holds mask.sum() rows, sequence after sequence, and each
     # sequence's rows are what a forward of that sequence alone ([s] tokens) gives

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from m3enc import tensor as T
 from m3enc.errors import ContractError, NumericsError, ShapeError
-from oracle_ops import MASK_OFFSET, reshape, softmax_rows, transpose, tsum
+from oracle_ops import MASK_OFFSET, add_at_rows, reshape, softmax_rows, transpose, tsum
 
 
 def rand(shape, seed=0, scale=1.0):
@@ -613,6 +613,26 @@ def test_take_rows_accumulates_duplicates():
     np.testing.assert_array_equal(table.grad, expected)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_take_rows_backward_is_add_at_bit_for_bit(dtype):
+    # every id repeats, one of them in every row, and the ids come unsorted
+    rng = np.random.default_rng(35)
+    table = T.Tensor(rand((30, 8), seed=36).astype(dtype), requires_grad=True)
+    idx = rng.integers(0, 12, size=(6, 20))
+    idx[:, 0] = 29
+    g = rand((6, 20, 8), seed=37).astype(dtype)
+    T.take_rows(table, idx).backward(g)
+    assert table.grad.dtype == dtype
+    assert table.grad.tobytes() == add_at_rows(table.shape, idx, g).tobytes()
+
+
+def test_take_rows_rejects_ids_outside_the_table():
+    table = T.Tensor(rand((5, 3), seed=39), requires_grad=True)
+    for idx in ([0, -1], [[2, 5]]):
+        with pytest.raises(ShapeError, match=r"\[0, 5\)"):
+            T.take_rows(table, np.array(idx))
+
+
 def test_nonfinite_rejected():
     with pytest.raises(NumericsError):
         T.Tensor([np.inf, 1.0])
@@ -634,6 +654,22 @@ def test_grad_accumulates_across_backwards():
     np.testing.assert_array_equal(x.grad, np.full((2, 2), 2.0))
     T.zero_grads([("x", x)])
     assert x.grad is None
+
+
+def test_a_graph_is_walked_once():
+    # backward releases each node it passes: a second walk over the same
+    # graph, or a new graph through one of its nodes, is an error, not zeros
+    x = T.Tensor(rand((2, 3), seed=38), requires_grad=True)
+    y = T.mul(x, x)
+    loss = tsum(y)
+    loss.backward()
+    first = x.grad.copy()
+    with pytest.raises(ContractError, match="a graph is walked once"):
+        loss.backward()
+    with pytest.raises(ContractError, match="a graph is walked once"):
+        tsum(T.scale(y, 2.0)).backward()
+    np.testing.assert_array_equal(x.grad, first)
+    assert y._parents == () and loss._parents == ()
 
 
 def test_grad_check_quadratic_exact():
