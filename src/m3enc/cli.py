@@ -267,9 +267,9 @@ def _run_training(args, kinds: tuple[str, ...]) -> int:
     if not specs:
         raise ConfigError(f"config has no stage of kind {kinds}")
     state = _initial_state(run, specs, args.resume)
+    pairs = [(spec.stage, _build_source(spec, state.vocab)) for spec in specs]
     sink = tr.JsonlSink(run.output_dir / "metrics.jsonl")
     try:
-        pairs = [(spec.stage, _build_source(spec, state.vocab)) for spec in specs]
         final = run.output_dir / "final.m3ck"
         with writing(run.output_dir):
             state = tr.run_stages(pairs, state, sink, output_dir=run.output_dir)

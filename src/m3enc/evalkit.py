@@ -10,12 +10,15 @@ id-order tie-breaking; Recall@K counts the queries whose single positive
 document lands in the top K.
 
 Search is exact in two passes: a float32 GEMM per block of queries selects
-every row within a derived float32 error margin of the K-th best score, and
-only those candidates are re-scored in float64 and ordered by (-score, id).
+every row within a derived float32 error margin of a lower bound on the K-th
+best score, and only those candidates are re-scored in float64 and ordered by
+(-score, id). The bound is the K-th largest of the maxima of disjoint column
+groups, so only n_docs/g values per query are partitioned, not n_docs.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import time
@@ -31,8 +34,8 @@ from .encoder import ModelConfig, Parameters
 from .errors import ConfigError, ContractError, NumericsError, ShapeError
 from .tensor import Tensor
 
-# queries scored per float32 GEMM; the scores and their partitioned copy are
-# this x n_docs float32 each, whatever the number of queries
+# queries scored per float32 GEMM; the scores are this x n_docs float32 and
+# the partitioned group maxima this x n_docs/g, whatever the number of queries
 _QUERY_BLOCK = 128
 _ENCODE_BATCH = 64  # texts per encoder forward
 
@@ -53,6 +56,14 @@ class EmbeddingIndex:
         norms = np.linalg.norm(self.embeddings.astype(np.float64), axis=1)
         if len(norms) and np.abs(norms - 1.0).max() > 1e-6:
             raise ContractError("index rows must be unit-norm within 1e-6")
+
+    @functools.cached_property
+    def _id_rank(self) -> np.ndarray:
+        """Each row's position in ascending id order; computed once per index."""
+        rank = np.empty(len(self.ids), dtype=np.intp)
+        rank[sorted(range(len(self.ids)), key=self.ids.__getitem__)] = np.arange(len(self.ids))
+        rank.setflags(write=False)
+        return rank
 
     @property
     def dim(self) -> int:
@@ -147,15 +158,23 @@ def exact_topk(index: EmbeddingIndex, query_emb: np.ndarray, k: int) -> list[lis
     Returns, per query, the K (id, score) pairs in descending score order,
     with float64 scores. K larger than the pool clamps with a warning.
 
-    Each block of queries is scored by one float32 GEMM. A row is a
-    candidate when its float32 score is within ``(d + 2) * eps_f32 * |q|``
-    of the K-th largest float32 score. A float32 score of a unit row is off
-    its exact value by at most ``(d + 1) * eps_f32 / 2 * |q|``, so the margin
-    covers twice that error plus the rounding of the threshold itself: every
-    document of the exact top K, and every bit-identical twin of one, is a
-    candidate. Only candidates are re-scored in float64, row by row, so
-    twins get bit-identical scores; they are ordered by (-score, id) and
-    cut to K. Exact ties therefore come back in ascending id order, also
+    Each block of queries is scored by one float32 GEMM. Its columns fall
+    into ``G = n_docs // g`` disjoint strided groups (columns j, j + G,
+    j + 2G, ...), and the K-th largest group maximum is a lower bound on the
+    K-th largest float32 score: the K largest maxima sit in K distinct
+    columns, so at least K scores reach it. ``g = min(10, n_docs // (10 K))``
+    (at least 1) keeps G >= 10 K whenever g > 1; with fewer groups the
+    bound falls far below the K-th score and the candidate set grows. g = 1
+    partitions every score.
+
+    A row is a candidate when its float32 score is within
+    ``(d + 2) * eps_f32 * |q|`` of that bound. A float32 score of a unit row
+    is off its exact value by at most ``(d + 1) * eps_f32 / 2 * |q|``, so the
+    margin covers twice that error plus the rounding of the threshold
+    itself: every document of the exact top K, and every bit-identical twin
+    of one, is a candidate. Only candidates are re-scored in float64, row by
+    row, so twins get bit-identical scores; they are ordered by (-score, id)
+    and cut to K. Exact ties therefore come back in ascending id order, also
     across the cut-off. Queries that are not finite in float32 raise
     ``NumericsError``.
     """
@@ -175,20 +194,27 @@ def exact_topk(index: EmbeddingIndex, query_emb: np.ndarray, k: int) -> list[lis
     if not np.isfinite(q32).all():
         raise NumericsError("query embeddings must be finite in float32")
     margin = (index.dim + 2) * np.finfo(np.float32).eps * np.linalg.norm(q64, axis=1)
-    emb, ids = index.embeddings, index.ids
+    emb, ids, id_rank = index.embeddings, index.ids, index._id_rank
+    n_groups = n_docs // max(1, min(10, n_docs // (10 * k)))
     out = []
     for start in range(0, len(q64), _QUERY_BLOCK):
         scores = q32[start:start + _QUERY_BLOCK] @ emb.T
-        kth = np.partition(scores, n_docs - k, axis=1)[:, n_docs - k]
-        floor = (kth - margin[start:start + _QUERY_BLOCK]).astype(scores.dtype)
+        # group j holds columns j, j + n_groups, j + 2 * n_groups, ...
+        bound = scores[:, :n_groups].copy()
+        for col in range(n_groups, n_docs, n_groups):
+            part = scores[:, col:col + n_groups]
+            np.maximum(bound[:, :part.shape[1]], part, out=bound[:, :part.shape[1]])
+        bound.partition(n_groups - k, axis=1)
+        floor = (bound[:, n_groups - k] - margin[start:start + _QUERY_BLOCK]).astype(scores.dtype)
         qi, cand = np.divmod(np.flatnonzero(scores >= floor[:, None]), n_docs)
-        bounds = np.searchsorted(qi, np.arange(len(scores) + 1))
+        bounds = np.searchsorted(qi, np.arange(len(scores) + 1)).tolist()
         for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]), start):
             # float32 rows widen exactly; the float64 row sums do not depend on
             # where a row sits, unlike a BLAS tile, so twins score bit-identically
-            exact = (emb[cand[a:b]] * q64[i]).sum(axis=1)
-            ranked = sorted(zip((-exact).tolist(), [ids[j] for j in cand[a:b].tolist()]))
-            out.append([(doc_id, -neg) for neg, doc_id in ranked[:k]])
+            rows = cand[a:b]
+            exact = (emb[rows] * q64[i]).sum(axis=1)
+            top = np.lexsort((id_rank[rows], -exact))[:k]
+            out.append(list(zip([ids[j] for j in rows[top].tolist()], exact[top].tolist())))
     return out
 
 
@@ -202,8 +228,10 @@ def recall_at_k(rankings: list[list[tuple[str, float]]], truth: list[str], k: in
     for ranked, positive in zip(rankings, truth):
         if positive is None:
             raise ContractError("query without a ground-truth positive")
-        if any(doc_id == positive for doc_id, _ in ranked[:k]):
-            hits += 1
+        for doc_id, _ in ranked[:k]:
+            if doc_id == positive:
+                hits += 1
+                break
     return hits / len(rankings)
 
 

@@ -3,6 +3,7 @@
 import ctypes
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -684,6 +685,53 @@ def test_damaged_input_exits_with_a_typed_error(workdir, capsys, case):
     assert cli.main(["pretrain", "--config", str(path), "--output", str(out)]) == code
     err = capsys.readouterr().err
     assert str(damaged) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", [c for c, v in DAMAGED_INPUT.items() if v[2] is not None])
+def test_damaged_corpus_leaves_no_metrics_file(workdir, case):
+    name, content, config, code = DAMAGED_INPUT[case]
+    (workdir / name).write_bytes(content)
+    path = write_config(workdir, config(name), f"no-metrics-{case}.json")
+    out = workdir / f"no-metrics-{case}"
+    assert cli.main(["pretrain", "--config", str(path), "--output", str(out)]) == code
+    assert not (out / "metrics.jsonl").exists()
+
+
+def truncated(raw):
+    return raw[:-7]
+
+
+def payload_byte_flipped(raw):
+    pos = raw.index(b"\n", 8) + 1 + 5  # a byte of the first tensor
+    return raw[:pos] + bytes([raw[pos] ^ 0x5A]) + raw[pos + 1:]
+
+
+DAMAGED_CHECKPOINT = {
+    "truncated": (truncated, r"payload is \d+ bytes, manifest declares \d+"),
+    "byte-flipped": (payload_byte_flipped, r"checksum mismatch for tensor \S+"),
+}
+
+CHECKPOINT_READERS = {
+    "eval": lambda w, ckpt: eval_argv("eval", ckpt, w / "eval.tsv", "--layer", "2",
+                                      "--dim", "16"),
+    "sweep": lambda w, ckpt: eval_argv("sweep", ckpt, w / "eval.tsv", "--axis", "dim",
+                                       "--values", "4", "--layer", "2"),
+    "pretrain-resume": lambda w, ckpt: [
+        "pretrain", "--config", str(write_config(w, base_config("cli-out"), "resume-dmg.json")),
+        "--resume", str(ckpt)],
+}
+
+
+@pytest.mark.parametrize("damage", list(DAMAGED_CHECKPOINT))
+@pytest.mark.parametrize("command", list(CHECKPOINT_READERS))
+def test_damaged_checkpoint_exits_1(workdir, pretrained, capsys, command, damage):
+    edit, message = DAMAGED_CHECKPOINT[damage]
+    ckpt = workdir / f"damaged-{damage}.m3ck"
+    ckpt.write_bytes(edit(pretrained.read_bytes()))
+    assert cli.main(CHECKPOINT_READERS[command](workdir, ckpt)) == 1
+    err = capsys.readouterr().err
+    assert re.search(f"{re.escape(str(ckpt))}: {message}", err) and "Traceback" not in err
+    assert not (workdir / "cli-out").exists()
 
 
 def distill_config(outdir):

@@ -203,6 +203,103 @@ def test_topk_k_equals_pool_size():
     assert all(len(r) == 300 for r in got)
 
 
+def group_size(n, k):
+    """exact_topk's rule for the size g of the groups whose maxima bound the K-th score."""
+    return max(1, min(10, n // (10 * k)))
+
+
+@pytest.mark.parametrize("k", [5, 10])
+def test_topk_whole_top_k_in_one_strided_group(k):
+    n, d = 1000, 16
+    n_groups = n // group_size(n, k)
+    assert n_groups == 100
+    rows = unit_rows((n, d), seed=20)
+    q = unit_rows((1, d), seed=21)
+    group = 37 + n_groups * np.arange(k)  # columns 37, 137, 237, ...: one group
+    noise = 0.05 * np.random.default_rng(22).normal(size=(k, d))
+    rows[group] = (q + noise) / np.linalg.norm(q + noise, axis=1, keepdims=True)
+    exact = (rows.astype(np.float64) * q[0].astype(np.float64)).sum(axis=1)
+    assert set(np.argsort(-exact)[:k]) == set(group.tolist())
+    group_max = np.sort(exact.reshape(-1, n_groups).max(axis=0))[::-1]
+    assert group_max[k - 1] < np.sort(exact)[::-1][k - 1] - 0.1  # the bound is loose
+    index = ek.EmbeddingIndex(ids=shuffled_ids(n, 23), embeddings=rows, provenance={})
+    assert ek.exact_topk(index, q, k) == brute_force_topk(index, q, k)
+
+
+@pytest.mark.parametrize("n", [150, 1000])  # g = 1 and g = 10 at K = 10
+def test_topk_margin_keeps_a_row_float32_ranks_below_the_bound(n):
+    # as in test_topk_finds_rows_float32_ranks_below_the_cutoff, but the top
+    # K sit in distinct groups and the spare in none of theirs, so the bound
+    # is the float32 K-th score and only the margin keeps the near-copy
+    d, k = 16, 10
+    n_groups = n // group_size(n, k)
+    rows = unit_rows((n, d), seed=19)
+    q = unit_rows((1, d), seed=20)
+    q64 = q[0].astype(np.float64)
+    order = np.argsort(-(rows.astype(np.float64) * q64).sum(axis=1))
+    assert len(set(order[:k] % n_groups)) == k
+    spare = next(int(j) for j in order[::-1] if j % n_groups not in set(order[:k] % n_groups))
+    base = rows[order[k - 1]].copy()
+    rng = np.random.default_rng(21)
+    for _ in range(2000):
+        trial = base.copy()
+        j = rng.choice(d, size=3, replace=False)
+        trial[j] += rng.integers(-4, 5, size=3) * np.spacing(trial[j])
+        rows[spare] = trial
+        f32 = (q @ rows.T)[0]
+        exact = (rows.astype(np.float64) * q64).sum(axis=1)
+        if (spare in np.lexsort((np.arange(n), -exact))[:k]
+                and f32[spare] < np.partition(f32, n - k)[n - k]
+                and len(set(np.argsort(-f32)[:k] % n_groups)) == k):
+            break
+    else:
+        pytest.skip("float32 GEMM on this BLAS never misorders the cut-off here")
+    index = ek.EmbeddingIndex(ids=tuple(f"d{i:04d}" for i in range(n)), embeddings=rows,
+                              provenance={})
+    got = ek.exact_topk(index, q, k)
+    assert got == brute_force_topk(index, q, k)
+    assert index.ids[spare] in dict(got[0])
+
+
+@pytest.mark.parametrize("n,k", [
+    (139, 7), (140, 7),      # 10*g*K - 1 and 10*g*K at g = 2
+    (699, 7), (700, 7),        # g = 9 (699 is no multiple of 9) and g = 10
+    (99, 1), (100, 1),         # g = 9 and g = 10 at K = 1
+    (107, 1), (301, 3),        # g = 10, n no multiple of g
+    (64, 64), (301, 301),      # K = n: g = 1
+])
+def test_topk_group_bound_at_the_group_size_edges(n, k):
+    d = 12
+    rows = unit_rows((n, d), seed=n + k)
+    rng = np.random.default_rng(n * k)
+    copies = rng.choice(n, size=max(2, n // 20), replace=False)
+    rows[copies] = rows[copies[0]]
+    index = ek.EmbeddingIndex(ids=shuffled_ids(n, n), embeddings=rows, provenance={})
+    queries = np.concatenate([unit_rows((6, d), seed=n + k + 1), rows[copies[:1]],
+                              rows[rng.choice(n, size=2)]])
+    assert ek.exact_topk(index, queries, k) == brute_force_topk(index, queries, k)
+
+
+def test_topk_twins_straddle_cutoff_with_ids_in_reverse_row_order():
+    n, d, k = 2000, 16, 20
+    assert group_size(n, k) == 10
+    rows = unit_rows((n, d), seed=30)
+    queries = unit_rows((2, d), seed=31)
+    order = np.argsort(-(rows.astype(np.float64) @ queries[0].astype(np.float64)))
+    source = int(order[k - 2])
+    copies = [3, 777, 1500, n - 1]
+    assert source not in copies and not np.isin(copies, order[:2 * k]).any()
+    rows[copies] = rows[source]
+    ids = tuple(f"d{n - 1 - i:05d}" for i in range(n))  # descending along the rows
+    index = ek.EmbeddingIndex(ids=ids, embeddings=rows, provenance={})
+    got = ek.exact_topk(index, queries, k)
+    assert got == brute_force_topk(index, queries, k)
+    twins = {ids[j] for j in [source] + copies}
+    kept = [(doc, s) for doc, s in got[0] if doc in twins]
+    assert 0 < len(kept) < len(twins)  # the tie group straddles the cut-off
+    assert [doc for doc, _ in kept] == sorted(twins)[:len(kept)]
+
+
 def test_topk_rejects_non_finite_queries():
     index = make_index()
     queries = index.embeddings[:2].copy()
