@@ -1,12 +1,17 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Small numpy-backed tape autograd: each operation records its parents and a
-backward closure; ``Tensor.backward()`` walks the graph in reverse
-topological order and accumulates gradients on leaf tensors created with
-``requires_grad=True``. The walk releases each node it passes, so a graph
-is walked once: a second ``backward`` over it raises ``ContractError``.
-64-bit element type is used for verification (finite-difference checks),
-32-bit for training runs.
+Small numpy-backed tape autograd. The tape is nodes plus saved arrays: each
+operation records a ``_Node`` that holds its inputs' nodes and a backward
+closure, and the closure saves exactly the arrays its backward reads (for
+``add``, ``scale``, ``slice_last`` and ``take_rows`` only shapes and dtypes).
+A node holds no array of its own, so an op's output array is freed as soon
+as the forward drops its ``Tensor`` and no backward reads it. A leaf
+``requires_grad=True`` tensor is its own entry on the tape.
+``Tensor.backward()`` walks the nodes in reverse topological order and
+accumulates gradients on the leaves. The walk releases each node it passes,
+so a graph is walked once: a second ``backward`` over it raises
+``ContractError``. 64-bit element type is used for verification
+(finite-difference checks), 32-bit for training runs.
 
 Every public operation validates that its output is finite; NaN/Inf is an
 error state, not a value.
@@ -59,10 +64,23 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise NumericsError(f"non-finite values produced by '{op}'")
 
 
-class Tensor:
-    """A contiguous real-valued array plus optional gradient bookkeeping."""
+class _Node:
+    """One op on the tape: ``parents`` holds, per input, the input's node, the
+    input itself when it is a leaf that requires a gradient, or None; and
+    ``backward_fn`` maps the output's gradient to one per input."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
+    __slots__ = ("parents", "backward_fn")
+
+    def __init__(self, parents: tuple, backward_fn: Callable[[np.ndarray], Sequence]):
+        self.parents = parents
+        self.backward_fn = backward_fn
+
+
+class Tensor:
+    """A contiguous real-valued array plus optional gradient bookkeeping:
+    ``_node`` is the tape node of an op output that requires a gradient."""
+
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -73,8 +91,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
+        self._node: _Node | None = None
 
     # -- basic introspection ------------------------------------------------
 
@@ -100,7 +117,8 @@ class Tensor:
 
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Accumulate gradients of this tensor into ``grad`` of every
-        reachable leaf with ``requires_grad=True``.
+        reachable leaf with ``requires_grad=True``. A ``seed`` must have this
+        tensor's shape; it defaults to ones.
 
         The walk releases the graph as it goes: once a node has passed its
         gradient on, it drops its parents and backward closure, so the
@@ -108,11 +126,14 @@ class Tensor:
         upstream needs them. A graph is walked once: a second ``backward``
         through a released node raises ``ContractError``.
         """
-        if seed is None:
-            seed = np.ones_like(self.data)
-        topo: list[Tensor | None] = []
+        seed = np.ones_like(self.data) if seed is None else np.asarray(seed, dtype=self.dtype)
+        if seed.shape != self.shape:
+            raise ShapeError(f"backward seed of shape {seed.shape} for a tensor of "
+                             f"shape {self.shape}")
+        root = self if self._node is None else self._node
+        topo: list[_Node | Tensor | None] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node | Tensor, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -122,24 +143,25 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen and p.requires_grad:
-                    stack.append((p, False))
-        grads: dict[int, np.ndarray] = {id(self): np.asarray(seed, dtype=self.dtype)}
+            if type(node) is _Node:
+                for p in node.parents:
+                    if p is not None and id(p) not in seen:
+                        stack.append((p, False))
+        grads: dict[int, np.ndarray] = {id(root): seed}
         for i in range(len(topo) - 1, -1, -1):
             node, topo[i] = topo[i], None
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node._backward_fn is None:
+            if type(node) is Tensor:  # a leaf
                 if node.grad is None:
                     node.grad = np.zeros_like(node.data)
                 node.grad += g
                 continue
-            backward_fn, parents = node._backward_fn, node._parents
-            node._backward_fn, node._parents = _released, ()
+            backward_fn, parents = node.backward_fn, node.parents
+            node.backward_fn, node.parents = _released, ()
             for parent, pg in zip(parents, backward_fn(g)):
-                if pg is None or not parent.requires_grad:
+                if pg is None or parent is None:
                     continue
                 key = id(parent)
                 if key in grads:
@@ -161,18 +183,19 @@ def as_tensor(x, dtype=None) -> Tensor:
 
 def _from_op(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
              backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
+    """The output Tensor of op ``op``. While recording, and when an input
+    requires a gradient, it gets a tape node; the node references the inputs'
+    nodes, not their arrays, and ``backward_fn`` must keep only what it reads."""
     _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
+    out.requires_grad = False
+    out._node = None
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = parents
-        out._backward_fn = backward_fn
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward_fn = None
+        out._node = _Node(tuple((p if p._node is None else p._node) if p.requires_grad else None
+                                for p in parents), backward_fn)
     return out
 
 
@@ -207,9 +230,10 @@ def _same_dtype(a, b, op: str) -> tuple[Tensor, Tensor]:
 def add(a: Tensor, b) -> Tensor:
     a, b = _same_dtype(a, b, "add")
     out = a.data + b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _from_op(out, "add", (a, b), bwd)
 
@@ -217,19 +241,25 @@ def add(a: Tensor, b) -> Tensor:
 def mul(a: Tensor, b) -> Tensor:
     a, b = _same_dtype(a, b, "mul")
     out = a.data * b.data
+    a_shape, b_shape = a.shape, b.shape
+    # each operand is saved only for the other's gradient
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def bwd(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
+        return (None if b_data is None else _unbroadcast(g * b_data, a_shape),
+                None if a_data is None else _unbroadcast(g * a_data, b_shape))
 
     return _from_op(out, "mul", (a, b), bwd)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     a = as_tensor(a)
-    out = a.data * a.dtype.type(s)
+    s = a.dtype.type(s)
+    out = a.data * s
 
     def bwd(g):
-        return (g * a.dtype.type(s),)
+        return (g * s,)
 
     return _from_op(out, "scale", (a,), bwd)
 
@@ -241,11 +271,12 @@ def matmul(a: Tensor, b) -> Tensor:
         raise ShapeError("matmul requires tensors with at least 2 dimensions")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
-    out = a.data @ b.data
+    a_data, b_data = a.data, b.data
+    out = a_data @ b_data
 
     def bwd(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+        ga = _unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_data.shape)
+        gb = _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_data.shape)
         return ga, gb
 
     return _from_op(out, "matmul", (a, b), bwd)
@@ -257,9 +288,10 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
     if not (0 <= start <= stop <= a.shape[-1]):
         raise ShapeError(f"slice [{start}:{stop}] out of range for extent {a.shape[-1]}")
     out = np.ascontiguousarray(a.data[..., start:stop])
+    shape, dtype = a.shape, a.dtype
 
     def bwd(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape, dtype=dtype)
         full[..., start:stop] = g
         return (full,)
 
@@ -278,6 +310,7 @@ def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ShapeError(f"take_rows ids must lie in [0, {a.shape[0]})")
     out = a.data[idx]
+    shape = a.shape
 
     def bwd(g):
         from scipy.sparse import csr_matrix  # loaded by the first backward only
@@ -285,9 +318,9 @@ def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
         flat = idx.reshape(-1)
         n = flat.size
         gather = csr_matrix((np.ones(n, dtype=g.dtype), (flat, np.arange(n))),
-                            shape=(a.data.shape[0], n))
-        rows = gather @ g.reshape(n, math.prod(a.data.shape[1:]))
-        return (rows.reshape(a.data.shape),)
+                            shape=(shape[0], n))
+        rows = gather @ g.reshape(n, math.prod(shape[1:]))
+        return (rows.reshape(shape),)
 
     return _from_op(np.ascontiguousarray(out), "take_rows", (a,), bwd)
 
@@ -337,14 +370,15 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
     if weight.ndim != 1 or weight.shape[0] != x.shape[-1]:
         raise ShapeError(f"rms_norm weight length {weight.shape} != last extent {x.shape[-1]}")
     n = x.shape[-1]
-    inv = 1.0 / np.sqrt((x.data * x.data).mean(axis=-1, keepdims=True) + x.dtype.type(eps))
-    out = weight.data * x.data * inv
+    xd, wd = x.data, weight.data
+    inv = 1.0 / np.sqrt((xd * xd).mean(axis=-1, keepdims=True) + x.dtype.type(eps))
+    out = wd * xd * inv
 
     def bwd(g):
-        gw_x = g * weight.data
-        dot = (gw_x * x.data).sum(axis=-1, keepdims=True)
-        gx = inv * gw_x - (inv ** 3 / n) * x.data * dot
-        gw = (g * x.data * inv).reshape(-1, n).sum(axis=0)
+        gw_x = g * wd
+        dot = (gw_x * xd).sum(axis=-1, keepdims=True)
+        gx = inv * gw_x - (inv ** 3 / n) * xd * dot
+        gw = (g * xd * inv).reshape(-1, n).sum(axis=0)
         return gx, gw
 
     return _from_op(out, "rms_norm", (x, weight), bwd)
@@ -363,10 +397,11 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float) -> Tensor:
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
     xhat = xc * inv
-    out = weight.data * xhat + bias.data
+    wd = weight.data
+    out = wd * xhat + bias.data
 
     def bwd(g):
-        dxhat = g * weight.data
+        dxhat = g * wd
         gx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
                     - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
         gw = (g * xhat).reshape(-1, n).sum(axis=0)
@@ -379,12 +414,13 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """Elementwise GELU, exact erf form."""
     x = as_tensor(x)
-    phi = 0.5 * (1.0 + erf(x.data * x.dtype.type(1.0 / math.sqrt(2.0))).astype(x.data.dtype))
-    out = x.data * phi
+    xd = x.data
+    phi = 0.5 * (1.0 + erf(xd * x.dtype.type(1.0 / math.sqrt(2.0))).astype(xd.dtype))
+    out = xd * phi
 
     def bwd(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * x.dtype.type(1.0 / math.sqrt(2.0 * math.pi))
-        return (g * (phi + x.data * pdf),)
+        pdf = np.exp(-0.5 * xd * xd) * xd.dtype.type(1.0 / math.sqrt(2.0 * math.pi))
+        return (g * (phi + xd * pdf),)
 
     return _from_op(out, "gelu", (x,), bwd)
 
@@ -395,26 +431,35 @@ def swiglu(x: Tensor) -> Tensor:
     x = as_tensor(x)
     if x.ndim < 1 or x.shape[-1] % 2:
         raise ShapeError(f"swiglu needs an even last extent (gate | up), got {x.shape}")
+    xd = x.data
     f = x.shape[-1] // 2
-    gate, up = x.data[..., :f], x.data[..., f:]
+    gate, up = xd[..., :f], xd[..., f:]
     one = x.dtype.type(1.0)
-    with np.errstate(over="ignore"):  # exp(-x) -> inf gives sigmoid 0, as it should
-        sig = np.exp(-gate)
-    sig += one
-    np.reciprocal(sig, out=sig)
-    act = gate * sig
-    out = act * up
+
+    def sigmoid():
+        with np.errstate(over="ignore"):  # exp(-x) -> inf gives sigmoid 0, as it should
+            sig = np.exp(-gate)
+        sig += one
+        return np.reciprocal(sig, out=sig)
+
+    out = gate * sigmoid()
+    out *= up
 
     def bwd(g):
-        # in-place steps on a contiguous temporary (on a strided half each one
-        # costs about twice as much), then one write into each half of gx
-        dsilu = gate * (one - sig)
-        dsilu += one
-        dsilu *= sig
-        dsilu *= up
-        gx = np.empty_like(x.data)
-        np.multiply(dsilu, g, out=gx[..., :f])
-        np.multiply(g, act, out=gx[..., f:])
+        # the node keeps only its input: the sigmoid is recomputed by the same
+        # ops. In-place steps on one contiguous temporary (on a strided half
+        # each one costs about twice as much), then one write into each half
+        # of gx; the temporary is reused for silu(gate)
+        sig = sigmoid()
+        tmp = one - sig
+        np.multiply(gate, tmp, out=tmp)
+        tmp += one
+        tmp *= sig
+        tmp *= up
+        gx = np.empty_like(xd)
+        np.multiply(tmp, g, out=gx[..., :f])
+        np.multiply(gate, sig, out=tmp)
+        np.multiply(g, tmp, out=gx[..., f:])
         return (gx,)
 
     return _from_op(out, "swiglu", (x,), bwd)

@@ -92,13 +92,24 @@ def adamw_step(named_params, grads: dict[str, np.ndarray], state: OptimizerState
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
+        # the formula's operations in its order and dtype, through two buffers
+        a, b = np.empty_like(g), np.empty_like(g)
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(g, 1.0 - b1, out=a)
+        m += a
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p.data -= lr * (m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * p.data)
+        np.multiply(g, g, out=a)
+        a *= 1.0 - b2
+        v += a
+        np.divide(v, bc2, out=a)  # v_hat
+        np.sqrt(a, out=a)
+        a += state.eps
+        np.divide(m, bc1, out=b)  # m_hat
+        b /= a
+        np.multiply(p.data, state.weight_decay, out=a)
+        b += a
+        b *= lr
+        p.data -= b
     state.t = t
 
 

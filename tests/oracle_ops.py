@@ -6,7 +6,8 @@ checked against (attention, pooling, the padded encoder, the plain MLM
 head). Nothing in ``src/`` calls them, so they live here, on the library's
 own tape (``T._from_op``). The padded oracles mark padding keys with
 ``MASK_OFFSET`` alone. ``add_at_rows`` is the ``take_rows`` backward as
-``np.add.at`` computes it.
+``np.add.at`` computes it, and ``saved_swiglu`` is ``T.swiglu`` with the
+sigmoid and silu saved by the forward instead of recomputed.
 """
 
 import numpy as np
@@ -23,12 +24,13 @@ MASK_OFFSET = -1.0e30
 def tsum(a, axis=None, keepdims=False):
     a = T.as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.shape
 
     def bwd(g):
         if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
+            return (np.broadcast_to(g, shape).copy(),)
         gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.data.shape).copy(),)
+        return (np.broadcast_to(gg, shape).copy(),)
 
     return T._from_op(np.asarray(out), "sum", (a,), bwd)
 
@@ -36,9 +38,10 @@ def tsum(a, axis=None, keepdims=False):
 def reshape(a, shape):
     a = T.as_tensor(a)
     out = a.data.reshape(shape)
+    in_shape = a.shape
 
     def bwd(g):
-        return (g.reshape(a.data.shape),)
+        return (g.reshape(in_shape),)
 
     return T._from_op(out, "reshape", (a,), bwd)
 
@@ -61,9 +64,10 @@ def slice_rows(a, start, stop):
     if not (0 <= start <= stop <= a.shape[0]):
         raise ShapeError(f"slice [{start}:{stop}] out of range for extent {a.shape[0]}")
     out = np.ascontiguousarray(a.data[start:stop])
+    shape, dtype = a.shape, a.dtype
 
     def bwd(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape, dtype=dtype)
         full[start:stop] = g
         return (full,)
 
@@ -84,6 +88,33 @@ def softmax_rows(x):
         return (out * (g - dot),)
 
     return T._from_op(out, "softmax_rows", (x,), bwd)
+
+
+def saved_swiglu(x):
+    """silu(gate) * up of ``x`` = [gate | up], whose node saves the sigmoid
+    and silu(gate) for its backward."""
+    x = T.as_tensor(x)
+    f = x.shape[-1] // 2
+    gate, up = x.data[..., :f], x.data[..., f:]
+    one = x.dtype.type(1.0)
+    with np.errstate(over="ignore"):
+        sig = np.exp(-gate)
+    sig += one
+    np.reciprocal(sig, out=sig)
+    act = gate * sig
+    out = act * up
+
+    def bwd(g):
+        dsilu = gate * (one - sig)
+        dsilu += one
+        dsilu *= sig
+        dsilu *= up
+        gx = np.empty_like(x.data)
+        np.multiply(dsilu, g, out=gx[..., :f])
+        np.multiply(g, act, out=gx[..., f:])
+        return (gx,)
+
+    return T._from_op(out, "saved_swiglu", (x,), bwd)
 
 
 def padded(tap, mask):

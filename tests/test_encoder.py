@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -297,13 +298,13 @@ def test_packed_forward_matches_padded_oracle(arm):
 
 
 def reachable(root):
-    """Every node of the graph under ``root``, the root included."""
-    nodes, stack = {}, [root]
+    """Every op node of the graph under the tensor ``root``, the root's included."""
+    nodes, stack = {}, [root._node]
     while stack:
         node = stack.pop()
-        if id(node) not in nodes:
+        if type(node) is T._Node and id(node) not in nodes:
             nodes[id(node)] = node
-            stack.extend(node._parents)
+            stack.extend(node.parents)
     return list(nodes.values())
 
 
@@ -322,10 +323,48 @@ def test_backward_releases_every_node_it_walks():
         out = run(params, cfg, tokens, mask, taps=(1, 3))
         loss = T.add(*(tsum(T.mul(out[l], Tensor(w[mask] if packed else w)))
                        for l, w in weights.items()))
-        ops = [node for node in reachable(loss) if node._backward_fn is not None]
+        ops = reachable(loss)
         loss.backward()
         assert len(ops) > 20
-        assert all(node._parents == () and node._backward_fn is T._released for node in ops)
+        assert all(node.parents == () and node.backward_fn is T._released for node in ops)
+        results.append(grads(params))
+    for packed, padded in zip(*results):
+        np.testing.assert_allclose(packed, padded, rtol=1e-10,
+                                   atol=1e-10 * np.abs(padded).max())
+
+
+def test_forward_frees_the_outputs_no_backward_reads(monkeypatch):
+    # attention saves its own sorted copy of q | k | v and add saves only
+    # shapes, so after a grad-on forward no qkv output and no sublayer output
+    # before its residual add is alive; the leaf gradients still match the
+    # padded oracle's
+    cfg = toy_config(n_layers=3, granularity=enc.GranularitySet(layers=(1, 3), dims=(8, 32)))
+    assert (cfg.norm_placement, cfg.activation, cfg.use_bias) == ("pre", "swiglu", False)
+    params = enc.init_parameters(cfg, seed=6, dtype=np.float64)
+    tokens, mask = mixed_masks(cfg, seed=6)
+    weights = {l: np.random.default_rng(60 + l).normal(size=(4, 9, cfg.hidden)) * mask[..., None]
+               for l in (1, 3)}
+    unread = []  # the qkv [N x 3m] and sublayer [N x m] matmul outputs
+    real = T._from_op
+
+    def spy(data, op, parents, backward_fn):
+        if op == "matmul" and data.shape[-1] in (cfg.hidden, 3 * cfg.hidden):
+            unread.append(weakref.ref(data))
+        return real(data, op, parents, backward_fn)
+
+    results = []
+    for packed, run in ((True, enc.forward), (False, padded_forward)):
+        T.zero_grads(params.named())
+        if packed:
+            monkeypatch.setattr(T, "_from_op", spy)
+        out = run(params, cfg, tokens, mask, taps=(1, 3))
+        monkeypatch.undo()
+        if packed:
+            assert len(unread) == 3 * cfg.n_layers
+            assert all(ref() is None for ref in unread)
+        loss = T.add(*(tsum(T.mul(out[l], Tensor(w[mask] if packed else w)))
+                       for l, w in weights.items()))
+        loss.backward()
         results.append(grads(params))
     for packed, padded in zip(*results):
         np.testing.assert_allclose(packed, padded, rtol=1e-10,
@@ -403,16 +442,7 @@ def test_dropout_keeps_the_padded_draw_at_real_rows():
 
 def matmul_nodes(node):
     """Number of distinct matmul tape nodes reachable from ``node``."""
-    seen, stack, n = set(), [node], 0
-    while stack:
-        t = stack.pop()
-        if id(t) in seen:
-            continue
-        seen.add(id(t))
-        if t._backward_fn is not None and t._backward_fn.__qualname__.startswith("matmul."):
-            n += 1
-        stack.extend(t._parents)
-    return n
+    return sum(t.backward_fn.__qualname__.startswith("matmul.") for t in reachable(node))
 
 
 @pytest.mark.parametrize("arm", ABLATION_ARMS)

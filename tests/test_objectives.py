@@ -1,6 +1,7 @@
 """Objective tests: per-cell oracles, reductions, tiling equivalence,
 distillation semantics."""
 
+import dataclasses
 import math
 import tracemalloc
 from collections import Counter
@@ -12,6 +13,7 @@ from m3enc import data as D
 from m3enc import encoder as enc
 from m3enc import objectives as obj
 from m3enc import tensor as T
+from m3enc.config import ABLATION_ARMS
 from m3enc.data import IGNORE_INDEX, MlmBatch, PairBatch
 from m3enc.errors import ConfigError, ContractError
 from m3enc.tensor import Tensor
@@ -526,18 +528,41 @@ def test_distill_teacher_stop_gradient():
     assert diff > 0.0
 
 
-def tape_ops(node):
-    """Op name -> number of distinct tape nodes reachable from ``node``."""
-    seen, stack, counts = set(), [node], Counter()
+def tape_nodes(tensor):
+    """The distinct op nodes of the graph under ``tensor``."""
+    nodes, stack = {}, [tensor._node]
     while stack:
         t = stack.pop()
-        if id(t) in seen:
-            continue
-        seen.add(id(t))
-        if t._backward_fn is not None:
-            counts[t._backward_fn.__qualname__.split(".")[0]] += 1
-        stack.extend(t._parents)
-    return counts
+        if type(t) is T._Node and id(t) not in nodes:
+            nodes[id(t)] = t
+            stack.extend(t.parents)
+    return list(nodes.values())
+
+
+def tape_ops(node):
+    """Op name -> number of distinct tape nodes reachable from ``node``."""
+    return Counter(t.backward_fn.__qualname__.split(".")[0] for t in tape_nodes(node))
+
+
+@pytest.mark.parametrize("arm", ABLATION_ARMS)
+def test_no_backward_closure_holds_a_tensor(arm):
+    # closures save arrays (or shapes) only, so a tensor the forward drops is
+    # freed: checked over both grid objectives, distillation, pooling and
+    # every ablation arm's ops (dropout's mul included)
+    cfg = dataclasses.replace(toy_config(n_layers=2, granularity=enc.GranularitySet(
+        layers=(1, 2), dims=(4, 16))), **ABLATION_ARMS[arm])
+    params = enc.init_parameters(cfg, seed=15, dtype=np.float64)
+    plan = obj.build_distill_plan("all_from_top", (2, 16), None, cfg.granularity)
+    rng = np.random.default_rng(15)
+    for report in (obj.matryoshka_mlm_loss(params, cfg, mlm_batch(cfg, seed=15), plan=plan,
+                                           dropout_rng=rng),
+                   obj.matryoshka_contrastive_loss(params, cfg, pair_batch(cfg), 0.05, 2,
+                                                   dropout_rng=rng)):
+        nodes = tape_nodes(report.node)
+        assert len(nodes) > 30
+        for t in nodes:
+            assert not any(isinstance(c.cell_contents, Tensor)
+                           for c in t.backward_fn.__closure__ or ()), t.backward_fn
 
 
 def test_one_tape_node_per_loss_term():

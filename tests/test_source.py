@@ -62,6 +62,15 @@ CALLED_FROM_TESTS_BY_DESIGN = {"grad_check"}
 CALLERS = [SRC.parent.parent / "perfbench", SRC]
 
 
+def is_property(decorator) -> bool:
+    """Whether ``decorator`` makes a method an attribute read: ``property``,
+    ``cached_property`` or ``functools.cached_property``."""
+    if isinstance(decorator, ast.Name):
+        return decorator.id in ("property", "cached_property")
+    return (isinstance(decorator, ast.Attribute) and decorator.attr == "cached_property"
+            and isinstance(decorator.value, ast.Name) and decorator.value.id == "functools")
+
+
 def public_definitions(tree):
     """(name, kind, node) of each public module-level function and class
     method; ``kind`` is "function", "method" or "property"."""
@@ -71,9 +80,8 @@ def public_definitions(tree):
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    is_property = any(isinstance(d, ast.Name) and d.id == "property"
-                                      for d in item.decorator_list)
-                    yield item.name, "property" if is_property else "method", item
+                    kind = "property" if any(map(is_property, item.decorator_list)) else "method"
+                    yield item.name, kind, item
 
 
 def references(tree) -> Counter:
@@ -117,10 +125,14 @@ def test_uncalled_public_name_finder():
         "class C:\n    def m(self):\n        m = 1\n        return m\n\n"
         "    def n(self):\n        return self.m()\n\n"
         "    @property\n    def p(self):\n        return len(x.n)\n\n"
-        "    @property\n    def q(self):\n        return 1\n"),
-        "other/b.py": ast.parse("from m3enc.a import f, g\n\ng()\nC().p\n")}
-    # f is only imported and called by itself; x.n reads a field, not the method
-    assert uncalled_public_names(trees) == ["m3enc/a.py:f", "m3enc/a.py:n", "m3enc/a.py:q"]
+        "    @property\n    def q(self):\n        return 1\n\n"
+        "    @functools.cached_property\n    def r(self):\n        return 2\n\n"
+        "    @cached_property\n    def s(self):\n        return 3\n"),
+        "other/b.py": ast.parse("from m3enc.a import f, g\n\ng()\nC().p\nC().r\n")}
+    # f is only imported and called by itself; x.n reads a field, not the
+    # method; a cached property, like a property, is read as an attribute
+    assert uncalled_public_names(trees) == ["m3enc/a.py:f", "m3enc/a.py:n", "m3enc/a.py:q",
+                                            "m3enc/a.py:s"]
 
 
 def test_every_public_name_has_a_caller_in_the_package():

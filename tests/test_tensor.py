@@ -7,6 +7,7 @@ are the independent check for every differentiable operation.
 import ast
 import inspect
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 from m3enc import tensor as T
 from m3enc.errors import ContractError, NumericsError, ShapeError
-from oracle_ops import MASK_OFFSET, add_at_rows, reshape, softmax_rows, transpose, tsum
+from oracle_ops import (MASK_OFFSET, add_at_rows, reshape, saved_swiglu, softmax_rows,
+                        transpose, tsum)
 
 
 def rand(shape, seed=0, scale=1.0):
@@ -270,6 +272,26 @@ def test_swiglu_grad():
         return tsum(T.mul(T.swiglu(x), c))
 
     assert T.grad_check(f, [("x", x)]) < 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_recomputing_swiglu_is_the_saved_activation_oracle_bit_for_bit(dtype):
+    # the backward recomputes the sigmoid by the forward's ops, so output and
+    # gradient keep the bits of a node that saved it, also where exp(-gate)
+    # overflows and the sigmoid is 0
+    gate = rand((5, 6), seed=44, scale=3.0)
+    gate[0, :3] = [-1000.0, 1000.0, -90.0]
+    x_data = np.concatenate([gate, rand((5, 6), seed=45)], axis=-1).astype(dtype)
+    g = rand((5, 6), seed=46).astype(dtype)
+    results = []
+    for op in (T.swiglu, saved_swiglu):
+        x = T.Tensor(x_data.copy(), requires_grad=True)
+        out = op(x)
+        out.backward(g)
+        results.append((out.data, x.grad))
+    for ours, oracle in zip(*results):
+        assert ours.dtype == dtype
+        assert ours.tobytes() == oracle.tobytes()
 
 
 def test_swiglu_shape_mismatch():
@@ -644,7 +666,7 @@ def test_no_grad_skips_recording():
     x = T.Tensor(rand((2, 2), seed=34), requires_grad=True)
     with T.no_grad():
         y = T.matmul(x, x)
-    assert y._backward_fn is None and not y.requires_grad
+    assert y._node is None and not y.requires_grad
 
 
 def test_grad_accumulates_across_backwards():
@@ -669,7 +691,37 @@ def test_a_graph_is_walked_once():
     with pytest.raises(ContractError, match="a graph is walked once"):
         tsum(T.scale(y, 2.0)).backward()
     np.testing.assert_array_equal(x.grad, first)
-    assert y._parents == () and loss._parents == ()
+    assert y._node.parents == () and loss._node.parents == ()
+
+
+def test_an_output_no_backward_reads_dies_with_its_tensor():
+    # add's backward reads only shapes, so the tape does not keep the matmul
+    # output alive once the caller drops its Tensor; the gradients keep their bits
+    g = rand((4, 5), seed=72)
+    results = []
+    for keep in (True, False):
+        x, w, b = (T.Tensor(rand(shape, seed=70), requires_grad=True)
+                   for shape in ((4, 3), (3, 5), (5,)))
+        y = T.matmul(x, w)
+        alive = weakref.ref(y.data)
+        z = T.add(y, b)
+        if not keep:
+            del y
+        assert (alive() is not None) == keep
+        z.backward(g)
+        results.append([x.grad, w.grad, b.grad])
+    for kept, dropped in zip(*results):
+        assert kept.tobytes() == dropped.tobytes()
+
+
+def test_a_mis_shaped_seed_is_a_shape_error_before_any_release():
+    x = T.Tensor(rand((4, 3), seed=73), requires_grad=True)
+    y = T.matmul(x, T.Tensor(rand((3, 2), seed=74)))
+    with pytest.raises(ShapeError, match=r"\(5, 7\)"):
+        y.backward(np.ones((5, 7)))
+    assert x.grad is None
+    y.backward(np.ones((4, 2)))  # the graph was not released: it is walked now
+    np.testing.assert_array_equal(x.grad, np.ones((4, 2)) @ rand((3, 2), seed=74).T)
 
 
 def test_grad_check_quadratic_exact():
