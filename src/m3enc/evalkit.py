@@ -14,6 +14,11 @@ every row within a derived float32 error margin of a lower bound on the K-th
 best score, and only those candidates are re-scored in float64 and ordered by
 (-score, id). The bound is the K-th largest of the maxima of disjoint column
 groups, so only n_docs/g values per query are partitioned, not n_docs.
+
+Each query's result is a ``Ranking``: a read-only sequence of (id, float64
+score) pairs over its block's [Q x K] id and score arrays. A pair is built
+only when it is read, so a search holds 16 bytes per hit, not a tuple of a
+string and a float; ``recall_at_k`` reads any sequence of such pairs.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import functools
 import json
 import logging
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,11 +55,17 @@ class EmbeddingIndex:
     provenance: dict
 
     def __post_init__(self):
-        if len(self.ids) != self.embeddings.shape[0]:
+        e = self.embeddings
+        if e.ndim != 2:
+            raise ShapeError(f"embeddings must be [n_docs x d], got shape {e.shape}")
+        if e.dtype != np.float32:
+            raise ContractError(f"embeddings must be float32, got {e.dtype}")
+        if len(self.ids) != e.shape[0]:
             raise ShapeError("id count does not match embedding rows")
         if len(set(self.ids)) != len(self.ids):
             raise ContractError("document ids must be unique")
-        norms = np.linalg.norm(self.embeddings.astype(np.float64), axis=1)
+        # float64 sums of squares, without a float64 copy of the index
+        norms = np.sqrt(np.einsum("ij,ij->i", e, e, dtype=np.float64))
         if len(norms) and np.abs(norms - 1.0).max() > 1e-6:
             raise ContractError("index rows must be unit-norm within 1e-6")
 
@@ -64,6 +76,14 @@ class EmbeddingIndex:
         rank[sorted(range(len(self.ids)), key=self.ids.__getitem__)] = np.arange(len(self.ids))
         rank.setflags(write=False)
         return rank
+
+    @functools.cached_property
+    def _id_array(self) -> np.ndarray:
+        """The ids as an object array, to map a block's rows to ids at once."""
+        ids = np.empty(len(self.ids), dtype=object)
+        ids[:] = self.ids
+        ids.setflags(write=False)
+        return ids
 
     @property
     def dim(self) -> int:
@@ -152,11 +172,63 @@ def cell_rows(pooled: np.ndarray, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def exact_topk(index: EmbeddingIndex, query_emb: np.ndarray, k: int) -> list[list[tuple[str, float]]]:
+class Ranking(Sequence):
+    """One query's top K, best first: a read-only sequence of (doc id, float
+    score) pairs over its block's arrays.
+
+    ``block`` is ``(ids, scores)``: the block's [Q x K] doc ids (an object
+    array) and its [Q x K] float64 scores. This ranking is row ``q`` of them,
+    at the columns in the range ``cols``. A pair is built only when it is
+    read; a slice is a ``Ranking`` over the same arrays. It compares equal to
+    any sequence of the same pairs, as a list does.
+    """
+
+    __slots__ = ("_block", "_q", "_cols")
+
+    def __init__(self, block: tuple[np.ndarray, np.ndarray], q: int, cols: range):
+        self._block, self._q, self._cols = block, q, cols
+
+    def __len__(self) -> int:
+        return len(self._cols)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Ranking(self._block, self._q, self._cols[i])
+        ids, scores = self._block
+        col = self._cols[i]
+        return ids[self._q, col], float(scores[self._q, col])
+
+    def __iter__(self):
+        ids, scores = self._block
+        c = self._cols  # sliced from range(K): stop < 0 only when it runs down past 0
+        cols = slice(c.start, c.stop if c.stop >= 0 else None, c.step)
+        return zip(ids[self._q, cols].tolist(), map(float, scores[self._q, cols]))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def _rankings(ids: np.ndarray, scores: np.ndarray) -> list[Ranking]:
+    """One ``Ranking`` per row of a block's [Q x K] doc ids and scores."""
+    block, cols = (ids, scores), range(ids.shape[1])
+    return [Ranking(block, q, cols) for q in range(len(ids))]
+
+
+def exact_topk(index: EmbeddingIndex, query_emb: np.ndarray, k: int) -> list[Ranking]:
     """Exhaustive inner-product ranking; ties broken by ascending doc id.
 
-    Returns, per query, the K (id, score) pairs in descending score order,
-    with float64 scores. K larger than the pool clamps with a warning.
+    Returns, per query, a ``Ranking`` of the K (id, score) pairs in
+    descending score order, with float64 scores. K larger than the pool
+    clamps with a warning; an empty index gives empty rankings. Each query
+    of a block writes its top K into the block's [Q x K] index rows and
+    float64 scores; the rows are mapped to ids once per block, and the
+    block's rankings share the id and score arrays, so no per-hit object is
+    made here.
 
     Each block of queries is scored by one float32 GEMM. Its columns fall
     into ``G = n_docs // g`` disjoint strided groups (columns j, j + G,
@@ -189,12 +261,12 @@ def exact_topk(index: EmbeddingIndex, query_emb: np.ndarray, k: int) -> list[lis
         k = n_docs
     q64 = query_emb.astype(np.float64)
     if k == 0:  # empty index
-        return [[] for _ in q64]
+        return _rankings(np.empty((len(q64), 0), dtype=object), np.empty((len(q64), 0)))
     q32 = q64.astype(np.float32)
     if not np.isfinite(q32).all():
         raise NumericsError("query embeddings must be finite in float32")
     margin = (index.dim + 2) * np.finfo(np.float32).eps * np.linalg.norm(q64, axis=1)
-    emb, ids, id_rank = index.embeddings, index.ids, index._id_rank
+    emb, id_rank = index.embeddings, index._id_rank
     n_groups = n_docs // max(1, min(10, n_docs // (10 * k)))
     out = []
     for start in range(0, len(q64), _QUERY_BLOCK):
@@ -208,18 +280,26 @@ def exact_topk(index: EmbeddingIndex, query_emb: np.ndarray, k: int) -> list[lis
         floor = (bound[:, n_groups - k] - margin[start:start + _QUERY_BLOCK]).astype(scores.dtype)
         qi, cand = np.divmod(np.flatnonzero(scores >= floor[:, None]), n_docs)
         bounds = np.searchsorted(qi, np.arange(len(scores) + 1)).tolist()
-        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]), start):
+        top_rows = np.empty((len(scores), k), dtype=np.intp)
+        top_scores = np.empty((len(scores), k))
+        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
             # float32 rows widen exactly; the float64 row sums do not depend on
             # where a row sits, unlike a BLAS tile, so twins score bit-identically
             rows = cand[a:b]
-            exact = (emb[rows] * q64[i]).sum(axis=1)
+            exact = (emb[rows] * q64[start + i]).sum(axis=1)
             top = np.lexsort((id_rank[rows], -exact))[:k]
-            out.append(list(zip([ids[j] for j in rows[top].tolist()], exact[top].tolist())))
+            top_rows[i] = rows[top]
+            top_scores[i] = exact[top]
+        out += _rankings(index._id_array[top_rows], top_scores)
     return out
 
 
-def recall_at_k(rankings: list[list[tuple[str, float]]], truth: list[str], k: int) -> float:
-    """Fraction of queries whose positive document appears in their top K."""
+def recall_at_k(rankings: Sequence[Sequence[tuple[str, float]]], truth: list[str],
+                k: int) -> float:
+    """Fraction of queries whose positive document appears in their top K.
+
+    Each ranking is any sequence of (id, score) pairs; its pairs are read in
+    order up to the first hit, and only their ids are compared."""
     if len(rankings) != len(truth):
         raise ShapeError(f"{len(rankings)} rankings vs {len(truth)} ground-truth entries")
     if not rankings:

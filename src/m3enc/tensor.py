@@ -35,7 +35,6 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ContractError, NumericsError, ShapeError
 
@@ -413,6 +412,8 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Elementwise GELU, exact erf form."""
+    from scipy.special import erf  # loaded by the first GELU only (the -SwiGLU arm)
+
     x = as_tensor(x)
     xd = x.data
     phi = 0.5 * (1.0 + erf(xd * x.dtype.type(1.0 / math.sqrt(2.0))).astype(xd.dtype))

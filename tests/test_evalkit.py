@@ -1,5 +1,7 @@
 """Evaluation kit tests: exact search oracles, recall, sweeps, report files."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from m3enc import data as D
 from m3enc import encoder as enc
 from m3enc import evalkit as ek
 from m3enc import synth
-from m3enc.errors import ConfigError, ContractError, NumericsError
+from m3enc.errors import ConfigError, ContractError, NumericsError, ShapeError
 from oracle_ops import padded
 
 
@@ -45,6 +47,16 @@ def test_index_validates_unit_norm_and_ids():
                           provenance={})
     with pytest.raises(ContractError):
         ek.EmbeddingIndex(ids=("a", "a"), embeddings=unit_rows((2, 3), 0), provenance={})
+
+
+def test_index_rejects_a_non_matrix_or_non_float32_array():
+    with pytest.raises(ShapeError):
+        ek.EmbeddingIndex(ids=("a", "b", "c"), embeddings=unit_rows((3,), 0), provenance={})
+    with pytest.raises(ShapeError):
+        ek.EmbeddingIndex(ids=("a", "b"), embeddings=unit_rows((2, 2, 3), 0), provenance={})
+    with pytest.raises(ContractError):
+        ek.EmbeddingIndex(ids=("a", "b"), embeddings=unit_rows((2, 3), 0).astype(np.float64),
+                          provenance={})
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +320,61 @@ def test_topk_rejects_non_finite_queries():
         ek.exact_topk(index, queries, 3)
 
 
+def test_ranking_is_a_read_only_sequence_of_pairs():
+    index = make_index(n=8, d=6, seed=3)
+    queries = unit_rows((2, 6), seed=4)
+    got = ek.exact_topk(index, queries, k=5)
+    want = brute_force_topk(index, queries, 5)
+    r, pairs = got[0], want[0]
+    assert isinstance(r, ek.Ranking) and len(r) == 5
+    assert all(type(doc) is str and type(s) is float for doc, s in r)
+    assert r[0] == pairs[0] and r[-1] == pairs[-1] and r[-5] == pairs[0]
+    for bad in (5, -6):
+        with pytest.raises(IndexError):
+            r[bad]
+    with pytest.raises(TypeError):
+        r[0] = pairs[0]
+    for cut in (slice(1, 4), slice(None, None, -2), slice(4, 1), slice(10, None),
+                slice(-3, None), slice(None, None, -1)):
+        assert isinstance(r[cut], ek.Ranking) and r[cut] == pairs[cut]
+    assert r[1:][::-1][0] == pairs[4] and r[::-1][1:3] == pairs[::-1][1:3]
+    assert r == pairs and pairs == r and r == tuple(pairs) and got == want
+    assert r != pairs[:-1] and r != got[1] and r != 5
+    changed = pairs[:2] + [(pairs[2][0], pairs[2][1] + 1e-12)] + pairs[3:]
+    assert r != changed and not r == changed
+    assert dict(r) == dict(pairs)
+    assert repr(r) == repr(pairs) and repr(r[:0]) == "[]"
+    assert list(reversed(r)) == pairs[::-1] and pairs[2] in r and r.index(pairs[3]) == 3
+
+
+def test_empty_index_gives_empty_rankings():
+    index = ek.EmbeddingIndex(ids=(), embeddings=np.empty((0, 4), dtype=np.float32),
+                              provenance={})
+    got = ek.exact_topk(index, unit_rows((2, 4), seed=5), k=3)
+    assert got == [[], []]
+    assert all(isinstance(r, ek.Ranking) and len(r) == 0 and repr(r) == "[]" for r in got)
+    assert ek.recall_at_k(got, ["a", "b"], 3) == 0.0
+
+
+def test_rankings_hold_their_arrays_not_an_object_per_hit():
+    n, d, k, n_queries = 2000, 32, 100, 500
+    index = ek.EmbeddingIndex(ids=shuffled_ids(n, 40), embeddings=unit_rows((n, d), seed=41),
+                              provenance={})
+    queries = unit_rows((n_queries, d), seed=42)
+    ek.exact_topk(index, queries[:1], k)  # caches the index's id ranks
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = ek.exact_topk(index, queries, k)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(got) == n_queries and all(len(r) == k for r in got)
+    # an id reference and a float64 score are 16 B a hit; a list of
+    # (str, float) tuples holds about 80 B a hit
+    assert held / n_queries < 2 * 16 * k
+
+
 # ---------------------------------------------------------------------------
 # recall
 # ---------------------------------------------------------------------------
@@ -338,6 +405,48 @@ def test_recall_counting_oracle_and_monotone():
 def test_recall_requires_truth():
     with pytest.raises(ContractError):
         ek.recall_at_k([[("a", 1.0)]], [None], k=1)
+
+
+def as_rankings(lists):
+    """The same pairs as array-backed ``Ranking``s, one block per query."""
+    out = []
+    for pairs in lists:
+        ids = np.empty((1, len(pairs)), dtype=object)
+        ids[0, :] = [doc for doc, _ in pairs]
+        out += ek._rankings(ids, np.array([[s for _, s in pairs]]))
+    return out
+
+
+RECALL_ABC = [
+    [("a", 0.9), ("b", 0.8), ("c", 0.7)],
+    [("b", 0.9), ("c", 0.8), ("a", 0.7)],
+    [("c", 0.9), ("a", 0.8), ("b", 0.7)],
+]
+
+
+@pytest.mark.parametrize("lists,truth,k", [  # the test_recall_* cases above
+    ([[("d1", 0.9), ("d2", 0.1)], [("d7", 0.8), ("d1", 0.2)]], ["d1", "d7"], 1),
+    ([[("d1", 0.9)], [("d2", 0.8)]], ["x", "y"], 1),
+    (RECALL_ABC, ["a", "a", "a"], 1), (RECALL_ABC, ["a", "a", "a"], 2),
+    (RECALL_ABC, ["a", "a", "a"], 3),
+])
+def test_recall_same_on_lists_and_rankings(lists, truth, k):
+    rankings = as_rankings(lists)
+    assert rankings == lists
+    assert ek.recall_at_k(rankings, truth, k) == ek.recall_at_k(lists, truth, k)
+
+
+def test_recall_of_exact_topk_same_as_of_its_lists():
+    index = make_index(n=200, d=8, seed=6)
+    queries = unit_rows((30, 8), seed=7)
+    got = ek.exact_topk(index, queries, 20)
+    # positives at ranks 0, 7, 14, ..., 35 of each query's full ranking
+    full = brute_force_topk(index, queries, 40)
+    truth = [pairs[(7 * qi) % 40][0] for qi, pairs in enumerate(full)]
+    lists = [list(r) for r in got]
+    recalls = [ek.recall_at_k(got, truth, k) for k in (1, 5, 10, 20, 50)]
+    assert recalls == [ek.recall_at_k(lists, truth, k) for k in (1, 5, 10, 20, 50)]
+    assert 0 < recalls[0] < recalls[2] < recalls[3] == recalls[4] < 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
-"""Source checks over the m3enc package: every import is used, and every
-public function and method has a caller."""
+"""Source checks over the m3enc package: every import is used, scipy is
+imported only inside functions, and every public function and method has a
+caller."""
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -55,6 +58,43 @@ def test_src_has_no_unused_imports():
     found = [f"{path.name}:{line}: {name}" for path in sorted(SRC.glob("*.py"))
              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def load_time_imports(source: str, package: str) -> list[int]:
+    """Lines of the imports of ``package`` or its submodules that run when the
+    module loads: every one outside a function body."""
+    lines = []
+    for node in _own_imports(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.level == 0 else []
+        else:
+            names = [alias.name for alias in node.names]
+        if any(name.split(".")[0] == package for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_load_time_import_finder():
+    source = ("import scipy\nfrom scipy.special import erf\nimport numpy, scipy.sparse as sp\n"
+              "from . import scipy\nimport scipyx\n\n"
+              "if x:\n    from scipy import linalg\n\n"
+              "class C:\n    import scipy.fft\n\n"
+              "def f():\n    from scipy.sparse import csr_matrix\n")
+    assert load_time_imports(source, "scipy") == [1, 2, 3, 8, 11]
+
+
+def test_src_imports_scipy_only_inside_functions():
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in load_time_imports(path.read_text(encoding="utf-8"), "scipy")]
+    assert found == []
+
+
+def test_cli_evalkit_and_encoder_load_without_scipy_special():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import m3enc.cli, m3enc.evalkit, "
+            "m3enc.encoder; print(sorted(m for m in sys.modules if m.startswith('scipy.special')))")
+    out = subprocess.run([sys.executable, "-c", code, str(SRC.parent)], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 # public names that are library surface without a caller in the package
