@@ -260,6 +260,32 @@ def traced_peak(kind, steps):
         tracemalloc.stop()
 
 
+# params_fingerprint after two steps of each stage kind from fresh_stage
+PINNED_FINGERPRINTS = {
+    "pretrain_mlm": "399457055923d7f8",
+    "distill": "5034aa9ab09b6f3e",
+    "pretrain_contrastive": "76c9f77c043ad58a",
+    "sft_mrl": "b65f8d93dc3682b2",
+    "pretrain_contrastive+dropout": "2921dae52968a3ea",
+}
+
+
+@pytest.mark.parametrize("kind", PINNED_FINGERPRINTS)
+def test_two_steps_of_each_stage_kind_train_pinned_bits(kind):
+    """A bit gate for changes that must not move arithmetic: two steps of each
+    stage kind at toy sizes, and of a pair stage with hidden_dropout=0.1,
+    give the pinned parameter fingerprints.
+
+    The fingerprints pin the installed numpy/BLAS build as well as the code.
+    A numpy or BLAS upgrade re-baselines them, and the re-baseline is recorded
+    in CHANGES.md."""
+    state, stage, src = fresh_stage(kind.split("+")[0], 2)
+    if kind.endswith("+dropout"):
+        state.config = dataclasses.replace(state.config, hidden_dropout=0.1)
+    tr.run_stage(stage, state, src, ListSink())
+    assert tr.params_fingerprint(state.params) == PINNED_FINGERPRINTS[kind]
+
+
 def test_a_step_holds_one_graph():
     # each step's backward frees its tape, so the next step's forward does not
     # peak on top of the last graph: three steps peak where one does, in
