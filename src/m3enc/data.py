@@ -10,12 +10,12 @@ File formats understood here:
 
 All readers reject non-UTF-8 bytes with a positioned error.
 
-Batch width: a configured length (``seq_len``, ``query_len``, ``doc_len``)
-is a cap, not a width. ``encode_sequence`` pads at the end, so the real
-positions of a row are a prefix of it, and every batch is cut to its longest
-real row (``trim_to_longest_row``): the columns dropped are padding in every
-row. Masks are drawn before the cut, so the random stream, the rows and the
-masked positions do not depend on it.
+Batches are packed: a batch is its sequences' ids laid end to end, [N],
+and their lengths, [B], with no padding position. A configured length
+(``seq_len``, ``query_len``, ``doc_len``) is a cap on each sequence, not a
+width. The MLM sources keep their documents padded to ``seq_len`` and draw
+each row's masks at that length before packing, so the random stream and
+the masked positions do not depend on the packing.
 """
 
 from __future__ import annotations
@@ -79,13 +79,17 @@ def build_vocab(lines, max_size: int) -> Vocab:
     """Frequency-ranked whitespace vocabulary with the special tokens first.
 
     Ties in frequency are broken lexicographically so the mapping is
-    deterministic. Out-of-vocabulary words map to ``<unk>`` at tokenize time.
+    deterministic. A word spelled like a special token is not a word of the
+    vocabulary; it and out-of-vocabulary words map to ``<unk>`` at tokenize
+    time.
     """
     if max_size <= len(SPECIAL_TOKENS):
         raise ConfigError(f"max_size must exceed the {len(SPECIAL_TOKENS)} special tokens")
     counts: Counter[str] = Counter()
     for line in lines:
         counts.update(line.split())
+    for tok in SPECIAL_TOKENS:
+        counts.pop(tok, None)
     if not counts:
         raise CorpusError("empty corpus: no tokens found")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -96,31 +100,24 @@ def build_vocab(lines, max_size: int) -> Vocab:
 
 
 def tokenize(vocab: Vocab, text: str) -> list[int]:
-    unk = vocab.unk_id
-    return [vocab.token_to_id.get(tok, unk) for tok in text.split()]
+    """Word ids of ``text``; text never yields a special token's id."""
+    unk, ids = vocab.unk_id, vocab.token_to_id
+    return [unk if tok in SPECIAL_TOKENS else ids.get(tok, unk) for tok in text.split()]
 
 
-def encode_sequence(vocab: Vocab, text: str, seq_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Frame as ``<cls> tokens... <sep>`` then pad/truncate to ``seq_len``.
-
-    Returns (ids, attn_mask) with attn_mask true on real positions.
-    """
+def encode_sequence(vocab: Vocab, text: str, seq_len: int) -> np.ndarray:
+    """The ids of ``<cls> tokens... <sep>``, with the tokens cut so that
+    there are at most ``seq_len`` ids."""
     if seq_len < 3:
         raise ConfigError("seq_len must be at least 3 (cls + token + sep)")
     body = tokenize(vocab, text)[: seq_len - 2]
-    ids = [vocab.cls_id] + body + [vocab.sep_id]
-    mask = [True] * len(ids)
-    while len(ids) < seq_len:
-        ids.append(vocab.pad_id)
-        mask.append(False)
-    return np.array(ids, dtype=np.int64), np.array(mask, dtype=bool)
+    return np.array([vocab.cls_id, *body, vocab.sep_id], dtype=np.int64)
 
 
-def trim_to_longest_row(attn_mask: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``attn_mask`` and each [B x s] array of the same batch cut to the
-    batch's longest real row; real positions must be a prefix of each row."""
-    width = int(attn_mask.sum(axis=1).max())
-    return tuple(a[:, :width] for a in (attn_mask, *arrays))
+def pack(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Sequences as one packed batch: their ids end to end [N] and their
+    lengths [B]."""
+    return np.concatenate(seqs), np.array([len(s) for s in seqs])
 
 
 # ---------------------------------------------------------------------------
@@ -335,51 +332,47 @@ def cap_per_query(store: PairStore, cap: int) -> PairStore:
 
 @dataclass
 class MlmBatch:
-    # s is the batch's longest real row, at most the source's seq_len
-    tokens: np.ndarray        # [B x s] ids after masking
-    attn_mask: np.ndarray     # [B x s] true on real positions
-    labels: np.ndarray        # [B x s] original ids where masked, else IGNORE_INDEX
-    mask_positions: np.ndarray  # [B x s] bool
+    ids: np.ndarray      # [N] packed ids after masking
+    lengths: np.ndarray  # [B] sequence lengths, summing to N
+    labels: np.ndarray   # [N] original ids where masked, else IGNORE_INDEX
 
     def __post_init__(self):
-        lab_defined = self.labels != IGNORE_INDEX
-        if not np.array_equal(lab_defined, self.mask_positions):
-            raise ContractError("labels must be defined exactly at masked positions")
-        if (np.shape(self.attn_mask) != np.shape(self.mask_positions)
-                or (self.mask_positions & ~np.asarray(self.attn_mask, dtype=bool)).any()):
-            raise ContractError("masked positions must be real positions of attn_mask")
+        if np.shape(self.labels) != np.shape(self.ids):
+            raise ContractError("labels must hold one entry per packed position")
 
     @property
     def n_tokens(self) -> int:
         """Real positions in the batch."""
-        return int(self.attn_mask.sum())
+        return int(self.ids.size)
 
     @property
     def width(self) -> int:
-        return self.tokens.shape[1]
+        """The longest sequence."""
+        return int(self.lengths.max())
 
 
 @dataclass
 class PairBatch:
-    # each side is as wide as its longest real row, at most query_len / doc_len
-    query_tokens: np.ndarray  # [B x s_q]
-    query_mask: np.ndarray    # [B x s_q] true on real positions
-    doc_tokens: np.ndarray    # [B x s_d]
-    doc_mask: np.ndarray      # [B x s_d]
+    # each side packed; a sequence is at most query_len / doc_len long
+    query_ids: np.ndarray      # [N_q]
+    query_lengths: np.ndarray  # [B]
+    doc_ids: np.ndarray        # [N_d]
+    doc_lengths: np.ndarray    # [B]
     pair_ids: tuple[str, ...]
 
     @property
     def size(self) -> int:
-        return self.query_tokens.shape[0]
+        return len(self.query_lengths)
 
     @property
     def n_tokens(self) -> int:
         """Real positions over both sides."""
-        return int(self.query_mask.sum() + self.doc_mask.sum())
+        return int(self.query_ids.size + self.doc_ids.size)
 
     @property
     def width(self) -> list[int]:
-        return [self.query_tokens.shape[1], self.doc_tokens.shape[1]]
+        """The longest query and the longest document."""
+        return [int(self.query_lengths.max()), int(self.doc_lengths.max())]
 
 
 class MlmSource:
@@ -398,9 +391,10 @@ class MlmSource:
         self.seq_len = seq_len
         self.mask_rate = mask_rate
         self.policy = policy
-        encoded = [encode_sequence(vocab, t, seq_len) for t in texts]
-        self.ids = np.stack([e[0] for e in encoded])
-        self.attn = np.stack([e[1] for e in encoded])
+        # the masking store: each document padded to seq_len, and its length
+        ids, self.lengths = pack([encode_sequence(vocab, t, seq_len) for t in texts])
+        self.ids = np.full((len(texts), seq_len), vocab.pad_id, dtype=np.int64)
+        self.ids[np.arange(seq_len) < self.lengths[:, None]] = ids
 
     def _mask_rows(self, ids: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         tokens = np.empty_like(ids)
@@ -417,11 +411,11 @@ class MlmSource:
         return tokens, labels
 
     def _masked_batch(self, rows: np.ndarray, rng: np.random.Generator) -> MlmBatch:
-        """Mask the rows at full length, then cut the batch to its longest row."""
+        """Mask the rows at full length, then pack them."""
         tokens, labels = self._mask_rows(self.ids[rows], rng)
-        attn, tokens, labels = trim_to_longest_row(self.attn[rows], tokens, labels)
-        return MlmBatch(tokens=tokens, attn_mask=attn, labels=labels,
-                        mask_positions=labels != IGNORE_INDEX)
+        lengths = self.lengths[rows]
+        real = np.arange(self.seq_len) < lengths[:, None]
+        return MlmBatch(ids=tokens[real], lengths=lengths, labels=labels[real])
 
     def batch(self, rng: np.random.Generator, batch_size: int) -> MlmBatch:
         return self._masked_batch(rng.integers(0, self.ids.shape[0], size=batch_size), rng)
@@ -463,12 +457,8 @@ class PairSource:
         if not pairs:
             raise CorpusError("PairSource requires at least one pair")
         self.pairs = pairs
-        q = [encode_sequence(vocab, p.query, query_len) for p in pairs]
-        d = [encode_sequence(vocab, p.doc, doc_len) for p in pairs]
-        self.q_ids = np.stack([e[0] for e in q])
-        self.q_attn = np.stack([e[1] for e in q])
-        self.d_ids = np.stack([e[0] for e in d])
-        self.d_attn = np.stack([e[1] for e in d])
+        self.queries = [encode_sequence(vocab, p.query, query_len) for p in pairs]
+        self.docs = [encode_sequence(vocab, p.doc, doc_len) for p in pairs]
 
     def batch(self, rng: np.random.Generator, batch_size: int) -> PairBatch:
         n = len(self.pairs)
@@ -476,8 +466,8 @@ class PairSource:
             rows = rng.choice(n, size=batch_size, replace=False)
         else:
             rows = rng.integers(0, n, size=batch_size)
-        q_mask, q_tokens = trim_to_longest_row(self.q_attn[rows], self.q_ids[rows])
-        d_mask, d_tokens = trim_to_longest_row(self.d_attn[rows], self.d_ids[rows])
-        return PairBatch(query_tokens=q_tokens, query_mask=q_mask,
-                         doc_tokens=d_tokens, doc_mask=d_mask,
+        query_ids, query_lengths = pack([self.queries[r] for r in rows])
+        doc_ids, doc_lengths = pack([self.docs[r] for r in rows])
+        return PairBatch(query_ids=query_ids, query_lengths=query_lengths,
+                         doc_ids=doc_ids, doc_lengths=doc_lengths,
                          pair_ids=tuple(self.pairs[int(r)].pair_id for r in rows))

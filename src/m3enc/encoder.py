@@ -19,17 +19,17 @@ node and the output projection; the feed-forward is one fused input
 projection (``ffn_in``, gate | up for SwiGLU), one ``tensor.swiglu`` or GELU
 node and the down projection: four matmuls per layer.
 
-``forward`` runs unpadded from the ids, as in ModernBERT: it gathers the
-embeddings at the batch's N real positions only, and every block works on
-those [N x m] packed rows, sequence after sequence; ``tensor.attention``
-attends within each sequence from its length alone. No layer op sees a
-padding position, and a tap is the [N x m] rows in mask order. Two consumers
-keep the padded [B x s] layout on purpose: ``pool`` takes the padded
-weighted sum, so each pooled value is bit for bit the sum over a padded
-state, and the dropout draw is taken at [B x s x m], so the random stream
-does not depend on the packing. A contrastive step encodes its queries
-stacked on its documents as one [2B x s] batch, so the ``+Dropout`` arm
-draws one [2B x s x m] mask per layer there, not one per side.
+A batch is packed, as in ModernBERT: its sequences' ids end to end, [N],
+and their lengths, [B]. ``forward`` gathers the embeddings at those N
+positions, each at its index within its sequence, and every block works on
+the [N x m] packed rows; ``tensor.attention`` attends within each sequence
+from its length alone. No layer op sees a padding position, and a tap is the
+[N x m] rows. The hidden-dropout draw is taken at [B x max(lengths) x m] and
+each sequence keeps its prefix rows, so the random stream is the padded
+batch's. A contrastive step encodes its queries stacked on its documents as
+one batch of 2B sequences, so the ``+Dropout`` arm draws one mask per layer
+there, not one per side. ``pool`` is one sparse product with a row of
+weights 1/length per sequence.
 
 ``forward`` stops at the deepest tapped layer: the layers above it are never
 run, so a tap at layer ``l`` costs ``l`` blocks and is what a model cut to
@@ -286,12 +286,25 @@ def _ffn(x: Tensor, lp: LayerParams, config: ModelConfig) -> Tensor:
     return _linear(hidden, lp.ffn_down, lp.ffn_down_b)
 
 
-def _dropout(x: Tensor, rate: float, rng: np.random.Generator, rows: np.ndarray,
-             lead: tuple[int, int]) -> Tensor:
+def _check_lengths(lengths, n: int, max_seq: int | None = None) -> np.ndarray:
+    """``lengths`` as the lengths, each in [1, ``max_seq``], of at least one
+    sequence packed into ``n`` rows."""
+    lengths = T._check_lengths(lengths, n)
+    if not lengths.size or not lengths.all():
+        raise ContractError("every sequence needs at least one position")
+    if max_seq is not None and lengths.max() > max_seq:
+        raise ContractError(f"sequence length {lengths.max()} exceeds max_seq={max_seq}")
+    return lengths
+
+
+def _dropout(x: Tensor, rate: float, rng: np.random.Generator, lengths: np.ndarray) -> Tensor:
     """Inverted dropout on packed rows. The keep mask is drawn at the padded
-    [B x s x m] layout and its ``rows`` are kept, so the random stream and the
-    masks at real positions do not depend on the packing."""
-    draw = rng.random((*lead, x.shape[-1])).reshape(-1, x.shape[-1])[rows]
+    [B x max(lengths) x m] layout and each sequence keeps its prefix rows, so
+    the random stream and the masks at real positions do not depend on the
+    packing."""
+    m = x.shape[-1]
+    prefix = np.arange(lengths.max()) < lengths[:, None]
+    draw = rng.random((*prefix.shape, m)).reshape(-1, m)[np.flatnonzero(prefix)]
     keep = (draw >= rate).astype(x.data.dtype) / x.dtype.type(1.0 - rate)
     return T.mul(x, Tensor(keep))
 
@@ -299,38 +312,29 @@ def _dropout(x: Tensor, rate: float, rng: np.random.Generator, rows: np.ndarray,
 def forward(
     params: Parameters,
     config: ModelConfig,
-    tokens: np.ndarray,
-    attn_mask: np.ndarray | None = None,
+    ids: np.ndarray,
+    lengths: np.ndarray,
     *,
     taps: tuple[int, ...] | None = None,
     dropout_rng: np.random.Generator | None = None,
 ) -> dict[int, Tensor]:
     """Run the encoder up to its deepest tapped layer; returns ``{layer: state}``.
 
-    ``tokens`` is an id array of shape [s] or [B x s]; ``attn_mask`` marks
-    real (attendable) positions, which need not be a prefix of each row. The
-    embeddings are gathered at the N real positions, every block runs on
-    those [N x m] rows in the row-major order of ``attn_mask`` (one sequence
-    or many alike) with attention per sequence from its row count, and each
-    tapped state is returned as those rows. ``taps`` defaults to the
-    configured granularity layers. Hidden dropout runs when a ``dropout_rng``
-    is passed and ``hidden_dropout`` > 0. It is drawn only between layers that
-    run, at the batch's own [B x s x m] layout (the data sources trim each
-    batch to its longest real row), and applied to the real rows.
+    ``ids`` [N] are the packed ids of sequences of ``lengths`` [B], one after
+    another. The embeddings are gathered at the N positions, each at its
+    index within its sequence; every block runs on those [N x m] rows with
+    attention per sequence, and each tapped state is returned as those rows.
+    ``taps`` defaults to the configured granularity layers. Hidden dropout
+    runs when a ``dropout_rng`` is passed and ``hidden_dropout`` > 0. It is
+    drawn only between layers that run, at [B x max(lengths) x m], and
+    applied to each sequence's rows (``_dropout``).
     """
-    tokens = np.atleast_2d(tokens)
-    bsz, s = tokens.shape
-    if s < 1:
-        raise ContractError("forward requires at least one position")
-    if s > config.max_seq:
-        raise ContractError(f"sequence length {s} exceeds max_seq={config.max_seq}")
-    if tokens.min() < 0 or tokens.max() >= config.vocab:
+    ids = np.asarray(ids)
+    if ids.ndim != 1 or not np.issubdtype(ids.dtype, np.integer):
+        raise ShapeError(f"ids must be a 1-D integer array of packed positions, got {ids!r}")
+    lengths = _check_lengths(lengths, ids.size, config.max_seq)
+    if ids.min() < 0 or ids.max() >= config.vocab:
         raise ContractError(f"token id out of vocabulary range [0, {config.vocab})")
-    if attn_mask is None:
-        attn_mask = np.ones((bsz, s), dtype=bool)
-    attn_mask = np.atleast_2d(np.asarray(attn_mask, dtype=bool))
-    if attn_mask.shape != (bsz, s):
-        raise ShapeError(f"attn_mask shape {attn_mask.shape} != tokens shape {(bsz, s)}")
     if taps is None:
         taps = config.granularity.layers
     tap_set = set(taps)
@@ -339,9 +343,9 @@ def forward(
                           f"[1, n_layers={config.n_layers}]")
     depth = max(tap_set)
 
-    rows, lengths = np.flatnonzero(attn_mask), attn_mask.sum(axis=1)
-    h = T.add(T.take_rows(params.token_embedding, tokens[attn_mask]),
-              T.take_rows(params.position_embedding, np.nonzero(attn_mask)[1]))
+    positions = np.arange(ids.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    h = T.add(T.take_rows(params.token_embedding, ids),
+              T.take_rows(params.position_embedding, positions))
 
     tapped: dict[int, Tensor] = {}
     for i, lp in enumerate(params.layers[:depth], start=1):
@@ -358,35 +362,30 @@ def forward(
         if i in tap_set:
             tapped[i] = h
         if dropout_rng is not None and config.hidden_dropout > 0.0 and i < depth:
-            h = _dropout(h, config.hidden_dropout, dropout_rng, rows, (bsz, s))
+            h = _dropout(h, config.hidden_dropout, dropout_rng, lengths)
     return tapped
 
 
-def pool(tapped_state: Tensor, attn_mask: np.ndarray) -> Tensor:
-    """Full-width mean over each sequence's real rows; ``cell_embedding``
-    turns it into the embedding of one dim.
+def pool(tapped_state: Tensor, lengths: np.ndarray) -> Tensor:
+    """Full-width mean over each sequence's rows; ``cell_embedding`` turns it
+    into the embedding of one dim.
 
-    ``tapped_state`` is a packed [N x M] tap of ``forward``: the rows of the
-    real positions of ``attn_mask`` ([s] or [B x s]) in mask order. One node:
-    it places the rows in a zeroed [s x M] or [B x s x M] buffer, multiplies
-    by w = mask / count and sums over positions, so every pooled value is the
-    same sum as over the padded state. The backward pass is g * w at the rows.
+    ``tapped_state`` is a packed [N x M] tap of ``forward`` over sequences of
+    ``lengths`` [B]. One node: the [B x M] product P @ x of a sparse P with
+    one row per sequence, holding the weight 1/length at that sequence's rows,
+    so each mean is summed row by row in sequence order. The backward pass
+    is g * 1/length at each sequence's rows.
     """
-    mask = np.asarray(attn_mask, dtype=bool)
-    counts = mask.sum(axis=-1)
-    if (counts == 0).any():
-        raise ContractError("pool: a sequence has no unmasked positions")
     x = T.as_tensor(tapped_state)
-    if x.ndim != 2 or x.shape[0] != counts.sum():
-        raise ShapeError(f"state {x.shape} must be the [N x M] rows of the "
-                         f"{int(counts.sum())} unmasked positions of attn_mask")
-    rows = np.flatnonzero(mask)
-    m = x.shape[-1]
-    weights = (mask.astype(x.dtype) / counts[..., None].astype(x.dtype))[..., None]
-    out = (T._unpack(x.data, rows, mask.shape) * weights).sum(axis=-2)
+    if x.ndim != 2:
+        raise ShapeError(f"state {x.shape} must be a packed [N x M] tap")
+    lengths = _check_lengths(lengths, x.shape[0])
+    seq = np.repeat(np.arange(len(lengths)), lengths)
+    w = (np.ones(len(lengths), dtype=x.dtype) / lengths.astype(x.dtype))[seq]
+    out = T._scatter_sum(x.data, seq, w, len(lengths))
 
     def bwd(g):
-        return (g.reshape(-1, m)[rows // mask.shape[-1]] * weights.reshape(-1, 1)[rows],)
+        return (g[seq] * w[:, None],)
 
     return T._from_op(out, "pool", (x,), bwd)
 

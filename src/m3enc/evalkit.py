@@ -35,7 +35,7 @@ import numpy as np
 
 from . import encoder as enc
 from . import tensor as T
-from .data import Vocab, encode_sequence, trim_to_longest_row
+from .data import Vocab, encode_sequence, pack
 from .encoder import ModelConfig, Parameters
 from .errors import ConfigError, ContractError, NumericsError, ShapeError
 from .tensor import Tensor
@@ -140,22 +140,20 @@ def encode_corpus(
     seq_len: int | None = None,
 ) -> dict[int, np.ndarray]:
     """Full-width pooled rows of every text at each of ``layers``, in the model
-    dtype, from one early-exit forward per batch. Texts are cut to at most
-    ``seq_len`` tokens (default ``max_seq``), a cap: each batch runs only as
-    wide as its longest text."""
+    dtype, from one early-exit forward per batch. Each text is framed and cut
+    to at most ``seq_len`` ids (default ``max_seq``), and each batch of texts
+    is packed, so no padding position is encoded."""
     if not texts:
         raise ContractError("encode_corpus requires a non-empty corpus")
     seq_len = config.max_seq if seq_len is None else seq_len
     pooled: dict[int, list[np.ndarray]] = {l: [] for l in layers}
     with T.no_grad():
         for start in range(0, len(texts), _ENCODE_BATCH):
-            encoded = [encode_sequence(vocab, t, seq_len)
-                       for t in texts[start:start + _ENCODE_BATCH]]
-            mask, tokens = trim_to_longest_row(np.stack([e[1] for e in encoded]),
-                                               np.stack([e[0] for e in encoded]))
-            states = enc.forward(params, config, tokens, mask, taps=tuple(layers))
+            ids, lengths = pack([encode_sequence(vocab, t, seq_len)
+                                 for t in texts[start:start + _ENCODE_BATCH]])
+            states = enc.forward(params, config, ids, lengths, taps=tuple(layers))
             for l in layers:
-                pooled[l].append(enc.pool(states[l], mask).data)
+                pooled[l].append(enc.pool(states[l], lengths).data)
     return {l: np.concatenate(rows) for l, rows in pooled.items()}
 
 

@@ -13,9 +13,10 @@ every (layer, dim) cell of a grid.
   ``kl_rows`` node on the scaled student product
 * in-batch-negative contrastive loss, streamed over column tiles of the
   score matrix (``tile=None`` is a single tile spanning the batch), summed
-  over every grid cell. MRL fine-tuning is its one-layer grid. Queries are
-  stacked on documents: one forward, one pool per layer, one [2B x d]
-  embedding per cell, read as queries [:B] and documents [B:]
+  over every grid cell. MRL fine-tuning is its one-layer grid. The packed
+  queries are followed by the packed documents, one batch of 2B sequences:
+  one forward, one pool per layer, one [2B x d] embedding per cell, read as
+  queries [:B] and documents [B:]
 
 Hidden dropout runs in the encoder when a ``dropout_rng`` is passed and the
 model's ``hidden_dropout`` is above 0.
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import encoder as enc
 from . import tensor as T
-from .data import MlmBatch, PairBatch
+from .data import IGNORE_INDEX, MlmBatch, PairBatch
 from .encoder import GranularitySet, ModelConfig, Parameters
 from .errors import ConfigError, ContractError, ShapeError
 from .tensor import Tensor
@@ -119,18 +120,19 @@ def _head_products(params: Parameters, config: ModelConfig, batch: MlmBatch,
     """The bias-free head product of every (layer, dim) cell at the masked
     positions.
 
-    One forward pass taps the grid layers; the [n x M] rows of each packed tap
-    at the masked positions go through the shared head. The product of cell
+    One forward pass taps the grid layers; the [n x M] rows of each tap at
+    the masked positions go through the shared head. The product of cell
     (l, d) is h[:, :d] @ W[:d, :], built for increasing d as a running sum of
     segment products h[:, d_j:d_{j+1}] @ W[d_j:d_{j+1}, :], so a layer's whole
     row of cells costs one max(d)-wide projection. Each weight segment
     W[d_j:d_{j+1}, :] is cut once and shared by every layer.
     """
-    if not batch.mask_positions.any(axis=-1).all():
-        raise ContractError("every sequence needs at least one masked position")
-    masked = np.flatnonzero(batch.mask_positions[batch.attn_mask])
-    states = enc.forward(params, config, batch.tokens, batch.attn_mask, taps=gran.layers,
+    masked = np.flatnonzero(batch.labels != IGNORE_INDEX)
+    states = enc.forward(params, config, batch.ids, batch.lengths, taps=gran.layers,
                          dropout_rng=dropout_rng)
+    sequence_of = np.searchsorted(np.cumsum(batch.lengths), masked, side="right")
+    if len(np.unique(sequence_of)) != len(batch.lengths):
+        raise ContractError("every sequence needs at least one masked position")
     bounds = list(zip((0,) + gran.dims[:-1], gran.dims))
     segments = [T.pack_rows(params.mlm_head_w, np.arange(start, stop)) for start, stop in bounds]
     products: dict[tuple[int, int], Tensor] = {}
@@ -172,7 +174,7 @@ def matryoshka_mlm_loss(
             if cell not in gran.grid:
                 raise ConfigError(f"distillation cell {cell} is outside the granularity grid")
     products = _head_products(params, config, batch, gran, dropout_rng)
-    targets = batch.labels.reshape(-1)[batch.mask_positions.reshape(-1)]
+    targets = batch.labels[batch.labels != IGNORE_INDEX]
     per_pair: dict[tuple[int, int], float] = {}
     total: Tensor | None = None
     for cell, product in products.items():
@@ -263,18 +265,6 @@ def tiled_contrastive_loss(emb: Tensor, tau: float, tile: int | None) -> Tensor:
     return T._from_op(np.asarray(loss, dtype=x.dtype), "tiled_contrastive", (emb,), bwd)
 
 
-def _stacked(batch: PairBatch) -> tuple[np.ndarray, np.ndarray]:
-    """The batch's queries on top of its documents as one [2B x s] batch of
-    ids and mask, each side padded at the end to the wider side's width (id 0,
-    masked out, so ``forward`` never gathers it)."""
-    if batch.doc_tokens.shape[0] != batch.size:
-        raise ShapeError(f"{batch.size} queries but {batch.doc_tokens.shape[0]} documents")
-    width = max(batch.width)
-    padded = [np.pad(a, ((0, 0), (0, width - a.shape[1]))) for a in
-              (batch.query_tokens, batch.doc_tokens, batch.query_mask, batch.doc_mask)]
-    return np.concatenate(padded[:2]), np.concatenate(padded[2:])
-
-
 def matryoshka_contrastive_loss(
     params: Parameters,
     config: ModelConfig,
@@ -286,20 +276,23 @@ def matryoshka_contrastive_loss(
     dropout_rng: np.random.Generator | None = None,
 ) -> LossReport:
     """Tiled contrastive loss summed over every (layer, dim) grid cell, from
-    one forward pass over the batch's queries stacked on its documents
-    (``_stacked``). MRL fine-tuning is a one-layer grid.
+    one forward pass over the batch's queries followed by its documents, one
+    packed batch of 2B sequences. MRL fine-tuning is a one-layer grid.
 
-    The stack is pooled once per layer; every dim's [2B x d] embeddings are
-    prefixes of that pooled state, re-normalized (``enc.cell_embedding``).
+    The 2B sequences are pooled once per layer; every dim's [2B x d]
+    embeddings are prefixes of that pooled state, re-normalized
+    (``enc.cell_embedding``).
     """
     gran = _grid(config, granularity)
-    tokens, mask = _stacked(batch)
-    states = enc.forward(params, config, tokens, mask, taps=gran.layers,
-                         dropout_rng=dropout_rng)
+    if len(batch.doc_lengths) != batch.size:
+        raise ShapeError(f"{batch.size} queries but {len(batch.doc_lengths)} documents")
+    lengths = np.concatenate([batch.query_lengths, batch.doc_lengths])
+    states = enc.forward(params, config, np.concatenate([batch.query_ids, batch.doc_ids]),
+                         lengths, taps=gran.layers, dropout_rng=dropout_rng)
     per_pair: dict[tuple[int, int], float] = {}
     total: Tensor | None = None
     for l in gran.layers:
-        pooled = enc.pool(states[l], mask)
+        pooled = enc.pool(states[l], lengths)
         for d in gran.dims:
             cell = tiled_contrastive_loss(enc.cell_embedding(pooled, d), tau, tile)
             per_pair[(l, d)] = float(cell)

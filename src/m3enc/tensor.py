@@ -300,9 +300,8 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
 def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     """Gather rows along the first axis (embedding-style lookup).
 
-    The backward pass sums the gradient rows of each repeated id as one
-    sparse product S @ g, where S has a single 1 per gathered row; each id's
-    rows are added in gather order, as ``np.add.at`` would add them.
+    The backward pass sums the gradient rows of each repeated id with weight
+    1 (``_scatter_sum``).
     """
     a = as_tensor(a)
     idx = np.asarray(indices)
@@ -312,16 +311,25 @@ def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     shape = a.shape
 
     def bwd(g):
-        from scipy.sparse import csr_matrix  # loaded by the first backward only
-
         flat = idx.reshape(-1)
         n = flat.size
-        gather = csr_matrix((np.ones(n, dtype=g.dtype), (flat, np.arange(n))),
-                            shape=(shape[0], n))
-        rows = gather @ g.reshape(n, math.prod(shape[1:]))
+        rows = _scatter_sum(g.reshape(n, math.prod(shape[1:])), flat,
+                            np.ones(n, dtype=g.dtype), shape[0])
         return (rows.reshape(shape),)
 
     return _from_op(np.ascontiguousarray(out), "take_rows", (a,), bwd)
+
+
+def _scatter_sum(x: np.ndarray, targets: np.ndarray, weights: np.ndarray,
+                 n_out: int) -> np.ndarray:
+    """The [n_out x m] sums of the [n x m] rows of ``x``: row i times
+    ``weights[i]`` is added into row ``targets[i]``, each target's rows in
+    order, as ``np.add.at`` would add them. One sparse product S @ x, where S
+    holds ``weights[i]`` at (``targets[i]``, i)."""
+    from scipy.sparse import csr_matrix  # loaded by the first call only
+
+    n = len(targets)
+    return csr_matrix((weights, (targets, np.arange(n))), shape=(n_out, n)) @ x
 
 
 def _check_rows(rows, n_positions: int) -> np.ndarray:
@@ -334,24 +342,19 @@ def _check_rows(rows, n_positions: int) -> np.ndarray:
     return rows
 
 
-def _unpack(a: np.ndarray, rows: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
-    """Zeros of shape [*lead x m] with the [N x m] rows of ``a`` at ``rows``."""
-    full = np.zeros((math.prod(lead), a.shape[-1]), dtype=a.dtype)
-    full[rows] = a
-    return full.reshape(*lead, a.shape[-1])
-
-
 def pack_rows(a: Tensor, rows: np.ndarray) -> Tensor:
     """The [N x m] rows at the distinct flat positions ``rows`` (increasing)
     of ``a``'s leading dimensions. The backward pass places the gradient rows
     back by plain indexing, since no position is read twice."""
     a = as_tensor(a)
-    lead = a.shape[:-1]
-    rows = _check_rows(rows, math.prod(lead))
-    out = a.data.reshape(-1, a.shape[-1])[rows]
+    shape = a.shape
+    rows = _check_rows(rows, math.prod(shape[:-1]))
+    out = a.data.reshape(-1, shape[-1])[rows]
 
     def bwd(g):
-        return (_unpack(g, rows, lead),)
+        full = np.zeros((math.prod(shape[:-1]), shape[-1]), dtype=g.dtype)
+        full[rows] = g
+        return (full.reshape(shape),)
 
     return _from_op(out, "pack_rows", (a,), bwd)
 
@@ -466,6 +469,16 @@ def swiglu(x: Tensor) -> Tensor:
     return _from_op(out, "swiglu", (x,), bwd)
 
 
+def _check_lengths(lengths, n: int) -> np.ndarray:
+    """``lengths`` as the sequence lengths of ``n`` packed rows: a 1-D array
+    of non-negative integers summing to ``n``."""
+    lengths = np.asarray(lengths)
+    if (lengths.ndim != 1 or not np.issubdtype(lengths.dtype, np.integer)
+            or (lengths < 0).any() or lengths.sum() != n):
+        raise ShapeError(f"lengths must be a 1-D array of non-negative integers summing to {n}")
+    return lengths
+
+
 def attention(qkv: Tensor, lengths: np.ndarray, n_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention over packed rows, as one node.
 
@@ -486,10 +499,7 @@ def attention(qkv: Tensor, lengths: np.ndarray, n_heads: int) -> Tensor:
     m = m3 // 3
     if n_heads < 1 or m % n_heads != 0:
         raise ShapeError(f"n_heads={n_heads} must divide the width {m}")
-    lengths = np.asarray(lengths)
-    if (lengths.ndim != 1 or not np.issubdtype(lengths.dtype, np.integer)
-            or (lengths < 0).any() or lengths.sum() != n):
-        raise ShapeError(f"lengths must be a 1-D array of non-negative integers summing to {n}")
+    lengths = _check_lengths(lengths, n)
     dh = m // n_heads
     scale = qkv.dtype.type(1.0 / math.sqrt(dh))
     # rows sorted by their sequence's length, stably, so each sequence stays

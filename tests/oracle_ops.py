@@ -7,7 +7,8 @@ head). Nothing in ``src/`` calls them, so they live here, on the library's
 own tape (``T._from_op``). The padded oracles mark padding keys with
 ``MASK_OFFSET`` alone. ``add_at_rows`` is the ``take_rows`` backward as
 ``np.add.at`` computes it, and ``saved_swiglu`` is ``T.swiglu`` with the
-sigmoid and silu saved by the forward instead of recomputed.
+sigmoid and silu saved by the forward instead of recomputed. ``packed``
+turns a padded prefix-mask fixture into the packed batch the encoder takes.
 """
 
 import numpy as np
@@ -131,3 +132,14 @@ def add_at_rows(shape, indices, g):
     full = np.zeros(shape, dtype=g.dtype)
     np.add.at(full, np.asarray(indices).reshape(-1), g.reshape(-1, *shape[1:]))
     return full
+
+
+def packed(tokens, mask):
+    """A padded [B x s] (or [s]) batch whose real positions are a prefix of
+    each row, as the packed ids [N] and lengths [B] that ``enc.forward``
+    takes."""
+    tokens, mask = np.atleast_2d(tokens), np.atleast_2d(mask)
+    lengths = mask.sum(axis=1)
+    if not (mask == (np.arange(mask.shape[1]) < lengths[:, None])).all():
+        raise ValueError("the real positions of each row must be a prefix of it")
+    return tokens[mask], lengths

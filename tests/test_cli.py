@@ -687,6 +687,19 @@ def test_damaged_input_exits_with_a_typed_error(workdir, capsys, case):
     assert str(damaged) in err and "Traceback" not in err
 
 
+def test_corpus_spelling_only_special_tokens_trains(workdir, capsys):
+    # the vocabulary corpus lacks these words: each is <unk> in the text, so
+    # every document has a position to mask
+    (workdir / "specials.txt").write_text("<sep>\n<pad> <cls>\n<mask> <unk> <sep>\n",
+                                          encoding="utf-8")
+    path = write_config(workdir, base_config(stages=[mono_stage("specials.txt")]),
+                        "specials.json")
+    out = workdir / "specials-out"
+    assert cli.main(["pretrain", "--config", str(path), "--output", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert tr.load_checkpoint(out / "damaged.m3ck").step == 1
+
+
 @pytest.mark.parametrize("case", [c for c, v in DAMAGED_INPUT.items() if v[2] is not None])
 def test_damaged_corpus_leaves_no_metrics_file(workdir, case):
     name, content, config, code = DAMAGED_INPUT[case]

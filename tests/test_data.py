@@ -57,12 +57,31 @@ def test_vocab_errors():
 
 def test_encode_sequence_framing():
     v = small_vocab()
-    ids, mask = D.encode_sequence(v, "red apple", seq_len=8)
-    assert ids[0] == v.cls_id and ids[3] == v.sep_id
-    assert list(ids[4:]) == [v.pad_id] * 4
-    assert list(mask) == [True] * 4 + [False] * 4
-    long_ids, long_mask = D.encode_sequence(v, "red " * 50, seq_len=8)
-    assert long_mask.all() and long_ids[-1] == v.sep_id
+    ids = D.encode_sequence(v, "red apple", seq_len=8)
+    assert list(ids) == [v.cls_id, v.token_to_id["red"], v.token_to_id["apple"], v.sep_id]
+    long_ids = D.encode_sequence(v, "red " * 50, seq_len=8)
+    assert len(long_ids) == 8 and long_ids[-1] == v.sep_id
+
+
+def test_special_token_spellings_are_no_words():
+    # a reserved spelling in the text is neither a vocabulary entry nor a
+    # special token's id: it is <unk>, a position that can be masked
+    v = D.build_vocab(["<sep> a b", "a <cls>"], 20)
+    assert v.id_to_token == (*D.SPECIAL_TOKENS, "a", "b")
+    assert len(set(v.id_to_token)) == v.size
+    assert D.tokenize(v, "<sep>") == [v.unk_id]
+    assert D.tokenize(v, " ".join(D.SPECIAL_TOKENS) + " a") == [v.unk_id] * 5 + [5]
+    with pytest.raises(CorpusError):  # only reserved spellings: no word at all
+        D.build_vocab(["<pad> <cls>", "<sep>"], 20)
+
+
+def test_mlm_source_masks_a_corpus_of_special_token_spellings():
+    v = small_vocab()
+    src = D.MlmSource(v, ["<sep>", "<pad> <cls>"], seq_len=6, mask_rate=0.15)
+    for seed in range(5):
+        batch = src.batch(np.random.default_rng(seed), batch_size=4)
+        assert (batch.labels != D.IGNORE_INDEX).sum() >= 4
+        assert set(batch.labels[batch.labels != D.IGNORE_INDEX]) == {v.unk_id}
 
 
 # ---------------------------------------------------------------------------
@@ -330,26 +349,11 @@ def test_mlm_source_deterministic_and_valid():
     src = D.MlmSource(v, CORPUS, seq_len=10, mask_rate=0.15)
     a = src.batch(np.random.default_rng(11), batch_size=4)
     b = src.batch(np.random.default_rng(11), batch_size=4)
-    np.testing.assert_array_equal(a.tokens, b.tokens)
+    np.testing.assert_array_equal(a.ids, b.ids)
     np.testing.assert_array_equal(a.labels, b.labels)
-    assert a.mask_positions.any(axis=-1).all()  # every row has signal
-    # labels defined exactly at masked positions (validated in __post_init__)
-    assert (a.labels != D.IGNORE_INDEX).sum() == a.mask_positions.sum()
-
-
-def test_mlm_batch_rejects_masked_positions_on_padding():
-    tokens = np.array([[5, 6, 7, 0], [8, 9, 0, 0]])
-    attn = tokens != 0
-    mask_pos = np.zeros((2, 4), dtype=bool)
-    mask_pos[0, 1] = True
-    labels = np.where(mask_pos, tokens, D.IGNORE_INDEX)
-    D.MlmBatch(tokens=tokens, attn_mask=attn, labels=labels, mask_positions=mask_pos)
-    mask_pos[1, 3] = True  # a padding position
-    labels = np.where(mask_pos, tokens, D.IGNORE_INDEX)
-    with pytest.raises(ContractError, match="real positions"):
-        D.MlmBatch(tokens=tokens, attn_mask=attn, labels=labels, mask_positions=mask_pos)
-    with pytest.raises(ContractError, match="real positions"):  # a mask of another shape
-        D.MlmBatch(tokens=tokens, attn_mask=attn[:, :3], labels=labels, mask_positions=mask_pos)
+    assert a.labels.shape == a.ids.shape == (a.lengths.sum(),)
+    rows = np.split(a.labels, np.cumsum(a.lengths)[:-1])
+    assert all((r != D.IGNORE_INDEX).any() for r in rows)  # every row has signal
 
 
 def test_multilingual_source_uses_smoothed_mixture():
@@ -359,8 +363,8 @@ def test_multilingual_source_uses_smoothed_mixture():
     np.testing.assert_allclose(sum(src.mixture.smoothed.values()), 1.0, atol=1e-12)
     assert src.mixture.smoothed["xx"] > 0.10  # lifted above raw share
     batch = src.batch(np.random.default_rng(12), batch_size=8)
-    # as wide as the longest real row (cls + 2 words + sep), under the cap of 6
-    assert batch.tokens.shape == (8, batch.attn_mask.sum(axis=1).max()) == (8, 4)
+    # every row is cls + 2 words + sep, under the cap of 6
+    assert batch.ids.shape == (32,) and list(batch.lengths) == [4] * 8 and batch.width == 4
 
 
 def test_pair_source_batches():
@@ -371,14 +375,14 @@ def test_pair_source_batches():
     batch = src.batch(np.random.default_rng(13), batch_size=4)
     assert batch.size == 4
     assert len(set(batch.pair_ids)) == 4  # sampled without replacement
-    # each side as wide as its longest real row (cls + 3 words + sep), under
-    # the caps of 6 and 8
-    assert batch.query_tokens.shape == (4, batch.query_mask.sum(axis=1).max()) == (4, 5)
-    assert batch.doc_tokens.shape == (4, batch.doc_mask.sum(axis=1).max()) == (4, 5)
+    # every row is cls + 3 words + sep, under the caps of 6 and 8
+    assert batch.query_ids.shape == batch.doc_ids.shape == (20,)
+    assert list(batch.query_lengths) == list(batch.doc_lengths) == [5] * 4
+    assert batch.width == [5, 5]
 
 
 # ---------------------------------------------------------------------------
-# batch width: the padded batch of the same draws, cut to its longest row
+# packed batches: the padded draws of the same rows, packed
 # ---------------------------------------------------------------------------
 
 
@@ -423,25 +427,27 @@ def test_batch_is_padded_batch_cut_to_longest_row(kind, case):
     batch = src.batch(rng_got, batch_size)
     rows = padded_rows(kind, src, rng, batch_size)
     if kind == "pair":
-        sides = [((batch.query_mask, batch.query_tokens), (src.q_attn[rows], src.q_ids[rows])),
-                 ((batch.doc_mask, batch.doc_tokens), (src.d_attn[rows], src.d_ids[rows]))]
-        pads = (False, v.pad_id)
+        texts = [[src.pairs[r].query for r in rows], [src.pairs[r].doc for r in rows]]
+        sides = [(batch.query_ids, batch.query_lengths,
+                  [D.encode_sequence(v, t, 8) for t in texts[0]], 8),
+                 (batch.doc_ids, batch.doc_lengths,
+                  [D.encode_sequence(v, t, 9) for t in texts[1]], 9)]
     else:
-        # the masking draw is made on the padded rows, before the cut
+        # the masking draw is made on the padded rows, before packing
         tokens, labels = src._mask_rows(src.ids[rows], rng)
-        sides = [((batch.attn_mask, batch.tokens, batch.labels, batch.mask_positions),
-                  (src.attn[rows], tokens, labels, labels != D.IGNORE_INDEX))]
-        pads = (False, v.pad_id, D.IGNORE_INDEX, False)
+        lengths = src.lengths[rows]
+        real = np.arange(8) < lengths[:, None]
+        assert (src.ids[rows][~real] == v.pad_id).all()  # packing drops padding only
+        assert (labels[~real] == D.IGNORE_INDEX).all()
+        np.testing.assert_array_equal(batch.labels, labels[real])
+        sides = [(batch.ids, batch.lengths, [t[:n] for t, n in zip(tokens, lengths)], 8)]
     assert rng_got.random() == rng.random()  # the batch drew what the padded batch drew
-    for got, padded in sides:
-        lengths = padded[0].sum(axis=1)
-        width, cap = lengths.max(), padded[0].shape[1]
-        for g, full, pad in zip(got, padded, pads):
-            np.testing.assert_array_equal(g, full[:, :width])
-            assert (full[:, width:] == pad).all()  # every dropped column is padding
+    for ids, lengths, seqs, cap in sides:
+        np.testing.assert_array_equal(lengths, [len(q) for q in seqs])
+        np.testing.assert_array_equal(ids, np.concatenate(seqs))
         if case == "mixed":
-            assert len(set(lengths)) > 1 and width < cap
+            assert len(set(lengths)) > 1 and max(lengths) < cap
         elif case == "full":
-            assert width == cap
+            assert max(lengths) == cap
         else:
-            assert got[0].shape == (1, lengths[0])
+            assert len(lengths) == 1

@@ -12,7 +12,8 @@ from m3enc.config import ABLATION_ARMS
 from m3enc import tensor as T
 from m3enc.errors import ConfigError, ContractError, ShapeError
 from m3enc.tensor import Tensor
-from oracle_ops import MASK_OFFSET, padded, reshape, slice_rows, softmax_rows, transpose, tsum
+from oracle_ops import (MASK_OFFSET, packed, padded, reshape, slice_rows, softmax_rows,
+                        transpose, tsum)
 
 
 def toy_config(**overrides):
@@ -111,9 +112,9 @@ def test_final_norm_applies_only_to_top_tap():
     cfg = toy_config()
     params = enc.init_parameters(cfg, seed=0)
     tokens, mask = toy_batch(cfg)
-    out = enc.forward(params, cfg, tokens, mask, taps=(4, 6))
+    out = enc.forward(params, cfg, *packed(tokens, mask), taps=(4, 6))
     params.final_norm_w.data *= 2.0
-    doubled = enc.forward(params, cfg, tokens, mask, taps=(4, 6))
+    doubled = enc.forward(params, cfg, *packed(tokens, mask), taps=(4, 6))
     np.testing.assert_array_equal(doubled[4].data, out[4].data)
     np.testing.assert_array_equal(doubled[6].data, 2.0 * out[6].data)
 
@@ -122,7 +123,7 @@ def test_forward_tap_shapes():
     cfg = toy_config()
     params = enc.init_parameters(cfg, seed=0)
     tokens, mask = toy_batch(cfg, bsz=3, s=9)
-    out = enc.forward(params, cfg, tokens, mask, taps=(2, 4, 6))
+    out = enc.forward(params, cfg, *packed(tokens, mask), taps=(2, 4, 6))
     assert set(out) == {2, 4, 6}
     for t in out.values():
         assert t.shape == (mask.sum(), cfg.hidden)
@@ -132,7 +133,7 @@ def test_forward_single_sequence_shape():
     cfg = toy_config()
     params = enc.init_parameters(cfg, seed=0)
     tokens = np.arange(8) % cfg.vocab
-    out = enc.forward(params, cfg, tokens)
+    out = enc.forward(params, cfg, tokens, [8])
     assert out[6].shape == (8, cfg.hidden)
 
 
@@ -144,14 +145,14 @@ def test_prefix_forward_bit_identical(placement, norm):
     cfg = toy_config(norm_placement=placement, norm=norm)
     params = enc.init_parameters(cfg, seed=5)
     tokens, mask = toy_batch(cfg, seed=5)
-    full = enc.forward(params, cfg, tokens, mask, taps=(2, 4, 6))
+    full = enc.forward(params, cfg, *packed(tokens, mask), taps=(2, 4, 6))
     for l in (2, 4):
         poisoned = copy.deepcopy(params)
         for name, t in poisoned.named():
             if name.startswith("final_norm") or (
                     name.startswith("layers.") and int(name.split(".")[1]) >= l):
                 t.data[...] = np.nan
-        lite = enc.forward(poisoned, cfg, tokens, mask, taps=(l,))
+        lite = enc.forward(poisoned, cfg, *packed(tokens, mask), taps=(l,))
         assert set(lite) == {l}
         np.testing.assert_array_equal(lite[l].data, full[l].data)
 
@@ -160,11 +161,11 @@ def test_masked_positions_get_zero_attention():
     cfg = toy_config()
     params = enc.init_parameters(cfg, seed=2)
     tokens, mask = toy_batch(cfg, seed=2, bsz=1, s=10, n_pad=3)
-    out_a = enc.forward(params, cfg, tokens, mask, taps=(2, 6))
+    out_a = enc.forward(params, cfg, *packed(tokens, mask), taps=(2, 6))
     perturbed = tokens.copy()
     perturbed[0, -1] = (perturbed[0, -1] + 17) % cfg.vocab
     perturbed[0, -2] = (perturbed[0, -2] + 5) % cfg.vocab
-    out_b = enc.forward(params, cfg, perturbed, mask, taps=(2, 6))
+    out_b = enc.forward(params, cfg, *packed(perturbed, mask), taps=(2, 6))
     for l in (2, 6):  # every packed row is a live position
         np.testing.assert_array_equal(out_a[l].data, out_b[l].data)
 
@@ -214,7 +215,7 @@ def test_fused_attention_matches_unfused_encoder(monkeypatch):
     for attention in (enc._attention, unfused):
         monkeypatch.setattr(enc, "_attention", attention)
         T.zero_grads(params.named())
-        out = enc.forward(params, cfg, tokens, mask)
+        out = enc.forward(params, cfg, *packed(tokens, mask))
         tsum(T.mul(out[1], out[2])).backward()
         results.append([out[1].data, out[2].data] + grads(params))
     for fused, ref in zip(*results):
@@ -259,14 +260,14 @@ def padded_forward(params, config, tokens, attn_mask, taps, dropout_rng=None):
 
 
 def mixed_masks(config, seed):
-    """Tokens and a mask with mixed lengths: one full row, one prefix, one row
-    with a single real token and one row whose real positions are no prefix."""
+    """Tokens and a prefix mask with mixed lengths: one full row, two rows of
+    five real tokens and one row with a single real token."""
     tokens = np.random.default_rng(seed).integers(0, config.vocab, size=(4, 9))
     mask = np.zeros((4, 9), dtype=bool)
     mask[0] = True
     mask[1, :5] = True
     mask[2, 0] = True
-    mask[3, [0, 2, 3, 6, 7]] = True
+    mask[3, :5] = True
     return tokens, mask
 
 
@@ -280,21 +281,22 @@ def test_packed_forward_matches_padded_oracle(arm):
                for l in (1, 3)}
     rngs = [np.random.default_rng(61), np.random.default_rng(61)]
     results = []
-    for run, rng in zip((enc.forward, padded_forward), rngs):
+    for is_packed, rng in zip((True, False), rngs):
         T.zero_grads(params.named())
-        out = run(params, cfg, tokens, mask, taps=(1, 3), dropout_rng=rng)
+        if is_packed:
+            out = enc.forward(params, cfg, *packed(tokens, mask), taps=(1, 3), dropout_rng=rng)
+        else:
+            out = padded_forward(params, cfg, tokens, mask, taps=(1, 3), dropout_rng=rng)
         loss = None
-        packed = run is enc.forward
         for l, w in weights.items():  # a loss that reads the real positions only
-            term = tsum(T.mul(out[l], Tensor(w[mask] if packed else w)))
+            term = tsum(T.mul(out[l], Tensor(w[mask] if is_packed else w)))
             loss = term if loss is None else T.add(loss, term)
         loss.backward()
-        taps = [out[l].data if packed else out[l].data[mask] for l in (1, 3)]
+        taps = [out[l].data if is_packed else out[l].data[mask] for l in (1, 3)]
         results.append(taps + grads(params))
     assert rngs[0].random() == rngs[1].random()  # same draws, same stream position
-    for packed, padded in zip(*results):
-        np.testing.assert_allclose(packed, padded, rtol=1e-10,
-                                   atol=1e-10 * np.abs(padded).max())
+    for got, want in zip(*results):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
 
 
 def reachable(root):
@@ -318,19 +320,19 @@ def test_backward_releases_every_node_it_walks():
     weights = {l: np.random.default_rng(60 + l).normal(size=(4, 9, cfg.hidden)) * mask[..., None]
                for l in (1, 3)}
     results = []
-    for packed, run in ((True, enc.forward), (False, padded_forward)):
+    for is_packed in (True, False):
         T.zero_grads(params.named())
-        out = run(params, cfg, tokens, mask, taps=(1, 3))
-        loss = T.add(*(tsum(T.mul(out[l], Tensor(w[mask] if packed else w)))
+        out = (enc.forward(params, cfg, *packed(tokens, mask), taps=(1, 3)) if is_packed
+               else padded_forward(params, cfg, tokens, mask, taps=(1, 3)))
+        loss = T.add(*(tsum(T.mul(out[l], Tensor(w[mask] if is_packed else w)))
                        for l, w in weights.items()))
         ops = reachable(loss)
         loss.backward()
         assert len(ops) > 20
         assert all(node.parents == () and node.backward_fn is T._released for node in ops)
         results.append(grads(params))
-    for packed, padded in zip(*results):
-        np.testing.assert_allclose(packed, padded, rtol=1e-10,
-                                   atol=1e-10 * np.abs(padded).max())
+    for got, want in zip(*results):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
 
 
 def test_forward_frees_the_outputs_no_backward_reads(monkeypatch):
@@ -353,34 +355,35 @@ def test_forward_frees_the_outputs_no_backward_reads(monkeypatch):
         return real(data, op, parents, backward_fn)
 
     results = []
-    for packed, run in ((True, enc.forward), (False, padded_forward)):
+    for is_packed in (True, False):
         T.zero_grads(params.named())
-        if packed:
+        if is_packed:
             monkeypatch.setattr(T, "_from_op", spy)
-        out = run(params, cfg, tokens, mask, taps=(1, 3))
+            out = enc.forward(params, cfg, *packed(tokens, mask), taps=(1, 3))
+        else:
+            out = padded_forward(params, cfg, tokens, mask, taps=(1, 3))
         monkeypatch.undo()
-        if packed:
+        if is_packed:
             assert len(unread) == 3 * cfg.n_layers
             assert all(ref() is None for ref in unread)
-        loss = T.add(*(tsum(T.mul(out[l], Tensor(w[mask] if packed else w)))
+        loss = T.add(*(tsum(T.mul(out[l], Tensor(w[mask] if is_packed else w)))
                        for l, w in weights.items()))
         loss.backward()
         results.append(grads(params))
-    for packed, padded in zip(*results):
-        np.testing.assert_allclose(packed, padded, rtol=1e-10,
-                                   atol=1e-10 * np.abs(padded).max())
+    for got, want in zip(*results):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
 
 
 def test_each_tap_is_the_real_rows_in_mask_order():
     # the batch tap holds mask.sum() rows, sequence after sequence, and each
-    # sequence's rows are what a forward of that sequence alone ([s] tokens) gives
+    # sequence's rows are what a forward of that sequence alone gives
     cfg = toy_config()
     params = enc.init_parameters(cfg, seed=7, dtype=np.float64)
     tokens, mask = mixed_masks(cfg, seed=7)
-    out = enc.forward(params, cfg, tokens, mask, taps=(2, 4, 6))
+    out = enc.forward(params, cfg, *packed(tokens, mask), taps=(2, 4, 6))
     ends = np.cumsum(mask.sum(axis=1))
     for b in range(len(tokens)):
-        alone = enc.forward(params, cfg, tokens[b], mask[b], taps=(2, 4, 6))
+        alone = enc.forward(params, cfg, *packed(tokens[b], mask[b]), taps=(2, 4, 6))
         for l, t in out.items():
             assert t.shape == (mask.sum(), cfg.hidden)
             assert alone[l].shape == (mask[b].sum(), cfg.hidden)
@@ -392,14 +395,15 @@ def test_each_tap_is_the_real_rows_in_mask_order():
 def test_pad_rows_of_every_tap_are_exact_zeros(squeeze):
     # a packed tap has no padding rows: placed back in the padded layout its pad
     # rows are zeros, its real rows are live, and the ids at padding positions
-    # cannot reach it (other pad ids give the same bits under the same dropout)
+    # cannot reach it (other pad ids give the same bits under the same dropout);
+    # squeezed, the batch is one sequence
     cfg = toy_config(hidden_dropout=0.5)
     params = enc.init_parameters(cfg, seed=7)
     tokens, mask = mixed_masks(cfg, seed=7)
     if squeeze:
         tokens, mask = tokens[3], mask[3]
     other = np.where(mask, tokens, (tokens + 1) % cfg.vocab)
-    runs = [enc.forward(params, cfg, ids, mask, taps=(2, 4, 6),
+    runs = [enc.forward(params, cfg, *packed(ids, mask), taps=(2, 4, 6),
                         dropout_rng=np.random.default_rng(7)) for ids in (tokens, other)]
     for l, t in runs[0].items():
         assert t.shape == (mask.sum(), cfg.hidden)
@@ -423,17 +427,16 @@ def test_no_op_of_the_forward_sees_a_padding_row(monkeypatch):
         return real(data, op, parents, backward_fn)
 
     monkeypatch.setattr(T, "_from_op", spy)
-    enc.forward(params, cfg, tokens, mask, taps=(2, 6), dropout_rng=np.random.default_rng(9))
+    enc.forward(params, cfg, *packed(tokens, mask), taps=(2, 6), dropout_rng=np.random.default_rng(9))
     assert {"take_rows", "attention", "swiglu", "mul"} <= {op for op, _ in made}
     assert all(shape[0] == mask.sum() for _, shape in made), made
 
 
 def test_dropout_keeps_the_padded_draw_at_real_rows():
     mask = mixed_masks(toy_config(), seed=8)[1]
-    rows = np.flatnonzero(mask)
-    x = Tensor(np.ones((len(rows), 6), dtype=np.float32))
+    x = Tensor(np.ones((mask.sum(), 6), dtype=np.float32))
     rng, expected = np.random.default_rng(8), np.random.default_rng(8)
-    out = enc._dropout(x, 0.25, rng, rows, mask.shape)
+    out = enc._dropout(x, 0.25, rng, mask.sum(axis=1))
     keep = (expected.random((*mask.shape, 6)) >= 0.25)[mask]
     np.testing.assert_array_equal(out.data, keep / np.float32(0.75))
     assert out.dtype == np.float32
@@ -452,7 +455,7 @@ def test_each_layer_multiplies_by_four_weights(arm):
         layers=(3,), dims=(8, 32))), **ABLATION_ARMS[arm])
     params = enc.init_parameters(cfg, seed=5, dtype=np.float64)
     tokens, mask = toy_batch(cfg, seed=5)
-    out = enc.forward(params, cfg, tokens, mask, dropout_rng=np.random.default_rng(5))
+    out = enc.forward(params, cfg, *packed(tokens, mask), dropout_rng=np.random.default_rng(5))
     assert matmul_nodes(out[3]) == 4 * cfg.n_layers
 
 
@@ -460,23 +463,48 @@ def test_forward_errors():
     cfg = toy_config()
     params = enc.init_parameters(cfg, seed=0)
     with pytest.raises(ContractError):
-        enc.forward(params, cfg, np.array([[cfg.vocab]]))
-    with pytest.raises(ContractError):
-        enc.forward(params, cfg, np.zeros((1, cfg.max_seq + 1), dtype=int))
+        enc.forward(params, cfg, np.array([cfg.vocab]), [1])
+    with pytest.raises(ShapeError):  # padded ids are no packed batch
+        enc.forward(params, cfg, np.zeros((1, 4), dtype=int), [4])
     for taps in ((), (0, 2), (2, cfg.n_layers + 1)):
         with pytest.raises(ConfigError):
-            enc.forward(params, cfg, np.zeros((1, 4), dtype=int), taps=taps)
+            enc.forward(params, cfg, np.zeros(4, dtype=int), [4], taps=taps)
+
+
+# (lengths, the packed positions N, the error); max_seq is 16
+MALFORMED_LENGTHS = {
+    "2-D": ([[2, 2]], 4, ShapeError),
+    "float": ([2.0, 2.0], 4, ShapeError),
+    "bool": ([True, True], 2, ShapeError),
+    "sum below N": ([2, 1], 4, ShapeError),
+    "sum above N": ([2, 3], 4, ShapeError),
+    "no sequence": (np.array([], dtype=int), 0, ContractError),
+    "a zero length": ([4, 0], 4, ContractError),
+    "a negative length": ([5, -1], 4, ShapeError),
+    "above max_seq": ([17], 17, ContractError),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_LENGTHS)
+def test_forward_and_pool_reject_malformed_lengths(case):
+    lengths, n, error = MALFORMED_LENGTHS[case]
+    cfg = toy_config()
+    with pytest.raises(error):
+        enc.forward(enc.init_parameters(cfg, seed=0), cfg, np.zeros(n, dtype=int), lengths)
+    if case != "above max_seq":  # pool knows no max_seq
+        with pytest.raises(error):
+            enc.pool(Tensor(np.ones((n, 4))), lengths)
 
 
 def test_dropout_only_in_training_mode():
     cfg = toy_config(hidden_dropout=0.5)
     params = enc.init_parameters(cfg, seed=0)
     tokens, mask = toy_batch(cfg)
-    a = enc.forward(params, cfg, tokens, mask)
-    b = enc.forward(params, cfg, tokens, mask)
+    a = enc.forward(params, cfg, *packed(tokens, mask))
+    b = enc.forward(params, cfg, *packed(tokens, mask))
     np.testing.assert_array_equal(a[6].data, b[6].data)
     rng = np.random.default_rng(0)
-    c = enc.forward(params, cfg, tokens, mask, dropout_rng=rng)
+    c = enc.forward(params, cfg, *packed(tokens, mask), dropout_rng=rng)
     assert not np.array_equal(a[6].data, c[6].data)
 
 
@@ -485,9 +513,10 @@ def test_early_exit_draws_dropout_only_between_run_layers():
     params = enc.init_parameters(cfg, seed=0)
     tokens, mask = toy_batch(cfg)
     rng = np.random.default_rng(0)
-    enc.forward(params, cfg, tokens, mask, taps=(2,), dropout_rng=rng)
+    enc.forward(params, cfg, *packed(tokens, mask), taps=(2,), dropout_rng=rng)
     expected = np.random.default_rng(0)
-    expected.random((*tokens.shape, cfg.hidden))  # the one mask between layers 1 and 2
+    # the one mask between layers 1 and 2, as wide as the longest sequence
+    expected.random((len(tokens), mask.sum(axis=1).max(), cfg.hidden))
     assert rng.random() == expected.random()
 
 
@@ -543,20 +572,16 @@ def test_dropout_toggle_does_not_change_count():
 def test_pool_single_unmasked_token():
     rng = np.random.default_rng(7)
     state = rng.normal(size=(6, 16))
-    mask = np.zeros(6, dtype=bool)
-    mask[2] = True
-    out = enc.cell_embedding(enc.pool(Tensor(state[mask]), mask), 8)
+    out = enc.cell_embedding(enc.pool(Tensor(state[2:3]), [1]), 8)
     expected = state[2, :8] / np.linalg.norm(state[2, :8])
-    np.testing.assert_allclose(out.data, expected, rtol=1e-12)
+    np.testing.assert_allclose(out.data[0], expected, rtol=1e-12)
 
 
 def test_pool_identical_tokens():
     row = np.random.default_rng(8).normal(size=16)
     state = np.tile(row, (5, 1))
-    out_all = enc.cell_embedding(enc.pool(Tensor(state), np.ones(5, dtype=bool)), 16)
-    single = np.zeros(5, dtype=bool)
-    single[0] = True
-    out_one = enc.cell_embedding(enc.pool(Tensor(state[single]), single), 16)
+    out_all = enc.cell_embedding(enc.pool(Tensor(state), [5]), 16)
+    out_one = enc.cell_embedding(enc.pool(Tensor(state[:1]), [1]), 16)
     np.testing.assert_allclose(out_all.data, out_one.data, rtol=1e-12)
 
 
@@ -565,7 +590,7 @@ def test_pool_excludes_padding_scalar_oracle():
     state = rng.normal(size=(2, 7, 12))
     mask = np.array([[True] * 5 + [False] * 2, [True] * 3 + [False] * 4])
     d = 6
-    out = enc.cell_embedding(enc.pool(Tensor(state[mask]), mask), d)
+    out = enc.cell_embedding(enc.pool(Tensor(state[mask]), mask.sum(axis=1)), d)
     for b in range(2):
         rows = [state[b, i, :d] for i in range(7) if mask[b, i]]
         mean = np.zeros(d)
@@ -579,31 +604,34 @@ def test_pool_excludes_padding_scalar_oracle():
 def test_pool_equals_padded_weighted_sum_bit_for_bit(dtype):
     # the node's value is (x * w).sum(axis=-2) over the padded state, w = mask / count
     rng = np.random.default_rng(11)
-    mask = rng.random((40, 32)) < 0.7
-    mask[:, 0] = True
-    mask[1, 1:] = False  # a single-token row
+    drawn = rng.random((40, 32)) < 0.7
+    drawn[:, 0] = True
+    drawn[1, 1:] = False  # a single-token row
+    lengths = drawn.sum(axis=1)
+    mask = np.arange(32) < lengths[:, None]
     state = (rng.normal(size=(40, 32, 128)) * mask[..., None]).astype(dtype)
     w = (mask.astype(dtype) / mask.sum(axis=-1, keepdims=True).astype(dtype))[..., None]
-    pooled = enc.pool(Tensor(state[mask]), mask)
+    pooled = enc.pool(Tensor(state[mask]), lengths)
     assert pooled.dtype == dtype
     np.testing.assert_array_equal(pooled.data, (state * w).sum(axis=-2))
-    one = enc.pool(Tensor(state[5][mask[5]]), mask[5])  # one sequence, an [s] mask
-    np.testing.assert_array_equal(one.data, (state[5] * w[5]).sum(axis=-2))
+    one = enc.pool(Tensor(state[5][mask[5]]), lengths[5:6])  # a batch of one sequence
+    np.testing.assert_array_equal(one.data[0], (state[5] * w[5]).sum(axis=-2))
 
 
 def test_pool_grad_check():
     rng = np.random.default_rng(12)
     mask = mixed_masks(toy_config(), seed=12)[1]
+    lengths = mask.sum(axis=1)
     x = Tensor(rng.normal(size=(mask.sum(), 6)), requires_grad=True)
     c = Tensor(rng.normal(size=(len(mask), 6)))
-    assert T.grad_check(lambda: tsum(T.mul(enc.pool(x, mask), c)), [("x", x)]) < 1e-6
+    assert T.grad_check(lambda: tsum(T.mul(enc.pool(x, lengths), c)), [("x", x)]) < 1e-6
     with pytest.raises(ShapeError):  # a padded state is no packed tap
-        enc.pool(Tensor(rng.normal(size=(*mask.shape, 6))), mask)
+        enc.pool(Tensor(rng.normal(size=(*mask.shape, 6))), lengths)
 
 
 def test_pool_all_masked_error():
     with pytest.raises(ContractError):
-        enc.pool(Tensor(np.ones((3, 4))), np.zeros(3, dtype=bool))
+        enc.pool(Tensor(np.ones((3, 4))), [3, 0])
 
 
 def per_dim_pool(state, mask, d):
@@ -619,9 +647,10 @@ def per_dim_pool(state, mask, d):
 def test_pool_then_slice_matches_per_dim_pool_bit_for_bit(dtype):
     rng = np.random.default_rng(10)
     state = Tensor(rng.normal(size=(40, 32, 128)).astype(dtype))
-    mask = rng.random((40, 32)) < 0.7
-    mask[:, 0] = True
-    pooled = enc.pool(Tensor(state.data[mask]), mask)
+    drawn = rng.random((40, 32)) < 0.7
+    drawn[:, 0] = True
+    mask = np.arange(32) < drawn.sum(axis=1, keepdims=True)
+    pooled = enc.pool(Tensor(state.data[mask]), mask.sum(axis=1))
     assert pooled.shape == (40, 128) and pooled.dtype == dtype
     for d in (1, 3, 16, 32, 64, 100, 128):
         np.testing.assert_array_equal(enc.cell_embedding(pooled, d).data,
@@ -639,8 +668,8 @@ def test_pool_rows_unit_norm():
     cfg = toy_config()
     params = enc.init_parameters(cfg, seed=0)
     tokens, mask = toy_batch(cfg, bsz=4)
-    out = enc.forward(params, cfg, tokens, mask, taps=(4,))
-    emb = enc.cell_embedding(enc.pool(out[4], mask), 8)
+    out = enc.forward(params, cfg, *packed(tokens, mask), taps=(4,))
+    emb = enc.cell_embedding(enc.pool(out[4], mask.sum(axis=1)), 8)
     np.testing.assert_allclose(np.linalg.norm(emb.data, axis=-1), 1.0, atol=1e-6)
 
 
@@ -667,7 +696,7 @@ def test_encoder_grad_check(placement, norm, act, bias):
     rows = np.flatnonzero(mask_pos[mask])  # the masked rows of a packed tap
 
     def f():
-        out = enc.forward(params, cfg, tokens, mask)
+        out = enc.forward(params, cfg, *packed(tokens, mask))
         loss = None
         for l, d in cfg.granularity.grid:
             logits = T.add(T.matmul(T.slice_last(out[l], 0, d),
@@ -675,7 +704,7 @@ def test_encoder_grad_check(placement, norm, act, bias):
                            params.mlm_head_b)
             cell = T.masked_cross_entropy(T.take_rows(logits, rows), targets[mask_pos])
             loss = cell if loss is None else T.add(loss, cell)
-        emb = enc.cell_embedding(enc.pool(out[1], mask), 4)
+        emb = enc.cell_embedding(enc.pool(out[1], mask.sum(axis=1)), 4)
         return T.add(loss, tsum(T.mul(emb, emb)))
 
     err = T.grad_check(f, params.named(), max_coords=220)

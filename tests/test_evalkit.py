@@ -474,6 +474,13 @@ def test_encode_lite_vs_tap_identical():
     np.testing.assert_array_equal(tap, lite)
 
 
+def padded_batch(vocab, texts, width):
+    """The texts framed and packed as ``encode_corpus`` encodes them, with the
+    [B x width] prefix mask of their padded layout."""
+    ids, lengths = D.pack([D.encode_sequence(vocab, t, width) for t in texts])
+    return ids, lengths, np.arange(width) < lengths[:, None]
+
+
 def test_encode_truncate_then_normalize_oracle():
     params, cfg, vocab, docs = model_setup()
     d = 4
@@ -481,10 +488,8 @@ def test_encode_truncate_then_normalize_oracle():
     full = ek.cell_rows(pooled, cfg.hidden)
     small = ek.cell_rows(pooled, d)
     # recompute by hand: pooled full-width mean, truncated, renormalized
-    seqs = [D.encode_sequence(vocab, t, cfg.max_seq) for t in docs[:6]]
-    tokens = np.stack([s[0] for s in seqs])
-    mask = np.stack([s[1] for s in seqs])
-    state = padded(enc.forward(params, cfg, tokens, mask, taps=(2,))[2].data, mask)
+    ids, lengths, mask = padded_batch(vocab, docs[:6], cfg.max_seq)
+    state = padded(enc.forward(params, cfg, ids, lengths, taps=(2,))[2].data, mask)
     for i in range(6):
         rows = state[i][mask[i]]
         mean = rows.mean(axis=0)[:d]
@@ -501,14 +506,12 @@ def test_cell_rows_match_per_cell_encoding_bit_for_bit(dtype):
     params, cfg, vocab, docs = model_setup()
     for _, t in params.named():
         t.data = t.data.astype(dtype)
-    seqs = [D.encode_sequence(vocab, t, cfg.max_seq) for t in docs]
-    tokens = np.stack([s[0] for s in seqs])
-    mask = np.stack([s[1] for s in seqs])
+    ids, lengths, mask = padded_batch(vocab, docs, cfg.max_seq)
     weights = (mask.astype(dtype) / mask.sum(axis=1, keepdims=True).astype(dtype))[..., None]
     pooled = ek.encode_corpus(params, cfg, vocab, docs, layers=(1, 3))
     for l in (1, 3):
         assert pooled[l].dtype == dtype
-        state = padded(enc.forward(params, cfg, tokens, mask, taps=(l,))[l].data, mask)
+        state = padded(enc.forward(params, cfg, ids, lengths, taps=(l,))[l].data, mask)
         for d in (1, 4, 16):
             mean = (state[..., :d] * weights).sum(axis=-2)
             old = (mean / np.sqrt((mean * mean).sum(axis=-1, keepdims=True))).astype(np.float32)
@@ -518,9 +521,9 @@ def test_cell_rows_match_per_cell_encoding_bit_for_bit(dtype):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_encode_corpus_matches_padded_forward_bit_for_bit(dtype):
-    # each batch runs only as wide as its longest text; the forward of the
-    # same batch padded to max_seq is the oracle. Bit-identity rests on the
-    # padding terms adding exact zeros to every sum: it holds for the BLAS
+    # each batch is packed, so it runs no padding position; the mean over the
+    # same batch's taps padded to max_seq is the oracle. Bit-identity rests on
+    # the padding terms adding exact zeros to every sum: it holds for the BLAS
     # builds tested, but it is not guaranteed by construction, so a failure
     # here is a finding to report, not a tolerance to widen.
     params, cfg, vocab, docs = model_setup()
@@ -532,15 +535,15 @@ def test_encode_corpus_matches_padded_forward_bit_for_bit(dtype):
     pooled = ek.encode_corpus(params, cfg, vocab, texts, layers=layers)
     trimmed = 0
     for start in range(0, len(texts), ek._ENCODE_BATCH):
-        seqs = [D.encode_sequence(vocab, t, cfg.max_seq)
-                for t in texts[start:start + ek._ENCODE_BATCH]]
-        tokens = np.stack([s[0] for s in seqs])
-        mask = np.stack([s[1] for s in seqs])
-        trimmed += mask.sum(axis=1).max() < cfg.max_seq
-        states = enc.forward(params, cfg, tokens, mask, taps=layers)
+        ids, lengths, mask = padded_batch(vocab, texts[start:start + ek._ENCODE_BATCH],
+                                          cfg.max_seq)
+        trimmed += lengths.max() < cfg.max_seq
+        states = enc.forward(params, cfg, ids, lengths, taps=layers)
+        w = (mask.astype(dtype) / lengths[:, None].astype(dtype))[..., None]
         for l in layers:
-            np.testing.assert_array_equal(pooled[l][start:start + len(seqs)],
-                                          enc.pool(states[l], mask).data, err_msg=f"{l}")
+            np.testing.assert_array_equal(pooled[l][start:start + len(lengths)],
+                                          (padded(states[l].data, mask) * w).sum(axis=-2),
+                                          err_msg=f"{l}")
     assert trimmed == -(-len(texts) // ek._ENCODE_BATCH)  # every batch was cut
 
 
@@ -637,7 +640,7 @@ def test_sweep_runs_one_forward_per_batch_per_text_set(monkeypatch, axis, values
     real = enc.forward
 
     def spy(*args, **kwargs):
-        calls.append((args[2].shape[0], kwargs["taps"]))
+        calls.append((len(args[3]), kwargs["taps"]))  # (sequences, taps)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(enc, "forward", spy)

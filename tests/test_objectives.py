@@ -9,7 +9,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from m3enc import data as D
 from m3enc import encoder as enc
 from m3enc import objectives as obj
 from m3enc import tensor as T
@@ -17,7 +16,7 @@ from m3enc.config import ABLATION_ARMS
 from m3enc.data import IGNORE_INDEX, MlmBatch, PairBatch
 from m3enc.errors import ConfigError, ContractError
 from m3enc.tensor import Tensor
-from oracle_ops import slice_rows, transpose
+from oracle_ops import packed, slice_rows, transpose
 
 
 def toy_config(**overrides):
@@ -37,7 +36,7 @@ def plain_head_logits(params, h, d):
 
 def masked_rows(x, batch):
     """The [n x V] rows of a packed [N x V] tensor at the batch's masked positions."""
-    return T.take_rows(x, np.flatnonzero(batch.mask_positions[batch.attn_mask]))
+    return T.take_rows(x, np.flatnonzero(batch.labels != IGNORE_INDEX))
 
 
 def mlm_batch(config, seed=0, bsz=3, s=9, n_masked=2):
@@ -46,20 +45,18 @@ def mlm_batch(config, seed=0, bsz=3, s=9, n_masked=2):
     attn = np.ones((bsz, s), dtype=bool)
     attn[:, -1] = False
     labels = np.full((bsz, s), IGNORE_INDEX, dtype=np.int64)
-    mask_pos = np.zeros((bsz, s), dtype=bool)
     for i in range(bsz):
         cols = rng.choice(s - 1, size=n_masked, replace=False)
-        mask_pos[i, cols] = True
         labels[i, cols] = tokens[i, cols]
-    return MlmBatch(tokens=tokens, attn_mask=attn, labels=labels, mask_positions=mask_pos)
+    ids, lengths = packed(tokens, attn)
+    return MlmBatch(ids=ids, lengths=lengths, labels=labels[attn])
 
 
 def pair_batch(config, seed=0, bsz=4, s=8):
     rng = np.random.default_rng(seed)
     mk = lambda: (rng.integers(5, config.vocab, size=(bsz, s)), np.ones((bsz, s), dtype=bool))
-    qt, qm = mk()
-    dt, dm = mk()
-    return PairBatch(query_tokens=qt, query_mask=qm, doc_tokens=dt, doc_mask=dm,
+    (qi, ql), (di, dl) = packed(*mk()), packed(*mk())
+    return PairBatch(query_ids=qi, query_lengths=ql, doc_ids=di, doc_lengths=dl,
                      pair_ids=tuple(f"p{i}" for i in range(bsz)))
 
 
@@ -112,9 +109,9 @@ def test_mlm_singleton_grid_reduces_to_plain_mlm():
     single = enc.GranularitySet(layers=(cfg.n_layers,), dims=(cfg.hidden,))
     report = obj.matryoshka_mlm_loss(params, cfg, batch, granularity=single)
     # independent plain path: full-state head projection, then the masked mean
-    out = enc.forward(params, cfg, batch.tokens, batch.attn_mask, taps=(cfg.n_layers,))
+    out = enc.forward(params, cfg, batch.ids, batch.lengths, taps=(cfg.n_layers,))
     logits = plain_head_logits(params, out[cfg.n_layers], cfg.hidden)
-    plain = T.masked_cross_entropy(masked_rows(logits, batch), batch.labels[batch.mask_positions])
+    plain = T.masked_cross_entropy(masked_rows(logits, batch), batch.labels[batch.labels != IGNORE_INDEX])
     np.testing.assert_allclose(report.total, float(plain), rtol=1e-12)
     assert report.per_pair == {(cfg.n_layers, cfg.hidden): report.total}
 
@@ -126,10 +123,10 @@ def test_mlm_per_pair_recomputation_oracle():
     report = obj.matryoshka_mlm_loss(params, cfg, batch)
     recomputed_sum = 0.0
     for (l, d), value in report.per_pair.items():
-        out = enc.forward(params, cfg, batch.tokens, batch.attn_mask, taps=(l,))
+        out = enc.forward(params, cfg, batch.ids, batch.lengths, taps=(l,))
         logits = plain_head_logits(params, out[l], d)
         cell = float(T.masked_cross_entropy(masked_rows(logits, batch),
-                                            batch.labels[batch.mask_positions]))
+                                            batch.labels[batch.labels != IGNORE_INDEX]))
         np.testing.assert_allclose(value, cell, rtol=1e-9)
         recomputed_sum += cell
     np.testing.assert_allclose(report.total, recomputed_sum, rtol=1e-9)
@@ -141,7 +138,7 @@ def test_segmented_head_matches_plain_head_oracle():
     params = enc.init_parameters(cfg, seed=4, dtype=np.float64)
     batch = mlm_batch(cfg, seed=4)
     products = obj._head_products(params, cfg, batch, cfg.granularity)
-    out = enc.forward(params, cfg, batch.tokens, batch.attn_mask)
+    out = enc.forward(params, cfg, batch.ids, batch.lengths)
     w = params.mlm_head_w
     for l in cfg.granularity.layers:
         h = masked_rows(out[l], batch)
@@ -157,8 +154,7 @@ def test_mlm_requires_masked_positions():
     cfg = toy_config()
     params = enc.init_parameters(cfg, seed=0)
     batch = mlm_batch(cfg)
-    batch.mask_positions[0, :] = False
-    batch.labels[0, :] = IGNORE_INDEX
+    batch.labels[:batch.lengths[0]] = IGNORE_INDEX
     with pytest.raises(ContractError):
         obj.matryoshka_mlm_loss(params, cfg, batch)
 
@@ -287,10 +283,10 @@ def test_mrl_singleton_equals_sft():
     batch = pair_batch(cfg, seed=4)
     report = obj.matryoshka_contrastive_loss(params, cfg, batch, 0.05, None,
                                              enc.GranularitySet((2,), (8,)))
-    q_out = enc.forward(params, cfg, batch.query_tokens, batch.query_mask, taps=(2,))
-    d_out = enc.forward(params, cfg, batch.doc_tokens, batch.doc_mask, taps=(2,))
-    direct = naive_contrastive(enc.cell_embedding(enc.pool(q_out[2], batch.query_mask), 8),
-                               enc.cell_embedding(enc.pool(d_out[2], batch.doc_mask), 8),
+    q_out = enc.forward(params, cfg, batch.query_ids, batch.query_lengths, taps=(2,))
+    d_out = enc.forward(params, cfg, batch.doc_ids, batch.doc_lengths, taps=(2,))
+    direct = naive_contrastive(enc.cell_embedding(enc.pool(q_out[2], batch.query_lengths), 8),
+                               enc.cell_embedding(enc.pool(d_out[2], batch.doc_lengths), 8),
                                tau=0.05)
     np.testing.assert_allclose(report.total, float(direct), rtol=1e-12)
 
@@ -315,10 +311,9 @@ def test_mrl_identical_encoders_single_pair_zero():
     cfg = toy_config()
     params = enc.init_parameters(cfg, seed=6, dtype=np.float64)
     rng = np.random.default_rng(6)
-    tokens = rng.integers(5, cfg.vocab, size=(1, 7))
-    mask = np.ones((1, 7), dtype=bool)
-    batch = PairBatch(query_tokens=tokens, query_mask=mask,
-                      doc_tokens=tokens.copy(), doc_mask=mask.copy(), pair_ids=("p0",))
+    ids = rng.integers(5, cfg.vocab, size=7)
+    batch = PairBatch(query_ids=ids, query_lengths=np.array([7]),
+                      doc_ids=ids.copy(), doc_lengths=np.array([7]), pair_ids=("p0",))
     report = obj.matryoshka_contrastive_loss(params, cfg, batch, 0.05, None,
                                              enc.GranularitySet((2,), (8,)))
     assert report.total == 0.0
@@ -374,8 +369,8 @@ def test_contrastive_step_is_one_forward_over_both_sides():
 
 @pytest.mark.parametrize("q_width,d_width", [(5, 9), (9, 5)])
 def test_stacked_sides_match_two_forwards(q_width, d_width):
-    # the narrower side is padded to the wider one's width inside the loss;
-    # the oracle encodes each side at its own width
+    # the loss encodes the queries and the documents as one packed batch;
+    # the oracle encodes each side alone
     cfg = toy_config()
     params = enc.init_parameters(cfg, seed=10, dtype=np.float64)
     rng = np.random.default_rng(10)
@@ -385,8 +380,8 @@ def test_stacked_sides_match_two_forwards(q_width, d_width):
         mask = np.arange(width) < rng.integers(1, width + 1, size=(b, 1))
         return rng.integers(5, cfg.vocab, size=(b, width)), mask
 
-    (qt, qm), (dt, dm) = side(q_width), side(d_width)
-    batch = PairBatch(query_tokens=qt, query_mask=qm, doc_tokens=dt, doc_mask=dm,
+    (qi, ql), (di, dl) = packed(*side(q_width)), packed(*side(d_width))
+    batch = PairBatch(query_ids=qi, query_lengths=ql, doc_ids=di, doc_lengths=dl,
                       pair_ids=tuple(f"p{i}" for i in range(b)))
 
     def grads_of(node):
@@ -396,12 +391,12 @@ def test_stacked_sides_match_two_forwards(q_width, d_width):
 
     report = obj.matryoshka_contrastive_loss(params, cfg, batch, 0.1, 2)
     got = grads_of(report.node)
-    q_states = enc.forward(params, cfg, qt, qm, taps=cfg.granularity.layers)
-    d_states = enc.forward(params, cfg, dt, dm, taps=cfg.granularity.layers)
+    q_states = enc.forward(params, cfg, qi, ql, taps=cfg.granularity.layers)
+    d_states = enc.forward(params, cfg, di, dl, taps=cfg.granularity.layers)
     total = None
     for l, d in cfg.granularity.grid:
-        cell = naive_contrastive(enc.cell_embedding(enc.pool(q_states[l], qm), d),
-                                 enc.cell_embedding(enc.pool(d_states[l], dm), d), tau=0.1)
+        cell = naive_contrastive(enc.cell_embedding(enc.pool(q_states[l], ql), d),
+                                 enc.cell_embedding(enc.pool(d_states[l], dl), d), tau=0.1)
         np.testing.assert_allclose(report.per_pair[(l, d)], float(cell), rtol=1e-12)
         total = cell if total is None else T.add(total, cell)
     want = grads_of(total)
@@ -481,8 +476,8 @@ def test_distill_direct_summation_oracle():
     report = obj.matryoshka_mlm_loss(params, cfg, batch, plan=plan)
 
     def cell_probs(l, d):
-        out = enc.forward(params, cfg, batch.tokens, batch.attn_mask, taps=(l,))
-        h = out[l].data[batch.mask_positions[batch.attn_mask]]
+        out = enc.forward(params, cfg, batch.ids, batch.lengths, taps=(l,))
+        h = out[l].data[batch.labels != IGNORE_INDEX]
         z = h[:, :d] @ params.mlm_head_w.data[:d, :] / plan.tau_d
         e = np.exp(z - z.max(axis=-1, keepdims=True))
         return e / e.sum(axis=-1, keepdims=True)
@@ -601,70 +596,3 @@ def test_distill_rejects_cells_outside_grid():
     plan = obj.DistillPlan(pairs=(((4, 16), (3, 4)),))
     with pytest.raises(ConfigError):
         obj.matryoshka_mlm_loss(params, cfg, batch, plan=plan)
-
-
-# ---------------------------------------------------------------------------
-# trimmed batches against their padded twins
-# ---------------------------------------------------------------------------
-
-
-def padded(arr, width, fill):
-    out = np.full((arr.shape[0], width), fill, dtype=arr.dtype)
-    out[:, :arr.shape[1]] = arr
-    return out
-
-
-def trimmed_and_padded(kind, vocab, texts, cap):
-    """A batch from a data source (cut to its longest row) and the same batch
-    padded back to ``cap`` columns."""
-    if kind == "mlm":
-        b = D.MlmSource(vocab, texts, seq_len=cap, mask_rate=0.3).batch(
-            np.random.default_rng(5), 6)
-        return b, MlmBatch(tokens=padded(b.tokens, cap, vocab.pad_id),
-                           attn_mask=padded(b.attn_mask, cap, False),
-                           labels=padded(b.labels, cap, IGNORE_INDEX),
-                           mask_positions=padded(b.mask_positions, cap, False))
-    recs = [D.PairRecord(query=f"{t.split()[0]} {t}", doc=f"{t} q", line_no=i + 1)
-            for i, t in enumerate(texts)]
-    b = D.PairSource(vocab, recs, query_len=cap, doc_len=cap).batch(
-        np.random.default_rng(6), 6)
-    return b, PairBatch(query_tokens=padded(b.query_tokens, cap, vocab.pad_id),
-                        query_mask=padded(b.query_mask, cap, False),
-                        doc_tokens=padded(b.doc_tokens, cap, vocab.pad_id),
-                        doc_mask=padded(b.doc_mask, cap, False), pair_ids=b.pair_ids)
-
-
-@pytest.mark.parametrize("loss", ["mlm", "distill", "contrastive", "mrl"])
-def test_trimmed_batch_matches_padded_twin(loss):
-    words = "a b c d e f g h i j k l m n o p q".split()
-    rng = np.random.default_rng(0)
-    texts = [" ".join(rng.choice(words, size=n)) for n in (1, 3, 6, 2, 5, 4, 7, 2)]
-    vocab = D.build_vocab(texts, max_size=32)
-    cfg = toy_config(vocab=vocab.size)
-    params = enc.init_parameters(cfg, seed=3, dtype=np.float64)
-    plan = obj.build_distill_plan("all_from_top", (4, 16), None, cfg.granularity)
-    run = {"mlm": lambda b: obj.matryoshka_mlm_loss(params, cfg, b),
-           "distill": lambda b: obj.matryoshka_mlm_loss(params, cfg, b, plan=plan),
-           "contrastive": lambda b: obj.matryoshka_contrastive_loss(params, cfg, b, tau=0.1,
-                                                                    tile=4),
-           "mrl": lambda b: obj.matryoshka_contrastive_loss(
-               params, cfg, b, 0.1, None, enc.GranularitySet((2,), (4, 16)))}[loss]
-    trimmed, twin = trimmed_and_padded("mlm" if loss in ("mlm", "distill") else "pair",
-                                       vocab, texts, cfg.max_seq)
-    assert max(np.atleast_1d(trimmed.width)) < cfg.max_seq  # the cut has work to do
-    results = []
-    for batch in (trimmed, twin):
-        T.zero_grads(params.named())
-        report = run(batch)
-        report.node.backward()
-        results.append((report, {n: t.grad for n, t in params.named()}))
-    (got, got_grads), (want, want_grads) = results
-    np.testing.assert_allclose(got.total, want.total, rtol=1e-10, atol=0)
-    for cell, value in want.per_pair.items():
-        np.testing.assert_allclose(got.per_pair[cell], value, rtol=1e-10, atol=0)
-    for name, want_g in want_grads.items():
-        if want_g is None:
-            assert got_grads[name] is None, name
-            continue
-        np.testing.assert_allclose(got_grads[name], want_g, rtol=1e-10,
-                                   atol=1e-10 * np.abs(want_g).max(), err_msg=name)

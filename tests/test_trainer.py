@@ -220,8 +220,8 @@ def test_run_stage_metric_records():
         assert "L2-D8" in r and "L4-D32" in r
         # batches are pure functions of (seed, stage, step): replay each one
         batch = source.batch(named_rng(state.base_seed, "s1", "batch", r["step"]), 8)
-        assert r["tokens"] == batch.attn_mask.sum() and r["width"] == batch.tokens.shape[1]
-        assert r["width"] == batch.attn_mask.sum(axis=1).max() <= source.seq_len
+        assert r["tokens"] == batch.ids.size == batch.lengths.sum()
+        assert r["width"] == batch.lengths.max() <= source.seq_len
         assert r["tokens_per_s"] == pytest.approx(r["tokens"] / r["wall_ms"] * 1e3)
     starts = [r for r in sink if r.get("event") == "stage_start"]
     ends = [r for r in sink if r.get("event") == "stage_end"]
