@@ -435,10 +435,10 @@ def test_batch_is_padded_batch_cut_to_longest_row(kind, case):
     else:
         # the masking draw is made on the padded rows, before packing
         tokens, labels = src._mask_rows(src.ids[rows], rng)
-        lengths = src.lengths[rows]
-        real = np.arange(8) < lengths[:, None]
-        assert (src.ids[rows][~real] == v.pad_id).all()  # packing drops padding only
-        assert (labels[~real] == D.IGNORE_INDEX).all()
+        real = src.ids[rows] != v.pad_id
+        lengths = real.sum(axis=1)
+        assert (real == (np.arange(8) < lengths[:, None])).all()  # a prefix of each row
+        assert (labels[~real] == D.IGNORE_INDEX).all()  # packing drops padding only
         np.testing.assert_array_equal(batch.labels, labels[real])
         sides = [(batch.ids, batch.lengths, [t[:n] for t, n in zip(tokens, lengths)], 8)]
     assert rng_got.random() == rng.random()  # the batch drew what the padded batch drew
