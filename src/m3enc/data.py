@@ -395,6 +395,14 @@ class MlmSource:
         ids, self.lengths = pack([encode_sequence(vocab, t, seq_len) for t in texts])
         self.ids = np.full((len(texts), seq_len), vocab.pad_id, dtype=np.int64)
         self.ids[np.arange(seq_len) < self.lengths[:, None]] = ids
+        unmaskable = np.flatnonzero(np.isin(self.ids, self._protected()).all(axis=1))
+        if unmaskable.size:
+            raise CorpusError(f"document {unmaskable[0]} frames to no maskable position "
+                              f"(a blank text is only <cls> <sep>)")
+
+    def _protected(self) -> list[int]:
+        """The ids that masking never selects."""
+        return [self.vocab.pad_id, self.vocab.cls_id, self.vocab.sep_id]
 
     def _mask_rows(self, ids: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         tokens = np.empty_like(ids)
@@ -403,8 +411,7 @@ class MlmSource:
             tokens[i], labels[i] = mask_tokens(self.vocab, ids[i], self.mask_rate,
                                                self.policy, rng)
             if (labels[i] == IGNORE_INDEX).all():
-                protected = [self.vocab.pad_id, self.vocab.cls_id, self.vocab.sep_id]
-                eligible = np.flatnonzero(~np.isin(ids[i], protected))
+                eligible = np.flatnonzero(~np.isin(ids[i], self._protected()))
                 pos = int(rng.choice(eligible))
                 labels[i, pos] = ids[i, pos]
                 tokens[i, pos] = self.vocab.mask_id

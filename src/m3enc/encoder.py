@@ -16,8 +16,10 @@ A sequence embedding is pooled once per tapped layer at full width
 Every weight multiplies its input once. An attention block is one fused
 [m x 3m] q | k | v projection (``attn_qkv``), one fused ``tensor.attention``
 node and the output projection; the feed-forward is one fused input
-projection (``ffn_in``, gate | up for SwiGLU), one ``tensor.swiglu`` or GELU
-node and the down projection: four matmuls per layer.
+projection (``ffn_in``, gate | up for SwiGLU) and the down projection
+(``ffn_down``), which for SwiGLU is multiplied inside the one
+``tensor.swiglu`` node and for GELU follows a ``tensor.gelu`` node. Each
+layer multiplies by four weights.
 
 A batch is packed, as in ModernBERT: its sequences' ids end to end, [N],
 and their lengths, [B]. ``forward`` gathers the embeddings at those N
@@ -28,8 +30,8 @@ from its length alone. No layer op sees a padding position, and a tap is the
 each sequence keeps its prefix rows, so the random stream is the padded
 batch's. A contrastive step encodes its queries stacked on its documents as
 one batch of 2B sequences, so the ``+Dropout`` arm draws one mask per layer
-there, not one per side. ``pool`` is one sparse product with a row of
-weights 1/length per sequence.
+there, not one per side. ``pool`` sums each sequence's rows, each row
+weighted 1/length, in row order.
 
 ``forward`` stops at the deepest tapped layer: the layers above it are never
 run, so a tap at layer ``l`` costs ``l`` blocks and is what a model cut to
@@ -270,9 +272,12 @@ def _norm(x: Tensor, w: Tensor, b: Tensor | None, kind: str) -> Tensor:
     return T.layer_norm(x, w, b, NORM_EPS)
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
-    out = T.matmul(x, w)
+def _biased(out: Tensor, b: Tensor | None) -> Tensor:
     return out if b is None else T.add(out, b)
+
+
+def _linear(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
+    return _biased(T.matmul(x, w), b)
 
 
 def _attention(x: Tensor, lp: LayerParams, config: ModelConfig, lengths: np.ndarray) -> Tensor:
@@ -282,8 +287,9 @@ def _attention(x: Tensor, lp: LayerParams, config: ModelConfig, lengths: np.ndar
 
 def _ffn(x: Tensor, lp: LayerParams, config: ModelConfig) -> Tensor:
     pre = _linear(x, lp.ffn_in, lp.ffn_in_b)
-    hidden = T.swiglu(pre) if config.activation == "swiglu" else T.gelu(pre)
-    return _linear(hidden, lp.ffn_down, lp.ffn_down_b)
+    if config.activation == "gelu":
+        return _linear(T.gelu(pre), lp.ffn_down, lp.ffn_down_b)
+    return _biased(T.swiglu(pre, lp.ffn_down), lp.ffn_down_b)
 
 
 def _check_lengths(lengths, n: int, max_seq: int | None = None) -> np.ndarray:
@@ -371,10 +377,10 @@ def pool(tapped_state: Tensor, lengths: np.ndarray) -> Tensor:
     into the embedding of one dim.
 
     ``tapped_state`` is a packed [N x M] tap of ``forward`` over sequences of
-    ``lengths`` [B]. One node: the [B x M] product P @ x of a sparse P with
-    one row per sequence, holding the weight 1/length at that sequence's rows,
-    so each mean is summed row by row in sequence order. The backward pass
-    is g * 1/length at each sequence's rows.
+    ``lengths`` [B]. One node: each of the [B x M] means sums its sequence's
+    rows times 1/length, from 0 and row by row in sequence order
+    (``tensor._scatter_sum``). The backward pass is g * 1/length at each
+    sequence's rows.
     """
     x = T.as_tensor(tapped_state)
     if x.ndim != 2:

@@ -22,11 +22,18 @@ rows, sequence after sequence, with no padding row. ``attention`` reads
 q | k | v from one fused projection and runs each group of equal-length
 sequences as one dense [b x h x L x dh] block, with no key mask and no
 padding query. ``swiglu`` computes silu(gate) * up from one fused gate | up
-projection. The gathers are ``take_rows`` (ids may repeat: the embeddings),
-``pack_rows`` (distinct increasing rows: a tap's masked rows, the MLM head's
-weight segments) and ``slice_last``. Each loss term is one node too:
-``masked_cross_entropy`` (backward (softmax - one_hot) / n) for an MLM cell
-and ``kl_rows`` for a distillation pair.
+projection and multiplies it by the down projection in the same node, so the
+[N x f] SwiGLU output is never saved: the backward recomputes it (trading
+one sigmoid for the memory; Chen et al., arXiv:1604.06174). The gathers are
+``take_rows`` (ids may repeat: the embeddings), ``pack_rows`` (distinct
+increasing rows: a tap's masked rows, the MLM head's weight segments) and
+``slice_last``. Each loss term is one node too: ``masked_cross_entropy``
+(backward (softmax - one_hot) / n) for an MLM cell and ``kl_rows`` for a
+distillation pair.
+
+``take_rows``' backward and the encoder's pooling share one numpy kernel,
+``_scatter_sum``: each output row starts from 0 and adds its source rows one
+at a time in source order, so its bits are those of ``np.add.at``.
 """
 
 from __future__ import annotations
@@ -312,24 +319,35 @@ def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
 
     def bwd(g):
         flat = idx.reshape(-1)
-        n = flat.size
-        rows = _scatter_sum(g.reshape(n, math.prod(shape[1:])), flat,
-                            np.ones(n, dtype=g.dtype), shape[0])
+        rows = _scatter_sum(g.reshape(flat.size, math.prod(shape[1:])), flat, None, shape[0])
         return (rows.reshape(shape),)
 
     return _from_op(np.ascontiguousarray(out), "take_rows", (a,), bwd)
 
 
-def _scatter_sum(x: np.ndarray, targets: np.ndarray, weights: np.ndarray,
+def _scatter_sum(x: np.ndarray, targets: np.ndarray, weights: np.ndarray | None,
                  n_out: int) -> np.ndarray:
-    """The [n_out x m] sums of the [n x m] rows of ``x``: row i times
-    ``weights[i]`` is added into row ``targets[i]``, each target's rows in
-    order, as ``np.add.at`` would add them. One sparse product S @ x, where S
-    holds ``weights[i]`` at (``targets[i]``, i)."""
-    from scipy.sparse import csr_matrix  # loaded by the first call only
-
-    n = len(targets)
-    return csr_matrix((weights, (targets, np.arange(n))), shape=(n_out, n)) @ x
+    """The [n_out x m] sums of the [n x m] rows of ``x``: row i, times
+    ``weights[i]`` when weights are given, is added into row ``targets[i]``.
+    Each target's sum starts from 0 and adds its rows one at a time in source
+    order, as ``np.add.at`` does, so a target whose rows are all -0.0 sums to
+    +0.0. The rows are sorted stably by target, and the targets with c rows
+    are summed as one [k x c x m] block along its middle axis: an outer-axis
+    ``sum`` adds the c rows in order, but a sum along the last axis is
+    pairwise, so m = 1 takes the last entry of a sequential ``accumulate``."""
+    m = x.shape[1]
+    order = np.argsort(targets, kind="stable")
+    counts = np.bincount(targets, minlength=n_out)
+    ends = np.cumsum(counts)
+    rows = x[order]
+    if weights is not None:
+        rows *= weights[order][:, None]
+    out = np.zeros((n_out, m), dtype=x.dtype)
+    for c in np.unique(counts[counts > 0]):
+        group = np.flatnonzero(counts == c)
+        block = rows[(ends[group] - c)[:, None] + np.arange(c)]
+        out[group] += np.add.accumulate(block, axis=1)[:, -1] if m == 1 else block.sum(axis=1)
+    return out
 
 
 def _check_rows(rows, n_positions: int) -> np.ndarray:
@@ -429,44 +447,62 @@ def gelu(x: Tensor) -> Tensor:
     return _from_op(out, "gelu", (x,), bwd)
 
 
-def swiglu(x: Tensor) -> Tensor:
-    """The SwiGLU product silu(gate) * up as one node, where ``x`` holds gate
-    and up as the two halves of its last extent, ``[gate | up]``."""
-    x = as_tensor(x)
-    if x.ndim < 1 or x.shape[-1] % 2:
-        raise ShapeError(f"swiglu needs an even last extent (gate | up), got {x.shape}")
-    xd = x.data
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):  # exp(-x) -> inf gives sigmoid 0, as it should
+        sig = np.exp(-x)
+    sig += x.dtype.type(1.0)
+    return np.reciprocal(sig, out=sig)
+
+
+def _swiglu_hidden(gate: np.ndarray, up: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """silu(gate) * up, with ``sig`` = sigmoid(gate)."""
+    h = gate * sig
+    h *= up
+    return h
+
+
+def swiglu(x: Tensor, w_down: Tensor) -> Tensor:
+    """The SwiGLU feed-forward's second half, silu(gate) * up @ ``w_down``, as
+    one node, where ``x`` holds gate and up as the two halves of its last
+    extent, ``[gate | up]``, and ``w_down`` is the [f x m] down projection.
+
+    The node saves only ``x`` and ``w_down``: the [.. x f] SwiGLU output h is
+    freed once the forward has multiplied it, and the backward recomputes the
+    sigmoid and h by the forward's own ops, so every bit is that of a
+    SwiGLU node followed by a ``matmul``."""
+    x, w_down = _same_dtype(x, w_down, "swiglu")
+    if x.ndim < 2 or x.shape[-1] % 2:
+        raise ShapeError(f"swiglu needs at least 2 dimensions and an even last extent "
+                         f"(gate | up), got {x.shape}")
     f = x.shape[-1] // 2
+    if w_down.ndim != 2 or w_down.shape[0] != f:
+        raise ShapeError(f"swiglu down projection must be [{f} x m], got {w_down.shape}")
+    xd, wd = x.data, w_down.data
     gate, up = xd[..., :f], xd[..., f:]
     one = x.dtype.type(1.0)
-
-    def sigmoid():
-        with np.errstate(over="ignore"):  # exp(-x) -> inf gives sigmoid 0, as it should
-            sig = np.exp(-gate)
-        sig += one
-        return np.reciprocal(sig, out=sig)
-
-    out = gate * sigmoid()
-    out *= up
+    out = _swiglu_hidden(gate, up, _sigmoid(gate)) @ wd
 
     def bwd(g):
-        # the node keeps only its input: the sigmoid is recomputed by the same
-        # ops. In-place steps on one contiguous temporary (on a strided half
-        # each one costs about twice as much), then one write into each half
-        # of gx; the temporary is reused for silu(gate)
-        sig = sigmoid()
-        tmp = one - sig
+        # the down projection's two products as ``matmul``'s backward takes
+        # them, on a recomputed h; then in-place steps on h's buffer (on a
+        # strided half each one costs about twice as much) and one write into
+        # each half of gx, the buffer reused for silu(gate)
+        sig = _sigmoid(gate)
+        h = _swiglu_hidden(gate, up, sig)
+        gh = g @ wd.T
+        gw = _unbroadcast(np.swapaxes(h, -1, -2) @ g, wd.shape)
+        tmp = np.subtract(one, sig, out=h)
         np.multiply(gate, tmp, out=tmp)
         tmp += one
         tmp *= sig
         tmp *= up
         gx = np.empty_like(xd)
-        np.multiply(tmp, g, out=gx[..., :f])
+        np.multiply(tmp, gh, out=gx[..., :f])
         np.multiply(gate, sig, out=tmp)
-        np.multiply(g, tmp, out=gx[..., f:])
-        return (gx,)
+        np.multiply(gh, tmp, out=gx[..., f:])
+        return gx, gw
 
-    return _from_op(out, "swiglu", (x,), bwd)
+    return _from_op(out, "swiglu", (x, w_down), bwd)
 
 
 def _check_lengths(lengths, n: int) -> np.ndarray:

@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import struct
 import time
 import zlib
@@ -505,7 +506,8 @@ def run_stage(
     per-(seed, stage, step) generator. A fresh optimizer is created unless
     the state resumes the same stage mid-flight, from ``state.step``. On a
     non-finite loss or gradient the stage aborts; the last checkpoint on disk
-    stays intact.
+    stays intact. The ``stage_end`` record carries the process's peak resident
+    set so far, ``max_rss_mb`` (``getrusage``'s ``ru_maxrss``).
     """
     start_step = state.step if state.stage == stage.name else 0
     if state.opt is None or state.stage != stage.name:
@@ -561,7 +563,8 @@ def run_stage(
             last_ckpt = Path(output_dir) / f"{stage.name}-step{i + 1}.m3ck"
             save_checkpoint(state, last_ckpt)
     sink.emit({"event": "stage_end", "stage": stage.name, "step": state.step,
-               "fingerprint": params_fingerprint(state.params)})
+               "fingerprint": params_fingerprint(state.params),
+               "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0})
     return state
 
 

@@ -6,8 +6,9 @@ checked against (attention, pooling, the padded encoder, the plain MLM
 head). Nothing in ``src/`` calls them, so they live here, on the library's
 own tape (``T._from_op``). The padded oracles mark padding keys with
 ``MASK_OFFSET`` alone. ``add_at_rows`` is the ``take_rows`` backward as
-``np.add.at`` computes it, and ``saved_swiglu`` is ``T.swiglu`` with the
-sigmoid and silu saved by the forward instead of recomputed. ``packed``
+``np.add.at`` computes it, and ``saved_swiglu`` is the SwiGLU product of
+``T.swiglu`` without its down projection, with the sigmoid and silu saved by
+the forward instead of recomputed. ``packed``
 turns a padded prefix-mask fixture into the packed batch the encoder takes.
 """
 

@@ -245,6 +245,17 @@ def test_pretrain_three_stages_single_invocation(workdir):
     assert any("L2-D4" in r for r in steps)
 
 
+def test_stage_end_records_the_peak_rss(workdir):
+    path = write_config(workdir, base_config(outdir="out-rss"), "rss.json")
+    assert cli.main(["pretrain", "--config", str(path)]) == 0
+    lines = (workdir / "out-rss" / "metrics.jsonl").read_text().splitlines()
+    records = [json.loads(l) for l in lines]
+    peaks = [r["max_rss_mb"] for r in records if r.get("event") == "stage_end"]
+    assert len(peaks) == 3
+    # the process's peak so far: positive, and never falling
+    assert all(p > 0 for p in peaks) and peaks == sorted(peaks)
+
+
 def test_pretrain_bit_reproducible(workdir):
     p1 = write_config(workdir, base_config(outdir="outA"), "runA.json")
     p2 = write_config(workdir, base_config(outdir="outB"), "runB.json")

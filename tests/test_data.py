@@ -84,6 +84,14 @@ def test_mlm_source_masks_a_corpus_of_special_token_spellings():
         assert set(batch.labels[batch.labels != D.IGNORE_INDEX]) == {v.unk_id}
 
 
+def test_mlm_source_rejects_a_text_with_no_maskable_position():
+    # a blank text frames as <cls> <sep>: the source refuses it by index,
+    # before a batch's forced mask has no position to draw from
+    v = small_vocab()
+    with pytest.raises(CorpusError, match=r"document 1 frames to no maskable position"):
+        D.MlmSource(v, ["a", "  "], 6, 0.15).batch(np.random.default_rng(0), 4)
+
+
 # ---------------------------------------------------------------------------
 # masking
 # ---------------------------------------------------------------------------

@@ -346,7 +346,7 @@ def test_forward_frees_the_outputs_no_backward_reads(monkeypatch):
     tokens, mask = mixed_masks(cfg, seed=6)
     weights = {l: np.random.default_rng(60 + l).normal(size=(4, 9, cfg.hidden)) * mask[..., None]
                for l in (1, 3)}
-    unread = []  # the qkv [N x 3m] and sublayer [N x m] matmul outputs
+    unread = []  # the qkv [N x 3m] and attention sublayer [N x m] matmul outputs
     real = T._from_op
 
     def spy(data, op, parents, backward_fn):
@@ -364,7 +364,7 @@ def test_forward_frees_the_outputs_no_backward_reads(monkeypatch):
             out = padded_forward(params, cfg, tokens, mask, taps=(1, 3))
         monkeypatch.undo()
         if is_packed:
-            assert len(unread) == 3 * cfg.n_layers
+            assert len(unread) == 2 * cfg.n_layers
             assert all(ref() is None for ref in unread)
         loss = T.add(*(tsum(T.mul(out[l], Tensor(w[mask] if is_packed else w)))
                        for l, w in weights.items()))
@@ -372,6 +372,38 @@ def test_forward_frees_the_outputs_no_backward_reads(monkeypatch):
         results.append(grads(params))
     for got, want in zip(*results):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
+
+def test_forward_keeps_no_swiglu_output_for_the_down_projection(monkeypatch):
+    # the fused swiglu node saves its [N x 2f] gate | up input and ffn_down:
+    # after a grad-on forward no [N x f] SwiGLU output is alive, nor the
+    # node's [N x m] output, which only the residual add reads
+    cfg = toy_config(n_layers=3, granularity=enc.GranularitySet(layers=(1, 3), dims=(8, 32)))
+    assert cfg.activation == "swiglu"
+    params = enc.init_parameters(cfg, seed=6, dtype=np.float64)
+    tokens, mask = mixed_masks(cfg, seed=6)
+    f = params.layers[0].ffn_down.shape[0]
+    outputs = []  # every [N x f] op output and SwiGLU output, and each swiglu node's output
+    real_op, real_hidden = T._from_op, T._swiglu_hidden
+
+    def spy_op(data, op, parents, backward_fn):
+        if op == "swiglu" or data.shape == (mask.sum(), f):
+            outputs.append(weakref.ref(data))
+        return real_op(data, op, parents, backward_fn)
+
+    def spy_hidden(gate, up, sig):
+        h = real_hidden(gate, up, sig)
+        outputs.append(weakref.ref(h))
+        return h
+
+    monkeypatch.setattr(T, "_from_op", spy_op)
+    monkeypatch.setattr(T, "_swiglu_hidden", spy_hidden)
+    out = enc.forward(params, cfg, *packed(tokens, mask), taps=(1, 3))
+    monkeypatch.undo()
+    assert all(ref() is None for ref in outputs)
+    assert len(outputs) == 2 * cfg.n_layers
+    out[3].backward(np.ones_like(out[3].data))
+    assert all(np.abs(lp.ffn_down.grad).sum() > 0 for lp in params.layers)
 
 
 def test_each_tap_is_the_real_rows_in_mask_order():
@@ -456,7 +488,8 @@ def test_each_layer_multiplies_by_four_weights(arm):
     params = enc.init_parameters(cfg, seed=5, dtype=np.float64)
     tokens, mask = toy_batch(cfg, seed=5)
     out = enc.forward(params, cfg, *packed(tokens, mask), dropout_rng=np.random.default_rng(5))
-    assert matmul_nodes(out[3]) == 4 * cfg.n_layers
+    # the SwiGLU arms multiply by ffn_down inside the fused swiglu node
+    assert matmul_nodes(out[3]) == (3 if cfg.activation == "swiglu" else 4) * cfg.n_layers
 
 
 def test_forward_errors():

@@ -3,6 +3,7 @@ imported only inside functions, and every public function and method has a
 caller."""
 
 import ast
+import json
 import subprocess
 import sys
 from collections import Counter
@@ -95,6 +96,38 @@ def test_cli_evalkit_and_encoder_load_without_scipy_special():
     out = subprocess.run([sys.executable, "-c", code, str(SRC.parent)], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_pretrain_runs_without_scipy_sparse_or_special(tmp_path):
+    # an MLM stage and a contrastive stage run through numpy alone: neither
+    # scipy.sparse nor scipy.special is imported by the end of the process
+    from m3enc import synth
+
+    synth.write_text_corpus(tmp_path / "mono.txt", synth.generate_mlm_corpus(
+        40, seed=1, n_topics=4, words_per_topic=8, n_common=8, doc_len=(6, 10)))
+    synth.write_pair_corpus(tmp_path / "pairs.tsv", synth.generate_pair_corpus(
+        30, seed=2, n_topics=4, words_per_topic=8, n_common=8, doc_len=(6, 10)))
+    config = {
+        "seed": 3, "output_dir": "out", "vocab_corpus": "mono.txt",
+        "model": {"n_layers": 2, "hidden": 16, "n_heads": 2, "max_seq": 12, "vocab_size": 200,
+                  "granularity": {"layers": [1, 2], "dims": [4, 16]}},
+        "stages": [
+            {"name": "mlm", "stage": "pretrain_mlm", "data": {"kind": "mono", "path": "mono.txt"},
+             "steps": 2, "batch_size": 4, "lr": 1e-3, "seq_len": 10},
+            {"name": "pairs", "stage": "pretrain_contrastive",
+             "data": {"kind": "pairs", "path": "pairs.tsv"}, "steps": 2, "batch_size": 4,
+             "lr": 1e-3, "tau": 0.05, "tile": 2, "query_len": 8, "doc_len": 10},
+        ],
+    }
+    (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from m3enc import cli; "
+            "code = cli.main(['pretrain', '--config', sys.argv[2]]); "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.sparse', "
+            "'scipy.special')))); sys.exit(code)")
+    out = subprocess.run([sys.executable, "-c", code, str(SRC.parent), str(tmp_path / "run.json")],
+                         capture_output=True, text=True, check=True).stdout
+    assert (tmp_path / "out" / "pairs.m3ck").exists()
+    assert out.strip().splitlines()[-1] == "[]"
 
 
 # public names that are library surface without a caller in the package

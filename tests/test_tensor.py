@@ -246,57 +246,73 @@ def test_activation_grad(kind):
 
 
 def test_swiglu_zero():
-    assert T.swiglu(T.Tensor([0.0, 2.5])).data[0] == 0.0
-    assert T.swiglu(T.Tensor([2.5, 0.0])).data[0] == 0.0
+    # an identity down projection reads the SwiGLU output h itself
+    assert T.swiglu(T.Tensor([[0.0, 2.5]]), np.eye(1)).data[0, 0] == 0.0
+    assert T.swiglu(T.Tensor([[2.5, 0.0]]), np.eye(1)).data[0, 0] == 0.0
 
 
 def test_swiglu_closed_form():
-    out = T.swiglu(T.Tensor([1.0, 1.0]))
-    np.testing.assert_allclose(out.data[0], 1.0 / (1.0 + math.exp(-1.0)), rtol=1e-12)
-    np.testing.assert_allclose(out.data[0], 0.731059, atol=1e-6)
+    out = T.swiglu(T.Tensor([[1.0, 1.0]]), np.eye(1))
+    np.testing.assert_allclose(out.data[0, 0], 1.0 / (1.0 + math.exp(-1.0)), rtol=1e-12)
+    np.testing.assert_allclose(out.data[0, 0], 0.731059, atol=1e-6)
 
 
 def test_swiglu_saturates_without_overflow():
     gate = np.array([-1000.0, 1000.0], dtype=np.float32)
-    out = T.swiglu(T.Tensor(np.concatenate([gate, np.ones(2, dtype=np.float32)])))
-    np.testing.assert_array_equal(out.data, [0.0, 1000.0])
+    out = T.swiglu(T.Tensor([np.concatenate([gate, np.ones(2, dtype=np.float32)])]),
+                   np.eye(2, dtype=np.float32))
+    np.testing.assert_array_equal(out.data, [[0.0, 1000.0]])
 
 
 def test_swiglu_grad():
-    # gate | up side by side in the last extent, as the fused projection lays them out
+    # gate | up side by side in the last extent, as the fused projection lays
+    # them out, times the [f x m] down projection
     x = T.Tensor(np.concatenate([rand((4, 4), seed=23), rand((4, 4), seed=25)], axis=-1),
                  requires_grad=True)
-    c = T.Tensor(rand((4, 4), seed=24))
+    w = T.Tensor(rand((4, 3), seed=26), requires_grad=True)
+    c = T.Tensor(rand((4, 3), seed=24))
 
     def f():
-        return tsum(T.mul(T.swiglu(x), c))
+        return tsum(T.mul(T.swiglu(x, w), c))
 
-    assert T.grad_check(f, [("x", x)]) < 1e-6
+    assert T.grad_check(f, [("x", x), ("w", w)]) < 1e-6
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_recomputing_swiglu_is_the_saved_activation_oracle_bit_for_bit(dtype):
-    # the backward recomputes the sigmoid by the forward's ops, so output and
-    # gradient keep the bits of a node that saved it, also where exp(-gate)
-    # overflows and the sigmoid is 0
-    gate = rand((5, 6), seed=44, scale=3.0)
-    gate[0, :3] = [-1000.0, 1000.0, -90.0]
-    x_data = np.concatenate([gate, rand((5, 6), seed=45)], axis=-1).astype(dtype)
-    g = rand((5, 6), seed=46).astype(dtype)
-    results = []
-    for op in (T.swiglu, saved_swiglu):
-        x = T.Tensor(x_data.copy(), requires_grad=True)
-        out = op(x)
-        out.backward(g)
-        results.append((out.data, x.grad))
-    for ours, oracle in zip(*results):
-        assert ours.dtype == dtype
-        assert ours.tobytes() == oracle.tobytes()
+    # the backward recomputes the sigmoid and the SwiGLU output by the
+    # forward's ops, so output and both gradients keep the bits of a SwiGLU
+    # node that saved them followed by a matmul, also where exp(-gate)
+    # overflows and the sigmoid is 0; over packed [N x 2f] rows and a
+    # [B x s x 2f] stack, whose weight gradient sums over B
+    for shape in ((5, 12), (2, 5, 12)):
+        gate = rand((*shape[:-1], 6), seed=44, scale=3.0)
+        gate.reshape(-1, 6)[0, :3] = [-1000.0, 1000.0, -90.0]
+        x_data = np.concatenate([gate, rand((*shape[:-1], 6), seed=45)], axis=-1).astype(dtype)
+        w_data = rand((6, 7), seed=47).astype(dtype)
+        g = rand((*shape[:-1], 7), seed=46).astype(dtype)
+        results = []
+        for fused in (True, False):
+            x = T.Tensor(x_data.copy(), requires_grad=True)
+            w = T.Tensor(w_data.copy(), requires_grad=True)
+            out = T.swiglu(x, w) if fused else T.matmul(saved_swiglu(x), w)
+            out.backward(g)
+            results.append((out.data, x.grad, w.grad))
+        for ours, oracle in zip(*results):
+            assert ours.dtype == dtype
+            assert ours.shape == oracle.shape
+            assert ours.tobytes() == oracle.tobytes()
 
 
 def test_swiglu_shape_mismatch():
-    with pytest.raises(ShapeError):
-        T.swiglu(T.Tensor(rand((2, 3))))
+    with pytest.raises(ShapeError):  # odd last extent
+        T.swiglu(T.Tensor(rand((2, 3))), rand((1, 2)))
+    with pytest.raises(ShapeError):  # one row, not a batch of rows
+        T.swiglu(T.Tensor(rand((4,))), rand((2, 2)))
+    with pytest.raises(ShapeError):  # down projection of the wrong height
+        T.swiglu(T.Tensor(rand((2, 4))), rand((3, 2)))
+    with pytest.raises(ContractError):  # float64 rows, float32 weights
+        T.swiglu(T.Tensor(rand((2, 4))), T.Tensor(rand((2, 2)).astype(np.float32)))
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +662,56 @@ def test_take_rows_backward_is_add_at_bit_for_bit(dtype):
     T.take_rows(table, idx).backward(g)
     assert table.grad.dtype == dtype
     assert table.grad.tobytes() == add_at_rows(table.shape, idx, g).tobytes()
+
+
+def add_at_sum(x, targets, weights, n_out):
+    """``T._scatter_sum`` as ``np.add.at`` into zeros computes it."""
+    out = np.zeros((n_out, x.shape[1]), dtype=x.dtype)
+    np.add.at(out, targets, x if weights is None else x * weights[:, None])
+    return out
+
+
+def spread_rows(rng, n, m, dtype):
+    """[n x m] normal rows scaled by powers of ten, so a sum's order shows in
+    its bits."""
+    return (rng.normal(size=(n, m)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@given(st.integers(0, 40), st.integers(1, 4), st.integers(1, 8), st.booleans(),
+       st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_scatter_sum_is_add_at_bit_for_bit(dtype, n, m, n_out, weighted, seed):
+    # each target's rows are added one at a time in source order, from 0,
+    # at m = 1 too, where a sum along the last axis would be pairwise
+    rng = np.random.default_rng(seed)
+    x = spread_rows(rng, n, m, dtype)
+    targets = rng.integers(0, n_out, size=n)
+    weights = rng.uniform(0.1, 3.0, size=n).astype(dtype) if weighted else None
+    got = T._scatter_sum(x, targets, weights, n_out)
+    assert got.dtype == dtype
+    assert got.tobytes() == add_at_sum(x, targets, weights, n_out).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scatter_sum_edge_layouts_are_add_at_bit_for_bit(dtype):
+    rng = np.random.default_rng(41)
+    x = spread_rows(rng, 12, 3, dtype)
+    layouts = {"one row per target": (rng.permutation(12), 12),
+               "every row on one target": (np.full(12, 2), 4),
+               "a target with no rows": (np.repeat([0, 2, 3], 4), 4)}
+    for name, (targets, n_out) in layouts.items():
+        for weights in (None, rng.uniform(0.1, 3.0, size=12).astype(dtype)):
+            got = T._scatter_sum(x, targets, weights, n_out)
+            assert got.tobytes() == add_at_sum(x, targets, weights, n_out).tobytes(), name
+    # rows of -0.0: a target whose rows are all -0.0 sums to +0.0 from 0
+    for m in (1, 2):
+        zeros = np.full((5, m), -0.0, dtype=dtype)
+        zeros[4] = 1.5
+        targets = np.array([0, 0, 1, 2, 2])
+        got = T._scatter_sum(zeros, targets, None, 3)
+        assert got.tobytes() == add_at_sum(zeros, targets, None, 3).tobytes()
+        assert not np.signbit(got).any()
 
 
 def test_take_rows_rejects_ids_outside_the_table():
