@@ -83,8 +83,10 @@ def _build_parser() -> argparse.ArgumentParser:
 # from the heap, and free() gives the heap's top back to the OS only once it
 # exceeds M_TRIM_THRESHOLD. At the defaults, the tape a training step frees
 # goes back to the OS and the next step's forward faults it in again.
+# M_ARENA_MAX 1 keeps the tape's worker thread on that same heap.
 _MALLOPT = ((-3, 32 << 20),  # M_MMAP_THRESHOLD: 32 MiB
-            (-1, 1 << 30))   # M_TRIM_THRESHOLD: 1 GiB
+            (-1, 1 << 30),   # M_TRIM_THRESHOLD: 1 GiB
+            (-8, 1))         # M_ARENA_MAX: one arena
 
 
 def _keep_freed_heap() -> None:

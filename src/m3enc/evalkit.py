@@ -66,7 +66,9 @@ class EmbeddingIndex:
             raise ContractError("document ids must be unique")
         # float64 sums of squares, without a float64 copy of the index
         norms = np.sqrt(np.einsum("ij,ij->i", e, e, dtype=np.float64))
-        if len(norms) and np.abs(norms - 1.0).max() > 1e-6:
+        if not np.isfinite(norms).all():
+            raise NumericsError("index rows must be finite")
+        if not (np.abs(norms - 1.0) <= 1e-6).all():
             raise ContractError("index rows must be unit-norm within 1e-6")
 
     @functools.cached_property
@@ -298,6 +300,8 @@ def recall_at_k(rankings: Sequence[Sequence[tuple[str, float]]], truth: list[str
 
     Each ranking is any sequence of (id, score) pairs; its pairs are read in
     order up to the first hit, and only their ids are compared."""
+    if k < 1:
+        raise ConfigError("K must be at least 1")
     if len(rankings) != len(truth):
         raise ShapeError(f"{len(rankings)} rankings vs {len(truth)} ground-truth entries")
     if not rankings:

@@ -13,6 +13,15 @@ so a graph is walked once: a second ``backward`` over it raises
 ``ContractError``. 64-bit element type is used for verification
 (finite-difference checks), 32-bit for training runs.
 
+A weight gradient ``a^T @ g`` ends at a leaf, so nothing later in the walk
+reads it. ``matmul``'s backward returns it as a deferred product, and when
+BLAS leaves a usable CPU idle (``OPENBLAS_NUM_THREADS``, which ``--threads``
+sets, below the CPUs of ``os.sched_getaffinity``) the tape's one worker
+thread computes it while the walk goes on; otherwise the walk computes it
+at once. ``backward`` waits for the worker once, at the end of its walk, and
+sums each leaf's contributions in the order they arrived, so the bits are
+those of one thread (a fixed summation order; Demmel and Nguyen, ARITH 2013).
+
 Every public operation validates that its output is finite; NaN/Inf is an
 error state, not a value.
 
@@ -39,6 +48,8 @@ at a time in source order, so its bits are those of ``np.add.at``.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -131,15 +142,23 @@ class Tensor:
         arrays saved by the forward pass are freed as soon as nothing
         upstream needs them. A graph is walked once: a second ``backward``
         through a released node raises ``ContractError``.
+
+        A backward function may return a parent's gradient as a zero-argument
+        callable, a deferred product. The walk hands it to the tape's worker
+        (``_tape_worker``) when the parent is a leaf and there is a worker,
+        and calls it at once otherwise. Each leaf's contributions are summed
+        in arrival order after the walk, g0 + g1 + ..., then added to its
+        ``grad``. ``backward`` waits for every product it handed off before
+        it returns or re-raises an error, from the walk or from a product.
         """
         seed = np.ones_like(self.data) if seed is None else np.asarray(seed, dtype=self.dtype)
         if seed.shape != self.shape:
             raise ShapeError(f"backward seed of shape {seed.shape} for a tensor of "
                              f"shape {self.shape}")
         root = self if self._node is None else self._node
-        topo: list[_Node | Tensor | None] = []
+        topo: list[_Node | None] = []
         seen: set[int] = set()
-        stack: list[tuple[_Node | Tensor, bool]] = [(root, False)]
+        stack: list[tuple[_Node, bool]] = [(root, False)] if type(root) is _Node else []
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -149,36 +168,75 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            if type(node) is _Node:
-                for p in node.parents:
-                    if p is not None and id(p) not in seen:
-                        stack.append((p, False))
+            for p in node.parents:
+                if type(p) is _Node and id(p) not in seen:
+                    stack.append((p, False))
         grads: dict[int, np.ndarray] = {id(root): seed}
-        for i in range(len(topo) - 1, -1, -1):
-            node, topo[i] = topo[i], None
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if type(node) is Tensor:  # a leaf
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g
-                continue
-            backward_fn, parents = node.backward_fn, node.parents
-            node.backward_fn, node.parents = _released, ()
-            for parent, pg in zip(parents, backward_fn(g)):
-                if pg is None or parent is None:
+        # each leaf's contributions in arrival order: arrays, and the futures
+        # of products handed to the worker
+        leaf_parts: dict[int, tuple[Tensor, list]] = (
+            {} if type(root) is _Node else {id(root): (root, [seed])})
+        worker = _tape_worker()
+        futures: list[Future] = []
+        try:
+            for i in range(len(topo) - 1, -1, -1):
+                node, topo[i] = topo[i], None
+                g = grads.pop(id(node), None)
+                if g is None:
                     continue
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + pg
-                else:
-                    grads[key] = pg
+                backward_fn, parents = node.backward_fn, node.parents
+                node.backward_fn, node.parents = _released, ()
+                for parent, pg in zip(parents, backward_fn(g)):
+                    if pg is None or parent is None:
+                        continue
+                    if callable(pg):  # a deferred product
+                        if worker is not None and type(parent) is Tensor:
+                            pg = worker.submit(pg)
+                            futures.append(pg)
+                        else:
+                            pg = pg()
+                    key = id(parent)
+                    if type(parent) is Tensor:  # a leaf: summed after the walk
+                        leaf_parts.setdefault(key, (parent, []))[1].append(pg)
+                    else:
+                        grads[key] = grads[key] + pg if key in grads else pg
+        finally:
+            wait(futures)  # on success and on any error: nothing is left running
+        while leaf_parts:  # each leaf's parts are freed once they are summed
+            leaf, parts = leaf_parts.popitem()[1]
+            g = None
+            for part in parts:
+                part = part.result() if type(part) is Future else part
+                g = part if g is None else g + part
+            if leaf.grad is None:
+                leaf.grad = np.zeros_like(leaf.data)
+            leaf.grad += g
 
 
 def _released(g: np.ndarray):
     """The backward function of a node that a ``backward`` walk has passed."""
     raise ContractError("backward through a released graph: a graph is walked once")
+
+
+_UNDECIDED = object()
+# the tape's worker thread, or None; decided by the first backward
+_worker: ThreadPoolExecutor | None | object = _UNDECIDED
+
+
+def _tape_worker() -> ThreadPoolExecutor | None:
+    """One worker per process when BLAS leaves a usable CPU idle, else None.
+
+    BLAS's thread count is read from ``OPENBLAS_NUM_THREADS`` (``--threads``
+    sets it); unset, BLAS is taken to use every CPU of
+    ``os.sched_getaffinity``. The executor starts its thread at its first
+    task, so a process that runs no backward starts none."""
+    global _worker
+    if _worker is _UNDECIDED:
+        blas = os.environ.get("OPENBLAS_NUM_THREADS", "")
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        _worker = (ThreadPoolExecutor(1, thread_name_prefix="m3enc-tape")
+                   if blas.isdigit() and 0 < int(blas) < cpus else None)
+    return _worker
 
 
 def as_tensor(x, dtype=None) -> Tensor:
@@ -282,8 +340,9 @@ def matmul(a: Tensor, b) -> Tensor:
 
     def bwd(g):
         ga = _unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_data.shape)
-        gb = _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_data.shape)
-        return ga, gb
+        # b's gradient as a deferred product, which ``Tensor.backward`` hands
+        # to the tape's worker when b is a leaf
+        return ga, lambda: _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_data.shape)
 
     return _from_op(out, "matmul", (a, b), bwd)
 

@@ -506,8 +506,10 @@ def run_stage(
     per-(seed, stage, step) generator. A fresh optimizer is created unless
     the state resumes the same stage mid-flight, from ``state.step``. On a
     non-finite loss or gradient the stage aborts; the last checkpoint on disk
-    stays intact. The ``stage_end`` record carries the process's peak resident
-    set so far, ``max_rss_mb`` (``getrusage``'s ``ru_maxrss``).
+    stays intact. Each step record carries the step's ``wall_ms`` and
+    ``cpu_ms``, the process's CPU time over every thread (``process_time``).
+    The ``stage_end`` record carries the process's peak resident set so far,
+    ``max_rss_mb`` (``getrusage``'s ``ru_maxrss``).
     """
     start_step = state.step if state.stage == stage.name else 0
     if state.opt is None or state.stage != stage.name:
@@ -521,7 +523,7 @@ def run_stage(
     sink.emit({"event": "stage_start", "stage": stage.name, "step": start_step,
                "fingerprint": params_fingerprint(state.params)})
     for i in range(start_step, stage.steps):
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), time.process_time()
         rng = named_rng(state.base_seed, stage.name, "batch", i)
         batch = source.batch(rng, stage.batch_size)
         dropout_rng = named_rng(state.base_seed, stage.name, "dropout", i)
@@ -549,10 +551,12 @@ def run_stage(
         zero_grads(named)
         state.step = i + 1
         wall_ms = (time.perf_counter() - t0) * 1e3
+        cpu_ms = (time.process_time() - c0) * 1e3
         tokens = batch.n_tokens
         record = {"step": i, "stage": stage.name, "lr": lr, "total": report.total,
-                  "grad_norm": grad_norm, "wall_ms": wall_ms, "tokens": tokens,
-                  "width": batch.width, "tokens_per_s": tokens / wall_ms * 1e3}
+                  "grad_norm": grad_norm, "wall_ms": wall_ms, "cpu_ms": cpu_ms,
+                  "tokens": tokens, "width": batch.width,
+                  "tokens_per_s": tokens / wall_ms * 1e3}
         for (l, d), value in report.per_pair.items():
             record[f"L{l}-D{d}"] = value
         if report.aux is not None:

@@ -285,7 +285,7 @@ def test_pretrain_runs_whatever_the_c_library_offers(workdir, monkeypatch, libc)
     path = write_config(workdir, base_config(outdir=f"libc-{libc}"), f"libc-{libc}.json")
     assert cli.main(["pretrain", "--config", str(path), "--steps", "1"]) == 0
     assert (workdir / f"libc-{libc}" / "final.m3ck").exists()
-    assert calls == ([(-3, 32 << 20), (-1, 1 << 30)] if libc == "with-mallopt" else [])
+    assert calls == ([(-3, 32 << 20), (-1, 1 << 30), (-8, 1)] if libc == "with-mallopt" else [])
 
 
 def test_pretrain_bit_reproducible_across_processes(workdir):
@@ -423,6 +423,44 @@ def test_sweep_matches_library_eval(workdir, pretrained):
 # ---------------------------------------------------------------------------
 # ablation harness
 # ---------------------------------------------------------------------------
+
+
+# runs the CLI, then prints the names of the threads still alive
+THREAD_PROBE = ("import json, sys, threading; from m3enc import cli; "
+                "rc = cli.main(sys.argv[1:]); "
+                "print(rc, json.dumps([t.name for t in threading.enumerate()]))")
+CPUS = len(os.sched_getaffinity(0))
+
+
+@pytest.mark.parametrize("case", ["eval", "sweep", "pretrain-blas-on-every-cpu",
+                                  "pretrain-blas-unset", "pretrain-blas-one-thread"])
+def test_the_tape_worker_starts_only_where_blas_leaves_a_cpu(workdir, pretrained, case):
+    # the worker starts at a backward, and only when OPENBLAS_NUM_THREADS is
+    # below the usable CPUs: eval and sweep run no backward
+    if case == "pretrain-blas-one-thread" and CPUS < 2:
+        pytest.skip("one usable CPU: BLAS leaves none idle")
+    out = workdir / f"probe-{case}"
+    blas = {"eval": "1", "sweep": "1", "pretrain-blas-on-every-cpu": str(CPUS),
+            "pretrain-blas-unset": None, "pretrain-blas-one-thread": "1"}[case]
+    if case == "eval":
+        argv = ["eval", str(pretrained), str(workdir / "eval.tsv"), "--layer", "2", "--dim", "16"]
+    elif case == "sweep":
+        argv = ["sweep", str(pretrained), str(workdir / "eval.tsv"), "--axis", "dim",
+                "--values", "4,16", "--layer", "2"]
+    else:
+        argv = ["pretrain", "--config", str(write_config(workdir, base_config(), "probe.json")),
+                "--steps", "1"]
+    argv += ["--output", str(out)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas
+    proc = subprocess.run([sys.executable, "-c", THREAD_PROBE, *argv], env=env, check=True,
+                          capture_output=True, text=True, timeout=300)
+    rc, names = proc.stdout.strip().splitlines()[-1].split(" ", 1)
+    assert rc == "0"
+    workers = [n for n in json.loads(names) if n.startswith("m3enc-tape")]
+    assert len(workers) == (1 if case == "pretrain-blas-one-thread" else 0), names
 
 
 def ablate_config(outdir):

@@ -49,6 +49,16 @@ def test_index_validates_unit_norm_and_ids():
         ek.EmbeddingIndex(ids=("a", "a"), embeddings=unit_rows((2, 3), 0), provenance={})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_index_rejects_a_non_finite_row(bad):
+    # a NaN norm passes no comparison, so it must not pass the unit-norm test
+    # either: exact_topk would fill K by repeating another row
+    with pytest.raises(NumericsError, match="finite"):
+        ek.EmbeddingIndex(ids=("a", "b"), embeddings=np.array([[bad, 0.0], [1.0, 0.0]],
+                                                              dtype=np.float32),
+                          provenance={})
+
+
 def test_index_rejects_a_non_matrix_or_non_float32_array():
     with pytest.raises(ShapeError):
         ek.EmbeddingIndex(ids=("a", "b", "c"), embeddings=unit_rows((3,), 0), provenance={})
@@ -434,6 +444,13 @@ def test_recall_same_on_lists_and_rankings(lists, truth, k):
     rankings = as_rankings(lists)
     assert rankings == lists
     assert ek.recall_at_k(rankings, truth, k) == ek.recall_at_k(lists, truth, k)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_recall_rejects_k_below_one(k):
+    # as exact_topk does, instead of scoring no pair or all but the last
+    with pytest.raises(ConfigError, match="K must be at least 1"):
+        ek.recall_at_k(RECALL_ABC, ["a", "a", "a"], k)
 
 
 def test_recall_of_exact_topk_same_as_of_its_lists():

@@ -7,6 +7,7 @@ are the independent check for every differentiable operation.
 import ast
 import inspect
 import math
+import time
 import weakref
 from pathlib import Path
 
@@ -788,6 +789,75 @@ def test_a_mis_shaped_seed_is_a_shape_error_before_any_release():
     assert x.grad is None
     y.backward(np.ones((4, 2)))  # the graph was not released: it is walked now
     np.testing.assert_array_equal(x.grad, np.ones((4, 2)) @ rand((3, 2), seed=74).T)
+
+
+def mixed_leaf_loss(x, w):
+    """A loss in which the leaf ``w`` gets matmul weight products (deferred)
+    and take_rows gradients (arrays), interleaved in walk order."""
+    h = T.matmul(x, w)
+    h = T.add(h, T.take_rows(w, np.array([0, 1, 2, 3, 0, 1])))
+    h = T.add(T.matmul(h, w), T.matmul(T.scale(h, 0.5), w))
+    return T.add(T.matmul(h, w), T.take_rows(w, np.array([3, 3, 2, 1, 0, 0])))
+
+
+def test_the_tape_worker_moves_no_bit(monkeypatch, tape_worker):
+    # each leaf's contributions are summed in arrival order whether its
+    # weight products ran on the worker or in the walk
+    x = T.Tensor(rand((6, 4), seed=75).astype(np.float32))
+    grads = []
+    for worker in (None, tape_worker):
+        monkeypatch.setattr(T, "_worker", worker)
+        w = T.Tensor(rand((4, 4), seed=76).astype(np.float32), requires_grad=True)
+        mixed_leaf_loss(x, w).backward(rand((6, 4), seed=77).astype(np.float32))
+        grads.append(w.grad.tobytes())
+    assert len(tape_worker.futures) == 4
+    assert grads[0] == grads[1]
+
+
+def slow_weight_product(monkeypatch, slow_shape, failing_shape=None):
+    """Make the deferred product of a weight of ``slow_shape`` take 0.2 s, and
+    that of ``failing_shape`` raise."""
+    real = T._unbroadcast
+
+    def product(g, shape):
+        if shape == failing_shape:
+            raise NumericsError("a failing product")
+        if shape == slow_shape:
+            time.sleep(0.2)
+        return real(g, shape)
+
+    monkeypatch.setattr(T, "_unbroadcast", product)
+
+
+def test_a_failing_deferred_product_surfaces_after_every_product_is_done(
+        monkeypatch, tape_worker):
+    monkeypatch.setattr(T, "_worker", tape_worker)
+    x = T.Tensor(rand((3, 4), seed=78))
+    w1 = T.Tensor(rand((4, 5), seed=79), requires_grad=True)
+    w2 = T.Tensor(rand((5, 2), seed=80), requires_grad=True)
+    loss = T.matmul(T.matmul(x, w1), w2)
+    # the walk hands off w2's product first, then w1's
+    slow_weight_product(monkeypatch, slow_shape=(4, 5), failing_shape=(5, 2))
+    with pytest.raises(NumericsError, match="a failing product"):
+        loss.backward()
+    assert len(tape_worker.futures) == 2
+    assert all(f.done() for f in tape_worker.futures)
+
+
+def test_an_error_in_the_walk_surfaces_after_every_product_is_done(monkeypatch, tape_worker):
+    monkeypatch.setattr(T, "_worker", tape_worker)
+    x = T.Tensor(rand((3, 4), seed=81), requires_grad=True)
+    w = T.Tensor(rand((4, 5), seed=82), requires_grad=True)
+
+    def failing(g):
+        raise NumericsError("a failing node")
+
+    h = T._from_op(x.data * 2.0, "failing", (x,), failing)
+    loss = T.matmul(h, w)
+    slow_weight_product(monkeypatch, slow_shape=(4, 5))
+    with pytest.raises(NumericsError, match="a failing node"):
+        loss.backward()
+    assert len(tape_worker.futures) == 1 and tape_worker.futures[0].done()
 
 
 def test_grad_check_quadratic_exact():

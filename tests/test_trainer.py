@@ -19,6 +19,7 @@ from m3enc import data as D
 from m3enc import encoder as enc
 from m3enc import objectives as obj
 from m3enc import synth
+from m3enc import tensor as T
 from m3enc import trainer as tr
 from m3enc.config import ABLATION_ARMS
 from m3enc.errors import CheckpointError, ConfigError, M3Error, TrainingAbort
@@ -238,6 +239,21 @@ def test_run_stage_metric_records():
     assert clipped[-1]["fingerprint"] == ends[0]["fingerprint"]
 
 
+def test_step_records_carry_cpu_time(tmp_path):
+    # every line of metrics.jsonl parses, and each step record carries the
+    # step's process CPU time next to its wall time
+    state, source = tiny_setup()
+    sink = tr.JsonlSink(tmp_path / "metrics.jsonl")
+    tr.run_stage(mlm_stage(3), state, source, sink)
+    sink.close()
+    records = [json.loads(line) for line in
+               (tmp_path / "metrics.jsonl").read_text(encoding="utf-8").splitlines()]
+    steps = [r for r in records if "total" in r]
+    assert len(steps) == 3
+    for r in steps:
+        assert isinstance(r["cpu_ms"], float) and r["cpu_ms"] >= 0.0
+
+
 def fresh_stage(kind, steps):
     """A fresh state, and a ``steps``-step stage of ``kind`` with its source."""
     state, source = tiny_setup()
@@ -284,6 +300,24 @@ def test_two_steps_of_each_stage_kind_train_pinned_bits(kind):
         state.config = dataclasses.replace(state.config, hidden_dropout=0.1)
     tr.run_stage(stage, state, src, ListSink())
     assert tr.params_fingerprint(state.params) == PINNED_FINGERPRINTS[kind]
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+@pytest.mark.parametrize("kind", tr.STAGE_KINDS)
+def test_the_tape_worker_moves_no_checkpoint_bit(kind, dropout, monkeypatch, tape_worker,
+                                                 tmp_path):
+    # two steps with the weight products in the walk, then on the worker
+    ckpts = []
+    for worker in (None, tape_worker):
+        monkeypatch.setattr(T, "_worker", worker)
+        state, stage, src = fresh_stage(kind, 2)
+        state.config = dataclasses.replace(state.config, hidden_dropout=dropout)
+        tr.run_stage(stage, state, src, ListSink())
+        path = tmp_path / f"{worker is None}.m3ck"
+        tr.save_checkpoint(state, path)
+        ckpts.append(path.read_bytes())
+    assert tape_worker.futures
+    assert ckpts[0] == ckpts[1]
 
 
 def test_a_step_holds_one_graph():
