@@ -15,12 +15,13 @@ so a graph is walked once: a second ``backward`` over it raises
 
 A weight gradient ``a^T @ g`` ends at a leaf, so nothing later in the walk
 reads it. ``matmul``'s backward returns it as a deferred product, and when
-BLAS leaves a usable CPU idle (``OPENBLAS_NUM_THREADS``, which ``--threads``
-sets, below the CPUs of ``os.sched_getaffinity``) the tape's one worker
-thread computes it while the walk goes on; otherwise the walk computes it
-at once. ``backward`` waits for the worker once, at the end of its walk, and
-sums each leaf's contributions in the order they arrived, so the bits are
-those of one thread (a fixed summation order; Demmel and Nguyen, ARITH 2013).
+BLAS runs on one thread (``OPENBLAS_NUM_THREADS`` 1 as numpy loads, which
+``--threads 1`` sets) and ``os.sched_getaffinity`` leaves a second CPU, the
+tape's one worker thread computes it while the walk goes on; otherwise the
+walk computes it at once. ``backward`` waits for the worker once, at the end
+of its walk, and sums each leaf's contributions in the order they arrived,
+so the bits are those of one thread (a fixed summation order; Demmel and
+Nguyen, ARITH 2013).
 
 Every public operation validates that its output is finite; NaN/Inf is an
 error state, not a value.
@@ -147,9 +148,12 @@ class Tensor:
         callable, a deferred product. The walk hands it to the tape's worker
         (``_tape_worker``) when the parent is a leaf and there is a worker,
         and calls it at once otherwise. Each leaf's contributions are summed
-        in arrival order after the walk, g0 + g1 + ..., then added to its
-        ``grad``. ``backward`` waits for every product it handed off before
-        it returns or re-raises an error, from the walk or from a product.
+        in arrival order, g0 + g1 + ..., then added to its ``grad``: as a
+        running sum while none of them is a handed-off product, so without
+        a worker a leaf holds one array, and after the walk from the first
+        handed-off one on. ``backward`` waits for every product it handed
+        off before it returns or re-raises an error, from the walk or from
+        a product.
         """
         seed = np.ones_like(self.data) if seed is None else np.asarray(seed, dtype=self.dtype)
         if seed.shape != self.shape:
@@ -196,8 +200,13 @@ class Tensor:
                         else:
                             pg = pg()
                     key = id(parent)
-                    if type(parent) is Tensor:  # a leaf: summed after the walk
-                        leaf_parts.setdefault(key, (parent, []))[1].append(pg)
+                    if type(parent) is Tensor:  # a leaf: summed in arrival order
+                        parts = leaf_parts.setdefault(key, (parent, []))[1]
+                        if (len(parts) == 1 and type(parts[0]) is not Future
+                                and type(pg) is not Future):
+                            parts[0] = parts[0] + pg  # nothing pending ahead: fold now
+                        else:
+                            parts.append(pg)
                     else:
                         grads[key] = grads[key] + pg if key in grads else pg
         finally:
@@ -218,24 +227,30 @@ def _released(g: np.ndarray):
     raise ContractError("backward through a released graph: a graph is walked once")
 
 
+# OpenBLAS reads its thread count once, when numpy loads (at the latest by
+# this module's imports), so it is read once here too: a later write to the
+# variable changes neither.
+_BLAS_ONE_THREAD = os.environ.get("OPENBLAS_NUM_THREADS") == "1"
 _UNDECIDED = object()
 # the tape's worker thread, or None; decided by the first backward
 _worker: ThreadPoolExecutor | None | object = _UNDECIDED
 
 
 def _tape_worker() -> ThreadPoolExecutor | None:
-    """One worker per process when BLAS leaves a usable CPU idle, else None.
+    """One worker per process when BLAS runs on one thread and a second CPU
+    is usable, else None.
 
-    BLAS's thread count is read from ``OPENBLAS_NUM_THREADS`` (``--threads``
-    sets it); unset, BLAS is taken to use every CPU of
-    ``os.sched_getaffinity``. The executor starts its thread at its first
-    task, so a process that runs no backward starts none."""
+    BLAS runs on one thread when ``OPENBLAS_NUM_THREADS`` was 1 as numpy
+    loaded (``--threads 1`` sets it before); unset, BLAS uses every CPU. At
+    two or more BLAS threads the worker's GEMMs would compete with the
+    walk's for BLAS's threads, so none starts. The executor starts its
+    thread at its first task, so a process that runs no backward starts
+    none."""
     global _worker
     if _worker is _UNDECIDED:
-        blas = os.environ.get("OPENBLAS_NUM_THREADS", "")
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
         _worker = (ThreadPoolExecutor(1, thread_name_prefix="m3enc-tape")
-                   if blas.isdigit() and 0 < int(blas) < cpus else None)
+                   if _BLAS_ONE_THREAD and cpus >= 2 else None)
     return _worker
 
 

@@ -425,23 +425,37 @@ def test_sweep_matches_library_eval(workdir, pretrained):
 # ---------------------------------------------------------------------------
 
 
-# runs the CLI, then prints the names of the threads still alive
-THREAD_PROBE = ("import json, sys, threading; from m3enc import cli; "
-                "rc = cli.main(sys.argv[1:]); "
+# runs the CLI, then prints the names of the threads still alive; a first
+# argument "numpy-first" loads the tape (and numpy) before the CLI runs
+THREAD_PROBE = ("import json, sys, threading\n"
+                "if sys.argv[1] == 'numpy-first': import m3enc.tensor\n"
+                "from m3enc import cli\n"
+                "rc = cli.main(sys.argv[2:])\n"
                 "print(rc, json.dumps([t.name for t in threading.enumerate()]))")
 CPUS = len(os.sched_getaffinity(0))
+# case: (OPENBLAS_NUM_THREADS as the process starts, CLI --threads, numpy-first)
+PROBE_CASES = {
+    "eval": ("1", None, False), "sweep": ("1", None, False),
+    "pretrain-blas-on-every-cpu": (str(CPUS), None, False),
+    "pretrain-blas-two-threads": ("2", None, False),
+    "pretrain-blas-unset": (None, None, False),
+    "pretrain-blas-one-thread": ("1", None, False),
+    "pretrain-threads-1": (None, "1", False),
+    "pretrain-threads-1-after-numpy": (None, "1", True),
+}
+WORKER_CASES = {"pretrain-blas-one-thread", "pretrain-threads-1"}
 
 
-@pytest.mark.parametrize("case", ["eval", "sweep", "pretrain-blas-on-every-cpu",
-                                  "pretrain-blas-unset", "pretrain-blas-one-thread"])
-def test_the_tape_worker_starts_only_where_blas_leaves_a_cpu(workdir, pretrained, case):
-    # the worker starts at a backward, and only when OPENBLAS_NUM_THREADS is
-    # below the usable CPUs: eval and sweep run no backward
-    if case == "pretrain-blas-one-thread" and CPUS < 2:
-        pytest.skip("one usable CPU: BLAS leaves none idle")
+@pytest.mark.parametrize("case", list(PROBE_CASES))
+def test_the_tape_worker_starts_only_where_blas_runs_on_one_thread(workdir, pretrained, case):
+    # the worker starts at a backward, and only when BLAS ran on one thread
+    # from the moment numpy loaded and a second CPU is usable: eval and sweep
+    # run no backward, and --threads 1 after numpy loaded leaves BLAS on
+    # every CPU
+    if case in WORKER_CASES and CPUS < 2:
+        pytest.skip("one usable CPU: no second CPU for the worker")
+    blas, threads, numpy_first = PROBE_CASES[case]
     out = workdir / f"probe-{case}"
-    blas = {"eval": "1", "sweep": "1", "pretrain-blas-on-every-cpu": str(CPUS),
-            "pretrain-blas-unset": None, "pretrain-blas-one-thread": "1"}[case]
     if case == "eval":
         argv = ["eval", str(pretrained), str(workdir / "eval.tsv"), "--layer", "2", "--dim", "16"]
     elif case == "sweep":
@@ -450,17 +464,18 @@ def test_the_tape_worker_starts_only_where_blas_leaves_a_cpu(workdir, pretrained
     else:
         argv = ["pretrain", "--config", str(write_config(workdir, base_config(), "probe.json")),
                 "--steps", "1"]
-    argv += ["--output", str(out)]
+    argv += ["--output", str(out)] + (["--threads", threads] if threads else [])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     env.pop("OPENBLAS_NUM_THREADS", None)
     if blas is not None:
         env["OPENBLAS_NUM_THREADS"] = blas
-    proc = subprocess.run([sys.executable, "-c", THREAD_PROBE, *argv], env=env, check=True,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", THREAD_PROBE,
+                           "numpy-first" if numpy_first else "cli-first", *argv],
+                          env=env, check=True, capture_output=True, text=True, timeout=300)
     rc, names = proc.stdout.strip().splitlines()[-1].split(" ", 1)
     assert rc == "0"
     workers = [n for n in json.loads(names) if n.startswith("m3enc-tape")]
-    assert len(workers) == (1 if case == "pretrain-blas-one-thread" else 0), names
+    assert len(workers) == (1 if case in WORKER_CASES else 0), names
 
 
 def ablate_config(outdir):

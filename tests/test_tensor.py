@@ -814,6 +814,28 @@ def test_the_tape_worker_moves_no_bit(monkeypatch, tape_worker):
     assert grads[0] == grads[1]
 
 
+def test_a_leaf_holds_one_running_sum_while_no_product_is_pending(monkeypatch, tape_worker):
+    # array contributions are folded as they arrive, so through the walk a
+    # leaf that is handed no deferred product holds one array, worker or not
+    for worker in (None, tape_worker):
+        monkeypatch.setattr(T, "_worker", worker)
+        w = T.Tensor(np.zeros(3), requires_grad=True)
+        returned, alive = [], []
+
+        def backward(g):
+            alive.append(sum(r() is not None for r in returned))
+            pg = np.full(3, float(len(returned) + 1))
+            returned.append(weakref.ref(pg))
+            return pg, g
+
+        h = T.Tensor(np.zeros(3), requires_grad=True)
+        for _ in range(5):
+            h = T._from_op(h.data + w.data, "step", (w, h), backward)
+        h.backward()
+        assert len(alive) == 5 and max(alive) <= 1, alive
+        np.testing.assert_array_equal(w.grad, np.full(3, 15.0))
+
+
 def slow_weight_product(monkeypatch, slow_shape, failing_shape=None):
     """Make the deferred product of a weight of ``slow_shape`` take 0.2 s, and
     that of ``failing_shape`` raise."""
