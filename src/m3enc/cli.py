@@ -103,17 +103,20 @@ def _keep_freed_heap() -> None:
 
 def _setup_runtime(args, parser: argparse.ArgumentParser) -> None:
     _keep_freed_heap()
-    if getattr(args, "threads", None) is not None:
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-        if "numpy" in sys.modules:
-            logging.getLogger("m3enc").debug(
-                "numpy already imported; --threads applies to new pools only")
     level = os.environ.get("M3_LOG", "error").lower()
     if level not in LOG_LEVELS:
         parser.error(f"M3_LOG must be one of {sorted(LOG_LEVELS)}, got {level!r}")
     logging.basicConfig(level=LOG_LEVELS[level],
                         format="%(asctime)s %(name)s %(levelname)s %(message)s")
+    if getattr(args, "threads", None) is None:
+        return
+    # BLAS reads its thread count once, as numpy loads: after that a write
+    # would change nothing but the environment of the calling process
+    if "numpy" in sys.modules:
+        logging.getLogger("m3enc").info("numpy already loaded: --threads has no effect")
+        return
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = str(args.threads)
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:

@@ -217,10 +217,6 @@ class PairRecord:
     doc: str
     line_no: int
 
-    @property
-    def pair_id(self) -> str:
-        return f"line{self.line_no}"
-
 
 @dataclass
 class PairStore:
@@ -358,7 +354,6 @@ class PairBatch:
     query_lengths: np.ndarray  # [B]
     doc_ids: np.ndarray        # [N_d]
     doc_lengths: np.ndarray    # [B]
-    pair_ids: tuple[str, ...]
 
     @property
     def size(self) -> int:
@@ -476,5 +471,4 @@ class PairSource:
         query_ids, query_lengths = pack([self.queries[r] for r in rows])
         doc_ids, doc_lengths = pack([self.docs[r] for r in rows])
         return PairBatch(query_ids=query_ids, query_lengths=query_lengths,
-                         doc_ids=doc_ids, doc_lengths=doc_lengths,
-                         pair_ids=tuple(self.pairs[int(r)].pair_id for r in rows))
+                         doc_ids=doc_ids, doc_lengths=doc_lengths)

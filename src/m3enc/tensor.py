@@ -13,15 +13,19 @@ so a graph is walked once: a second ``backward`` over it raises
 ``ContractError``. 64-bit element type is used for verification
 (finite-difference checks), 32-bit for training runs.
 
-A weight gradient ``a^T @ g`` ends at a leaf, so nothing later in the walk
-reads it. ``matmul``'s backward returns it as a deferred product, and when
-BLAS runs on one thread (``OPENBLAS_NUM_THREADS`` 1 as numpy loads, which
-``--threads 1`` sets) and ``os.sched_getaffinity`` leaves a second CPU, the
-tape's one worker thread computes it while the walk goes on; otherwise the
-walk computes it at once. ``backward`` waits for the worker once, at the end
-of its walk, and sums each leaf's contributions in the order they arrived,
-so the bits are those of one thread (a fixed summation order; Demmel and
-Nguyen, ARITH 2013).
+Every contribution to a leaf's gradient goes through one helper,
+``_accumulate``, which computes it when it is a deferred product and adds it
+to the leaf's ``grad`` in place. A weight gradient ``a^T @ g`` ends at a
+leaf, so nothing later in the walk reads it: ``matmul``'s backward returns it
+as a deferred product. When BLAS runs on one thread (``OPENBLAS_NUM_THREADS``
+1 as numpy loads, which ``--threads 1`` sets) and ``os.sched_getaffinity``
+leaves a second CPU, the tape has one worker thread, decided at import. A
+leaf's contribution is accumulated on the worker when it is a deferred
+product or when an earlier one of the leaf's went there, and in the walk
+otherwise. The worker runs its tasks first in, first out, so each leaf adds
+its contributions in the order they arrived and the bits are those of one
+thread (a fixed summation order; Demmel and Nguyen, ARITH 2013).
+``backward`` waits for the worker once, at the end of its walk.
 
 Every public operation validates that its output is finite; NaN/Inf is an
 error state, not a value.
@@ -145,24 +149,31 @@ class Tensor:
         through a released node raises ``ContractError``.
 
         A backward function may return a parent's gradient as a zero-argument
-        callable, a deferred product. The walk hands it to the tape's worker
-        (``_tape_worker``) when the parent is a leaf and there is a worker,
-        and calls it at once otherwise. Each leaf's contributions are summed
-        in arrival order, g0 + g1 + ..., then added to its ``grad``: as a
-        running sum while none of them is a handed-off product, so without
-        a worker a leaf holds one array, and after the walk from the first
-        handed-off one on. ``backward`` waits for every product it handed
-        off before it returns or re-raises an error, from the walk or from
-        a product.
+        callable, a deferred product; a node's is computed at once. Each
+        contribution to a leaf goes through ``_accumulate``: on the tape's
+        worker (``_worker``) when there is one and the contribution is a
+        deferred product or the leaf already has one on the worker, and in
+        the walk otherwise. Either way a leaf adds its contributions to
+        ``grad`` one at a time in arrival order and holds one running sum. A
+        leaf whose ``grad`` is None, as after ``zero_grads``, ends at
+        ``((0 + g0) + g1) + ...``, which equals ``0 + (g0 + g1 + ...)`` bit
+        for bit; a leaf that already holds a ``grad`` ends at
+        ``((grad + g0) + g1) + ...``, which may round differently from
+        ``grad + (g0 + g1 + ...)``. ``backward`` waits for every task it
+        handed to the worker before it returns or re-raises an error, from
+        the walk or from a product. After an error, leaves may hold partial
+        sums.
         """
         seed = np.ones_like(self.data) if seed is None else np.asarray(seed, dtype=self.dtype)
         if seed.shape != self.shape:
             raise ShapeError(f"backward seed of shape {seed.shape} for a tensor of "
                              f"shape {self.shape}")
-        root = self if self._node is None else self._node
+        if self._node is None:  # a leaf is a tape of its own
+            _accumulate(self, seed)
+            return
         topo: list[_Node | None] = []
         seen: set[int] = set()
-        stack: list[tuple[_Node, bool]] = [(root, False)] if type(root) is _Node else []
+        stack: list[tuple[_Node, bool]] = [(self._node, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -175,12 +186,9 @@ class Tensor:
             for p in node.parents:
                 if type(p) is _Node and id(p) not in seen:
                     stack.append((p, False))
-        grads: dict[int, np.ndarray] = {id(root): seed}
-        # each leaf's contributions in arrival order: arrays, and the futures
-        # of products handed to the worker
-        leaf_parts: dict[int, tuple[Tensor, list]] = (
-            {} if type(root) is _Node else {id(root): (root, [seed])})
-        worker = _tape_worker()
+        grads: dict[int, np.ndarray] = {id(self._node): seed}
+        worker = _worker
+        handed: set[int] = set()  # the leaves with a contribution on the worker
         futures: list[Future] = []
         try:
             for i in range(len(topo) - 1, -1, -1):
@@ -193,33 +201,29 @@ class Tensor:
                 for parent, pg in zip(parents, backward_fn(g)):
                     if pg is None or parent is None:
                         continue
-                    if callable(pg):  # a deferred product
-                        if worker is not None and type(parent) is Tensor:
-                            pg = worker.submit(pg)
-                            futures.append(pg)
-                        else:
-                            pg = pg()
                     key = id(parent)
-                    if type(parent) is Tensor:  # a leaf: summed in arrival order
-                        parts = leaf_parts.setdefault(key, (parent, []))[1]
-                        if (len(parts) == 1 and type(parts[0]) is not Future
-                                and type(pg) is not Future):
-                            parts[0] = parts[0] + pg  # nothing pending ahead: fold now
-                        else:
-                            parts.append(pg)
-                    else:
+                    if type(parent) is _Node:
+                        pg = pg() if callable(pg) else pg
                         grads[key] = grads[key] + pg if key in grads else pg
+                    elif worker is not None and (callable(pg) or key in handed):
+                        handed.add(key)
+                        futures.append(worker.submit(_accumulate, parent, pg))
+                    else:
+                        _accumulate(parent, pg)
         finally:
             wait(futures)  # on success and on any error: nothing is left running
-        while leaf_parts:  # each leaf's parts are freed once they are summed
-            leaf, parts = leaf_parts.popitem()[1]
-            g = None
-            for part in parts:
-                part = part.result() if type(part) is Future else part
-                g = part if g is None else g + part
-            if leaf.grad is None:
-                leaf.grad = np.zeros_like(leaf.data)
-            leaf.grad += g
+        for future in futures:
+            future.result()  # re-raises a failed product
+
+
+def _accumulate(leaf: Tensor, g) -> None:
+    """Add one contribution ``g`` (an array, or a deferred product, which is
+    computed here) to ``leaf.grad`` in place, from zeros when it is None."""
+    if callable(g):
+        g = g()
+    if leaf.grad is None:
+        leaf.grad = np.zeros_like(leaf.data)
+    leaf.grad += g
 
 
 def _released(g: np.ndarray):
@@ -228,30 +232,16 @@ def _released(g: np.ndarray):
 
 
 # OpenBLAS reads its thread count once, when numpy loads (at the latest by
-# this module's imports), so it is read once here too: a later write to the
-# variable changes neither.
+# this module's imports), so the tape's worker is decided once here too: a
+# later write to the variable changes neither. There is one worker thread
+# when BLAS runs on one thread and a second CPU is usable; at two or more
+# BLAS threads its GEMMs would compete with the walk's for BLAS's threads.
+# The executor starts its thread at its first task, so a process that runs
+# no backward starts none.
 _BLAS_ONE_THREAD = os.environ.get("OPENBLAS_NUM_THREADS") == "1"
-_UNDECIDED = object()
-# the tape's worker thread, or None; decided by the first backward
-_worker: ThreadPoolExecutor | None | object = _UNDECIDED
-
-
-def _tape_worker() -> ThreadPoolExecutor | None:
-    """One worker per process when BLAS runs on one thread and a second CPU
-    is usable, else None.
-
-    BLAS runs on one thread when ``OPENBLAS_NUM_THREADS`` was 1 as numpy
-    loaded (``--threads 1`` sets it before); unset, BLAS uses every CPU. At
-    two or more BLAS threads the worker's GEMMs would compete with the
-    walk's for BLAS's threads, so none starts. The executor starts its
-    thread at its first task, so a process that runs no backward starts
-    none."""
-    global _worker
-    if _worker is _UNDECIDED:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        _worker = (ThreadPoolExecutor(1, thread_name_prefix="m3enc-tape")
-                   if _BLAS_ONE_THREAD and cpus >= 2 else None)
-    return _worker
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+_worker = (ThreadPoolExecutor(1, thread_name_prefix="m3enc-tape")
+           if _BLAS_ONE_THREAD and _CPUS >= 2 else None)
 
 
 def as_tensor(x, dtype=None) -> Tensor:

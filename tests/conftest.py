@@ -1,3 +1,4 @@
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -11,8 +12,9 @@ if HERE not in sys.path:
 
 
 class RecordingWorker(ThreadPoolExecutor):
-    """A one-thread tape worker that keeps the future of every product it is
-    handed; a test installs it as ``m3enc.tensor._worker``."""
+    """A one-thread tape worker that keeps the future of every task it is
+    handed, each a leaf's contribution: a deferred product, or an array that
+    follows one; a test installs it as ``m3enc.tensor._worker``."""
 
     def __init__(self):
         super().__init__(1, thread_name_prefix="test-tape")
@@ -29,3 +31,21 @@ def tape_worker():
     worker = RecordingWorker()
     yield worker
     worker.shutdown()
+
+
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.fixture(autouse=True)
+def blas_env_unchanged():
+    """Fail a test that leaves a BLAS thread variable changed, and restore it,
+    so no test changes the environment of the tests after it."""
+    before = {var: os.environ.get(var) for var in BLAS_ENV}
+    yield
+    after = {var: os.environ.get(var) for var in BLAS_ENV}
+    for var, value in before.items():
+        if value is None:
+            os.environ.pop(var, None)
+        else:
+            os.environ[var] = value
+    assert after == before, "the test changed the BLAS thread variables"

@@ -2,6 +2,7 @@
 
 import ctypes
 import json
+import logging
 import os
 import re
 import subprocess
@@ -264,6 +265,20 @@ def test_pretrain_bit_reproducible(workdir):
     a = (workdir / "outA" / "final.m3ck").read_bytes()
     b = (workdir / "outB" / "final.m3ck").read_bytes()
     assert a == b
+
+
+def test_threads_after_numpy_leaves_the_environment_alone(workdir, monkeypatch, caplog):
+    # numpy is loaded, so BLAS has read its thread count: --threads says it has
+    # no effect and changes no variable of the calling process
+    blas_env = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in blas_env:
+        monkeypatch.delenv(var, raising=False)
+    path = write_config(workdir, base_config(outdir="outT"), "runT.json")
+    with caplog.at_level(logging.INFO, logger="m3enc"):
+        assert cli.main(["pretrain", "--config", str(path), "--steps", "1",
+                         "--threads", "1"]) == 0
+    assert [os.environ.get(var) for var in blas_env] == [None, None, None]
+    assert "--threads has no effect" in caplog.text
 
 
 @pytest.mark.parametrize("libc", ["missing", "without-mallopt", "with-mallopt"])

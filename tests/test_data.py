@@ -377,12 +377,17 @@ def test_multilingual_source_uses_smoothed_mixture():
 
 def test_pair_source_batches():
     v = small_vocab()
-    recs = [D.PairRecord(query=f"red apple {i}", doc=f"green pear {i}",
-                         line_no=i + 1) for i in range(6)]
+    # the third word tells the six rows apart
+    words = ["red", "apple", "green", "pear", "blue", "plum"]
+    recs = [D.PairRecord(query=f"red apple {w}", doc=f"green pear {w}",
+                         line_no=i + 1) for i, w in enumerate(words)]
     src = D.PairSource(v, recs, query_len=6, doc_len=8)
     batch = src.batch(np.random.default_rng(13), batch_size=4)
     assert batch.size == 4
-    assert len(set(batch.pair_ids)) == 4  # sampled without replacement
+    rows = np.random.default_rng(13).choice(6, 4, replace=False)  # without replacement
+    assert len(set(rows.tolist())) == 4
+    np.testing.assert_array_equal(batch.query_ids, D.pack([src.queries[r] for r in rows])[0])
+    np.testing.assert_array_equal(batch.doc_ids, D.pack([src.docs[r] for r in rows])[0])
     # every row is cls + 3 words + sep, under the caps of 6 and 8
     assert batch.query_ids.shape == batch.doc_ids.shape == (20,)
     assert list(batch.query_lengths) == list(batch.doc_lengths) == [5] * 4

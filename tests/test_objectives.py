@@ -56,8 +56,7 @@ def pair_batch(config, seed=0, bsz=4, s=8):
     rng = np.random.default_rng(seed)
     mk = lambda: (rng.integers(5, config.vocab, size=(bsz, s)), np.ones((bsz, s), dtype=bool))
     (qi, ql), (di, dl) = packed(*mk()), packed(*mk())
-    return PairBatch(query_ids=qi, query_lengths=ql, doc_ids=di, doc_lengths=dl,
-                     pair_ids=tuple(f"p{i}" for i in range(bsz)))
+    return PairBatch(query_ids=qi, query_lengths=ql, doc_ids=di, doc_lengths=dl)
 
 
 def zeroed_params(config):
@@ -313,7 +312,7 @@ def test_mrl_identical_encoders_single_pair_zero():
     rng = np.random.default_rng(6)
     ids = rng.integers(5, cfg.vocab, size=7)
     batch = PairBatch(query_ids=ids, query_lengths=np.array([7]),
-                      doc_ids=ids.copy(), doc_lengths=np.array([7]), pair_ids=("p0",))
+                      doc_ids=ids.copy(), doc_lengths=np.array([7]))
     report = obj.matryoshka_contrastive_loss(params, cfg, batch, 0.05, None,
                                              enc.GranularitySet((2,), (8,)))
     assert report.total == 0.0
@@ -381,8 +380,7 @@ def test_stacked_sides_match_two_forwards(q_width, d_width):
         return rng.integers(5, cfg.vocab, size=(b, width)), mask
 
     (qi, ql), (di, dl) = packed(*side(q_width)), packed(*side(d_width))
-    batch = PairBatch(query_ids=qi, query_lengths=ql, doc_ids=di, doc_lengths=dl,
-                      pair_ids=tuple(f"p{i}" for i in range(b)))
+    batch = PairBatch(query_ids=qi, query_lengths=ql, doc_ids=di, doc_lengths=dl)
 
     def grads_of(node):
         T.zero_grads(params.named())

@@ -810,7 +810,9 @@ def test_the_tape_worker_moves_no_bit(monkeypatch, tape_worker):
         w = T.Tensor(rand((4, 4), seed=76).astype(np.float32), requires_grad=True)
         mixed_leaf_loss(x, w).backward(rand((6, 4), seed=77).astype(np.float32))
         grads.append(w.grad.tobytes())
-    assert len(tape_worker.futures) == 4
+    # the 4 weight products, and the 2 take_rows arrays, which reach w after
+    # its first product and so join it on the worker, in arrival order
+    assert len(tape_worker.futures) == 6
     assert grads[0] == grads[1]
 
 
@@ -834,6 +836,41 @@ def test_a_leaf_holds_one_running_sum_while_no_product_is_pending(monkeypatch, t
         h.backward()
         assert len(alive) == 5 and max(alive) <= 1, alive
         np.testing.assert_array_equal(w.grad, np.full(3, 15.0))
+
+
+def test_a_leaf_sums_its_contributions_from_zeros_in_arrival_order(monkeypatch, tape_worker):
+    # a leaf whose grad is None ends at 0 + (g0 + g1 + ...), summed in arrival
+    # order, worker or not, for arrays and deferred products in any mix;
+    # -0.0, subnormals and 1e-30..1e30 magnitudes included. Adding to 0 turns
+    # -0.0 into +0.0, so a leaf fed only -0.0 ends at +0.0
+    rng = np.random.default_rng(83)
+    specials = np.array([-0.0, 0.0, 1e-45, -1e-45, 1e-40, -1e-38, 1e-30, -1e30])
+    mags = 10.0 ** rng.uniform(-30, 30, 56) * rng.choice([-1.0, 1.0], 56)
+    values = np.concatenate([specials, mags]).astype(np.float32)
+    deferred = [True, False, True, True, False, False, True, False, False]  # walked last to first
+    for worker in (None, tape_worker):
+        monkeypatch.setattr(T, "_worker", worker)
+        w = T.Tensor(np.zeros(64, dtype=np.float32), requires_grad=True)
+        z = T.Tensor(np.zeros(64, dtype=np.float32), requires_grad=True)
+        h = T.Tensor(np.zeros(64, dtype=np.float32), requires_grad=True)
+        arrived = []
+
+        def backward(g, defer):
+            pw, pz = rng.permutation(values), np.full(64, -0.0, dtype=np.float32)
+            arrived.append(pw)
+            return ((lambda: pw), (lambda: pz), g) if defer else (pw, pz, g)
+
+        for defer in deferred:
+            h = T._from_op(h.data.copy(), "step", (w, z, h),
+                           lambda g, defer=defer: backward(g, defer))
+        h.backward()
+        total = arrived[0]
+        for pw in arrived[1:]:
+            total = total + pw
+        assert w.grad.tobytes() == (np.zeros(64, dtype=np.float32) + total).tobytes()
+        assert z.grad.tobytes() == np.zeros(64, dtype=np.float32).tobytes()
+    # two arrays arrive in the walk before each leaf's first product
+    assert len(tape_worker.futures) == 2 * (len(deferred) - 2)
 
 
 def slow_weight_product(monkeypatch, slow_shape, failing_shape=None):
