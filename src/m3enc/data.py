@@ -215,7 +215,6 @@ def sample_language(mixture: LanguageMixture, rng: np.random.Generator) -> str:
 class PairRecord:
     query: str
     doc: str
-    line_no: int
 
 
 @dataclass
@@ -283,7 +282,7 @@ def ingest_pairs(path) -> PairStore:
         if len(parts) not in (2, 3) or not parts[0].strip() or not parts[1].strip():
             skipped.append((i, "expected 'query<TAB>doc[<TAB>extra]'"))
             continue
-        records.append(PairRecord(query=parts[0].strip(), doc=parts[1].strip(), line_no=i))
+        records.append(PairRecord(query=parts[0].strip(), doc=parts[1].strip()))
     if n_lines == 0:
         raise CorpusError(f"{path}: no pairs found")
     if len(skipped) > MAX_MALFORMED_FRACTION * n_lines:

@@ -15,19 +15,21 @@ best score, and only those candidates are re-scored in float64 and ordered by
 (-score, id). The bound is the K-th largest of the maxima of disjoint column
 groups, so only n_docs/g values per query are partitioned, not n_docs.
 
-Each query's result is a ``Ranking``: a read-only sequence of (id, float64
-score) pairs over its block's [Q x K] id and score arrays. A pair is built
-only when it is read, so a search holds 16 bytes per hit, not a tuple of a
-string and a float; ``recall_at_k`` reads any sequence of such pairs.
+Each query's result is a ``Ranking``: an iterable of (id, float score)
+pairs, best first, over one row of its block's [Q x K] id and float64 score
+arrays. The pairs are built only when it is iterated, so a search holds 16
+bytes per hit, not a tuple of a string and a float; ``recall_at_k`` reads
+any iterable of such pairs.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import logging
 import time
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -172,63 +174,39 @@ def cell_rows(pooled: np.ndarray, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class Ranking(Sequence):
-    """One query's top K, best first: a read-only sequence of (doc id, float
-    score) pairs over its block's arrays.
+class Ranking:
+    """One query's top K, best first: iterating it gives (doc id, float
+    score) pairs.
 
-    ``block`` is ``(ids, scores)``: the block's [Q x K] doc ids (an object
-    array) and its [Q x K] float64 scores. This ranking is row ``q`` of them,
-    at the columns in the range ``cols``. A pair is built only when it is
-    read; a slice is a ``Ranking`` over the same arrays. It compares equal to
-    any sequence of the same pairs, as a list does.
+    ``ids`` and ``scores`` are its block's [Q x K] doc ids (an object array)
+    and float64 scores; this ranking is row ``q`` of them. The pairs are
+    built at each iteration, so a ranking can be read any number of times.
     """
 
-    __slots__ = ("_block", "_q", "_cols")
+    __slots__ = ("_ids", "_scores", "_q")
 
-    def __init__(self, block: tuple[np.ndarray, np.ndarray], q: int, cols: range):
-        self._block, self._q, self._cols = block, q, cols
-
-    def __len__(self) -> int:
-        return len(self._cols)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Ranking(self._block, self._q, self._cols[i])
-        ids, scores = self._block
-        col = self._cols[i]
-        return ids[self._q, col], float(scores[self._q, col])
+    def __init__(self, ids: np.ndarray, scores: np.ndarray, q: int):
+        self._ids, self._scores, self._q = ids, scores, q
 
     def __iter__(self):
-        ids, scores = self._block
-        c = self._cols  # sliced from range(K): stop < 0 only when it runs down past 0
-        cols = slice(c.start, c.stop if c.stop >= 0 else None, c.step)
-        return zip(ids[self._q, cols].tolist(), map(float, scores[self._q, cols]))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __repr__(self) -> str:
-        return repr(list(self))
+        return zip(self._ids[self._q].tolist(), self._scores[self._q].tolist())
 
 
 def _rankings(ids: np.ndarray, scores: np.ndarray) -> list[Ranking]:
     """One ``Ranking`` per row of a block's [Q x K] doc ids and scores."""
-    block, cols = (ids, scores), range(ids.shape[1])
-    return [Ranking(block, q, cols) for q in range(len(ids))]
+    return [Ranking(ids, scores, q) for q in range(len(ids))]
 
 
 def exact_topk(index: EmbeddingIndex, query_emb: np.ndarray, k: int) -> list[Ranking]:
     """Exhaustive inner-product ranking; ties broken by ascending doc id.
 
-    Returns, per query, a ``Ranking`` of the K (id, score) pairs in
-    descending score order, with float64 scores. K larger than the pool
+    Returns, per query, a ``Ranking`` that iterates the K (id, score) pairs
+    in descending score order, with float64 scores. K larger than the pool
     clamps with a warning; an empty index gives empty rankings. Each query
     of a block writes its top K into the block's [Q x K] index rows and
     float64 scores; the rows are mapped to ids once per block, and the
-    block's rankings share the id and score arrays, so no per-hit object is
-    made here.
+    block's rankings hold its id and score arrays, so no per-hit object and
+    no per-query view is made here.
 
     Each block of queries is scored by one float32 GEMM. Its columns fall
     into ``G = n_docs // g`` disjoint strided groups (columns j, j + G,
@@ -294,12 +272,13 @@ def exact_topk(index: EmbeddingIndex, query_emb: np.ndarray, k: int) -> list[Ran
     return out
 
 
-def recall_at_k(rankings: Sequence[Sequence[tuple[str, float]]], truth: list[str],
+def recall_at_k(rankings: Sequence[Iterable[tuple[str, float]]], truth: list[str],
                 k: int) -> float:
     """Fraction of queries whose positive document appears in their top K.
 
-    Each ranking is any sequence of (id, score) pairs; its pairs are read in
-    order up to the first hit, and only their ids are compared."""
+    Each ranking is any iterable of (id, score) pairs, best first; at most K
+    of its pairs are read, in order up to the first hit, and only their ids
+    are compared."""
     if k < 1:
         raise ConfigError("K must be at least 1")
     if len(rankings) != len(truth):
@@ -310,7 +289,7 @@ def recall_at_k(rankings: Sequence[Sequence[tuple[str, float]]], truth: list[str
     for ranked, positive in zip(rankings, truth):
         if positive is None:
             raise ContractError("query without a ground-truth positive")
-        for doc_id, _ in ranked[:k]:
+        for doc_id, _ in itertools.islice(ranked, k):
             if doc_id == positive:
                 hits += 1
                 break

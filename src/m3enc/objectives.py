@@ -134,10 +134,10 @@ def _head_products(params: Parameters, config: ModelConfig, batch: MlmBatch,
     if len(np.unique(sequence_of)) != len(batch.lengths):
         raise ContractError("every sequence needs at least one masked position")
     bounds = list(zip((0,) + gran.dims[:-1], gran.dims))
-    segments = [T.pack_rows(params.mlm_head_w, np.arange(start, stop)) for start, stop in bounds]
+    segments = [T.take_rows(params.mlm_head_w, np.arange(start, stop)) for start, stop in bounds]
     products: dict[tuple[int, int], Tensor] = {}
     for l in gran.layers:
-        h = T.pack_rows(states[l], masked)
+        h = T.take_rows(states[l], masked)
         acc: Tensor | None = None
         for (start, stop), w in zip(bounds, segments):
             seg = T.matmul(T.slice_last(h, start, stop), w)

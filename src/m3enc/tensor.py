@@ -39,9 +39,9 @@ padding query. ``swiglu`` computes silu(gate) * up from one fused gate | up
 projection and multiplies it by the down projection in the same node, so the
 [N x f] SwiGLU output is never saved: the backward recomputes it (trading
 one sigmoid for the memory; Chen et al., arXiv:1604.06174). The gathers are
-``take_rows`` (ids may repeat: the embeddings), ``pack_rows`` (distinct
-increasing rows: a tap's masked rows, the MLM head's weight segments) and
-``slice_last``. Each loss term is one node too: ``masked_cross_entropy``
+``take_rows`` (rows by integer id, which may repeat: the embeddings, a tap's
+masked rows, the MLM head's weight segments) and ``slice_last``. Each loss
+term is one node too: ``masked_cross_entropy``
 (backward (softmax - one_hot) / n) for an MLM cell and ``kl_rows`` for a
 distillation pair.
 
@@ -369,13 +369,16 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
 
 
 def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Gather rows along the first axis (embedding-style lookup).
+    """Gather rows along the first axis by integer ids (embedding-style
+    lookup); ``indices`` may have any shape, and its ids may repeat.
 
     The backward pass sums the gradient rows of each repeated id with weight
     1 (``_scatter_sum``).
     """
     a = as_tensor(a)
     idx = np.asarray(indices)
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise ShapeError(f"take_rows ids must be integers, got {idx.dtype}")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ShapeError(f"take_rows ids must lie in [0, {a.shape[0]})")
     out = a.data[idx]
@@ -412,33 +415,6 @@ def _scatter_sum(x: np.ndarray, targets: np.ndarray, weights: np.ndarray | None,
         block = rows[(ends[group] - c)[:, None] + np.arange(c)]
         out[group] += np.add.accumulate(block, axis=1)[:, -1] if m == 1 else block.sum(axis=1)
     return out
-
-
-def _check_rows(rows, n_positions: int) -> np.ndarray:
-    """``rows`` as strictly increasing integer positions in [0, ``n_positions``)."""
-    rows = np.asarray(rows)
-    if (rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer)
-            or (rows.size and (rows[0] < 0 or rows[-1] >= n_positions))
-            or (np.diff(rows) <= 0).any()):
-        raise ShapeError(f"rows must be strictly increasing integers in [0, {n_positions})")
-    return rows
-
-
-def pack_rows(a: Tensor, rows: np.ndarray) -> Tensor:
-    """The [N x m] rows at the distinct flat positions ``rows`` (increasing)
-    of ``a``'s leading dimensions. The backward pass places the gradient rows
-    back by plain indexing, since no position is read twice."""
-    a = as_tensor(a)
-    shape = a.shape
-    rows = _check_rows(rows, math.prod(shape[:-1]))
-    out = a.data.reshape(-1, shape[-1])[rows]
-
-    def bwd(g):
-        full = np.zeros((math.prod(shape[:-1]), shape[-1]), dtype=g.dtype)
-        full[rows] = g
-        return (full.reshape(shape),)
-
-    return _from_op(out, "pack_rows", (a,), bwd)
 
 
 # ---------------------------------------------------------------------------

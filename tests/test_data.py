@@ -342,8 +342,7 @@ def test_ingest_rejects_non_utf8_with_position(tmp_path):
 def test_ingest_ignores_third_column(tmp_path):
     lines = ["q1\tdoc a\t2024-01-01T00:00:00", "q2\tdoc b\tnot a date"]
     store = D.ingest_pairs(write_pairs(tmp_path, lines))
-    assert [(r.query, r.doc, r.line_no) for r in store.records] == [("q1", "doc a", 1),
-                                                                   ("q2", "doc b", 2)]
+    assert [(r.query, r.doc) for r in store.records] == [("q1", "doc a"), ("q2", "doc b")]
     assert store.skipped == []
 
 
@@ -379,8 +378,7 @@ def test_pair_source_batches():
     v = small_vocab()
     # the third word tells the six rows apart
     words = ["red", "apple", "green", "pear", "blue", "plum"]
-    recs = [D.PairRecord(query=f"red apple {w}", doc=f"green pear {w}",
-                         line_no=i + 1) for i, w in enumerate(words)]
+    recs = [D.PairRecord(query=f"red apple {w}", doc=f"green pear {w}") for w in words]
     src = D.PairSource(v, recs, query_len=6, doc_len=8)
     batch = src.batch(np.random.default_rng(13), batch_size=4)
     assert batch.size == 4
@@ -410,8 +408,7 @@ def width_source(kind, v, texts):
     if kind == "multi":
         return D.MultilingualMlmSource(v, {"en": texts[::2], "xx": texts[1::2]}, seq_len=8,
                                        mask_rate=0.3, smoothing=0.7)
-    recs = [D.PairRecord(query=t, doc=f"{t} plum", line_no=i + 1)
-            for i, t in enumerate(texts)]
+    recs = [D.PairRecord(query=t, doc=f"{t} plum") for t in texts]
     return D.PairSource(v, recs, query_len=8, doc_len=9)
 
 

@@ -76,7 +76,7 @@ def test_index_rejects_a_non_matrix_or_non_float32_array():
 
 def test_self_retrieval_scores_one():
     index = make_index()
-    rankings = ek.exact_topk(index, index.embeddings[3:4], k=1)
+    rankings = as_lists(ek.exact_topk(index, index.embeddings[3:4], k=1))
     doc_id, score = rankings[0][0]
     assert doc_id == "d003"
     assert abs(score - 1.0) < 1e-6
@@ -115,7 +115,7 @@ def test_topk_tie_break_by_id_not_position():
 def test_topk_clamps_large_k(caplog):
     index = make_index(n=5)
     with caplog.at_level("WARNING", logger="m3enc.evalkit"):
-        rankings = ek.exact_topk(index, index.embeddings[:1], k=50)
+        rankings = as_lists(ek.exact_topk(index, index.embeddings[:1], k=50))
     assert len(rankings[0]) == 5
     assert any("clamping" in r.message for r in caplog.records)
 
@@ -132,6 +132,11 @@ def test_topk_permutation_invariance():
     ra = ek.exact_topk(a, q, k=20)
     rb = ek.exact_topk(b, q, k=20)
     assert [[doc for doc, _ in row] for row in ra] == [[doc for doc, _ in row] for row in rb]
+
+
+def as_lists(rankings):
+    """Rankings in the oracle's form: a list of (id, score) pairs per query."""
+    return [list(r) for r in rankings]
 
 
 def brute_force_topk(index, queries, k):
@@ -159,7 +164,7 @@ def test_topk_twins_straddle_cutoff_across_tiles(d):
     assert source not in copies and not np.isin(copies, order[:2 * k]).any()
     rows[copies] = rows[source]
     index = ek.EmbeddingIndex(ids=shuffled_ids(n, d), embeddings=rows, provenance={})
-    got = ek.exact_topk(index, queries, k)
+    got = as_lists(ek.exact_topk(index, queries, k))
     assert got == brute_force_topk(index, queries, k)
     twins = {index.ids[j] for j in [source] + copies}
     kept = [(doc, s) for doc, s in got[0] if doc in twins]
@@ -192,7 +197,7 @@ def test_topk_finds_rows_float32_ranks_below_the_cutoff():
         pytest.skip("float32 GEMM on this BLAS never misorders the cut-off here")
     index = ek.EmbeddingIndex(ids=tuple(f"d{i:04d}" for i in range(n)), embeddings=rows,
                               provenance={})
-    got = ek.exact_topk(index, q, k)
+    got = as_lists(ek.exact_topk(index, q, k))
     assert got == brute_force_topk(index, q, k)
     assert index.ids[spare] in dict(got[0])
 
@@ -201,7 +206,7 @@ def test_topk_more_queries_than_one_block():
     index = ek.EmbeddingIndex(ids=shuffled_ids(600, 1), embeddings=unit_rows((600, 24), 2),
                               provenance={})
     queries = unit_rows((2 * ek._QUERY_BLOCK + 37, 24), seed=3)
-    assert ek.exact_topk(index, queries, 10) == brute_force_topk(index, queries, 10)
+    assert as_lists(ek.exact_topk(index, queries, 10)) == brute_force_topk(index, queries, 10)
 
 
 def test_topk_float64_non_unit_queries():
@@ -212,7 +217,7 @@ def test_topk_float64_non_unit_queries():
     queries = rng.normal(size=(6, 12)) * np.array([1e-3, 0.5, 1.0, 3.7, 250.0, 1e4])[:, None]
     queries[2] = rows[77].astype(np.float64) * 3.0
     assert queries.dtype == np.float64
-    assert ek.exact_topk(index, queries, 25) == brute_force_topk(index, queries, 25)
+    assert as_lists(ek.exact_topk(index, queries, 25)) == brute_force_topk(index, queries, 25)
 
 
 def test_topk_k_equals_pool_size():
@@ -220,7 +225,7 @@ def test_topk_k_equals_pool_size():
     rows[[3, 150, 299]] = rows[42]
     index = ek.EmbeddingIndex(ids=shuffled_ids(300, 8), embeddings=rows, provenance={})
     queries = unit_rows((5, 7), seed=9)
-    got = ek.exact_topk(index, queries, 300)
+    got = as_lists(ek.exact_topk(index, queries, 300))
     assert got == brute_force_topk(index, queries, 300)
     assert all(len(r) == 300 for r in got)
 
@@ -245,7 +250,7 @@ def test_topk_whole_top_k_in_one_strided_group(k):
     group_max = np.sort(exact.reshape(-1, n_groups).max(axis=0))[::-1]
     assert group_max[k - 1] < np.sort(exact)[::-1][k - 1] - 0.1  # the bound is loose
     index = ek.EmbeddingIndex(ids=shuffled_ids(n, 23), embeddings=rows, provenance={})
-    assert ek.exact_topk(index, q, k) == brute_force_topk(index, q, k)
+    assert as_lists(ek.exact_topk(index, q, k)) == brute_force_topk(index, q, k)
 
 
 @pytest.mark.parametrize("n", [150, 1000])  # g = 1 and g = 10 at K = 10
@@ -278,7 +283,7 @@ def test_topk_margin_keeps_a_row_float32_ranks_below_the_bound(n):
         pytest.skip("float32 GEMM on this BLAS never misorders the cut-off here")
     index = ek.EmbeddingIndex(ids=tuple(f"d{i:04d}" for i in range(n)), embeddings=rows,
                               provenance={})
-    got = ek.exact_topk(index, q, k)
+    got = as_lists(ek.exact_topk(index, q, k))
     assert got == brute_force_topk(index, q, k)
     assert index.ids[spare] in dict(got[0])
 
@@ -299,7 +304,7 @@ def test_topk_group_bound_at_the_group_size_edges(n, k):
     index = ek.EmbeddingIndex(ids=shuffled_ids(n, n), embeddings=rows, provenance={})
     queries = np.concatenate([unit_rows((6, d), seed=n + k + 1), rows[copies[:1]],
                               rows[rng.choice(n, size=2)]])
-    assert ek.exact_topk(index, queries, k) == brute_force_topk(index, queries, k)
+    assert as_lists(ek.exact_topk(index, queries, k)) == brute_force_topk(index, queries, k)
 
 
 def test_topk_twins_straddle_cutoff_with_ids_in_reverse_row_order():
@@ -314,7 +319,7 @@ def test_topk_twins_straddle_cutoff_with_ids_in_reverse_row_order():
     rows[copies] = rows[source]
     ids = tuple(f"d{n - 1 - i:05d}" for i in range(n))  # descending along the rows
     index = ek.EmbeddingIndex(ids=ids, embeddings=rows, provenance={})
-    got = ek.exact_topk(index, queries, k)
+    got = as_lists(ek.exact_topk(index, queries, k))
     assert got == brute_force_topk(index, queries, k)
     twins = {ids[j] for j in [source] + copies}
     kept = [(doc, s) for doc, s in got[0] if doc in twins]
@@ -330,39 +335,11 @@ def test_topk_rejects_non_finite_queries():
         ek.exact_topk(index, queries, 3)
 
 
-def test_ranking_is_a_read_only_sequence_of_pairs():
-    index = make_index(n=8, d=6, seed=3)
-    queries = unit_rows((2, 6), seed=4)
-    got = ek.exact_topk(index, queries, k=5)
-    want = brute_force_topk(index, queries, 5)
-    r, pairs = got[0], want[0]
-    assert isinstance(r, ek.Ranking) and len(r) == 5
-    assert all(type(doc) is str and type(s) is float for doc, s in r)
-    assert r[0] == pairs[0] and r[-1] == pairs[-1] and r[-5] == pairs[0]
-    for bad in (5, -6):
-        with pytest.raises(IndexError):
-            r[bad]
-    with pytest.raises(TypeError):
-        r[0] = pairs[0]
-    for cut in (slice(1, 4), slice(None, None, -2), slice(4, 1), slice(10, None),
-                slice(-3, None), slice(None, None, -1)):
-        assert isinstance(r[cut], ek.Ranking) and r[cut] == pairs[cut]
-    assert r[1:][::-1][0] == pairs[4] and r[::-1][1:3] == pairs[::-1][1:3]
-    assert r == pairs and pairs == r and r == tuple(pairs) and got == want
-    assert r != pairs[:-1] and r != got[1] and r != 5
-    changed = pairs[:2] + [(pairs[2][0], pairs[2][1] + 1e-12)] + pairs[3:]
-    assert r != changed and not r == changed
-    assert dict(r) == dict(pairs)
-    assert repr(r) == repr(pairs) and repr(r[:0]) == "[]"
-    assert list(reversed(r)) == pairs[::-1] and pairs[2] in r and r.index(pairs[3]) == 3
-
-
 def test_empty_index_gives_empty_rankings():
     index = ek.EmbeddingIndex(ids=(), embeddings=np.empty((0, 4), dtype=np.float32),
                               provenance={})
     got = ek.exact_topk(index, unit_rows((2, 4), seed=5), k=3)
-    assert got == [[], []]
-    assert all(isinstance(r, ek.Ranking) and len(r) == 0 and repr(r) == "[]" for r in got)
+    assert as_lists(got) == [[], []]
     assert ek.recall_at_k(got, ["a", "b"], 3) == 0.0
 
 
@@ -379,7 +356,7 @@ def test_rankings_hold_their_arrays_not_an_object_per_hit():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(got) == n_queries and all(len(r) == k for r in got)
+    assert len(got) == n_queries and all(len(r) == k for r in as_lists(got))
     # an id reference and a float64 score are 16 B a hit; a list of
     # (str, float) tuples holds about 80 B a hit
     assert held / n_queries < 2 * 16 * k
@@ -442,7 +419,7 @@ RECALL_ABC = [
 ])
 def test_recall_same_on_lists_and_rankings(lists, truth, k):
     rankings = as_rankings(lists)
-    assert rankings == lists
+    assert as_lists(rankings) == lists
     assert ek.recall_at_k(rankings, truth, k) == ek.recall_at_k(lists, truth, k)
 
 
@@ -454,13 +431,19 @@ def test_recall_rejects_k_below_one(k):
 
 
 def test_recall_of_exact_topk_same_as_of_its_lists():
+    # read as a caller that searches in batches reads them: one list extended
+    # with each batch's rankings, and every ranking iterated more than once
     index = make_index(n=200, d=8, seed=6)
     queries = unit_rows((30, 8), seed=7)
-    got = ek.exact_topk(index, queries, 20)
+    got = []
+    for start in (0, 16):
+        got.extend(ek.exact_topk(index, queries[start:start + 16], 20))
     # positives at ranks 0, 7, 14, ..., 35 of each query's full ranking
     full = brute_force_topk(index, queries, 40)
     truth = [pairs[(7 * qi) % 40][0] for qi, pairs in enumerate(full)]
-    lists = [list(r) for r in got]
+    lists = as_lists(got)
+    assert as_lists(got) == lists == [pairs[:20] for pairs in full]
+    assert all(type(doc) is str and type(s) is float for pairs in lists for doc, s in pairs)
     recalls = [ek.recall_at_k(got, truth, k) for k in (1, 5, 10, 20, 50)]
     assert recalls == [ek.recall_at_k(lists, truth, k) for k in (1, 5, 10, 20, 50)]
     assert 0 < recalls[0] < recalls[2] < recalls[3] == recalls[4] < 1

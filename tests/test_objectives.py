@@ -582,8 +582,8 @@ def test_head_weight_segments_are_cut_once_per_step():
     batch = mlm_batch(cfg, seed=16)
     ops = tape_ops(obj.matryoshka_mlm_loss(params, cfg, batch).node)
     # one cut of mlm_head_w per dim, shared by the layers, plus each tapped
-    # layer's gather of its masked rows
-    assert ops["pack_rows"] == len(cfg.granularity.dims) + len(cfg.granularity.layers)
+    # layer's gather of its masked rows and the two embedding lookups
+    assert ops["take_rows"] == len(cfg.granularity.dims) + len(cfg.granularity.layers) + 2
     # (each layer's fourth weight, ffn_down, multiplies inside its swiglu node)
     assert ops["matmul"] - 3 * cfg.n_layers == len(cfg.granularity)
 

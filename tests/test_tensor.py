@@ -436,25 +436,6 @@ def test_attention_shape_errors():
         T.attention(qkv, lengths[None, :], 3)
 
 
-def test_pack_rows_gathers_and_grads_check():
-    x = T.Tensor(rand((3, 4, 5), seed=56), requires_grad=True)
-    rows = np.array([0, 2, 3, 7, 11])
-    packed = T.pack_rows(x, rows)
-    np.testing.assert_array_equal(packed.data, x.data.reshape(12, 5)[rows])
-    c = T.Tensor(rand((5, 5), seed=57))
-
-    def f():
-        return tsum(T.mul(T.pack_rows(x, rows), c))
-
-    assert T.grad_check(f, [("x", x)]) < 1e-6
-    keep = np.zeros(12, dtype=bool)
-    keep[rows] = True
-    assert (x.grad.reshape(12, 5)[~keep] == 0.0).all()  # rows not gathered get none
-    for bad in (np.array([2, 2]), np.array([3, 1]), np.array([12]), np.array([0.0])):
-        with pytest.raises(ShapeError):
-            T.pack_rows(x, bad)
-
-
 # ---------------------------------------------------------------------------
 # masked cross entropy
 # ---------------------------------------------------------------------------
@@ -654,15 +635,24 @@ def test_take_rows_accumulates_duplicates():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_take_rows_backward_is_add_at_bit_for_bit(dtype):
-    # every id repeats, one of them in every row, and the ids come unsorted
     rng = np.random.default_rng(35)
-    table = T.Tensor(rand((30, 8), seed=36).astype(dtype), requires_grad=True)
-    idx = rng.integers(0, 12, size=(6, 20))
-    idx[:, 0] = 29
-    g = rand((6, 20, 8), seed=37).astype(dtype)
-    T.take_rows(table, idx).backward(g)
-    assert table.grad.dtype == dtype
-    assert table.grad.tobytes() == add_at_rows(table.shape, idx, g).tobytes()
+    layouts = {
+        # every id repeats, one of them in every row, and the ids come unsorted
+        "repeated ids": rng.integers(0, 12, size=(6, 20)),
+        # the MLM head's cut of a weight segment, rows 8..19
+        "an arange segment": np.arange(8, 20),
+        # the masked rows of a packed tap: distinct and increasing
+        "masked rows": np.flatnonzero(rng.random(30) < 0.3),
+    }
+    layouts["repeated ids"][:, 0] = 29
+    for name, idx in layouts.items():
+        table = T.Tensor(rand((30, 8), seed=36).astype(dtype), requires_grad=True)
+        out = T.take_rows(table, idx)
+        assert out.data.tobytes() == table.data[idx].tobytes(), name
+        g = rand(idx.shape + (8,), seed=37).astype(dtype)
+        out.backward(g)
+        assert table.grad.dtype == dtype
+        assert table.grad.tobytes() == add_at_rows(table.shape, idx, g).tobytes(), name
 
 
 def add_at_sum(x, targets, weights, n_out):
@@ -720,6 +710,11 @@ def test_take_rows_rejects_ids_outside_the_table():
     for idx in ([0, -1], [[2, 5]]):
         with pytest.raises(ShapeError, match=r"\[0, 5\)"):
             T.take_rows(table, np.array(idx))
+    # float ids, and a boolean mask, which numpy would read as a row selection
+    # the backward cannot scatter
+    for idx in (np.array([0.0, 2.0]), np.array([True, False, True, False, True])):
+        with pytest.raises(ShapeError, match="integers"):
+            T.take_rows(table, idx)
 
 
 def test_nonfinite_rejected():

@@ -330,9 +330,8 @@ def test_a_step_holds_one_graph():
 
 def every_kind_stages(state, source, plan, steps=2):
     """A ``steps``-step stage of each kind with its source: {kind: (stage, source)}."""
-    recs = [D.PairRecord(query=q, doc=d, line_no=i + 1) for i, (q, d) in enumerate(
-        synth.generate_pair_corpus(20, seed=4, n_topics=6, words_per_topic=10, n_common=12,
-                                   doc_len=(8, 12)))]
+    recs = [D.PairRecord(query=q, doc=d) for q, d in synth.generate_pair_corpus(
+        20, seed=4, n_topics=6, words_per_topic=10, n_common=12, doc_len=(8, 12))]
     pairs = D.PairSource(state.vocab, recs, query_len=8, doc_len=14)
     return {
         "pretrain_mlm": (mlm_stage(steps), source),
