@@ -240,6 +240,7 @@ def _load_run(args, specs_of):
 
 def _load_eval_target(args):
     """The checkpoint, ``--k`` cutoffs and evaluation pairs of ``eval`` or ``sweep``."""
+    from . import evalkit as ek
     from . import trainer as tr
     from .errors import ConfigError
 
@@ -247,21 +248,7 @@ def _load_eval_target(args):
     state = tr.load_checkpoint(args.ckpt)
     if state.vocab is None:
         raise ConfigError(f"checkpoint {args.ckpt} carries no vocabulary")
-    return state, ks, _load_eval_pairs(args.data)
-
-
-def _load_eval_pairs(path):
-    from . import data as D
-    store = D.dedup_pairs(D.ingest_pairs(path))
-    doc_ids: dict[str, str] = {}
-    docs: list[str] = []
-    for rec in store.records:
-        if rec.doc not in doc_ids:
-            doc_ids[rec.doc] = f"d{len(docs):06d}"
-            docs.append(rec.doc)
-    queries = [rec.query for rec in store.records]
-    truth = [doc_ids[rec.doc] for rec in store.records]
-    return queries, docs, truth, list(doc_ids.values())
+    return state, ks, ek.read_eval_pairs(args.data)
 
 
 def _run_training(args, kinds: tuple[str, ...]) -> int:
@@ -306,13 +293,13 @@ def cmd_eval(args) -> int:
     from . import evalkit as ek
     from .errors import ConfigError, writing
 
-    state, ks, (queries, docs, truth, doc_ids) = _load_eval_target(args)
+    state, ks, (queries, docs, truth) = _load_eval_target(args)
     if not (1 <= args.dim <= state.config.hidden):
         raise ConfigError(f"--dim {args.dim} outside [1, {state.config.hidden}]")
     if not (1 <= args.layer <= state.config.n_layers):
         raise ConfigError(f"--layer {args.layer} outside [1, {state.config.n_layers}]")
     report = ek.evaluate(state.params, state.config, state.vocab, queries, docs, truth,
-                         layer=args.layer, dim=args.dim, ks=ks, doc_ids=doc_ids)
+                         layer=args.layer, dim=args.dim, ks=ks)
     out = Path(args.output)
     with writing(out):
         out.mkdir(parents=True, exist_ok=True)
@@ -328,14 +315,14 @@ def cmd_sweep(args) -> int:
     from .errors import writing
 
     values = _parse_int_list(args.values, "--values")
-    state, ks, (queries, docs, truth, doc_ids) = _load_eval_target(args)
-    curves = ek.tradeoff_sweep(state.params, state.config, state.vocab, queries, docs,
-                               truth, axis=args.axis, values=values, ks=ks,
-                               layer=args.layer, dim=args.dim)
+    state, ks, (queries, docs, truth) = _load_eval_target(args)
+    reports = ek.tradeoff_sweep(state.params, state.config, state.vocab, queries, docs,
+                                truth, axis=args.axis, values=values, ks=ks,
+                                layer=args.layer, dim=args.dim)
     out = Path(args.output)
     with writing(out):
         out.mkdir(parents=True, exist_ok=True)
-        ek.write_curve_files(curves, out / f"sweep-{args.axis}.json",
+        ek.write_curve_files(args.axis, reports, out / f"sweep-{args.axis}.json",
                              out / f"sweep-{args.axis}.csv")
     print(f"wrote {out / f'sweep-{args.axis}.csv'} ({len(values)} points per K)")
     return 0
@@ -360,7 +347,7 @@ def cmd_ablate(args) -> int:
 
     vocab = D.build_vocab(_vocab_text_source(run, specs), max_size=base.vocab)
     sink = tr.JsonlSink(run.output_dir / "metrics.jsonl")
-    queries, docs, truth, doc_ids = _load_eval_pairs(ev.path)
+    queries, docs, truth = ek.read_eval_pairs(ev.path)
 
     rows = []
     try:
@@ -369,8 +356,7 @@ def cmd_ablate(args) -> int:
             tr.run_stage(train.stage, state, _build_source(train, vocab), sink)
             report = ek.evaluate(state.params, state.config, vocab, queries, docs, truth,
                                  layer=ev.layer, dim=ev.dim, ks=list(ev.ks),
-                                 doc_ids=doc_ids, query_len=ev.query_len,
-                                 doc_len=ev.doc_len)
+                                 query_len=ev.query_len, doc_len=ev.doc_len)
             row = {"arm": arm, "param_count": state.params.count()}
             row.update({f"recall@{k}": report.recalls[k] for k in sorted(report.recalls)})
             rows.append(row)

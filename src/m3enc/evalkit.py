@@ -7,7 +7,9 @@ the docs once and the queries once. A layer-``l`` cell costs ``l`` blocks per
 text, the cost proxy of a layer sweep. Queries are ranked against the whole
 document pool by inner product (cosine, since rows are unit norm) with
 id-order tie-breaking; Recall@K counts the queries whose single positive
-document lands in the top K.
+document lands in the top K. ``read_eval_pairs`` numbers a pair corpus's docs
+as ``evaluate`` does. Each scored cell is one ``EvalReport``, and
+``write_curve_files`` writes a sweep's reports as one recall curve per K.
 
 Search is exact in two passes: a float32 GEMM per block of queries selects
 every row within a derived float32 error margin of a lower bound on the K-th
@@ -28,16 +30,17 @@ import functools
 import itertools
 import json
 import logging
+import sys
 import time
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import encoder as enc
 from . import tensor as T
-from .data import Vocab, encode_sequence, pack
+from .data import Vocab, dedup_pairs, encode_sequence, ingest_pairs, pack
 from .encoder import ModelConfig, Parameters
 from .errors import ConfigError, ContractError, NumericsError, ShapeError
 from .tensor import Tensor
@@ -46,6 +49,7 @@ from .tensor import Tensor
 # the partitioned group maxima this x n_docs/g, whatever the number of queries
 _QUERY_BLOCK = 128
 _ENCODE_BATCH = 64  # texts per encoder forward
+_doc_id = "d{:06d}".format  # the id of the i-th distinct document
 
 log = logging.getLogger("m3enc.evalkit")
 
@@ -93,10 +97,6 @@ class EmbeddingIndex:
     def dim(self) -> int:
         return self.embeddings.shape[1]
 
-    @property
-    def storage_bytes(self) -> int:
-        return self.embeddings.shape[0] * self.dim * 4
-
 
 @dataclass
 class EvalReport:
@@ -108,26 +108,6 @@ class EvalReport:
     search_ms: float
     index_bytes: int
     clamped_k: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "recalls": {str(k): v for k, v in sorted(self.recalls.items())},
-            "n_queries": self.n_queries, "layer": self.layer, "dim": self.dim,
-            "encode_ms": self.encode_ms, "search_ms": self.search_ms,
-            "index_bytes": self.index_bytes, "clamped_k": self.clamped_k,
-        }
-
-
-@dataclass
-class TradeoffCurve:
-    axis: str  # "dim" or "layer"
-    k: int
-    points: list[dict]  # {"axis_value", "recall", "cost_proxy"}
-
-    def __post_init__(self):
-        xs = [p["axis_value"] for p in self.points]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ContractError("trade-off curve x-axis must be strictly increasing")
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +269,23 @@ def recall_at_k(rankings: Sequence[Iterable[tuple[str, float]]], truth: list[str
     for ranked, positive in zip(rankings, truth):
         if positive is None:
             raise ContractError("query without a ground-truth positive")
-        for doc_id, _ in itertools.islice(ranked, k):
+        for doc_id, _ in itertools.islice(ranked, min(k, sys.maxsize)):
             if doc_id == positive:
                 hits += 1
                 break
     return hits / len(rankings)
+
+
+def read_eval_pairs(path) -> tuple[list[str], list[str], list[str]]:
+    """The queries, distinct docs and each query's positive doc id of a
+    deduplicated pair corpus. Docs are numbered in order of first
+    appearance, as ``evaluate`` numbers its docs."""
+    records = dedup_pairs(ingest_pairs(path)).records
+    position: dict[str, int] = {}
+    for rec in records:
+        position.setdefault(rec.doc, len(position))
+    return ([rec.query for rec in records], list(position),
+            [_doc_id(position[rec.doc]) for rec in records])
 
 
 def evaluate(
@@ -306,7 +298,6 @@ def evaluate(
     layer: int,
     dim: int,
     ks: list[int],
-    doc_ids: list[str] | None = None,
     query_len: int | None = None,
     doc_len: int | None = None,
 ) -> EvalReport:
@@ -316,11 +307,11 @@ def evaluate(
     ``doc_len``; either cap defaults to the model's ``max_seq``.
     """
     return _evaluate_cells(params, config, vocab, queries, docs, truth, [(layer, dim)], ks,
-                           doc_ids, query_len, doc_len)[0]
+                           query_len, doc_len)[0]
 
 
 def _evaluate_cells(params, config, vocab, queries, docs, truth, cells, ks,
-                    doc_ids=None, query_len=None, doc_len=None) -> list[EvalReport]:
+                    query_len=None, doc_len=None) -> list[EvalReport]:
     """Encode the docs once and the queries once at every layer the cells
     name, then search and score each cell from those pooled rows."""
     if not all(1 <= dim <= config.hidden for _, dim in cells):  # the encoder checks layers
@@ -330,7 +321,7 @@ def _evaluate_cells(params, config, vocab, queries, docs, truth, cells, ks,
     doc_pooled = encode_corpus(params, config, vocab, docs, layers, seq_len=doc_len)
     query_pooled = encode_corpus(params, config, vocab, queries, layers, seq_len=query_len)
     encode_ms = (time.perf_counter() - t0) * 1e3
-    ids = tuple(doc_ids) if doc_ids is not None else tuple(f"d{i:06d}" for i in range(len(docs)))
+    ids = tuple(map(_doc_id, range(len(docs))))
     k_max = max(ks)
     reports = []
     for layer, dim in cells:
@@ -343,7 +334,7 @@ def _evaluate_cells(params, config, vocab, queries, docs, truth, cells, ks,
         recalls = {k: recall_at_k(rankings, truth, k) for k in sorted(ks)}
         reports.append(EvalReport(recalls=recalls, n_queries=len(queries), layer=layer,
                                   dim=dim, encode_ms=encode_ms, search_ms=search_ms,
-                                  index_bytes=index.storage_bytes, clamped_k=k_max > len(ids)))
+                                  index_bytes=index.embeddings.nbytes, clamped_k=k_max > len(ids)))
     return reports
 
 
@@ -359,11 +350,10 @@ def tradeoff_sweep(
     ks: list[int],
     layer: int | None = None,
     dim: int | None = None,
-) -> list[TradeoffCurve]:
-    """One curve per K over the axis values, each scored as ``evaluate`` scores
-    its cell from one encoding of the docs and one of the queries. The cost
-    proxy is bytes/doc (4*d) on the dim axis and executed layers on the layer
-    axis."""
+) -> list[EvalReport]:
+    """The report of each cell along the axis, in the order of ``values``,
+    each scored as ``evaluate`` scores its cell, from one encoding of the
+    docs and one of the queries."""
     if axis not in ("dim", "layer"):
         raise ConfigError("axis must be 'dim' or 'layer'")
     if sorted(values) != list(values) or len(set(values)) != len(values):
@@ -373,11 +363,7 @@ def tradeoff_sweep(
     if axis == "layer" and (dim is None or layer is not None):
         raise ConfigError("a layer sweep takes a fixed --dim and no --layer")
     cells = [(v, dim) if axis == "layer" else (layer, v) for v in values]
-    reports = _evaluate_cells(params, config, vocab, queries, docs, truth, cells, ks)
-    return [TradeoffCurve(axis=axis, k=k, points=[
-        {"axis_value": value, "recall": rep.recalls[k],
-         "cost_proxy": 4 * rep.dim if axis == "dim" else rep.layer}
-        for value, rep in zip(values, reports)]) for k in sorted(ks)]
+    return _evaluate_cells(params, config, vocab, queries, docs, truth, cells, ks)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +372,8 @@ def tradeoff_sweep(
 
 
 def write_report_files(report: EvalReport, json_path, csv_path) -> None:
-    Path(json_path).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
+    record = asdict(report) | {"recalls": {str(k): v for k, v in report.recalls.items()}}
+    Path(json_path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n",
                                encoding="utf-8")
     lines = ["k,recall"]
     for k, r in sorted(report.recalls.items()):
@@ -394,12 +381,18 @@ def write_report_files(report: EvalReport, json_path, csv_path) -> None:
     Path(csv_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_curve_files(curves: list[TradeoffCurve], json_path, csv_path) -> None:
-    payload = [{"axis": c.axis, "k": c.k, "points": c.points} for c in curves]
-    Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+def write_curve_files(axis: str, reports: list[EvalReport], json_path, csv_path) -> None:
+    """One curve per K over the swept cells' reports, in their order. A point's
+    cost proxy is bytes/doc (4*d) on the dim axis and executed layers on the
+    layer axis."""
+    curves = [{"axis": axis, "k": k, "points": [
+        {"axis_value": getattr(r, axis), "recall": r.recalls[k],
+         "cost_proxy": 4 * r.dim if axis == "dim" else r.layer} for r in reports]}
+        for k in sorted(reports[0].recalls)]
+    Path(json_path).write_text(json.dumps(curves, indent=2, sort_keys=True) + "\n",
                                encoding="utf-8")
     lines = ["axis_value,K,recall,cost_proxy"]
     for c in curves:
-        for p in c.points:
-            lines.append(f"{p['axis_value']},{c.k},{p['recall']},{p['cost_proxy']}")
+        for p in c["points"]:
+            lines.append(f"{p['axis_value']},{c['k']},{p['recall']},{p['cost_proxy']}")
     Path(csv_path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -11,7 +11,9 @@ as the forward drops its ``Tensor`` and no backward reads it. A leaf
 accumulates gradients on the leaves. The walk releases each node it passes,
 so a graph is walked once: a second ``backward`` over it raises
 ``ContractError``. 64-bit element type is used for verification
-(finite-difference checks), 32-bit for training runs.
+(finite-difference checks), 32-bit for training runs. ``grad_check``, the
+worst relative error of the tape's gradients against central differences,
+is part of the library surface: it is how any new op or loss is verified.
 
 Every contribution to a leaf's gradient goes through one helper,
 ``_accumulate``, which computes it when it is a deferred product and adds it

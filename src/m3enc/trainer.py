@@ -8,7 +8,11 @@ with its plan), pair stages the contrastive grid objective. Every batch,
 mask, and dropout draw is addressed as a pure function of (seed, stage,
 step), so a resumed run replays the exact stream of an unbroken one. Each
 step passes its dropout generator; dropout runs when the model's
-``hidden_dropout`` is above 0.
+``hidden_dropout`` is above 0. The learning rate at each step is
+``cosine_lr`` of the stage's ``StageConfig``: a linear warmup to ``lr``,
+then a cosine decay to ``min_lr``. A step whose loss, gradient or updated
+parameters are not finite aborts the stage before its state is saved, and
+``load_checkpoint`` refuses a file holding a non-finite tensor.
 
 Checkpoint file layout: magic ``M3CK``, little-endian u32 format version,
 one line of UTF-8 JSON manifest (model config, vocabulary, tensor table
@@ -75,6 +79,9 @@ def adamw_step(named_params, grads: dict[str, np.ndarray], state: OptimizerState
     each named parameter in ``grads``.
 
     p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)
+
+    A non-finite gradient, checked before any update, or updated parameter
+    raises ``TrainingAbort`` naming the tensor and the optimizer step.
     """
     if lr < 0:
         raise ConfigError("learning rate must be non-negative")
@@ -111,6 +118,8 @@ def adamw_step(named_params, grads: dict[str, np.ndarray], state: OptimizerState
         b += a
         b *= lr
         p.data -= b
+        if not np.isfinite(p.data).all():
+            raise TrainingAbort(f"non-finite parameter {name} at optimizer step {t}")
     state.t = t
 
 
@@ -128,40 +137,6 @@ def clip_grads_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> flo
         for g in grads.values():
             g *= scale
     return norm
-
-
-# ---------------------------------------------------------------------------
-# Learning-rate schedule
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Schedule:
-    peak_lr: float
-    warmup_steps: int
-    total_steps: int
-    min_lr: float = 0.0
-
-    def __post_init__(self):
-        if self.peak_lr <= 0 or self.min_lr < 0:
-            raise ConfigError("peak_lr must be positive and min_lr non-negative")
-        if self.warmup_steps < 1 or self.total_steps <= self.warmup_steps:
-            raise ConfigError("need warmup_steps >= 1 and total_steps > warmup_steps")
-
-
-def cosine_lr(schedule: Schedule, step: int) -> float:
-    """Linear ramp 0 -> peak over the warmup, then cosine decay to min_lr.
-
-    Steps beyond total_steps clamp to min_lr.
-    """
-    if step < 0:
-        raise ConfigError("step must be non-negative")
-    if step <= schedule.warmup_steps:
-        return schedule.peak_lr * step / schedule.warmup_steps
-    if step >= schedule.total_steps:
-        return schedule.min_lr
-    frac = (step - schedule.warmup_steps) / (schedule.total_steps - schedule.warmup_steps)
-    return schedule.min_lr + 0.5 * (schedule.peak_lr - schedule.min_lr) * (1.0 + math.cos(math.pi * frac))
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +182,26 @@ class StageConfig:
                 ("checkpoint_every", self.checkpoint_every is None or self.checkpoint_every >= 1,
                  ">= 1"),
                 ("tau", self.tau > 0, "> 0"), ("mask_rate", 0 <= self.mask_rate <= 1, "in [0, 1]"),
-                ("lr", self.lr > 0, "> 0"), ("min_lr", self.min_lr >= 0, ">= 0"),
+                ("lr", self.lr > 0, "> 0"),
+                ("min_lr", 0 <= self.min_lr <= self.lr, f"in [0, lr={self.lr}]"),
                 ("warmup_steps", self.warmup_steps >= 1, ">= 1"),
                 ("mask_policy", self.mask_policy in MASK_POLICIES, f"one of {MASK_POLICIES}")):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
 
-    def schedule(self) -> Schedule:
-        total = max(self.steps, self.warmup_steps + 1)
-        return Schedule(peak_lr=self.lr, warmup_steps=self.warmup_steps,
-                        total_steps=total, min_lr=self.min_lr)
+
+def cosine_lr(stage: StageConfig, step: int) -> float:
+    """Linear ramp 0 -> lr over the stage's warmup, then cosine decay to
+    min_lr at step ``max(steps, warmup_steps + 1)``, and min_lr after it."""
+    if step < 0:
+        raise ConfigError("step must be non-negative")
+    warmup, total = stage.warmup_steps, max(stage.steps, stage.warmup_steps + 1)
+    if step <= warmup:
+        return stage.lr * step / warmup
+    if step >= total:
+        return stage.min_lr
+    frac = (step - warmup) / (total - warmup)
+    return stage.min_lr + 0.5 * (stage.lr - stage.min_lr) * (1.0 + math.cos(math.pi * frac))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +334,8 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 
 def load_checkpoint(path) -> TrainState:
-    """Read and verify an M3CK container (magic, version, length, checksums)."""
+    """Read and verify an M3CK container (magic, version, length, checksums,
+    finite tensors)."""
     try:
         raw = Path(path).read_bytes()
     except OSError as e:
@@ -376,16 +362,6 @@ def load_checkpoint(path) -> TrainState:
                               f"and rng.base_seed an integer, got {step!r}, {stage!r}, "
                               f"{base_seed!r}")
     _check_tensor_table(path, tensors)
-    # the config fixes every parameter shape; check its extents against the
-    # table before allocating parameters for it
-    shapes = {t["name"]: t["shape"] for t in tensors}
-    m = config.hidden
-    for name, shape in (("token_embedding", [config.vocab, m]),
-                        ("position_embedding", [config.max_seq, m]),
-                        (f"layers.{config.n_layers - 1}.ffn_down", [config.intermediate, m])):
-        if shapes.get(f"param/{name}") != shape:
-            raise CheckpointError(f"{path}: tensor param/{name} is missing or not of the "
-                                  f"shape {shape} that the model config implies")
     payload = raw[nl + 1:]
     expected = sum(t["nbytes"] for t in tensors)
     if len(payload) != expected:
@@ -398,6 +374,8 @@ def load_checkpoint(path) -> TrainState:
         if len(chunk) != t["nbytes"] or zlib.crc32(chunk) != t["crc32"]:
             raise CheckpointError(f"{path}: checksum mismatch for tensor {t['name']}")
         arrays[t["name"]] = np.frombuffer(chunk, dtype=t["dtype"]).reshape(t["shape"]).copy()
+        if not np.isfinite(arrays[t["name"]]).all():
+            raise CheckpointError(f"{path}: tensor {t['name']} holds non-finite values")
 
     def stored(name, shape):
         key = f"param/{name}"
@@ -505,8 +483,8 @@ def run_stage(
     Batches are drawn from ``source.batch(rng, batch_size)`` with a
     per-(seed, stage, step) generator. A fresh optimizer is created unless
     the state resumes the same stage mid-flight, from ``state.step``. On a
-    non-finite loss or gradient the stage aborts; the last checkpoint on disk
-    stays intact. Each step record carries the step's ``wall_ms`` and
+    non-finite loss, gradient or updated parameter the stage aborts; the last
+    checkpoint on disk stays intact. Each step record carries the step's ``wall_ms`` and
     ``cpu_ms``, the process's CPU time over every thread (``process_time``).
     The ``stage_end`` record carries the process's peak resident set so far,
     ``max_rss_mb`` (``getrusage``'s ``ru_maxrss``).
@@ -516,7 +494,6 @@ def run_stage(
         state.opt = OptimizerState.init(state.params.named())
     state.stage = stage.name
     state.step = start_step
-    schedule = stage.schedule()
     named = state.params.named()
     last_ckpt = None
 
@@ -539,7 +516,7 @@ def run_stage(
                 grad_norm = clip_grads_global_norm(grads, stage.grad_clip)
             else:
                 grad_norm = global_grad_norm(grads)
-            lr = cosine_lr(schedule, i + 1)
+            lr = cosine_lr(stage, i + 1)
             adamw_step(named, grads, state.opt, lr)
             del grads  # not held through the next step's forward and backward
         except (NumericsError, TrainingAbort) as e:

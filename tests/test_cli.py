@@ -132,12 +132,12 @@ def test_top_level_eval_key_is_unknown(workdir, capsys):
 @pytest.mark.parametrize("key,value", [
     ("tile", 0), ("grad_clip", -1.0), ("grad_clip", 0.0), ("checkpoint_every", -1),
     ("checkpoint_every", 0), ("tau", 0), ("tau", -0.05), ("mask_rate", 2.0),
-    ("mask_rate", -0.1), ("lr", 0), ("lr", -1e-3), ("min_lr", -1e-4), ("warmup_steps", 0),
-    ("mask_policy", "bogus"),
+    ("mask_rate", -0.1), ("lr", 0), ("lr", -1e-3), ("min_lr", -1e-4), ("min_lr", 1e308),
+    ("warmup_steps", 0), ("mask_policy", "bogus"),
 ], ids=["tile-zero", "grad_clip-negative", "grad_clip-zero", "checkpoint_every-negative",
         "checkpoint_every-zero", "tau-zero", "tau-negative", "mask_rate-above-1",
-        "mask_rate-negative", "lr-zero", "lr-negative", "min_lr-negative", "warmup_steps-zero",
-        "mask_policy-unknown"])
+        "mask_rate-negative", "lr-zero", "lr-negative", "min_lr-negative", "min_lr-above-lr",
+        "warmup_steps-zero", "mask_policy-unknown"])
 def test_stage_value_out_of_range_exits_2(workdir, capsys, key, value):
     cfg = base_config(outdir=f"range-{key}-{value}")
     i = 0 if key.startswith("mask_") else 2  # masking keys are read by mlm stages only
@@ -372,6 +372,17 @@ def test_wrong_command_for_config_exits_2(workdir, capsys):
     assert "no stage of kind" in capsys.readouterr().err
 
 
+def test_update_to_nonfinite_weights_exits_1_and_saves_nothing(workdir, capsys):
+    cfg = base_config(outdir="huge-lr")
+    cfg["stages"] = [dict(cfg["stages"][0], name="mlm", steps=1, lr=1e300, checkpoint_every=1)]
+    path = write_config(workdir, cfg, "huge-lr.json")
+    assert cli.main(["pretrain", "--config", str(path)]) == 1
+    assert "stage mlm aborted at step 0: non-finite parameter" in capsys.readouterr().err
+    assert not list((workdir / "huge-lr").glob("*.m3ck*"))
+    last = json.loads((workdir / "huge-lr" / "metrics.jsonl").read_text().splitlines()[-1])
+    assert last["event"] == "abort" and last["last_checkpoint"] is None
+
+
 # ---------------------------------------------------------------------------
 # eval and sweep
 # ---------------------------------------------------------------------------
@@ -429,9 +440,9 @@ def test_sweep_matches_library_eval(workdir, pretrained):
     csv_recall = float((out / "sweep-dim.csv").read_text().splitlines()[1].split(",")[2])
     from m3enc import evalkit as ek
     state = tr.load_checkpoint(pretrained)
-    queries, docs, truth, doc_ids = cli._load_eval_pairs(workdir / "eval.tsv")
+    queries, docs, truth = ek.read_eval_pairs(workdir / "eval.tsv")
     rep = ek.evaluate(state.params, state.config, state.vocab, queries, docs, truth,
-                      layer=2, dim=16, ks=[5], doc_ids=doc_ids)
+                      layer=2, dim=16, ks=[5])
     assert csv_recall == rep.recalls[5]
 
 
@@ -541,10 +552,9 @@ def test_ablate_base_arm_matches_plain_pipeline(workdir):
     # evaluated at the eval spec's query_len/doc_len, as the ablation does
     from m3enc import evalkit as ek
     plain_state = tr.load_checkpoint(out / "final.m3ck")
-    queries, docs, truth, doc_ids = cli._load_eval_pairs(workdir / "eval.tsv")
+    queries, docs, truth = ek.read_eval_pairs(workdir / "eval.tsv")
     report = ek.evaluate(plain_state.params, plain_state.config, plain_state.vocab, queries,
-                         docs, truth, layer=2, dim=16, ks=[1, 5], doc_ids=doc_ids,
-                         query_len=8, doc_len=10)
+                         docs, truth, layer=2, dim=16, ks=[1, 5], query_len=8, doc_len=10)
     assert float(base_row[2]) == report.recalls[1]
     assert float(base_row[3]) == report.recalls[5]
     # and the trained weights themselves agree
@@ -567,7 +577,7 @@ def test_ablate_eval_lengths_reach_encode_corpus(workdir, monkeypatch):
     monkeypatch.setattr(config, "ABLATION_ARMS", {"base": {}})
     path = write_config(workdir, ablate_config("ab-len"), "ablate-len.json")
     assert cli.main(["ablate", "--config", str(path)]) == 0
-    queries, docs, _, _ = cli._load_eval_pairs(workdir / "eval.tsv")
+    queries, docs, _ = ek.read_eval_pairs(workdir / "eval.tsv")
     assert seen == [(docs, 10), (queries, 8)]
 
 
@@ -890,6 +900,29 @@ def test_out_of_range_cli_value_exits_2(workdir, pretrained, case):
     # and nothing is written
     assert exit_code(OUT_OF_RANGE[case](workdir, pretrained)) == 2
     assert not (workdir / "cli-out").exists()
+
+
+HUGE_K = "99999999999999999999"  # beyond sys.maxsize
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("eval", ["--layer", "2", "--dim", "16"]),
+    ("sweep", ["--axis", "dim", "--values", "4,16", "--layer", "2"]),
+], ids=["eval", "sweep"])
+def test_k_beyond_the_pool_ranks_the_whole_pool(workdir, pretrained, capsys, command, flags):
+    out = workdir / f"huge-k-{command}"
+    assert exit_code([command, str(pretrained), str(workdir / "eval.tsv"), *flags,
+                      "--k", f"5,{HUGE_K}", "--output", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    if command == "eval":
+        report = json.loads((out / "report.json").read_text())
+        assert report["clamped_k"]
+        recalls = [report["recalls"][HUGE_K]]
+    else:
+        rows = [line.split(",") for line in (out / "sweep-dim.csv").read_text().splitlines()]
+        recalls = [float(recall) for _, k, recall, _ in rows[1:] if k == HUGE_K]
+    # every positive is in the pool, and each ranking holds the whole pool
+    assert recalls and all(r == 1.0 for r in recalls)
 
 
 @pytest.mark.parametrize("flag", ["layer", "dim"])

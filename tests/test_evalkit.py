@@ -1,5 +1,7 @@
 """Evaluation kit tests: exact search oracles, recall, sweeps, report files."""
 
+import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -580,29 +582,29 @@ def test_sweep_single_value_matches_direct():
     params, cfg, vocab, docs = model_setup()
     queries = [" ".join(d.split()[:3]) for d in docs[:8]]
     truth = [f"d{i:06d}" for i in range(8)]
-    curves = ek.tradeoff_sweep(params, cfg, vocab, queries, docs[:8], truth,
-                               axis="dim", values=[8], ks=[3], layer=2)
+    [swept] = ek.tradeoff_sweep(params, cfg, vocab, queries, docs[:8], truth,
+                                axis="dim", values=[8], ks=[3], layer=2)
     direct = ek.evaluate(params, cfg, vocab, queries, docs[:8], truth, layer=2, dim=8,
                          ks=[3])
-    assert curves[0].points[0]["recall"] == direct.recalls[3]
-    assert curves[0].points[0]["cost_proxy"] == 32
+    untimed = dict(encode_ms=0.0, search_ms=0.0)
+    assert dataclasses.replace(swept, **untimed) == dataclasses.replace(direct, **untimed)
+    assert swept.index_bytes == 8 * 8 * 4
 
 
 def test_sweep_axis_shape_and_validation():
     params, cfg, vocab, docs = model_setup()
     queries = [" ".join(d.split()[:3]) for d in docs[:6]]
     truth = [f"d{i:06d}" for i in range(6)]
-    curves = ek.tradeoff_sweep(params, cfg, vocab, queries, docs[:6], truth,
-                               axis="dim", values=[4, 8, 16], ks=[1, 3], layer=2)
-    assert len(curves) == 2
-    for c in curves:
-        xs = [p["axis_value"] for p in c.points]
-        assert xs == [4, 8, 16]
-        assert all(0.0 <= p["recall"] <= 1.0 for p in c.points)
-    layer_curves = ek.tradeoff_sweep(
+    reports = ek.tradeoff_sweep(params, cfg, vocab, queries, docs[:6], truth,
+                                axis="dim", values=[4, 8, 16], ks=[1, 3], layer=2)
+    assert [(r.layer, r.dim) for r in reports] == [(2, 4), (2, 8), (2, 16)]
+    for r in reports:
+        assert list(r.recalls) == [1, 3]
+        assert all(0.0 <= v <= 1.0 for v in r.recalls.values())
+    layer_reports = ek.tradeoff_sweep(
         params, cfg, vocab, queries, docs[:6], truth,
         axis="layer", values=[2, 4], ks=[1], dim=8)
-    assert [p["cost_proxy"] for p in layer_curves[0].points] == [2, 4]
+    assert [(r.layer, r.dim) for r in layer_reports] == [(2, 8), (4, 8)]
     with pytest.raises(ConfigError):
         ek.tradeoff_sweep(params, cfg, vocab, queries, docs[:6], truth,
                           axis="dim", values=[8, 4], ks=[1], layer=2)
@@ -619,12 +621,13 @@ def test_sweep_equals_per_cell_evaluate(axis, values, fixed):
     params, cfg, vocab, docs = model_setup()
     queries = [" ".join(d.split()[:2]) for d in docs]
     truth = [f"d{i:06d}" for i in range(len(docs))]
-    curves = ek.tradeoff_sweep(params, cfg, vocab, queries, docs, truth, axis=axis,
-                               values=values, ks=[1, 5, 20], **fixed)
-    for value, *points in zip(values, *(c.points for c in curves)):
+    reports = ek.tradeoff_sweep(params, cfg, vocab, queries, docs, truth, axis=axis,
+                                values=values, ks=[1, 5, 20], **fixed)
+    for value, swept in zip(values, reports, strict=True):
         cell = {"layer": fixed.get("layer", value), "dim": fixed.get("dim", value)}
         direct = ek.evaluate(params, cfg, vocab, queries, docs, truth, ks=[1, 5, 20], **cell)
-        assert [p["recall"] for p in points] == [direct.recalls[k] for k in (1, 5, 20)]
+        assert (swept.layer, swept.dim) == (cell["layer"], cell["dim"])
+        assert [swept.recalls[k] for k in (1, 5, 20)] == [direct.recalls[k] for k in (1, 5, 20)]
 
 
 @pytest.mark.parametrize("axis,values,fixed,taps", [
@@ -661,10 +664,16 @@ def test_report_and_curve_files(tmp_path):
                            encode_ms=1.0, search_ms=0.5, index_bytes=128)
     ek.write_report_files(report, tmp_path / "r.json", tmp_path / "r.csv")
     assert (tmp_path / "r.csv").read_text().splitlines()[0] == "k,recall"
-    curve = ek.TradeoffCurve(axis="dim", k=10,
-                             points=[{"axis_value": 4, "recall": 0.5, "cost_proxy": 16},
-                                     {"axis_value": 8, "recall": 0.7, "cost_proxy": 32}])
-    ek.write_curve_files([curve], tmp_path / "c.json", tmp_path / "c.csv")
-    lines = (tmp_path / "c.csv").read_text().splitlines()
-    assert lines[0] == "axis_value,K,recall,cost_proxy"
-    assert len(lines) == 3
+    assert json.loads((tmp_path / "r.json").read_text())["recalls"] == {"1": 0.5, "10": 0.75}
+    # one curve per K; the cost proxy is bytes/doc on the dim axis, layers on the layer axis
+    narrow = dataclasses.replace(report, layer=1, dim=4, recalls={1: 0.25, 10: 0.5})
+    for axis, costs in (("dim", (16, 32)), ("layer", (1, 2))):
+        ek.write_curve_files(axis, [narrow, report], tmp_path / "c.json", tmp_path / "c.csv")
+        xs = (4, 8) if axis == "dim" else (1, 2)
+        assert (tmp_path / "c.csv").read_text() == (
+            f"axis_value,K,recall,cost_proxy\n{xs[0]},1,0.25,{costs[0]}\n{xs[1]},1,0.5,{costs[1]}\n"
+            f"{xs[0]},10,0.5,{costs[0]}\n{xs[1]},10,0.75,{costs[1]}\n")
+        curves = json.loads((tmp_path / "c.json").read_text())
+        assert [(c["axis"], c["k"]) for c in curves] == [(axis, 1), (axis, 10)]
+        assert curves[1]["points"][1] == {"axis_value": xs[1], "recall": 0.75,
+                                          "cost_proxy": costs[1]}

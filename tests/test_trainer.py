@@ -87,6 +87,13 @@ def test_adamw_rejects_nonfinite_gradient():
         tr.adamw_step(named, {"w": bad}, state, lr=0.1)
 
 
+def test_adamw_rejects_an_update_that_leaves_a_parameter_nonfinite():
+    named = [("w", Tensor(np.ones((4, 3), dtype=np.float32), requires_grad=True))]
+    state = tr.OptimizerState.init(named)
+    with pytest.raises(TrainingAbort, match="non-finite parameter w at optimizer step 1"):
+        tr.adamw_step(named, {"w": np.ones((4, 3), dtype=np.float32)}, state, lr=1e300)
+
+
 def test_adamw_rejects_gradient_of_wrong_shape():
     named = make_params(5)
     before = named[0][1].data.copy()
@@ -110,8 +117,13 @@ def test_grad_clip_global_norm():
 # ---------------------------------------------------------------------------
 
 
+def schedule(lr, warmup_steps, steps, min_lr=0.0):
+    return tr.StageConfig(name="s", stage="pretrain_mlm", steps=steps, batch_size=1, lr=lr,
+                          warmup_steps=warmup_steps, min_lr=min_lr)
+
+
 def test_cosine_lr_boundaries_and_midpoint():
-    s = tr.Schedule(peak_lr=1e-3, warmup_steps=100, total_steps=1100, min_lr=1e-5)
+    s = schedule(lr=1e-3, warmup_steps=100, steps=1100, min_lr=1e-5)
     assert tr.cosine_lr(s, 0) == 0.0
     assert tr.cosine_lr(s, 100) == 1e-3
     assert tr.cosine_lr(s, 1100) == 1e-5
@@ -121,7 +133,7 @@ def test_cosine_lr_boundaries_and_midpoint():
 
 
 def test_cosine_lr_continuous_and_monotone():
-    s = tr.Schedule(peak_lr=2e-4, warmup_steps=10, total_steps=200)
+    s = schedule(lr=2e-4, warmup_steps=10, steps=200)
     values = [tr.cosine_lr(s, t) for t in range(0, 201)]
     np.testing.assert_allclose(values[10], 2e-4, rtol=1e-12)
     assert abs(values[11] - values[10]) < 2e-4 * 0.01  # no jump at the boundary
@@ -133,9 +145,14 @@ def test_cosine_lr_continuous_and_monotone():
 
 def test_schedule_validation():
     with pytest.raises(ConfigError):
-        tr.Schedule(peak_lr=1e-3, warmup_steps=0, total_steps=10)
-    with pytest.raises(ConfigError):
-        tr.Schedule(peak_lr=1e-3, warmup_steps=10, total_steps=10)
+        schedule(lr=1e-3, warmup_steps=0, steps=10)
+    # a stage no longer than its warmup decays to min_lr one step after it
+    s = schedule(lr=1e-3, warmup_steps=10, steps=10, min_lr=1e-5)
+    assert tr.cosine_lr(s, 10) == 1e-3
+    assert tr.cosine_lr(s, 11) == 1e-5
+    assert tr.cosine_lr(schedule(lr=1e-3, warmup_steps=1, steps=3, min_lr=1e-3), 3) == 1e-3
+    with pytest.raises(ConfigError, match="min_lr"):
+        schedule(lr=1e-3, warmup_steps=1, steps=3, min_lr=1e308)
 
 
 def test_stage_config_validation():
@@ -385,6 +402,21 @@ def test_every_stage_kind_runs_one_encoder_forward_per_step(monkeypatch):
 # ---------------------------------------------------------------------------
 # checkpointing
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["param/token_embedding", "opt.m/mlm_head_w",
+                                  "opt.v/layers.0.ffn_down"])
+def test_checkpoint_with_a_nonfinite_tensor_names_it(tmp_path, name):
+    state, source = tiny_setup()
+    tr.run_stage(mlm_stage(1), state, source, ListSink())
+    kind, tensor = name.split("/")
+    arrays = {"param": {n: p.data for n, p in state.params.named()},
+              "opt.m": state.opt.m, "opt.v": state.opt.v}[kind]
+    arrays[tensor][0, 0] = np.inf
+    path = tmp_path / "inf.m3ck"
+    tr.save_checkpoint(state, path)
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: tensor {name} holds non-finite")):
+        tr.load_checkpoint(path)
 
 
 def test_checkpoint_roundtrip_bytes(tmp_path):
