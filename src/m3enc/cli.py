@@ -147,8 +147,8 @@ def _build_source(spec, vocab):
                                        mask_rate=spec.stage.mask_rate,
                                        smoothing=spec.smoothing,
                                        policy=spec.stage.mask_policy)
-    store = D.cap_per_query(D.dedup_pairs(D.ingest_pairs(spec.data.path)), cap=64)
-    return D.PairSource(vocab, store.records, query_len=spec.query_len,
+    pairs = D.cap_per_query(D.dedup_pairs(D.ingest_pairs(spec.data.path)), cap=64)
+    return D.PairSource(vocab, pairs, query_len=spec.query_len,
                         doc_len=spec.doc_len)
 
 
@@ -160,8 +160,7 @@ def _vocab_text_source(run, specs):
         if spec.data.kind == "mono":
             return D.read_text_corpus(spec.data.path)
         if spec.data.kind == "pairs":
-            store = D.ingest_pairs(spec.data.path)
-            return [f"{r.query} {r.doc}" for r in store.records]
+            return [f"{r.query} {r.doc}" for r in D.ingest_pairs(spec.data.path)]
     from .errors import ConfigError
     raise ConfigError("cannot build a vocabulary: set vocab_corpus or include a "
                       "mono/pairs stage")

@@ -118,7 +118,6 @@ class StageSpec:
 
 @dataclass
 class EvalSpec:
-    name: str
     path: Path
     layer: int
     dim: int
@@ -173,7 +172,7 @@ _STAGE_DATA = {"pretrain_mlm": ("mono", "multi"), "distill": ("mono", "multi"),
 _STAGE_FIELDS = tuple(f.name for f in fields(StageConfig)
                       if f.name not in ("granularity", "distill_plan"))
 
-_EVAL_REQUIRED = {"name": str, "data": str, "layer": int, "dim": int, "k": list}
+_EVAL_REQUIRED = {"data": str, "layer": int, "dim": int, "k": list}
 _EVAL_OPTIONAL = {"query_len": int, "doc_len": int}
 
 
@@ -294,12 +293,8 @@ def _parse_eval(c: _Checker, raw: dict, path: str, model: ModelConfig,
     data_path = base_dir / raw["data"]
     if not data_path.is_file():
         c.fail(f"{path}.data", f"file does not exist: {data_path}")
-    if raw["layer"] not in model.granularity.layers:
-        c.fail(f"{path}.layer", f"layer {raw['layer']} not in model granularity "
-                                f"{list(model.granularity.layers)}")
-    if raw["dim"] not in model.granularity.dims:
-        c.fail(f"{path}.dim", f"dim {raw['dim']} not in model granularity "
-                              f"{list(model.granularity.dims)}")
+    _in_model_grid(c, (raw["layer"],), (raw["dim"],), model.granularity,
+                   f"{path}.layer", f"{path}.dim")
     for key in ("query_len", "doc_len"):
         if key in raw and not (3 <= raw[key] <= model.max_seq):
             c.fail(f"{path}.{key}", f"must be in [3, max_seq={model.max_seq}]")
@@ -309,7 +304,7 @@ def _parse_eval(c: _Checker, raw: dict, path: str, model: ModelConfig,
     if not ks or min(ks) < 1:
         c.fail(f"{path}.k", "must be a non-empty list of positive integers")
         return None
-    return EvalSpec(name=raw["name"], path=data_path, layer=raw["layer"], dim=raw["dim"],
+    return EvalSpec(path=data_path, layer=raw["layer"], dim=raw["dim"],
                     ks=tuple(sorted(set(ks))), **_present(raw, _EVAL_OPTIONAL))
 
 

@@ -1,6 +1,10 @@
 """Corpus handling: vocabulary, MLM masking, multilingual smoothing,
 query-document pair ingestion, and deterministic batch assembly.
 
+The readers and filters pass plain values: a corpus is a list of documents,
+a multilingual corpus a dict of them per language, and a pair corpus a list
+of ``PairRecord``. A smoothed language mixture is a dict of weights.
+
 File formats understood here:
 
 * monolingual corpus: UTF-8 plain text, one document per line
@@ -47,32 +51,26 @@ MAX_MALFORMED_FRACTION = 0.10
 
 @dataclass(frozen=True)
 class Vocab:
+    """The special tokens in ``SPECIAL_TOKENS`` order, then distinct words;
+    a token's id is its position."""
+
     id_to_token: tuple[str, ...]
-    token_to_id: dict[str, int] = field(repr=False)
+    token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
+    pad_id, unk_id, cls_id, sep_id, mask_id = range(len(SPECIAL_TOKENS))
+
+    def __post_init__(self):
+        specials = self.id_to_token[:len(SPECIAL_TOKENS)]
+        if specials != SPECIAL_TOKENS:
+            raise ContractError(f"a vocabulary starts with {SPECIAL_TOKENS}, got {specials}")
+        index = {t: i for i, t in enumerate(self.id_to_token)}
+        if len(index) != len(self.id_to_token):
+            repeated = next(t for i, t in enumerate(self.id_to_token) if index[t] != i)
+            raise ContractError(f"a vocabulary's tokens are distinct; {repeated!r} repeats")
+        object.__setattr__(self, "token_to_id", index)
 
     @property
     def size(self) -> int:
         return len(self.id_to_token)
-
-    @property
-    def pad_id(self) -> int:
-        return 0
-
-    @property
-    def unk_id(self) -> int:
-        return 1
-
-    @property
-    def cls_id(self) -> int:
-        return 2
-
-    @property
-    def sep_id(self) -> int:
-        return 3
-
-    @property
-    def mask_id(self) -> int:
-        return 4
 
 
 def build_vocab(lines, max_size: int) -> Vocab:
@@ -94,9 +92,7 @@ def build_vocab(lines, max_size: int) -> Vocab:
         raise CorpusError("empty corpus: no tokens found")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     keep = [tok for tok, _ in ranked[: max_size - len(SPECIAL_TOKENS)]]
-    id_to_token = tuple(SPECIAL_TOKENS) + tuple(keep)
-    return Vocab(id_to_token=id_to_token,
-                 token_to_id={t: i for i, t in enumerate(id_to_token)})
+    return Vocab(SPECIAL_TOKENS + tuple(keep))
 
 
 def tokenize(vocab: Vocab, text: str) -> list[int]:
@@ -165,17 +161,9 @@ def mask_tokens(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LanguageMixture:
-    smoothed: dict[str, float]
-
-    @property
-    def languages(self) -> tuple[str, ...]:
-        return tuple(sorted(self.smoothed))
-
-
-def smooth_mixture(proportions: dict[str, float], smoothing: float) -> LanguageMixture:
-    """Exponential language smoothing: P'(L) = P(L)^S / sum_K P(K)^S.
+def smooth_mixture(proportions: dict[str, float], smoothing: float) -> dict[str, float]:
+    """Exponential language smoothing: P'(L) = P(L)^S / sum_K P(K)^S, per
+    language.
 
     S=1 keeps the raw proportions; S=0 is uniform over the languages with
     positive mass. Raw proportions must be non-negative and sum to 1.
@@ -192,16 +180,15 @@ def smooth_mixture(proportions: dict[str, float], smoothing: float) -> LanguageM
         raise ContractError("language proportions are all zero")
     if abs(total - 1.0) > 1e-6:
         raise ContractError(f"language proportions sum to {total}, expected 1")
-    langs = list(proportions.keys())
     powered = np.where(values > 0, values ** smoothing, 0.0)
     powered /= powered.sum()
-    smoothed = {lang: float(p) for lang, p in zip(langs, powered)}
-    return LanguageMixture(smoothed=smoothed)
+    return {lang: float(p) for lang, p in zip(proportions, powered)}
 
 
-def sample_language(mixture: LanguageMixture, rng: np.random.Generator) -> str:
-    langs = mixture.languages
-    probs = np.array([mixture.smoothed[l] for l in langs], dtype=np.float64)
+def sample_language(mixture: dict[str, float], rng: np.random.Generator) -> str:
+    """One language drawn from ``mixture``, over its languages in sorted order."""
+    langs = sorted(mixture)
+    probs = np.array([mixture[l] for l in langs], dtype=np.float64)
     probs /= probs.sum()
     return str(rng.choice(np.array(langs, dtype=object), p=probs))
 
@@ -215,15 +202,6 @@ def sample_language(mixture: LanguageMixture, rng: np.random.Generator) -> str:
 class PairRecord:
     query: str
     doc: str
-
-
-@dataclass
-class PairStore:
-    records: list[PairRecord]
-    skipped: list[tuple[int, str]] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 def _decode_lines(path) -> list[str]:
@@ -264,60 +242,51 @@ def read_multilingual_corpus(path) -> dict[str, list[str]]:
     return groups
 
 
-def ingest_pairs(path) -> PairStore:
-    """Load ``query<TAB>doc[<TAB>extra]`` pairs; a third column is ignored.
+def ingest_pairs(path) -> list[PairRecord]:
+    """The ``query<TAB>doc[<TAB>extra]`` pairs of ``path``, in file order; a
+    third column is ignored.
 
-    Malformed lines are recorded with their line number and skipped; if more
-    than ``MAX_MALFORMED_FRACTION`` of non-blank lines are malformed the
-    whole ingest aborts.
+    A malformed line is skipped. If more than ``MAX_MALFORMED_FRACTION`` of
+    the non-blank lines are malformed, the ingest aborts with an error naming
+    the first of them.
     """
     records: list[PairRecord] = []
-    skipped: list[tuple[int, str]] = []
-    n_lines = 0
+    malformed: list[int] = []  # line numbers
     for i, line in enumerate(_decode_lines(path), start=1):
         if not line.strip():
             continue
-        n_lines += 1
         parts = line.split("\t")
         if len(parts) not in (2, 3) or not parts[0].strip() or not parts[1].strip():
-            skipped.append((i, "expected 'query<TAB>doc[<TAB>extra]'"))
+            malformed.append(i)
             continue
         records.append(PairRecord(query=parts[0].strip(), doc=parts[1].strip()))
+    n_lines = len(records) + len(malformed)
     if n_lines == 0:
         raise CorpusError(f"{path}: no pairs found")
-    if len(skipped) > MAX_MALFORMED_FRACTION * n_lines:
+    if len(malformed) > MAX_MALFORMED_FRACTION * n_lines:
         raise CorpusError(
-            f"{path}: {len(skipped)}/{n_lines} malformed lines exceeds "
-            f"{MAX_MALFORMED_FRACTION:.0%}; first: line {skipped[0][0]} ({skipped[0][1]})")
-    return PairStore(records=records, skipped=skipped)
+            f"{path}: {len(malformed)}/{n_lines} malformed lines exceeds "
+            f"{MAX_MALFORMED_FRACTION:.0%}; first: line {malformed[0]} "
+            "(expected 'query<TAB>doc[<TAB>extra]')")
+    return records
 
 
-def dedup_pairs(store: PairStore) -> PairStore:
+def dedup_pairs(records: list[PairRecord]) -> list[PairRecord]:
     """Drop exact (query, doc) duplicates, keeping the first occurrence."""
-    seen: set[tuple[str, str]] = set()
-    kept = []
-    for rec in store.records:
-        key = (rec.query, rec.doc)
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append(rec)
-    return PairStore(records=kept, skipped=list(store.skipped))
+    return list(dict.fromkeys(records))
 
 
-def cap_per_query(store: PairStore, cap: int) -> PairStore:
+def cap_per_query(records: list[PairRecord], cap: int) -> list[PairRecord]:
     """Keep at most ``cap`` pairs per distinct query, first-come."""
     if cap < 1:
         raise ContractError("cap must be at least 1")
-    counts: dict[str, int] = {}
+    seen: Counter[str] = Counter()
     kept = []
-    for rec in store.records:
-        n = counts.get(rec.query, 0)
-        if n >= cap:
-            continue
-        counts[rec.query] = n + 1
-        kept.append(rec)
-    return PairStore(records=kept, skipped=list(store.skipped))
+    for rec in records:
+        seen[rec.query] += 1
+        if seen[rec.query] <= cap:
+            kept.append(rec)
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -430,17 +399,14 @@ class MultilingualMlmSource(MlmSource):
         if not groups:
             raise CorpusError("MultilingualMlmSource requires at least one language")
         total = sum(len(v) for v in groups.values())
-        raw = {lang: len(v) / total for lang, v in groups.items()}
-        self.mixture = smooth_mixture(raw, smoothing)
-        self.by_lang = {}
-        all_texts = []
+        self.mixture = smooth_mixture({lang: len(v) / total for lang, v in groups.items()},
+                                      smoothing)
+        # the documents of each language in sorted order, and each one's rows
+        texts, self.by_lang = [], {}
         for lang in sorted(groups):
-            idx = []
-            for t in groups[lang]:
-                idx.append(len(all_texts))
-                all_texts.append(t)
-            self.by_lang[lang] = np.array(idx)
-        super().__init__(vocab, all_texts, seq_len, mask_rate, policy)
+            self.by_lang[lang] = np.arange(len(texts), len(texts) + len(groups[lang]))
+            texts += groups[lang]
+        super().__init__(vocab, texts, seq_len, mask_rate, policy)
 
     def batch(self, rng: np.random.Generator, batch_size: int) -> MlmBatch:
         rows = np.empty(batch_size, dtype=np.int64)

@@ -82,9 +82,6 @@ class GranularitySet:
     def grid(self) -> list[tuple[int, int]]:
         return [(l, d) for l in self.layers for d in self.dims]
 
-    def __len__(self) -> int:
-        return len(self.layers) * len(self.dims)
-
 
 @dataclass(frozen=True)
 class ModelConfig:

@@ -280,7 +280,7 @@ def read_eval_pairs(path) -> tuple[list[str], list[str], list[str]]:
     """The queries, distinct docs and each query's positive doc id of a
     deduplicated pair corpus. Docs are numbered in order of first
     appearance, as ``evaluate`` numbers its docs."""
-    records = dedup_pairs(ingest_pairs(path)).records
+    records = dedup_pairs(ingest_pairs(path))
     position: dict[str, int] = {}
     for rec in records:
         position.setdefault(rec.doc, len(position))

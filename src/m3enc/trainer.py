@@ -39,7 +39,8 @@ from . import encoder as enc
 from . import objectives as obj
 from .data import MASK_POLICIES, Vocab
 from .encoder import GranularitySet, ModelConfig, Parameters
-from .errors import CheckpointError, ConfigError, NumericsError, TrainingAbort, writing
+from .errors import (CheckpointError, ConfigError, ContractError, NumericsError, TrainingAbort,
+                     writing)
 from .objectives import DistillPlan, LossReport
 from .rng import named_rng
 from .tensor import zero_grads
@@ -80,8 +81,9 @@ def adamw_step(named_params, grads: dict[str, np.ndarray], state: OptimizerState
 
     p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)
 
-    A non-finite gradient, checked before any update, or updated parameter
-    raises ``TrainingAbort`` naming the tensor and the optimizer step.
+    A non-finite gradient, checked before any update, second moment or
+    updated parameter raises ``TrainingAbort`` naming the tensor and the
+    optimizer step.
     """
     if lr < 0:
         raise ConfigError("learning rate must be non-negative")
@@ -109,6 +111,8 @@ def adamw_step(named_params, grads: dict[str, np.ndarray], state: OptimizerState
         np.multiply(g, g, out=a)
         a *= 1.0 - b2
         v += a
+        if not np.isfinite(v).all():  # |m| <= max|g|, but g*g can overflow
+            raise TrainingAbort(f"non-finite optimizer moment opt.v/{name} at optimizer step {t}")
         np.divide(v, bc2, out=a)  # v_hat
         np.sqrt(a, out=a)
         a += state.eps
@@ -335,7 +339,7 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 def load_checkpoint(path) -> TrainState:
     """Read and verify an M3CK container (magic, version, length, checksums,
-    finite tensors)."""
+    finite tensors, a well-formed vocabulary with one token per embedding row)."""
     try:
         raw = Path(path).read_bytes()
     except OSError as e:
@@ -409,8 +413,13 @@ def load_checkpoint(path) -> TrainState:
     if vocab_tokens is not None:
         if not (isinstance(vocab_tokens, list) and all(isinstance(t, str) for t in vocab_tokens)):
             raise CheckpointError(f"{path}: vocabulary must be a list of strings")
-        tokens = tuple(vocab_tokens)
-        vocab = Vocab(id_to_token=tokens, token_to_id={t: i for i, t in enumerate(tokens)})
+        if len(vocab_tokens) != config.vocab:
+            raise CheckpointError(f"{path}: vocabulary has {len(vocab_tokens)} tokens for "
+                                  f"{config.vocab} embedding rows")
+        try:
+            vocab = Vocab(tuple(vocab_tokens))
+        except ContractError as e:
+            raise CheckpointError(f"{path}: {e}") from e
     return TrainState(config=config, params=params, opt=opt, step=step, stage=stage,
                       base_seed=base_seed, vocab=vocab)
 

@@ -88,6 +88,15 @@ def test_unknown_key_exits_2(workdir, capsys):
     assert "n_headz" in err and "unknown key" in err
 
 
+def test_ablate_eval_name_is_an_unknown_key_exits_2(workdir, capsys):
+    cfg = ablate_config("ab-name")
+    cfg["ablate"]["eval"]["name"] = "ab-eval"
+    path = write_config(workdir, cfg, "ablate-name.json")
+    assert cli.main(["ablate", "--config", str(path)]) == 2
+    assert "config.ablate.eval.name: unknown key" in capsys.readouterr().err
+    assert not (workdir / "ab-name").exists()
+
+
 def test_invalid_granularity_reference_exits_2(workdir, capsys):
     cfg = base_config()
     cfg["stages"].append({
@@ -512,7 +521,7 @@ def ablate_config(outdir):
                   "data": {"kind": "pairs", "path": "pairs.tsv"},
                   "steps": 2, "batch_size": 4, "lr": 1e-3, "tau": 0.05,
                   "sft_layer": 2, "sft_dims": [16], "query_len": 8, "doc_len": 10},
-        "eval": {"name": "ab-eval", "data": "eval.tsv", "layer": 2, "dim": 16,
+        "eval": {"data": "eval.tsv", "layer": 2, "dim": 16,
                  "k": [1, 5], "query_len": 8, "doc_len": 10},
     }
     return cfg
@@ -808,9 +817,17 @@ def payload_byte_flipped(raw):
     return raw[:pos] + bytes([raw[pos] ^ 0x5A]) + raw[pos + 1:]
 
 
+def vocab_cut(raw):
+    nl = raw.index(b"\n", 8)
+    manifest = json.loads(raw[8:nl])
+    manifest["vocab"] = manifest["vocab"][:7]
+    return raw[:8] + json.dumps(manifest).encode() + raw[nl:]
+
+
 DAMAGED_CHECKPOINT = {
     "truncated": (truncated, r"payload is \d+ bytes, manifest declares \d+"),
     "byte-flipped": (payload_byte_flipped, r"checksum mismatch for tensor \S+"),
+    "vocab-cut": (vocab_cut, r"vocabulary has 7 tokens for \d+ embedding rows"),
 }
 
 CHECKPOINT_READERS = {

@@ -54,7 +54,7 @@ def full_config():
             "train": {"name": "ab", "stage": "sft_mrl", "data": pairs, "steps": 1,
                       "batch_size": 2, "lr": 1e-3, "sft_layer": 2, "sft_dims": [8],
                       "query_len": 6, "doc_len": 10},
-            "eval": {"name": "ab-eval", "data": "pairs.tsv", "layer": 2, "dim": 8,
+            "eval": {"data": "pairs.tsv", "layer": 2, "dim": 8,
                      "k": [1, 5], "query_len": 6, "doc_len": 10},
         },
     }

@@ -35,6 +35,22 @@ def test_vocab_specials_and_ranking():
     assert v.token_to_id["red"] == 5
 
 
+def test_vocab_refuses_a_malformed_token_list():
+    words = ("red", "apple")
+    assert D.Vocab(D.SPECIAL_TOKENS + words).token_to_id == {
+        **{t: i for i, t in enumerate(D.SPECIAL_TOKENS)}, "red": 5, "apple": 6}
+    ids = (D.Vocab.pad_id, D.Vocab.unk_id, D.Vocab.cls_id, D.Vocab.sep_id, D.Vocab.mask_id)
+    assert tuple(D.SPECIAL_TOKENS[i] for i in ids) == (D.PAD, D.UNK, D.CLS, D.SEP, D.MASK)
+    with pytest.raises(ContractError, match="starts with"):
+        D.Vocab((D.UNK, D.PAD) + D.SPECIAL_TOKENS[2:] + words)
+    with pytest.raises(ContractError, match="starts with"):
+        D.Vocab(D.SPECIAL_TOKENS[:4])
+    with pytest.raises(ContractError, match="'red' repeats"):
+        D.Vocab(D.SPECIAL_TOKENS + words + ("red",))
+    with pytest.raises(ContractError, match="'<mask>' repeats"):
+        D.Vocab(D.SPECIAL_TOKENS + ("<mask>",) + words)
+
+
 def test_vocab_roundtrip_and_unk():
     v = small_vocab()
     ids = D.tokenize(v, "red apple plum")
@@ -175,30 +191,30 @@ def test_mask_deterministic_for_fixed_seed():
 def test_smooth_symmetric_is_fixed_point():
     for s in (0.0, 0.3, 0.7, 1.0):
         mix = D.smooth_mixture({"a": 0.5, "b": 0.5}, s)
-        assert mix.smoothed == {"a": 0.5, "b": 0.5}
+        assert mix == {"a": 0.5, "b": 0.5}
 
 
 def test_smooth_single_language():
     mix = D.smooth_mixture({"only": 1.0}, 0.7)
-    assert mix.smoothed == {"only": 1.0}
+    assert mix == {"only": 1.0}
 
 
 def test_smooth_frozen_high_precision_oracle():
     mix = D.smooth_mixture({"a": 0.81, "b": 0.19}, 0.7)
     # 50-digit computation of 0.81^0.7 / (0.81^0.7 + 0.19^0.7), frozen
-    np.testing.assert_allclose(mix.smoothed["a"], 0.73399890722207556648, atol=1e-12)
-    np.testing.assert_allclose(mix.smoothed["b"], 0.26600109277792443352, atol=1e-12)
+    np.testing.assert_allclose(mix["a"], 0.73399890722207556648, atol=1e-12)
+    np.testing.assert_allclose(mix["b"], 0.26600109277792443352, atol=1e-12)
 
 
 def test_smooth_identity_and_uniform_limits():
     p = {"a": 0.6, "b": 0.3, "c": 0.1, "d": 0.0}
     s1 = D.smooth_mixture(p, 1.0)
     for k in p:
-        np.testing.assert_allclose(s1.smoothed[k], p[k], atol=1e-15)
+        np.testing.assert_allclose(s1[k], p[k], atol=1e-15)
     s0 = D.smooth_mixture(p, 0.0)
-    assert s0.smoothed["d"] == 0.0
+    assert s0["d"] == 0.0
     for k in ("a", "b", "c"):
-        np.testing.assert_allclose(s0.smoothed[k], 1.0 / 3.0, atol=1e-15)
+        np.testing.assert_allclose(s0[k], 1.0 / 3.0, atol=1e-15)
 
 
 @given(st.integers(min_value=2, max_value=8),
@@ -211,9 +227,9 @@ def test_smooth_sum_and_order_preserved(n, s, seed):
     raw = raw / raw.sum()
     p = {f"l{i}": float(v) for i, v in enumerate(raw)}
     mix = D.smooth_mixture(p, s)
-    assert abs(sum(mix.smoothed.values()) - 1.0) <= 1e-12
+    assert abs(sum(mix.values()) - 1.0) <= 1e-12
     langs = sorted(p, key=p.get)
-    smoothed_in_raw_order = [mix.smoothed[l] for l in langs]
+    smoothed_in_raw_order = [mix[l] for l in langs]
     assert all(x <= y + 1e-15 for x, y in zip(smoothed_in_raw_order, smoothed_in_raw_order[1:]))
 
 
@@ -228,7 +244,7 @@ def test_smooth_lifts_lowest_language():
         if abs(p[low] - p[high]) < 1e-6 or p[low] == 0.0:
             continue
         mix = D.smooth_mixture(p, 0.7)
-        assert mix.smoothed[low] > p[low]
+        assert mix[low] > p[low]
 
 
 def test_smooth_validation():
@@ -251,7 +267,7 @@ def test_sample_language_multinomial_bounds():
     rng = np.random.default_rng(8)
     n = 100_000
     draws = [D.sample_language(mix, rng) for _ in range(n)]
-    for lang, p in mix.smoothed.items():
+    for lang, p in mix.items():
         count = draws.count(lang)
         sigma = np.sqrt(n * p * (1 - p))
         assert abs(count - n * p) <= 4 * sigma, f"{lang}: {count} vs {n * p}"
@@ -283,23 +299,22 @@ def test_ingest_and_dedup_and_cap(tmp_path):
         "q1\tdoc c",
         "q2\tdoc a",
     ]
-    store = D.ingest_pairs(write_pairs(tmp_path, lines))
-    assert len(store) == 5
-    deduped = D.dedup_pairs(store)
-    assert [(r.query, r.doc) for r in deduped.records] == [
+    records = D.ingest_pairs(write_pairs(tmp_path, lines))
+    assert len(records) == 5
+    deduped = D.dedup_pairs(records)
+    assert [(r.query, r.doc) for r in deduped] == [
         ("q1", "doc a"), ("q1", "doc b"), ("q1", "doc c"), ("q2", "doc a")]
     capped = D.cap_per_query(deduped, cap=2)
-    assert [(r.query, r.doc) for r in capped.records] == [
+    assert [(r.query, r.doc) for r in capped] == [
         ("q1", "doc a"), ("q1", "doc b"), ("q2", "doc a")]
     single = D.cap_per_query(deduped, cap=1)
-    assert [(r.query, r.doc) for r in single.records] == [("q1", "doc a"), ("q2", "doc a")]
+    assert [(r.query, r.doc) for r in single] == [("q1", "doc a"), ("q2", "doc a")]
 
 
 def test_dedup_cap_idempotent_and_oracle(tmp_path):
     rng = np.random.default_rng(10)
     lines = [f"q{rng.integers(0, 6)}\tdoc{rng.integers(0, 8)}" for _ in range(200)]
-    store = D.ingest_pairs(write_pairs(tmp_path, lines))
-    deduped = D.dedup_pairs(store)
+    deduped = D.dedup_pairs(D.ingest_pairs(write_pairs(tmp_path, lines)))
     # brute-force hash-set oracle
     seen, expected = set(), []
     for line in lines:
@@ -307,28 +322,27 @@ def test_dedup_cap_idempotent_and_oracle(tmp_path):
         if key not in seen:
             seen.add(key)
             expected.append(key)
-    assert [(r.query, r.doc) for r in deduped.records] == expected
+    assert [(r.query, r.doc) for r in deduped] == expected
     twice = D.dedup_pairs(deduped)
-    assert [(r.query, r.doc) for r in twice.records] == expected
+    assert [(r.query, r.doc) for r in twice] == expected
     capped = D.cap_per_query(deduped, cap=3)
     recapped = D.cap_per_query(capped, cap=3)
-    assert [(r.query, r.doc) for r in capped.records] == \
-           [(r.query, r.doc) for r in recapped.records]
+    assert [(r.query, r.doc) for r in capped] == \
+           [(r.query, r.doc) for r in recapped]
 
 
 def test_ingest_skips_malformed_with_line_numbers(tmp_path):
     lines = ["q1\tdoc a", "no-tab-line", "q2\tdoc b", "q3\tdoc c\textra\tfourth"] + \
             [f"q{i}\tdoc{i}" for i in range(40)]
-    store = D.ingest_pairs(write_pairs(tmp_path, lines))
-    assert len(store.skipped) == 2
-    assert store.skipped[0][0] == 2
-    assert store.skipped[1][0] == 4
-    assert len(store) == 42
+    records = D.ingest_pairs(write_pairs(tmp_path, lines))
+    # lines 2 and 4 are skipped
+    assert [(r.query, r.doc) for r in records] == \
+           [("q1", "doc a"), ("q2", "doc b")] + [(f"q{i}", f"doc{i}") for i in range(40)]
 
 
 def test_ingest_aborts_on_too_many_malformed(tmp_path):
     lines = ["q1\tdoc a", "bad1", "bad2", "q2\tdoc b"]
-    with pytest.raises(CorpusError):
+    with pytest.raises(CorpusError, match=r"2/4 malformed lines .*; first: line 2 "):
         D.ingest_pairs(write_pairs(tmp_path, lines))
 
 
@@ -341,9 +355,8 @@ def test_ingest_rejects_non_utf8_with_position(tmp_path):
 
 def test_ingest_ignores_third_column(tmp_path):
     lines = ["q1\tdoc a\t2024-01-01T00:00:00", "q2\tdoc b\tnot a date"]
-    store = D.ingest_pairs(write_pairs(tmp_path, lines))
-    assert [(r.query, r.doc) for r in store.records] == [("q1", "doc a"), ("q2", "doc b")]
-    assert store.skipped == []
+    records = D.ingest_pairs(write_pairs(tmp_path, lines))
+    assert [(r.query, r.doc) for r in records] == [("q1", "doc a"), ("q2", "doc b")]
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +380,8 @@ def test_multilingual_source_uses_smoothed_mixture():
     v = D.build_vocab(["aa bb cc dd"], max_size=16)
     groups = {"en": ["aa bb"] * 90, "xx": ["cc dd"] * 10}
     src = D.MultilingualMlmSource(v, groups, seq_len=6, mask_rate=0.15, smoothing=0.7)
-    np.testing.assert_allclose(sum(src.mixture.smoothed.values()), 1.0, atol=1e-12)
-    assert src.mixture.smoothed["xx"] > 0.10  # lifted above raw share
+    np.testing.assert_allclose(sum(src.mixture.values()), 1.0, atol=1e-12)
+    assert src.mixture["xx"] > 0.10  # lifted above raw share
     batch = src.batch(np.random.default_rng(12), batch_size=8)
     # every row is cls + 2 words + sep, under the cap of 6
     assert batch.ids.shape == (32,) and list(batch.lengths) == [4] * 8 and batch.width == 4

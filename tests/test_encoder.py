@@ -49,7 +49,7 @@ def test_granularity_validation():
     with pytest.raises(ConfigError):
         enc.GranularitySet(layers=(0,), dims=(4,))
     g = enc.GranularitySet(layers=(2, 4), dims=(8, 16))
-    assert len(g) == 4 and g.grid == [(2, 8), (2, 16), (4, 8), (4, 16)]
+    assert g.grid == [(2, 8), (2, 16), (4, 8), (4, 16)]
 
 
 def test_config_validation():

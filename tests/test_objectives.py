@@ -363,7 +363,7 @@ def test_contrastive_step_is_one_forward_over_both_sides():
     gran = cfg.granularity
     assert ops["attention"] == max(gran.layers)
     assert ops["pool"] == len(gran.layers)
-    assert ops["l2_normalize_rows"] == ops["tiled_contrastive_loss"] == len(gran)
+    assert ops["l2_normalize_rows"] == ops["tiled_contrastive_loss"] == len(gran.grid)
 
 
 @pytest.mark.parametrize("q_width,d_width", [(5, 9), (9, 5)])
@@ -585,7 +585,7 @@ def test_head_weight_segments_are_cut_once_per_step():
     # layer's gather of its masked rows and the two embedding lookups
     assert ops["take_rows"] == len(cfg.granularity.dims) + len(cfg.granularity.layers) + 2
     # (each layer's fourth weight, ffn_down, multiplies inside its swiglu node)
-    assert ops["matmul"] - 3 * cfg.n_layers == len(cfg.granularity)
+    assert ops["matmul"] - 3 * cfg.n_layers == len(cfg.granularity.grid)
 
 
 def test_distill_rejects_cells_outside_grid():

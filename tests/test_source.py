@@ -1,6 +1,6 @@
 """Source checks over the m3enc package: every import is used, scipy is
-imported only inside functions, and every public function and method has a
-caller."""
+imported only inside functions, and every public class, function and method
+has a caller."""
 
 import ast
 import json
@@ -145,12 +145,14 @@ def is_property(decorator) -> bool:
 
 
 def public_definitions(tree):
-    """(name, kind, node) of each public module-level function and class
-    method; ``kind`` is "function", "method" or "property"."""
+    """(name, kind, node) of each public module-level class and function and
+    class method; ``kind`` is "class", "function", "method" or "property"."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
             yield node.name, "function", node
         elif isinstance(node, ast.ClassDef):
+            if not node.name.startswith("_"):
+                yield node.name, "class", node
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                     kind = "property" if any(map(is_property, item.decorator_list)) else "method"
@@ -173,11 +175,12 @@ def references(tree) -> Counter:
 
 
 # how each kind of definition is read from outside it
-READ_AS = {"function": ("name", "attr"), "method": ("call",), "property": ("attr",)}
+READ_AS = {"class": ("name", "attr"), "function": ("name", "attr"), "method": ("call",),
+           "property": ("attr",)}
 
 
 def uncalled_public_names(trees: dict[str, ast.Module]) -> list[str]:
-    """``file:name`` of each public function, method or property of ``m3enc/``
+    """``file:name`` of each public class, function, method or property of ``m3enc/``
     that no file reads outside its own definition (``READ_AS``). Imports do
     not count as reads; the ``cmd_*`` handlers count through ``_HANDLERS``."""
     everywhere = sum((references(tree) for tree in trees.values()), Counter())
@@ -200,12 +203,16 @@ def test_uncalled_public_name_finder():
         "    @property\n    def p(self):\n        return len(x.n)\n\n"
         "    @property\n    def q(self):\n        return 1\n\n"
         "    @functools.cached_property\n    def r(self):\n        return 2\n\n"
-        "    @cached_property\n    def s(self):\n        return 3\n"),
-        "other/b.py": ast.parse("from m3enc.a import f, g\n\ng()\nC().p\nC().r\n")}
+        "    @cached_property\n    def s(self):\n        return 3\n\n"
+        "class D:\n    def make(self) -> D:\n        return D()\n\n"
+        "class E:\n    pass\n\nclass _F:\n    pass\n"),
+        "other/b.py": ast.parse("from m3enc.a import f, g, D, E\n\ng()\nC().p\nC().r\n"
+                                "a.E\n")}
     # f is only imported and called by itself; x.n reads a field, not the
-    # method; a cached property, like a property, is read as an attribute
-    assert uncalled_public_names(trees) == ["m3enc/a.py:f", "m3enc/a.py:n", "m3enc/a.py:q",
-                                            "m3enc/a.py:s"]
+    # method; a cached property, like a property, is read as an attribute;
+    # D is only imported and named in its own body, E is read as a.E
+    assert uncalled_public_names(trees) == ["m3enc/a.py:D", "m3enc/a.py:f", "m3enc/a.py:make",
+                                            "m3enc/a.py:n", "m3enc/a.py:q", "m3enc/a.py:s"]
 
 
 def test_every_public_name_has_a_caller_in_the_package():

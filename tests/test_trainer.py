@@ -94,6 +94,15 @@ def test_adamw_rejects_an_update_that_leaves_a_parameter_nonfinite():
         tr.adamw_step(named, {"w": np.ones((4, 3), dtype=np.float32)}, state, lr=1e300)
 
 
+def test_adamw_rejects_an_update_that_leaves_a_moment_nonfinite():
+    # g*g overflows float32 where g, m and the updated parameter stay finite
+    named = [("w", Tensor(np.ones((4, 3), dtype=np.float32), requires_grad=True))]
+    state = tr.OptimizerState.init(named)
+    with pytest.raises(TrainingAbort,
+                       match="non-finite optimizer moment opt.v/w at optimizer step 1"):
+        tr.adamw_step(named, {"w": np.full((4, 3), 1e20, dtype=np.float32)}, state, lr=1e-3)
+
+
 def test_adamw_rejects_gradient_of_wrong_shape():
     named = make_params(5)
     before = named[0][1].data.copy()
@@ -172,9 +181,13 @@ def test_stage_config_validation():
 # ---------------------------------------------------------------------------
 
 
-def tiny_setup(seed=0, n_docs=60):
-    docs = synth.generate_mlm_corpus(n_docs, seed=123, n_topics=6, words_per_topic=10,
+def tiny_docs(n_docs=60):
+    return synth.generate_mlm_corpus(n_docs, seed=123, n_topics=6, words_per_topic=10,
                                      n_common=12, doc_len=(8, 12))
+
+
+def tiny_setup(seed=0, n_docs=60):
+    docs = tiny_docs(n_docs)
     vocab = D.build_vocab(docs, max_size=96)
     cfg = enc.ModelConfig(
         n_layers=4, hidden=32, n_heads=4, vocab=vocab.size, max_seq=16,
@@ -300,6 +313,7 @@ PINNED_FINGERPRINTS = {
     "pretrain_contrastive": "76c9f77c043ad58a",
     "sft_mrl": "b65f8d93dc3682b2",
     "pretrain_contrastive+dropout": "2921dae52968a3ea",
+    "pretrain_mlm+multi": "08c6afb7f944da6b",
 }
 
 
@@ -307,7 +321,8 @@ PINNED_FINGERPRINTS = {
 def test_two_steps_of_each_stage_kind_train_pinned_bits(kind):
     """A bit gate for changes that must not move arithmetic: two steps of each
     stage kind at toy sizes, and of a pair stage with hidden_dropout=0.1,
-    give the pinned parameter fingerprints.
+    give the pinned parameter fingerprints, as do two MLM steps over
+    ``tiny_docs`` split unevenly between two languages.
 
     The fingerprints pin the installed numpy/BLAS build as well as the code.
     A numpy or BLAS upgrade re-baselines them, and the re-baseline is recorded
@@ -315,6 +330,10 @@ def test_two_steps_of_each_stage_kind_train_pinned_bits(kind):
     state, stage, src = fresh_stage(kind.split("+")[0], 2)
     if kind.endswith("+dropout"):
         state.config = dataclasses.replace(state.config, hidden_dropout=0.1)
+    if kind.endswith("+multi"):
+        docs = tiny_docs()
+        src = D.MultilingualMlmSource(state.vocab, {"de": docs[40:], "en": docs[:40]},
+                                      seq_len=14, mask_rate=0.15, smoothing=0.7)
     tr.run_stage(stage, state, src, ListSink())
     assert tr.params_fingerprint(state.params) == PINNED_FINGERPRINTS[kind]
 
@@ -374,7 +393,7 @@ def test_step_total_is_its_cells_plus_weighted_aux_for_every_kind():
         assert len(steps) == 2
         for r in steps:
             cells = [v for key, v in r.items() if re.fullmatch(r"L\d+-D\d+", key)]
-            assert len(cells) == len(stage.granularity or state.config.granularity)
+            assert len(cells) == len((stage.granularity or state.config.granularity).grid)
             weighted = plan.lambda_d * r["aux"] if kind == "distill" else 0.0
             assert ("aux" in r) == (kind == "distill"), kind
             assert r["total"] == pytest.approx(sum(cells) + weighted, rel=1e-6), kind
@@ -649,18 +668,22 @@ def rewrite_manifest(path, edit):
     lambda m: m["optimizer"].update(beta2=None),
     lambda m: m["optimizer"].update(eps=float("nan")),
     lambda m: m["optimizer"].update(weight_decay=float("inf")),
+    lambda m: m.update(vocab=[m["vocab"][1], m["vocab"][0], *m["vocab"][2:]]),
+    lambda m: m["vocab"].__setitem__(-1, m["vocab"][-2]),
+    lambda m: m.update(vocab=m["vocab"][:7]),
 ], ids=["no-tensors", "no-shape", "str-nbytes", "float-nbytes", "bad-dtype",
         "shape-vs-nbytes", "no-name", "table-not-list", "no-granularity", "zero-hidden", "no-seed",
         "no-beta1", "vocab-not-list", "inf-ffn_mult", "huge-ffn_mult", "more-layers",
         "float-hidden", "str-step", "float-step", "negative-step", "int-stage", "str-seed",
-        "str-t", "negative-t", "str-beta1", "null-beta2", "nan-eps", "inf-weight_decay"])
+        "str-t", "negative-t", "str-beta1", "null-beta2", "nan-eps", "inf-weight_decay",
+        "vocab-specials-moved", "vocab-repeats", "vocab-size-vs-model"])
 def test_checkpoint_malformed_manifest_is_typed(tmp_path, edit):
     state, source = tiny_setup()
     tr.run_stage(mlm_stage(1), state, source, ListSink())
     path = tmp_path / "m.m3ck"
     tr.save_checkpoint(state, path)
     rewrite_manifest(path, edit)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: "):
         tr.load_checkpoint(path)
 
 
