@@ -241,13 +241,9 @@ def _load_eval_target(args):
     """The checkpoint, ``--k`` cutoffs and evaluation pairs of ``eval`` or ``sweep``."""
     from . import evalkit as ek
     from . import trainer as tr
-    from .errors import ConfigError
 
     ks = _parse_int_list(args.k, "--k")
-    state = tr.load_checkpoint(args.ckpt)
-    if state.vocab is None:
-        raise ConfigError(f"checkpoint {args.ckpt} carries no vocabulary")
-    return state, ks, ek.read_eval_pairs(args.data)
+    return tr.load_checkpoint(args.ckpt), ks, ek.read_eval_pairs(args.data)
 
 
 def _run_training(args, kinds: tuple[str, ...]) -> int:

@@ -43,7 +43,7 @@ only to the top layer's output, when layer ``n_layers`` is tapped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -402,6 +402,11 @@ def cell_embedding(pooled: Tensor, d: int) -> Tensor:
 
 
 def config_from_dict(d: dict) -> ModelConfig:
+    """The ``ModelConfig`` that ``asdict`` made ``d``; no field takes a default."""
+    names = {f.name for f in fields(ModelConfig)}
+    if set(d) != names:
+        raise ConfigError(f"model entry must hold exactly ModelConfig's fields: missing "
+                          f"{sorted(names - set(d))}, unknown {sorted(set(d) - names)}")
     d = dict(d)
     gran = d.pop("granularity")
     return ModelConfig(granularity=GranularitySet(layers=tuple(gran["layers"]),

@@ -14,10 +14,10 @@ then a cosine decay to ``min_lr``. A step whose loss, gradient or updated
 parameters are not finite aborts the stage before its state is saved, and
 ``load_checkpoint`` refuses a file holding a non-finite tensor.
 
-Checkpoint file layout: magic ``M3CK``, little-endian u32 format version,
-one line of UTF-8 JSON manifest (model config, vocabulary, tensor table
-with shapes/offsets/checksums, optimizer state table, step, stage, rng),
-then raw little-endian IEEE-754 tensor payloads in manifest order.
+Checkpoint file layout (version 3): magic ``M3CK``, little-endian u32 format
+version, one line of UTF-8 JSON manifest (model config, vocabulary, step,
+stage, rng, optimizer ``{"t": t}`` or null, and a shape/offset/checksum table
+of the parameters and AdamW moments), then their little-endian IEEE-754 payloads.
 """
 
 from __future__ import annotations
@@ -46,7 +46,9 @@ from .rng import named_rng
 from .tensor import zero_grads
 
 CHECKPOINT_MAGIC = b"M3CK"
-CHECKPOINT_VERSION = 2  # 1 held separate q/k/v and gate/up projection tensors
+# 1 held separate q/k/v and gate/up tensors; 2 stored AdamW's hyperparameters,
+# a format_version and a fingerprint, and allowed a null vocabulary
+CHECKPOINT_VERSION = 3
 
 # sft_mrl with one dim is single-dim contrastive fine-tuning
 STAGE_KINDS = ("pretrain_mlm", "pretrain_contrastive", "sft_mrl", "distill")
@@ -57,21 +59,28 @@ STAGE_KINDS = ("pretrain_mlm", "pretrain_contrastive", "sft_mrl", "distill")
 # ---------------------------------------------------------------------------
 
 
+# AdamW's usual defaults (Loshchilov & Hutter, arXiv:1711.05101)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+WEIGHT_DECAY = 0.01
+
+
 @dataclass
 class OptimizerState:
+    """AdamW's moments ``m``, ``v`` of each named parameter and its step count
+    ``t``; the hyperparameters are ``ADAM_BETA1``, ``ADAM_BETA2``,
+    ``ADAM_EPS`` and ``WEIGHT_DECAY``."""
+
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.01
 
     @classmethod
-    def init(cls, named_params, **hyper) -> "OptimizerState":
+    def init(cls, named_params) -> "OptimizerState":
         m = {name: np.zeros_like(p.data) for name, p in named_params}
         v = {name: np.zeros_like(arr) for name, arr in m.items()}
-        return cls(m=m, v=v, **hyper)
+        return cls(m=m, v=v)
 
 
 def adamw_step(named_params, grads: dict[str, np.ndarray], state: OptimizerState,
@@ -79,7 +88,7 @@ def adamw_step(named_params, grads: dict[str, np.ndarray], state: OptimizerState
     """One decoupled-weight-decay Adam update, in place, from the gradient of
     each named parameter in ``grads``.
 
-    p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)
+    p <- p - lr * (m_hat / (sqrt(v_hat) + ADAM_EPS) + WEIGHT_DECAY * p)
 
     A non-finite gradient, checked before any update, second moment or
     updated parameter raises ``TrainingAbort`` naming the tensor and the
@@ -95,30 +104,29 @@ def adamw_step(named_params, grads: dict[str, np.ndarray], state: OptimizerState
         if not np.isfinite(g).all():
             raise TrainingAbort(f"non-finite gradient in {name} at optimizer step {state.t + 1}")
     t = state.t + 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** t
-    bc2 = 1.0 - b2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, p in named_params:
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
         # the formula's operations in its order and dtype, through two buffers
         a, b = np.empty_like(g), np.empty_like(g)
-        m *= b1
-        np.multiply(g, 1.0 - b1, out=a)
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
         m += a
-        v *= b2
+        v *= ADAM_BETA2
         np.multiply(g, g, out=a)
-        a *= 1.0 - b2
+        a *= 1.0 - ADAM_BETA2
         v += a
         if not np.isfinite(v).all():  # |m| <= max|g|, but g*g can overflow
             raise TrainingAbort(f"non-finite optimizer moment opt.v/{name} at optimizer step {t}")
         np.divide(v, bc2, out=a)  # v_hat
         np.sqrt(a, out=a)
-        a += state.eps
+        a += ADAM_EPS
         np.divide(m, bc1, out=b)  # m_hat
         b /= a
-        np.multiply(p.data, state.weight_decay, out=a)
+        np.multiply(p.data, WEIGHT_DECAY, out=a)
         b += a
         b *= lr
         p.data -= b
@@ -221,7 +229,7 @@ class TrainState:
     step: int
     stage: str
     base_seed: int
-    vocab: Vocab | None = None
+    vocab: Vocab
     # (what the state was, the file it was written to, that file's identity)
     # at its last save; lets a further save of the same state reuse the bytes
     written: tuple | None = field(default=None, repr=False, compare=False)
@@ -257,25 +265,20 @@ def _serialize(state: TrainState) -> list[bytes]:
 
     for name, p in state.params.named():
         push(f"param/{name}", p.data)
-    opt_meta = None
     if state.opt is not None:
         for name in state.opt.m:
             push(f"opt.m/{name}", state.opt.m[name])
         for name in state.opt.v:
             push(f"opt.v/{name}", state.opt.v[name])
-        opt_meta = {"t": state.opt.t, "beta1": state.opt.beta1, "beta2": state.opt.beta2,
-                    "eps": state.opt.eps, "weight_decay": state.opt.weight_decay}
 
     manifest = {
-        "format_version": CHECKPOINT_VERSION,
         "model": asdict(state.config),
-        "vocab": list(state.vocab.id_to_token) if state.vocab is not None else None,
+        "vocab": list(state.vocab.id_to_token),
         "step": state.step,
         "stage": state.stage,
         "rng": {"base_seed": state.base_seed},
-        "optimizer": opt_meta,
+        "optimizer": None if state.opt is None else {"t": state.opt.t},
         "tensors": tensors,
-        "fingerprint": params_fingerprint(state.params),
     }
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION), blob, b"\n", *payloads]
@@ -339,7 +342,8 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 def load_checkpoint(path) -> TrainState:
     """Read and verify an M3CK container (magic, version, length, checksums,
-    finite tensors, a well-formed vocabulary with one token per embedding row)."""
+    finite tensors, a complete model entry, every tensor read by the model or
+    the optimizer, a well-formed vocabulary with one token per embedding row)."""
     try:
         raw = Path(path).read_bytes()
     except OSError as e:
@@ -381,45 +385,37 @@ def load_checkpoint(path) -> TrainState:
         if not np.isfinite(arrays[t["name"]]).all():
             raise CheckpointError(f"{path}: tensor {t['name']} holds non-finite values")
 
-    def stored(name, shape):
-        key = f"param/{name}"
+    def stored(key, shape):  # pops it: what stays in ``arrays`` nothing reads
         if key not in arrays:
             raise CheckpointError(f"{path}: missing tensor {key}")
         if arrays[key].shape != shape:
             raise CheckpointError(f"{path}: tensor {key} has shape {arrays[key].shape}, "
                                   f"expected {shape}")
-        return arrays[key]
+        return arrays.pop(key)
 
-    params = enc.build_parameters(config, stored)
+    params = enc.build_parameters(config, lambda name, shape: stored(f"param/{name}", shape))
 
     opt = None
     if opt_meta is not None:
-        try:
-            opt = OptimizerState(
-                m={name: arrays[f"opt.m/{name}"] for name, _ in params.named()},
-                v={name: arrays[f"opt.v/{name}"] for name, _ in params.named()},
-                t=opt_meta["t"], beta1=opt_meta["beta1"], beta2=opt_meta["beta2"],
-                eps=opt_meta["eps"], weight_decay=opt_meta["weight_decay"],
-            )
-        except (KeyError, TypeError) as e:
-            raise CheckpointError(f"{path}: incomplete optimizer state: {e!r}") from e
-        hyper = (opt.beta1, opt.beta2, opt.eps, opt.weight_decay)
-        finite = all(type(v) is int or type(v) is float and math.isfinite(v) for v in hyper)
-        if not (_is_count(opt.t) and finite):
-            raise CheckpointError(f"{path}: optimizer t must be an integer >= 0 and beta1, "
-                                  f"beta2, eps, weight_decay finite numbers, got {opt.t!r}, "
-                                  f"{hyper!r}")
-    vocab = None
-    if vocab_tokens is not None:
-        if not (isinstance(vocab_tokens, list) and all(isinstance(t, str) for t in vocab_tokens)):
-            raise CheckpointError(f"{path}: vocabulary must be a list of strings")
-        if len(vocab_tokens) != config.vocab:
-            raise CheckpointError(f"{path}: vocabulary has {len(vocab_tokens)} tokens for "
-                                  f"{config.vocab} embedding rows")
-        try:
-            vocab = Vocab(tuple(vocab_tokens))
-        except ContractError as e:
-            raise CheckpointError(f"{path}: {e}") from e
+        if not (isinstance(opt_meta, dict) and opt_meta.keys() == {"t"}
+                and _is_count(opt_meta["t"])):
+            raise CheckpointError(f"{path}: manifest optimizer must be null or {{\"t\": t}} "
+                                  f"with t an integer >= 0, got {opt_meta!r}")
+        m, v = ({name: stored(f"{kind}/{name}", p.shape) for name, p in params.named()}
+                for kind in ("opt.m", "opt.v"))
+        opt = OptimizerState(m=m, v=v, t=opt_meta["t"])
+    if arrays:
+        raise CheckpointError(f"{path}: tensor {next(iter(arrays))} is neither a parameter of "
+                              f"the model nor an optimizer moment ({len(arrays)} unread)")
+    if not (isinstance(vocab_tokens, list) and all(isinstance(t, str) for t in vocab_tokens)):
+        raise CheckpointError(f"{path}: vocabulary must be a list of strings")
+    if len(vocab_tokens) != config.vocab:
+        raise CheckpointError(f"{path}: vocabulary has {len(vocab_tokens)} tokens for "
+                              f"{config.vocab} embedding rows")
+    try:
+        vocab = Vocab(tuple(vocab_tokens))
+    except ContractError as e:
+        raise CheckpointError(f"{path}: {e}") from e
     return TrainState(config=config, params=params, opt=opt, step=step, stage=stage,
                       base_seed=base_seed, vocab=vocab)
 

@@ -817,17 +817,25 @@ def payload_byte_flipped(raw):
     return raw[:pos] + bytes([raw[pos] ^ 0x5A]) + raw[pos + 1:]
 
 
-def vocab_cut(raw):
-    nl = raw.index(b"\n", 8)
-    manifest = json.loads(raw[8:nl])
-    manifest["vocab"] = manifest["vocab"][:7]
-    return raw[:8] + json.dumps(manifest).encode() + raw[nl:]
+def vocab_set(value):
+    def edit(raw):
+        nl = raw.index(b"\n", 8)
+        manifest = json.loads(raw[8:nl])
+        manifest["vocab"] = value(manifest["vocab"])
+        return raw[:8] + json.dumps(manifest).encode() + raw[nl:]
+    return edit
+
+
+def version_2(raw):
+    return raw[:4] + bytes([2]) + raw[5:]
 
 
 DAMAGED_CHECKPOINT = {
     "truncated": (truncated, r"payload is \d+ bytes, manifest declares \d+"),
     "byte-flipped": (payload_byte_flipped, r"checksum mismatch for tensor \S+"),
-    "vocab-cut": (vocab_cut, r"vocabulary has 7 tokens for \d+ embedding rows"),
+    "vocab-cut": (vocab_set(lambda v: v[:7]), r"vocabulary has 7 tokens for \d+ embedding rows"),
+    "vocab-null": (vocab_set(lambda v: None), "vocabulary must be a list of strings"),
+    "version-2": (version_2, r"format version 2 unsupported \(expected 3\)"),
 }
 
 CHECKPOINT_READERS = {
@@ -849,7 +857,7 @@ def test_damaged_checkpoint_exits_1(workdir, pretrained, capsys, command, damage
     ckpt.write_bytes(edit(pretrained.read_bytes()))
     assert cli.main(CHECKPOINT_READERS[command](workdir, ckpt)) == 1
     err = capsys.readouterr().err
-    assert re.search(f"{re.escape(str(ckpt))}: {message}", err) and "Traceback" not in err
+    assert re.fullmatch(f"error: {re.escape(str(ckpt))}: {message}.*\n", err)
     assert not (workdir / "cli-out").exists()
 
 

@@ -60,22 +60,24 @@ def test_adamw_zero_lr_is_identity():
 def test_adamw_pure_decay_closed_form():
     named = make_params(1)
     before = named[0][1].data.copy()
-    state = tr.OptimizerState.init(named, weight_decay=0.01)
+    state = tr.OptimizerState.init(named)
     grads = {"w": np.zeros_like(before)}
     tr.adamw_step(named, grads, state, lr=0.1)
     np.testing.assert_allclose(named[0][1].data, 0.999 * before, rtol=1e-12)
 
 
 def test_adamw_first_step_is_sign_update():
-    # bias correction makes m_hat / sqrt(v_hat) = sign(g) at t=1 as eps -> 0
+    # bias correction makes m_hat / sqrt(v_hat) = g / |g| at t=1, whatever
+    # the gradient's scale: only eps and the decay keep it from sign(g)
     for scale in (0.5, 1.0, 2.0, 10.0):
         named = make_params(2)
         before = named[0][1].data.copy()
-        g = np.random.default_rng(3).normal(size=before.shape)
-        state = tr.OptimizerState.init(named, eps=1e-12, weight_decay=0.0)
-        tr.adamw_step(named, {"w": g * scale}, state, lr=0.05)
+        g = np.random.default_rng(3).normal(size=before.shape) * scale
+        state = tr.OptimizerState.init(named)
+        tr.adamw_step(named, {"w": g}, state, lr=0.05)
         update = named[0][1].data - before
-        np.testing.assert_allclose(update, -0.05 * np.sign(g), atol=1e-6)
+        expected = -0.05 * (g / (np.abs(g) + tr.ADAM_EPS) + tr.WEIGHT_DECAY * before)
+        np.testing.assert_allclose(update, expected, rtol=1e-10, atol=1e-15)
 
 
 def test_adamw_rejects_nonfinite_gradient():
@@ -511,8 +513,9 @@ def test_checkpoint_manifest_model_entry_is_unchanged(arm):
         enc.ModelConfig(n_layers=2, hidden=8, n_heads=2, vocab=50, max_seq=16,
                         granularity=enc.GranularitySet(layers=(1, 2), dims=(4, 8))),
         **ABLATION_ARMS[arm])
+    vocab = D.Vocab(D.SPECIAL_TOKENS + tuple(f"w{i}" for i in range(cfg.vocab - 5)))
     state = tr.TrainState(config=cfg, params=enc.init_parameters(cfg, seed=0), opt=None,
-                          step=0, stage="", base_seed=0)
+                          step=0, stage="", base_seed=0, vocab=vocab)
     manifest = tr._serialize(state)[2]
     assert b'"model":' + MANIFEST_MODEL[arm].encode() + b"," in manifest
     assert enc.config_from_dict(json.loads(MANIFEST_MODEL[arm])) == cfg
@@ -651,7 +654,6 @@ def rewrite_manifest(path, edit):
     lambda m: m["model"].pop("granularity"),
     lambda m: m["model"].update(hidden=0),
     lambda m: m["rng"].pop("base_seed"),
-    lambda m: m["optimizer"].pop("beta1"),
     lambda m: m.update(vocab=7),
     lambda m: m["model"].update(ffn_mult=float("inf")),
     lambda m: m["model"].update(ffn_mult=1e300),
@@ -664,19 +666,20 @@ def rewrite_manifest(path, edit):
     lambda m: m["rng"].update(base_seed="0"),
     lambda m: m["optimizer"].update(t="1"),
     lambda m: m["optimizer"].update(t=-1),
-    lambda m: m["optimizer"].update(beta1="0.9"),
-    lambda m: m["optimizer"].update(beta2=None),
-    lambda m: m["optimizer"].update(eps=float("nan")),
-    lambda m: m["optimizer"].update(weight_decay=float("inf")),
     lambda m: m.update(vocab=[m["vocab"][1], m["vocab"][0], *m["vocab"][2:]]),
     lambda m: m["vocab"].__setitem__(-1, m["vocab"][-2]),
     lambda m: m.update(vocab=m["vocab"][:7]),
+    lambda m: m["model"].pop("norm"),
+    # a zero-size tensor passes the length and checksum checks; nothing reads it
+    lambda m: m["tensors"].append({"name": "param/extra", "shape": [0], "dtype": "<f4",
+                                   "offset": 0, "nbytes": 0, "crc32": 0}),
+    lambda m: m.update(optimizer=None),  # the moments stay in the table
 ], ids=["no-tensors", "no-shape", "str-nbytes", "float-nbytes", "bad-dtype",
         "shape-vs-nbytes", "no-name", "table-not-list", "no-granularity", "zero-hidden", "no-seed",
-        "no-beta1", "vocab-not-list", "inf-ffn_mult", "huge-ffn_mult", "more-layers",
+        "vocab-not-list", "inf-ffn_mult", "huge-ffn_mult", "more-layers",
         "float-hidden", "str-step", "float-step", "negative-step", "int-stage", "str-seed",
-        "str-t", "negative-t", "str-beta1", "null-beta2", "nan-eps", "inf-weight_decay",
-        "vocab-specials-moved", "vocab-repeats", "vocab-size-vs-model"])
+        "str-t", "negative-t", "vocab-specials-moved", "vocab-repeats", "vocab-size-vs-model",
+        "no-norm", "extra-tensor", "null-optimizer"])
 def test_checkpoint_malformed_manifest_is_typed(tmp_path, edit):
     state, source = tiny_setup()
     tr.run_stage(mlm_stage(1), state, source, ListSink())
@@ -719,6 +722,33 @@ def test_damaged_checkpoint_loads_or_raises_typed(tmp_path_factory, tiny_checkpo
         tr.load_checkpoint(path)
     except M3Error:
         pass
+
+
+# every key of a manifest with optimizer state, as (entry, key); None is the top level
+MANIFEST_KEYS = ([(None, k) for k in ("model", "vocab", "step", "stage", "rng", "optimizer",
+                                      "tensors")]
+                 + [("rng", "base_seed"), ("optimizer", "t")]
+                 + [("model", f.name) for f in dataclasses.fields(enc.ModelConfig)])
+
+
+def test_checkpoint_manifest_holds_these_keys(tiny_checkpoint):
+    raw, manifest_end = tiny_checkpoint
+    manifest = json.loads(raw[8:manifest_end])
+    keys = [(None, k) for k in manifest] + [(e, k) for e in ("rng", "optimizer", "model")
+                                            for k in manifest[e]]
+    assert sorted(keys, key=str) == sorted(MANIFEST_KEYS, key=str)
+
+
+@pytest.mark.parametrize("entry,key", MANIFEST_KEYS,
+                         ids=[k if e is None else f"{e}.{k}" for e, k in MANIFEST_KEYS])
+def test_checkpoint_without_a_manifest_key_is_refused(tmp_path, tiny_checkpoint, entry, key):
+    # load_checkpoint reads every key: none is left to a default or ignored
+    path = tmp_path / "k.m3ck"
+    path.write_bytes(tiny_checkpoint[0])
+    tr.load_checkpoint(path)
+    rewrite_manifest(path, lambda m: (m if entry is None else m[entry]).pop(key))
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: "):
+        tr.load_checkpoint(path)
 
 
 def test_resume_matches_unbroken_run(tmp_path):
