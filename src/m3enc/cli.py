@@ -237,6 +237,15 @@ def _load_run(args, specs_of):
     return run, specs
 
 
+def _open_sink(run, state):
+    """The run's ``metrics.jsonl`` sink, headed by its seed, precision and
+    ``state``'s parameter count."""
+    from . import trainer as tr
+
+    return tr.JsonlSink(run.output_dir / "metrics.jsonl", seed=run.seed,
+                        precision=run.precision, param_count=state.params.count())
+
+
 def _load_eval_target(args):
     """The checkpoint, ``--k`` cutoffs and evaluation pairs of ``eval`` or ``sweep``."""
     from . import evalkit as ek
@@ -255,7 +264,7 @@ def _run_training(args, kinds: tuple[str, ...]) -> int:
         raise ConfigError(f"config has no stage of kind {kinds}")
     state = _initial_state(run, specs, args.resume)
     pairs = [(spec.stage, _build_source(spec, state.vocab)) for spec in specs]
-    sink = tr.JsonlSink(run.output_dir / "metrics.jsonl")
+    sink = _open_sink(run, state)
     try:
         final = run.output_dir / "final.m3ck"
         with writing(run.output_dir):
@@ -341,13 +350,15 @@ def cmd_ablate(args) -> int:
                           "rmsnorm, pre-norm, no bias, no dropout")
 
     vocab = D.build_vocab(_vocab_text_source(run, specs), max_size=base.vocab)
-    sink = tr.JsonlSink(run.output_dir / "metrics.jsonl")
     queries, docs, truth = ek.read_eval_pairs(ev.path)
+    base_state = _fresh_state(run, base, vocab)
+    sink = _open_sink(run, base_state)  # headed by the base arm's parameter count
 
     rows = []
     try:
         for arm, overrides in ABLATION_ARMS.items():
-            state = _fresh_state(run, dataclasses.replace(base, **overrides), vocab)
+            state = (_fresh_state(run, dataclasses.replace(base, **overrides), vocab)
+                     if overrides else base_state)
             tr.run_stage(train.stage, state, _build_source(train, vocab), sink)
             report = ek.evaluate(state.params, state.config, vocab, queries, docs, truth,
                                  layer=ev.layer, dim=ev.dim, ks=list(ev.ks),

@@ -1,8 +1,9 @@
 """Run configuration: strict JSON schema with field-level error messages.
 
 Unknown keys are errors (anti-typo), every referenced path must be an
-existing file, and every (layer, dim) reference must lie within the model
-granularity -- all checked before any compute. An ``sft_mrl`` stage's
+existing file, every (layer, dim) reference must lie within the model
+granularity, and no size may imply an array larger than physical memory --
+all checked before any compute. An ``sft_mrl`` stage's
 ``sft_layer`` and ``sft_dims`` are the config spelling of its grid: one layer
 and strictly increasing dims, parsed into the stage's ``GranularitySet``. An
 optional key set to JSON ``null`` is the same as an absent key. Relative paths
@@ -12,6 +13,7 @@ resolve against the config file's directory.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -176,6 +178,18 @@ _EVAL_REQUIRED = {"data": str, "layer": int, "dim": int, "k": list}
 _EVAL_OPTIONAL = {"query_len": int, "doc_len": int}
 
 
+def _fits_in_memory(c: _Checker, path: str, value: int, nbytes: int, array: str) -> bool:
+    """Whether an array of ``nbytes`` fits in physical memory; records the
+    field whose ``value`` implies it when it does not, so an impossible size
+    is a config error before anything is allocated."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes <= memory:
+        return True
+    c.fail(path, f"{value} implies {array} of {nbytes / 2**30:.3g} GiB, more than the "
+                 f"{memory / 2**30:.3g} GiB of physical memory")
+    return False
+
+
 def _parse_granularity(c: _Checker, d: dict, path: str) -> GranularitySet | None:
     if not c.keys(d, path, {"layers": list, "dims": list}, {}):
         return None
@@ -279,6 +293,9 @@ def _parse_stage(c: _Checker, raw: dict, path: str, model: ModelConfig,
         return None
     spec = StageSpec(stage=stage, data=DataRef(kind=data_raw["kind"], path=data_path),
                      **_present(raw, ("seq_len", "query_len", "doc_len", "smoothing")))
+    # one row per text at least, in float32 at least, whatever the lengths
+    _fits_in_memory(c, f"{path}.batch_size", stage.batch_size,
+                    4 * stage.batch_size * model.hidden, "a [batch_size x hidden] hidden state")
     for key in ("query_len", "doc_len") if data_raw["kind"] == "pairs" else ("seq_len",):
         length = getattr(spec, key)
         if not (3 <= length <= model.max_seq):
@@ -343,6 +360,13 @@ def load_run_config(path) -> RunConfig:
                         **_present(m, _MODEL_OPTIONAL))
                 except ConfigError as e:
                     c.fail("config.model", str(e))
+    if model is not None:  # initialization draws each weight in float64
+        m = model.hidden
+        if _fits_in_memory(c, "config.model.hidden", m, 8 * m * m, "a [hidden x hidden] weight"):
+            _fits_in_memory(c, "config.model.max_seq", model.max_seq, 8 * model.max_seq * m,
+                            "a [max_seq x hidden] position embedding")
+            _fits_in_memory(c, "config.model.ffn_mult", model.ffn_mult,
+                            8 * m * model.intermediate, "a [hidden x ffn_mult * hidden] weight")
     c.raise_if_failed(str(path))
 
     vocab_corpus = None

@@ -20,8 +20,9 @@ groups, so only n_docs/g values per query are partitioned, not n_docs.
 Each query's result is a ``Ranking``: an iterable of (id, float score)
 pairs, best first, over one row of its block's [Q x K] id and float64 score
 arrays. The pairs are built only when it is iterated, so a search holds 16
-bytes per hit, not a tuple of a string and a float; ``recall_at_k`` reads
-any iterable of such pairs.
+bytes per hit, not a tuple of a string and a float. ``recall_at_k`` reads no
+pair: it compares each block's [Q x K] ids with their positives in one array
+operation.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ import functools
 import itertools
 import json
 import logging
-import sys
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -161,6 +161,7 @@ class Ranking:
     ``ids`` and ``scores`` are its block's [Q x K] doc ids (an object array)
     and float64 scores; this ranking is row ``q`` of them. The pairs are
     built at each iteration, so a ranking can be read any number of times.
+    ``recall_at_k`` reads the block's ids directly and builds no pair.
     """
 
     __slots__ = ("_ids", "_scores", "_q")
@@ -252,27 +253,32 @@ def exact_topk(index: EmbeddingIndex, query_emb: np.ndarray, k: int) -> list[Ran
     return out
 
 
-def recall_at_k(rankings: Sequence[Iterable[tuple[str, float]]], truth: list[str],
-                k: int) -> float:
+def recall_at_k(rankings: Sequence[Ranking], truth: Sequence[str], k: int) -> float:
     """Fraction of queries whose positive document appears in their top K.
 
-    Each ranking is any iterable of (id, score) pairs, best first; at most K
-    of its pairs are read, in order up to the first hit, and only their ids
-    are compared."""
+    ``rankings`` are ``exact_topk``'s. Each run of consecutive rankings over
+    one block's [Q x K] id array is scored in one comparison of the rows'
+    first K ids with their positives; rankings interleaved from several
+    blocks only make more runs. A K beyond the rankings' length reads them
+    whole."""
     if k < 1:
         raise ConfigError("K must be at least 1")
     if len(rankings) != len(truth):
         raise ShapeError(f"{len(rankings)} rankings vs {len(truth)} ground-truth entries")
     if not rankings:
         raise ContractError("recall_at_k requires at least one query")
-    hits = 0
-    for ranked, positive in zip(rankings, truth):
-        if positive is None:
-            raise ContractError("query without a ground-truth positive")
-        for doc_id, _ in itertools.islice(ranked, min(k, sys.maxsize)):
-            if doc_id == positive:
-                hits += 1
-                break
+    if any(positive is None for positive in truth):
+        raise ContractError("query without a ground-truth positive")
+    if not all(isinstance(r, Ranking) for r in rankings):
+        raise ContractError("recall_at_k scores exact_topk's rankings")
+    hits, start = 0, 0
+    # keyed by the array's identity: groupby compares keys with ==
+    for _, run in itertools.groupby(rankings, key=lambda r: id(r._ids)):
+        run = list(run)
+        positives = np.array(truth[start:start + len(run)], dtype=object)
+        top = run[0]._ids[[r._q for r in run], :k]
+        hits += int((top == positives[:, None]).any(axis=1).sum())
+        start += len(run)
     return hits / len(rankings)
 
 

@@ -342,8 +342,9 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 def load_checkpoint(path) -> TrainState:
     """Read and verify an M3CK container (magic, version, length, checksums,
-    finite tensors, a complete model entry, every tensor read by the model or
-    the optimizer, a well-formed vocabulary with one token per embedding row)."""
+    finite tensors of one dtype, a complete model entry, every tensor read by
+    the model or the optimizer, a well-formed vocabulary with one token per
+    embedding row)."""
     try:
         raw = Path(path).read_bytes()
     except OSError as e:
@@ -370,6 +371,13 @@ def load_checkpoint(path) -> TrainState:
                               f"and rng.base_seed an integer, got {step!r}, {stage!r}, "
                               f"{base_seed!r}")
     _check_tensor_table(path, tensors)
+    # one precision: a mixed file would fail at its first forward, or resume
+    # AdamW in another dtype than its parameters
+    dtype = next((t["dtype"] for t in tensors if t["name"] == "param/token_embedding"), None)
+    for t in tensors:
+        if dtype is not None and t["dtype"] != dtype:
+            raise CheckpointError(f"{path}: tensor {t['name']} is {t['dtype']}, but "
+                                  f"param/token_embedding is {dtype}")
     payload = raw[nl + 1:]
     expected = sum(t["nbytes"] for t in tensors)
     if len(payload) != expected:
@@ -446,16 +454,25 @@ def _check_tensor_table(path, tensors) -> None:
 
 
 class JsonlSink:
-    """Appends one JSON record per line; the metric log format."""
+    """Appends one JSON record per line; the metric log format.
 
-    def __init__(self, path):
+    Each sink draws one ``run_id`` and stamps it on every record, so runs
+    appended to one file stay apart. Its first record is a ``run_start``
+    header: the ``header`` fields the caller passes (seed, precision,
+    parameter count), the numpy version and ``OPENBLAS_NUM_THREADS``.
+    """
+
+    def __init__(self, path, **header):
         self.path = Path(path)
+        self.run_id = os.urandom(16).hex()
         with writing(self.path):
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._f = open(self.path, "a", encoding="utf-8")
+        self.emit({"event": "run_start", **header, "numpy": np.__version__,
+                   "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")})
 
     def emit(self, record: dict) -> None:
-        self._f.write(json.dumps(record, sort_keys=True) + "\n")
+        self._f.write(json.dumps({**record, "run_id": self.run_id}, sort_keys=True) + "\n")
         self._f.flush()
 
     def close(self) -> None:

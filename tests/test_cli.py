@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -253,6 +254,34 @@ def test_pretrain_three_stages_single_invocation(workdir):
     steps = [r for r in records if "total" in r]
     assert len(steps) == 10
     assert any("L2-D4" in r for r in steps)
+
+
+def test_two_runs_into_one_directory_keep_their_records_apart(workdir):
+    # metrics.jsonl is appended to: each run's records carry its own run id,
+    # after a run_start header, and the log moves no checkpoint bit
+    cfg = base_config("two-runs")
+    cfg["stages"] = cfg["stages"][:1]
+    path = write_config(workdir, cfg, "two-runs.json")
+    out = workdir / "two-runs"
+    finals = []
+    for _ in range(2):
+        assert cli.main(["pretrain", "--config", str(path)]) == 0
+        finals.append((out / "final.m3ck").read_bytes())
+    assert finals[0] == finals[1]
+    records = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
+    ids = [r["run_id"] for r in records]
+    first, second = ids[0], ids[-1]
+    n = ids.index(second)  # the first run's record count
+    assert first != second and ids == [first] * n + [second] * (len(ids) - n)
+    starts = [r for r in records if r.get("event") == "run_start"]
+    assert starts == [records[0], records[n]]
+    params = tr.load_checkpoint(out / "final.m3ck").params
+    for header, run_id in zip(starts, (first, second)):
+        assert header == {"event": "run_start", "run_id": run_id, "seed": 3,
+                          "precision": "float32", "param_count": params.count(),
+                          "numpy": np.__version__,
+                          "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
+    assert [r.get("event") for r in records].count("stage_end") == 2
 
 
 def test_stage_end_records_the_peak_rss(workdir):
@@ -598,6 +627,34 @@ def test_config_eval_length_beyond_max_seq_exits_2(workdir, capsys):
     assert "doc_len" in capsys.readouterr().err
 
 
+# sizes whose largest implied array is beyond any machine's memory: batch
+# 1e20 failed in numpy's sampling, max_seq 1e9 at initialization
+IMPOSSIBLE_SIZE = {
+    "batch_size": ("stages", "config.stages[0].batch_size", 10**20),
+    "max_seq": ("model", "config.model.max_seq", 10**12),
+    "hidden": ("model", "config.model.hidden", 10**7),
+    "ffn_mult": ("model", "config.model.ffn_mult", 1e12),
+}
+
+
+@pytest.mark.parametrize("key", list(IMPOSSIBLE_SIZE))
+def test_impossible_size_exits_2_before_allocating(workdir, capsys, monkeypatch, key):
+    def no_init(*args, **kwargs):  # a size that got through fails here, unallocated
+        raise AssertionError("parameters initialized for an impossible size")
+
+    monkeypatch.setattr(enc, "init_parameters", no_init)
+    entry, field, value = IMPOSSIBLE_SIZE[key]
+    cfg = base_config(f"size-{key}")
+    (cfg["stages"][0] if entry == "stages" else cfg["model"])[key] = value
+    path = write_config(workdir, cfg, f"size-{key}.json")
+    assert cli.main(["pretrain", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert re.search(f"^  {re.escape(field)}: {value} implies .* GiB, more than the .* GiB "
+                     "of physical memory$", err, re.M)
+    assert not (workdir / f"size-{key}").exists()
+
+
 def test_config_stage_length_beyond_max_seq_exits_2(workdir, capsys):
     # the pair stage's default query_len/doc_len (16/32) exceed max_seq 14; the
     # mono stage's default query_len/doc_len are unused and so not checked
@@ -830,12 +887,31 @@ def version_2(raw):
     return raw[:4] + bytes([2]) + raw[5:]
 
 
+def mlm_head_as_f8(raw):
+    """The file with ``param/mlm_head_w`` stored as float64, its table's
+    offsets, byte counts and checksums fixed to match."""
+    nl = raw.index(b"\n", 8)
+    manifest, payload = json.loads(raw[8:nl]), raw[nl + 1:]
+    chunks, offset = [], 0
+    for t in manifest["tensors"]:
+        chunk = payload[t["offset"]:t["offset"] + t["nbytes"]]
+        if t["name"] == "param/mlm_head_w":
+            chunk = np.frombuffer(chunk, dtype=t["dtype"]).astype("<f8").tobytes()
+            t["dtype"] = "<f8"
+        t.update(offset=offset, nbytes=len(chunk), crc32=zlib.crc32(chunk))
+        chunks.append(chunk)
+        offset += len(chunk)
+    return raw[:8] + json.dumps(manifest).encode() + b"\n" + b"".join(chunks)
+
+
 DAMAGED_CHECKPOINT = {
     "truncated": (truncated, r"payload is \d+ bytes, manifest declares \d+"),
     "byte-flipped": (payload_byte_flipped, r"checksum mismatch for tensor \S+"),
     "vocab-cut": (vocab_set(lambda v: v[:7]), r"vocabulary has 7 tokens for \d+ embedding rows"),
     "vocab-null": (vocab_set(lambda v: None), "vocabulary must be a list of strings"),
     "version-2": (version_2, r"format version 2 unsupported \(expected 3\)"),
+    "mixed-dtype": (mlm_head_as_f8,
+                    "tensor param/mlm_head_w is <f8, but param/token_embedding is <f4"),
 }
 
 CHECKPOINT_READERS = {

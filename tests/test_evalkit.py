@@ -369,33 +369,6 @@ def test_rankings_hold_their_arrays_not_an_object_per_hit():
 # ---------------------------------------------------------------------------
 
 
-def test_recall_all_first():
-    rankings = [[("d1", 0.9), ("d2", 0.1)], [("d7", 0.8), ("d1", 0.2)]]
-    assert ek.recall_at_k(rankings, ["d1", "d7"], k=1) == 1.0
-
-
-def test_recall_absent_positive():
-    rankings = [[("d1", 0.9)], [("d2", 0.8)]]
-    assert ek.recall_at_k(rankings, ["x", "y"], k=1) == 0.0
-
-
-def test_recall_counting_oracle_and_monotone():
-    rankings = [
-        [("a", 0.9), ("b", 0.8), ("c", 0.7)],
-        [("b", 0.9), ("c", 0.8), ("a", 0.7)],
-        [("c", 0.9), ("a", 0.8), ("b", 0.7)],
-    ]
-    truth = ["a", "a", "a"]
-    values = [ek.recall_at_k(rankings, truth, k) for k in (1, 2, 3)]
-    assert values == [pytest.approx(1 / 3), pytest.approx(2 / 3), pytest.approx(1.0)]
-    assert values == sorted(values)
-
-
-def test_recall_requires_truth():
-    with pytest.raises(ContractError):
-        ek.recall_at_k([[("a", 1.0)]], [None], k=1)
-
-
 def as_rankings(lists):
     """The same pairs as array-backed ``Ranking``s, one block per query."""
     out = []
@@ -406,11 +379,41 @@ def as_rankings(lists):
     return out
 
 
+def recall_oracle(lists, truth, k):
+    """Recall@K counted pair by pair: the share of lists whose first K ids
+    hold their positive."""
+    return sum(positive in [doc for doc, _ in pairs[:k]]
+               for pairs, positive in zip(lists, truth)) / len(lists)
+
+
 RECALL_ABC = [
     [("a", 0.9), ("b", 0.8), ("c", 0.7)],
     [("b", 0.9), ("c", 0.8), ("a", 0.7)],
     [("c", 0.9), ("a", 0.8), ("b", 0.7)],
 ]
+
+
+def test_recall_all_first():
+    rankings = as_rankings([[("d1", 0.9), ("d2", 0.1)], [("d7", 0.8), ("d1", 0.2)]])
+    assert ek.recall_at_k(rankings, ["d1", "d7"], k=1) == 1.0
+
+
+def test_recall_absent_positive():
+    rankings = as_rankings([[("d1", 0.9)], [("d2", 0.8)]])
+    assert ek.recall_at_k(rankings, ["x", "y"], k=1) == 0.0
+
+
+def test_recall_counting_oracle_and_monotone():
+    rankings = as_rankings(RECALL_ABC)
+    truth = ["a", "a", "a"]
+    values = [ek.recall_at_k(rankings, truth, k) for k in (1, 2, 3)]
+    assert values == [pytest.approx(1 / 3), pytest.approx(2 / 3), pytest.approx(1.0)]
+    assert values == sorted(values)
+
+
+def test_recall_requires_truth():
+    with pytest.raises(ContractError):
+        ek.recall_at_k(as_rankings([[("a", 1.0)]]), [None], k=1)
 
 
 @pytest.mark.parametrize("lists,truth,k", [  # the test_recall_* cases above
@@ -422,14 +425,21 @@ RECALL_ABC = [
 def test_recall_same_on_lists_and_rankings(lists, truth, k):
     rankings = as_rankings(lists)
     assert as_lists(rankings) == lists
-    assert ek.recall_at_k(rankings, truth, k) == ek.recall_at_k(lists, truth, k)
+    assert ek.recall_at_k(rankings, truth, k) == recall_oracle(lists, truth, k)
 
 
 @pytest.mark.parametrize("k", [0, -1])
 def test_recall_rejects_k_below_one(k):
     # as exact_topk does, instead of scoring no pair or all but the last
     with pytest.raises(ConfigError, match="K must be at least 1"):
-        ek.recall_at_k(RECALL_ABC, ["a", "a", "a"], k)
+        ek.recall_at_k(as_rankings(RECALL_ABC), ["a", "a", "a"], k)
+
+
+@pytest.mark.parametrize("rankings", [[[("a", 1.0)]], [[]], as_rankings([[("a", 1.0)]]) + [[]]],
+                         ids=["pairs", "empty", "after-a-ranking"])
+def test_recall_rejects_a_plain_list(rankings):
+    with pytest.raises(ContractError, match="recall_at_k scores exact_topk's rankings"):
+        ek.recall_at_k(rankings, ["a"] * len(rankings), 1)
 
 
 def test_recall_of_exact_topk_same_as_of_its_lists():
@@ -447,8 +457,39 @@ def test_recall_of_exact_topk_same_as_of_its_lists():
     assert as_lists(got) == lists == [pairs[:20] for pairs in full]
     assert all(type(doc) is str and type(s) is float for pairs in lists for doc, s in pairs)
     recalls = [ek.recall_at_k(got, truth, k) for k in (1, 5, 10, 20, 50)]
-    assert recalls == [ek.recall_at_k(lists, truth, k) for k in (1, 5, 10, 20, 50)]
+    assert recalls == [recall_oracle(lists, truth, k) for k in (1, 5, 10, 20, 50)]
     assert 0 < recalls[0] < recalls[2] < recalls[3] == recalls[4] < 1
+
+
+def test_recall_of_rankings_interleaved_from_two_indexes():
+    # two indexes with disjoint ids, so a ranking scored against the other
+    # block's ids would miss its positive
+    a = make_index(n=300, d=8, seed=8, ids=[f"a{i:03d}" for i in range(300)])
+    b = make_index(n=90, d=8, seed=9, ids=[f"b{i:03d}" for i in range(90)])
+    qa, qb = unit_rows((20, 8), seed=10), unit_rows((13, 8), seed=11)
+    got_a, got_b = ek.exact_topk(a, qa, 50), ek.exact_topk(b, qb, 50)
+    mixed = [r for pair in zip(got_a, got_b) for r in pair] + got_a[len(got_b):]
+    full = as_lists(mixed)
+    truth = [pairs[(3 * qi) % 60][0] if (3 * qi) % 60 < 50 else "absent"
+             for qi, pairs in enumerate(full)]
+    recalls = [ek.recall_at_k(mixed, truth, k) for k in (1, 5, 50)]
+    assert recalls == [recall_oracle(full, truth, k) for k in (1, 5, 50)]
+    assert 0 < recalls[0] < recalls[1] < recalls[2] < 1
+
+
+def test_recall_reads_no_pair(monkeypatch):
+    index = make_index(n=200, d=8, seed=12)
+    queries = unit_rows((40, 8), seed=13)
+    got = ek.exact_topk(index, queries, 30)
+    lists = as_lists(got)
+    truth = [pairs[qi % 30][0] for qi, pairs in enumerate(lists)]
+
+    def no_pairs(self):
+        raise AssertionError("recall_at_k iterated a ranking")
+
+    monkeypatch.setattr(ek.Ranking, "__iter__", no_pairs)
+    for k in (1, 5, 30):
+        assert ek.recall_at_k(got, truth, k) == recall_oracle(lists, truth, k)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import os
 import re
 import stat
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -687,6 +688,42 @@ def test_checkpoint_malformed_manifest_is_typed(tmp_path, edit):
     tr.save_checkpoint(state, path)
     rewrite_manifest(path, edit)
     with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: "):
+        tr.load_checkpoint(path)
+
+
+def stored_as_f8(raw, names):
+    """A checkpoint's bytes with the tensors ``names`` stored as float64, its
+    table's offsets, byte counts and checksums fixed to match."""
+    nl = raw.index(b"\n", 8)
+    manifest, payload = json.loads(raw[8:nl]), raw[nl + 1:]
+    chunks, offset = [], 0
+    for t in manifest["tensors"]:
+        chunk = payload[t["offset"]:t["offset"] + t["nbytes"]]
+        if t["name"] in names:
+            chunk = np.frombuffer(chunk, dtype=t["dtype"]).astype("<f8").tobytes()
+            t["dtype"] = "<f8"
+        t.update(offset=offset, nbytes=len(chunk), crc32=zlib.crc32(chunk))
+        chunks.append(chunk)
+        offset += len(chunk)
+    return raw[:8] + json.dumps(manifest).encode() + b"\n" + b"".join(chunks)
+
+
+@pytest.mark.parametrize("kinds,first", [(("param/mlm_head_w",), "param/mlm_head_w"),
+                                         (("opt.m/", "opt.v/"), "opt.m/token_embedding")],
+                         ids=["float64-head", "float64-moments"])
+def test_checkpoint_of_mixed_dtypes_is_refused(tmp_path, kinds, first):
+    # a float64 head failed at the first forward; float64 moments resumed
+    # AdamW in float64 over float32 parameters
+    state, source = tiny_setup()
+    tr.run_stage(mlm_stage(1), state, source, ListSink())
+    path = tmp_path / "mixed.m3ck"
+    tr.save_checkpoint(state, path)
+    raw = path.read_bytes()
+    nl = raw.index(b"\n", 8)
+    names = {t["name"] for t in json.loads(raw[8:nl])["tensors"] if t["name"].startswith(kinds)}
+    path.write_bytes(stored_as_f8(raw, names))
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: tensor {first} is "
+                                              "<f8, but param/token_embedding is <f4$"):
         tr.load_checkpoint(path)
 
 
