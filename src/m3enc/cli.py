@@ -238,12 +238,13 @@ def _load_run(args, specs_of):
 
 
 def _open_sink(run, state):
-    """The run's ``metrics.jsonl`` sink, headed by its seed, precision and
-    ``state``'s parameter count."""
+    """The run's ``metrics.jsonl`` sink, headed by its seed, precision,
+    ``state``'s parameter count and the config file's sha256."""
     from . import trainer as tr
 
     return tr.JsonlSink(run.output_dir / "metrics.jsonl", seed=run.seed,
-                        precision=run.precision, param_count=state.params.count())
+                        precision=run.precision, param_count=state.params.count(),
+                        config_sha256=run.config_sha256)
 
 
 def _load_eval_target(args):

@@ -12,6 +12,7 @@ resolve against the config file's directory.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field, fields
@@ -143,6 +144,8 @@ class RunConfig:
     vocab_corpus: Path | None
     stages: list[StageSpec] = field(default_factory=list)
     ablate: AblateSpec | None = None
+    # of the config file's bytes: where the run came from, not what it runs
+    config_sha256: str = field(kw_only=True, compare=False)
 
 
 _MODEL_REQUIRED = {"n_layers": int, "hidden": int, "n_heads": int, "max_seq": int,
@@ -331,8 +334,9 @@ def load_run_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file does not exist: {path}")
+    data = path.read_bytes()
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     base_dir = path.parent
@@ -367,6 +371,13 @@ def load_run_config(path) -> RunConfig:
                             "a [max_seq x hidden] position embedding")
             _fits_in_memory(c, "config.model.ffn_mult", model.ffn_mult,
                             8 * m * model.intermediate, "a [hidden x ffn_mult * hidden] weight")
+            # training holds each parameter four times: weights, gradients and
+            # two AdamW moments; the vocabulary's size is not known yet
+            n = model.n_layers * model.block_params
+            itemsize = 8 if precision == "float64" else 4
+            _fits_in_memory(c, "config.model.n_layers", model.n_layers, 4 * itemsize * n,
+                            f"{n:.3g} block parameters, as weights, gradients and two AdamW "
+                            "moments,")
     c.raise_if_failed(str(path))
 
     vocab_corpus = None
@@ -398,4 +409,5 @@ def load_run_config(path) -> RunConfig:
     c.raise_if_failed(str(path))
     return RunConfig(seed=raw["seed"], output_dir=base_dir / raw["output_dir"],
                      precision=precision, model=model, vocab_corpus=vocab_corpus,
+                     config_sha256=hashlib.sha256(data).hexdigest(),
                      stages=stages, ablate=ablate)

@@ -127,6 +127,18 @@ class ModelConfig:
     def intermediate(self) -> int:
         return int(round(self.ffn_mult * self.hidden))
 
+    @property
+    def block_params(self) -> int:
+        """The trainable values of one block, as ``build_parameters`` lays them out."""
+        m, f = self.hidden, self.intermediate
+        f_in = 2 * f if self.activation == "swiglu" else f
+        n = 4 * m * m + m * f_in + f * m + 2 * m  # qkv, o, ffn in and down, two norm weights
+        if self.use_bias:
+            n += 5 * m + f_in
+        if self.norm == "layernorm":
+            n += 2 * m
+        return n
+
 
 @dataclass
 class LayerParams:

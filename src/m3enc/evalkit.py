@@ -15,13 +15,17 @@ Search is exact in two passes: a float32 GEMM per block of queries selects
 every row within a derived float32 error margin of a lower bound on the K-th
 best score, and only those candidates are re-scored in float64 and ordered by
 (-score, id). The bound is the K-th largest of the maxima of disjoint column
-groups, so only n_docs/g values per query are partitioned, not n_docs.
+groups, so only n_docs/g values per query are partitioned, not n_docs. Each
+block's candidates are laid out as one padded row matrix, re-scored by
+broadcasting each query over its rows and ordered by one sort per block, so
+no array operation is made per query.
 
 Each query's result is a ``Ranking``: an iterable of (id, float score)
-pairs, best first, over one row of its block's [Q x K] id and float64 score
-arrays. The pairs are built only when it is iterated, so a search holds 16
-bytes per hit, not a tuple of a string and a float. ``recall_at_k`` reads no
-pair: it compares each block's [Q x K] ids with their positives in one array
+pairs, best first, over one row of its block's [Q x K] index rows and
+float64 scores. The ids are looked up only when it is iterated, so a search
+holds 16 bytes per hit, an ``intp`` row and a float64 score, and no id.
+``recall_at_k`` reads no pair and no id: it maps each positive to its row
+once and compares each block's [Q x K] rows with them in one array
 operation.
 """
 
@@ -48,6 +52,9 @@ from .tensor import Tensor
 # queries scored per float32 GEMM; the scores are this x n_docs float32 and
 # the partitioned group maxima this x n_docs/g, whatever the number of queries
 _QUERY_BLOCK = 128
+# candidate rows re-scored per float64 chunk: a chunk takes queries while their
+# count times its widest candidate run stays within this, and at least one
+_RESCORE_ROWS = 1024
 _ENCODE_BATCH = 64  # texts per encoder forward
 _doc_id = "d{:06d}".format  # the id of the i-th distinct document
 
@@ -86,12 +93,9 @@ class EmbeddingIndex:
         return rank
 
     @functools.cached_property
-    def _id_array(self) -> np.ndarray:
-        """The ids as an object array, to map a block's rows to ids at once."""
-        ids = np.empty(len(self.ids), dtype=object)
-        ids[:] = self.ids
-        ids.setflags(write=False)
-        return ids
+    def _row_of(self) -> dict[str, int]:
+        """Each id's row; built on first use, by iterating the ids."""
+        return dict(zip(self.ids, range(len(self.ids))))
 
     @property
     def dim(self) -> int:
@@ -158,24 +162,72 @@ class Ranking:
     """One query's top K, best first: iterating it gives (doc id, float
     score) pairs.
 
-    ``ids`` and ``scores`` are its block's [Q x K] doc ids (an object array)
-    and float64 scores; this ranking is row ``q`` of them. The pairs are
-    built at each iteration, so a ranking can be read any number of times.
-    ``recall_at_k`` reads the block's ids directly and builds no pair.
+    ``rows`` and ``scores`` are its block's [Q x K] ``intp`` index rows and
+    float64 scores; this ranking is row ``q`` of them. The ids are looked up
+    in ``index.ids`` at each iteration, so a ranking can be read any number
+    of times. ``recall_at_k`` reads the block's rows directly and looks up
+    no id.
     """
 
-    __slots__ = ("_ids", "_scores", "_q")
+    __slots__ = ("_index", "_rows", "_scores", "_q")
 
-    def __init__(self, ids: np.ndarray, scores: np.ndarray, q: int):
-        self._ids, self._scores, self._q = ids, scores, q
+    def __init__(self, index: EmbeddingIndex, rows: np.ndarray, scores: np.ndarray, q: int):
+        self._index, self._rows, self._scores, self._q = index, rows, scores, q
 
     def __iter__(self):
-        return zip(self._ids[self._q].tolist(), self._scores[self._q].tolist())
+        ids = self._index.ids
+        return zip([ids[r] for r in self._rows[self._q].tolist()],
+                   self._scores[self._q].tolist())
 
 
-def _rankings(ids: np.ndarray, scores: np.ndarray) -> list[Ranking]:
-    """One ``Ranking`` per row of a block's [Q x K] doc ids and scores."""
-    return [Ranking(ids, scores, q) for q in range(len(ids))]
+def _rankings(index: EmbeddingIndex, rows: np.ndarray, scores: np.ndarray) -> list[Ranking]:
+    """One ``Ranking`` per row of a block's [Q x K] index rows and scores."""
+    return [Ranking(index, rows, scores, q) for q in range(len(rows))]
+
+
+def _candidates(q32: np.ndarray, emb: np.ndarray, k: int, margin: np.ndarray):
+    """A block's candidates: row i of the padded [Q x W] ``rows`` holds query
+    i's candidate index rows in ascending order, ``valid`` marks them, and
+    ``counts`` gives their number. Pad entries point at row 0."""
+    n_docs = len(emb)
+    n_groups = n_docs // max(1, min(10, n_docs // (10 * k)))
+    whole = n_docs - n_docs % n_groups
+    scores = q32 @ emb.T
+    # group j holds columns j, j + n_groups, j + 2 * n_groups, ...
+    bound = scores[:, :whole].reshape(len(scores), -1, n_groups).max(axis=1)
+    tail = n_docs - whole
+    np.maximum(bound[:, :tail], scores[:, whole:], out=bound[:, :tail])
+    bound.partition(n_groups - k, axis=1)
+    floor = (bound[:, n_groups - k] - margin).astype(scores.dtype)
+    cand = np.flatnonzero(scores >= floor[:, None])
+    counts = np.bincount(cand // n_docs, minlength=len(scores))
+    valid = np.arange(counts.max()) < counts[:, None]
+    rows = np.zeros(valid.shape, dtype=np.intp)
+    rows[valid] = cand % n_docs
+    return rows, valid, counts
+
+
+def _chunks(counts: list[int]):
+    """(first, end, width) of each run of queries re-scored together: a run
+    takes queries while their number times its largest candidate count stays
+    within ``_RESCORE_ROWS``, and always at least one."""
+    a = 0
+    while a < len(counts):
+        b, width = a + 1, counts[a]
+        while b < len(counts) and (b + 1 - a) * max(width, counts[b]) <= _RESCORE_ROWS:
+            width = max(width, counts[b])
+            b += 1
+        yield a, b, width
+        a = b
+
+
+def _exact_scores(emb: np.ndarray, rows: np.ndarray, q64: np.ndarray) -> np.ndarray:
+    """The [c x w] float64 scores of each of c queries' w rows. float32 rows
+    widen exactly, and each row's pairwise float64 sum does not depend on
+    where the row sits, unlike a BLAS tile, so twins score bit-identically."""
+    prod = emb[rows].astype(np.float64)
+    prod *= q64[:, None, :]
+    return prod.sum(axis=2)
 
 
 def exact_topk(index: EmbeddingIndex, query_emb: np.ndarray, k: int) -> list[Ranking]:
@@ -183,11 +235,11 @@ def exact_topk(index: EmbeddingIndex, query_emb: np.ndarray, k: int) -> list[Ran
 
     Returns, per query, a ``Ranking`` that iterates the K (id, score) pairs
     in descending score order, with float64 scores. K larger than the pool
-    clamps with a warning; an empty index gives empty rankings. Each query
-    of a block writes its top K into the block's [Q x K] index rows and
-    float64 scores; the rows are mapped to ids once per block, and the
-    block's rankings hold its id and score arrays, so no per-hit object and
-    no per-query view is made here.
+    clamps with a warning; an empty index gives empty rankings. Each block
+    of queries gives one [Q x K] array of index rows and one of float64
+    scores, and its rankings hold those arrays and the index: no id, no
+    per-hit object and no per-query view is made here. The ids are looked
+    up when a ranking is iterated.
 
     Each block of queries is scored by one float32 GEMM. Its columns fall
     into ``G = n_docs // g`` disjoint strided groups (columns j, j + G,
@@ -196,17 +248,23 @@ def exact_topk(index: EmbeddingIndex, query_emb: np.ndarray, k: int) -> list[Ran
     columns, so at least K scores reach it. ``g = min(10, n_docs // (10 K))``
     (at least 1) keeps G >= 10 K whenever g > 1; with fewer groups the
     bound falls far below the K-th score and the candidate set grows. g = 1
-    partitions every score.
+    partitions every score. The group maxima are one reduction over the
+    first ``g * G`` columns, with the remaining columns folded in after.
 
     A row is a candidate when its float32 score is within
     ``(d + 2) * eps_f32 * |q|`` of that bound. A float32 score of a unit row
     is off its exact value by at most ``(d + 1) * eps_f32 / 2 * |q|``, so the
     margin covers twice that error plus the rounding of the threshold
     itself: every document of the exact top K, and every bit-identical twin
-    of one, is a candidate. Only candidates are re-scored in float64, row by
-    row, so twins get bit-identical scores; they are ordered by (-score, id)
-    and cut to K. Exact ties therefore come back in ascending id order, also
-    across the cut-off. Queries that are not finite in float32 raise
+    of one, is a candidate. Only candidates are re-scored in float64: each
+    query's candidates are one row of a padded [Q x W] row matrix, and each
+    float64 score is the pairwise sum of one row's products with its query,
+    so twins get bit-identical scores. The rows are scored a few queries at
+    a time (``_RESCORE_ROWS``), so a query with thousands of tied candidates
+    is scored alone. Pad entries score -inf, so they sort after every
+    candidate, and one sort per block orders each row by (-score, id), cut
+    to K. Exact ties therefore come back in ascending id order, also across
+    the cut-off. Queries that are not finite in float32 raise
     ``NumericsError``.
     """
     if k < 1:
@@ -220,47 +278,37 @@ def exact_topk(index: EmbeddingIndex, query_emb: np.ndarray, k: int) -> list[Ran
         k = n_docs
     q64 = query_emb.astype(np.float64)
     if k == 0:  # empty index
-        return _rankings(np.empty((len(q64), 0), dtype=object), np.empty((len(q64), 0)))
+        return _rankings(index, np.empty((len(q64), 0), dtype=np.intp), np.empty((len(q64), 0)))
     q32 = q64.astype(np.float32)
     if not np.isfinite(q32).all():
         raise NumericsError("query embeddings must be finite in float32")
     margin = (index.dim + 2) * np.finfo(np.float32).eps * np.linalg.norm(q64, axis=1)
     emb, id_rank = index.embeddings, index._id_rank
-    n_groups = n_docs // max(1, min(10, n_docs // (10 * k)))
     out = []
     for start in range(0, len(q64), _QUERY_BLOCK):
-        scores = q32[start:start + _QUERY_BLOCK] @ emb.T
-        # group j holds columns j, j + n_groups, j + 2 * n_groups, ...
-        bound = scores[:, :n_groups].copy()
-        for col in range(n_groups, n_docs, n_groups):
-            part = scores[:, col:col + n_groups]
-            np.maximum(bound[:, :part.shape[1]], part, out=bound[:, :part.shape[1]])
-        bound.partition(n_groups - k, axis=1)
-        floor = (bound[:, n_groups - k] - margin[start:start + _QUERY_BLOCK]).astype(scores.dtype)
-        qi, cand = np.divmod(np.flatnonzero(scores >= floor[:, None]), n_docs)
-        bounds = np.searchsorted(qi, np.arange(len(scores) + 1)).tolist()
-        top_rows = np.empty((len(scores), k), dtype=np.intp)
-        top_scores = np.empty((len(scores), k))
-        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-            # float32 rows widen exactly; the float64 row sums do not depend on
-            # where a row sits, unlike a BLAS tile, so twins score bit-identically
-            rows = cand[a:b]
-            exact = (emb[rows] * q64[start + i]).sum(axis=1)
-            top = np.lexsort((id_rank[rows], -exact))[:k]
-            top_rows[i] = rows[top]
-            top_scores[i] = exact[top]
-        out += _rankings(index._id_array[top_rows], top_scores)
+        block = slice(start, start + _QUERY_BLOCK)
+        rows, valid, counts = _candidates(q32[block], emb, k, margin[block])
+        neg = np.empty(rows.shape)  # each candidate's -score; +inf at a pad
+        qb = q64[block]
+        for a, b, width in _chunks(counts.tolist()):
+            np.negative(_exact_scores(emb, rows[a:b, :width], qb[a:b]), out=neg[a:b, :width])
+        neg[~valid] = np.inf  # pads sort after every candidate
+        top = np.lexsort((id_rank[rows], neg), axis=1)[:, :k]
+        out += _rankings(index, np.take_along_axis(rows, top, axis=1),
+                         -np.take_along_axis(neg, top, axis=1))
     return out
 
 
 def recall_at_k(rankings: Sequence[Ranking], truth: Sequence[str], k: int) -> float:
     """Fraction of queries whose positive document appears in their top K.
 
-    ``rankings`` are ``exact_topk``'s. Each run of consecutive rankings over
-    one block's [Q x K] id array is scored in one comparison of the rows'
-    first K ids with their positives; rankings interleaved from several
-    blocks only make more runs. A K beyond the rankings' length reads them
-    whole."""
+    ``rankings`` are ``exact_topk``'s. Each positive is mapped to its row in
+    its ranking's index once (a positive not in the index maps to -1, a
+    miss), and each run of consecutive rankings over one block's [Q x K]
+    row array is scored in one comparison of the rows' first K entries with
+    their positives' rows; rankings interleaved from several blocks only
+    make more runs. No ranking's id is looked up. A K beyond the rankings'
+    length reads them whole."""
     if k < 1:
         raise ConfigError("K must be at least 1")
     if len(rankings) != len(truth):
@@ -273,10 +321,15 @@ def recall_at_k(rankings: Sequence[Ranking], truth: Sequence[str], k: int) -> fl
         raise ContractError("recall_at_k scores exact_topk's rankings")
     hits, start = 0, 0
     # keyed by the array's identity: groupby compares keys with ==
-    for _, run in itertools.groupby(rankings, key=lambda r: id(r._ids)):
+    for _, run in itertools.groupby(rankings, key=lambda r: id(r._rows)):
         run = list(run)
-        positives = np.array(truth[start:start + len(run)], dtype=object)
-        top = run[0]._ids[[r._q for r in run], :k]
+        row_of = run[0]._index._row_of
+        try:
+            positives = np.array([row_of.get(p, -1) for p in truth[start:start + len(run)]],
+                                 dtype=np.intp)
+        except TypeError as e:
+            raise ContractError(f"ground-truth positives must be hashable ids: {e}") from None
+        top = run[0]._rows[[r._q for r in run], :k]
         hits += int((top == positives[:, None]).any(axis=1).sum())
         start += len(run)
     return hits / len(rankings)

@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import encoder as enc
 from . import objectives as obj
 from .data import MASK_POLICIES, Vocab
@@ -459,7 +460,9 @@ class JsonlSink:
     Each sink draws one ``run_id`` and stamps it on every record, so runs
     appended to one file stay apart. Its first record is a ``run_start``
     header: the ``header`` fields the caller passes (seed, precision,
-    parameter count), the numpy version and ``OPENBLAS_NUM_THREADS``.
+    parameter count, the config file's sha256), the m3enc and numpy
+    versions, the BLAS build as ``"<name> <version>"`` and
+    ``OPENBLAS_NUM_THREADS``.
     """
 
     def __init__(self, path, **header):
@@ -468,7 +471,9 @@ class JsonlSink:
         with writing(self.path):
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._f = open(self.path, "a", encoding="utf-8")
-        self.emit({"event": "run_start", **header, "numpy": np.__version__,
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        self.emit({"event": "run_start", **header, "m3enc": __version__,
+                   "numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
                    "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")})
 
     def emit(self, record: dict) -> None:

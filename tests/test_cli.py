@@ -1,6 +1,7 @@
 """CLI tests: config validation exit codes, staged runs, eval/sweep/ablate."""
 
 import ctypes
+import hashlib
 import json
 import logging
 import os
@@ -14,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import m3enc
 from m3enc import cli, synth
 from m3enc import data as D
 from m3enc import encoder as enc
@@ -276,10 +278,12 @@ def test_two_runs_into_one_directory_keep_their_records_apart(workdir):
     starts = [r for r in records if r.get("event") == "run_start"]
     assert starts == [records[0], records[n]]
     params = tr.load_checkpoint(out / "final.m3ck").params
+    blas = "{name} {version}".format(**np.show_config(mode="dicts")["Build Dependencies"]["blas"])
     for header, run_id in zip(starts, (first, second)):
         assert header == {"event": "run_start", "run_id": run_id, "seed": 3,
                           "precision": "float32", "param_count": params.count(),
-                          "numpy": np.__version__,
+                          "config_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+                          "m3enc": m3enc.__version__, "numpy": np.__version__, "blas": blas,
                           "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
     assert [r.get("event") for r in records].count("stage_end") == 2
 
@@ -634,6 +638,8 @@ IMPOSSIBLE_SIZE = {
     "max_seq": ("model", "config.model.max_seq", 10**12),
     "hidden": ("model", "config.model.hidden", 10**7),
     "ffn_mult": ("model", "config.model.ffn_mult", 1e12),
+    # each array fits; the 3.1e12 parameters of the stack, four times over, do not
+    "n_layers": ("model", "config.model.n_layers", 10**9),
 }
 
 

@@ -2,6 +2,7 @@
 that any config yields a RunConfig or a typed ConfigError, nothing else."""
 
 import copy
+import hashlib
 import json
 
 import pytest
@@ -94,6 +95,27 @@ def test_unknown_stage_kind_lists_the_valid_kinds(root):
                                           r"\('pretrain_mlm', 'distill', "
                                           r"'pretrain_contrastive', 'sft_mrl'\)"):
         load(root, cfg)
+
+
+def test_a_layer_stack_beyond_memory_is_a_config_error(root):
+    # every array of it fits, but 1e9 blocks at hidden 8 are 6.6e11 parameters,
+    # held four times in float64 for training: about 19,000 GiB
+    cfg = full_config()
+    cfg["model"]["n_layers"] = 10**9
+    with pytest.raises(ConfigError, match=r"config\.model\.n_layers: 1000000000 implies 6\.56e\+11 "
+                                          r"block parameters, .* GiB, more than the .* GiB "
+                                          r"of physical memory"):
+        load(root, cfg)
+
+
+def test_a_config_is_hashed_as_its_file_bytes(root):
+    text = json.dumps(full_config())
+    (root / "spaced.json").write_text(text.replace(", ", ",  "), encoding="utf-8")
+    runs = [load(root, full_config()), load(root, full_config(), "again.json"),
+            C.load_run_config(root / "spaced.json")]
+    assert runs[0].config_sha256 == runs[1].config_sha256 == hashlib.sha256(
+        text.encode()).hexdigest()
+    assert runs[2].config_sha256 != runs[0].config_sha256
 
 
 def test_config_root_must_be_an_object(root):

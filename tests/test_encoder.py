@@ -70,6 +70,17 @@ def test_config_validation():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("overrides", [
+    {}, {"activation": "gelu"}, {"use_bias": True}, {"norm": "layernorm"},
+    {"norm": "layernorm", "use_bias": True, "activation": "gelu", "ffn_mult": 3.3},
+])
+def test_block_params_counts_each_block_of_the_built_parameters(overrides):
+    cfg = toy_config(**overrides)
+    params = enc.build_parameters(cfg, lambda name, shape: np.zeros(shape, dtype=np.float32))
+    in_blocks = sum(t.data.size for name, t in params.named() if name.startswith("layers."))
+    assert in_blocks == cfg.n_layers * cfg.block_params
+
+
 def test_init_deterministic():
     cfg = toy_config()
     a = enc.init_parameters(cfg, seed=7)

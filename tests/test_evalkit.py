@@ -1,6 +1,7 @@
 """Evaluation kit tests: exact search oracles, recall, sweeps, report files."""
 
 import dataclasses
+import hashlib
 import json
 import tracemalloc
 
@@ -329,6 +330,163 @@ def test_topk_twins_straddle_cutoff_with_ids_in_reverse_row_order():
     assert [doc for doc, _ in kept] == sorted(twins)[:len(kept)]
 
 
+def per_query_topk(index, queries, k):
+    """exact_topk's search as it ran query by query: the group bound folded
+    in slab by slab, and each query's candidates re-scored in float64 and
+    ordered by (-score, id rank) in a Python loop. The [Q x K] rows and
+    float64 scores of each block, as exact_topk's rankings hold them, and
+    each query's candidate rows."""
+    emb, n_docs = index.embeddings, len(index.ids)
+    k = min(k, n_docs)
+    q64 = np.asarray(queries, dtype=np.float64)
+    q32 = q64.astype(np.float32)
+    margin = (index.dim + 2) * np.finfo(np.float32).eps * np.linalg.norm(q64, axis=1)
+    n_groups = n_docs // group_size(n_docs, k)
+    blocks = []
+    for start in range(0, len(q64), ek._QUERY_BLOCK):
+        scores = q32[start:start + ek._QUERY_BLOCK] @ emb.T
+        bound = scores[:, :n_groups].copy()
+        for col in range(n_groups, n_docs, n_groups):
+            part = scores[:, col:col + n_groups]
+            np.maximum(bound[:, :part.shape[1]], part, out=bound[:, :part.shape[1]])
+        bound.partition(n_groups - k, axis=1)
+        floor = (bound[:, n_groups - k] - margin[start:start + ek._QUERY_BLOCK]).astype(
+            scores.dtype)
+        qi, cand = np.divmod(np.flatnonzero(scores >= floor[:, None]), n_docs)
+        bounds = np.searchsorted(qi, np.arange(len(scores) + 1)).tolist()
+        top_rows = np.empty((len(scores), k), dtype=np.intp)
+        top_scores = np.empty((len(scores), k))
+        candidates = []
+        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            rows = cand[a:b]
+            exact = (emb[rows] * q64[start + i]).sum(axis=1)
+            top = np.lexsort((index._id_rank[rows], -exact))[:k]
+            top_rows[i], top_scores[i] = rows[top], exact[top]
+            candidates.append(rows)
+        blocks.append((top_rows, top_scores, candidates))
+    return blocks
+
+
+def assert_same_as_per_query(index, queries, k, monkeypatch):
+    """exact_topk's candidates, ids and score bytes equal the per-query loop's:
+    its group bound is the same, so it selects the same candidates."""
+    padded_blocks = []
+
+    def spy(*args):
+        padded_blocks.append(real(*args))
+        return padded_blocks[-1]
+
+    real = ek._candidates
+    monkeypatch.setattr(ek, "_candidates", spy)
+    got = ek.exact_topk(index, queries, k)
+    blocks = per_query_topk(index, queries, k)
+    for (rows, valid, _), (_, _, candidates) in zip(padded_blocks, blocks, strict=True):
+        assert [r[v].tolist() for r, v in zip(rows, valid)] == [c.tolist() for c in candidates]
+    want = [(r, s) for rows, scores, _ in blocks for r, s in zip(rows, scores)]
+    assert len(got) == len(want)
+    for ranking, (rows, scores) in zip(got, want):
+        pairs = list(ranking)
+        assert [doc for doc, _ in pairs] == [index.ids[r] for r in rows.tolist()]
+        assert np.array([s for _, s in pairs], dtype=np.float64).tobytes() == scores.tobytes()
+
+
+@pytest.mark.parametrize("n,k", [
+    (2003, 10),            # n_docs no multiple of the group count
+    (35, 10), (140, 15),   # n_docs < 10 K: the group size is 1
+    (700, 1), (700, 700),  # K 1 and K = n
+])
+@pytest.mark.parametrize("d", [64, 16])
+def test_topk_equals_the_per_query_loop(n, k, d, monkeypatch):
+    rows = unit_rows((n, d), seed=n + d)
+    copies = np.random.default_rng(n).choice(n, size=max(2, n // 20), replace=False)
+    rows[copies] = rows[copies[0]]
+    index = ek.EmbeddingIndex(ids=shuffled_ids(n, n + 1), embeddings=rows, provenance={})
+    queries = np.concatenate([unit_rows((ek._QUERY_BLOCK + 9, d), seed=n + d + 1),
+                              rows[copies[:2]]])
+    assert_same_as_per_query(index, queries, k, monkeypatch)
+
+
+def test_topk_equals_the_per_query_loop_on_twins_straddling_the_cutoff(monkeypatch):
+    n, d, k = 3001, 16, 25
+    rows = unit_rows((n, d), seed=60)
+    queries = unit_rows((4, d), seed=61)
+    order = np.argsort(-(rows.astype(np.float64) @ queries[0].astype(np.float64)))
+    source = int(order[k - 2])
+    copies = [5, 1111, 2222, n - 1]
+    assert source not in copies and not np.isin(copies, order[:2 * k]).any()
+    rows[copies] = rows[source]
+    index = ek.EmbeddingIndex(ids=shuffled_ids(n, 62), embeddings=rows, provenance={})
+    got = as_lists(ek.exact_topk(index, queries, k))
+    kept = [doc for doc, _ in got[0] if doc in {index.ids[j] for j in [source] + copies}]
+    assert 0 < len(kept) < 5  # the tie group straddles the cut-off
+    assert_same_as_per_query(index, queries, k, monkeypatch)
+
+
+def test_topk_of_copies_of_one_row_equals_the_per_query_loop_in_bounded_memory(monkeypatch):
+    # every query has all 500 rows as tied candidates: chunks of the re-score
+    # are cut by candidate count, so the padded block is scored a few queries
+    # at a time and the peak stays near the per-query loop's
+    n, d, k = 500, 128, 10
+    rows = np.repeat(unit_rows((1, d), seed=70), n, axis=0)
+    index = ek.EmbeddingIndex(ids=shuffled_ids(n, 71), embeddings=rows, provenance={})
+    queries = unit_rows((ek._QUERY_BLOCK, d), seed=72)
+    peaks = []
+    for search in (per_query_topk, ek.exact_topk):
+        tracemalloc.start()
+        try:
+            search(index, queries, k)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+    assert_same_as_per_query(index, queries, k, monkeypatch)
+
+
+def pinned_search_inputs(d):
+    """3,000 unit rows, 5% of them exact copies of other rows, with shuffled
+    ids, and 300 unit queries."""
+    n = 3000
+    rng = np.random.default_rng(500 + d)
+    rows = unit_rows((n, d), seed=600 + d)
+    dup = rng.choice(n, size=2 * (n // 20), replace=False)
+    rows[dup[:n // 20]] = rows[dup[n // 20:]]
+    ids = tuple(f"d{i:05d}" for i in rng.permutation(n))
+    return (ek.EmbeddingIndex(ids=ids, embeddings=rows, provenance={}),
+            unit_rows((300, d), seed=700 + d))
+
+
+def search_digest(rankings):
+    """sha256 over each ranking's ids and float64 score bytes, in order."""
+    h = hashlib.sha256()
+    for ranking in rankings:
+        pairs = list(ranking)
+        h.update(" ".join(doc for doc, _ in pairs).encode())
+        h.update(np.array([s for _, s in pairs], dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+PINNED_SEARCH_DIGESTS = {
+    (64, 1): "53f5318c2e8e6c712e2da1e99f5de12369bbec4613f07823b0b5e20cbb214c68",
+    (64, 10): "110dfb7d4b93b267dbafd42bc3e88cd052607af1a01eea2dd3ffe8ce2602e5ea",
+    (64, 100): "eb1f03db4ab07f9fa036b5d21123d48234c714d7463b31e023a0e95c2fae5569",
+    (16, 1): "65fe63e9baad062a1abcf466a4fe11bc2fc547502fa7636a63bc613f8ce218f7",
+    (16, 10): "de4b1f0ce539d3b465157d3a3a7ec4dfdf4ed05c7349fdbd78de84664a35aad7",
+    (16, 100): "479b24b746e9020d3631545813fc0381185ff5f4b5cb7f251bb505aa4ea77769",
+}
+
+
+@pytest.mark.parametrize("d,k", PINNED_SEARCH_DIGESTS)
+def test_search_pinned_bits(d, k):
+    """A bit gate for changes that must not move search results: the ids and
+    float64 score bytes of exact_topk over seeded inputs with tied rows.
+
+    The digests pin the installed numpy build as well as the code. A numpy
+    upgrade re-baselines them, and the re-baseline is recorded in
+    CHANGES.md."""
+    index, queries = pinned_search_inputs(d)
+    assert search_digest(ek.exact_topk(index, queries, k)) == PINNED_SEARCH_DIGESTS[d, k]
+
+
 def test_topk_rejects_non_finite_queries():
     index = make_index()
     queries = index.embeddings[:2].copy()
@@ -359,7 +517,7 @@ def test_rankings_hold_their_arrays_not_an_object_per_hit():
     finally:
         tracemalloc.stop()
     assert len(got) == n_queries and all(len(r) == k for r in as_lists(got))
-    # an id reference and a float64 score are 16 B a hit; a list of
+    # an intp row and a float64 score are 16 B a hit; a list of
     # (str, float) tuples holds about 80 B a hit
     assert held / n_queries < 2 * 16 * k
 
@@ -370,12 +528,14 @@ def test_rankings_hold_their_arrays_not_an_object_per_hit():
 
 
 def as_rankings(lists):
-    """The same pairs as array-backed ``Ranking``s, one block per query."""
+    """The same pairs as array-backed ``Ranking``s, one block per query, each
+    over an index of that query's ids in ranked order."""
     out = []
     for pairs in lists:
-        ids = np.empty((1, len(pairs)), dtype=object)
-        ids[0, :] = [doc for doc, _ in pairs]
-        out += ek._rankings(ids, np.array([[s for _, s in pairs]]))
+        index = ek.EmbeddingIndex(ids=tuple(doc for doc, _ in pairs),
+                                  embeddings=unit_rows((len(pairs), 2), 0), provenance={})
+        out += ek._rankings(index, np.arange(len(pairs))[None, :],
+                            np.array([[s for _, s in pairs]], dtype=np.float64))
     return out
 
 
@@ -490,6 +650,45 @@ def test_recall_reads_no_pair(monkeypatch):
     monkeypatch.setattr(ek.Ranking, "__iter__", no_pairs)
     for k in (1, 5, 30):
         assert ek.recall_at_k(got, truth, k) == recall_oracle(lists, truth, k)
+
+
+class NoIndexing(tuple):
+    """Ids that can be iterated but not indexed."""
+
+    def __getitem__(self, i):
+        raise AssertionError("recall_at_k looked up an id")
+
+
+def test_recall_reads_no_id(monkeypatch):
+    index = make_index(n=300, d=8, seed=14)
+    queries = unit_rows((50, 8), seed=15)
+    got = ek.exact_topk(index, queries, 40)
+    lists = as_lists(got)
+    truth = [pairs[(5 * qi) % 50][0] if (5 * qi) % 50 < 40 else "d299"
+             for qi, pairs in enumerate(lists)]
+    index.ids = NoIndexing(index.ids)
+
+    def no_pairs(self):
+        raise AssertionError("recall_at_k iterated a ranking")
+
+    monkeypatch.setattr(ek.Ranking, "__iter__", no_pairs)
+    recalls = [ek.recall_at_k(got, truth, k) for k in (1, 10, 40)]
+    assert recalls == [recall_oracle(lists, truth, k) for k in (1, 10, 40)]
+    assert 0 < recalls[0] < recalls[1] < recalls[2] < 1
+
+
+def test_recall_counts_a_positive_not_in_the_index_as_a_miss():
+    index = make_index(n=40, d=6, seed=16)
+    got = ek.exact_topk(index, index.embeddings[:4], 40)
+    truth = ["d000", "absent", "d002", "d999"]
+    assert ek.recall_at_k(got, truth, 40) == 0.5
+    assert ek.recall_at_k(got, truth, 1) == recall_oracle(as_lists(got), truth, 1) == 0.5
+
+
+def test_recall_rejects_an_unhashable_positive():
+    got = ek.exact_topk(make_index(), unit_rows((2, 6), seed=17), 3)
+    with pytest.raises(ContractError, match="hashable"):
+        ek.recall_at_k(got, ["d001", ["d002"]], 3)
 
 
 # ---------------------------------------------------------------------------
