@@ -303,8 +303,8 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"--dim {args.dim} outside [1, {state.config.hidden}]")
     if not (1 <= args.layer <= state.config.n_layers):
         raise ConfigError(f"--layer {args.layer} outside [1, {state.config.n_layers}]")
-    report = ek.evaluate(state.params, state.config, state.vocab, queries, docs, truth,
-                         layer=args.layer, dim=args.dim, ks=ks)
+    [report] = ek.evaluate(state.params, state.config, state.vocab, queries, docs, truth,
+                           cells=[(args.layer, args.dim)], ks=ks)
     out = Path(args.output)
     with writing(out):
         out.mkdir(parents=True, exist_ok=True)
@@ -317,13 +317,18 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     from . import evalkit as ek
-    from .errors import writing
+    from .errors import ConfigError, writing
 
     values = _parse_int_list(args.values, "--values")
+    if values != sorted(set(values)):
+        raise ConfigError(f"--values must be strictly increasing, got {args.values!r}")
+    fixed, free = ("layer", "dim") if args.axis == "dim" else ("dim", "layer")
+    if getattr(args, fixed) is None or getattr(args, free) is not None:
+        raise ConfigError(f"a {args.axis} sweep takes a fixed --{fixed} and no --{free}")
+    cells = [(args.layer, v) if args.axis == "dim" else (v, args.dim) for v in values]
     state, ks, (queries, docs, truth) = _load_eval_target(args)
-    reports = ek.tradeoff_sweep(state.params, state.config, state.vocab, queries, docs,
-                                truth, axis=args.axis, values=values, ks=ks,
-                                layer=args.layer, dim=args.dim)
+    reports = ek.evaluate(state.params, state.config, state.vocab, queries, docs, truth,
+                          cells=cells, ks=ks)
     out = Path(args.output)
     with writing(out):
         out.mkdir(parents=True, exist_ok=True)
@@ -361,9 +366,9 @@ def cmd_ablate(args) -> int:
             state = (_fresh_state(run, dataclasses.replace(base, **overrides), vocab)
                      if overrides else base_state)
             tr.run_stage(train.stage, state, _build_source(train, vocab), sink)
-            report = ek.evaluate(state.params, state.config, vocab, queries, docs, truth,
-                                 layer=ev.layer, dim=ev.dim, ks=list(ev.ks),
-                                 query_len=ev.query_len, doc_len=ev.doc_len)
+            [report] = ek.evaluate(state.params, state.config, vocab, queries, docs, truth,
+                                   cells=[(ev.layer, ev.dim)], ks=list(ev.ks),
+                                   query_len=ev.query_len, doc_len=ev.doc_len)
             row = {"arm": arm, "param_count": state.params.count()}
             row.update({f"recall@{k}": report.recalls[k] for k in sorted(report.recalls)})
             rows.append(row)
@@ -388,7 +393,13 @@ def cmd_ablate(args) -> int:
 
 def cmd_gen_data(args) -> int:
     from . import synth
-    from .errors import writing
+    from .config import _Checker, _fits_in_memory
+    from .errors import ConfigError, writing
+
+    c = _Checker()  # a generator draws its whole corpus at once, a float64 per word
+    if not _fits_in_memory(c, "--n", args.n, 8 * synth.MAX_DOC_WORDS * args.n,
+                           f"a [n x {synth.MAX_DOC_WORDS}] float64 word array"):
+        raise ConfigError(c.errors[0])
     out = Path(args.out)
     with writing(out):
         out.parent.mkdir(parents=True, exist_ok=True)

@@ -68,9 +68,11 @@ class GranularitySet:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(int(v) for v in self.layers))
-        object.__setattr__(self, "dims", tuple(int(v) for v in self.dims))
+        object.__setattr__(self, "layers", tuple(self.layers))
+        object.__setattr__(self, "dims", tuple(self.dims))
         for name, values in (("layers", self.layers), ("dims", self.dims)):
+            if not all(type(v) is int for v in values):  # bool and float refused too
+                raise ConfigError(f"granularity.{name} entries must be integers: {values}")
             if not values:
                 raise ConfigError(f"granularity.{name} must be non-empty")
             if list(values) != sorted(set(values)):

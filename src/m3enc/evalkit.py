@@ -1,15 +1,17 @@
-"""Exact-search retrieval evaluation and dimension/layer trade-off sweeps.
+"""Exact-search retrieval evaluation of a list of (layer, dim) cells.
 
-``encode_corpus`` keeps each requested layer's full-width pooled rows from
-one early-exit forward per batch; a (layer, dim) cell's unit rows are sliced
-from them (``cell_rows``), never encoded again, so ``tradeoff_sweep`` encodes
-the docs once and the queries once. A layer-``l`` cell costs ``l`` blocks per
+``evaluate`` scores any list of cells -- one, a sweep's axis or a whole
+grid -- and gives one ``EvalReport`` per cell. ``encode_corpus`` keeps each
+requested layer's full-width pooled rows from one early-exit forward per
+batch; a cell's unit rows are sliced from them (``cell_rows``), never
+encoded again, so ``evaluate`` encodes the docs once and the queries once
+whatever the number of cells. A layer-``l`` cell costs ``l`` blocks per
 text, the cost proxy of a layer sweep. Queries are ranked against the whole
 document pool by inner product (cosine, since rows are unit norm) with
 id-order tie-breaking; Recall@K counts the queries whose single positive
-document lands in the top K. ``read_eval_pairs`` numbers a pair corpus's docs
-as ``evaluate`` does. Each scored cell is one ``EvalReport``, and
-``write_curve_files`` writes a sweep's reports as one recall curve per K.
+document lands in the top K. ``read_eval_pairs`` numbers a pair corpus's
+docs as ``evaluate`` does, and ``write_curve_files`` writes a sweep's
+reports as one recall curve per K.
 
 Search is exact in two passes: a float32 GEMM per block of queries selects
 every row within a derived float32 error margin of a lower bound on the K-th
@@ -354,25 +356,19 @@ def evaluate(
     queries: list[str],
     docs: list[str],
     truth: list[str],
-    layer: int,
-    dim: int,
+    cells: Sequence[tuple[int, int]],
     ks: list[int],
     query_len: int | None = None,
     doc_len: int | None = None,
-) -> EvalReport:
-    """Encode, search, and score one (layer, dim) cell end to end.
+) -> list[EvalReport]:
+    """Encode, search, and score each (layer, dim) cell end to end: one report
+    per cell, in the order of ``cells``.
 
+    The docs are encoded once and the queries once, at every layer the cells
+    name; each cell's index and query rows are sliced from those pooled rows.
     Queries are cut to at most ``query_len`` tokens and documents to
     ``doc_len``; either cap defaults to the model's ``max_seq``.
     """
-    return _evaluate_cells(params, config, vocab, queries, docs, truth, [(layer, dim)], ks,
-                           query_len, doc_len)[0]
-
-
-def _evaluate_cells(params, config, vocab, queries, docs, truth, cells, ks,
-                    query_len=None, doc_len=None) -> list[EvalReport]:
-    """Encode the docs once and the queries once at every layer the cells
-    name, then search and score each cell from those pooled rows."""
     if not all(1 <= dim <= config.hidden for _, dim in cells):  # the encoder checks layers
         raise ConfigError(f"dims {[d for _, d in cells]} must lie in [1, {config.hidden}]")
     t0 = time.perf_counter()
@@ -395,34 +391,6 @@ def _evaluate_cells(params, config, vocab, queries, docs, truth, cells, ks,
                                   dim=dim, encode_ms=encode_ms, search_ms=search_ms,
                                   index_bytes=index.embeddings.nbytes, clamped_k=k_max > len(ids)))
     return reports
-
-
-def tradeoff_sweep(
-    params: Parameters,
-    config: ModelConfig,
-    vocab: Vocab,
-    queries: list[str],
-    docs: list[str],
-    truth: list[str],
-    axis: str,
-    values: list[int],
-    ks: list[int],
-    layer: int | None = None,
-    dim: int | None = None,
-) -> list[EvalReport]:
-    """The report of each cell along the axis, in the order of ``values``,
-    each scored as ``evaluate`` scores its cell, from one encoding of the
-    docs and one of the queries."""
-    if axis not in ("dim", "layer"):
-        raise ConfigError("axis must be 'dim' or 'layer'")
-    if sorted(values) != list(values) or len(set(values)) != len(values):
-        raise ConfigError("sweep values must be strictly increasing")
-    if axis == "dim" and (layer is None or dim is not None):
-        raise ConfigError("a dim sweep takes a fixed --layer and no --dim")
-    if axis == "layer" and (dim is None or layer is not None):
-        raise ConfigError("a layer sweep takes a fixed --dim and no --layer")
-    cells = [(v, dim) if axis == "layer" else (layer, v) for v in values]
-    return _evaluate_cells(params, config, vocab, queries, docs, truth, cells, ks)
 
 
 # ---------------------------------------------------------------------------

@@ -217,8 +217,10 @@ def tiled_contrastive_loss(emb: Tensor, tau: float, tile: int | None) -> Tensor:
     by the temperature; the loss is the mean over queries of log-sum-exp of
     a score row minus its diagonal score. The score matrix is streamed in
     column tiles of ``tile`` documents with running log-sum-exp
-    accumulators, and the backward pass recomputes each tile, so no B x B
-    array exists when tile < B; auxiliary storage is O(B * tile + tile^2).
+    accumulators, and each diagonal score is read from its own tile, the
+    entry the log-sum-exp reads, so a batch of one scores exactly 0. The
+    backward pass recomputes each tile, so no B x B array exists when
+    tile < B; auxiliary storage is O(B * tile + tile^2).
     ``tile=None`` is one tile of the whole batch. The gradient is one
     [2B x d] buffer, laid out as ``emb``.
     """
@@ -235,12 +237,13 @@ def tiled_contrastive_loss(emb: Tensor, tau: float, tile: int | None) -> Tensor:
     t = b if tile is None else tile
     inv_tau = 1.0 / tau
 
-    diag = (q * d).sum(axis=1) * inv_tau
+    diag = np.empty(b, dtype=q.dtype)
     run_max = np.full(b, -np.inf, dtype=q.dtype)
     run_sum = np.zeros(b, dtype=q.dtype)
     for j0 in range(0, b, t):
         block = d[j0:j0 + t]
         scores = (q @ block.T) * inv_tau
+        diag[j0:j0 + t] = scores[j0:j0 + t].diagonal()
         new_max = np.maximum(run_max, scores.max(axis=1))
         run_sum = run_sum * np.exp(run_max - new_max) + np.exp(
             scores - new_max[:, None]).sum(axis=1)

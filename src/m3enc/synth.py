@@ -27,6 +27,10 @@ from .errors import ConfigError
 from .rng import named_rng
 
 
+# the most words a document holds at any generator's default lengths
+MAX_DOC_WORDS = 22
+
+
 def topic_word(topic: int, k: int) -> str:
     return f"t{topic:02d}w{k:02d}"
 
@@ -90,7 +94,7 @@ def generate_mlm_corpus(
     n_topics: int = 24,
     words_per_topic: int = 28,
     n_common: int = 60,
-    doc_len: tuple[int, int] = (12, 22),
+    doc_len: tuple[int, int] = (12, MAX_DOC_WORDS),
     topic_frac: float = 0.8,
 ) -> list[str]:
     """Monolingual topic-mixture corpus, one document per entry."""
@@ -134,7 +138,7 @@ def generate_pair_corpus(
     n_topics: int = 24,
     words_per_topic: int = 28,
     n_common: int = 60,
-    doc_len: tuple[int, int] = (12, 22),
+    doc_len: tuple[int, int] = (12, MAX_DOC_WORDS),
     query_len: tuple[int, int] = (3, 6),
     topic_frac: float = 0.8,
 ) -> list[tuple[str, str]]:

@@ -483,8 +483,8 @@ def test_sweep_matches_library_eval(workdir, pretrained):
     from m3enc import evalkit as ek
     state = tr.load_checkpoint(pretrained)
     queries, docs, truth = ek.read_eval_pairs(workdir / "eval.tsv")
-    rep = ek.evaluate(state.params, state.config, state.vocab, queries, docs, truth,
-                      layer=2, dim=16, ks=[5])
+    [rep] = ek.evaluate(state.params, state.config, state.vocab, queries, docs, truth,
+                        cells=[(2, 16)], ks=[5])
     assert csv_recall == rep.recalls[5]
 
 
@@ -595,8 +595,8 @@ def test_ablate_base_arm_matches_plain_pipeline(workdir):
     from m3enc import evalkit as ek
     plain_state = tr.load_checkpoint(out / "final.m3ck")
     queries, docs, truth = ek.read_eval_pairs(workdir / "eval.tsv")
-    report = ek.evaluate(plain_state.params, plain_state.config, plain_state.vocab, queries,
-                         docs, truth, layer=2, dim=16, ks=[1, 5], query_len=8, doc_len=10)
+    [report] = ek.evaluate(plain_state.params, plain_state.config, plain_state.vocab, queries,
+                           docs, truth, cells=[(2, 16)], ks=[1, 5], query_len=8, doc_len=10)
     assert float(base_row[2]) == report.recalls[1]
     assert float(base_row[3]) == report.recalls[5]
     # and the trained weights themselves agree
@@ -992,12 +992,22 @@ OUT_OF_RANGE = {
     "sweep-dim-on-dim-axis": lambda w, ckpt: eval_argv(
         "sweep", ckpt, w / "eval.tsv", "--axis", "dim", "--values", "4,16", "--layer", "2",
         "--dim", "16"),
+    "sweep-dim-axis-without-layer": lambda w, ckpt: eval_argv(
+        "sweep", ckpt, w / "eval.tsv", "--axis", "dim", "--values", "4,16"),
+    "sweep-values-decreasing": lambda w, ckpt: eval_argv(
+        "sweep", ckpt, w / "eval.tsv", "--axis", "dim", "--values", "16,4", "--layer", "2"),
+    "sweep-values-repeated": lambda w, ckpt: eval_argv(
+        "sweep", ckpt, w / "eval.tsv", "--axis", "layer", "--values", "2,2", "--dim", "16"),
     "eval-threads-negative": lambda w, ckpt: eval_argv("eval", ckpt, w / "eval.tsv", "--layer",
                                                        "2", "--dim", "16", "--threads=-1"),
     "pretrain-threads-zero": lambda w, ckpt: ["pretrain", "--config", "unused.json",
                                               "--threads", "0"],
     "gen-data-n-negative": lambda w, ckpt: ["gen-data", "--kind", "mono",
                                             "--out", str(w / "cli-out" / "m.txt"), "--n", "-3"],
+    # an --n whose word arrays exceed physical memory is refused before any is allocated
+    "gen-data-n-beyond-memory": lambda w, ckpt: ["gen-data", "--kind", "mono",
+                                                 "--out", str(w / "cli-out" / "m.txt"),
+                                                 "--n", "1000000000000000000"],
 }
 
 
@@ -1036,6 +1046,14 @@ def test_k_beyond_the_pool_ranks_the_whole_pool(workdir, pretrained, capsys, com
 def test_sweep_names_the_flag_its_axis_does_not_read(workdir, pretrained, capsys, flag):
     assert exit_code(OUT_OF_RANGE[f"sweep-{flag}-on-{flag}-axis"](workdir, pretrained)) == 2
     assert f"no --{flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case,flag", [("sweep-values-decreasing", "--values"),
+                                       ("sweep-values-repeated", "--values"),
+                                       ("gen-data-n-beyond-memory", "--n")])
+def test_refused_value_names_its_flag(workdir, pretrained, capsys, case, flag):
+    assert exit_code(OUT_OF_RANGE[case](workdir, pretrained)) == 2
+    assert f"config error: {flag}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

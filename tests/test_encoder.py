@@ -48,6 +48,11 @@ def test_granularity_validation():
         enc.GranularitySet(layers=(3, 1), dims=(4,))
     with pytest.raises(ConfigError):
         enc.GranularitySet(layers=(0,), dims=(4,))
+    # entries are checked, not coerced: no float, string or bool is an integer here
+    for layers, dims in (((1.9, 2), (4,)), ((2,), ("4", 8)), ((True, 2), (4,)),
+                         ((2,), (4.0,)), ((np.int64(2),), (4,))):
+        with pytest.raises(ConfigError, match="must be integers"):
+            enc.GranularitySet(layers=layers, dims=dims)
     g = enc.GranularitySet(layers=(2, 4), dims=(8, 16))
     assert g.grid == [(2, 8), (2, 16), (4, 8), (4, 16)]
 

@@ -797,17 +797,17 @@ def test_encode_validation():
         ek.encode_corpus(params, cfg, vocab, docs[:2], layers=(9,))
     with pytest.raises(ConfigError):
         ek.evaluate(params, cfg, vocab, docs[:2], docs[:2], ["d000000", "d000001"],
-                    layer=2, dim=99, ks=[1])
+                    cells=[(2, 99)], ks=[1])
 
 
 def test_evaluate_is_read_only_and_deterministic():
     params, cfg, vocab, docs = model_setup()
     queries = [d.split()[0] + " " + d.split()[1] for d in docs[:8]]
     truth = [f"d{i:06d}" for i in range(8)]
-    a = ek.evaluate(params, cfg, vocab, queries, docs[:8], truth, layer=2, dim=8,
-                    ks=[1, 3])
-    b = ek.evaluate(params, cfg, vocab, queries, docs[:8], truth, layer=2, dim=8,
-                    ks=[1, 3])
+    [a] = ek.evaluate(params, cfg, vocab, queries, docs[:8], truth, cells=[(2, 8)],
+                      ks=[1, 3])
+    [b] = ek.evaluate(params, cfg, vocab, queries, docs[:8], truth, cells=[(2, 8)],
+                      ks=[1, 3])
     assert a.recalls == b.recalls
     assert list(a.recalls.values()) == sorted(a.recalls.values())
     assert a.index_bytes == 8 * 8 * 4
@@ -818,39 +818,24 @@ def test_evaluate_is_read_only_and_deterministic():
 # ---------------------------------------------------------------------------
 
 
-def test_sweep_single_value_matches_direct():
-    params, cfg, vocab, docs = model_setup()
-    queries = [" ".join(d.split()[:3]) for d in docs[:8]]
-    truth = [f"d{i:06d}" for i in range(8)]
-    [swept] = ek.tradeoff_sweep(params, cfg, vocab, queries, docs[:8], truth,
-                                axis="dim", values=[8], ks=[3], layer=2)
-    direct = ek.evaluate(params, cfg, vocab, queries, docs[:8], truth, layer=2, dim=8,
-                         ks=[3])
-    untimed = dict(encode_ms=0.0, search_ms=0.0)
-    assert dataclasses.replace(swept, **untimed) == dataclasses.replace(direct, **untimed)
-    assert swept.index_bytes == 8 * 8 * 4
-
-
 def test_sweep_axis_shape_and_validation():
+    # a sweep's values and fixed flags are checked by the CLI (test_cli's
+    # OUT_OF_RANGE); evaluate checks each cell against the model
     params, cfg, vocab, docs = model_setup()
     queries = [" ".join(d.split()[:3]) for d in docs[:6]]
     truth = [f"d{i:06d}" for i in range(6)]
-    reports = ek.tradeoff_sweep(params, cfg, vocab, queries, docs[:6], truth,
-                                axis="dim", values=[4, 8, 16], ks=[1, 3], layer=2)
+    reports = ek.evaluate(params, cfg, vocab, queries, docs[:6], truth,
+                          cells=[(2, 4), (2, 8), (2, 16)], ks=[1, 3])
     assert [(r.layer, r.dim) for r in reports] == [(2, 4), (2, 8), (2, 16)]
     for r in reports:
         assert list(r.recalls) == [1, 3]
         assert all(0.0 <= v <= 1.0 for v in r.recalls.values())
-    layer_reports = ek.tradeoff_sweep(
-        params, cfg, vocab, queries, docs[:6], truth,
-        axis="layer", values=[2, 4], ks=[1], dim=8)
+    layer_reports = ek.evaluate(params, cfg, vocab, queries, docs[:6], truth,
+                                cells=[(2, 8), (4, 8)], ks=[1])
     assert [(r.layer, r.dim) for r in layer_reports] == [(2, 8), (4, 8)]
-    with pytest.raises(ConfigError):
-        ek.tradeoff_sweep(params, cfg, vocab, queries, docs[:6], truth,
-                          axis="dim", values=[8, 4], ks=[1], layer=2)
-    with pytest.raises(ConfigError):
-        ek.tradeoff_sweep(params, cfg, vocab, queries, docs[:6], truth,
-                          axis="dim", values=[4, 8], ks=[1])
+    for bad in ([(2, 8), (2, 0)], [(2, 8), (9, 8)]):
+        with pytest.raises(ConfigError):
+            ek.evaluate(params, cfg, vocab, queries, docs[:6], truth, cells=bad, ks=[1])
 
 
 @pytest.mark.parametrize("axis,values,fixed", [
@@ -861,13 +846,17 @@ def test_sweep_equals_per_cell_evaluate(axis, values, fixed):
     params, cfg, vocab, docs = model_setup()
     queries = [" ".join(d.split()[:2]) for d in docs]
     truth = [f"d{i:06d}" for i in range(len(docs))]
-    reports = ek.tradeoff_sweep(params, cfg, vocab, queries, docs, truth, axis=axis,
-                                values=values, ks=[1, 5, 20], **fixed)
-    for value, swept in zip(values, reports, strict=True):
-        cell = {"layer": fixed.get("layer", value), "dim": fixed.get("dim", value)}
-        direct = ek.evaluate(params, cfg, vocab, queries, docs, truth, ks=[1, 5, 20], **cell)
-        assert (swept.layer, swept.dim) == (cell["layer"], cell["dim"])
+    cells = [(fixed.get("layer", value), fixed.get("dim", value)) for value in values]
+    reports = ek.evaluate(params, cfg, vocab, queries, docs, truth, cells=cells, ks=[1, 5, 20])
+    for cell, swept in zip(cells, reports, strict=True):
+        [direct] = ek.evaluate(params, cfg, vocab, queries, docs, truth, cells=[cell],
+                               ks=[1, 5, 20])
+        assert (swept.layer, swept.dim) == cell
         assert [swept.recalls[k] for k in (1, 5, 20)] == [direct.recalls[k] for k in (1, 5, 20)]
+        # the whole report but its timings, index size included
+        untimed = dict(encode_ms=0.0, search_ms=0.0)
+        assert dataclasses.replace(swept, **untimed) == dataclasses.replace(direct, **untimed)
+        assert swept.index_bytes == len(docs) * cell[1] * 4
 
 
 @pytest.mark.parametrize("axis,values,fixed,taps", [
@@ -888,8 +877,8 @@ def test_sweep_runs_one_forward_per_batch_per_text_set(monkeypatch, axis, values
 
     monkeypatch.setattr(enc, "forward", spy)
     monkeypatch.setattr(ek, "_ENCODE_BATCH", 16)
-    ek.tradeoff_sweep(params, cfg, vocab, queries, docs, truth, axis=axis, values=values,
-                      ks=[1], **fixed)
+    cells = [(fixed.get("layer", value), fixed.get("dim", value)) for value in values]
+    ek.evaluate(params, cfg, vocab, queries, docs, truth, cells=cells, ks=[1])
     # 40 docs then 30 queries, in batches of 16, every batch tapping every layer
     assert calls == [(16, taps), (16, taps), (8, taps), (16, taps), (14, taps)]
 

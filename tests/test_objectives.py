@@ -307,15 +307,18 @@ def test_mrl_per_dim_oracle():
 
 
 def test_mrl_identical_encoders_single_pair_zero():
+    # exactly 0 by construction, in either precision: the diagonal score is
+    # the one entry of the log-sum-exp, not a second sum of the same products
     cfg = toy_config()
-    params = enc.init_parameters(cfg, seed=6, dtype=np.float64)
     rng = np.random.default_rng(6)
     ids = rng.integers(5, cfg.vocab, size=7)
     batch = PairBatch(query_ids=ids, query_lengths=np.array([7]),
                       doc_ids=ids.copy(), doc_lengths=np.array([7]))
-    report = obj.matryoshka_contrastive_loss(params, cfg, batch, 0.05, None,
-                                             enc.GranularitySet((2,), (8,)))
-    assert report.total == 0.0
+    for dtype in (np.float64, np.float32):
+        params = enc.init_parameters(cfg, seed=6, dtype=dtype)
+        report = obj.matryoshka_contrastive_loss(params, cfg, batch, 0.05, None,
+                                                 enc.GranularitySet((2,), (8,)))
+        assert report.total == 0.0, dtype
 
 
 def test_mrl_dim_validation():

@@ -1,6 +1,6 @@
 """Source checks over the m3enc package: every import is used, scipy is
-imported only inside functions, and every public class, function and method
-has a caller."""
+imported only inside functions, and every class, function and method, public
+or private, has a caller."""
 
 import ast
 import json
@@ -144,17 +144,21 @@ def is_property(decorator) -> bool:
             and isinstance(decorator.value, ast.Name) and decorator.value.id == "functools")
 
 
-def public_definitions(tree):
-    """(name, kind, node) of each public module-level class and function and
-    class method; ``kind`` is "class", "function", "method" or "property"."""
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def definitions(tree):
+    """(name, kind, node) of each module-level class and function and class
+    method, public or private but not a dunder, which Python itself calls;
+    ``kind`` is "class", "function", "method" or "property"."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+        if isinstance(node, ast.FunctionDef) and not is_dunder(node.name):
             yield node.name, "function", node
         elif isinstance(node, ast.ClassDef):
-            if not node.name.startswith("_"):
-                yield node.name, "class", node
+            yield node.name, "class", node
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                if isinstance(item, ast.FunctionDef) and not is_dunder(item.name):
                     kind = "property" if any(map(is_property, item.decorator_list)) else "method"
                     yield item.name, kind, item
 
@@ -179,16 +183,17 @@ READ_AS = {"class": ("name", "attr"), "function": ("name", "attr"), "method": ("
            "property": ("attr",)}
 
 
-def uncalled_public_names(trees: dict[str, ast.Module]) -> list[str]:
-    """``file:name`` of each public class, function, method or property of ``m3enc/``
-    that no file reads outside its own definition (``READ_AS``). Imports do
-    not count as reads; the ``cmd_*`` handlers count through ``_HANDLERS``."""
+def uncalled_names(trees: dict[str, ast.Module]) -> list[str]:
+    """``file:name`` of each class, function, method or property of ``m3enc/``
+    (``definitions``) that no file reads outside its own definition
+    (``READ_AS``). Imports do not count as reads; the ``cmd_*`` handlers
+    count through ``_HANDLERS``."""
     everywhere = sum((references(tree) for tree in trees.values()), Counter())
     out = []
     for path, tree in trees.items():
         if not path.startswith("m3enc/"):
             continue
-        for name, kind, node in public_definitions(tree):
+        for name, kind, node in definitions(tree):
             outside = everywhere - references(node)
             if not any(outside[how, name] for how in READ_AS[kind]):
                 out.append(f"{path}:{name}")
@@ -205,14 +210,20 @@ def test_uncalled_public_name_finder():
         "    @functools.cached_property\n    def r(self):\n        return 2\n\n"
         "    @cached_property\n    def s(self):\n        return 3\n\n"
         "class D:\n    def make(self) -> D:\n        return D()\n\n"
-        "class E:\n    pass\n\nclass _F:\n    pass\n"),
+        "class E:\n    pass\n\nclass _F:\n    pass\n\n"
+        "def _h():\n    return _k()\n\ndef _k():\n    pass\n\n"
+        "class _G:\n    def __init__(self):\n        self._w()\n\n"
+        "    def _w(self):\n        pass\n\n    def _v(self):\n        pass\n"),
         "other/b.py": ast.parse("from m3enc.a import f, g, D, E\n\ng()\nC().p\nC().r\n"
-                                "a.E\n")}
+                                "a.E\na._G()\n")}
     # f is only imported and called by itself; x.n reads a field, not the
     # method; a cached property, like a property, is read as an attribute;
-    # D is only imported and named in its own body, E is read as a.E
-    assert uncalled_public_names(trees) == ["m3enc/a.py:D", "m3enc/a.py:f", "m3enc/a.py:make",
-                                            "m3enc/a.py:n", "m3enc/a.py:q", "m3enc/a.py:s"]
+    # D is only imported and named in its own body, E is read as a.E;
+    # private names count too: _F and _h have no reader, _k and _G do, and
+    # of _G's methods the dunder is exempt, _w is called and _v is not
+    assert uncalled_names(trees) == ["m3enc/a.py:D", "m3enc/a.py:_F", "m3enc/a.py:_h",
+                                     "m3enc/a.py:_v", "m3enc/a.py:f", "m3enc/a.py:make",
+                                     "m3enc/a.py:n", "m3enc/a.py:q", "m3enc/a.py:s"]
 
 
 def test_every_public_name_has_a_caller_in_the_package():
@@ -223,7 +234,7 @@ def test_every_public_name_has_a_caller_in_the_package():
                 continue
             key = f"{root.name}/{path.relative_to(root).as_posix()}"
             trees[key] = ast.parse(path.read_text(encoding="utf-8"))
-    found = uncalled_public_names(trees)
+    found = uncalled_names(trees)
     allowed = [f for f in found if f.split(":")[1] in CALLED_FROM_TESTS_BY_DESIGN]
     assert len(allowed) == len(CALLED_FROM_TESTS_BY_DESIGN), "allowlisted names now have callers"
     assert sorted(set(found) - set(allowed)) == []

@@ -643,6 +643,11 @@ def rewrite_manifest(path, edit):
     path.write_bytes(raw[:8] + json.dumps(manifest).encode() + raw[nl:])
 
 
+def edit_first_grid_entry(manifest, axis, change):
+    entries = manifest["model"]["granularity"][axis]
+    entries[0] = change(entries[0])
+
+
 @pytest.mark.parametrize("edit", [
     lambda m: m.pop("tensors"),
     lambda m: m["tensors"][0].pop("shape"),
@@ -675,12 +680,15 @@ def rewrite_manifest(path, edit):
     lambda m: m["tensors"].append({"name": "param/extra", "shape": [0], "dtype": "<f4",
                                    "offset": 0, "nbytes": 0, "crc32": 0}),
     lambda m: m.update(optimizer=None),  # the moments stay in the table
+    # int() would read both as the entries they came from
+    lambda m: edit_first_grid_entry(m, "layers", lambda v: v + 0.9),
+    lambda m: edit_first_grid_entry(m, "dims", str),
 ], ids=["no-tensors", "no-shape", "str-nbytes", "float-nbytes", "bad-dtype",
         "shape-vs-nbytes", "no-name", "table-not-list", "no-granularity", "zero-hidden", "no-seed",
         "vocab-not-list", "inf-ffn_mult", "huge-ffn_mult", "more-layers",
         "float-hidden", "str-step", "float-step", "negative-step", "int-stage", "str-seed",
         "str-t", "negative-t", "vocab-specials-moved", "vocab-repeats", "vocab-size-vs-model",
-        "no-norm", "extra-tensor", "null-optimizer"])
+        "no-norm", "extra-tensor", "null-optimizer", "float-layer", "str-dim"])
 def test_checkpoint_malformed_manifest_is_typed(tmp_path, edit):
     state, source = tiny_setup()
     tr.run_stage(mlm_stage(1), state, source, ListSink())
